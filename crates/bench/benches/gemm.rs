@@ -3,19 +3,17 @@
 //! Two parts:
 //!
 //! 1. A criterion group comparing the whole kernel ladder — naive,
-//!    blocked, band-parallel, packed, packed-parallel, the `gemm_auto`
-//!    dispatcher, and the Tensor-Core (through-f16) variant — at small
-//!    and medium sizes.
+//!    blocked, packed, packed-parallel, the `gemm_auto` dispatcher, and
+//!    the Tensor-Core (through-f16) variant — at small and medium sizes.
 //! 2. A headline measurement at 256/512/1024 cubed, over both an f32
 //!    carrier and the u64 ring carrier secure training runs on,
 //!    comparing the seed production kernel (`gemm_blocked`) against the
-//!    packed paths, — where the host tile unit verifies — the
-//!    limb-split quantized ring kernel, and the host backend's real
-//!    mixed-precision paths (`host_f16` through the F16C unit,
-//!    `host_int8` over the int8 tile pipeline). Each kernel entry is
-//!    tagged with its compute backend (`"sim"` / `"host"`). Written to
-//!    `BENCH_gemm.json` (a `psml.bench.gemm.v1` document) at the
-//!    repository root so the speedups are recorded per host.
+//!    packed paths and — where the host tile unit verifies — the
+//!    limb-split quantized ring kernel. `packed_parallel` is recorded
+//!    only when the global pool has more than one worker (with one it is
+//!    the same code as `packed`). Written to `BENCH_gemm.json` (a
+//!    `psml.bench.gemm.v1` document) at the repository root so the
+//!    speedups are recorded per host.
 //!
 //! `PSML_SMOKE=1` shrinks the headline to a seconds-scale CI check
 //! written to `BENCH_gemm.smoke.json`; both modes assert that the
@@ -25,8 +23,8 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use psml_gpu::{kernels, GemmMode};
 use psml_tensor::{
-    gemm_auto, gemm_blocked, gemm_f16, gemm_int8_scaled, gemm_naive, gemm_packed,
-    gemm_packed_parallel, gemm_parallel, gemm_quant, quant_ring_available, Matrix, Num,
+    gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel, gemm_quant,
+    quant_ring_available, Matrix, Num,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -70,9 +68,6 @@ fn bench_gemm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
             bench.iter(|| black_box(gemm_blocked(&a, &b)))
         });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_parallel(&a, &b, 4)))
-        });
         group.bench_with_input(BenchmarkId::new("packed", n), &n, |bench, _| {
             bench.iter(|| black_box(gemm_packed(&a, &b)))
         });
@@ -84,14 +79,6 @@ fn bench_gemm(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("tensor_core_f16", n), &n, |bench, _| {
             bench.iter(|| black_box(kernels::gemm(&a, &b, GemmMode::TensorCore)))
-        });
-        // The host backend's real mixed-precision paths (F16C rounding /
-        // int8 tile pipeline) next to the simulator's functional ladder.
-        group.bench_with_input(BenchmarkId::new("host_f16", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_f16(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("host_int8", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_int8_scaled(&a, &b)))
         });
     }
     // Ring carrier at a size past the quant cutover, so the limb-split
@@ -122,27 +109,8 @@ fn bench_gemm(c: &mut Criterion) {
 
 criterion_group!(benches, bench_gemm);
 
-/// A named GEMM kernel closure under measurement, tagged with the
-/// compute backend it belongs to: `"sim"` for the simulator's functional
-/// ladder (the exact kernels the device model executes), `"host"` for
-/// the host backend's real mixed-precision paths.
-type NamedKernel<'a, R> = (&'a str, &'static str, Box<dyn FnMut() -> Matrix<R> + 'a>);
-
-/// Host-backend mixed-precision kernels measured alongside the f32
-/// ladder: the F16C-rounded Tensor-Core contract and the approximate
-/// int8 path over the AMX tile pipeline.
-fn f32_host_kernels<'a>(a: &'a Matrix<f32>, b: &'a Matrix<f32>) -> Vec<NamedKernel<'a, f32>> {
-    vec![
-        ("host_f16", "host", Box::new(move || gemm_f16(a, b))),
-        ("host_int8", "host", Box::new(move || gemm_int8_scaled(a, b))),
-    ]
-}
-
-/// Ring carriers have no approximate paths: every kernel is exact, and
-/// the quantized path already appears in the shared ladder.
-fn no_host_kernels<'a, R: Num>(_: &'a Matrix<R>, _: &'a Matrix<R>) -> Vec<NamedKernel<'a, R>> {
-    Vec::new()
-}
+/// A named GEMM kernel closure under measurement.
+type NamedKernel<'a, R> = (&'a str, Box<dyn FnMut() -> Matrix<R> + 'a>);
 
 /// One timed invocation in seconds.
 fn time_once<R>(f: &mut dyn FnMut() -> Matrix<R>) -> f64 {
@@ -168,7 +136,7 @@ fn best_of<R>(kernels: &mut [NamedKernel<R>], reps: usize, gap_ms: u64) -> Vec<f
             // rounds so the gaps sample distinct host phases.
             std::thread::sleep(std::time::Duration::from_millis(gap_ms));
         }
-        for (slot, (_, _, f)) in kernels.iter_mut().enumerate() {
+        for (slot, (_, f)) in kernels.iter_mut().enumerate() {
             best[slot] = best[slot].min(time_once(f));
         }
     }
@@ -186,39 +154,39 @@ fn element_entry<R: Num>(
     reps: usize,
     gap_ms: u64,
     make: &dyn Fn(usize, u64) -> Matrix<R>,
-    host_kernels: for<'x> fn(&'x Matrix<R>, &'x Matrix<R>) -> Vec<NamedKernel<'x, R>>,
 ) -> String {
     let quant = R::WRAPPING_U64 && quant_ring_available();
+    let pooled = psml_parallel::global_pool().workers() > 1;
     let mut size_entries = Vec::new();
     for &n in sizes {
         let a = make(n, 1);
         let b = make(n, 2);
         let mut kernels: Vec<NamedKernel<R>> = vec![
-            ("blocked", "sim", Box::new(|| gemm_blocked(&a, &b))),
-            ("packed", "sim", Box::new(|| gemm_packed(&a, &b))),
-            ("packed_parallel", "sim", Box::new(|| gemm_packed_parallel(&a, &b))),
-            ("auto", "sim", Box::new(|| gemm_auto(&a, &b))),
+            ("blocked", Box::new(|| gemm_blocked(&a, &b))),
+            ("packed", Box::new(|| gemm_packed(&a, &b))),
+            ("auto", Box::new(|| gemm_auto(&a, &b))),
         ];
-        if quant {
-            kernels.push(("quant", "sim", Box::new(|| gemm_quant(&a, &b))));
+        if pooled {
+            kernels.push(("packed_parallel", Box::new(|| gemm_packed_parallel(&a, &b))));
         }
-        kernels.extend(host_kernels(&a, &b));
+        if quant {
+            kernels.push(("quant", Box::new(|| gemm_quant(&a, &b))));
+        }
         let best = best_of(&mut kernels, reps, gap_ms);
         let secs_of = |name: &str| {
             kernels
                 .iter()
-                .position(|(k, _, _)| *k == name)
+                .position(|(k, _)| *k == name)
                 .map(|i| best[i])
         };
         let mut fields = Vec::new();
-        for ((name, backend, _), secs) in kernels.iter().zip(&best) {
+        for ((name, _), secs) in kernels.iter().zip(&best) {
             println!(
-                "gemm headline {element} n={n} {name} [{backend}]: {secs:.4}s ({:.2} GFLOP/s)",
+                "gemm headline {element} n={n} {name}: {secs:.4}s ({:.2} GFLOP/s)",
                 gflops(n, *secs)
             );
             fields.push(format!(
-                "\"{name}\": {{\"backend\": \"{backend}\", \"secs\": {secs:.6}, \
-                 \"gflops\": {:.3}}}",
+                "\"{name}\": {{\"secs\": {secs:.6}, \"gflops\": {:.3}}}",
                 gflops(n, *secs)
             ));
         }
@@ -232,20 +200,17 @@ fn element_entry<R: Num>(
              ({auto_secs:.6}s vs worst {slowest:.6}s): cutover regression"
         );
         let mut speedups = format!(
-            ", \"speedup_packed_parallel_vs_blocked\": {:.3}",
-            secs_of("blocked").unwrap() / secs_of("packed_parallel").unwrap()
+            ", \"speedup_packed_vs_blocked\": {:.3}",
+            secs_of("blocked").unwrap() / secs_of("packed").unwrap()
         );
+        if let Some(par_secs) = secs_of("packed_parallel") {
+            let s = secs_of("blocked").unwrap() / par_secs;
+            speedups.push_str(&format!(", \"speedup_packed_parallel_vs_blocked\": {s:.3}"));
+        }
         if let Some(quant_secs) = secs_of("quant") {
             let s = secs_of("packed").unwrap() / quant_secs;
             println!("gemm headline {element} n={n} quant vs packed: {s:.2}x");
             speedups.push_str(&format!(", \"speedup_quant_vs_packed\": {s:.3}"));
-        }
-        for host_name in ["host_f16", "host_int8"] {
-            if let Some(host_secs) = secs_of(host_name) {
-                let s = secs_of("packed").unwrap() / host_secs;
-                println!("gemm headline {element} n={n} {host_name} vs packed: {s:.2}x");
-                speedups.push_str(&format!(", \"speedup_{host_name}_vs_packed\": {s:.3}"));
-            }
         }
         size_entries.push(format!(
             "      {{\"n\": {n}, \"kernels\": {{{}}}{speedups}}}",
@@ -263,23 +228,23 @@ fn element_entry<R: Num>(
 /// result as a versioned JSON document at the repository root.
 fn headline() {
     let smoke = std::env::var_os("PSML_SMOKE").is_some();
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let workers = psml_parallel::global_pool().workers();
     let (sizes, reps, gap_ms): (&[usize], usize, u64) = if smoke {
         (&[96, 192], 3, 50)
     } else {
         (&[256, 512, 1024], 8, 250)
     };
     let elements = [
-        element_entry("f32", sizes, reps, gap_ms, &mat, f32_host_kernels),
-        element_entry("u64", sizes, reps, gap_ms, &ring, no_host_kernels),
+        element_entry("f32", sizes, reps, gap_ms, &mat),
+        element_entry("u64", sizes, reps, gap_ms, &ring),
     ];
     // Conv-derived (im2col) shape: tall-skinny, where the packed paths'
     // register tiling pays off without any square-size sweet spot.
     let ca = rect(CONV_M, CONV_K, 3);
     let cb = rect(CONV_K, CONV_N, 4);
     let mut conv_kernels: [NamedKernel<f32>; 2] = [
-        ("blocked", "sim", Box::new(|| gemm_blocked(&ca, &cb))),
-        ("auto", "sim", Box::new(|| gemm_auto(&ca, &cb))),
+        ("blocked", Box::new(|| gemm_blocked(&ca, &cb))),
+        ("auto", Box::new(|| gemm_auto(&ca, &cb))),
     ];
     let conv_best = best_of(&mut conv_kernels, if smoke { 3 } else { 8 }, 100);
     let conv_speedup = conv_best[0] / conv_best[1];

@@ -481,26 +481,24 @@ mod tests {
     #[test]
     fn gpu_cost_is_the_backend_charge_plus_transfers() {
         // MeasuredCost (and Auto) price a GPU offload through the backend
-        // trait's shared rate table: for every selectable backend,
-        // `gpu_cost` must equal that backend's `gemm_charge` duration plus
-        // the PCIe round trip — i.e. charged time is a property of the
-        // machine model, never of the unit that executes.
-        use psml_gpu::{backend_for, BackendKind};
+        // trait's rate table: `gpu_cost` must equal the `gemm_charge`
+        // duration the device will actually charge plus the PCIe round
+        // trip.
+        use psml_gpu::{Backend, SimBackend};
         let (m, k, n) = (192, 256, 128);
         let bytes = bytes_for(m, k, n);
         for cfg in [cfg(), cfg().with_model_quant_ring(true), cfg().with_tensor_cores(false)] {
             let want = AdaptiveEngine::gpu_cost(&cfg, m, k, n, bytes);
-            for kind in [BackendKind::Simulated, BackendKind::Host, BackendKind::OpenCl] {
-                let be = backend_for::<f32>(kind);
-                let (label, dur) =
-                    be.gemm_charge(&cfg.machine.gpu, m, k, n, cfg.gpu_gemm_mode());
-                assert_eq!(
-                    want,
-                    dur + cfg.machine.gpu.pcie.transfer_time(bytes),
-                    "{kind:?} disagrees with the planner's cost"
-                );
-                assert_eq!(label, cfg.gpu_gemm_mode().kernel_label());
-            }
+            let (label, dur) = Backend::<f32>::gemm_charge(
+                &SimBackend,
+                &cfg.machine.gpu,
+                m,
+                k,
+                n,
+                cfg.gpu_gemm_mode(),
+            );
+            assert_eq!(want, dur + cfg.machine.gpu.pcie.transfer_time(bytes));
+            assert_eq!(label, cfg.gpu_gemm_mode().kernel_label());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Engine configuration: which of the paper's techniques are enabled.
 
 use crate::error::ConfigError;
-use psml_gpu::{BackendKind, GemmMode, MachineConfig};
+use psml_gpu::{GemmMode, MachineConfig};
 use psml_mpc::EvalStrategy;
 use psml_net::{FaultPlan, RetryPolicy};
 use psml_tensor::sparse::DEFAULT_SPARSITY_THRESHOLD;
@@ -39,14 +39,6 @@ pub enum AdaptivePolicy {
 pub struct EngineConfig {
     /// Hardware model for every node.
     pub machine: MachineConfig,
-    /// Which compute backend executes device kernels
-    /// ([`BackendKind::Simulated`] by default — every committed report was
-    /// produced under it and stays byte-identical). The `PSML_BACKEND`
-    /// environment variable overrides this field at context construction
-    /// (see [`EngineConfig::effective_backend`]); charged simulated time
-    /// is backend-independent, so flipping backends can only change float
-    /// rounding provenance, never ring results or report timings.
-    pub backend: BackendKind,
     /// *compute2* placement policy.
     pub policy: AdaptivePolicy,
     /// Enable the double pipeline (Fig. 5 + Fig. 6). When off, every
@@ -140,7 +132,6 @@ impl EngineConfig {
     pub fn parsecureml() -> Self {
         EngineConfig {
             machine: MachineConfig::v100_node(),
-            backend: BackendKind::Simulated,
             policy: AdaptivePolicy::Auto,
             pipeline: true,
             compression: true,
@@ -169,7 +160,6 @@ impl EngineConfig {
     pub fn secureml() -> Self {
         EngineConfig {
             machine: MachineConfig::secureml_node(),
-            backend: BackendKind::Simulated,
             policy: AdaptivePolicy::ForceCpu,
             pipeline: false,
             compression: false,
@@ -220,21 +210,6 @@ impl EngineConfig {
     pub fn with_tensor_cores(mut self, on: bool) -> Self {
         self.tensor_cores = on;
         self
-    }
-
-    /// Returns this config with the given compute backend (see
-    /// [`EngineConfig::backend`]).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The backend a context built from this config will actually use:
-    /// the `PSML_BACKEND` environment variable (read once per process)
-    /// when set, [`EngineConfig::backend`] otherwise. OpenCL additionally
-    /// degrades per carrier at construction (`psml_gpu::backend_for`).
-    pub fn effective_backend(&self) -> BackendKind {
-        psml_gpu::env_backend_override().unwrap_or(self.backend)
     }
 
     /// Returns this config with quantized-ring cost modeling toggled
@@ -351,13 +326,10 @@ impl EngineConfig {
     /// Time for an `(m x k) * (k x n)` GEMM on the simulated GPU under
     /// this config's unit selection ([`EngineConfig::gpu_gemm_mode`]).
     ///
-    /// Costed through the backend trait's shared rate table
-    /// ([`psml_gpu::Backend::gemm_charge`]) so the adaptive planner, the
-    /// device's charge paths, and every backend price a GEMM identically;
-    /// `gemm_charge` is a provided method no backend overrides, which
-    /// keeps charged time a property of the machine model rather than of
-    /// the unit that happens to execute (pinned by tests here and in
-    /// `adaptive`).
+    /// Costed through the backend trait's rate table
+    /// ([`psml_gpu::Backend::gemm_charge`]) so the adaptive planner and
+    /// the device's charge paths price a GEMM identically (pinned by
+    /// tests here and in `adaptive`).
     pub fn gpu_gemm_time(&self, m: usize, k: usize, n: usize) -> psml_simtime::SimDuration {
         <psml_gpu::SimBackend as psml_gpu::Backend<f32>>::gemm_charge(
             &psml_gpu::SimBackend,
@@ -498,12 +470,6 @@ impl EngineConfigBuilder {
     /// Tensor-Core GEMMs on/off.
     pub fn tensor_cores(mut self, on: bool) -> Self {
         self.cfg.tensor_cores = on;
-        self
-    }
-
-    /// Compute backend for device kernels (see [`EngineConfig::backend`]).
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.cfg.backend = backend;
         self
     }
 
@@ -650,27 +616,6 @@ mod tests {
         assert!(!cfg.pipeline && !cfg.compression && !cfg.tensor_cores);
         assert_eq!(cfg.cpu_threads, 1, "zero threads clamps to one");
         assert_eq!(cfg.policy, AdaptivePolicy::ForceGpu);
-    }
-
-    #[test]
-    fn backend_defaults_to_simulated_everywhere() {
-        // Every preset stays on the simulator so committed reports remain
-        // byte-identical; the combinator and builder select the others.
-        for cfg in [
-            EngineConfig::parsecureml(),
-            EngineConfig::parsecureml_unoptimized(),
-            EngineConfig::secureml(),
-        ] {
-            assert_eq!(cfg.backend, BackendKind::Simulated);
-        }
-        let cfg = EngineConfig::parsecureml().with_backend(BackendKind::Host);
-        assert_eq!(cfg.backend, BackendKind::Host);
-        let cfg = EngineConfig::builder().backend(BackendKind::OpenCl).build().unwrap();
-        assert_eq!(cfg.backend, BackendKind::OpenCl);
-        // Without a PSML_BACKEND override the field is authoritative.
-        if std::env::var_os("PSML_BACKEND").is_none() {
-            assert_eq!(cfg.effective_backend(), BackendKind::OpenCl);
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::provider::TripleProvider;
 use crate::report::{PhaseBreakdown, RunReport};
-use psml_gpu::{backend_for, GemmMode, GpuDevice, GpuElement};
+use psml_gpu::{GemmMode, GpuDevice, GpuElement};
 use psml_mpc::{
     gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing,
     ServerMulSession, TripleShare, TripleSpec,
@@ -256,13 +256,9 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         for ep in [&mut c_ep, &mut s0_ep, &mut s1_ep] {
             ep.install_faults(&cfg.fault_plan);
         }
-        // One backend selection for every device in the context: config
-        // field, overridden by PSML_BACKEND, degraded per carrier (OpenCL
-        // falls back to host for rings / missing devices).
-        let backend = cfg.effective_backend();
         let mk_server = |ep: Endpoint<R>| ServerState {
             cpu: Resource::new("cpu"),
-            device: GpuDevice::with_backend(cfg.machine.gpu.clone(), backend_for::<R>(backend)),
+            device: GpuDevice::new(cfg.machine.gpu.clone()),
             endpoint: ep,
             encoders: HashMap::new(),
             decoders: HashMap::new(),
@@ -273,7 +269,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             rng: psml_parallel::protocol_rng(seed),
             client: ClientState {
                 cpu: Resource::new("client-cpu"),
-                device: GpuDevice::with_backend(cfg.machine.gpu.clone(), backend_for::<R>(backend)),
+                device: GpuDevice::new(cfg.machine.gpu.clone()),
                 endpoint: c_ep,
                 now: SimTime::ZERO,
             },

@@ -108,13 +108,8 @@ const SCHEMAS: &[(&str, &[&str])] = &[
         "psml.bench.gemm.v1",
         &["bench", "host_workers", "quant_ring_available", "elements"],
     ),
-    (
-        "psml.lint.v1",
-        &["tool", "files_scanned", "rules", "findings", "summary"],
-    ),
-    // v2 adds per-finding `fingerprint` and `evidence` fields (inside the
-    // findings array, which the header check does not descend into); the
-    // top-level shape is unchanged, and v1 documents stay accepted.
+    // Per-finding `fingerprint` and `evidence` fields live inside the
+    // findings array, which the header check does not descend into.
     (
         "psml.lint.v2",
         &["tool", "files_scanned", "rules", "findings", "summary"],
@@ -245,6 +240,7 @@ mod tests {
     #[test]
     fn validate_rejects_unknown_and_incomplete() {
         assert!(validate_document("{\"schema\":\"psml.bogus.v9\"}").is_err());
+        assert!(validate_document("{\"schema\":\"psml.lint.v1\"}").is_err());
         assert!(validate_document("{\"schema\":\"psml.trace.v1\"}").is_err());
         assert!(validate_document("not json").is_err());
         assert!(validate_document("[1,2]").is_err());

@@ -651,22 +651,12 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         Ok(out)
     }
 
-    /// Internal single-batch inference (schedule + online pass), shared by
-    /// the training paths and the deprecated shim.
+    /// Internal single-batch inference (schedule + online pass) for the
+    /// training paths.
     fn infer_plain(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
         self.ctx
             .schedule_triples(&self.spec.forward_schedule(x.rows()));
         self.infer_prescheduled(x)
-    }
-
-    /// Secure inference on one plaintext batch; reveals the outputs.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `infer_request(&InferRequest::new(x.clone()))` — the typed \
-                request/response API shared with `core::serve`"
-    )]
-    pub fn infer_batch(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
-        self.infer_plain(x)
     }
 
     /// Trains `batches` mini-batches of `batch_size` drawn from `dataset`.
@@ -723,22 +713,6 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
             report: self.ctx.report(),
             accuracy: if total > 0.0 { correct / total } else { 0.0 },
         })
-    }
-
-    /// Secure inference over `batches` mini-batches; reports accuracy.
-    #[deprecated(
-        since = "0.8.0",
-        note = "renamed to `evaluate` (the typed request/response API \
-                reserves `infer` for per-request serving)"
-    )]
-    pub fn infer(
-        &mut self,
-        dataset: DatasetKind,
-        batch_size: usize,
-        batches: usize,
-        seed: u32,
-    ) -> Result<InferenceResult> {
-        self.evaluate(dataset, batch_size, batches, seed)
     }
 
     /// Maps a dataset batch to this model's target representation.
@@ -1021,28 +995,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&res.accuracy));
         assert_eq!(res.outputs.shape(), (4, 1));
         assert!(res.report.online_time.as_secs() > 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_typed_api() {
-        // The `infer_batch`/`infer` shims must be thin delegates: same
-        // seed, same inputs => bit-identical outputs via either surface.
-        let spec = ModelSpec::build(ModelKind::Linear, 16, None, 10).unwrap();
-        let mut rng = Mt19937::new(9);
-        let x = PlainMatrix::from_fn(4, 16, |_, _| rng.next_f64() - 0.5);
-        let mut a = SecureTrainer::<Fixed64>::new(small_cfg(), spec.clone(), 13).unwrap();
-        let mut b = SecureTrainer::<Fixed64>::new(small_cfg(), spec.clone(), 13).unwrap();
-        let via_shim = a.infer_batch(&x).unwrap();
-        let via_typed = b.infer_request(&InferRequest::new(x.clone())).unwrap().output;
-        assert_eq!(via_shim, via_typed);
-        let spec = ModelSpec::build(ModelKind::Logistic, 2048, None, 10).unwrap();
-        let mut a = SecureTrainer::<Fixed64>::new(small_cfg(), spec.clone(), 23).unwrap();
-        let mut b = SecureTrainer::<Fixed64>::new(small_cfg(), spec, 23).unwrap();
-        let via_shim = a.infer(psml_data::DatasetKind::Synthetic, 4, 2, 7).unwrap();
-        let via_typed = b.evaluate(psml_data::DatasetKind::Synthetic, 4, 2, 7).unwrap();
-        assert_eq!(via_shim.outputs, via_typed.outputs);
-        assert_eq!(via_shim.accuracy, via_typed.accuracy);
     }
 
     #[test]

@@ -1,120 +1,55 @@
-//! Pluggable compute backends behind one device API.
+//! The compute seam behind the device API: one rate table, one kernel set.
 //!
 //! [`GpuDevice`](crate::device::GpuDevice) splits into two layers: the
 //! *device surface* (buffers/arena, the three-engine timeline, profiler
-//! charging, OOM accounting) and the *compute backend* that actually
-//! produces kernel results. This module defines the seam:
+//! charging, OOM accounting) and the *compute backend* that produces
+//! kernel results and prices them. This module defines the seam:
 //!
 //! - [`Backend`] is the kernel-execution trait. It also owns the **rate
 //!   table** — the provided [`Backend::gemm_charge`] / [`Backend::rng_charge`]
 //!   methods pair every kernel with its label and charged duration, so the
-//!   real `gemm` path, the charge-only roundtrip mirrors, and any new
-//!   backend all draw cost from one place and cannot drift apart.
-//! - [`SimBackend`] is the default: the functional simulator's host
-//!   kernels, exactly as before this seam existed. Every committed report
-//!   stays bit-identical under it.
-//! - [`HostBackend`] is a *real* backend: the Tensor-Core mode runs on the
-//!   host's mixed-precision f16 path (hardware F16C conversions where
-//!   available) and the quantized-ring mode on the limb-split int8 tile
-//!   kernel (`psml_tensor::quant`, AMX where verified). Ring-carrier
-//!   outputs are bit-identical to the simulator — both pipelines are
-//!   exact — and float outputs are bit-identical too, because the
-//!   simulated Tensor-Core kernel is *defined* as round-through-f16 then
-//!   FP32 accumulate, which is precisely what the host path computes.
-//! - The OpenCL backend (`--features gpu`, [`crate::opencl`]) runs f32
-//!   Tensor-Core-mode GEMMs as scaled int8 products on a real device,
-//!   following the `GpuExec` TM/TN/TK build-option pattern. Everything it
-//!   cannot run exactly (ring carriers, no device found, feature off)
-//!   falls back to [`HostBackend`].
+//!   real `gemm` path, the charge-only roundtrip mirrors and
+//!   `AdaptiveEngine::gpu_cost` all draw cost from one place and cannot
+//!   drift apart.
+//! - [`SimBackend`] is the only implementation: the functional simulator's
+//!   host kernels ([`crate::kernels`]). Every committed report was produced
+//!   under it.
 //!
-//! Selection order: the `PSML_BACKEND` environment variable (parsed once
-//! per process; `sim`/`host`/`opencl`) overrides
-//! `EngineConfig::backend`, which defaults to [`BackendKind::Simulated`].
+//! Where a product runs is decided from measured cost per operation by the
+//! adaptive engine, never by a user-set backend flag.
 
 use crate::config::GpuConfig;
 use crate::element::GpuElement;
 use crate::kernels::{self, GemmMode};
 use psml_simtime::SimDuration;
 use psml_tensor::Matrix;
-use std::sync::OnceLock;
 
-/// Which compute backend a device uses. See the module docs for the
-/// fallback rules; [`BackendKind::Simulated`] is always the default.
+/// Which compute backend a device uses: the functional simulator, the
+/// only one there is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// The functional simulator's host kernels (bit-identical legacy
-    /// behavior; every committed report was produced under this).
+    /// The functional simulator's host kernels (every committed report
+    /// was produced under this).
     #[default]
     Simulated,
-    /// Real host execution: f16 mixed-precision and int8 limb-split
-    /// kernels on the host's vector/tile units.
-    Host,
-    /// OpenCL int8 GEMM device backend (`--features gpu`); falls back to
-    /// [`BackendKind::Host`] when the feature is off, no device is found,
-    /// or the carrier requires an exact ring product.
-    OpenCl,
-}
-
-impl BackendKind {
-    /// Stable lowercase name (used in bench documents and `PSML_BACKEND`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Simulated => "sim",
-            BackendKind::Host => "host",
-            BackendKind::OpenCl => "opencl",
-        }
-    }
-
-    /// Parses a `PSML_BACKEND` value.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sim" | "simulated" => Some(BackendKind::Simulated),
-            "host" => Some(BackendKind::Host),
-            "opencl" | "cl" | "gpu" => Some(BackendKind::OpenCl),
-            _ => None,
-        }
-    }
-}
-
-/// Process-wide backend override from the `PSML_BACKEND` environment
-/// variable, read once (part of the once-per-process availability probe;
-/// ad-hoc per-call env reads are what this replaces). Panics on an
-/// unrecognized value — a misspelled backend silently ignored would
-/// invalidate every measurement taken under it.
-pub fn env_backend_override() -> Option<BackendKind> {
-    static OVERRIDE: OnceLock<Option<BackendKind>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let v = std::env::var("PSML_BACKEND").ok()?;
-        if v.is_empty() {
-            return None;
-        }
-        Some(BackendKind::parse(&v).unwrap_or_else(|| {
-            panic!("PSML_BACKEND={v:?} is not one of sim|host|opencl")
-        }))
-    })
 }
 
 /// A compute backend: executes kernels and prices them.
 ///
-/// The execution methods must compute the *same function* the simulated
-/// kernels define — exactly for ring carriers, and with the documented
-/// through-f16 rounding (and only that) for the float Tensor-Core mode.
-/// The charge methods are provided and final in spirit: they are the one
-/// rate table ([`GpuConfig::gemm_time_mode`] + [`GemmMode::kernel_label`])
-/// shared by real execution and the charge-only roundtrip mirrors, so a
-/// backend cannot ship kernels the cost model doesn't know how to price.
+/// The execution methods are exact for ring carriers and apply the
+/// documented through-f16 rounding (and only that) for the float
+/// Tensor-Core mode. The charge methods are provided and final in spirit:
+/// they are the one rate table ([`GpuConfig::gemm_time_mode`] +
+/// [`GemmMode::kernel_label`]) shared by real execution and the
+/// charge-only roundtrip mirrors, so no kernel runs that the cost model
+/// doesn't know how to price.
 pub trait Backend<R: GpuElement>: Send + Sync {
-    /// Which backend this is (for reports and diagnostics).
-    fn kind(&self) -> BackendKind;
-
     /// Executes a GEMM with the selected unit's numerics.
     fn gemm(&self, a: &Matrix<R>, b: &Matrix<R>, mode: GemmMode) -> Matrix<R>;
 
     /// Fills a `rows x cols` matrix from the counter-based device RNG.
     /// The splitmix64 counter stream *is* the functional spec (as Philox
-    /// is for cuRAND): protocol determinism requires every backend to
-    /// produce the identical stream; backends differ only in where the
-    /// generation is modeled to run.
+    /// is for cuRAND); protocol determinism depends on it.
     fn random(&self, rows: usize, cols: usize, seed: u64) -> Matrix<R> {
         kernels::device_random(rows, cols, seed)
     }
@@ -138,128 +73,37 @@ pub trait Backend<R: GpuElement>: Send + Sync {
     }
 }
 
-/// The functional simulator's kernels — the default backend.
+/// The functional simulator's kernels.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimBackend;
 
 impl<R: GpuElement> Backend<R> for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulated
-    }
-
     fn gemm(&self, a: &Matrix<R>, b: &Matrix<R>, mode: GemmMode) -> Matrix<R> {
         kernels::gemm(a, b, mode)
     }
 }
 
-/// Real host execution of the same kernel contracts: the Tensor-Core mode
-/// routes through the element's mixed-precision host path
-/// ([`GpuElement::host_gemm_tc`] — hardware F16C f16 conversions for f32,
-/// the exact limb-split tile kernel for rings) and the quantized-ring
-/// mode through [`GpuElement::host_gemm_quant`]. Outputs are bit-identical
-/// to [`SimBackend`] for every carrier and mode (proptested), so flipping
-/// `PSML_BACKEND=host` can never change a protocol result.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HostBackend;
-
-impl<R: GpuElement> Backend<R> for HostBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Host
-    }
-
-    fn gemm(&self, a: &Matrix<R>, b: &Matrix<R>, mode: GemmMode) -> Matrix<R> {
-        match mode {
-            GemmMode::Fp32 => psml_tensor::gemm_auto(a, b),
-            GemmMode::TensorCore => R::host_gemm_tc(a, b),
-            GemmMode::QuantizedRing => R::host_gemm_quant(a, b),
-        }
-    }
-}
-
-/// Builds the backend for `kind`, applying the fallback rules: OpenCL
-/// degrades to [`HostBackend`] when the `gpu` feature is off, no usable
-/// device+platform is enumerated, or the carrier has no device kernel
-/// (ring carriers stay on the exact host path by design).
+/// Builds the backend for `kind`.
 pub fn backend_for<R: GpuElement>(kind: BackendKind) -> Box<dyn Backend<R>> {
     match kind {
         BackendKind::Simulated => Box::new(SimBackend),
-        BackendKind::Host => Box::new(HostBackend),
-        BackendKind::OpenCl => R::opencl_backend().unwrap_or_else(|| Box::new(HostBackend)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psml_mpc::Fixed64;
-
-    #[test]
-    fn kind_names_roundtrip() {
-        for kind in [BackendKind::Simulated, BackendKind::Host, BackendKind::OpenCl] {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("SIMULATED"), Some(BackendKind::Simulated));
-        assert_eq!(BackendKind::parse("cuda"), None);
-        assert_eq!(BackendKind::default(), BackendKind::Simulated);
-    }
 
     #[test]
     fn rate_table_matches_config_for_every_mode() {
         let cfg = GpuConfig::v100();
-        let backends: [&dyn Backend<u64>; 2] = [&SimBackend, &HostBackend];
-        for be in backends {
-            for mode in [GemmMode::Fp32, GemmMode::TensorCore, GemmMode::QuantizedRing] {
-                let (label, dur) = be.gemm_charge(&cfg, 32, 48, 16, mode);
-                assert_eq!(label, mode.kernel_label());
-                assert_eq!(dur, cfg.gemm_time_mode(32, 48, 16, mode));
-            }
-            let (label, dur) = be.rng_charge(&cfg, 640);
-            assert_eq!((label, dur), ("curand", cfg.rng_time(640)));
-        }
-    }
-
-    #[test]
-    fn host_backend_is_bitwise_identical_on_rings() {
-        let a = Matrix::from_fn(20, 33, |r, c| {
-            ((r * 37 + c) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        });
-        let b = Matrix::from_fn(33, 11, |r, c| {
-            ((r + 51 * c) as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-        });
+        let be = backend_for::<u64>(BackendKind::default());
         for mode in [GemmMode::Fp32, GemmMode::TensorCore, GemmMode::QuantizedRing] {
-            assert_eq!(
-                Backend::<u64>::gemm(&HostBackend, &a, &b, mode),
-                Backend::<u64>::gemm(&SimBackend, &a, &b, mode),
-                "{mode:?}"
-            );
+            let (label, dur) = be.gemm_charge(&cfg, 32, 48, 16, mode);
+            assert_eq!(label, mode.kernel_label());
+            assert_eq!(dur, cfg.gemm_time_mode(32, 48, 16, mode));
         }
-        let a = Matrix::from_fn(20, 33, |r, c| {
-            Fixed64(((r * 37 + c) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-        });
-        let b = Matrix::from_fn(33, 11, |r, c| {
-            Fixed64(((r + 51 * c) as u64).wrapping_mul(0xD1B5_4A32_D192_ED03) >> 1)
-        });
-        for mode in [GemmMode::Fp32, GemmMode::TensorCore, GemmMode::QuantizedRing] {
-            assert_eq!(
-                Backend::<Fixed64>::gemm(&HostBackend, &a, &b, mode),
-                Backend::<Fixed64>::gemm(&SimBackend, &a, &b, mode),
-                "{mode:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn backend_for_falls_back_to_host_for_opencl_rings() {
-        // Ring carriers never get a device kernel: exactness keeps them on
-        // the host limb path even when an OpenCL device exists.
-        let be = backend_for::<u64>(BackendKind::OpenCl);
-        assert_eq!(be.kind(), BackendKind::Host);
-    }
-
-    #[test]
-    fn random_streams_agree_across_backends() {
-        let sim = Backend::<f32>::random(&SimBackend, 7, 9, 42);
-        let host = Backend::<f32>::random(&HostBackend, 7, 9, 42);
-        assert_eq!(sim, host);
+        let (label, dur) = be.rng_charge(&cfg, 640);
+        assert_eq!((label, dur), ("curand", cfg.rng_time(640)));
     }
 }

@@ -1,6 +1,6 @@
 //! The simulated GPU device: memory, engines, and operations.
 
-use crate::backend::{Backend, BackendKind, SimBackend};
+use crate::backend::{Backend, SimBackend};
 use crate::config::GpuConfig;
 use crate::element::GpuElement;
 use crate::kernels::GemmMode;
@@ -73,11 +73,9 @@ struct Slot<R: GpuElement> {
 /// an operation starts at the max of its operands' ready times and its
 /// engine's availability.
 ///
-/// Kernel *execution* is delegated to a pluggable [`Backend`]; the device
-/// keeps the arena, the timeline, and the profiler, and prices every
-/// kernel through the backend's shared rate table. [`GpuDevice::new`]
-/// installs the simulator backend, so default behavior — every charged
-/// duration and profile string — is unchanged.
+/// Kernel *execution* is delegated to the [`Backend`]; the device keeps
+/// the arena, the timeline, and the profiler, and prices every kernel
+/// through the backend's rate table.
 pub struct GpuDevice<R: GpuElement> {
     config: GpuConfig,
     backend: Box<dyn Backend<R>>,
@@ -92,15 +90,13 @@ pub struct GpuDevice<R: GpuElement> {
 }
 
 impl<R: GpuElement> GpuDevice<R> {
-    /// Creates an idle device on the default simulator backend.
+    /// Creates an idle device on the simulator backend.
     pub fn new(config: GpuConfig) -> Self {
         Self::with_backend(config, Box::new(SimBackend))
     }
 
-    /// Creates an idle device executing kernels on the given backend.
-    /// The clock model is the backend-independent rate table, so two
-    /// devices over the same config charge identical simulated time
-    /// whatever their backends.
+    /// Creates an idle device executing and pricing kernels through the
+    /// given backend.
     pub fn with_backend(config: GpuConfig, backend: Box<dyn Backend<R>>) -> Self {
         let mut timeline = Timeline::new();
         let h2d = timeline.add_resource("pcie:h2d");
@@ -123,11 +119,6 @@ impl<R: GpuElement> GpuDevice<R> {
     /// The device configuration.
     pub fn config(&self) -> &GpuConfig {
         &self.config
-    }
-
-    /// Which compute backend executes this device's kernels.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
     }
 
     /// Bytes currently allocated on the device.

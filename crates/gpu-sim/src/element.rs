@@ -1,8 +1,7 @@
 //! Element behavior specific to the simulated device.
 
-use crate::backend::Backend;
 use psml_mpc::Fixed64;
-use psml_tensor::{gemm_auto, quantize_f16, Matrix, Num};
+use psml_tensor::{quantize_f16, Num};
 
 /// A matrix element the simulated GPU can operate on.
 ///
@@ -11,13 +10,7 @@ use psml_tensor::{gemm_auto, quantize_f16, Matrix, Num};
 ///   through a Tensor Core's FP16 input port (identity for ring elements,
 ///   which the hardware would carry through integer paths);
 /// - [`GpuElement::from_random_bits`]: how the device RNG (cuRAND stand-in)
-///   materializes a sample from 64 uniform bits;
-/// - [`GpuElement::host_gemm_tc`] / [`GpuElement::host_gemm_quant`]: how
-///   the real host backend executes the Tensor-Core and quantized-ring
-///   GEMM contracts for this carrier (same function as the simulated
-///   kernels — bit-identical, by test);
-/// - [`GpuElement::opencl_backend`]: the carrier's OpenCL device backend,
-///   when one exists (`--features gpu`, f32 only).
+///   materializes a sample from 64 uniform bits.
 pub trait GpuElement: Num {
     /// Rounds through binary16 where the real hardware would.
     fn quantize_tc(self) -> Self;
@@ -25,32 +18,6 @@ pub trait GpuElement: Num {
     /// Builds a sample from uniform random bits. Floats map to `[-1, 1)`;
     /// ring elements take the bits verbatim (uniform over the ring).
     fn from_random_bits(bits: u64) -> Self;
-
-    /// Host-backend Tensor-Core-mode GEMM: inputs rounded through
-    /// binary16 with FP32 accumulation for floats, the exact product for
-    /// ring carriers — the same function as the simulated kernel, executed
-    /// on the host's fast mixed-precision path.
-    fn host_gemm_tc(a: &Matrix<Self>, b: &Matrix<Self>) -> Matrix<Self> {
-        let aq = a.map(Self::quantize_tc);
-        let bq = b.map(Self::quantize_tc);
-        gemm_auto(&aq, &bq)
-    }
-
-    /// Host-backend quantized-ring-mode GEMM: the limb-split int8 tile
-    /// kernel for ring carriers (exact), plain `gemm_auto` for floats
-    /// (which have no ring-limb decomposition).
-    fn host_gemm_quant(a: &Matrix<Self>, b: &Matrix<Self>) -> Matrix<Self> {
-        gemm_auto(a, b)
-    }
-
-    /// The OpenCL device backend for this carrier, when the `gpu` feature
-    /// is compiled in, a platform+device enumerates, and the carrier has a
-    /// device kernel. `None` means "fall back to the host backend" — in
-    /// particular ring carriers always return `None`, keeping their
-    /// products on the exact host limb path.
-    fn opencl_backend() -> Option<Box<dyn Backend<Self>>> {
-        None
-    }
 }
 
 impl GpuElement for f32 {
@@ -64,17 +31,6 @@ impl GpuElement for f32 {
         // 24 high bits -> [0,1) -> [-1,1).
         let unit = (bits >> 40) as f32 * (1.0 / (1u64 << 24) as f32);
         2.0 * unit - 1.0
-    }
-
-    fn host_gemm_tc(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-        // Hardware F16C conversions where available; bit-identical to the
-        // scalar emulation (cross-checked in psml_tensor::mixed).
-        psml_tensor::mixed::gemm_f16(a, b)
-    }
-
-    #[cfg(feature = "gpu")]
-    fn opencl_backend() -> Option<Box<dyn Backend<f32>>> {
-        crate::opencl::OpenClBackend::probe().map(|b| Box::new(b) as Box<dyn Backend<f32>>)
     }
 }
 
@@ -101,16 +57,6 @@ impl GpuElement for u64 {
     fn from_random_bits(bits: u64) -> Self {
         bits
     }
-
-    fn host_gemm_tc(a: &Matrix<u64>, b: &Matrix<u64>) -> Matrix<u64> {
-        // quantize_tc is the identity on rings, so the Tensor-Core
-        // contract is the exact product — run it on the tile unit.
-        psml_tensor::gemm_quant(a, b)
-    }
-
-    fn host_gemm_quant(a: &Matrix<u64>, b: &Matrix<u64>) -> Matrix<u64> {
-        psml_tensor::gemm_quant(a, b)
-    }
 }
 
 impl GpuElement for Fixed64 {
@@ -122,14 +68,6 @@ impl GpuElement for Fixed64 {
     #[inline]
     fn from_random_bits(bits: u64) -> Self {
         Fixed64(bits)
-    }
-
-    fn host_gemm_tc(a: &Matrix<Fixed64>, b: &Matrix<Fixed64>) -> Matrix<Fixed64> {
-        psml_tensor::gemm_quant(a, b)
-    }
-
-    fn host_gemm_quant(a: &Matrix<Fixed64>, b: &Matrix<Fixed64>) -> Matrix<Fixed64> {
-        psml_tensor::gemm_quant(a, b)
     }
 }
 

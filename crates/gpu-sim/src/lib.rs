@@ -1,6 +1,5 @@
-#![deny(unsafe_op_in_unsafe_fn)]
-//! Functional + timed GPU device simulator for ParSecureML-rs, plus the
-//! pluggable real-execution backends behind the same device API.
+#![forbid(unsafe_code)]
+//! Functional + timed GPU device simulator for ParSecureML-rs.
 //!
 //! # Why a simulator
 //!
@@ -44,11 +43,9 @@ pub mod config;
 pub mod device;
 pub mod element;
 pub mod kernels;
-#[cfg(feature = "gpu")]
-pub mod opencl;
 pub mod profiler;
 
-pub use backend::{backend_for, env_backend_override, Backend, BackendKind, HostBackend, SimBackend};
+pub use backend::{backend_for, Backend, BackendKind, SimBackend};
 pub use config::{CpuConfig, GpuConfig, MachineConfig};
 pub use device::{BufferId, GpuDevice, GpuError};
 pub use element::GpuElement;

@@ -13,26 +13,22 @@
 /// for one vetted reason: the GEMM carrier casts (`tensor::gemm`), the
 /// `WRAPPING_U64` trait contract (`tensor::num`), the AMX tile-unit
 /// configuration and inline-asm kernel of the limb-split quantized path
-/// (`tensor::quant`), the F16C `vcvtps2ph`/`vcvtph2ps` rounding loop
-/// (`tensor::mixed`), the scoped-job lifetime transmute
-/// (`parallel::pool`), the `Fixed64` ring carrier's `unsafe impl Num`
-/// (`mpc::fixed`), and the `dlopen`/`dlsym`-loaded OpenCL FFI surface of
-/// the optional device backend (`gpu-sim::opencl`).
+/// (`tensor::quant`), the scoped-job lifetime transmute
+/// (`parallel::pool`), and the `Fixed64` ring carrier's `unsafe impl Num`
+/// (`mpc::fixed`).
 pub const UNSAFE_MODULES: &[&str] = &[
     "tensor::gemm",
     "tensor::num",
     "tensor::quant",
-    "tensor::mixed",
     "parallel::pool",
     "mpc::fixed",
-    "gpu-sim::opencl",
 ];
 
 /// Crates that contain an allowlisted unsafe module. Their roots must
 /// carry `#![deny(unsafe_op_in_unsafe_fn)]` (every unsafe operation gets
 /// its own block and justification); every *other* crate root must carry
 /// `#![forbid(unsafe_code)]`.
-pub const UNSAFE_CRATES: &[&str] = &["tensor", "parallel", "mpc", "gpu-sim"];
+pub const UNSAFE_CRATES: &[&str] = &["tensor", "parallel", "mpc"];
 
 /// Modules sanctioned to construct `Mt19937` generators. Protocol share
 /// masking must draw from the engine's seed-derived generator (replay
@@ -87,7 +83,6 @@ pub const REDACTION_MODULES: &[&str] = &[
     "mpc::triple",
     "core::engine",
     "tensor::quant",
-    "gpu-sim::opencl",
 ];
 
 /// Methods on secret values whose results are *metadata*, safe to format:

@@ -1,7 +1,6 @@
 //! Finding and report types, human rendering, and the versioned
-//! `psml.lint.v2` JSON document (v1 stays accepted by `psml validate`;
-//! v2 adds per-finding fingerprints and inter-procedural evidence
-//! chains).
+//! `psml.lint.v2` JSON document (per-finding fingerprints and
+//! inter-procedural evidence chains).
 
 use crate::json::{obj, Json};
 use std::collections::BTreeMap;
@@ -310,9 +309,8 @@ impl Report {
         out
     }
 
-    /// The versioned `psml.lint.v2` document. Same top-level shape as
-    /// v1 (so `psml validate`'s key list carries over), plus a
-    /// `fingerprint` and `evidence` array on every finding.
+    /// The versioned `psml.lint.v2` document, with a `fingerprint` and
+    /// `evidence` array on every finding.
     pub fn to_json(&self) -> String {
         let rules = RuleId::ALL
             .into_iter()

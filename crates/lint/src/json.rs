@@ -1,4 +1,4 @@
-//! Minimal JSON writer for the `psml.lint.v1` document.
+//! Minimal JSON writer for the `psml.lint.v2` document.
 //!
 //! `psml-trace` already has a JSON module, but this crate is deliberately
 //! dependency-free — the analyzer must stay buildable and runnable even

@@ -47,6 +47,9 @@ pub enum CodecError {
     BadTag(u8),
     /// Control payload was not valid UTF-8.
     BadUtf8,
+    /// Sparse payload of the right length whose CSR arrays are
+    /// structurally inconsistent; carries the violated invariant.
+    BadSparse(&'static str),
     /// Frame did not start with [`FRAME_MAGIC`]. `seq` is the (possibly
     /// itself corrupted) sequence number read from the header.
     BadMagic {
@@ -67,6 +70,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "message truncated"),
             CodecError::BadTag(t) => write!(f, "unknown payload tag {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "control payload is not UTF-8"),
+            CodecError::BadSparse(why) => write!(f, "malformed sparse payload: {why}"),
             CodecError::BadMagic { seq } => {
                 write!(f, "frame {seq} does not start with PSML magic")
             }
@@ -280,9 +284,9 @@ pub fn decode<R: Num>(buf: impl AsRef<[u8]>) -> Result<Payload<R>, CodecError> {
             for _ in 0..nnz {
                 values.push(r.get_element::<R>()?);
             }
-            Ok(Payload::SparseDelta(Csr::from_raw_parts(
-                rows, cols, row_ptr, col_idx, values,
-            )))
+            Csr::try_from_raw_parts(rows, cols, row_ptr, col_idx, values)
+                .map(Payload::SparseDelta)
+                .map_err(CodecError::BadSparse)
         }
         TAG_CONTROL => {
             let len = r.get_u32_le()? as usize;
@@ -501,6 +505,29 @@ mod tests {
                 CodecError::Truncated
             );
         }
+    }
+
+    #[test]
+    fn malformed_sparse_structure_errors_cleanly() {
+        // Length-correct payloads whose CSR arrays lie: layout is tag,
+        // rows, cols, nnz, row_ptr[5], col_idx[2], values[2] for the 4x4
+        // fixture (row_ptr = 0,1,1,1,2; col_idx = 1,3).
+        let good = encode(&sparse());
+        let with_u32 = |slot: usize, v: u32| {
+            let mut bytes = good.clone();
+            bytes[1 + 4 * slot..5 + 4 * slot].copy_from_slice(&v.to_le_bytes());
+            decode::<u64>(bytes)
+        };
+        let bad = |slot, v| matches!(with_u32(slot, v), Err(CodecError::BadSparse(_)));
+        assert!(bad(9, 4), "column index == cols");
+        assert!(bad(8, u32::MAX), "column index far out of range");
+        assert!(bad(5, 0), "decreasing row_ptr");
+        assert!(bad(7, 1), "row_ptr terminator != nnz");
+        assert!(bad(3, 1), "row_ptr does not start at 0");
+        assert!(bad(1, 1), "cols shrunk below a stored index");
+        // A damaged rows/nnz field changes the declared length instead.
+        assert_eq!(with_u32(0, u32::MAX).unwrap_err(), CodecError::Truncated);
+        assert_eq!(with_u32(2, u32::MAX).unwrap_err(), CodecError::Truncated);
     }
 
     #[test]

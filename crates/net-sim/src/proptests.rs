@@ -19,6 +19,14 @@ fn matrices() -> impl Strategy<Value = Matrix<u64>> {
         })
 }
 
+/// 6x6 matrices with ~75 % zeros, in CSR form.
+fn sparse_csrs() -> impl Strategy<Value = Csr<u64>> {
+    prop::collection::vec((any::<u64>(), 0u8..4), 36).prop_map(|vals| {
+        let data = vals.iter().map(|&(v, z)| if z == 0 { v } else { 0 }).collect();
+        Csr::from_dense(&Matrix::from_vec(6, 6, data))
+    })
+}
+
 proptest! {
     /// Any dense payload round-trips the codec bit-exactly.
     #[test]
@@ -29,10 +37,8 @@ proptest! {
 
     /// Any sparse payload round-trips the codec bit-exactly.
     #[test]
-    fn codec_sparse_roundtrip(vals in prop::collection::vec((any::<u64>(), 0u8..4), 36)) {
-        let data: Vec<u64> = vals.iter().map(|&(v, z)| if z == 0 { v } else { 0 }).collect();
-        let m = Matrix::from_vec(6, 6, data);
-        let p = Payload::SparseDelta(Csr::from_dense(&m));
+    fn codec_sparse_roundtrip(csr in sparse_csrs()) {
+        let p = Payload::SparseDelta(csr);
         prop_assert_eq!(decode::<u64>(encode(&p)).unwrap(), p);
     }
 
@@ -43,6 +49,26 @@ proptest! {
         let bytes = encode(&Payload::Dense(m));
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let _ = decode::<u64>(&bytes[..cut]);
+    }
+
+    /// Overwriting any one header or index word of a valid sparse encoding
+    /// with arbitrary bits decodes to a typed error or to a payload that
+    /// re-encodes to exactly those bytes — never a panic.
+    #[test]
+    fn codec_sparse_mutation_never_panics(
+        csr in sparse_csrs(),
+        slot in 0usize..64,
+        word in any::<u32>(),
+    ) {
+        let words = 3 + 7 + csr.nnz();
+        let mut bytes = encode(&Payload::SparseDelta(csr));
+        let at = 1 + 4 * (slot % words);
+        bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        if let Ok(p) = decode::<u64>(&bytes) {
+            // `rows` may shrink so that a valid document is a prefix.
+            let again = encode(&p);
+            prop_assert_eq!(&again[..], &bytes[..again.len()]);
+        }
     }
 
     /// A randomly drifting stream of matrices stays consistent through the

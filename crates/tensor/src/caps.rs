@@ -1,20 +1,14 @@
 //! Once-per-process host capability probe.
 //!
-//! Backend selection needs to know what the host can actually execute:
-//! the AMX INT8 tile unit (CPUID, the kernel's xstate opt-in, *and* a
-//! correctness cross-check — see [`crate::quant`]), the F16C f16
-//! conversion unit, and the AVX2 vector unit the packed kernels dispatch
-//! on. Probing at every call site is wasted work, and probing in several
-//! places lets the answers drift (one site honoring `PSML_NO_QUANT`,
-//! another not). This module runs every probe exactly once and caches an
-//! immutable [`HostCaps`] for the process lifetime; every availability
-//! question in the workspace reads from here.
-//!
-//! `PSML_NO_QUANT=1` (read once, at probe time) forces the tile unit off —
-//! benches use it for A/B runs. Because the probe is once-per-process,
-//! setting the variable after the first capability query has no effect,
-//! which is exactly the property simulated reports need: the answer can
-//! never change mid-run.
+//! Kernel dispatch needs to know what the host can actually execute: the
+//! AMX INT8 tile unit (CPUID, the kernel's xstate opt-in, *and* a
+//! correctness cross-check — see [`crate::quant`]) and the AVX2 vector
+//! unit the packed kernels dispatch on; F16C is probed only for the e2e
+//! benchmark's host header. Probing at every call site is wasted work,
+//! and probing in several places lets the answers drift. This module runs
+//! every probe exactly once and caches an immutable [`HostCaps`] for the
+//! process lifetime, so the answer can never change mid-run; every
+//! availability question in the workspace reads from here.
 
 use std::sync::OnceLock;
 
@@ -23,12 +17,11 @@ use std::sync::OnceLock;
 pub struct HostCaps {
     /// The AMX INT8 tile backend is usable: CPUID advertises
     /// `amx-tile`+`amx-int8`, the kernel granted tile state, the tile
-    /// kernel cross-checked bit-identical against the portable model, and
-    /// `PSML_NO_QUANT` is unset.
+    /// kernel cross-checked bit-identical against the portable model.
     pub quant_ring: bool,
-    /// The F16C conversion unit (`vcvtps2ph`/`vcvtph2ps`) is present, so
-    /// f16 rounding runs 8 lanes per instruction instead of through the
-    /// scalar emulation (bit-identical either way).
+    /// The F16C conversion unit (`vcvtps2ph`/`vcvtph2ps`) is present.
+    /// Nothing dispatches on it (f16 rounding is the scalar emulation in
+    /// [`crate::half`]); the e2e benchmark records it in its host header.
     pub f16c: bool,
     /// AVX2+FMA are present (the packed GEMM kernels' wide path).
     pub avx2: bool,

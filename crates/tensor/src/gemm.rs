@@ -35,9 +35,7 @@ use crate::num::Num;
 use crate::quant::{
     gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, quant_ring_available, QuantPackedB,
 };
-use psml_parallel::{
-    configured_workers, for_each_chunk_mut, for_each_chunk_mut_pooled, global_pool,
-};
+use psml_parallel::{configured_workers, for_each_chunk_mut_pooled, global_pool};
 
 /// Cache tile edge (elements) for [`gemm_blocked`]. 64 puts a 64x64 f32
 /// tile (16 KiB) well within L1 on common cores.
@@ -104,7 +102,7 @@ pub fn gemm_naive<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 }
 
 /// Computes one row band `rows_of_a x b` into `out_band` (row-major,
-/// `len = band_rows * n`). Shared by the blocked and band-parallel kernels.
+/// `len = band_rows * n`): the blocked kernel's loop nest.
 fn gemm_band<T: Num>(a_band: &[T], band_rows: usize, k: usize, b: &Matrix<T>, out_band: &mut [T]) {
     let n = b.cols();
     debug_assert_eq!(a_band.len(), band_rows * k);
@@ -138,38 +136,6 @@ pub fn gemm_blocked<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     let (m, _k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::zeros(m, n);
     gemm_band(a.as_slice(), m, a.cols(), b, out.as_mut_slice());
-    out
-}
-
-/// Multi-threaded blocked GEMM: the output is split into horizontal bands
-/// along cache-line-aligned row boundaries; each worker computes one band on
-/// a freshly spawned scoped thread. Kept for comparison benchmarks; the
-/// production parallel path is [`gemm_packed_parallel`], which reuses the
-/// global pool instead of spawning.
-pub fn gemm_parallel<T: Num>(a: &Matrix<T>, b: &Matrix<T>, workers: usize) -> Matrix<T> {
-    assert_shapes(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return out;
-    }
-    let a_data = a.as_slice();
-    // Chunk by rows; alignment 1 row (each row is its own cache-line set
-    // because n * T::BYTES >= a line for all practical shapes; for tiny n
-    // the band split still never splits a row across workers).
-    for_each_chunk_mut(out.as_mut_slice(), workers, n, |offset, band| {
-        debug_assert_eq!(offset % n, 0);
-        debug_assert_eq!(band.len() % n, 0);
-        let row0 = offset / n;
-        let band_rows = band.len() / n;
-        gemm_band(
-            &a_data[row0 * k..(row0 + band_rows) * k],
-            band_rows,
-            k,
-            b,
-            band,
-        );
-    });
     out
 }
 
@@ -920,24 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_blocked() {
-        for workers in [1, 2, 4, 7] {
-            let a = fmat(37, 21, 13);
-            let b = fmat(21, 19, 17);
-            let expect = gemm_blocked(&a, &b);
-            let got = gemm_parallel(&a, &b, workers);
-            assert!(expect.max_abs_diff(&got) < 1e-4, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_ring_exactly() {
-        let a = umat(33, 17, 3);
-        let b = umat(17, 29, 19);
-        assert_eq!(gemm_parallel(&a, &b, 4), gemm_naive(&a, &b));
-    }
-
-    #[test]
     fn packed_matches_naive_ring_exactly_on_edge_shapes() {
         // 1x1x1, MR/NR non-divisible shapes, skinny row/col vectors, and
         // shapes around the tile edges.
@@ -1056,7 +1004,6 @@ mod tests {
         let a = Matrix::<f32>::zeros(0, 5);
         let b = Matrix::<f32>::zeros(5, 3);
         assert_eq!(gemm_blocked(&a, &b).shape(), (0, 3));
-        assert_eq!(gemm_parallel(&a, &b, 4).shape(), (0, 3));
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //! - [`quant`]: the limb-split quantized ring GEMM — the paper's
 //!   tensor-core pipeline mapped onto the host's AMX INT8 tile unit, with
 //!   a bit-identical portable fallback,
-//! - [`mixed`]: real mixed-precision host GEMMs (F16C f16 rounding with
-//!   f32 accumulation; scaled int8 over the tile pipeline) — the
-//!   execution engine of the host compute backend,
 //! - [`caps`]: the once-per-process host capability probe every
 //!   availability question reads from.
 
@@ -28,7 +25,6 @@ pub mod conv;
 pub mod gemm;
 pub mod half;
 pub mod matrix;
-pub mod mixed;
 pub mod num;
 pub mod quant;
 pub mod sparse;
@@ -37,16 +33,14 @@ pub use caps::{host_caps, HostCaps};
 pub use conv::{conv2d_direct, conv2d_im2col, im2col, ConvShape};
 pub use gemm::{
     gemm_auto, gemm_batch, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel,
-    gemm_packed_sum, gemm_packed_sum_auto, gemm_packed_with, gemm_parallel, pack_b, pack_b_auto,
+    gemm_packed_sum, gemm_packed_sum_auto, gemm_packed_with, pack_b, pack_b_auto,
     AutoPackedB, PackedB, MR, NR,
 };
 pub use half::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};
 pub use matrix::Matrix;
-pub use mixed::{gemm_f16, gemm_int8_scaled, quantize_f16_matrix};
 pub use num::Num;
 pub use quant::{
-    gemm_i8_i32, gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, quant_ring_available,
-    QuantPackedB,
+    gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, quant_ring_available, QuantPackedB,
 };
 pub use sparse::{density_of_zeros, Csr};
 

@@ -41,11 +41,10 @@
 //! per-process `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`
 //! opt-in; [`quant_ring_available`] performs both once, then cross-checks
 //! the tile kernel against the portable backend on a small product before
-//! reporting true. `PSML_NO_QUANT=1` forces the answer to false (used by
-//! benches for A/B runs). The portable backend computes the identical
-//! function (same drain schedule, same wrapping i32 model), so results do
-//! not depend on which backend ran — only the host's wall-clock does,
-//! which keeps simulated `RunReport`s host-independent.
+//! reporting true. The portable backend computes the identical function
+//! (same drain schedule, same wrapping i32 model), so results do not
+//! depend on which backend ran — only the host's wall-clock does, which
+//! keeps simulated `RunReport`s host-independent.
 
 use crate::gemm::{cast_slice, cast_slice_mut};
 use crate::matrix::Matrix;
@@ -700,131 +699,12 @@ fn gemm_quant_sum_into(
     }
 }
 
-/// Packs raw `i8` bytes into one A tile plane (same layout as one limb
-/// plane of [`pack_a_planes`], without the digit recoding).
-fn pack_a_plane_i8(m: usize, k: usize, a: &[i8]) -> QuantA {
-    let m_pad = pad_to(m.max(1), BLOCK_MN);
-    let k_pad = pad_to(k.max(1), TILE_K_BYTES);
-    let mut planes = pool_take(m_pad * k_pad, m_pad != m || k_pad != k);
-    let panel = k_pad * 16;
-    for i in 0..m {
-        let row = &a[i * k..(i + 1) * k];
-        let row_base = (i / 16) * panel + (i % 16) * 64;
-        for (kk, &v) in row.iter().enumerate() {
-            planes[row_base + (kk / 64) * 1024 + kk % 64] = v;
-        }
-    }
-    QuantA {
-        m_pad,
-        k_pad,
-        planes,
-    }
-}
-
-/// Packs raw `i8` bytes into one VNNI-interleaved B tile plane (same
-/// layout as one limb plane of [`pack_b_planes`]).
-fn pack_b_plane_i8(k: usize, n: usize, b: &[i8]) -> QuantPackedB {
-    let n_pad = pad_to(n.max(1), BLOCK_MN);
-    let k_pad = pad_to(k.max(1), TILE_K_BYTES);
-    let mut planes = pool_take(n_pad * k_pad, n_pad != n || k_pad != k);
-    let panel = k_pad * 16;
-    for kk in 0..k {
-        let row = &b[kk * n..(kk + 1) * n];
-        let k_base = (kk / 4) * 64 + kk % 4;
-        for (j, &v) in row.iter().enumerate() {
-            planes[(j / 16) * panel + k_base + 4 * (j % 16)] = v;
-        }
-    }
-    QuantPackedB {
-        k,
-        n,
-        n_pad,
-        k_pad,
-        planes,
-    }
-}
-
-/// Single-plane block driver: one i8 A plane times one i8 B plane into
-/// i32 outputs, no shifts, no drain schedule — each block accumulates its
-/// whole K extent in the (wrapping) i32 tiles and is stored once.
-fn run_plane<B: Backend>(
-    be: &mut B,
-    m: usize,
-    n: usize,
-    qa: &QuantA,
-    pb: &QuantPackedB,
-    out: &mut [i32],
-) {
-    let b_k_pad = pb.k_pad;
-    debug_assert_eq!(qa.k_pad, b_k_pad);
-    let (mb, nb) = (qa.m_pad / BLOCK_MN, pb.n_pad / BLOCK_MN);
-    let a_panel = qa.k_pad * 16;
-    let steps = qa.k_pad / TILE_K_BYTES;
-    let (ap, bp) = (qa.plane(0), pb.plane(0));
-    let mut scratch = [0i32; BLOCK_MN * BLOCK_MN];
-    be.begin();
-    for ib in 0..mb {
-        let i0 = ib * BLOCK_MN;
-        let a0 = ap[2 * ib * a_panel..].as_ptr();
-        let a1 = ap[(2 * ib + 1) * a_panel..].as_ptr();
-        for jb in 0..nb {
-            let j0 = jb * BLOCK_MN;
-            let b0 = bp[2 * jb * a_panel..].as_ptr();
-            let b1 = bp[(2 * jb + 1) * a_panel..].as_ptr();
-            be.zero();
-            // SAFETY: each panel holds k_pad * 16 = steps * 1024 bytes,
-            // and steps >= 1 because k_pad is padded up from k >= 1.
-            unsafe {
-                be.step(a0, a1, b0, b1, steps);
-            }
-            be.drain(&mut scratch);
-            let rows = BLOCK_MN.min(m - i0);
-            let cols = BLOCK_MN.min(n - j0);
-            for r in 0..rows {
-                out[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols]
-                    .copy_from_slice(&scratch[r * BLOCK_MN..r * BLOCK_MN + cols]);
-            }
-        }
-    }
-    be.end();
-}
-
-/// Plain `i8 × i8 → i32` GEMM on the tile pipeline (row-major operands,
-/// row-major output): `out[i·n + j] = Σ_kk a[i·k + kk] · b[kk·n + j]`
-/// with wrapping i32 accumulation. Runs on AMX when
-/// [`quant_ring_available`] holds, and on the bit-identical portable
-/// model otherwise.
-///
-/// This is the execution engine of the mixed-precision host backend's
-/// scaled int8 path (`crate::mixed::gemm_int8_scaled`): with operands in
-/// `[-127, 127]` each product is at most `127² < 2^14`, so accumulation
-/// is exact (no i32 wrap) whenever `k ≤ 2^17` — callers wanting exact
-/// sums must respect that bound.
-pub fn gemm_i8_i32(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-    assert_eq!(a.len(), m * k, "A length must be m*k");
-    assert_eq!(b.len(), k * n, "B length must be k*n");
-    let mut out = vec![0i32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return out;
-    }
-    let qa = pack_a_plane_i8(m, k, a);
-    let qb = pack_b_plane_i8(k, n, b);
-    match best_backend() {
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Amx => run_plane(&mut amx::AmxBackend, m, n, &qa, &qb, &mut out),
-        BackendKind::Portable => run_plane(&mut PortableBackend::new(), m, n, &qa, &qb, &mut out),
-    }
-    pool_put(qa.planes);
-    pool_put(qb.planes);
-    out
-}
-
 /// True when the AMX tile backend is usable on this host: CPUID
 /// advertises `amx-tile`+`amx-int8`, the kernel granted tile state, and
 /// the tile kernel cross-checked bit-identical against the portable model
-/// on a probe product. `PSML_NO_QUANT=1` forces false. Detection runs
-/// once per process (cached in [`crate::caps::host_caps`] alongside every
-/// other hardware capability); results never vary within a process.
+/// on a probe product. Detection runs once per process (cached in
+/// [`crate::caps::host_caps`] alongside every other hardware capability);
+/// results never vary within a process.
 pub fn quant_ring_available() -> bool {
     crate::caps::host_caps().quant_ring
 }
@@ -833,9 +713,6 @@ pub fn quant_ring_available() -> bool {
 /// exactly once, by [`crate::caps::host_caps`] — everyone else must read
 /// the cached capability, not re-probe.
 pub(crate) fn probe_quant_ring() -> bool {
-    if std::env::var_os("PSML_NO_QUANT").is_some() {
-        return false;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         amx_verified()
@@ -1139,42 +1016,5 @@ mod tests {
         let s = format!("{qb:?}");
         assert!(s.contains("<redacted>"));
         assert!(!s.contains('['), "no plane bytes in Debug output: {s}");
-    }
-
-    fn naive_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-        let mut out = vec![0i32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                let av = a[i * k + kk] as i32;
-                for j in 0..n {
-                    out[i * n + j] = out[i * n + j].wrapping_add(av * b[kk * n + j] as i32);
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn single_plane_i8_matches_naive() {
-        for &(m, k, n) in &[(1, 1, 1), (5, 70, 9), (17, 40, 23), (33, 64, 40), (32, 128, 32)] {
-            let a: Vec<i8> = (0..m * k)
-                .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as i8)
-                .collect();
-            let b: Vec<i8> = (0..k * n)
-                .map(|i| ((i as u64).wrapping_mul(0xD1B5_4A32_D192_ED03) >> 56) as i8)
-                .collect();
-            assert_eq!(gemm_i8_i32(m, k, n, &a, &b), naive_i8(m, k, n, &a, &b), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn single_plane_i8_handles_empty_and_extremes() {
-        assert_eq!(gemm_i8_i32(0, 3, 4, &[], &[0; 12]), Vec::<i32>::new());
-        assert_eq!(gemm_i8_i32(2, 0, 2, &[], &[]), vec![0; 4]);
-        // All-extreme operands still accumulate exactly at moderate k.
-        let (m, k, n) = (3, 200, 5);
-        let a = vec![-128i8; m * k];
-        let b = vec![127i8; k * n];
-        assert_eq!(gemm_i8_i32(m, k, n, &a, &b), naive_i8(m, k, n, &a, &b));
     }
 }

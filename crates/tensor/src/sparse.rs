@@ -123,39 +123,38 @@ impl<T: Num> Csr<T> {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
 
-    /// Rebuilds a CSR matrix from raw arrays (wire decoding).
-    ///
-    /// # Panics
-    /// Panics if the arrays are structurally inconsistent.
-    pub fn from_raw_parts(
+    /// Rebuilds a CSR matrix from raw arrays (wire decoding). The arrays
+    /// come from outside the process, so structural inconsistency is an
+    /// error naming the violated invariant, never a panic.
+    pub fn try_from_raw_parts(
         rows: usize,
         cols: usize,
         row_ptr: Vec<u32>,
         col_idx: Vec<u32>,
         values: Vec<T>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), rows + 1, "bad row_ptr length");
-        assert_eq!(col_idx.len(), values.len(), "col/value length mismatch");
-        assert_eq!(
-            *row_ptr.last().unwrap_or(&0) as usize,
-            values.len(),
-            "row_ptr does not terminate at nnz"
-        );
-        assert!(
-            row_ptr.windows(2).all(|w| w[0] <= w[1]),
-            "row_ptr not monotone"
-        );
-        assert!(
-            col_idx.iter().all(|&c| (c as usize) < cols),
-            "column index out of range"
-        );
-        Csr {
+    ) -> Result<Self, &'static str> {
+        if rows.checked_add(1) != Some(row_ptr.len()) {
+            return Err("bad row_ptr length");
+        }
+        if col_idx.len() != values.len() {
+            return Err("col/value length mismatch");
+        }
+        if row_ptr[0] != 0 || row_ptr[rows] as usize != values.len() {
+            return Err("row_ptr does not span 0..nnz");
+        }
+        if !row_ptr.windows(2).all(|w| w[0] <= w[1]) {
+            return Err("row_ptr not monotone");
+        }
+        if !col_idx.iter().all(|&c| (c as usize) < cols) {
+            return Err("column index out of range");
+        }
+        Ok(Csr {
             rows,
             cols,
             row_ptr,
             col_idx,
             values,
-        }
+        })
     }
 }
 
@@ -290,19 +289,21 @@ mod tests {
         let m = sparse_matrix();
         let csr = Csr::from_dense(&m);
         let (rp, ci, v) = csr.raw_parts();
-        let rebuilt = Csr::from_raw_parts(10, 10, rp.to_vec(), ci.to_vec(), v.to_vec());
-        assert_eq!(rebuilt, csr);
+        let rebuilt = Csr::try_from_raw_parts(10, 10, rp.to_vec(), ci.to_vec(), v.to_vec());
+        assert_eq!(rebuilt, Ok(csr));
     }
 
     #[test]
-    #[should_panic(expected = "row_ptr not monotone")]
-    fn malformed_row_ptr_rejected() {
-        let _ = Csr::<f32>::from_raw_parts(2, 2, vec![0, 2, 1], vec![0], vec![1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "column index out of range")]
-    fn out_of_range_column_rejected() {
-        let _ = Csr::<f32>::from_raw_parts(1, 2, vec![0, 1], vec![5], vec![1.0]);
+    fn malformed_raw_parts_rejected() {
+        let bad = |rows, cols, rp: &[u32], ci: &[u32]| {
+            let vals = vec![1.0f32; ci.len()];
+            Csr::try_from_raw_parts(rows, cols, rp.to_vec(), ci.to_vec(), vals).unwrap_err()
+        };
+        assert_eq!(bad(2, 2, &[0, 1], &[0]), "bad row_ptr length");
+        assert_eq!(bad(usize::MAX, 2, &[0], &[]), "bad row_ptr length");
+        assert_eq!(bad(2, 2, &[0, 2, 1], &[0]), "row_ptr not monotone");
+        assert_eq!(bad(2, 2, &[1, 1, 1], &[0]), "row_ptr does not span 0..nnz");
+        assert_eq!(bad(1, 2, &[0, 2], &[0]), "row_ptr does not span 0..nnz");
+        assert_eq!(bad(1, 2, &[0, 1], &[5]), "column index out of range");
     }
 }

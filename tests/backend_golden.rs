@@ -1,15 +1,18 @@
-//! Golden pin: default-configuration runs must keep producing
-//! byte-identical `RunReport`s across backend-layer refactors.
+//! Golden pins: default-configuration runs must keep producing
+//! byte-identical `RunReport`s and bit-identical trained weights across
+//! compute-layer refactors.
 //!
-//! The simulated backend is the default compute backend, and every
-//! committed experiment/report in this repository was produced under it.
-//! This test freezes the full `Debug` rendering of the reports from a
-//! fixed protocol workload under each preset; any change to kernel
-//! routing, profiler charging, or timeline scheduling that perturbs a
-//! default-config report — even by one simulated nanosecond — fails here.
+//! Every committed experiment/report in this repository was produced by
+//! the simulator's kernels. The first test freezes the full `Debug`
+//! rendering of the reports from a fixed protocol workload under each
+//! preset; any change to kernel routing, profiler charging, or timeline
+//! scheduling that perturbs a default-config report — even by one
+//! simulated nanosecond — fails here. The second freezes the weights
+//! digest of a short training run, so any change to ring-product bits
+//! fails here too.
 //!
-//! Regenerate (only for an *intentional* cost-model change, with the why
-//! recorded in the commit):
+//! Regenerate (only for an *intentional* cost-model or numerics change,
+//! with the why recorded in the commit):
 //!
 //! ```text
 //! PSML_BLESS_GOLDEN=1 cargo test --test backend_golden
@@ -18,7 +21,8 @@
 use parsecureml::prelude::*;
 use std::path::Path;
 
-const GOLDEN: &str = "tests/golden/default_run_reports.txt";
+const REPORTS_GOLDEN: &str = "tests/golden/default_run_reports.txt";
+const DIGEST_GOLDEN: &str = "tests/golden/train_mlp_synthetic_seed42_digest.txt";
 
 /// The pinned workload: two secure matmuls per preset — one small shape
 /// the adaptive engine keeps on the CPU, one large enough to offload —
@@ -45,19 +49,42 @@ fn reports() -> String {
     out
 }
 
-#[test]
-fn default_config_run_reports_are_unchanged() {
-    let produced = reports();
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+/// Compares `produced` with the committed golden at `rel` (or rewrites
+/// it under `PSML_BLESS_GOLDEN`).
+fn check_golden(rel: &str, produced: &str, what: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var_os("PSML_BLESS_GOLDEN").is_some() {
-        std::fs::write(&path, &produced).expect("write golden");
+        std::fs::write(&path, produced).expect("write golden");
         return;
     }
     let golden = std::fs::read_to_string(&path)
         .expect("golden file missing; run with PSML_BLESS_GOLDEN=1 to create it");
-    assert_eq!(
-        produced, golden,
-        "default-config RunReport drifted from the committed golden; \
-         the simulated backend must stay byte-identical by default"
-    );
+    assert_eq!(produced, golden, "{what} drifted from the committed golden {rel}");
+}
+
+#[test]
+fn default_config_run_reports_are_unchanged() {
+    check_golden(REPORTS_GOLDEN, &reports(), "default-config RunReport");
+}
+
+/// The run `psml train --model mlp --dataset synthetic --batch 8
+/// --batches 1 --epochs 2 --seed 42` performs (ci.sh compares the
+/// three-process TCP session against the same digest).
+#[test]
+fn trained_weights_digest_is_unchanged() {
+    let data = DatasetKind::Synthetic.spec();
+    let spec = ModelSpec::build(
+        ModelKind::Mlp,
+        data.features(),
+        Some((data.channels, data.height, data.width)),
+        data.classes,
+    )
+    .unwrap();
+    let mut trainer =
+        SecureTrainer::<Fixed64>::new(EngineConfig::parsecureml(), spec, 42).unwrap();
+    trainer
+        .train_epochs(DatasetKind::Synthetic, 8, 1, 2, 42)
+        .unwrap();
+    let digest = parsecureml::weights_digest(&trainer.reveal_weights());
+    check_golden(DIGEST_GOLDEN, &format!("{digest:016x}\n"), "trained weights digest");
 }
