@@ -60,15 +60,9 @@ pub struct EngineConfig {
     /// results are bit-identical either way (the quantized kernel is
     /// exact).
     pub model_quant_ring: bool,
-    /// CPU threads used for server-side host work. 1 = serial.
+    /// CPU threads the *simulated* servers run host work on. 1 = serial.
+    /// (The real host GEMM pool is sized by `PSML_WORKERS`, not here.)
     pub cpu_threads: usize,
-    /// Worker threads for the *host* global GEMM pool (the real
-    /// `psml_parallel` pool behind `gemm_packed_parallel`), as opposed to
-    /// `cpu_threads`, which only drives the simulated cost model.
-    /// `None` defers to the `PSML_WORKERS` env var, then host parallelism.
-    /// Applied once, when the first `SecureContext` is built; the global
-    /// pool cannot be resized afterwards.
-    pub host_workers: Option<usize>,
     /// CPU threads used for the *client's* offline work — random-matrix
     /// generation and the share additions/subtractions, the operations
     /// Sec. 5.1 parallelizes. 1 = the pre-optimization client.
@@ -139,7 +133,6 @@ impl EngineConfig {
             tensor_cores: true,
             model_quant_ring: false,
             cpu_threads: MachineConfig::v100_node().cpu.cores,
-            host_workers: None,
             client_cpu_threads: MachineConfig::v100_node().cpu.cores,
             tuned_cpu_gemm: true,
             gpu_offline: true,
@@ -167,7 +160,6 @@ impl EngineConfig {
             tensor_cores: false,
             model_quant_ring: false,
             cpu_threads: 1,
-            host_workers: None,
             client_cpu_threads: 1,
             tuned_cpu_gemm: false,
             gpu_offline: false,
@@ -231,13 +223,6 @@ impl EngineConfig {
     /// Fig. 14 ablation: Sec. 5.1's CPU parallelism on/off).
     pub fn with_client_cpu_threads(mut self, threads: usize) -> Self {
         self.client_cpu_threads = threads.max(1);
-        self
-    }
-
-    /// Returns this config with an explicit host GEMM-pool worker count
-    /// (see [`EngineConfig::host_workers`]).
-    pub fn with_host_workers(mut self, workers: usize) -> Self {
-        self.host_workers = Some(workers.max(1));
         self
     }
 
@@ -408,175 +393,6 @@ impl EngineConfig {
         self.retry.validate().map_err(ConfigError::Retry)?;
         Ok(())
     }
-
-    /// Starts a validated builder seeded from the
-    /// [`EngineConfig::parsecureml`] preset. Prefer this over struct
-    /// literals / direct field mutation in application code: the terminal
-    /// [`EngineConfigBuilder::build`] runs [`EngineConfig::validate`], so
-    /// an inconsistent configuration surfaces as a typed [`ConfigError`]
-    /// at construction instead of a panic inside the engine.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            cfg: Self::parsecureml(),
-        }
-    }
-}
-
-/// Typed, validating builder for [`EngineConfig`]; see
-/// [`EngineConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Replaces the whole base configuration with a preset (or any
-    /// existing config) while keeping the builder flow.
-    pub fn preset(mut self, cfg: EngineConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Hardware model for every node.
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.cfg.machine = machine;
-        self
-    }
-
-    /// *compute2* placement policy.
-    pub fn policy(mut self, policy: AdaptivePolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Double pipeline on/off.
-    pub fn pipeline(mut self, on: bool) -> Self {
-        self.cfg.pipeline = on;
-        self
-    }
-
-    /// Compressed transmission on/off.
-    pub fn compression(mut self, on: bool) -> Self {
-        self.cfg.compression = on;
-        self
-    }
-
-    /// Zero-fraction threshold for compression (validated into `[0, 1]`).
-    pub fn sparsity_threshold(mut self, threshold: f64) -> Self {
-        self.cfg.sparsity_threshold = threshold;
-        self
-    }
-
-    /// Tensor-Core GEMMs on/off.
-    pub fn tensor_cores(mut self, on: bool) -> Self {
-        self.cfg.tensor_cores = on;
-        self
-    }
-
-    /// Model the limb-split quantized ring GEMM in the cost model (see
-    /// [`EngineConfig::model_quant_ring`]).
-    pub fn model_quant_ring(mut self, on: bool) -> Self {
-        self.cfg.model_quant_ring = on;
-        self
-    }
-
-    /// Server-side CPU threads (validated `>= 1`; unlike the legacy
-    /// `with_cpu_threads` combinator this does not silently clamp).
-    pub fn cpu_threads(mut self, threads: usize) -> Self {
-        self.cfg.cpu_threads = threads;
-        self
-    }
-
-    /// Host GEMM-pool worker count.
-    pub fn host_workers(mut self, workers: usize) -> Self {
-        self.cfg.host_workers = Some(workers.max(1));
-        self
-    }
-
-    /// Client-side CPU threads.
-    pub fn client_cpu_threads(mut self, threads: usize) -> Self {
-        self.cfg.client_cpu_threads = threads.max(1);
-        self
-    }
-
-    /// Tuned (blocked/SIMD) CPU GEMM rate on/off.
-    pub fn tuned_cpu_gemm(mut self, on: bool) -> Self {
-        self.cfg.tuned_cpu_gemm = on;
-        self
-    }
-
-    /// Client GPU offline generation on/off.
-    pub fn gpu_offline(mut self, on: bool) -> Self {
-        self.cfg.gpu_offline = on;
-        self
-    }
-
-    /// Server evaluation strategy (Eq. 6 expanded vs Eq. 8 fused).
-    pub fn eval_strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.cfg.eval_strategy = strategy;
-        self
-    }
-
-    /// Client-aided activation on/off.
-    pub fn client_aided_activation(mut self, on: bool) -> Self {
-        self.cfg.client_aided_activation = on;
-        self
-    }
-
-    /// (Insecure) Beaver-triple reuse on/off.
-    pub fn insecure_reuse_triples(mut self, on: bool) -> Self {
-        self.cfg.insecure_reuse_triples = on;
-        self
-    }
-
-    /// Asynchronous triple prefetch on/off. Turning it on also turns
-    /// off [`EngineConfig::insecure_reuse_triples`] (the two are
-    /// mutually exclusive; set reuse explicitly *after* this call to
-    /// get a validation error instead).
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.cfg.prefetch = on;
-        if on {
-            self.cfg.insecure_reuse_triples = false;
-        }
-        self
-    }
-
-    /// Prefetch backpressure depth (validated nonzero when prefetch is
-    /// on).
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.cfg.prefetch_depth = depth;
-        self
-    }
-
-    /// Learning rate (validated finite and positive).
-    pub fn learning_rate(mut self, lr: f64) -> Self {
-        self.cfg.learning_rate = lr;
-        self
-    }
-
-    /// Fault-injection plan (validated).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault_plan = plan;
-        self
-    }
-
-    /// Retransmission policy (validated).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Measured-cost hysteresis window (validated `>= 1`).
-    pub fn recal_window(mut self, window: usize) -> Self {
-        self.cfg.recal_window = window;
-        self
-    }
-
-    /// Validates and returns the finished configuration.
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 impl Default for EngineConfig {
@@ -632,9 +448,6 @@ mod tests {
             psml_gpu::GemmMode::Fp32,
             "the quantized path rides the tensor units"
         );
-        let b = EngineConfig::builder().model_quant_ring(true).build().unwrap();
-        assert!(b.model_quant_ring);
-
         // CPU cost: never raised by the knob. The single-core tile-unit
         // path wins against a serial host from 512^3 up, loses to the
         // full multi-core model, and is ignored below the dispatcher's
@@ -650,21 +463,26 @@ mod tests {
     }
 
     #[test]
-    fn host_workers_defaults_off_and_clamps() {
-        assert_eq!(EngineConfig::parsecureml().host_workers, None);
-        assert_eq!(EngineConfig::secureml().host_workers, None);
-        let cfg = EngineConfig::parsecureml().with_host_workers(0);
-        assert_eq!(cfg.host_workers, Some(1), "zero workers clamps to one");
-    }
-
-    #[test]
     fn validation_catches_bad_values() {
-        let mut cfg = EngineConfig::parsecureml();
-        cfg.sparsity_threshold = 1.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EngineConfig::parsecureml();
-        cfg.learning_rate = -1.0;
-        assert!(cfg.validate().is_err());
+        let rejected = |edit: fn(&mut EngineConfig)| {
+            let mut cfg = EngineConfig::parsecureml();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert_eq!(rejected(|c| c.cpu_threads = 0), ConfigError::Threads);
+        assert_eq!(rejected(|c| c.recal_window = 0), ConfigError::RecalWindow);
+        assert!(matches!(
+            rejected(|c| c.sparsity_threshold = 1.5),
+            ConfigError::Sparsity(_)
+        ));
+        for lr in [-1.0, 0.0, f64::NAN] {
+            let mut cfg = EngineConfig::parsecureml();
+            cfg.learning_rate = lr;
+            assert!(matches!(
+                cfg.validate().unwrap_err(),
+                ConfigError::LearningRate(_)
+            ));
+        }
     }
 
     #[test]
@@ -691,64 +509,19 @@ mod tests {
         ));
 
         // Depth zero would deadlock the pipeline.
-        let err = EngineConfig::builder()
-            .prefetch(true)
-            .prefetch_depth(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Prefetch(_)));
+        let bad = cfg.clone().with_prefetch_depth(0);
+        assert!(matches!(
+            bad.validate().unwrap_err(),
+            ConfigError::Prefetch(_)
+        ));
 
-        // Builder order: explicitly re-enabling reuse after prefetch is
-        // surfaced as an error rather than silently overridden.
-        let err = EngineConfig::builder()
-            .prefetch(true)
-            .insecure_reuse_triples(true)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Prefetch(_)));
-    }
-
-    #[test]
-    fn builder_validates_on_build() {
-        let cfg = EngineConfig::builder()
-            .policy(AdaptivePolicy::MeasuredCost)
-            .pipeline(false)
-            .cpu_threads(4)
-            .learning_rate(0.01)
-            .recal_window(3)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.policy, AdaptivePolicy::MeasuredCost);
-        assert!(!cfg.pipeline);
-        assert_eq!(cfg.cpu_threads, 4);
-        assert_eq!(cfg.client_cpu_threads, EngineConfig::parsecureml().client_cpu_threads);
-        assert_eq!(cfg.recal_window, 3);
-
-        let err = EngineConfig::builder().cpu_threads(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::Threads);
-        let err = EngineConfig::builder()
-            .sparsity_threshold(1.5)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Sparsity(_)));
-        let err = EngineConfig::builder()
-            .learning_rate(f64::NAN)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::LearningRate(_)));
-        let err = EngineConfig::builder().recal_window(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::RecalWindow);
-    }
-
-    #[test]
-    fn builder_preset_switches_base() {
-        let cfg = EngineConfig::builder()
-            .preset(EngineConfig::secureml())
-            .compression(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.policy, AdaptivePolicy::ForceCpu);
-        assert!(cfg.compression, "override applies on top of the preset");
+        // Order matters: re-enabling reuse after prefetch is surfaced as
+        // an error rather than silently overridden.
+        let bad = cfg.with_insecure_reuse_triples(true);
+        assert!(matches!(
+            bad.validate().unwrap_err(),
+            ConfigError::Prefetch(_)
+        ));
     }
 
     #[test]

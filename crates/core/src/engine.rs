@@ -23,24 +23,28 @@
 //! of one step under the GPU operation of another) emerge from dataflow.
 //! With `pipeline: false` the engine inserts a device fence and a CPU/NIC
 //! barrier after every step, reproducing the serialized baseline.
-
-// The protocol loops index parallel per-server arrays (`masked[i]`,
-// `publics[i]`, `self.servers[i]`) while calling `&mut self` helpers, so
-// iterator adapters cannot replace the indexed form.
-#![allow(clippy::needless_range_loop)]
+//!
+//! # Seams
+//!
+//! Bytes move through `Wire::ship`, the client's CPU-or-GPU decision is
+//! `charge_client_step`, a call site's triple comes from `triple_for`, a
+//! local step on both servers is `per_server`. Callers keep what differs:
+//! which clocks a transfer advances and which phase it is booked to.
 
 use crate::adaptive::{AdaptiveEngine, Placement};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::provider::TripleProvider;
 use crate::report::{PhaseBreakdown, RunReport};
-use psml_gpu::{GemmMode, GpuDevice, GpuElement};
+use psml_gpu::kernels::device_random;
+use psml_gpu::{GemmMode, GpuDevice, GpuElement, GpuError};
 use psml_mpc::{
     gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing,
     ServerMulSession, TripleShare, TripleSpec,
 };
 use psml_net::{
-    build_network, DeltaDecoder, DeltaEncoder, Endpoint, Payload, ReliableChannel, TransmitForm,
+    build_network, DeltaDecoder, DeltaEncoder, Endpoint, FaultCounters, NetError, NodeId, Packet,
+    Payload, ReliableChannel, TrafficStats, TransmitForm,
 };
 use psml_parallel::Mt19937;
 use psml_simtime::{Resource, SimDuration, SimTime};
@@ -69,6 +73,9 @@ const CHAN_HAD_F: u64 = 4;
 fn stream_id(site: u32, chan: u64) -> u64 {
     ((site as u64) << 3) | chan
 }
+
+/// The two servers' node ids, indexed like [`SecureContext`]'s `servers`.
+const SERVER: [NodeId; 2] = [NodeId::Server0, NodeId::Server1];
 
 /// Records one engine-level phase span (no-op unless tracing is enabled).
 #[allow(clippy::too_many_arguments)] // a span is wide: op, lane, interval, shape
@@ -118,6 +125,11 @@ impl<T> Timed<T> {
     }
 }
 
+/// When the later of two parts is ready.
+fn latest<T>(parts: &[Timed<T>; 2]) -> SimTime {
+    parts[0].ready.max(parts[1].ready)
+}
+
 /// A matrix additively shared between the two servers, each share tagged
 /// with its readiness on that server's online clock.
 #[derive(Clone)]
@@ -131,17 +143,17 @@ impl<R: SecureRing> std::fmt::Debug for SharedMatrix<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedMatrix")
             .field("shape", &self.shape())
-            .field("ready", &[self.parts[0].ready, self.parts[1].ready])
+            .field("ready", &self.ready())
             .field("ring", &std::any::type_name::<R>())
             .finish_non_exhaustive()
     }
 }
 
 impl<R: SecureRing> SharedMatrix<R> {
-    /// Wraps two server-resident shares.
-    pub fn new(p0: Timed<Matrix<R>>, p1: Timed<Matrix<R>>) -> Self {
-        assert_eq!(p0.v.shape(), p1.v.shape(), "share shape mismatch");
-        SharedMatrix { parts: [p0, p1] }
+    /// Wraps two server-resident shares, `[server0's, server1's]`.
+    pub fn new(parts: [Timed<Matrix<R>>; 2]) -> Self {
+        assert_eq!(parts[0].v.shape(), parts[1].v.shape(), "share shape mismatch");
+        SharedMatrix { parts }
     }
 
     /// The share held by `party`.
@@ -152,6 +164,11 @@ impl<R: SecureRing> SharedMatrix<R> {
     /// Logical `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         self.parts[0].v.shape()
+    }
+
+    /// When each server's share is ready.
+    fn ready(&self) -> [SimTime; 2] {
+        [self.parts[0].ready, self.parts[1].ready]
     }
 
     /// Diagnostic reconstruction (test use — a real deployment never holds
@@ -186,17 +203,89 @@ impl<R: SecureRing> DistTriple<R> {
     }
 }
 
+/// One server's `(E, F)` pair — its masked operands before the exchange,
+/// the reconstructed public pair after it — with its readiness there.
+type Masked<R> = Timed<(Matrix<R>, Matrix<R>)>;
+
+/// The three NICs and the ack/retransmit channel over them: the only
+/// place the engine moves bytes. With an empty fault plan the channel
+/// degenerates to bare send/recv (no ack traffic, no timing change).
+struct Wire<R: SecureRing + GpuElement> {
+    /// `[client, server0, server1]`, indexed by [`NodeId::index`].
+    endpoints: [Endpoint<R>; 3],
+    reliable: ReliableChannel,
+}
+
+/// The sending and the receiving endpoint of one transfer.
+fn pair<T>(mesh: &mut [T; 3], from: NodeId, to: NodeId) -> Result<[&mut T; 2]> {
+    let pair = mesh.get_disjoint_mut([from.index(), to.index()]);
+    pair.map_err(|_| NetError::SelfSend.into())
+}
+
+impl<R: SecureRing + GpuElement> Wire<R> {
+    /// Reliable transfer of `payload` between two of the three nodes. The
+    /// clocks are the parties' instants for *this* transfer (running or
+    /// scratch: the caller's business), advanced past all it needed.
+    fn ship(
+        &mut self,
+        from: NodeId,
+        from_clock: &mut SimTime,
+        to: NodeId,
+        to_clock: &mut SimTime,
+        payload: &Payload<R>,
+    ) -> Result<Packet<R>> {
+        let [snd, rcv] = pair(&mut self.endpoints, from, to)?;
+        Ok(self.reliable.transfer(snd, from_clock, rcv, to_clock, payload)?)
+    }
+
+    /// [`Wire::ship`] of one dense matrix: what arrived, and when.
+    fn ship_dense(
+        &mut self,
+        from: NodeId,
+        from_clock: &mut SimTime,
+        to: NodeId,
+        to_clock: &mut SimTime,
+        m: Matrix<R>,
+    ) -> Result<Timed<Matrix<R>>> {
+        let pkt = self.ship(from, from_clock, to, to_clock, &Payload::Dense(m))?;
+        match pkt.payload {
+            Payload::Dense(v) => Ok(Timed {
+                v,
+                ready: pkt.available_at,
+            }),
+            other => Err(EngineError::Protocol(format!(
+                "expected a dense matrix from {from:?}, got {}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// The charge half of [`Wire::ship_dense`] for a `rows x cols` matrix,
+    /// alone: nothing is encoded, framed, checksummed or copied. Fault-free
+    /// links only. Returns the arrival instant.
+    fn ship_accounted(
+        &mut self,
+        from: NodeId,
+        from_clock: &mut SimTime,
+        to: NodeId,
+        to_clock: &mut SimTime,
+        rows: usize,
+        cols: usize,
+    ) -> Result<SimTime> {
+        let [snd, rcv] = pair(&mut self.endpoints, from, to)?;
+        Ok(self.reliable.transfer_accounted(snd, from_clock, rcv, to_clock, rows, cols)?)
+    }
+}
+
 struct ClientState<R: SecureRing + GpuElement> {
     cpu: Resource,
     device: GpuDevice<R>,
-    endpoint: Endpoint<R>,
     now: SimTime,
 }
 
 struct ServerState<R: SecureRing + GpuElement> {
     cpu: Resource,
     device: GpuDevice<R>,
-    endpoint: Endpoint<R>,
     encoders: HashMap<u64, DeltaEncoder<R>>,
     decoders: HashMap<u64, DeltaDecoder<R>>,
     end: SimTime,
@@ -216,6 +305,8 @@ pub struct SecureContext<R: SecureRing + GpuElement> {
     rng: Mt19937,
     client: ClientState<R>,
     servers: [ServerState<R>; 2],
+    /// Every protocol transfer goes through here.
+    wire: Wire<R>,
     breakdown: PhaseBreakdown,
     offline_end: SimTime,
     secure_muls: usize,
@@ -237,29 +328,27 @@ pub struct SecureContext<R: SecureRing + GpuElement> {
     /// [`RunReport::warnings`] entry).
     triple_reuses: usize,
     activation_roundtrips: usize,
-    /// Every protocol transfer goes through this ack/retransmit channel.
-    /// With an empty fault plan it degenerates to bare send/recv (no ack
-    /// traffic, no timing change), so the fault-free engine is unchanged.
-    reliable: ReliableChannel,
 }
 
 impl<R: SecureRing + GpuElement> SecureContext<R> {
     /// Builds a context with the given configuration and client RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`EngineConfig::validate`]. [`crate::SecureTrainer::new`]
+    /// (and through it the serving and session layers) validates first
+    /// and returns [`EngineError::Config`] instead.
     pub fn new(cfg: EngineConfig, seed: u32) -> Self {
-        cfg.validate().map_err(EngineError::Config).unwrap();
-        if let Some(workers) = cfg.host_workers {
-            // Best effort: the global pool is built once per process, so a
-            // second context with a different setting keeps the first size.
-            let _ = psml_parallel::set_global_workers(workers);
+        if let Err(e) = cfg.validate() {
+            panic!("invalid engine configuration: {e}");
         }
-        let [mut c_ep, mut s0_ep, mut s1_ep] = build_network::<R>(cfg.machine.network);
-        for ep in [&mut c_ep, &mut s0_ep, &mut s1_ep] {
+        let mut endpoints = build_network::<R>(cfg.machine.network);
+        for ep in &mut endpoints {
             ep.install_faults(&cfg.fault_plan);
         }
-        let mk_server = |ep: Endpoint<R>| ServerState {
+        let mk_server = || ServerState {
             cpu: Resource::new("cpu"),
             device: GpuDevice::new(cfg.machine.gpu.clone()),
-            endpoint: ep,
             encoders: HashMap::new(),
             decoders: HashMap::new(),
             end: SimTime::ZERO,
@@ -270,10 +359,13 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             client: ClientState {
                 cpu: Resource::new("client-cpu"),
                 device: GpuDevice::new(cfg.machine.gpu.clone()),
-                endpoint: c_ep,
                 now: SimTime::ZERO,
             },
-            servers: [mk_server(s0_ep), mk_server(s1_ep)],
+            servers: [mk_server(), mk_server()],
+            wire: Wire {
+                endpoints,
+                reliable: ReliableChannel::new(cfg.retry),
+            },
             breakdown: PhaseBreakdown::default(),
             offline_end: SimTime::ZERO,
             secure_muls: 0,
@@ -289,7 +381,6 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             triple_cache: HashMap::new(),
             triple_reuses: 0,
             activation_roundtrips: 0,
-            reliable: ReliableChannel::new(cfg.retry),
             cfg,
         };
         ctx.client.device.set_trace_scope("client");
@@ -307,71 +398,70 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     // Offline phase (client resources, client->server links)
     // ---------------------------------------------------------------
 
-    /// Client-side randomness: returns the generated ring matrix and
-    /// charges simulated time on the CPU (parallel MT19937, Sec. 5.1) or
-    /// the client GPU (cuRAND incl. D2H, Fig. 7), whichever the config and
-    /// cost model select.
-    fn client_random(&mut self, rows: usize, cols: usize) -> Matrix<R> {
-        let n = rows * cols;
-        let cpu_cost = self.cfg.client_rng_time(n);
-        let gpu_cost = self.cfg.machine.gpu.rng_time(n)
-            + self.cfg.machine.gpu.pcie.transfer_time(n * R::BYTES);
-        if self.cfg.gpu_offline && gpu_cost < cpu_cost {
-            self.curand_seed = self.curand_seed.wrapping_add(1);
-            let id = self
-                .client
-                .device
-                .random(rows, cols, self.curand_seed, self.client.now)
-                .expect("client device rng");
-            let (m, done) = self.client.device.download(id).expect("client device d2h");
-            self.client.device.free(id).expect("free rng buffer");
-            self.client.now = self.client.now.max(done);
-            self.breakdown.share_generation += gpu_cost;
-            m
-        } else {
-            let (_, end) = self.client.cpu.schedule(self.client.now, cpu_cost);
-            self.client.now = self.client.now.max(end);
-            self.breakdown.share_generation += cpu_cost;
-            R::random_matrix(rows, cols, &mut self.rng)
-        }
-    }
-
-    /// Charges client CPU time for an element-wise pass over `bytes`.
-    fn client_cpu(&mut self, bytes: usize) {
-        let dur = self.cfg.client_elementwise_time(bytes);
+    /// Books `dur` of client CPU work.
+    fn client_cpu_for(&mut self, dur: SimDuration) {
         let (_, end) = self.client.cpu.schedule(self.client.now, dur);
         self.client.now = self.client.now.max(end);
         self.breakdown.share_generation += dur;
     }
 
-    /// Clock-only mirror of [`SecureContext::client_random`]: charges the
-    /// same CPU-or-GPU cost (including the cuRAND seed bump and the
-    /// device-timeline roundtrip on the GPU path) without drawing values.
-    /// Used when triple material comes from a counter-derived stream —
-    /// simulated time must not depend on where the values were made.
-    fn charge_client_random(&mut self, rows: usize, cols: usize) {
+    /// Charges client CPU time for an element-wise pass over `bytes`.
+    fn client_cpu(&mut self, bytes: usize) {
+        self.client_cpu_for(self.cfg.client_elementwise_time(bytes));
+    }
+
+    /// Books one client offline step on the cheaper of the client CPU and
+    /// (when `gpu_offline` allows) the client GPU — the Fig. 7 decision —
+    /// and says which. `on_device` charges the device timeline and returns
+    /// when the data is back on the host.
+    fn charge_client_step(
+        &mut self,
+        cpu_cost: SimDuration,
+        gpu_cost: SimDuration,
+        on_device: impl FnOnce(&mut GpuDevice<R>, SimTime) -> std::result::Result<SimTime, GpuError>,
+    ) -> Result<Placement> {
+        if self.cfg.gpu_offline && gpu_cost < cpu_cost {
+            let done = on_device(&mut self.client.device, self.client.now)?;
+            self.client.now = self.client.now.max(done);
+            self.breakdown.share_generation += gpu_cost;
+            Ok(Placement::Gpu)
+        } else {
+            self.client_cpu_for(cpu_cost);
+            Ok(Placement::Cpu)
+        }
+    }
+
+    /// Charges the client for drawing a `rows x cols` random matrix — on
+    /// the CPU (parallel MT19937, Sec. 5.1) or the client GPU (cuRAND
+    /// incl. D2H, Fig. 7), advancing `curand_seed` there. Triple material
+    /// from a counter-derived stream is charged here too: simulated time
+    /// must not depend on where the values were made.
+    fn charge_client_random(&mut self, rows: usize, cols: usize) -> Result<Placement> {
         let n = rows * cols;
         let cpu_cost = self.cfg.client_rng_time(n);
         let gpu_cost = self.cfg.machine.gpu.rng_time(n)
             + self.cfg.machine.gpu.pcie.transfer_time(n * R::BYTES);
-        if self.cfg.gpu_offline && gpu_cost < cpu_cost {
+        let placed = self.charge_client_step(cpu_cost, gpu_cost, |dev, now| {
+            dev.charge_random_roundtrip(rows, cols, now)
+        })?;
+        if placed == Placement::Gpu {
             self.curand_seed = self.curand_seed.wrapping_add(1);
-            let done = self
-                .client
-                .device
-                .charge_random_roundtrip(rows, cols, self.client.now)
-                .expect("client device rng");
-            self.client.now = self.client.now.max(done);
-            self.breakdown.share_generation += gpu_cost;
-        } else {
-            let (_, end) = self.client.cpu.schedule(self.client.now, cpu_cost);
-            self.client.now = self.client.now.max(end);
-            self.breakdown.share_generation += cpu_cost;
         }
+        Ok(placed)
     }
 
-    /// Clock-only mirror of [`SecureContext::client_product`].
-    fn charge_client_product(&mut self, m: usize, k: usize, n: usize) {
+    /// Client-side randomness: the charge plus the values — the client's
+    /// MT19937 on the CPU, the device counter stream of the just-advanced
+    /// `curand_seed` on the GPU.
+    fn client_random(&mut self, rows: usize, cols: usize) -> Result<Matrix<R>> {
+        Ok(match self.charge_client_random(rows, cols)? {
+            Placement::Gpu => device_random(rows, cols, self.curand_seed),
+            Placement::Cpu => R::random_matrix(rows, cols, &mut self.rng),
+        })
+    }
+
+    /// Charges the client for a triple's `Z = U x V` product.
+    fn charge_client_product(&mut self, m: usize, k: usize, n: usize) -> Result<()> {
         let bytes = (m * k + k * n + m * n) * R::BYTES;
         // The client's triple product always runs on the plain or
         // Tensor-Core unit (never the quantized-ring charge model, which
@@ -384,90 +474,33 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let cpu_cost = self.cfg.client_gemm_time(m, k, n);
         let gpu_cost = self.cfg.machine.gpu.gemm_time_mode(m, k, n, mode)
             + self.cfg.machine.gpu.pcie.transfer_time(bytes);
-        if self.cfg.gpu_offline && gpu_cost < cpu_cost {
-            let done = self
-                .client
-                .device
-                .charge_gemm_roundtrip(m, k, n, mode, self.client.now)
-                .expect("client device gemm");
-            self.client.now = self.client.now.max(done);
-            self.breakdown.share_generation += gpu_cost;
-        } else {
-            let (_, end) = self.client.cpu.schedule(self.client.now, cpu_cost);
-            self.client.now = self.client.now.max(end);
-            self.breakdown.share_generation += cpu_cost;
-        }
+        self.charge_client_step(cpu_cost, gpu_cost, |dev, now| {
+            dev.charge_gemm_roundtrip(m, k, n, mode, now)
+        })?;
+        Ok(())
     }
 
-    /// Distributes a pair of matrices to the two servers, returning their
-    /// online-era shares (ready at zero) and advancing offline accounting.
-    fn distribute(
-        &mut self,
-        s0: Matrix<R>,
-        s1: Matrix<R>,
-    ) -> Result<SharedMatrix<R>> {
-        let start = self.client.now;
-        // Reliable client -> server transfers (offline era: server online
-        // clocks are not advanced; server-side receive time is tracked by
-        // the packets' `available_at`).
-        let mut shares: Vec<Matrix<R>> = Vec::with_capacity(2);
-        let mut arrive = SimTime::ZERO;
-        {
-            let [srv0, srv1] = &mut self.servers;
-            for (srv, share) in [(srv0, &s0), (srv1, &s1)] {
-                let mut srv_clock = SimTime::ZERO;
-                let pkt = self.reliable.transfer(
-                    &mut self.client.endpoint,
-                    &mut self.client.now,
-                    &mut srv.endpoint,
-                    &mut srv_clock,
-                    &Payload::Dense(share.clone()),
-                )?;
-                arrive = arrive.max(pkt.available_at);
-                match pkt.payload {
-                    Payload::Dense(m) => shares.push(m),
-                    _ => {
-                        return Err(EngineError::Protocol(
-                            "expected dense share distribution".into(),
-                        ))
-                    }
-                }
-            }
-        }
-        self.breakdown.distribution += arrive.saturating_since(start.min(arrive));
-        self.offline_end = self.offline_end.max(arrive).max(self.client.now);
-        let m1 = shares.pop().expect("two shares");
-        let m0 = shares.pop().expect("two shares");
-        debug_assert_eq!(m0, s0);
-        debug_assert_eq!(m1, s1);
-        Ok(SharedMatrix::new(Timed::at_zero(m0), Timed::at_zero(m1)))
-    }
-
-    /// Clock-only mirror of [`SecureContext::distribute`] for a
-    /// `rows x cols` dense share pair: advances the same clocks, NIC
-    /// serialization windows, traffic stats and phase accounting as the
-    /// real fault-free path ([`ReliableChannel::transfer_accounted`] is
-    /// tested bit-exact against it) — without encoding, framing,
-    /// checksumming, or copying a single payload byte. This elision *is*
-    /// the prefetch pipeline's host-side win: the material already sits
-    /// on the servers, so the engine pays only the simulated wire time.
-    fn distribute_accounted(&mut self, rows: usize, cols: usize) -> Result<()> {
+    /// Distributes a share pair to the two servers and advances offline
+    /// accounting; the servers then hold it, ready at online zero (their
+    /// online clocks are not advanced). When the material is already
+    /// `held` there — prefetch derives it server-side — only the identical
+    /// fault-free wire time is charged, no payload bytes move: that
+    /// elision *is* the prefetch pipeline's host-side win.
+    fn distribute(&mut self, shares: [&Matrix<R>; 2], held: bool) -> Result<()> {
         let start = self.client.now;
         let mut arrive = SimTime::ZERO;
-        {
-            let [srv0, srv1] = &mut self.servers;
-            for srv in [srv0, srv1] {
-                let mut srv_clock = SimTime::ZERO;
-                let done = self.reliable.transfer_accounted(
-                    &mut self.client.endpoint,
-                    &mut self.client.now,
-                    &srv.endpoint,
-                    &mut srv_clock,
-                    rows,
-                    cols,
-                )?;
-                arrive = arrive.max(done);
-            }
+        for (share, to) in shares.into_iter().zip(SERVER) {
+            let (now, mut srv_clock) = (&mut self.client.now, SimTime::ZERO);
+            let landed_at = if held {
+                let (rows, cols) = share.shape();
+                self.wire.ship_accounted(NodeId::Client, now, to, &mut srv_clock, rows, cols)?
+            } else {
+                let sent = share.clone();
+                let landed = self.wire.ship_dense(NodeId::Client, now, to, &mut srv_clock, sent)?;
+                debug_assert_eq!(&landed.v, share);
+                landed.ready
+            };
+            arrive = arrive.max(landed_at);
         }
         self.breakdown.distribution += arrive.saturating_since(start.min(arrive));
         self.offline_end = self.offline_end.max(arrive).max(self.client.now);
@@ -480,10 +513,10 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let _offline = TraceSink::scope(Phase::Offline, None);
         let start = self.client.now;
         let secret = R::encode_matrix(m);
-        let mask = self.client_random(m.rows(), m.cols());
+        let mask = self.client_random(m.rows(), m.cols())?;
         self.client_cpu(2 * secret.byte_size());
         let other = secret.sub(&mask);
-        let shared = self.distribute(mask, other)?;
+        self.distribute([&mask, &other], false)?;
         trace_phase(
             "share_input",
             Phase::Offline,
@@ -494,7 +527,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             None,
             2 * m.rows() * m.cols() * R::BYTES,
         );
-        Ok(shared)
+        Ok(SharedMatrix::new([mask, other].map(Timed::at_zero)))
     }
 
     /// Offline: generates one Beaver triple for an `(m x k) * (k x n)`
@@ -516,20 +549,21 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
 
     /// Charges the client-side compute of generating one triple —
     /// randomness, the `Z = U x V` product (or Hadamard pass), and the
-    /// three share splits — mirroring the legacy inline path exactly.
-    fn charge_triple_compute(&mut self, spec: TripleSpec) {
+    /// three share splits.
+    fn charge_triple_compute(&mut self, spec: TripleSpec) -> Result<()> {
         let (ur, uc) = spec.u_shape();
         let (vr, vc) = spec.v_shape();
-        self.charge_client_random(ur, uc);
-        self.charge_client_random(vr, vc);
+        self.charge_client_random(ur, uc)?;
+        self.charge_client_random(vr, vc)?;
         match spec {
-            TripleSpec::Gemm { m, k, n } => self.charge_client_product(m, k, n),
+            TripleSpec::Gemm { m, k, n } => self.charge_client_product(m, k, n)?,
             TripleSpec::Hadamard { m, n } => self.client_cpu(3 * m * n * R::BYTES),
         }
         for (rows, cols) in [spec.u_shape(), spec.v_shape(), spec.z_shape()] {
-            self.charge_client_random(rows, cols);
+            self.charge_client_random(rows, cols)?;
             self.client_cpu(2 * rows * cols * R::BYTES);
         }
+        Ok(())
     }
 
     /// Provisions one Beaver triple: value material from the
@@ -553,52 +587,14 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             }
             None => gen_triple_streamed(spec, self.master_seed, seq, gemm_auto),
         };
-        self.charge_triple_compute(spec);
+        self.charge_triple_compute(spec)?;
 
         let (s0, s1) = triple.into_shares();
-        let (shares, prefetched) = (
-            [
-                TripleShare {
-                    u: s0.u,
-                    v: s0.v,
-                    z: s0.z,
-                },
-                TripleShare {
-                    u: s1.u,
-                    v: s1.v,
-                    z: s1.z,
-                },
-            ],
-            self.provider.is_some(),
-        );
-        let shares = if prefetched {
-            // The material is already server-side; charge the identical
-            // fault-free wire time without serializing it again.
-            for (rows, cols) in [spec.u_shape(), spec.v_shape(), spec.z_shape()] {
-                self.distribute_accounted(rows, cols)?;
-            }
-            shares
-        } else {
-            let [s0, s1] = shares;
-            let us = self.distribute(s0.u, s1.u)?;
-            let vs = self.distribute(s0.v, s1.v)?;
-            let zs = self.distribute(s0.z, s1.z)?;
-            let [u0, u1] = us.parts;
-            let [v0, v1] = vs.parts;
-            let [z0, z1] = zs.parts;
-            [
-                TripleShare {
-                    u: u0.v,
-                    v: v0.v,
-                    z: z0.v,
-                },
-                TripleShare {
-                    u: u1.v,
-                    v: v1.v,
-                    z: z1.v,
-                },
-            ]
-        };
+        // Prefetched material is already server-side.
+        let held = self.provider.is_some();
+        for pair in [[&s0.u, &s1.u], [&s0.v, &s1.v], [&s0.z, &s1.z]] {
+            self.distribute(pair, held)?;
+        }
         let dims = spec.dims();
         trace_phase(
             "gen_triple",
@@ -610,11 +606,32 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             None,
             2 * (dims.0 * dims.1 + dims.1 * dims.2 + dims.0 * dims.2) * R::BYTES,
         );
-        let [sh0, sh1] = shares;
         Ok(DistTriple {
-            shares: [Timed::at_zero(sh0), Timed::at_zero(sh1)],
+            shares: [s0, s1].map(Timed::at_zero),
             dims,
         })
+    }
+
+    /// The triple a multiplication at `site` consumes. With
+    /// [`EngineConfig::insecure_reuse_triples`] triples are cached per
+    /// `(call site, shape)` and **reused across iterations** (the
+    /// paper's Eq. (11) keeps `U_i` fixed across epochs so that `E`
+    /// evolves by the sparse delta `dA` — the premise of the
+    /// compressed-transmission design, and a deliberate information
+    /// leak; see DESIGN.md). The offline cost is then paid once per call
+    /// site. Without it, every multiplication consumes a fresh triple —
+    /// which is what the prefetch pipeline provisions ahead of time.
+    fn triple_for(&mut self, site: u32, spec: TripleSpec) -> Result<DistTriple<R>> {
+        if !self.cfg.insecure_reuse_triples {
+            return self.provision_triple(spec);
+        }
+        if let Some(cached) = self.triple_cache.get(&(site, spec)) {
+            self.triple_reuses += 1;
+            return Ok(cached.clone());
+        }
+        let fresh = self.provision_triple(spec)?;
+        self.triple_cache.insert((site, spec), fresh.clone());
+        Ok(fresh)
     }
 
     /// Interns a call-site key, returning its stable `u32` id. Allocates
@@ -640,6 +657,20 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     fn server_cpu(&mut self, i: usize, ready: SimTime, dur: SimDuration) -> SimTime {
         let (_, end) = self.servers[i].cpu.schedule(ready, dur);
         self.servers[i].note(end)
+    }
+
+    /// One local step on both servers: server `i` produces `f(i)` in a CPU
+    /// pass of `dur` starting no earlier than `ready[i]`.
+    fn per_server<T>(
+        &mut self,
+        ready: [SimTime; 2],
+        dur: SimDuration,
+        mut f: impl FnMut(usize) -> T,
+    ) -> [Timed<T>; 2] {
+        [0, 1].map(|i| Timed {
+            v: f(i),
+            ready: self.server_cpu(i, ready[i], dur),
+        })
     }
 
     /// Global barrier on both servers (used between steps when the
@@ -673,6 +704,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         m: &Matrix<R>,
         now: SimTime,
     ) -> Result<Timed<Matrix<R>>> {
+        let j = 1 - i;
         let payload = if self.cfg.compression {
             let enc = self.servers[i]
                 .encoders
@@ -685,17 +717,9 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         } else {
             Payload::Dense(m.clone())
         };
-        let [s0, s1] = &mut self.servers;
-        let (snd, rcv) = if i == 0 { (s0, s1) } else { (s1, s0) };
-        let mut snd_clock = now;
-        let mut rcv_clock = SimTime::ZERO;
-        let pkt = self.reliable.transfer(
-            &mut snd.endpoint,
-            &mut snd_clock,
-            &mut rcv.endpoint,
-            &mut rcv_clock,
-            &payload,
-        )?;
+        let (mut snd_clock, mut rcv_clock) = (now, SimTime::ZERO);
+        let (from, to) = (SERVER[i], SERVER[j]);
+        let pkt = self.wire.ship(from, &mut snd_clock, to, &mut rcv_clock, &payload)?;
         let form = match pkt.payload {
             Payload::Dense(m) => TransmitForm::Full(m),
             Payload::SparseDelta(c) => TransmitForm::Delta(c),
@@ -705,18 +729,61 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
                 )))
             }
         };
-        let decoded = rcv
+        let decoded = self.servers[j]
             .decoders
             .entry(stream)
             .or_default()
             .decode(form)
             .map_err(|e| EngineError::Protocol(e.to_string()))?;
-        snd.end = snd.end.max(snd_clock);
-        rcv.end = rcv.end.max(rcv_clock).max(pkt.available_at);
+        self.servers[i].note(snd_clock);
+        self.servers[j].note(rcv_clock.max(pkt.available_at));
         Ok(Timed {
             v: decoded,
             ready: pkt.available_at,
         })
+    }
+
+    /// *compute1*, matmul or Hadamard alike: once it holds both operand
+    /// shares and its triple share, each server masks `E_i = A_i - U_i`,
+    /// `F_i = B_i - V_i` in one CPU pass of `dur`. Also returns the earlier
+    /// of the two start instants.
+    fn mask_operands(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+        triple: &DistTriple<R>,
+        dur: SimDuration,
+    ) -> ([Masked<R>; 2], SimTime) {
+        let (a, b, tri) = (&a.parts, &b.parts, &triple.shares);
+        let ready = [0, 1].map(|i| a[i].ready.max(b[i].ready).max(tri[i].ready));
+        self.breakdown.compute1 += dur;
+        let masked = self.per_server(ready, dur, |i| {
+            (a[i].v.sub(&tri[i].v.u), b[i].v.sub(&tri[i].v.v))
+        });
+        (masked, ready[0].min(ready[1]))
+    }
+
+    /// The exchange of *communicate*: each server ships its masked pair to
+    /// its peer over the site's `chans` streams and adds what it receives,
+    /// so both hold the public `(E, F)` — ready when the later half lands;
+    /// the additions are the caller's to charge.
+    fn exchange_masked(
+        &mut self,
+        site: u32,
+        chans: [u64; 2],
+        masked: &[Masked<R>; 2],
+    ) -> Result<[Masked<R>; 2]> {
+        let [on_e, on_f] = chans.map(|chan| stream_id(site, chan));
+        let mut open = |i: usize| -> Result<Masked<R>> {
+            let (mine, theirs) = (&masked[i], &masked[1 - i]);
+            let e = self.transfer_mat(1 - i, on_e, &theirs.v.0, theirs.ready)?;
+            let f = self.transfer_mat(1 - i, on_f, &theirs.v.1, theirs.ready)?;
+            Ok(Timed {
+                v: (mine.v.0.add(&e.v), mine.v.1.add(&f.v)),
+                ready: mine.ready.max(e.ready).max(f.ready),
+            })
+        };
+        Ok([open(0)?, open(1)?])
     }
 
     /// One secure triplet multiplication (the paper's core operation):
@@ -748,66 +815,36 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         self.secure_muls += 1;
         let layer = layer_of_key(key);
         let site = self.site_id(key);
+        let dims = Some([m as u32, k as u32, n as u32]);
         if !self.cfg.pipeline {
             self.barrier();
         }
 
         // --- compute1: E_i = A_i - U_i, F_i = B_i - V_i (CPU) ---
         let c1_guard = TraceSink::scope(Phase::Compute1, layer);
-        let mut masked: Vec<(Matrix<R>, Matrix<R>, SimTime)> = Vec::with_capacity(2);
         let c1_dur = self.cpu_dur(3 * (m * k + k * n) * R::BYTES);
-        let mut c1_start: Option<SimTime> = None;
-        for i in 0..2 {
-            let tri = &triple.shares[i];
-            let e = a.parts[i].v.sub(&tri.v.u);
-            let f = b.parts[i].v.sub(&tri.v.v);
-            let ready = a.parts[i]
-                .ready
-                .max(b.parts[i].ready)
-                .max(tri.ready);
-            c1_start = Some(c1_start.map_or(ready, |s| s.min(ready)));
-            let t = self.server_cpu(i, ready, c1_dur);
-            masked.push((e, f, t));
-        }
-        self.breakdown.compute1 += c1_dur;
+        let (masked, c1_start) = self.mask_operands(a, b, triple, c1_dur);
         drop(c1_guard);
 
         // --- communicate: exchange E_i, F_i; reconstruct E, F ---
         let comm_guard = TraceSink::scope(Phase::Communicate, layer);
-        let comm_start = masked[0].2.max(masked[1].2);
+        let comm_start = latest(&masked);
         trace_phase(
             "compute1",
             Phase::Compute1,
             layer,
-            c1_start.unwrap_or(SimTime::ZERO),
+            c1_start,
             comm_start,
-            Some([m as u32, k as u32, n as u32]),
+            dims,
             None,
             0,
         );
-        // theirs[i] = (E, F) received *by* server i from its peer, each
-        // moved through the reliable channel (retransmits under faults).
-        let mut theirs = Vec::with_capacity(2);
-        for i in 0..2 {
-            let j = 1 - i;
-            let e = self.transfer_mat(j, stream_id(site, CHAN_E), &masked[j].0, masked[j].2)?;
-            let f = self.transfer_mat(j, stream_id(site, CHAN_F), &masked[j].1, masked[j].2)?;
-            theirs.push((e, f));
-        }
-        let mut publics: Vec<(Matrix<R>, Matrix<R>, SimTime)> = Vec::with_capacity(2);
+        let mut publics = self.exchange_masked(site, [CHAN_E, CHAN_F], &masked)?;
         let add_dur = self.cpu_dur(3 * (m * k + k * n) * R::BYTES);
-        for i in 0..2 {
-            let (e_theirs, f_theirs) = &theirs[i];
-            let e_pub = masked[i].0.add(&e_theirs.v);
-            let f_pub = masked[i].1.add(&f_theirs.v);
-            let ready = masked[i]
-                .2
-                .max(e_theirs.ready)
-                .max(f_theirs.ready);
-            let t = self.server_cpu(i, ready, add_dur);
-            publics.push((e_pub, f_pub, t));
+        for (i, public) in publics.iter_mut().enumerate() {
+            public.ready = self.server_cpu(i, public.ready, add_dur);
         }
-        let comm_end = publics[0].2.max(publics[1].2);
+        let comm_end = latest(&publics);
         self.breakdown.communicate += comm_end.saturating_since(comm_start);
         trace_phase(
             "communicate",
@@ -815,7 +852,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             layer,
             comm_start,
             comm_end,
-            Some([m as u32, k as u32, n as u32]),
+            dims,
             None,
             4 * (m * k + k * n) * R::BYTES,
         );
@@ -829,47 +866,29 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let c2_guard = TraceSink::scope(Phase::Compute2, layer);
         let bytes_moved = (2 * m * k + 2 * k * n + 2 * m * n) * R::BYTES;
         let placement = self.adaptive.place(&self.cfg, m, 2 * k, n, bytes_moved);
-        let c2_start = comm_end;
         // Both servers reconstruct the same public F, so on the fused CPU
         // path its column panels are packed once and shared between the
         // two `[F ; B_i]` evaluations (Eq. (8)'s common top block). The
         // carrier (standard vs quantized limb planes) follows what
         // `gemm_auto` would pick for the full `[L|E] x [F ; B_i]` product.
         let f_packed = match (placement, self.cfg.eval_strategy) {
-            (Placement::Cpu, EvalStrategy::Fused) => Some(pack_b_auto(&publics[0].1, m)),
+            (Placement::Cpu, EvalStrategy::Fused) => Some(pack_b_auto(&publics[0].v.1, m)),
             _ => None,
         };
-        let mut outs: Vec<Timed<Matrix<R>>> = Vec::with_capacity(2);
-        for i in 0..2 {
-            let party = Party::BOTH[i];
-            let (e_pub, f_pub, t_pub) = (&publics[i].0, &publics[i].1, publics[i].2);
-            let out = match placement {
-                Placement::Cpu => self.compute2_cpu(
-                    i,
-                    party,
-                    a,
-                    b,
-                    triple,
-                    e_pub,
-                    f_pub,
-                    f_packed.as_ref(),
-                    t_pub,
-                )?,
-                Placement::Gpu => {
-                    self.compute2_gpu(i, party, a, b, triple, e_pub, f_pub, t_pub)?
-                }
-            };
-            outs.push(out);
-        }
-        let c2_end = outs[0].ready.max(outs[1].ready);
-        self.breakdown.compute2 += c2_end.saturating_since(c2_start);
+        let mut compute2 = |i: usize| match placement {
+            Placement::Cpu => self.compute2_cpu(i, &publics[i], a, b, triple, f_packed.as_ref()),
+            Placement::Gpu => self.compute2_gpu(i, &publics[i], a, b, triple),
+        };
+        let outs = [compute2(0)?, compute2(1)?];
+        let c2_end = latest(&outs);
+        self.breakdown.compute2 += c2_end.saturating_since(comm_end);
         // Measured span of compute2 on the critical server: readiness of
         // its output relative to its own public (E, F) instant. This is
         // what the MeasuredCost recalibrator compares against the static
         // prediction — it includes per-operand transfers, launch overheads
         // and queueing the model omits.
         let measured = (0..2)
-            .map(|i| outs[i].ready.saturating_since(publics[i].2))
+            .map(|i| outs[i].ready.saturating_since(publics[i].ready))
             .fold(SimDuration::ZERO, SimDuration::max);
         self.adaptive
             .observe(&self.cfg, (m, 2 * k, n), bytes_moved, placement, measured);
@@ -877,7 +896,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             "compute2",
             Phase::Compute2,
             layer,
-            c2_start,
+            comm_end,
             c2_end,
             Some([m as u32, 2 * k as u32, n as u32]),
             Some(placement.name()),
@@ -885,20 +904,12 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         );
         drop(c2_guard);
 
-        let mut it = outs.into_iter();
-        Ok(SharedMatrix::new(it.next().unwrap(), it.next().unwrap()))
+        Ok(SharedMatrix::new(outs))
     }
 
-    /// Offline + online in one call: provisions the triple on demand.
-    ///
-    /// With [`EngineConfig::insecure_reuse_triples`] triples are cached
-    /// per `(call site, shape)` and **reused across iterations** (the
-    /// paper's Eq. (11) keeps `U_i` fixed across epochs so that `E`
-    /// evolves by the sparse delta `dA` — the premise of the
-    /// compressed-transmission design, and a deliberate information
-    /// leak; see DESIGN.md). The offline cost is then paid once per call
-    /// site. Without it, every multiplication consumes a fresh triple —
-    /// which is what the prefetch pipeline provisions ahead of time.
+    /// Offline + online in one call: provisions the triple on demand
+    /// (or, under [`EngineConfig::insecure_reuse_triples`], takes the
+    /// call site's cached one — see `triple_for`).
     pub fn secure_mul_auto(
         &mut self,
         a: &SharedMatrix<R>,
@@ -907,32 +918,18 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     ) -> Result<SharedMatrix<R>> {
         let (m, k) = a.shape();
         let n = b.shape().1;
-        let spec = TripleSpec::Gemm { m, k, n };
         let site = self.site_id(key);
-        let cached = if self.cfg.insecure_reuse_triples {
-            self.triple_cache.get(&(site, spec)).cloned()
-        } else {
-            None
-        };
-        let triple = match cached {
-            Some(t) => {
-                self.triple_reuses += 1;
-                t
-            }
-            None => {
-                let t = self.provision_triple(spec)?;
-                if self.cfg.insecure_reuse_triples {
-                    self.triple_cache.insert((site, spec), t.clone());
-                }
-                t
-            }
-        };
+        let triple = self.triple_for(site, TripleSpec::Gemm { m, k, n })?;
         self.secure_mul(a, b, &triple, key)
     }
 
     /// Secure element-wise (Hadamard) multiplication — the CNN
     /// point-to-point product path (Sec. 7.2). Local math is element-wise,
     /// so *compute2* always stays on the CPU (there is no GEMM to offload).
+    ///
+    /// Shares *compute1* and the exchange with [`SecureContext::secure_mul`]
+    /// but not its charging: the reconstruction rides in the *compute2*
+    /// pass, *communicate* books nothing, and no phase spans are emitted.
     pub fn secure_hadamard(
         &mut self,
         a: &SharedMatrix<R>,
@@ -953,96 +950,50 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         // (the `Hadamard` spec cannot collide with a `Gemm` cache entry
         // for the same site).
         let offline_guard = TraceSink::scope(Phase::Offline, layer);
-        let spec = TripleSpec::Hadamard { m, n };
-        let cached = if self.cfg.insecure_reuse_triples {
-            self.triple_cache.get(&(site, spec)).cloned()
-        } else {
-            None
-        };
-        let triple = match cached {
-            Some(t) => {
-                self.triple_reuses += 1;
-                t
-            }
-            None => {
-                let t = self.provision_triple(spec)?;
-                if self.cfg.insecure_reuse_triples {
-                    self.triple_cache.insert((site, spec), t.clone());
-                }
-                t
-            }
-        };
+        let triple = self.triple_for(site, TripleSpec::Hadamard { m, n })?;
         drop(offline_guard);
         self.secure_muls += 1;
         if !self.cfg.pipeline {
             self.barrier();
         }
 
-        // compute1 + communicate, identical structure to secure_mul.
         let c1_guard = TraceSink::scope(Phase::Compute1, layer);
         let c1_dur = self.cpu_dur(6 * m * n * R::BYTES);
-        let mut masked: Vec<(Matrix<R>, Matrix<R>, SimTime)> = Vec::with_capacity(2);
-        for i in 0..2 {
-            let tri = &triple.shares[i];
-            let e = a.parts[i].v.sub(&tri.v.u);
-            let f = b.parts[i].v.sub(&tri.v.v);
-            let ready = a.parts[i].ready.max(b.parts[i].ready).max(tri.ready);
-            let t = self.server_cpu(i, ready, c1_dur);
-            masked.push((e, f, t));
-        }
-        self.breakdown.compute1 += c1_dur;
+        let (masked, _) = self.mask_operands(a, b, &triple, c1_dur);
         drop(c1_guard);
         let comm_guard = TraceSink::scope(Phase::Communicate, layer);
-        let comm_start = masked[0].2.max(masked[1].2);
-        let mut theirs = Vec::with_capacity(2);
-        for i in 0..2 {
-            let j = 1 - i;
-            let e =
-                self.transfer_mat(j, stream_id(site, CHAN_HAD_E), &masked[j].0, masked[j].2)?;
-            let f =
-                self.transfer_mat(j, stream_id(site, CHAN_HAD_F), &masked[j].1, masked[j].2)?;
-            theirs.push((e, f));
-        }
+        let comm_start = latest(&masked);
+        let publics = self.exchange_masked(site, [CHAN_HAD_E, CHAN_HAD_F], &masked)?;
         drop(comm_guard);
         let _c2_guard = TraceSink::scope(Phase::Compute2, layer);
-        let mut outs: Vec<Timed<Matrix<R>>> = Vec::with_capacity(2);
         let c2_dur = self.cpu_dur(8 * m * n * R::BYTES);
-        for i in 0..2 {
-            let (e_theirs, f_theirs) = &theirs[i];
-            let e_pub = masked[i].0.add(&e_theirs.v);
-            let f_pub = masked[i].1.add(&f_theirs.v);
+        let outs = self.per_server([publics[0].ready, publics[1].ready], c2_dur, |i| {
+            let (e_pub, f_pub) = &publics[i].v;
             let party = Party::BOTH[i];
-            let mut c = a.parts[i].v.hadamard(&f_pub);
+            let mut c = a.parts[i].v.hadamard(f_pub);
             c.add_assign(&e_pub.hadamard(&b.parts[i].v));
             if party == Party::P1 {
-                c.sub_assign(&e_pub.hadamard(&f_pub));
+                c.sub_assign(&e_pub.hadamard(f_pub));
             }
             c.add_assign(&triple.shares[i].v.z);
-            let c = R::truncate_matrix(&c, party);
-            let ready = masked[i].2.max(e_theirs.ready).max(f_theirs.ready);
-            let t = self.server_cpu(i, ready, c2_dur);
-            outs.push(Timed { v: c, ready: t });
-        }
-        let c2_end = outs[0].ready.max(outs[1].ready);
-        self.breakdown.compute2 += c2_end.saturating_since(comm_start);
-        let mut it = outs.into_iter();
-        Ok(SharedMatrix::new(it.next().unwrap(), it.next().unwrap()))
+            R::truncate_matrix(&c, party)
+        });
+        self.breakdown.compute2 += latest(&outs).saturating_since(comm_start);
+        Ok(SharedMatrix::new(outs))
     }
 
-    #[allow(clippy::too_many_arguments)] // one call per protocol operand
     fn compute2_cpu(
         &mut self,
         i: usize,
-        party: Party,
+        public: &Masked<R>,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         triple: &DistTriple<R>,
-        e_pub: &Matrix<R>,
-        f_pub: &Matrix<R>,
         f_packed: Option<&AutoPackedB<R>>,
-        ready: SimTime,
     ) -> Result<Timed<Matrix<R>>> {
         let (m, k, n) = triple.dims;
+        let party = Party::BOTH[i];
+        let (e_pub, f_pub) = &public.v;
         let session = ServerMulSession::new(
             party,
             a.parts[i].v.clone(),
@@ -1059,28 +1010,27 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         }
         // Truncation / final additions.
         dur += self.cpu_dur(2 * m * n * R::BYTES);
-        let t = self.server_cpu(i, ready, dur);
+        let t = self.server_cpu(i, public.ready, dur);
         Ok(Timed { v: c, ready: t })
     }
 
     /// GPU compute2 per Fig. 5: upload E and A_i, compute `D = (-i)E + A_i`
     /// while F transfers, `D x F` while B_i transfers, then `E x B_i`,
     /// the sum, and `+ Z_i`; download C_i.
-    #[allow(clippy::too_many_arguments)] // one call per protocol operand
     fn compute2_gpu(
         &mut self,
         i: usize,
-        party: Party,
+        public: &Masked<R>,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         triple: &DistTriple<R>,
-        e_pub: &Matrix<R>,
-        f_pub: &Matrix<R>,
-        ready: SimTime,
     ) -> Result<Timed<Matrix<R>>> {
         let fenced = !self.cfg.pipeline;
         let mode = self.cfg.gpu_gemm_mode();
         let (m, n) = (triple.dims.0, triple.dims.2);
+        let party = Party::BOTH[i];
+        let (e_pub, f_pub) = &public.v;
+        let ready = public.ready;
         let dev = &mut self.servers[i].device;
 
         let fence = |dev: &mut GpuDevice<R>| {
@@ -1137,12 +1087,20 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     // ---------------------------------------------------------------
 
     /// Element-wise sum of two shared matrices (local on each server).
-    pub fn add_shared(&mut self, a: &SharedMatrix<R>, b: &SharedMatrix<R>) -> Result<SharedMatrix<R>> {
+    pub fn add_shared(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+    ) -> Result<SharedMatrix<R>> {
         self.local_zip(a, b, "add", |x, y| x.add(y))
     }
 
     /// Element-wise difference of two shared matrices.
-    pub fn sub_shared(&mut self, a: &SharedMatrix<R>, b: &SharedMatrix<R>) -> Result<SharedMatrix<R>> {
+    pub fn sub_shared(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+    ) -> Result<SharedMatrix<R>> {
         self.local_zip(a, b, "sub", |x, y| x.sub(y))
     }
 
@@ -1161,14 +1119,10 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             )));
         }
         let dur = self.cpu_dur(3 * a.parts[0].v.byte_size());
-        let mut parts = Vec::with_capacity(2);
-        for i in 0..2 {
-            let v = a.parts[i].v.zip_map(&b.parts[i].v, &f);
-            let t = self.server_cpu(i, a.parts[i].ready.max(b.parts[i].ready), dur);
-            parts.push(Timed { v, ready: t });
-        }
-        let mut it = parts.into_iter();
-        Ok(SharedMatrix::new(it.next().unwrap(), it.next().unwrap()))
+        let ready = [0, 1].map(|i| a.parts[i].ready.max(b.parts[i].ready));
+        Ok(SharedMatrix::new(self.per_server(ready, dur, |i| {
+            a.parts[i].v.zip_map(&b.parts[i].v, &f)
+        })))
     }
 
     /// Multiplies a shared matrix by a *public* scalar (e.g. the learning
@@ -1176,21 +1130,18 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     pub fn scale_public(&mut self, a: &SharedMatrix<R>, c: f64) -> SharedMatrix<R> {
         let enc = R::encode(c);
         let dur = self.cpu_dur(2 * a.parts[0].v.byte_size());
-        let mut parts = Vec::with_capacity(2);
-        for i in 0..2 {
-            let party = Party::BOTH[i];
-            let scaled = a.parts[i].v.map(|x| x.mul(enc));
-            let v = R::truncate_matrix(&scaled, party);
-            let t = self.server_cpu(i, a.parts[i].ready, dur);
-            parts.push(Timed { v, ready: t });
-        }
-        let mut it = parts.into_iter();
-        SharedMatrix::new(it.next().unwrap(), it.next().unwrap())
+        SharedMatrix::new(self.per_server(a.ready(), dur, |i| {
+            R::truncate_matrix(&a.parts[i].v.map(|x| x.mul(enc)), Party::BOTH[i])
+        }))
     }
 
     /// Multiplies a shared matrix element-wise by a *public* 0/1 mask
     /// (activation derivatives). Local, exact (no truncation needed).
-    pub fn mask_public(&mut self, a: &SharedMatrix<R>, mask: &PlainMatrix) -> Result<SharedMatrix<R>> {
+    pub fn mask_public(
+        &mut self,
+        a: &SharedMatrix<R>,
+        mask: &PlainMatrix,
+    ) -> Result<SharedMatrix<R>> {
         if a.shape() != mask.shape() {
             return Err(EngineError::Shape(format!(
                 "mask: {:?} vs {:?}",
@@ -1199,20 +1150,15 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             )));
         }
         let dur = self.cpu_dur(3 * a.parts[0].v.byte_size());
-        let mut parts = Vec::with_capacity(2);
-        for i in 0..2 {
-            let v = Matrix::from_fn(mask.rows(), mask.cols(), |r, c| {
+        Ok(SharedMatrix::new(self.per_server(a.ready(), dur, |i| {
+            Matrix::from_fn(mask.rows(), mask.cols(), |r, c| {
                 if mask[(r, c)] != 0.0 {
                     a.parts[i].v[(r, c)]
                 } else {
                     R::zero()
                 }
-            });
-            let t = self.server_cpu(i, a.parts[i].ready, dur);
-            parts.push(Timed { v, ready: t });
-        }
-        let mut it = parts.into_iter();
-        Ok(SharedMatrix::new(it.next().unwrap(), it.next().unwrap()))
+            })
+        })))
     }
 
     /// Applies a share-respecting (linear, data-independent) local
@@ -1224,33 +1170,20 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         f: impl Fn(&Matrix<R>) -> Matrix<R>,
     ) -> SharedMatrix<R> {
         let dur = self.cpu_dur(2 * a.parts[0].v.byte_size());
-        let mut parts = Vec::with_capacity(2);
-        for i in 0..2 {
-            let v = f(&a.parts[i].v);
-            let t = self.server_cpu(i, a.parts[i].ready, dur);
-            parts.push(Timed { v, ready: t });
-        }
-        let mut it = parts.into_iter();
-        let p0 = it.next().unwrap();
-        let p1 = it.next().unwrap();
-        SharedMatrix::new(p0, p1)
+        SharedMatrix::new(self.per_server(a.ready(), dur, |i| f(&a.parts[i].v)))
     }
 
     /// A shared all-zeros matrix (both shares zero), ready immediately.
     pub fn zeros_shared(&mut self, rows: usize, cols: usize) -> SharedMatrix<R> {
-        SharedMatrix::new(
-            Timed::at_zero(Matrix::zeros(rows, cols)),
-            Timed::at_zero(Matrix::zeros(rows, cols)),
-        )
+        let zero = || Timed::at_zero(Matrix::zeros(rows, cols));
+        SharedMatrix::new([zero(), zero()])
     }
 
     /// Shares a *public* matrix without communication: server 0 holds the
     /// encoding, server 1 holds zero. Used for public constants.
     pub fn share_public(&mut self, m: &PlainMatrix) -> SharedMatrix<R> {
-        SharedMatrix::new(
-            Timed::at_zero(R::encode_matrix(m)),
-            Timed::at_zero(Matrix::zeros(m.rows(), m.cols())),
-        )
+        let zero = Matrix::zeros(m.rows(), m.cols());
+        SharedMatrix::new([R::encode_matrix(m), zero].map(Timed::at_zero))
     }
 
     /// Transposes a shared matrix (local data movement).
@@ -1297,64 +1230,74 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         key: &str,
     ) -> Result<(SharedMatrix<R>, PlainMatrix)> {
         let _act = TraceSink::scope(Phase::Activation, layer_of_key(key));
-        if self.cfg.client_aided_activation {
-            return self.client_aided_activation(z, f, df);
-        }
         if !self.cfg.pipeline {
             self.barrier();
         }
         let start = z.parts[0].ready.max(z.parts[1].ready);
-        // Exchange shares through the reliable channel.
-        let site = self.site_id(key);
-        let mut theirs: Vec<Timed<Matrix<R>>> = Vec::with_capacity(2);
-        for i in 0..2 {
-            let j = 1 - i;
-            theirs.push(self.transfer_mat(
-                j,
-                stream_id(site, CHAN_ACT),
-                &z.parts[j].v,
-                z.parts[j].ready,
-            )?);
-        }
-        let mut rebuilt: Vec<Timed<Matrix<R>>> = Vec::with_capacity(2);
-        let dur = self.cpu_dur(4 * z.parts[0].v.byte_size());
-        for i in 0..2 {
-            let t_in = &theirs[i];
-            let sum = z.parts[i].v.add(&t_in.v);
-            let t = self.server_cpu(i, z.parts[i].ready.max(t_in.ready), dur);
-            rebuilt.push(Timed { v: sum, ready: t });
-        }
-        // Both servers hold identical z; apply f / f'.
-        let z_plain = R::decode_matrix(&rebuilt[0].v);
-        debug_assert_eq!(rebuilt[0].v, rebuilt[1].v);
-        let activated = z_plain.map(&f);
-        let mask = z_plain.map(|x| if df(x) != 0.0 { 1.0 } else { 0.0 });
-        let s0 = R::encode_matrix(&activated);
-        let s1 = Matrix::zeros(s0.rows(), s0.cols());
-        let out = SharedMatrix::new(
-            Timed {
-                v: s0,
-                ready: rebuilt[0].ready,
-            },
-            Timed {
-                v: s1,
-                ready: rebuilt[1].ready,
-            },
-        );
-        let end = out.parts[0].ready.max(out.parts[1].ready);
+        // `shipped`: how many share-sized matrices the mode puts on the wire.
+        let (out, mask, op, shipped) = if self.cfg.client_aided_activation {
+            let (out, mask) = self.client_aided_activation(z, f, df)?;
+            (out, mask, "activation[client-aided]", 4)
+        } else {
+            // Each server receives its peer's share through the reliable
+            // channel and adds its own.
+            let on = stream_id(self.site_id(key), CHAN_ACT);
+            let mut fetch = |i: usize| {
+                let peer = &z.parts[1 - i];
+                self.transfer_mat(1 - i, on, &peer.v, peer.ready)
+            };
+            let theirs = [fetch(0)?, fetch(1)?];
+            let dur = self.cpu_dur(4 * z.parts[0].v.byte_size());
+            let ready = [0, 1].map(|i| z.parts[i].ready.max(theirs[i].ready));
+            let [z0, z1] = self.per_server(ready, dur, |i| z.parts[i].v.add(&theirs[i].v));
+            // Both servers hold identical z; apply f / f' and re-share
+            // deterministically.
+            debug_assert_eq!(z0.v, z1.v);
+            let (activated, mask) = activate(&R::decode_matrix(&z0.v), f, df);
+            let s0 = R::encode_matrix(&activated);
+            let s1 = Matrix::zeros(s0.rows(), s0.cols());
+            let parts = [(s0, z0.ready), (s1, z1.ready)].map(|(v, ready)| Timed { v, ready });
+            (SharedMatrix::new(parts), mask, "activation", 2)
+        };
+        let end = latest(&out.parts);
         self.breakdown.activation += end.saturating_since(start);
         let (rows, cols) = out.shape();
         trace_phase(
-            "activation",
+            op,
             Phase::Activation,
             None,
             start,
             end,
             Some([rows as u32, 0, cols as u32]),
             None,
-            2 * rows * cols * R::BYTES,
+            shipped * rows * cols * R::BYTES,
         );
         Ok((out, mask))
+    }
+
+    /// Both servers ship their share of `x` to the client (online-era
+    /// traffic on the client links), which adds them. The client's offline
+    /// clock stays untouched — a scratch clock tracks its online part.
+    fn open_at_client(&mut self, x: &SharedMatrix<R>) -> Result<Timed<PlainMatrix>> {
+        let mut client_clock = self.client.now;
+        let mut collect = |i: usize| -> Result<Timed<Matrix<R>>> {
+            let part = &x.parts[i];
+            let mut srv_clock = part.ready;
+            let got = self.wire.ship_dense(
+                SERVER[i],
+                &mut srv_clock,
+                NodeId::Client,
+                &mut client_clock,
+                part.v.clone(),
+            )?;
+            self.servers[i].note(srv_clock);
+            Ok(got)
+        };
+        let got = [collect(0)?, collect(1)?];
+        Ok(Timed {
+            v: R::decode_matrix(&got[0].v.add(&got[1].v)),
+            ready: latest(&got),
+        })
     }
 
     /// Client-aided activation (see [`SecureContext::secure_activation`]).
@@ -1364,87 +1307,35 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         f: impl Fn(f64) -> f64,
         df: impl Fn(f64) -> f64,
     ) -> Result<(SharedMatrix<R>, PlainMatrix)> {
-        if !self.cfg.pipeline {
-            self.barrier();
-        }
-        let start = z.parts[0].ready.max(z.parts[1].ready);
-        // Servers -> client: ship the shares (online-era traffic on the
-        // client links) through the reliable channel. The client's offline
-        // clock stays untouched — a scratch clock tracks its online
-        // participation.
-        let mut z_shares: Vec<Matrix<R>> = Vec::with_capacity(2);
-        let mut arrive = SimTime::ZERO;
-        let mut client_clock = self.client.now;
-        {
-            let [srv0, srv1] = &mut self.servers;
-            for (srv, part) in [(srv0, &z.parts[0]), (srv1, &z.parts[1])] {
-                let mut srv_clock = part.ready;
-                let pkt = self.reliable.transfer(
-                    &mut srv.endpoint,
-                    &mut srv_clock,
-                    &mut self.client.endpoint,
-                    &mut client_clock,
-                    &Payload::Dense(part.v.clone()),
-                )?;
-                srv.end = srv.end.max(srv_clock);
-                arrive = arrive.max(pkt.available_at);
-                match pkt.payload {
-                    Payload::Dense(m) => z_shares.push(m),
-                    _ => {
-                        return Err(EngineError::Protocol("expected dense z shares".into()))
-                    }
-                }
-            }
-        }
+        let z_plain = self.open_at_client(z)?;
 
-        // Client: reconstruct, apply, and re-share with a fresh mask.
-        let z_plain = R::decode_matrix(&z_shares[0].add(&z_shares[1]));
-        let activated = z_plain.map(&f);
-        let mask = z_plain.map(|x| if df(x) != 0.0 { 1.0 } else { 0.0 });
+        // Client: apply, and re-share with a fresh mask.
+        let (activated, mask) = activate(&z_plain.v, f, df);
         let secret = R::encode_matrix(&activated);
         let fresh_mask = R::random_matrix(secret.rows(), secret.cols(), &mut self.rng);
         let other = secret.sub(&fresh_mask);
         // Client compute time: reconstruct + apply + split (client rates).
         let client_dur = self.cfg.client_rng_time(secret.len())
             + self.cfg.client_elementwise_time(5 * secret.byte_size());
-        let client_done = arrive + client_dur;
+        let client_done = z_plain.ready + client_dur;
 
         // Client -> servers: return the fresh shares through the reliable
         // channel; each server resumes when its share lands intact.
-        let mut parts = Vec::with_capacity(2);
-        {
-            let [srv0, srv1] = &mut self.servers;
-            for (srv, share) in [(srv0, fresh_mask), (srv1, other)] {
-                let mut sender_clock = client_done;
-                let mut srv_clock = SimTime::ZERO;
-                let pkt = self.reliable.transfer(
-                    &mut self.client.endpoint,
-                    &mut sender_clock,
-                    &mut srv.endpoint,
-                    &mut srv_clock,
-                    &Payload::Dense(share.clone()),
-                )?;
-                let ready = pkt.available_at;
-                srv.end = srv.end.max(srv_clock).max(ready);
-                parts.push(Timed { v: share, ready });
-            }
-        }
+        let mut land = |i: usize, share: Matrix<R>| -> Result<Timed<Matrix<R>>> {
+            let mut client_clock = client_done;
+            let mut srv_clock = SimTime::ZERO;
+            let landed = self.wire.ship_dense(
+                NodeId::Client,
+                &mut client_clock,
+                SERVER[i],
+                &mut srv_clock,
+                share,
+            )?;
+            self.servers[i].note(srv_clock.max(landed.ready));
+            Ok(landed)
+        };
+        let out = SharedMatrix::new([land(0, fresh_mask)?, land(1, other)?]);
         self.activation_roundtrips += 1;
-        let mut it = parts.into_iter();
-        let out = SharedMatrix::new(it.next().unwrap(), it.next().unwrap());
-        let end = out.parts[0].ready.max(out.parts[1].ready);
-        self.breakdown.activation += end.saturating_since(start);
-        let (rows, cols) = out.shape();
-        trace_phase(
-            "activation[client-aided]",
-            Phase::Activation,
-            None,
-            start,
-            end,
-            Some([rows as u32, 0, cols as u32]),
-            None,
-            4 * rows * cols * R::BYTES,
-        );
         Ok((out, mask))
     }
 
@@ -1456,37 +1347,11 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     /// Online-phase reveal: both servers ship their `C_i` back to the
     /// client, which merges them (Eq. (6)'s final step).
     pub fn reveal(&mut self, c: &SharedMatrix<R>) -> Result<Timed<PlainMatrix>> {
-        let mut revealed: Vec<Matrix<R>> = Vec::with_capacity(2);
-        let mut ready = SimTime::ZERO;
-        let mut client_clock = self.client.now;
-        {
-            let [srv0, srv1] = &mut self.servers;
-            for (srv, part) in [(srv0, &c.parts[0]), (srv1, &c.parts[1])] {
-                let mut srv_clock = part.ready;
-                let pkt = self.reliable.transfer(
-                    &mut srv.endpoint,
-                    &mut srv_clock,
-                    &mut self.client.endpoint,
-                    &mut client_clock,
-                    &Payload::Dense(part.v.clone()),
-                )?;
-                srv.end = srv.end.max(srv_clock);
-                ready = ready.max(pkt.available_at);
-                match pkt.payload {
-                    Payload::Dense(m) => revealed.push(m),
-                    _ => return Err(EngineError::Protocol("expected dense reveal".into())),
-                }
-            }
-        }
+        let revealed = self.open_at_client(c)?;
         for s in &mut self.servers {
-            s.end = s.end.max(ready);
+            s.note(revealed.ready);
         }
-        let m1 = revealed.pop().expect("two shares");
-        let m0 = revealed.pop().expect("two shares");
-        Ok(Timed {
-            v: R::decode_matrix(&m0.add(&m1)),
-            ready,
-        })
+        Ok(revealed)
     }
 
     /// Convenience quickstart: share two plaintext matrices, run one secure
@@ -1522,13 +1387,11 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
 
     /// Snapshot of the run's simulated performance.
     pub fn report(&self) -> RunReport {
-        let mut traffic = self.client.endpoint.stats().clone();
-        for s in &self.servers {
-            traffic.merge(s.endpoint.stats());
-        }
-        let mut injected = self.client.endpoint.fault_counters();
-        for s in &self.servers {
-            injected.merge(&s.endpoint.fault_counters());
+        let mut traffic = TrafficStats::new();
+        let mut injected = FaultCounters::default();
+        for ep in &self.wire.endpoints {
+            traffic.merge(ep.stats());
+            injected.merge(&ep.fault_counters());
         }
         let mut warnings = Vec::new();
         if self.triple_reuses > 0 {
@@ -1546,7 +1409,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             traffic,
             placements: self.adaptive.decision_counts(),
             secure_muls: self.secure_muls,
-            reliability: *self.reliable.stats(),
+            reliability: *self.wire.reliable.stats(),
             injected,
             warnings,
         }
@@ -1562,6 +1425,18 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     pub fn recalibration_events(&self) -> &[crate::adaptive::RecalEvent] {
         self.adaptive.recalibrator().events()
     }
+}
+
+/// `f(z)` and the 0/1 mask of where `f'(z) != 0`.
+fn activate(
+    z: &PlainMatrix,
+    f: impl Fn(f64) -> f64,
+    df: impl Fn(f64) -> f64,
+) -> (PlainMatrix, PlainMatrix) {
+    (
+        z.map(&f),
+        z.map(|x| if df(x) != 0.0 { 1.0 } else { 0.0 }),
+    )
 }
 
 #[cfg(test)]
@@ -1584,6 +1459,20 @@ mod tests {
         let m = plain(5, 7, 1.0);
         let shared = ctx.share_input(&m).unwrap();
         assert_eq!(shared.shape(), (5, 7));
+        assert!(shared.reveal_insecure().max_abs_diff(&m) < 1e-3);
+    }
+
+    #[test]
+    fn client_gpu_randomness_is_the_device_counter_stream() {
+        // A client CPU too slow to win the Fig. 7 decision at any size.
+        let mut cfg = EngineConfig::parsecureml();
+        cfg.machine.cpu.rng_samples_per_core = 1.0;
+        let mut ctx = ctx(cfg);
+        let m = plain(6, 5, 1.0);
+        let shared = ctx.share_input(&m).unwrap();
+        // Seed 99: the first device draw advances `curand_seed` to 100.
+        let mask = device_random::<Fixed64>(6, 5, 100);
+        assert!(shared.part(Party::P0).v == mask, "mask is not the device stream");
         assert!(shared.reveal_insecure().max_abs_diff(&m) < 1e-3);
     }
 

@@ -48,7 +48,7 @@ pub mod session;
 pub mod trainer;
 
 pub use adaptive::{AdaptiveEngine, Placement, RecalEvent, Recalibrator};
-pub use config::{AdaptivePolicy, EngineConfig, EngineConfigBuilder};
+pub use config::{AdaptivePolicy, EngineConfig};
 pub use engine::SecureContext;
 pub use error::{ConfigError, EngineError};
 pub use layers::{Activation, LayerSpec};
@@ -101,12 +101,11 @@ pub use psml_trace::{
 pub mod prelude {
     pub use crate::baseline::{PlainBackend, PlainModel};
     pub use crate::{
-        Activation, AdaptivePolicy, BackendKind, ConfigError, EngineConfig,
-        EngineConfigBuilder, EngineError, FaultPlan, InferRequest, InferResponse, LayerSpec,
-        LinkFaults, MachineConfig, ModelHost, ModelId, ModelKind, ModelSpec, NetError,
-        NodeId, Phase, RecalEvent, RequestReport, RetryPolicy, RunReport, SecureContext,
-        SecureTrainer, ServeConfig, ServeError, ServeReport, Summary, TraceEvent,
-        TraceSink, TrainerCheckpoint,
+        Activation, AdaptivePolicy, BackendKind, ConfigError, EngineConfig, EngineError,
+        FaultPlan, InferRequest, InferResponse, LayerSpec, LinkFaults, MachineConfig,
+        ModelHost, ModelId, ModelKind, ModelSpec, NetError, NodeId, Phase, RecalEvent,
+        RequestReport, RetryPolicy, RunReport, SecureContext, SecureTrainer, ServeConfig,
+        ServeError, ServeReport, Summary, TraceEvent, TraceSink, TrainerCheckpoint,
     };
     pub use psml_data::{batch, Batch, DatasetKind};
     pub use psml_mpc::{Fixed64, Party, PlainMatrix, SecureRing, TripleSpec};

@@ -96,15 +96,6 @@ const SCHEMAS: &[(&str, &[&str])] = &[
         &["transfers", "retransmits", "timeouts"],
     ),
     (
-        "psml.bench.triple.v1",
-        &[
-            "prefetch_on_ms",
-            "prefetch_off_ms",
-            "speedup",
-            "identical_results",
-        ],
-    ),
-    (
         "psml.bench.gemm.v1",
         &["bench", "host_workers", "quant_ring_available", "elements"],
     ),
@@ -136,10 +127,6 @@ const SCHEMAS: &[(&str, &[&str])] = &[
             "throughput_rps",
             "per_model",
         ],
-    ),
-    (
-        "psml.bench.serve.v1",
-        &["bench", "fleets", "identical_results"],
     ),
 ];
 

@@ -264,10 +264,10 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Starts a validated builder mirroring [`EngineConfig::builder`]:
-    /// the terminal [`ServeConfigBuilder::build`] runs
-    /// [`ServeConfig::validate`], so an inconsistent serving setup
-    /// surfaces as a typed [`ConfigError`] at construction.
+    /// Starts a validated builder: the terminal
+    /// [`ServeConfigBuilder::build`] runs [`ServeConfig::validate`], so an
+    /// inconsistent serving setup surfaces as a typed [`ConfigError`] at
+    /// construction.
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder {
             cfg: ServeConfig {
@@ -676,8 +676,7 @@ impl<R: SecureRing + GpuElement> ModelHost<R> {
 
     /// Drives a full arrival schedule to completion: interleaves
     /// admissions and window dispatches in simulated-time order, then
-    /// drains every pending window. The driver behind `psml serve` and
-    /// the `serve_throughput` bench.
+    /// drains every pending window. The driver behind `psml serve`.
     pub fn run(
         &mut self,
         mut arrivals: Vec<(SimTime, InferRequest)>,
@@ -759,8 +758,7 @@ impl<R: SecureRing + GpuElement> ModelHost<R> {
 /// (mean gap `think`, uniform ±50%), issuing single-row requests drawn
 /// from `dataset` round-robin across `models`. Tags are globally unique,
 /// so a tag-sorted [`outputs_digest`] is comparable across batching
-/// configurations. Shared by `psml serve` and the `serve_throughput`
-/// bench.
+/// configurations. Shared by `psml serve` and the `e2e` fleet workload.
 pub fn fleet_arrivals(
     models: &[ModelId],
     dataset: psml_data::DatasetKind,

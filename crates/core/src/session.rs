@@ -47,11 +47,6 @@ use std::path::{Path, PathBuf};
 /// The two server parties, in protocol order.
 const SERVERS: [NodeId; 2] = [NodeId::Server0, NodeId::Server1];
 
-/// Sentinel prefix of the [`EngineError::Protocol`] message the epoch
-/// observer uses to unwind a training span for a rollback. Carries
-/// `"<generation>:<epoch>"` (client) or the raw `begin` line (server).
-const RESTART_PREFIX: &str = "psml-restart:";
-
 /// FNV-1a over a byte string; the session's digest primitive.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -392,19 +387,6 @@ fn parse_digest(msg: &str, tag: &str) -> Option<(u64, u64)> {
     Some((g.parse().ok()?, u64::from_str_radix(d, 16).ok()?))
 }
 
-fn restart_error(generation: u64, epoch: usize) -> EngineError {
-    EngineError::Protocol(format!("{RESTART_PREFIX}{generation}:{epoch}"))
-}
-
-fn parse_restart(err: &EngineError) -> Option<(u64, usize)> {
-    let EngineError::Protocol(s) = err else {
-        return None;
-    };
-    let rest = s.strip_prefix(RESTART_PREFIX)?;
-    let (g, e) = rest.split_once(':')?;
-    Some((g.parse().ok()?, e.parse().ok()?))
-}
-
 // ---------------------------------------------------------------------
 // Shared span machinery
 // ---------------------------------------------------------------------
@@ -505,6 +487,9 @@ pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcom
     losses.truncate(start);
 
     let mut rollbacks = 0u64;
+    // Where a restarted server sends every party back to: `(generation,
+    // epoch)`, set by whoever unwinds with [`EngineError::Rollback`].
+    let mut restart: Option<(u64, usize)> = None;
     loop {
         for server in SERVERS {
             send_control(&mut ep, server, begin_line(run_id, plan, generation, start))?;
@@ -518,6 +503,7 @@ pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcom
             let ep = &mut ep;
             let losses = &mut losses;
             let store = &store;
+            let restart = &mut restart;
             let progress = cfg.progress;
             trainer.train_epochs_from(
                 plan.dataset,
@@ -553,7 +539,8 @@ pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcom
                                 // A server process restarted: roll every
                                 // party back to its persisted epoch under
                                 // a fresh generation.
-                                return Err(restart_error(generation + 1, e as usize));
+                                *restart = Some((generation + 1, e as usize));
+                                return Err(EngineError::Rollback);
                             }
                             // Anything else is stale traffic from a
                             // previous generation; skip it.
@@ -583,7 +570,8 @@ pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcom
                             break;
                         }
                     } else if let Some((_, e)) = parse_pair(&msg, "state") {
-                        return Err(restart_error(generation + 1, e as usize));
+                        restart = Some((generation + 1, e as usize));
+                        return Err(EngineError::Rollback);
                     }
                 }
             }
@@ -596,8 +584,8 @@ pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcom
                     cfg, generation, rollbacks, losses, digest, &result, &ep,
                 ));
             }
-            Err(err) => match parse_restart(&err) {
-                Some((g, e)) => {
+            Err(err) => match (err, restart.take()) {
+                (EngineError::Rollback, Some((g, e))) => {
                     rollbacks += 1;
                     generation = g;
                     start = e.min(losses.len());
@@ -606,7 +594,7 @@ pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcom
                         println!("rollback gen={generation} epoch={start}");
                     }
                 }
-                None => return Err(err),
+                (err, _) => return Err(err),
             },
         }
     }
@@ -656,15 +644,16 @@ pub fn run_server(cfg: &SessionConfig) -> Result<SessionOutcome> {
     send_control(&mut ep, NodeId::Client, format!("state:{generation}:{committed}"))?;
 
     let mut rollbacks = 0u64;
-    let mut pending: Option<String> = None;
+    // The `begin` directive that unwound the previous span, if one did.
+    let mut pending: Option<(TrainPlan, u64, usize)> = None;
     loop {
-        let msg = match pending.take() {
-            Some(m) => m,
-            None => recv_control(&mut ep, NodeId::Client)?,
+        let directive = match pending.take() {
+            Some(directive) => Some(directive),
+            None => parse_begin(&recv_control(&mut ep, NodeId::Client)?, run_id),
         };
         // Everything that is not a begin directive is stale traffic from
         // before a rollback (e.g. a replayed commit); skip it.
-        let Some((plan, generation, start)) = parse_begin(&msg, run_id) else {
+        let Some((plan, generation, start)) = directive else {
             continue;
         };
         // The committed loss history lives in the meta record (it may
@@ -680,6 +669,7 @@ pub fn run_server(cfg: &SessionConfig) -> Result<SessionOutcome> {
             let ep = &mut ep;
             let losses = &mut losses;
             let store = &store;
+            let pending = &mut pending;
             let progress = cfg.progress;
             trainer.train_epochs_from(
                 plan.dataset,
@@ -712,14 +702,13 @@ pub fn run_server(cfg: &SessionConfig) -> Result<SessionOutcome> {
                             print_commit(progress, generation, ckpt.epoch, digest);
                             return Ok(());
                         }
-                        if let Some((_, g, _)) = parse_begin(&msg, run_id) {
-                            if g > generation {
+                        if let Some(begin) = parse_begin(&msg, run_id) {
+                            if begin.1 > generation {
                                 // The client ordered a rollback (another
                                 // party restarted). Unwind and re-enter
                                 // the outer loop with this directive.
-                                return Err(EngineError::Protocol(format!(
-                                    "{RESTART_PREFIX}{msg}"
-                                )));
+                                *pending = Some(begin);
+                                return Err(EngineError::Rollback);
                             }
                         }
                     }
@@ -746,9 +735,10 @@ pub fn run_server(cfg: &SessionConfig) -> Result<SessionOutcome> {
                         )?;
                         return Ok((result, digest));
                     }
-                } else if let Some((_, g, _)) = parse_begin(&msg, run_id) {
-                    if g > generation {
-                        return Err(EngineError::Protocol(format!("{RESTART_PREFIX}{msg}")));
+                } else if let Some(begin) = parse_begin(&msg, run_id) {
+                    if begin.1 > generation {
+                        pending = Some(begin);
+                        return Err(EngineError::Rollback);
                     }
                 }
             }
@@ -760,9 +750,8 @@ pub fn run_server(cfg: &SessionConfig) -> Result<SessionOutcome> {
                     cfg, generation, rollbacks, losses, digest, &result, &ep,
                 ));
             }
-            Err(EngineError::Protocol(s)) if s.starts_with(RESTART_PREFIX) => {
+            Err(EngineError::Rollback) if pending.is_some() => {
                 rollbacks += 1;
-                pending = Some(s[RESTART_PREFIX.len()..].to_string());
                 if cfg.progress {
                     println!("rollback directive received");
                 }
@@ -833,9 +822,6 @@ mod tests {
         assert_eq!(parse_commit("commit:1:2:zz"), None);
         assert_eq!(parse_digest("final:1:10", "final"), Some((1, 0x10)));
         assert_eq!(parse_digest("done:0:10", "done"), Some((0, 0x10)));
-        assert!(parse_restart(&restart_error(3, 9)).is_some());
-        assert_eq!(parse_restart(&restart_error(3, 9)), Some((3, 9)));
-        assert_eq!(parse_restart(&EngineError::Protocol("other".into())), None);
     }
 
     #[test]

@@ -97,8 +97,10 @@ pub struct SecureTrainer<R: SecureRing + GpuElement> {
 
 impl<R: SecureRing + GpuElement> SecureTrainer<R> {
     /// Builds the trainer: client initializes plaintext weights (small
-    /// uniform) and shares them to the servers (offline phase).
+    /// uniform) and shares them to the servers (offline phase). An
+    /// inconsistent `cfg` or `spec` is an [`EngineError::Config`].
     pub fn new(cfg: EngineConfig, spec: ModelSpec, seed: u32) -> Result<Self> {
+        cfg.validate()?;
         spec.validate()?;
         let mut ctx = SecureContext::new(cfg, seed);
         let mut init_rng = psml_parallel::derived_rng(seed, 0x5EED);
@@ -589,7 +591,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         for e in start_epoch..epochs {
             let mut epoch_loss = 0.0;
             for (xs, ys, y, _) in &shared {
-                epoch_loss += self.train_on_shared(&xs.clone(), &ys.clone(), y)?;
+                epoch_loss += self.train_on_shared(xs, ys, y)?;
             }
             let mean_loss = epoch_loss / batches.max(1) as f64;
             losses.push(mean_loss);

@@ -176,6 +176,41 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
             .unwrap_or_default()
     }
 
+    /// The charge half of every send: consumes a sequence number, books
+    /// the serial NIC's next `wire_bytes` window, and records the traffic
+    /// stats and the `send:*` span. Returns `(seq, start, done)`; `done` is
+    /// when the local send completes and the NIC is free again.
+    fn charge_send(
+        &mut self,
+        to: NodeId,
+        kind: &str,
+        wire_bytes: usize,
+        dense_equivalent: usize,
+        now: SimTime,
+    ) -> Result<(u64, SimTime, SimTime), NetError> {
+        if to == self.id {
+            return Err(NetError::SelfSend);
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Serial NIC: this transfer starts when the NIC is free.
+        let start = now.max(self.nic_free_at);
+        let done = start + self.link.transfer_time(wire_bytes);
+        self.nic_free_at = done;
+        self.stats
+            .record(self.id, to, wire_bytes, dense_equivalent);
+        if psml_trace::TraceSink::is_enabled() {
+            psml_trace::TraceSink::span(
+                kind,
+                &format!("net:{}->{}", self.id.short_name(), to.short_name()),
+                psml_trace::ns_of_secs(start.as_secs()),
+                psml_trace::ns_of_secs(done.as_secs()),
+                wire_bytes as u64,
+            );
+        }
+        Ok((seq, start, done))
+    }
+
     /// Sends `payload` to `to`. `now` is this node's simulated clock at the
     /// call. Returns the instant the local send completes (the NIC is then
     /// free; the *receiver* sees the data `latency + size/bw` later).
@@ -190,37 +225,23 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         payload: &Payload<R>,
         now: SimTime,
     ) -> Result<SimTime, NetError> {
-        if to == self.id {
-            return Err(NetError::SelfSend);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let payload_bytes = codec::encode(payload);
-        let mut bytes = codec::encode_frame(seq, &payload_bytes);
-        let wire_bytes = bytes.len();
         let dense_equivalent = payload.dense_equivalent_bytes();
-        // Serial NIC: this transfer starts when the NIC is free.
-        let start = now.max(self.nic_free_at);
-        let done = start + self.link.transfer_time(wire_bytes);
-        self.nic_free_at = done;
-        self.stats
-            .record(self.id, to, wire_bytes, dense_equivalent);
-        if psml_trace::TraceSink::is_enabled() {
-            psml_trace::TraceSink::span(
-                payload.kind(),
-                &format!("net:{}->{}", self.id.short_name(), to.short_name()),
-                psml_trace::ns_of_secs(start.as_secs()),
-                psml_trace::ns_of_secs(done.as_secs()),
-                wire_bytes as u64,
-            );
-        }
+        let (seq, start, done) = self.charge_send(
+            to,
+            payload.kind(),
+            codec::FRAME_HEADER_BYTES + payload_bytes.len(),
+            dense_equivalent,
+            now,
+        )?;
+        let mut bytes = codec::encode_frame(seq, &payload_bytes);
         let mut available_at = done;
         if let Some(injector) = self.faults.as_mut() {
             match injector.judge(self.id, to, start) {
                 FaultVerdict::Deliver => {}
                 FaultVerdict::Drop { .. } => {
                     // Lost in flight: never enqueued. The sender's NIC
-                    // time and stats above are unchanged — it cannot tell.
+                    // time and stats are already charged — it cannot tell.
                     return Ok(done);
                 }
                 FaultVerdict::Corrupt { bit_entropy } => {
@@ -241,10 +262,10 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         Ok(done)
     }
 
-    /// Charge-only send of a dense `rows x cols` matrix: advances the NIC
-    /// clock, sequence counter, traffic stats, and trace exactly as
-    /// [`Endpoint::send`] of `Payload::Dense` would — the wire length is a
-    /// pure function of shape — but serializes and enqueues nothing.
+    /// The charge half of [`Endpoint::send`] for a dense `rows x cols`
+    /// matrix, alone: the wire length is a pure function of shape, so the
+    /// NIC clock, sequence counter, traffic stats, and trace advance as
+    /// for the real send while nothing is serialized or enqueued.
     ///
     /// The provisioning pipeline uses this when a prefetched triple's
     /// share material is already derivable at the consumer (counter-based
@@ -259,30 +280,17 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         cols: usize,
         now: SimTime,
     ) -> Result<SimTime, NetError> {
-        if to == self.id {
-            return Err(NetError::SelfSend);
-        }
         debug_assert!(
             self.faults.is_none(),
             "accounted sends are only valid on fault-free endpoints"
         );
-        self.next_seq += 1;
-        let wire_bytes = codec::FRAME_HEADER_BYTES + codec::dense_payload_bytes::<R>(rows, cols);
-        let dense_equivalent = rows * cols * R::BYTES;
-        let start = now.max(self.nic_free_at);
-        let done = start + self.link.transfer_time(wire_bytes);
-        self.nic_free_at = done;
-        self.stats
-            .record(self.id, to, wire_bytes, dense_equivalent);
-        if psml_trace::TraceSink::is_enabled() {
-            psml_trace::TraceSink::span(
-                "send:dense",
-                &format!("net:{}->{}", self.id.short_name(), to.short_name()),
-                psml_trace::ns_of_secs(start.as_secs()),
-                psml_trace::ns_of_secs(done.as_secs()),
-                wire_bytes as u64,
-            );
-        }
+        let (_, _, done) = self.charge_send(
+            to,
+            "send:dense",
+            codec::FRAME_HEADER_BYTES + codec::dense_payload_bytes::<R>(rows, cols),
+            rows * cols * R::BYTES,
+            now,
+        )?;
         Ok(done)
     }
 

@@ -337,12 +337,13 @@ impl ReliableChannel {
         }
     }
 
-    /// Charge-only counterpart of the fault-free fast path of
-    /// [`ReliableChannel::transfer`] for a dense `rows x cols` matrix:
-    /// advances both clocks, the transfer counter, and the sender's NIC,
-    /// stats, and sequence state exactly as the real transfer would, but
-    /// moves no bytes. Returns the instant the transfer completes (which
-    /// on the fault-free path equals the packet's `available_at`).
+    /// The charge half of the fault-free fast path of
+    /// [`ReliableChannel::transfer`] for a dense `rows x cols` matrix,
+    /// alone: advances both clocks, the transfer counter, and — through
+    /// the charge half every [`Endpoint::send`] starts with — the sender's
+    /// NIC, stats, and sequence state, but moves no bytes. Returns the
+    /// instant the transfer completes (which on the fault-free path
+    /// equals the packet's `available_at`).
     ///
     /// Only valid when neither endpoint has faults armed — see
     /// [`Endpoint::send_accounted`].

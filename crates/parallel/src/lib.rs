@@ -26,8 +26,7 @@ pub use chunking::{chunks, Chunk, CACHE_LINE_F32};
 pub use mt19937::Mt19937;
 pub use pool::{
     configured_workers, default_workers, for_each_chunk_mut, for_each_chunk_mut_pooled,
-    global_pool, in_pool_worker, parallel_for, parallel_for_in, set_global_workers,
-    ThreadPool,
+    global_pool, in_pool_worker, parallel_for, parallel_for_in, ThreadPool,
 };
 
 use std::cell::RefCell;

@@ -14,13 +14,11 @@
 //!   spawning scoped threads, so repeated kernel launches pay no per-call
 //!   thread startup.
 //!
-//! The global pool's size is decided once, at first use: an explicit
-//! [`set_global_workers`] call wins, then the `PSML_WORKERS` environment
-//! variable, then [`default_workers`].
+//! The global pool's size is decided once, at first use: the
+//! `PSML_WORKERS` environment variable, else [`default_workers`].
 
 use crate::chunking::{chunks, Chunk, CACHE_LINE_F32};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
@@ -246,16 +244,10 @@ impl Drop for ThreadPool {
 }
 
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
-static REQUESTED_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Worker count the global pool will use (or already uses): an explicit
-/// [`set_global_workers`] request, else `PSML_WORKERS`, else
-/// [`default_workers`].
+/// Worker count the global pool will use (or already uses): a valid
+/// `PSML_WORKERS`, else [`default_workers`].
 pub fn configured_workers() -> usize {
-    let requested = REQUESTED_WORKERS.load(Ordering::Relaxed);
-    if requested > 0 {
-        return requested;
-    }
     if let Ok(raw) = std::env::var("PSML_WORKERS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             if n > 0 {
@@ -264,14 +256,6 @@ pub fn configured_workers() -> usize {
         }
     }
     default_workers()
-}
-
-/// Requests a worker count for the process-global pool. Returns `true` if
-/// the request can still take effect (the pool has not been built yet);
-/// `false` if the pool is already running with its original size.
-pub fn set_global_workers(n: usize) -> bool {
-    REQUESTED_WORKERS.store(n.max(1), Ordering::Relaxed);
-    GLOBAL_POOL.get().is_none()
 }
 
 /// The process-global pool, built on first use with
@@ -611,7 +595,5 @@ mod tests {
         let second = global_pool() as *const ThreadPool;
         assert_eq!(first, second);
         assert!(global_pool().workers() >= 1);
-        // Once built, late sizing requests report that they cannot apply.
-        assert!(!set_global_workers(2));
     }
 }

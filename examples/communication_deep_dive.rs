@@ -44,14 +44,11 @@ fn main() {
     println!("MLP on SYNTHETIC, 4 epochs over fixed shares (Eq. 11 setting)\n");
     let base = train(EngineConfig::parsecureml(), "compressed (delta + CSR)");
     let dense = train(
-        EngineConfig::builder().compression(false).build().unwrap(),
+        EngineConfig::parsecureml().with_compression(false),
         "uncompressed",
     );
     let client_aided = train(
-        EngineConfig::builder()
-            .client_aided_activation(true)
-            .build()
-            .unwrap(),
+        EngineConfig::parsecureml().with_client_aided_activation(true),
         "compressed + client-aided activations",
     );
 

@@ -83,15 +83,6 @@ rm -rf "$dist_state"
     --batch 8 --batches 1 --epochs 1 --json "$profile_json"
 ./target/release/psml validate "$profile_json"
 
-# Triple-prefetch gate: a smoke run of the provisioning-pipeline bench
-# must complete (it asserts prefetch-on/off bit-identity internally) and
-# emit a valid psml.bench.triple.v1 document; the committed full-workload
-# measurement must validate too.
-PSML_SMOKE=1 cargo bench --offline -p psml-bench --bench triple_pipeline
-./target/release/psml validate BENCH_triple.smoke.json
-rm -f BENCH_triple.smoke.json
-./target/release/psml validate BENCH_triple.json
-
 # GEMM-ladder gate: a smoke run of the gemm bench must complete over both
 # the f32 and u64 ring carriers (it asserts `gemm_auto` is never the
 # slowest kernel at any recorded size, catching dispatcher cutover
@@ -114,10 +105,7 @@ cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
 
 # Serving gate: the multi-tenant micro-batcher must reveal exactly the
 # bytes a sequential run reveals (digest equality over tag-sorted
-# outputs), its JSON report must validate against psml.serve.v1, and a
-# smoke run of the throughput bench (which re-asserts the identity
-# internally) must emit a valid psml.bench.serve.v1 document alongside
-# the committed full-fleet measurement.
+# outputs) and its JSON report must validate against psml.serve.v1.
 serve_json="$(mktemp)"
 serve_args=(--models mlp,logistic --dataset synthetic --fleet 16 --requests 32 \
     --window-us 400 --max-batch 8 --queue 4096 --seed 42)
@@ -132,7 +120,3 @@ sequential_digest="$(./target/release/psml serve "${serve_args[@]}" --sequential
 ./target/release/psml serve "${serve_args[@]}" --json "$serve_json"
 ./target/release/psml validate "$serve_json"
 rm -f "$serve_json"
-PSML_SMOKE=1 cargo bench --offline -p psml-bench --bench serve_throughput
-./target/release/psml validate BENCH_serve.smoke.json
-rm -f BENCH_serve.smoke.json
-./target/release/psml validate BENCH_serve.json

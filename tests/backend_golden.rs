@@ -9,7 +9,11 @@
 //! scheduling that perturbs a default-config report — even by one
 //! simulated nanosecond — fails here. The second freezes the weights
 //! digest of a short training run, so any change to ring-product bits
-//! fails here too.
+//! fails here too. The third freezes one training step down each engine
+//! path the first two never enter (Hadamard, local share maps,
+//! client-aided activation, prefetch, GPU compute2, the unpipelined
+//! expanded baseline, client GPU randomness) plus the trace vocabulary
+//! the `e2e` profile reads.
 //!
 //! Regenerate (only for an *intentional* cost-model or numerics change,
 //! with the why recorded in the commit):
@@ -18,11 +22,16 @@
 //! PSML_BLESS_GOLDEN=1 cargo test --test backend_golden
 //! ```
 
+use parsecureml::models::Loss;
+use parsecureml::observe::traced;
 use parsecureml::prelude::*;
+use parsecureml::{chrome_trace_json, fnv64, weights_digest};
+use psml_tensor::ConvShape;
 use std::path::Path;
 
 const REPORTS_GOLDEN: &str = "tests/golden/default_run_reports.txt";
 const DIGEST_GOLDEN: &str = "tests/golden/train_mlp_synthetic_seed42_digest.txt";
+const ENGINE_PATHS_GOLDEN: &str = "tests/golden/engine_path_reports.txt";
 
 /// The pinned workload: two secure matmuls per preset — one small shape
 /// the adaptive engine keeps on the CPU, one large enough to offload —
@@ -72,19 +81,126 @@ fn default_config_run_reports_are_unchanged() {
 /// three-process TCP session against the same digest).
 #[test]
 fn trained_weights_digest_is_unchanged() {
-    let data = DatasetKind::Synthetic.spec();
-    let spec = ModelSpec::build(
-        ModelKind::Mlp,
-        data.features(),
-        Some((data.channels, data.height, data.width)),
-        data.classes,
-    )
-    .unwrap();
+    let spec = synthetic_spec(ModelKind::Mlp);
     let mut trainer =
         SecureTrainer::<Fixed64>::new(EngineConfig::parsecureml(), spec, 42).unwrap();
     trainer
         .train_epochs(DatasetKind::Synthetic, 8, 1, 2, 42)
         .unwrap();
-    let digest = parsecureml::weights_digest(&trainer.reveal_weights());
+    let digest = weights_digest(&trainer.reveal_weights());
     check_golden(DIGEST_GOLDEN, &format!("{digest:016x}\n"), "trained weights digest");
+}
+
+/// The paper's architecture for `kind` on SYNTHETIC.
+fn synthetic_spec(kind: ModelKind) -> ModelSpec {
+    let data = DatasetKind::Synthetic.spec();
+    ModelSpec::build(
+        kind,
+        data.features(),
+        Some((data.channels, data.height, data.width)),
+        data.classes,
+    )
+    .unwrap()
+}
+
+/// Conv 32x64 k5 f2 -> avgpool 2 -> dense: the one stack that runs
+/// `im2col`, both pooling `map_local`s and `scale_public` in one step.
+fn pooled_cnn_spec() -> ModelSpec {
+    let data = DatasetKind::Synthetic.spec();
+    let shape = ConvShape {
+        channels: data.channels,
+        height: data.height,
+        width: data.width,
+        kernel: 5,
+        filters: 2,
+    };
+    let (grid_h, grid_w) = (data.height - 4, data.width - 4);
+    let spec = ModelSpec {
+        kind: ModelKind::Cnn,
+        layers: vec![
+            LayerSpec::Conv2D {
+                shape,
+                activation: Activation::Relu,
+            },
+            LayerSpec::AvgPool2D {
+                channels: 2,
+                grid_h,
+                grid_w,
+                window: 2,
+            },
+            LayerSpec::Dense {
+                inputs: 2 * (grid_h / 2) * (grid_w / 2),
+                outputs: data.classes,
+                activation: Activation::None,
+            },
+        ],
+        loss: Loss::Mse,
+        outputs: data.classes,
+    };
+    spec.validate().unwrap();
+    spec
+}
+
+/// One `train_batch` on SYNTHETIC batch 0 (4 samples, seed 42).
+fn one_step(cfg: EngineConfig, spec: ModelSpec) -> SecureTrainer<Fixed64> {
+    let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec, 42).unwrap();
+    let data = batch(DatasetKind::Synthetic, 4, 0, 42);
+    let y = trainer.targets_for(&data);
+    trainer.train_batch(&data.x, &y).unwrap();
+    trainer
+}
+
+/// Absolute pins for the engine paths `secure_matmul_plain` never enters.
+/// The relative identity suites (prefetch on ≡ off, batched ≡ sequential)
+/// pass a change that shifts both sides; this does not.
+#[test]
+fn engine_path_reports_are_unchanged() {
+    let p = EngineConfig::parsecureml;
+    // A client CPU too slow to win the Fig. 7 decision at any size: every
+    // offline draw moves to the client GPU.
+    let mut slow_client_rng = p();
+    slow_client_rng.machine.cpu.rng_samples_per_core = 1.0;
+    let mut out = String::new();
+    for (name, cfg, spec) in [
+        ("svm", p(), synthetic_spec(ModelKind::Svm)),
+        ("cnn_pooled", p(), pooled_cnn_spec()),
+        (
+            "mlp_client_aided_activation",
+            p().with_client_aided_activation(true),
+            synthetic_spec(ModelKind::Mlp),
+        ),
+        ("mlp_prefetch", p().with_prefetch(true), synthetic_spec(ModelKind::Mlp)),
+        (
+            "mlp_force_gpu",
+            p().with_policy(AdaptivePolicy::ForceGpu),
+            synthetic_spec(ModelKind::Mlp),
+        ),
+        (
+            "logistic_secureml",
+            EngineConfig::secureml(),
+            synthetic_spec(ModelKind::Logistic),
+        ),
+        // Serial client: the triple products move to the client GPU.
+        (
+            "mlp_unoptimized",
+            EngineConfig::parsecureml_unoptimized(),
+            synthetic_spec(ModelKind::Mlp),
+        ),
+        ("mlp_client_gpu_rng", slow_client_rng, synthetic_spec(ModelKind::Mlp)),
+    ] {
+        let trainer = one_step(cfg, spec);
+        out.push_str(&format!(
+            "{name}\n{:?}\nweights_digest {:016x}\n",
+            trainer.report(),
+            weights_digest(&trainer.reveal_weights())
+        ));
+    }
+    // Span names, order, tracks and byte counts of one traced MLP step.
+    let (_, events) = traced(|| one_step(p(), synthetic_spec(ModelKind::Mlp)));
+    out.push_str(&format!(
+        "mlp_chrome_trace_fnv64 {:016x} ({} events)\n",
+        fnv64(chrome_trace_json(&events).as_bytes()),
+        events.len()
+    ));
+    check_golden(ENGINE_PATHS_GOLDEN, &out, "engine-path RunReport");
 }

@@ -78,7 +78,10 @@ fn secure_svm_separates_classes() {
 fn secure_mlp_fits_onehot_targets() {
     let spec = ModelSpec::build(ModelKind::Mlp, 16, None, 4).unwrap();
     let mut trainer = SecureTrainer::<Fixed64>::new(
-        EngineConfig::builder().learning_rate(0.2).build().unwrap(),
+        EngineConfig {
+            learning_rate: 0.2,
+            ..EngineConfig::parsecureml()
+        },
         spec,
         9,
     )
@@ -99,7 +102,10 @@ fn dataset_driven_training_converges_via_train_epochs() {
     let spec = ModelSpec::build(ModelKind::Linear, 2048, None, 10).unwrap();
     // High-dimensional linear regression needs a learning rate scaled to
     // the feature count to stay stable.
-    let cfg = EngineConfig::builder().learning_rate(5e-4).build().unwrap();
+    let cfg = EngineConfig {
+        learning_rate: 5e-4,
+        ..EngineConfig::parsecureml()
+    };
     let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec, 13).unwrap();
     let result = trainer
         .train_epochs(DatasetKind::Synthetic, 8, 1, 6, 17)

@@ -51,18 +51,28 @@ fn device_oom_is_a_typed_error_and_memory_is_reclaimable() {
 
 #[test]
 fn invalid_configs_fail_validation() {
-    // The builder funnels every construction through `validate`, so a bad
-    // setting surfaces as a typed `ConfigError` at build time.
-    let err = EngineConfig::builder()
-        .sparsity_threshold(-0.5)
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, ConfigError::Sparsity(_)), "got {err:?}");
-    let err = EngineConfig::builder()
-        .learning_rate(f64::NAN)
-        .build()
-        .unwrap_err();
+    let cfg = EngineConfig {
+        learning_rate: f64::NAN,
+        ..EngineConfig::parsecureml()
+    };
+    let err = cfg.validate().unwrap_err();
     assert!(matches!(err, ConfigError::LearningRate(_)), "got {err:?}");
+    let cfg = EngineConfig {
+        sparsity_threshold: 1.5,
+        ..EngineConfig::parsecureml()
+    };
+    let err = cfg.validate().unwrap_err();
+    assert!(matches!(err, ConfigError::Sparsity(_)), "got {err:?}");
+    // Fallible construction validates first: a typed error, not a panic
+    // inside the engine.
+    let spec = ModelSpec::build(ModelKind::Linear, 16, None, 10).unwrap();
+    let err = SecureTrainer::<Fixed64>::new(cfg, spec, 1)
+        .err()
+        .expect("invalid config rejected");
+    assert!(matches!(
+        err,
+        EngineError::Config(ConfigError::Sparsity(_))
+    ));
 }
 
 #[test]
@@ -97,27 +107,30 @@ fn engine_survives_oom_on_undersized_device() {
     // while Auto placement completes on the CPU.
     let mut machine = Machine::v100_node();
     machine.gpu.memory_bytes = 1024;
-    let cfg = EngineConfig::builder()
-        .policy(AdaptivePolicy::ForceGpu)
-        .machine(machine.clone())
-        .gpu_offline(false) // keep the client CPU-side
-        .build()
-        .unwrap();
-    let mut ctx = SecureContext::<Fixed64>::new(cfg, 4);
+    let cfg = EngineConfig {
+        machine,
+        gpu_offline: false, // keep the client CPU-side
+        ..EngineConfig::parsecureml()
+    };
+    let gpu_only = cfg.clone().with_policy(AdaptivePolicy::ForceGpu);
+    let mut ctx = SecureContext::<Fixed64>::new(gpu_only, 4);
     let a = PlainMatrix::from_fn(16, 16, |r, c| (r + c) as f64 * 0.1);
     let b = a.clone();
     let err = ctx.secure_matmul_plain(&a, &b).unwrap_err();
     assert!(matches!(err, EngineError::Gpu(GpuError::OutOfMemory { .. })));
 
-    let cfg = EngineConfig::builder()
-        .policy(AdaptivePolicy::ForceCpu)
-        .machine(machine)
-        .gpu_offline(false)
-        .build()
-        .unwrap();
-    let mut ctx = SecureContext::<Fixed64>::new(cfg, 4);
+    let cpu_only = cfg.with_policy(AdaptivePolicy::ForceCpu);
+    let mut ctx = SecureContext::<Fixed64>::new(cpu_only, 4);
     let c = ctx.secure_matmul_plain(&a, &b).unwrap();
     assert!(c.max_abs_diff(&a.matmul(&b)) < 1e-2);
+
+    // The client's device is bounded too: a serial client moves a 4M-element
+    // mask draw to its GPU (Fig. 7), which cannot hold it.
+    let mut cfg = EngineConfig::parsecureml_unoptimized();
+    cfg.machine.gpu.memory_bytes = 1024;
+    let mut ctx = SecureContext::<Fixed64>::new(cfg, 4);
+    let err = ctx.share_input(&PlainMatrix::zeros(2048, 2048)).unwrap_err();
+    assert!(matches!(err, EngineError::Gpu(GpuError::OutOfMemory { .. })));
 }
 
 // ---------------------------------------------------------------------

@@ -125,16 +125,23 @@ fn mispredicting_machine() -> MachineConfig {
     machine
 }
 
+/// `MeasuredCost` on the mispredicting machine, serial host.
+fn measured_cost_config(recal_window: usize) -> EngineConfig {
+    let cfg = EngineConfig {
+        machine: mispredicting_machine(),
+        policy: AdaptivePolicy::MeasuredCost,
+        cpu_threads: 1,
+        recal_window,
+        ..EngineConfig::parsecureml()
+    };
+    cfg.validate().expect("valid config");
+    cfg
+}
+
 #[test]
 fn measured_cost_flips_mispredicted_placement_within_one_window() {
     let window = 2;
-    let cfg = EngineConfig::builder()
-        .machine(mispredicting_machine())
-        .policy(AdaptivePolicy::MeasuredCost)
-        .cpu_threads(1)
-        .recal_window(window)
-        .build()
-        .expect("valid config");
+    let cfg = measured_cost_config(window);
 
     // Sanity: the static model must seed this shape on the GPU, otherwise
     // the test exercises nothing.
@@ -191,13 +198,7 @@ fn measured_cost_flips_mispredicted_placement_within_one_window() {
 #[test]
 fn profile_document_for_recalibrated_run_validates() {
     let _serial = FLAG_LOCK.lock().unwrap();
-    let cfg = EngineConfig::builder()
-        .machine(mispredicting_machine())
-        .policy(AdaptivePolicy::MeasuredCost)
-        .cpu_threads(1)
-        .recal_window(2)
-        .build()
-        .expect("valid config");
+    let cfg = measured_cost_config(2);
     let ((report, recals), events) = traced(|| mlp_result(cfg));
     let doc = profile_json("mlp", &events, &report, &recals);
     let schema = validate_document(&doc.to_json()).expect("valid profile document");
