@@ -26,6 +26,7 @@ use psml_tensor::{
     gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel, gemm_quant,
     quant_ring_available, Matrix, Num,
 };
+use psml_trace::json::{obj, JsonValue};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -110,7 +111,7 @@ fn bench_gemm(c: &mut Criterion) {
 criterion_group!(benches, bench_gemm);
 
 /// A named GEMM kernel closure under measurement.
-type NamedKernel<'a, R> = (&'a str, Box<dyn FnMut() -> Matrix<R> + 'a>);
+type NamedKernel<'a, R> = (&'static str, Box<dyn FnMut() -> Matrix<R> + 'a>);
 
 /// One timed invocation in seconds.
 fn time_once<R>(f: &mut dyn FnMut() -> Matrix<R>) -> f64 {
@@ -121,6 +122,13 @@ fn time_once<R>(f: &mut dyn FnMut() -> Matrix<R>) -> f64 {
 
 fn gflops(n: usize, secs: f64) -> f64 {
     2.0 * (n as f64).powi(3) / secs / 1e9
+}
+
+/// `x` as a JSON float carrying `decimals` fractional digits: the document
+/// records microseconds and three-digit ratios, not timer noise.
+fn rounded(x: f64, decimals: i32) -> JsonValue {
+    let scale = 10f64.powi(decimals);
+    JsonValue::Float((x * scale).round() / scale)
 }
 
 /// Best-of-`reps` seconds per kernel with the reps *interleaved* across
@@ -154,7 +162,7 @@ fn element_entry<R: Num>(
     reps: usize,
     gap_ms: u64,
     make: &dyn Fn(usize, u64) -> Matrix<R>,
-) -> String {
+) -> JsonValue {
     let quant = R::WRAPPING_U64 && quant_ring_available();
     let pooled = psml_parallel::global_pool().workers() > 1;
     let mut size_entries = Vec::new();
@@ -185,9 +193,9 @@ fn element_entry<R: Num>(
                 "gemm headline {element} n={n} {name}: {secs:.4}s ({:.2} GFLOP/s)",
                 gflops(n, *secs)
             );
-            fields.push(format!(
-                "\"{name}\": {{\"secs\": {secs:.6}, \"gflops\": {:.3}}}",
-                gflops(n, *secs)
+            fields.push((
+                *name,
+                obj([("secs", rounded(*secs, 6)), ("gflops", rounded(gflops(n, *secs), 3))]),
             ));
         }
         let auto_secs = secs_of("auto").expect("auto always measured");
@@ -199,28 +207,29 @@ fn element_entry<R: Num>(
             "gemm_auto is the slowest kernel at {element} n={n} \
              ({auto_secs:.6}s vs worst {slowest:.6}s): cutover regression"
         );
-        let mut speedups = format!(
-            ", \"speedup_packed_vs_blocked\": {:.3}",
-            secs_of("blocked").unwrap() / secs_of("packed").unwrap()
-        );
+        let mut entry = vec![
+            ("n", JsonValue::UInt(n as u64)),
+            ("kernels", obj(fields)),
+            (
+                "speedup_packed_vs_blocked",
+                rounded(secs_of("blocked").unwrap() / secs_of("packed").unwrap(), 3),
+            ),
+        ];
         if let Some(par_secs) = secs_of("packed_parallel") {
             let s = secs_of("blocked").unwrap() / par_secs;
-            speedups.push_str(&format!(", \"speedup_packed_parallel_vs_blocked\": {s:.3}"));
+            entry.push(("speedup_packed_parallel_vs_blocked", rounded(s, 3)));
         }
         if let Some(quant_secs) = secs_of("quant") {
             let s = secs_of("packed").unwrap() / quant_secs;
             println!("gemm headline {element} n={n} quant vs packed: {s:.2}x");
-            speedups.push_str(&format!(", \"speedup_quant_vs_packed\": {s:.3}"));
+            entry.push(("speedup_quant_vs_packed", rounded(s, 3)));
         }
-        size_entries.push(format!(
-            "      {{\"n\": {n}, \"kernels\": {{{}}}{speedups}}}",
-            fields.join(", ")
-        ));
+        size_entries.push(obj(entry));
     }
-    format!(
-        "    {{\"element\": \"{element}\", \"sizes\": [\n{}\n    ]}}",
-        size_entries.join(",\n")
-    )
+    obj([
+        ("element", JsonValue::Str(element.into())),
+        ("sizes", JsonValue::Array(size_entries)),
+    ])
 }
 
 /// Times the seed kernel against the packed hierarchy (and the
@@ -253,18 +262,28 @@ fn headline() {
          (blocked {:.4}s, auto {:.4}s)",
         conv_best[0], conv_best[1]
     );
-    let json = format!(
-        "{{\n  \"schema\": \"psml.bench.gemm.v1\",\n  \"bench\": \"gemm\",\n  \
-         \"host_workers\": {workers},\n  \"quant_ring_available\": {},\n  \
-         \"timing\": \"best of {reps} interleaved reps per kernel\",\n  \
-         \"conv_im2col\": {{\"m\": {CONV_M}, \"k\": {CONV_K}, \"n\": {CONV_N}, \
-         \"blocked_secs\": {:.6}, \"auto_secs\": {:.6}, \
-         \"speedup_auto_vs_blocked\": {conv_speedup:.3}}},\n  \"elements\": [\n{}\n  ]\n}}\n",
-        quant_ring_available(),
-        conv_best[0],
-        conv_best[1],
-        elements.join(",\n")
-    );
+    let json = obj([
+        ("schema", JsonValue::Str("psml.bench.gemm.v1".into())),
+        ("bench", JsonValue::Str("gemm".into())),
+        ("host_workers", JsonValue::UInt(workers as u64)),
+        ("quant_ring_available", JsonValue::Bool(quant_ring_available())),
+        (
+            "timing",
+            JsonValue::Str(format!("best of {reps} interleaved reps per kernel")),
+        ),
+        (
+            "conv_im2col",
+            obj([
+                ("m", JsonValue::UInt(CONV_M as u64)),
+                ("k", JsonValue::UInt(CONV_K as u64)),
+                ("n", JsonValue::UInt(CONV_N as u64)),
+                ("blocked_secs", rounded(conv_best[0], 6)),
+                ("auto_secs", rounded(conv_best[1], 6)),
+                ("speedup_auto_vs_blocked", rounded(conv_speedup, 3)),
+            ]),
+        ),
+        ("elements", JsonValue::Array(elements.into())),
+    ]);
     // crates/bench -> repo root.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -277,7 +296,7 @@ fn headline() {
         "BENCH_gemm.json"
     };
     let out = root.join(name);
-    std::fs::write(&out, json).expect("write gemm bench document");
+    std::fs::write(&out, json.to_json() + "\n").expect("write gemm bench document");
     println!("wrote {}", out.display());
 }
 

@@ -211,14 +211,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this config with the given CPU thread count (both server
-    /// and client sides).
-    pub fn with_cpu_threads(mut self, threads: usize) -> Self {
-        self.cpu_threads = threads.max(1);
-        self.client_cpu_threads = threads.max(1);
-        self
-    }
-
     /// Returns this config with the given *client* thread count only (the
     /// Fig. 14 ablation: Sec. 5.1's CPU parallelism on/off).
     pub fn with_client_cpu_threads(mut self, threads: usize) -> Self {
@@ -349,7 +341,7 @@ impl EngineConfig {
             .elementwise_time_with(bytes, self.client_cpu_threads, self.tuned_cpu_gemm)
     }
 
-    /// Client-side random-generation time (thread-local MT19937s).
+    /// Client-side random-generation time (one MT19937 per client thread).
     pub fn client_rng_time(&self, n: usize) -> psml_simtime::SimDuration {
         self.machine.cpu.rng_time(n, self.client_cpu_threads)
     }
@@ -427,10 +419,8 @@ mod tests {
             .with_pipeline(false)
             .with_compression(false)
             .with_tensor_cores(false)
-            .with_cpu_threads(0)
             .with_policy(AdaptivePolicy::ForceGpu);
         assert!(!cfg.pipeline && !cfg.compression && !cfg.tensor_cores);
-        assert_eq!(cfg.cpu_threads, 1, "zero threads clamps to one");
         assert_eq!(cfg.policy, AdaptivePolicy::ForceGpu);
     }
 
@@ -453,7 +443,8 @@ mod tests {
         // full multi-core model, and is ignored below the dispatcher's
         // cutover — exactly mirroring what `gemm_auto` runs.
         let (m, k, n) = (512, 512, 512);
-        let p1 = p.clone().with_cpu_threads(1);
+        let mut p1 = p.clone();
+        p1.cpu_threads = 1;
         let q1 = p1.clone().with_model_quant_ring(true);
         assert!(q1.cpu_gemm_time(m, k, n) < p1.cpu_gemm_time(m, k, n));
         assert_eq!(q1.cpu_gemm_time(16, 16, 16), p1.cpu_gemm_time(16, 16, 16));

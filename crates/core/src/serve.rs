@@ -282,12 +282,6 @@ impl ServeConfig {
         }
     }
 
-    /// Replaces the embedded engine configuration (combinator form).
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The engine configuration a hosted trainer actually runs:
     /// the embedded config with prefetch forced on (each host owns a
     /// `TripleProvider`; forcing prefetch also clears
@@ -507,14 +501,6 @@ impl<R: SecureRing + GpuElement> ModelHost<R> {
     /// Number of hosted models.
     pub fn models(&self) -> usize {
         self.models.len()
-    }
-
-    /// Handle of a previously loaded model, by name.
-    pub fn model_id(&self, name: &str) -> Option<ModelId> {
-        self.models
-            .iter()
-            .position(|h| h.name == name)
-            .map(|i| ModelId(i as u32))
     }
 
     /// Admission control at arrival time `now`: enqueues the request or

@@ -42,6 +42,7 @@ use psml_data::DatasetKind;
 use psml_mpc::{Fixed64, PlainMatrix};
 use psml_net::{Endpoint, NodeId, Payload, Supervisor, SupervisorConfig, TcpTransport};
 use psml_simtime::{LinkModel, SimTime};
+use psml_trace::json::{obj, JsonValue};
 use std::path::{Path, PathBuf};
 
 /// The two server parties, in protocol order.
@@ -198,28 +199,25 @@ pub struct SessionOutcome {
 
 impl SessionOutcome {
     /// Renders the outcome as a one-line `psml.session.v1` JSON document.
+    /// A diverged run's non-finite losses and accuracy serialize as `null`.
     pub fn to_json(&self) -> String {
-        let losses: Vec<String> = self.losses.iter().map(|l| format!("{l:?}")).collect();
-        format!(
-            concat!(
-                "{{\"schema\":\"psml.session.v1\",\"party\":\"{}\",",
-                "\"run_id\":{},\"generation\":{},\"rollbacks\":{},",
-                "\"losses\":[{}],\"digest\":\"{:016x}\",\"accuracy\":{:?},",
-                "\"report_fnv\":\"{:016x}\",\"handshakes\":{},",
-                "\"reconnects\":{},\"replayed\":{}}}"
-            ),
-            self.party.short_name(),
-            self.run_id,
-            self.generation,
-            self.rollbacks,
-            losses.join(","),
-            self.digest,
-            self.accuracy,
-            self.report_fnv,
-            self.stats.handshakes,
-            self.stats.reconnects,
-            self.stats.replayed,
-        )
+        let hex = |x: u64| JsonValue::Str(format!("{x:016x}"));
+        let losses = self.losses.iter().map(|&l| JsonValue::Float(l)).collect();
+        obj([
+            ("schema", JsonValue::Str("psml.session.v1".into())),
+            ("party", JsonValue::Str(self.party.short_name().into())),
+            ("run_id", JsonValue::UInt(self.run_id)),
+            ("generation", JsonValue::UInt(self.generation)),
+            ("rollbacks", JsonValue::UInt(self.rollbacks)),
+            ("losses", JsonValue::Array(losses)),
+            ("digest", hex(self.digest)),
+            ("accuracy", JsonValue::Float(self.accuracy)),
+            ("report_fnv", hex(self.report_fnv)),
+            ("handshakes", JsonValue::UInt(self.stats.handshakes)),
+            ("reconnects", JsonValue::UInt(self.stats.reconnects)),
+            ("replayed", JsonValue::UInt(self.stats.replayed)),
+        ])
+        .to_json()
     }
 }
 
@@ -774,6 +772,33 @@ mod tests {
         assert_ne!(weights_digest(&a), weights_digest(&b));
         let c = vec![vec![PlainMatrix::from_fn(3, 2, |r, c| (r + c) as f64)]];
         assert_ne!(weights_digest(&a), weights_digest(&c));
+    }
+
+    #[test]
+    fn diverged_outcome_is_still_valid_json() {
+        let outcome = SessionOutcome {
+            party: NodeId::Client,
+            run_id: 9,
+            generation: 0,
+            rollbacks: 0,
+            losses: vec![0.5, f64::NAN],
+            digest: 0xabc,
+            accuracy: f64::INFINITY,
+            report_fnv: 1,
+            stats: psml_net::SupervisionStats::default(),
+        };
+        let text = outcome.to_json();
+        let doc = psml_trace::json::parse(&text).expect("parses");
+        assert_eq!(
+            doc.get("losses").and_then(JsonValue::as_array),
+            Some(&[JsonValue::Float(0.5), JsonValue::Null][..])
+        );
+        assert_eq!(doc.get("accuracy"), Some(&JsonValue::Null));
+        assert!(text.contains("\"digest\":\"0000000000000abc\""), "{text}");
+        assert_eq!(
+            crate::observe::validate_document(&text).as_deref(),
+            Ok("psml.session.v1")
+        );
     }
 
     #[test]

@@ -40,12 +40,6 @@ impl Criterion {
             _criterion: std::marker::PhantomData,
         }
     }
-
-    /// Runs one stand-alone benchmark.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) {
-        let mut group = self.benchmark_group("");
-        group.run_named(name.to_string(), f);
-    }
 }
 
 /// Identifies one benchmark within a group as `function/parameter`.
@@ -59,13 +53,6 @@ impl BenchmarkId {
     pub fn new(function: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
             label: format!("{}/{}", function.into(), parameter),
-        }
-    }
-
-    /// An id from the parameter alone.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
         }
     }
 }
@@ -98,11 +85,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Ignored; accepted for API compatibility.
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
-        self
-    }
-
     /// Benchmarks `f`, passing it `input`.
     pub fn bench_with_input<I: ?Sized>(
         &mut self,
@@ -110,23 +92,13 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        let label = if self.name.is_empty() {
-            id.label.clone()
-        } else {
-            format!("{}/{}", self.name, id.label)
-        };
-        self.run_named(label, |b| f(b, input));
+        self.run_named(format!("{}/{}", self.name, id.label), |b| f(b, input));
         self
     }
 
     /// Benchmarks `f` under `name` within this group.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let label = if self.name.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}/{}", self.name, name)
-        };
-        self.run_named(label, f);
+        self.run_named(format!("{}/{}", self.name, name), f);
         self
     }
 
@@ -222,18 +194,6 @@ impl Bencher {
     }
 }
 
-/// Accepted for API compatibility; not used by the shim's reporting.
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// Re-export matching `criterion::black_box`.
-pub use std::hint::black_box;
-
 fn format_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -254,23 +214,6 @@ macro_rules! criterion_group {
         fn $group() {
             let mut criterion = $crate::Criterion::default();
             $($target(&mut criterion);)+
-        }
-    };
-    (name = $group:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            let _ = $cfg;
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Generates the bench binary's `main`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
         }
     };
 }

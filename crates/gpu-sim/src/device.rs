@@ -269,38 +269,12 @@ impl<R: GpuElement> GpuDevice<R> {
 
     /// Scales every element by `k` (a `*alpha` kernel).
     pub fn scale(&mut self, a: BufferId, k: R) -> Result<BufferId, GpuError> {
-        self.elementwise_unary(a, "scale", |x| x.mul(k))
-    }
-
-    /// Negates every element.
-    pub fn neg(&mut self, a: BufferId) -> Result<BufferId, GpuError> {
-        self.elementwise_unary(a, "neg", |x| x.neg())
-    }
-
-    /// Applies an arbitrary element-wise function (activation kernels on
-    /// the plain-GPU path). The closure models the device's math; it must
-    /// be pure.
-    pub fn map(
-        &mut self,
-        a: BufferId,
-        label: &'static str,
-        f: impl Fn(R) -> R,
-    ) -> Result<BufferId, GpuError> {
-        self.elementwise_unary(a, label, f)
-    }
-
-    fn elementwise_unary(
-        &mut self,
-        a: BufferId,
-        label: &'static str,
-        f: impl Fn(R) -> R,
-    ) -> Result<BufferId, GpuError> {
         let sa = self.slot(a)?;
         let ready = sa.ready.max(self.fence);
-        let out = sa.data.map(f);
+        let out = sa.data.map(|x| x.mul(k));
         // Read one operand, write one result.
         let dur = self.config.elementwise_time(2 * sa.bytes);
-        let done = self.timeline.schedule(self.compute, ready, dur, label);
+        let done = self.timeline.schedule(self.compute, ready, dur, "scale");
         self.alloc(out, done)
     }
 
@@ -435,44 +409,6 @@ impl<R: GpuElement> GpuDevice<R> {
         self.allocated -= a_bytes + b_bytes + c_bytes;
         Ok(done)
     }
-
-    /// Builds the Eq. (8) fused operands on device:
-    /// `left = [d | e]`, `right = [f ; b]` (concatenation kernels).
-    pub fn concat_pair(
-        &mut self,
-        d: BufferId,
-        e: BufferId,
-        f: BufferId,
-        b: BufferId,
-    ) -> Result<(BufferId, BufferId), GpuError> {
-        let (sd, se) = (self.slot(d)?, self.slot(e)?);
-        if sd.data.rows() != se.data.rows() {
-            return Err(GpuError::ShapeMismatch {
-                left: sd.data.shape(),
-                right: se.data.shape(),
-                op: "hconcat",
-            });
-        }
-        let (sf, sb) = (self.slot(f)?, self.slot(b)?);
-        if sf.data.cols() != sb.data.cols() {
-            return Err(GpuError::ShapeMismatch {
-                left: sf.data.shape(),
-                right: sb.data.shape(),
-                op: "vconcat",
-            });
-        }
-        let left = sd.data.hconcat(&se.data);
-        let right = sf.data.vconcat(&sb.data);
-        let ready_l = sd.ready.max(se.ready).max(self.fence);
-        let ready_r = sf.ready.max(sb.ready).max(self.fence);
-        let dur_l = self.config.elementwise_time(2 * left.byte_size());
-        let dur_r = self.config.elementwise_time(2 * right.byte_size());
-        let done_l = self.timeline.schedule(self.compute, ready_l, dur_l, "concat");
-        let done_r = self.timeline.schedule(self.compute, ready_r, dur_r, "concat");
-        let lid = self.alloc(left, done_l)?;
-        let rid = self.alloc(right, done_r)?;
-        Ok((lid, rid))
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn unary_kernels_compute_and_charge_time() {
+    fn unary_kernel_computes_and_charges_time() {
         let mut dev = device();
         let a = mat(16, 3);
         let ha = dev.upload(&a, SimTime::ZERO).unwrap();
@@ -616,18 +552,8 @@ mod tests {
         let (scaled, _) = dev.download(hs).unwrap();
         assert_eq!(scaled, a.scale(2.0));
 
-        let hn = dev.neg(ha).unwrap();
-        let (negated, _) = dev.download(hn).unwrap();
-        assert_eq!(negated, a.negate());
-
-        let hr = dev.map(ha, "relu", |x| x.max(0.0)).unwrap();
-        let (relu, _) = dev.download(hr).unwrap();
-        assert!(relu.as_slice().iter().all(|&x| x >= 0.0));
-        assert_eq!(relu, a.map(|x| x.max(0.0)));
-
         assert!(dev.now() > t0, "kernels must advance simulated time");
         let profile = dev.profile();
-        assert!(profile.fraction_matching("relu") > 0.0);
         assert!(profile.fraction_matching("scale") > 0.0);
     }
 
@@ -722,26 +648,6 @@ mod tests {
         dev.free(resident).unwrap();
         dev.charge_gemm_roundtrip(20, 20, 20, GemmMode::Fp32, SimTime::ZERO).unwrap();
         assert_eq!(dev.allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn concat_pair_builds_eq8_operands() {
-        let mut dev = device();
-        let d = Matrix::from_fn(3, 4, |r, c| (r + c) as f32);
-        let e = Matrix::from_fn(3, 4, |r, c| (r * c) as f32);
-        let f = Matrix::from_fn(4, 2, |r, c| (r + 2 * c) as f32);
-        let b = Matrix::from_fn(4, 2, |r, c| (2 * r + c) as f32);
-        let hd = dev.upload(&d, SimTime::ZERO).unwrap();
-        let he = dev.upload(&e, SimTime::ZERO).unwrap();
-        let hf = dev.upload(&f, SimTime::ZERO).unwrap();
-        let hb = dev.upload(&b, SimTime::ZERO).unwrap();
-        let (hl, hr) = dev.concat_pair(hd, he, hf, hb).unwrap();
-        assert_eq!(dev.shape(hl).unwrap(), (3, 8));
-        assert_eq!(dev.shape(hr).unwrap(), (8, 2));
-        let hout = dev.gemm(hl, hr, GemmMode::Fp32).unwrap();
-        let (out, _) = dev.download(hout).unwrap();
-        let expect = gemm_blocked(&d, &f).add(&gemm_blocked(&e, &b));
-        assert!(out.max_abs_diff(&expect) < 1e-4);
     }
 
     #[test]

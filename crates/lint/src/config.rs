@@ -33,11 +33,10 @@ pub const UNSAFE_CRATES: &[&str] = &["tensor", "parallel", "mpc"];
 /// Modules sanctioned to construct `Mt19937` generators. Protocol share
 /// masking must draw from the engine's seed-derived generator (replay
 /// identity depends on it), so minting fresh generators is confined to:
-/// the RNG's home crate (`parallel`, including the paper's per-thread
-/// generators), triple provisioning (`mpc::triple`, counter-derived
-/// streams), and dataset synthesis (`datasets`). Everything else obtains
-/// a generator through `psml_parallel::protocol_rng` /
-/// `psml_parallel::derived_rng`.
+/// the RNG's home crate (`parallel`), triple provisioning (`mpc::triple`,
+/// counter-derived streams), and dataset synthesis (`datasets`).
+/// Everything else obtains a generator through
+/// `psml_parallel::protocol_rng` / `psml_parallel::derived_rng`.
 pub const RNG_MODULES: &[&str] = &["parallel::*", "mpc::triple", "datasets::*"];
 
 /// `Mt19937` associated functions that create a generator.
@@ -124,9 +123,7 @@ pub const FORMAT_MACROS: &[&str] = &[
 /// Protocol-path modules that must stay bit-deterministic: simulated time
 /// and replay identity break if they read the wall clock or iterate a
 /// randomly-seeded `HashMap`. The trace crate (host-time spans are its
-/// job), the bench harness, and `parallel` (the paper's wall-clock
-/// thread seeding, outside the protocol's determinism domain) are
-/// deliberately absent.
+/// job) and the bench harness are deliberately absent.
 pub const DETERMINISM_MODULES: &[&str] = &[
     "core::engine",
     "core::provider",
@@ -139,6 +136,7 @@ pub const DETERMINISM_MODULES: &[&str] = &[
     "mpc::*",
     "net-sim::*",
     "simtime::*",
+    "parallel::*",
 ];
 
 /// Carve-outs from [`DETERMINISM_MODULES`]: modules that govern *real*

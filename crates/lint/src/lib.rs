@@ -34,8 +34,7 @@
 //! [`callgraph`]) feeding the dataflow passes — no `syn`, no `serde`, no
 //! dependencies at all, so it builds and runs even when the crates it
 //! scans do not. Findings are emitted as human diagnostics and as a
-//! versioned `psml.lint.v2` JSON document that `psml validate` accepts
-//! (v1 documents stay accepted too).
+//! versioned `psml.lint.v2` JSON document that `psml validate` accepts.
 
 pub mod callgraph;
 pub mod concurrency;

@@ -528,11 +528,9 @@ fn taint_set<'a>(t: &'a [Tok], secrets: &SecretRegistry) -> BTreeSet<&'a str> {
 /// Rule family 4: determinism.
 ///
 /// Exemptions: modules outside [`DETERMINISM_MODULES`] (tracing and
-/// benchmarking exist to read the host clock; `parallel`'s thread seeding
-/// is the paper's design and outside the protocol's replay domain), the
-/// scoped [`DETERMINISM_EXEMPT_MODULES`] allowlist (real-socket
-/// supervision, where wall-clock deadlines are the ground truth), plus
-/// test spans.
+/// benchmarking exist to read the host clock), the scoped
+/// [`DETERMINISM_EXEMPT_MODULES`] allowlist (real-socket supervision,
+/// where wall-clock deadlines are the ground truth), plus test spans.
 fn determinism(f: &SourceFile, out: &mut Vec<Finding>) {
     if !module_in(&f.module, DETERMINISM_MODULES)
         || module_in(&f.module, DETERMINISM_EXEMPT_MODULES)

@@ -4,10 +4,7 @@ use crate::ring::{Party, PlainMatrix, SecureRing};
 use crate::share::SharePair;
 use crate::triple::{gen_triple, gen_triple_hadamard, TripleShare};
 use psml_parallel::Mt19937;
-use psml_tensor::{
-    gemm_auto, gemm_packed_sum, gemm_packed_sum_auto, pack_b, pack_b_auto, AutoPackedB, Matrix,
-    PackedB,
-};
+use psml_tensor::{gemm_auto, gemm_packed_sum_auto, pack_b_auto, AutoPackedB, Matrix};
 
 /// How a server evaluates its output share `C_i`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -111,28 +108,15 @@ impl<R: SecureRing> ServerMulSession<R> {
     /// through the packed kernel hierarchy.
     ///
     /// Both servers' right-hand sides `[F ; B_i]` share the same public
-    /// `F` block, so the caller packs `F` once (via [`pack_b`]) and passes
-    /// it to each server's `finish_packed`. The concatenations of Eq. (8)
-    /// are never materialized: `[L | E] x [F ; B_i] = L*F + E*B_i`, which
-    /// [`gemm_packed_sum`] accumulates in one pass over the output.
-    pub fn finish_packed(&self, e: &Matrix<R>, f_packed: &PackedB<R>) -> Matrix<R> {
-        let left = match self.party {
-            Party::P0 => self.a.clone(),
-            Party::P1 => self.a.sub(e),
-        };
-        let b_packed = pack_b(&self.b);
-        let c = gemm_packed_sum(&[(&left, f_packed), (e, &b_packed)]);
-        let c = c.add(&self.triple.z);
-        R::truncate_matrix(&c, self.party)
-    }
-
-    /// [`ServerMulSession::finish_packed`] against an [`AutoPackedB`]: the
-    /// shared `F` is packed once by the caller (via [`pack_b_auto`], which
+    /// `F` block, so the caller packs `F` once (via [`pack_b_auto`], which
     /// chooses between element column panels and quantized byte planes for
-    /// the product size), this server's `B_i` is packed to match, and the
-    /// fused sum runs on whichever kernel the pack selected. Bit-identical
-    /// to [`ServerMulSession::finish_packed`] — over the ring every kernel
-    /// computes the same wrapping product.
+    /// the product size) and passes it to each server; this server's `B_i`
+    /// is packed to match. The concatenations of Eq. (8) are never
+    /// materialized: `[L | E] x [F ; B_i] = L*F + E*B_i`, which
+    /// [`gemm_packed_sum_auto`] accumulates in one pass over the output on
+    /// whichever kernel the pack selected. Bit-identical to
+    /// [`ServerMulSession::finish`] under [`EvalStrategy::Fused`] — over
+    /// the ring every kernel computes the same wrapping product.
     pub fn finish_packed_auto(&self, e: &Matrix<R>, f_packed: &AutoPackedB<R>) -> Matrix<R> {
         let left = match self.party {
             Party::P0 => self.a.clone(),
@@ -291,36 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn finish_packed_matches_generic_fused() {
+    fn finish_packed_auto_matches_generic_fused() {
         // The packed shared-F path is the same ring computation as the
-        // generic fused closure path, so the shares must match bit-exactly.
-        let mut rng = Mt19937::new(59);
-        let (a, b) = (plain_a(), plain_b());
-        let a_pair = SharePair::<Fixed64>::split(&a, &mut rng);
-        let b_pair = SharePair::<Fixed64>::split(&b, &mut rng);
-        let triple = gen_triple::<Fixed64>(4, 5, 3, &mut rng, gemm_auto);
-        let (a0, a1) = a_pair.into_shares();
-        let (b0, b1) = b_pair.into_shares();
-        let (t0, t1) = triple.into_shares();
-        let s0 = ServerMulSession::new(Party::P0, a0, b0, t0);
-        let s1 = ServerMulSession::new(Party::P1, a1, b1, t1);
-        let (e0, f0) = s0.masked();
-        let (e1, f1) = s1.masked();
-        let e = reconstruct_public(&e0, &e1);
-        let f = reconstruct_public(&f0, &f1);
-        let f_packed = pack_b(&f);
-        for s in [&s0, &s1] {
-            assert_eq!(
-                s.finish_packed(&e, &f_packed),
-                s.finish(&e, &f, EvalStrategy::Fused, psml_tensor::gemm_naive)
-            );
-        }
-    }
-
-    #[test]
-    fn finish_packed_auto_matches_finish_packed() {
-        // The auto-packed fused path must be bit-identical to the fixed
-        // packed path regardless of which representation the pack picks.
+        // generic fused closure path, so the shares must match bit-exactly
+        // regardless of which representation the pack picks.
         let mut rng = Mt19937::new(61);
         let (a, b) = (plain_a(), plain_b());
         let a_pair = SharePair::<Fixed64>::split(&a, &mut rng);
@@ -335,12 +293,11 @@ mod tests {
         let (e1, f1) = s1.masked();
         let e = reconstruct_public(&e0, &e1);
         let f = reconstruct_public(&f0, &f1);
-        let f_packed = pack_b(&f);
         let f_auto = pack_b_auto(&f, 4);
         for s in [&s0, &s1] {
             assert_eq!(
                 s.finish_packed_auto(&e, &f_auto),
-                s.finish_packed(&e, &f_packed)
+                s.finish(&e, &f, EvalStrategy::Fused, psml_tensor::gemm_naive)
             );
         }
     }

@@ -105,26 +105,55 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
+/// Feeds `bytes` into a running CRC-32 register (`!0` when fresh; the
+/// finished checksum is the register's complement). The only walk of
+/// [`CRC32_TABLE`].
+fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        state = (state >> 8) ^ CRC32_TABLE[((state ^ b as u32) & 0xFF) as usize];
+    }
+    state
+}
+
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    !crc32_update(!0, bytes)
+}
+
+/// Size of the sealed-body header: seq (8) + crc32 (4).
+const BODY_HEADER_BYTES: usize = 12;
+
+/// The frame checksum field: CRC-32 over `seq || payload`, little-endian.
+fn body_crc(seq_le: &[u8], payload: &[u8]) -> [u8; 4] {
+    (!crc32_update(crc32_update(!0, seq_le), payload)).to_le_bytes()
+}
+
+/// Appends the part an in-memory frame and a stream record share —
+/// `seq | crc32(seq || payload) | payload` — to `out`.
+fn seal_body(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    let seq_le = seq.to_le_bytes();
+    out.extend_from_slice(&seq_le);
+    out.extend_from_slice(&body_crc(&seq_le, payload));
+    out.extend_from_slice(payload);
+}
+
+/// Splits a sealed body (at least [`BODY_HEADER_BYTES`] long) into its
+/// claimed sequence number and payload, verifying the checksum.
+fn open_body(body: &[u8]) -> Result<(u64, &[u8]), CodecError> {
+    let (header, payload) = body.split_at(BODY_HEADER_BYTES);
+    let (seq_le, stored) = header.split_at(8);
+    let seq = u64::from_le_bytes(seq_le.try_into().expect("8 bytes"));
+    if body_crc(seq_le, payload) != stored {
+        return Err(CodecError::Checksum { seq });
     }
-    !crc
+    Ok((seq, payload))
 }
 
 /// Wraps encoded payload bytes in a checksummed, sequenced frame.
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     frame.extend_from_slice(&FRAME_MAGIC);
-    frame.extend_from_slice(&seq.to_le_bytes());
-    let mut crc = !0u32;
-    for &b in seq.to_le_bytes().iter().chain(payload) {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    frame.extend_from_slice(&(!crc).to_le_bytes());
-    frame.extend_from_slice(payload);
+    seal_body(&mut frame, seq, payload);
     frame
 }
 
@@ -138,19 +167,12 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u64, &[u8]), CodecError> {
     if frame.len() < FRAME_HEADER_BYTES {
         return Err(CodecError::Truncated);
     }
-    let seq = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-    if frame[..4] != FRAME_MAGIC {
+    let (magic, body) = frame.split_at(FRAME_MAGIC.len());
+    if magic != FRAME_MAGIC {
+        let seq = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
         return Err(CodecError::BadMagic { seq });
     }
-    let stored = u32::from_le_bytes(frame[12..16].try_into().expect("4 bytes"));
-    let mut crc = !0u32;
-    for &b in frame[4..12].iter().chain(&frame[16..]) {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    if !crc != stored {
-        return Err(CodecError::Checksum { seq });
-    }
-    Ok((seq, &frame[16..]))
+    open_body(body)
 }
 
 /// Little-endian reader over a received byte buffer.
@@ -181,11 +203,23 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
     }
 
-    fn get_element<R: Num>(&mut self) -> Result<R, CodecError> {
-        let raw = self.take(R::BYTES)?;
-        let mut bytes = [0u8; 8];
-        bytes[..R::BYTES].copy_from_slice(raw);
-        Ok(R::from_bits64(u64::from_le_bytes(bytes)))
+    /// The slice reader: `n` values of `width` little-endian bytes each,
+    /// widened to `u64` and mapped through `from_bits`.
+    fn get_slice<T>(
+        &mut self,
+        n: usize,
+        width: usize,
+        from_bits: impl Fn(u64) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let raw = self.take(n.checked_mul(width).ok_or(CodecError::Truncated)?)?;
+        Ok(raw
+            .chunks_exact(width)
+            .map(|chunk| {
+                let mut bytes = [0u8; 8];
+                bytes[..width].copy_from_slice(chunk);
+                from_bits(u64::from_le_bytes(bytes))
+            })
+            .collect())
     }
 }
 
@@ -193,9 +227,12 @@ fn put_u32_le(buf: &mut Vec<u8>, x: u32) {
     buf.extend_from_slice(&x.to_le_bytes());
 }
 
-fn put_element<R: Num>(buf: &mut Vec<u8>, x: R) {
-    let bits = x.to_bits64();
-    buf.extend_from_slice(&bits.to_le_bytes()[..R::BYTES]);
+/// The slice writer: the low `width` little-endian bytes of each value's
+/// `to_bits` image.
+fn put_slice<T: Copy>(buf: &mut Vec<u8>, xs: &[T], width: usize, to_bits: impl Fn(T) -> u64) {
+    for &x in xs {
+        buf.extend_from_slice(&to_bits(x).to_le_bytes()[..width]);
+    }
 }
 
 /// Exact encoded size of a [`Payload::Dense`] matrix of the given shape:
@@ -215,9 +252,7 @@ pub fn encode<R: Num>(payload: &Payload<R>) -> Vec<u8> {
             buf.push(TAG_DENSE);
             put_u32_le(&mut buf, m.rows() as u32);
             put_u32_le(&mut buf, m.cols() as u32);
-            for &x in m.as_slice() {
-                put_element(&mut buf, x);
-            }
+            put_slice(&mut buf, m.as_slice(), R::BYTES, R::to_bits64);
         }
         Payload::SparseDelta(c) => {
             let (rows, cols) = c.shape();
@@ -227,15 +262,9 @@ pub fn encode<R: Num>(payload: &Payload<R>) -> Vec<u8> {
             put_u32_le(&mut buf, rows as u32);
             put_u32_le(&mut buf, cols as u32);
             put_u32_le(&mut buf, values.len() as u32);
-            for &p in row_ptr {
-                put_u32_le(&mut buf, p);
-            }
-            for &i in col_idx {
-                put_u32_le(&mut buf, i);
-            }
-            for &v in values {
-                put_element(&mut buf, v);
-            }
+            put_slice(&mut buf, row_ptr, 4, u64::from);
+            put_slice(&mut buf, col_idx, 4, u64::from);
+            put_slice(&mut buf, values, R::BYTES, R::to_bits64);
         }
         Payload::Control(s) => {
             buf.push(TAG_CONTROL);
@@ -257,10 +286,7 @@ pub fn decode<R: Num>(buf: impl AsRef<[u8]>) -> Result<Payload<R>, CodecError> {
             if r.remaining() < rows.saturating_mul(cols).saturating_mul(R::BYTES) {
                 return Err(CodecError::Truncated);
             }
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows * cols {
-                data.push(r.get_element::<R>()?);
-            }
+            let data = r.get_slice(rows * cols, R::BYTES, R::from_bits64)?;
             Ok(Payload::Dense(Matrix::from_vec(rows, cols, data)))
         }
         TAG_SPARSE => {
@@ -272,18 +298,9 @@ pub fn decode<R: Num>(buf: impl AsRef<[u8]>) -> Result<Payload<R>, CodecError> {
             if r.remaining() < need {
                 return Err(CodecError::Truncated);
             }
-            let mut row_ptr = Vec::with_capacity(rows + 1);
-            for _ in 0..=rows {
-                row_ptr.push(r.get_u32_le()?);
-            }
-            let mut col_idx = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                col_idx.push(r.get_u32_le()?);
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(r.get_element::<R>()?);
-            }
+            let row_ptr = r.get_slice(rows + 1, 4, |bits| bits as u32)?;
+            let col_idx = r.get_slice(nnz, 4, |bits| bits as u32)?;
+            let values = r.get_slice(nnz, R::BYTES, R::from_bits64)?;
             Csr::try_from_raw_parts(rows, cols, row_ptr, col_idx, values)
                 .map(Payload::SparseDelta)
                 .map_err(CodecError::BadSparse)
@@ -325,17 +342,13 @@ pub const STREAM_HEADER_BYTES: usize = 8;
 /// never completes; anything larger is treated as line noise and skipped.
 pub const MAX_STREAM_FRAME_BYTES: usize = 1 << 28;
 
-/// Minimum record body: seq (8) + crc (4) with an empty payload.
-const MIN_STREAM_BODY: usize = 12;
-
 /// Wraps encoded payload bytes in a length-delimited stream record.
 pub fn encode_stream_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let frame = encode_frame(seq, payload);
-    let body = &frame[FRAME_MAGIC.len()..];
-    let mut rec = Vec::with_capacity(STREAM_HEADER_BYTES + body.len());
+    let body_len = BODY_HEADER_BYTES + payload.len();
+    let mut rec = Vec::with_capacity(STREAM_HEADER_BYTES + body_len);
     rec.extend_from_slice(&FRAME_MAGIC);
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(body);
+    rec.extend_from_slice(&(body_len as u32).to_le_bytes());
+    seal_body(&mut rec, seq, payload);
     rec
 }
 
@@ -428,7 +441,7 @@ impl StreamDecoder {
                 return None;
             }
             let len = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes")) as usize;
-            if !(MIN_STREAM_BODY..=MAX_STREAM_FRAME_BYTES).contains(&len) {
+            if !(BODY_HEADER_BYTES..=MAX_STREAM_FRAME_BYTES).contains(&len) {
                 // Implausible length: the header itself is damaged, so the
                 // record is not trustworthy as a delimiter. Skip one byte
                 // and rescan for the next magic.
@@ -437,17 +450,14 @@ impl StreamDecoder {
                 self.skipped_bytes += 1;
                 continue;
             }
-            if self.buf.len() < STREAM_HEADER_BYTES + len {
+            let record_len = STREAM_HEADER_BYTES + len;
+            if self.buf.len() < record_len {
                 return None;
             }
-            let mut frame = Vec::with_capacity(FRAME_MAGIC.len() + len);
-            frame.extend_from_slice(&FRAME_MAGIC);
-            frame.extend_from_slice(&self.buf[STREAM_HEADER_BYTES..STREAM_HEADER_BYTES + len]);
-            self.buf.drain(..STREAM_HEADER_BYTES + len);
-            return match decode_frame(&frame) {
-                Ok((seq, payload)) => Some(Ok((seq, payload.to_vec()))),
-                Err(e) => Some(Err(e)),
-            };
+            let frame = open_body(&self.buf[STREAM_HEADER_BYTES..record_len])
+                .map(|(seq, payload)| (seq, payload.to_vec()));
+            self.buf.drain(..record_len);
+            return Some(frame);
         }
     }
 }

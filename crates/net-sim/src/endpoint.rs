@@ -226,12 +226,11 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         now: SimTime,
     ) -> Result<SimTime, NetError> {
         let payload_bytes = codec::encode(payload);
-        let dense_equivalent = payload.dense_equivalent_bytes();
         let (seq, start, done) = self.charge_send(
             to,
             payload.kind(),
             codec::FRAME_HEADER_BYTES + payload_bytes.len(),
-            dense_equivalent,
+            payload.dense_equivalent_bytes(),
             now,
         )?;
         let mut bytes = codec::encode_frame(seq, &payload_bytes);
@@ -253,11 +252,7 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
                 }
             }
         }
-        let frame = TransportFrame {
-            bytes,
-            dense_equivalent,
-            available_at,
-        };
+        let frame = TransportFrame { bytes, available_at };
         self.transport.send(to, frame)?;
         Ok(done)
     }
@@ -299,7 +294,6 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         let wire_bytes = frame.bytes.len();
         let (seq, body) = codec::decode_frame(&frame.bytes)?;
         let payload = codec::decode::<R>(body)?;
-        let _ = frame.dense_equivalent;
         Ok(Packet {
             from,
             payload,

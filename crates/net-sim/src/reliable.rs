@@ -263,29 +263,51 @@ impl ReliableChannel {
         let data_nonce = self.stats.transfers.wrapping_mul(2);
         let ack_nonce = data_nonce.wrapping_add(1);
 
-        // Data leg: retransmit until the frame lands intact. The budget
-        // is `policy.attempts()` sends; checking *after* the increment
-        // guarantees the final retransmission actually hits the wire
-        // before the leg gives up.
+        let packet = self.leg(sender, sender_now, receiver, receiver_now, payload, data_nonce)?;
+        // The sender must learn the transfer completed before the protocol
+        // step can commit: the ack travels back under the same discipline.
+        let ack = Payload::Control(format!("ack:{}", packet.seq));
+        let ack_pkt = self.leg(receiver, receiver_now, sender, sender_now, &ack, ack_nonce)?;
+        debug_assert!(
+            matches!(&ack_pkt.payload, Payload::Control(s) if s.starts_with("ack:")),
+            "reliable channel received non-ack on ack leg"
+        );
+        self.stats.acks += 1;
+        Ok(packet)
+    }
+
+    /// One stop-and-wait leg, data or ack: `tx` retransmits `payload`
+    /// until it lands intact at `rx`. The budget is `policy.attempts()`
+    /// sends; checking *after* the increment guarantees the final
+    /// retransmission actually hits the wire before the leg gives up.
+    fn leg<R: Num>(
+        &mut self,
+        tx: &mut Endpoint<R>,
+        tx_now: &mut SimTime,
+        rx: &mut Endpoint<R>,
+        rx_now: &mut SimTime,
+        payload: &Payload<R>,
+        nonce: u64,
+    ) -> Result<Packet<R>, NetError> {
+        let (from, to) = (tx.id(), rx.id());
         let mut attempt = 0u32;
-        let packet = loop {
-            let done = sender.send(to, payload, *sender_now)?;
-            *sender_now = done;
-            let deadline =
-                done.max(*receiver_now) + self.policy.timeout_for_nonce(attempt, data_nonce);
-            match receiver.recv_deadline(from, deadline) {
+        loop {
+            let done = tx.send(to, payload, *tx_now)?;
+            *tx_now = done;
+            let deadline = done.max(*rx_now) + self.policy.timeout_for_nonce(attempt, nonce);
+            match rx.recv_deadline(from, deadline) {
                 Ok(pkt) => {
-                    *receiver_now = (*receiver_now).max(pkt.available_at);
-                    break pkt;
+                    *rx_now = (*rx_now).max(pkt.available_at);
+                    return Ok(pkt);
                 }
                 Err(err) => {
                     self.note_leg_failure(&err)?;
-                    // The receiver discovers the loss by silence at the
-                    // deadline; the sender by the missing ack. Both burn
-                    // the window before the retry.
+                    // The receiving side discovers the loss by silence at
+                    // the deadline; the sending side by the missing reply.
+                    // Both burn the window before the retry.
                     self.stats.recovery_time += deadline.saturating_since(done);
-                    *receiver_now = (*receiver_now).max(deadline);
-                    *sender_now = (*sender_now).max(deadline);
+                    *rx_now = (*rx_now).max(deadline);
+                    *tx_now = (*tx_now).max(deadline);
                     attempt += 1;
                     if attempt >= self.policy.attempts() {
                         return Err(NetError::Timeout {
@@ -295,43 +317,6 @@ impl ReliableChannel {
                     }
                     self.stats.retransmits += 1;
                     trace_retransmit(from, to, deadline);
-                }
-            }
-        };
-
-        // Ack leg: the sender must learn the transfer completed before
-        // the protocol step can commit. Same retry discipline.
-        let ack = Payload::Control(format!("ack:{}", packet.seq));
-        let mut attempt = 0u32;
-        loop {
-            let done = receiver.send(from, &ack, *receiver_now)?;
-            *receiver_now = done;
-            let deadline =
-                done.max(*sender_now) + self.policy.timeout_for_nonce(attempt, ack_nonce);
-            match sender.recv_deadline(to, deadline) {
-                Ok(ack_pkt) => {
-                    debug_assert!(
-                        matches!(&ack_pkt.payload, Payload::Control(s) if s.starts_with("ack:")),
-                        "reliable channel received non-ack on ack leg"
-                    );
-                    *sender_now = (*sender_now).max(ack_pkt.available_at);
-                    self.stats.acks += 1;
-                    return Ok(packet);
-                }
-                Err(err) => {
-                    self.note_leg_failure(&err)?;
-                    self.stats.recovery_time += deadline.saturating_since(done);
-                    *sender_now = (*sender_now).max(deadline);
-                    *receiver_now = (*receiver_now).max(deadline);
-                    attempt += 1;
-                    if attempt >= self.policy.attempts() {
-                        return Err(NetError::Timeout {
-                            after: deadline,
-                            retries: attempt - 1,
-                        });
-                    }
-                    self.stats.retransmits += 1;
-                    trace_retransmit(to, from, deadline);
                 }
             }
         }

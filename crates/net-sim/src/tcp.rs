@@ -64,7 +64,6 @@ impl Transport for TcpTransport {
         let (_seq, bytes) = self.sup.recv(from)?;
         Ok(TransportFrame {
             bytes,
-            dense_equivalent: 0,
             available_at: SimTime::ZERO,
         })
     }
@@ -72,7 +71,6 @@ impl Transport for TcpTransport {
     fn try_recv(&mut self, from: NodeId) -> Result<Option<TransportFrame>, NetError> {
         Ok(self.sup.try_recv(from)?.map(|(_seq, bytes)| TransportFrame {
             bytes,
-            dense_equivalent: 0,
             available_at: SimTime::ZERO,
         }))
     }

@@ -29,9 +29,6 @@ pub struct TransportFrame {
     /// Complete frame bytes, exactly as [`crate::codec::encode_frame`]
     /// produced them (possibly corrupted in flight).
     pub bytes: Vec<u8>,
-    /// Dense-equivalent payload size for compression accounting; `0` when
-    /// the substrate does not track it (TCP).
-    pub dense_equivalent: usize,
     /// Simulated instant the frame is fully received; `SimTime::ZERO` on
     /// real transports.
     pub available_at: SimTime,
@@ -120,7 +117,6 @@ mod tests {
     fn frame(tag: u8) -> TransportFrame {
         TransportFrame {
             bytes: vec![tag; 4],
-            dense_equivalent: 0,
             available_at: SimTime::ZERO,
         }
     }

@@ -1,23 +1,18 @@
-//! Scoped parallel-for and a persistent, process-global thread pool.
+//! The persistent, process-global thread pool — the one parallel runtime.
 //!
-//! Three execution styles are provided, mirroring how the paper merges
-//! parallel regions:
-//!
-//! - [`parallel_for`] / [`parallel_for_in`]: scoped fork-join over a range,
-//!   borrowing local data, with cache-line-aligned chunk boundaries;
-//! - [`ThreadPool`]: persistent workers, so independent logical loops can be
-//!   submitted into one region without re-spawning threads ("to reduce the
-//!   overhead of opening more than one parallel region, multiple parallel
-//!   regions should be merged");
-//! - [`for_each_chunk_mut_pooled`]: the hot-path variant used by the packed
-//!   GEMM — it borrows the lazily-initialized [`global_pool`] instead of
-//!   spawning scoped threads, so repeated kernel launches pay no per-call
-//!   thread startup.
+//! Two of Sec. 5.1's techniques live here. *Merged parallel regions* ("to
+//! reduce the overhead of opening more than one parallel region, multiple
+//! parallel regions should be merged") is the pool itself: [`global_pool`]
+//! spawns its workers once and every parallel loop in the program borrows
+//! them through [`ThreadPool::scoped_run`], so no region pays a thread
+//! start. *Cache-line-aware chunking* is [`for_each_chunk_mut_pooled`]: it
+//! splits a mutable slice on [`chunks`] boundaries and runs one part on the
+//! caller and the rest on the pool.
 //!
 //! The global pool's size is decided once, at first use: the
 //! `PSML_WORKERS` environment variable, else [`default_workers`].
 
-use crate::chunking::{chunks, Chunk, CACHE_LINE_F32};
+use crate::chunking::{chunks, Chunk};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -27,35 +22,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs `body` over `[0, len)` split into cache-line-aligned chunks on up to
-/// [`default_workers`] scoped threads. The calling thread executes the first
-/// chunk itself.
-pub fn parallel_for<F>(len: usize, body: F)
-where
-    F: Fn(Chunk) + Sync,
-{
-    parallel_for_in(default_workers(), len, CACHE_LINE_F32, body)
-}
-
-/// [`parallel_for`] with explicit worker count and alignment.
-pub fn parallel_for_in<F>(workers: usize, len: usize, align: usize, body: F)
-where
-    F: Fn(Chunk) + Sync,
-{
-    let plan = chunks(len, workers, align);
-    match plan.len() {
-        0 => {}
-        1 => body(plan[0]),
-        _ => std::thread::scope(|scope| {
-            for &chunk in &plan[1..] {
-                let body = &body;
-                scope.spawn(move || body(chunk));
-            }
-            body(plan[0]);
-        }),
-    }
 }
 
 enum Job {
@@ -175,11 +141,6 @@ impl ThreadPool {
         }
     }
 
-    /// Pool sized to the machine.
-    pub fn with_default_size() -> Self {
-        ThreadPool::new(default_workers())
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -278,38 +239,10 @@ fn split_parts<'d, T>(data: &'d mut [T], plan: &[Chunk]) -> Vec<(usize, &'d mut 
 }
 
 /// Applies `body` to disjoint cache-line-aligned mutable sub-slices of
-/// `data` in parallel on freshly spawned scoped threads. `body` receives the
-/// starting offset of the sub-slice within `data` and the sub-slice itself.
-///
-/// Prefer [`for_each_chunk_mut_pooled`] on hot paths; this variant pays a
-/// thread spawn per call but needs no shared pool.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], workers: usize, align: usize, body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let plan = chunks(data.len(), workers, align);
-    match plan.len() {
-        0 => {}
-        1 => body(0, data),
-        _ => {
-            let parts = split_parts(data, &plan);
-            std::thread::scope(|scope| {
-                let mut iter = parts.into_iter();
-                let first = iter.next().unwrap();
-                for (off, slice) in iter {
-                    let body = &body;
-                    scope.spawn(move || body(off, slice));
-                }
-                body(first.0, first.1);
-            });
-        }
-    }
-}
-
-/// [`for_each_chunk_mut`] backed by the persistent [`global_pool`]: no
-/// per-call thread spawn. The calling thread executes the first chunk while
-/// the pool's workers execute the rest.
+/// `data` in parallel on the persistent [`global_pool`]: no per-call thread
+/// spawn. `body` receives the starting offset of the sub-slice within
+/// `data` and the sub-slice itself. The calling thread executes the first
+/// chunk while the pool's workers execute the rest.
 ///
 /// Safe to call from inside another pooled job: when the calling thread
 /// is itself a pool worker (see [`in_pool_worker`]), the whole slice runs
@@ -395,49 +328,8 @@ fn pool_run_with_local<'env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunking::CACHE_LINE_F32;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn parallel_for_covers_range_exactly_once() {
-        let n = 1000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_in(4, n, CACHE_LINE_F32, |chunk| {
-            for hit in &hits[chunk.start..chunk.end] {
-                hit.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_empty_range_is_noop() {
-        parallel_for(0, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn for_each_chunk_mut_writes_disjointly() {
-        let mut data = vec![0u32; 333];
-        for_each_chunk_mut(&mut data, 5, CACHE_LINE_F32, |off, slice| {
-            for (i, v) in slice.iter_mut().enumerate() {
-                *v = (off + i) as u32;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
-    fn matrix_add_parallel_matches_serial() {
-        let n = 4096;
-        let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..n).map(|i| (2 * i) as f32).collect();
-        let mut out = vec![0f32; n];
-        for_each_chunk_mut(&mut out, 7, CACHE_LINE_F32, |off, slice| {
-            for (i, v) in slice.iter_mut().enumerate() {
-                *v = a[off + i] + b[off + i];
-            }
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == 3.0 * i as f32));
-    }
 
     #[test]
     fn pool_runs_all_jobs() {
@@ -560,6 +452,34 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
+    }
+
+    #[test]
+    fn pooled_matrix_add_matches_serial() {
+        let n = 4096;
+        let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let b: Vec<f32> = (0..n).map(|i| (2 * i) as f32).collect();
+        let mut out = vec![0f32; n];
+        for_each_chunk_mut_pooled(&mut out, CACHE_LINE_F32, |off, slice| {
+            for (i, v) in slice.iter_mut().enumerate() {
+                *v = a[off + i] + b[off + i];
+            }
+        });
+        assert!(out.iter().enumerate().all(|(i, &v)| v == 3.0 * i as f32));
+    }
+
+    #[test]
+    fn pooled_chunk_panic_reaches_the_caller() {
+        // Only a chunk that ran on a pool worker panics (offset 0 is the
+        // caller's own); the caller must see it, and the pool must survive.
+        let mut data = vec![0u32; 777];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_chunk_mut_pooled(&mut data, CACHE_LINE_F32, |off, _| {
+                assert_eq!(off, 0, "pool-side chunk failed");
+            });
+        }));
+        assert!(result.is_err());
+        global_pool().scoped_run(vec![Box::new(|| {}) as Box<dyn FnOnce() + Send>]);
     }
 
     #[test]

@@ -52,15 +52,6 @@ impl LinkModel {
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs(self.latency_s + bytes as f64 / self.bytes_per_sec)
     }
-
-    /// Time to move `bytes` split into `messages` equal messages (each pays
-    /// the latency term).
-    pub fn transfer_time_chunked(&self, bytes: usize, messages: usize) -> SimDuration {
-        let messages = messages.max(1);
-        SimDuration::from_secs(
-            self.latency_s * messages as f64 + bytes as f64 / self.bytes_per_sec,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -74,24 +65,6 @@ mod tests {
         let t1 = link.transfer_time(1_000_000);
         assert!((t0.as_secs() - 1e-6).abs() < 1e-15);
         assert!((t1.as_secs() - (1e-6 + 1e-3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chunking_pays_latency_per_message() {
-        let link = LinkModel::new(1e-6, 1e9);
-        let whole = link.transfer_time(1_000_000);
-        let split = link.transfer_time_chunked(1_000_000, 10);
-        assert!(split > whole);
-        assert!((split.as_secs() - whole.as_secs() - 9e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_messages_treated_as_one() {
-        let link = LinkModel::new(1e-6, 1e9);
-        assert_eq!(
-            link.transfer_time_chunked(100, 0),
-            link.transfer_time(100)
-        );
     }
 
     #[test]

@@ -56,11 +56,4 @@ proptest! {
         let (lo, hi) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
         prop_assert!(link.transfer_time(lo) <= link.transfer_time(hi));
     }
-
-    /// Splitting a transfer into more messages never makes it faster.
-    #[test]
-    fn link_chunking_never_faster(bytes in 0usize..1_000_000, chunks in 1usize..64) {
-        let link = LinkModel::infiniband_100g();
-        prop_assert!(link.transfer_time_chunked(bytes, chunks) >= link.transfer_time(bytes));
-    }
 }

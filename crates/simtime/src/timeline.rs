@@ -35,7 +35,6 @@ impl OpRecord {
 pub struct Timeline {
     resources: Vec<Resource>,
     trace: Vec<OpRecord>,
-    record_trace: bool,
     trace_scope: Option<String>,
 }
 
@@ -45,18 +44,6 @@ impl Timeline {
         Timeline {
             resources: Vec::new(),
             trace: Vec::new(),
-            record_trace: true,
-            trace_scope: None,
-        }
-    }
-
-    /// Creates a timeline that keeps only aggregate statistics (no trace).
-    /// Useful for cost-model-only sweeps over millions of operations.
-    pub fn without_trace() -> Self {
-        Timeline {
-            resources: Vec::new(),
-            trace: Vec::new(),
-            record_trace: false,
             trace_scope: None,
         }
     }
@@ -109,14 +96,12 @@ impl Timeline {
         bytes: usize,
     ) -> SimTime {
         let (start, end) = self.resources[res.0].schedule(ready, dur);
-        if self.record_trace {
-            self.trace.push(OpRecord {
-                label: label.to_string(),
-                resource: res,
-                start,
-                end,
-            });
-        }
+        self.trace.push(OpRecord {
+            label: label.to_string(),
+            resource: res,
+            start,
+            end,
+        });
         if psml_trace::TraceSink::is_enabled() {
             let name = self.resources[res.0].name();
             let track = match &self.trace_scope {
@@ -158,8 +143,7 @@ impl Timeline {
         }
     }
 
-    /// The recorded operation trace (empty if built with
-    /// [`Timeline::without_trace`]).
+    /// The recorded operation trace.
     pub fn trace(&self) -> &[OpRecord] {
         &self.trace
     }
@@ -231,15 +215,6 @@ mod tests {
         assert_eq!(summary[0].0, "gemm");
         assert_eq!(summary[0].2, 2);
         assert!((summary[0].1.as_secs() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn without_trace_keeps_aggregates_only() {
-        let mut tl = Timeline::without_trace();
-        let gpu = tl.add_resource("gpu");
-        tl.schedule(gpu, SimTime::ZERO, SimDuration::from_secs(1.0), "gemm");
-        assert!(tl.trace().is_empty());
-        assert!((tl.busy_time(gpu).as_secs() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl<T: Num> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// One row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[T] {
@@ -272,20 +267,6 @@ impl Matrix<f64> {
             .zip(&rhs.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// Fills with uniform values in `[lo, hi)` from an MT19937 generator.
-    pub fn random_f64(rows: usize, cols: usize, rng: &mut Mt19937, lo: f64, hi: f64) -> Self {
-        Matrix::from_fn(rows, cols, |_, _| lo + rng.next_f64() * (hi - lo))
-    }
-}
-
-impl Matrix<u64> {
-    /// Fills with uniform ring elements from an MT19937 generator.
-    pub fn random_ring(rows: usize, cols: usize, rng: &mut Mt19937) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        rng.fill_u64(m.as_mut_slice());
-        m
     }
 }
 

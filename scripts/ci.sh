@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Generated output stays out of the tree (.gitignore names both).
+if git ls-files | grep -E '^(experiments_output\.txt|BENCH_.*\.smoke\.json)$'; then
+    echo "ci: generated output is committed (listed above)" >&2; exit 1
+fi
+
 # --workspace matters: the root package is parsecureml-suite, so a bare
 # `cargo build` would skip member bin targets (notably the psml CLI the
 # observability gate below runs).

@@ -13,7 +13,10 @@
 //! path the first two never enter (Hadamard, local share maps,
 //! client-aided activation, prefetch, GPU compute2, the unpipelined
 //! expanded baseline, client GPU randomness) plus the trace vocabulary
-//! the `e2e` profile reads.
+//! the `e2e` profile reads. The fourth freezes the wire itself: the exact
+//! bytes of framed and stream-framed payloads and three CRC-32 values,
+//! which round-trip tests cannot hold because a change that moves encoder
+//! and decoder together passes them.
 //!
 //! Regenerate (only for an *intentional* cost-model or numerics change,
 //! with the why recorded in the commit):
@@ -26,12 +29,17 @@ use parsecureml::models::Loss;
 use parsecureml::observe::traced;
 use parsecureml::prelude::*;
 use parsecureml::{chrome_trace_json, fnv64, weights_digest};
-use psml_tensor::ConvShape;
+use psml_net::codec::{
+    crc32, decode, decode_frame, encode, encode_frame, encode_stream_frame, StreamDecoder,
+};
+use psml_net::Payload;
+use psml_tensor::{ConvShape, Csr, Num};
 use std::path::Path;
 
 const REPORTS_GOLDEN: &str = "tests/golden/default_run_reports.txt";
 const DIGEST_GOLDEN: &str = "tests/golden/train_mlp_synthetic_seed42_digest.txt";
 const ENGINE_PATHS_GOLDEN: &str = "tests/golden/engine_path_reports.txt";
+const WIRE_GOLDEN: &str = "tests/golden/wire_frames.txt";
 
 /// The pinned workload: two secure matmuls per preset — one small shape
 /// the adaptive engine keeps on the CPU, one large enough to offload —
@@ -203,4 +211,72 @@ fn engine_path_reports_are_unchanged() {
         events.len()
     ));
     check_golden(ENGINE_PATHS_GOLDEN, &out, "engine-path RunReport");
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The golden text plus what a receiver of the same records must see.
+#[derive(Default)]
+struct WirePin {
+    lines: String,
+    /// Every stream record, concatenated in send order.
+    stream: Vec<u8>,
+    sent: Vec<(u64, Vec<u8>)>,
+}
+
+impl WirePin {
+    /// Adds `encode_frame` and `encode_stream_frame` of `p`'s encoding at
+    /// each pinned sequence number, and decodes each frame back to `p`.
+    fn case<R: Num + std::fmt::Debug + PartialEq>(&mut self, name: &str, p: Payload<R>) {
+        let body = encode(&p);
+        for seq in [0, 1, u64::MAX - 1] {
+            let frame = encode_frame(seq, &body);
+            let record = encode_stream_frame(seq, &body);
+            self.lines += &format!("frame {name} seq={seq} {}\n", hex(&frame));
+            self.lines += &format!("stream {name} seq={seq} {}\n", hex(&record));
+            let (got_seq, got_body) = decode_frame(&frame).unwrap();
+            assert_eq!(got_seq, seq, "{name}");
+            assert_eq!(decode::<R>(got_body).unwrap(), p, "{name} seq={seq}");
+            self.stream.extend_from_slice(&record);
+            self.sent.push((seq, body.clone()));
+        }
+    }
+}
+
+/// Absolute pin for every byte `psml_net::codec` puts on a link or a
+/// socket. The fixtures and sequence numbers are part of the pin.
+#[test]
+fn wire_frames_are_unchanged() {
+    let mut pin = WirePin::default();
+    let counter: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
+    for (name, bytes) in [("empty", &b""[..]), ("check", b"123456789"), ("counter4k", &counter)] {
+        pin.lines += &format!("crc32 {name} {:08x}\n", crc32(bytes));
+    }
+    let dense_fixed = Matrix::from_fn(3, 5, |r, c| Fixed64::encode(r as f64 - 0.25 * c as f64));
+    let dense_f32 = Matrix::from_fn(2, 3, |r, c| r as f32 * 1.5 - 0.125 * c as f32);
+    let mut delta = Matrix::<Fixed64>::zeros(4, 4);
+    delta[(0, 1)] = Fixed64(77);
+    delta[(3, 3)] = Fixed64(u64::MAX);
+    pin.case("dense_fixed64_3x5", Payload::Dense(dense_fixed));
+    pin.case("dense_f32_2x3", Payload::Dense(dense_f32));
+    pin.case("csr_fixed64_4x4", Payload::SparseDelta(Csr::from_dense(&delta)));
+    pin.case(
+        "control_utf8",
+        Payload::<Fixed64>::Control("epoch:3 \u{03b4}=\u{2713}".to_string()),
+    );
+    pin.case("dense_fixed64_0x0", Payload::Dense(Matrix::<Fixed64>::zeros(0, 0)));
+    check_golden(WIRE_GOLDEN, &pin.lines, "wire bytes");
+
+    let mut decoder = StreamDecoder::new();
+    let mut received = Vec::new();
+    for piece in pin.stream.chunks(7) {
+        decoder.push(piece);
+        while let Some(frame) = decoder.next_frame() {
+            received.push(frame.unwrap());
+        }
+    }
+    assert_eq!(received, pin.sent);
+    assert_eq!((decoder.resyncs(), decoder.buffered()), (0, 0));
 }
