@@ -14,21 +14,23 @@
 /// `WRAPPING_U64` trait contract (`tensor::num`), the AMX tile-unit
 /// configuration and inline-asm kernel of the limb-split quantized path
 /// (`tensor::quant`), the scoped-job lifetime transmute
-/// (`parallel::pool`), and the `Fixed64` ring carrier's `unsafe impl Num`
-/// (`mpc::fixed`).
+/// (`parallel::pool`), the `Fixed64` ring carrier's `unsafe impl Num`
+/// (`mpc::fixed`), and the feature-detected call into the PCLMULQDQ CRC
+/// fold (`net-sim::crc`).
 pub const UNSAFE_MODULES: &[&str] = &[
     "tensor::gemm",
     "tensor::num",
     "tensor::quant",
     "parallel::pool",
     "mpc::fixed",
+    "net-sim::crc",
 ];
 
 /// Crates that contain an allowlisted unsafe module. Their roots must
 /// carry `#![deny(unsafe_op_in_unsafe_fn)]` (every unsafe operation gets
 /// its own block and justification); every *other* crate root must carry
 /// `#![forbid(unsafe_code)]`.
-pub const UNSAFE_CRATES: &[&str] = &["tensor", "parallel", "mpc"];
+pub const UNSAFE_CRATES: &[&str] = &["tensor", "parallel", "mpc", "net-sim"];
 
 /// Modules sanctioned to construct `Mt19937` generators. Protocol share
 /// masking must draw from the engine's seed-derived generator (replay

@@ -23,8 +23,22 @@
 //! ```
 //! CRC-32 (IEEE polynomial) detects *every* single-bit error and all
 //! burst errors up to 32 bits, which covers the bit-flip fault model in
-//! [`crate::fault`].
+//! [`crate::fault`]. The checksum lives in `crate::crc`: a byte-wise table
+//! walk everywhere, carry-less-multiply folding for inputs of 64 bytes and
+//! more on x86-64 hosts that report `pclmulqdq` + `sse4.1`. Both compute
+//! the same polynomial remainder, so which one ran is invisible in the
+//! bytes; every frame is sealed by its sender and verified by its
+//! receiver either way.
+//!
+//! A frame is built in one buffer: [`encode_framed`] reserves the header,
+//! serializes the payload straight behind it and patches the checksum in.
+//! [`encode_frame`] and [`encode_stream_frame`] wrap already-encoded bytes
+//! through the same seal routine. [`payload_bytes`] gives the encoded
+//! length without encoding, so a sender can be charged (and refused)
+//! before any serialization work.
 
+pub use crate::crc::crc32;
+use crate::crc::crc32_update;
 use crate::message::Payload;
 use psml_tensor::{Csr, Matrix, Num};
 
@@ -62,6 +76,12 @@ pub enum CodecError {
         /// Sequence number claimed by the frame header.
         seq: u64,
     },
+    /// Send side: the payload does not fit one stream record (see
+    /// [`fits_stream_frame`]), so no peer could ever accept it.
+    TooLarge {
+        /// Length of the refused payload, in bytes.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -77,48 +97,14 @@ impl std::fmt::Display for CodecError {
             CodecError::Checksum { seq } => {
                 write!(f, "frame {seq} failed checksum verification")
             }
+            CodecError::TooLarge { len } => {
+                write!(f, "payload of {len} bytes does not fit one stream record")
+            }
         }
     }
 }
 
 impl std::error::Error for CodecError {}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// Feeds `bytes` into a running CRC-32 register (`!0` when fresh; the
-/// finished checksum is the register's complement). The only walk of
-/// [`CRC32_TABLE`].
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ CRC32_TABLE[((state ^ b as u32) & 0xFF) as usize];
-    }
-    state
-}
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(!0, bytes)
-}
 
 /// Size of the sealed-body header: seq (8) + crc32 (4).
 const BODY_HEADER_BYTES: usize = 12;
@@ -129,12 +115,17 @@ fn body_crc(seq_le: &[u8], payload: &[u8]) -> [u8; 4] {
 }
 
 /// Appends the part an in-memory frame and a stream record share —
-/// `seq | crc32(seq || payload) | payload` — to `out`.
-fn seal_body(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
-    let seq_le = seq.to_le_bytes();
-    out.extend_from_slice(&seq_le);
-    out.extend_from_slice(&body_crc(&seq_le, payload));
-    out.extend_from_slice(payload);
+/// `seq | crc32(seq || payload) | payload` — to `out`. `put_payload`
+/// appends the payload bytes in place; the checksum is patched in behind
+/// it, so the payload is written exactly once.
+fn seal_body(out: &mut Vec<u8>, seq: u64, put_payload: impl FnOnce(&mut Vec<u8>)) {
+    let body = out.len();
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    put_payload(out);
+    let (header, payload) = out[body..].split_at_mut(BODY_HEADER_BYTES);
+    let (seq_le, stored) = header.split_at_mut(8);
+    stored.copy_from_slice(&body_crc(seq_le, payload));
 }
 
 /// Splits a sealed body (at least [`BODY_HEADER_BYTES`] long) into its
@@ -153,7 +144,16 @@ fn open_body(body: &[u8]) -> Result<(u64, &[u8]), CodecError> {
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     frame.extend_from_slice(&FRAME_MAGIC);
-    seal_body(&mut frame, seq, payload);
+    seal_body(&mut frame, seq, |out| out.extend_from_slice(payload));
+    frame
+}
+
+/// Serializes `payload` and frames it in one buffer: byte-for-byte
+/// `encode_frame(seq, &encode(payload))` without the intermediate copy.
+pub fn encode_framed<R: Num>(seq: u64, payload: &Payload<R>) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload_bytes(payload));
+    frame.extend_from_slice(&FRAME_MAGIC);
+    seal_body(&mut frame, seq, |out| encode_into(out, payload));
     frame
 }
 
@@ -243,35 +243,50 @@ pub const fn dense_payload_bytes<R: Num>(rows: usize, cols: usize) -> usize {
     9 + rows * cols * R::BYTES
 }
 
-/// Serializes a payload into its wire bytes.
-pub fn encode<R: Num>(payload: &Payload<R>) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Exact length of [`encode`]`(payload)`, computed without encoding.
+pub fn payload_bytes<R: Num>(payload: &Payload<R>) -> usize {
+    match payload {
+        Payload::Dense(m) => dense_payload_bytes::<R>(m.rows(), m.cols()),
+        Payload::SparseDelta(c) => {
+            let (row_ptr, col_idx, values) = c.raw_parts();
+            13 + (row_ptr.len() + col_idx.len()) * 4 + values.len() * R::BYTES
+        }
+        Payload::Control(s) => 5 + s.len(),
+    }
+}
+
+/// Appends a payload's wire bytes to `buf`.
+fn encode_into<R: Num>(buf: &mut Vec<u8>, payload: &Payload<R>) {
     match payload {
         Payload::Dense(m) => {
-            buf.reserve(9 + m.len() * R::BYTES);
             buf.push(TAG_DENSE);
-            put_u32_le(&mut buf, m.rows() as u32);
-            put_u32_le(&mut buf, m.cols() as u32);
-            put_slice(&mut buf, m.as_slice(), R::BYTES, R::to_bits64);
+            put_u32_le(buf, m.rows() as u32);
+            put_u32_le(buf, m.cols() as u32);
+            put_slice(buf, m.as_slice(), R::BYTES, R::to_bits64);
         }
         Payload::SparseDelta(c) => {
             let (rows, cols) = c.shape();
             let (row_ptr, col_idx, values) = c.raw_parts();
-            buf.reserve(13 + (row_ptr.len() + col_idx.len()) * 4 + values.len() * R::BYTES);
             buf.push(TAG_SPARSE);
-            put_u32_le(&mut buf, rows as u32);
-            put_u32_le(&mut buf, cols as u32);
-            put_u32_le(&mut buf, values.len() as u32);
-            put_slice(&mut buf, row_ptr, 4, u64::from);
-            put_slice(&mut buf, col_idx, 4, u64::from);
-            put_slice(&mut buf, values, R::BYTES, R::to_bits64);
+            put_u32_le(buf, rows as u32);
+            put_u32_le(buf, cols as u32);
+            put_u32_le(buf, values.len() as u32);
+            put_slice(buf, row_ptr, 4, u64::from);
+            put_slice(buf, col_idx, 4, u64::from);
+            put_slice(buf, values, R::BYTES, R::to_bits64);
         }
         Payload::Control(s) => {
             buf.push(TAG_CONTROL);
-            put_u32_le(&mut buf, s.len() as u32);
+            put_u32_le(buf, s.len() as u32);
             buf.extend_from_slice(s.as_bytes());
         }
     }
+}
+
+/// Serializes a payload into its wire bytes.
+pub fn encode<R: Num>(payload: &Payload<R>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(payload_bytes(payload));
+    encode_into(&mut buf, payload);
     buf
 }
 
@@ -342,13 +357,25 @@ pub const STREAM_HEADER_BYTES: usize = 8;
 /// never completes; anything larger is treated as line noise and skipped.
 pub const MAX_STREAM_FRAME_BYTES: usize = 1 << 28;
 
-/// Wraps encoded payload bytes in a length-delimited stream record.
+/// True when a payload of `payload_len` bytes fits one stream record:
+/// the body (`seq | crc | payload`) must not exceed
+/// [`MAX_STREAM_FRAME_BYTES`], beyond which a [`StreamDecoder`] treats the
+/// length field as line noise.
+pub const fn fits_stream_frame(payload_len: usize) -> bool {
+    payload_len <= MAX_STREAM_FRAME_BYTES - BODY_HEADER_BYTES
+}
+
+/// Wraps encoded payload bytes in a length-delimited stream record. The
+/// payload must satisfy [`fits_stream_frame`]; senders check it first
+/// ([`crate::supervise::Supervisor::send`] refuses with
+/// [`CodecError::TooLarge`]).
 pub fn encode_stream_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
+    debug_assert!(fits_stream_frame(payload.len()), "oversize stream payload");
     let body_len = BODY_HEADER_BYTES + payload.len();
     let mut rec = Vec::with_capacity(STREAM_HEADER_BYTES + body_len);
     rec.extend_from_slice(&FRAME_MAGIC);
     rec.extend_from_slice(&(body_len as u32).to_le_bytes());
-    seal_body(&mut rec, seq, payload);
+    seal_body(&mut rec, seq, |out| out.extend_from_slice(payload));
     rec
 }
 
@@ -465,6 +492,7 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psml_mpc::Fixed64;
 
     fn dense() -> Payload<f32> {
         Payload::Dense(Matrix::from_fn(3, 5, |r, c| (r as f32) - 0.25 * c as f32))
@@ -504,6 +532,25 @@ mod tests {
         let p = sparse();
         let bytes = encode(&p);
         assert_eq!(bytes.len(), 1 + 12 + 5 * 4 + 2 * 4 + 2 * 8);
+    }
+
+    #[test]
+    fn payload_bytes_is_the_encoded_length() {
+        fn check<R: Num>(p: Payload<R>) {
+            assert_eq!(payload_bytes(&p), encode(&p).len());
+        }
+        check(dense());
+        check(Payload::<f32>::Dense(Matrix::zeros(0, 7)));
+        let ring = Matrix::from_fn(5, 3, |r, c| Fixed64((r * 3 + c) as u64));
+        check(Payload::Dense(ring));
+        check(sparse());
+        let mut delta = Matrix::<Fixed64>::zeros(6, 2);
+        delta[(4, 1)] = Fixed64(9);
+        check(Payload::SparseDelta(Csr::from_dense(&delta)));
+        let unchanged = Csr::from_dense(&Matrix::<f32>::zeros(3, 3));
+        check(Payload::SparseDelta(unchanged));
+        check(Payload::<f32>::Control(String::new()));
+        check(Payload::<Fixed64>::Control("epoch:3 \u{03b4}".to_string()));
     }
 
     #[test]
@@ -561,13 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn frame_roundtrip_preserves_seq_and_payload() {
         let payload = encode(&dense());
         let frame = encode_frame(42, &payload);
@@ -579,16 +619,34 @@ mod tests {
 
     #[test]
     fn frame_rejects_every_single_bit_flip() {
-        let payload = encode(&Payload::<f32>::Control("integrity".into()));
-        let frame = encode_frame(7, &payload);
-        for bit in 0..frame.len() * 8 {
-            let mut bad = frame.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(
-                decode_frame(&bad).is_err(),
-                "flip of bit {bit} went undetected"
-            );
+        // A 30-byte control frame (table-walk checksum) and a 285-byte
+        // dense frame (long enough for the folded checksum tier).
+        let wide = Matrix::from_fn(3, 23, |r, c| (r as f32) - 0.25 * c as f32);
+        let frames = [
+            encode_framed(7, &Payload::<f32>::Control("integrity".into())),
+            encode_framed(8, &Payload::Dense(wide)),
+        ];
+        assert!(frames[0].len() < 64 && frames[1].len() >= 256);
+        for frame in &frames {
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    decode_frame(&bad).is_err(),
+                    "flip of bit {bit} of a {}-byte frame went undetected",
+                    frame.len()
+                );
+            }
         }
+    }
+
+    #[test]
+    fn stream_payload_bound_is_exact() {
+        // seq (8) + crc (4) + payload must not exceed the decoder's limit.
+        assert!(fits_stream_frame(0));
+        assert!(fits_stream_frame(MAX_STREAM_FRAME_BYTES - 12));
+        assert!(!fits_stream_frame(MAX_STREAM_FRAME_BYTES - 11));
+        assert!(!fits_stream_frame(u32::MAX as usize + 1));
     }
 
     #[test]

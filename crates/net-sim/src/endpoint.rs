@@ -225,15 +225,18 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         payload: &Payload<R>,
         now: SimTime,
     ) -> Result<SimTime, NetError> {
-        let payload_bytes = codec::encode(payload);
+        // Charge first: the wire length is known without encoding, so a
+        // refused send (`SelfSend`) costs no serialization work.
+        let wire_bytes = codec::FRAME_HEADER_BYTES + codec::payload_bytes(payload);
         let (seq, start, done) = self.charge_send(
             to,
             payload.kind(),
-            codec::FRAME_HEADER_BYTES + payload_bytes.len(),
+            wire_bytes,
             payload.dense_equivalent_bytes(),
             now,
         )?;
-        let mut bytes = codec::encode_frame(seq, &payload_bytes);
+        let mut bytes = codec::encode_framed(seq, payload);
+        debug_assert_eq!(bytes.len(), wire_bytes, "charged length != framed length");
         let mut available_at = done;
         if let Some(injector) = self.faults.as_mut() {
             match injector.judge(self.id, to, start) {

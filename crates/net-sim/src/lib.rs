@@ -1,4 +1,5 @@
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 //! Inter-node communication substrate for ParSecureML-rs.
 //!
 //! The paper's deployment is a three-node cluster — one client and two
@@ -31,6 +32,7 @@
 
 pub mod codec;
 pub mod compress;
+mod crc;
 pub mod endpoint;
 pub mod fault;
 pub mod message;

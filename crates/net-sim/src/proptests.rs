@@ -1,8 +1,8 @@
 //! Property-based tests over the network substrate.
 
 use crate::codec::{
-    decode, decode_frame, encode, encode_frame, encode_stream_frame, StreamDecoder,
-    STREAM_HEADER_BYTES,
+    decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
+    StreamDecoder, STREAM_HEADER_BYTES,
 };
 use crate::compress::{DeltaDecoder, DeltaEncoder};
 use crate::endpoint::build_network;
@@ -145,11 +145,13 @@ proptest! {
     }
 
     /// Frame + payload round-trip: the full wire path (payload codec inside
-    /// a checksummed frame) is lossless for arbitrary matrices.
+    /// a checksummed frame) is lossless for arbitrary matrices, and the
+    /// one-buffer sender path produces the same frame.
     #[test]
     fn framed_payload_roundtrip(m in matrices(), seq in any::<u64>()) {
         let p = Payload::Dense(m);
         let frame = encode_frame(seq, &encode(&p));
+        prop_assert_eq!(&encode_framed(seq, &p), &frame);
         let (got_seq, body) = decode_frame(&frame).unwrap();
         prop_assert_eq!(got_seq, seq);
         prop_assert_eq!(decode::<u64>(body).unwrap(), p);

@@ -37,7 +37,7 @@
 //! It is exempted from the determinism rule by
 //! `DETERMINISM_EXEMPT_MODULES` in psml-lint.
 
-use crate::codec::{encode_stream_frame, StreamDecoder};
+use crate::codec::{encode_stream_frame, fits_stream_frame, CodecError, StreamDecoder};
 use crate::endpoint::NetError;
 use crate::message::NodeId;
 use crate::reliable::RetryPolicy;
@@ -388,7 +388,14 @@ impl Supervisor {
     /// a frame outstanding across a peer *restart* is dropped by design
     /// (the session layer resynchronizes restarted processes from
     /// checkpoints, making pre-crash traffic moot).
+    ///
+    /// A payload too large for one stream record is refused up front with
+    /// [`CodecError::TooLarge`]: the peer's decoder would discard it as
+    /// line noise, so journaling it could only end in `PeerDead`.
     pub fn send(&mut self, to: NodeId, payload: &[u8]) -> Result<(), NetError> {
+        if !fits_stream_frame(payload.len()) {
+            return Err(NetError::Codec(CodecError::TooLarge { len: payload.len() }));
+        }
         let start = Instant::now();
         let (seq, mut reset_marker) = self.enqueue(to, payload);
         let mut record = encode_stream_frame(seq, payload);

@@ -30,7 +30,8 @@ use parsecureml::observe::traced;
 use parsecureml::prelude::*;
 use parsecureml::{chrome_trace_json, fnv64, weights_digest};
 use psml_net::codec::{
-    crc32, decode, decode_frame, encode, encode_frame, encode_stream_frame, StreamDecoder,
+    crc32, decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
+    payload_bytes, StreamDecoder,
 };
 use psml_net::Payload;
 use psml_tensor::{ConvShape, Csr, Num};
@@ -229,10 +230,13 @@ struct WirePin {
 impl WirePin {
     /// Adds `encode_frame` and `encode_stream_frame` of `p`'s encoding at
     /// each pinned sequence number, and decodes each frame back to `p`.
+    /// The one-buffer `encode_framed` must give the pinned frame too.
     fn case<R: Num + std::fmt::Debug + PartialEq>(&mut self, name: &str, p: Payload<R>) {
         let body = encode(&p);
+        assert_eq!(payload_bytes(&p), body.len(), "{name}");
         for seq in [0, 1, u64::MAX - 1] {
             let frame = encode_frame(seq, &body);
+            assert_eq!(encode_framed(seq, &p), frame, "{name} seq={seq}");
             let record = encode_stream_frame(seq, &body);
             self.lines += &format!("frame {name} seq={seq} {}\n", hex(&frame));
             self.lines += &format!("stream {name} seq={seq} {}\n", hex(&record));
