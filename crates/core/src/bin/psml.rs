@@ -86,29 +86,6 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn parse_model(s: &str) -> Option<ModelKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "cnn" => ModelKind::Cnn,
-        "mlp" => ModelKind::Mlp,
-        "rnn" => ModelKind::Rnn,
-        "linear" => ModelKind::Linear,
-        "logistic" => ModelKind::Logistic,
-        "svm" => ModelKind::Svm,
-        _ => return None,
-    })
-}
-
-fn parse_dataset(s: &str) -> Option<DatasetKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "mnist" => DatasetKind::Mnist,
-        "vggface2" => DatasetKind::VggFace2,
-        "nist" => DatasetKind::Nist,
-        "cifar10" | "cifar-10" => DatasetKind::Cifar10,
-        "synthetic" => DatasetKind::Synthetic,
-        _ => return None,
-    })
-}
-
 fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_else(|| usage());
@@ -156,14 +133,16 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--model" => {
                 let v = argv.next().unwrap_or_else(|| usage());
-                args.model = parse_model(&v).unwrap_or_else(|| {
+                args.model = ModelKind::from_token(&v.to_ascii_lowercase()).unwrap_or_else(|| {
                     eprintln!("unknown model '{v}'");
                     usage()
                 });
             }
             "--dataset" => {
                 let v = argv.next().unwrap_or_else(|| usage());
-                args.dataset = parse_dataset(&v).unwrap_or_else(|| {
+                // Any case, and `cifar-10` as the paper spells it.
+                let token = v.to_ascii_lowercase().replace("cifar-10", "cifar10");
+                args.dataset = DatasetKind::from_token(&token).unwrap_or_else(|| {
                     eprintln!("unknown dataset '{v}'");
                     usage()
                 });
@@ -181,7 +160,7 @@ fn parse_args() -> Args {
                 args.models = v
                     .split(',')
                     .map(|m| {
-                        parse_model(m.trim()).unwrap_or_else(|| {
+                        ModelKind::from_token(&m.trim().to_ascii_lowercase()).unwrap_or_else(|| {
                             eprintln!("unknown model '{m}' in --models");
                             usage()
                         })
@@ -236,11 +215,7 @@ fn emit(path: Option<&str>, text: &str) {
 
 /// Runs one traced training workload and returns the trainer + events.
 fn traced_train(args: &Args, cfg: EngineConfig) -> (SecureTrainer<Fixed64>, Vec<TraceEvent>) {
-    let mut trainer =
-        SecureTrainer::<Fixed64>::new(cfg, spec_of(args), args.seed).unwrap_or_else(|e| {
-            eprintln!("trainer: {e}");
-            exit(1);
-        });
+    let mut trainer = trainer_of(args, cfg);
     let (result, events) = traced(|| {
         trainer.train_epochs(args.dataset, args.batch, args.batches, args.epochs, args.seed)
     });
@@ -262,20 +237,18 @@ fn config_of(args: &Args) -> EngineConfig {
         .with_client_aided_activation(args.client_aided)
 }
 
-fn spec_of(args: &Args) -> ModelSpec {
-    spec_for(args.model, args.dataset)
+/// The paper's `--model` on `--dataset` under `cfg`, or exit.
+fn trainer_of(args: &Args, cfg: EngineConfig) -> SecureTrainer<Fixed64> {
+    let spec = spec_for(args.model, args.dataset);
+    SecureTrainer::new(cfg, spec, args.seed).unwrap_or_else(|e| {
+        eprintln!("trainer: {e}");
+        exit(1);
+    })
 }
 
 fn spec_for(model: ModelKind, dataset: DatasetKind) -> ModelSpec {
-    let spec = dataset.spec();
-    ModelSpec::build(
-        model,
-        spec.features(),
-        Some((spec.channels, spec.height, spec.width)),
-        spec.classes,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot build {} on {}: {e}", model.name(), spec.name);
+    ModelSpec::for_dataset(model, dataset).unwrap_or_else(|e| {
+        eprintln!("cannot build {} on {}: {e}", model.name(), dataset.spec().name);
         exit(1);
     })
 }
@@ -449,8 +422,8 @@ fn main() {
     let args = parse_args();
     match args.cmd.as_str() {
         "models" => {
-            println!("models  : cnn mlp rnn linear logistic svm");
-            println!("datasets: mnist vggface2 nist cifar10 synthetic");
+            println!("models  : {}", ModelKind::ALL.map(ModelKind::token).join(" "));
+            println!("datasets: {}", DatasetKind::ALL.map(DatasetKind::token).join(" "));
             for d in DatasetKind::ALL {
                 let s = d.spec();
                 println!(
@@ -460,12 +433,7 @@ fn main() {
             }
         }
         "train" => {
-            let mut trainer =
-                SecureTrainer::<Fixed64>::new(config_of(&args), spec_of(&args), args.seed)
-                    .unwrap_or_else(|e| {
-                        eprintln!("trainer: {e}");
-                        exit(1);
-                    });
+            let mut trainer = trainer_of(&args, config_of(&args));
             let result = trainer
                 .train_epochs(args.dataset, args.batch, args.batches, args.epochs, args.seed)
                 .unwrap_or_else(|e| {
@@ -491,12 +459,7 @@ fn main() {
             print_report(&result.report);
         }
         "infer" => {
-            let mut trainer =
-                SecureTrainer::<Fixed64>::new(config_of(&args), spec_of(&args), args.seed)
-                    .unwrap_or_else(|e| {
-                        eprintln!("trainer: {e}");
-                        exit(1);
-                    });
+            let mut trainer = trainer_of(&args, config_of(&args));
             let result = trainer
                 .evaluate(args.dataset, args.batch, args.batches, args.seed)
                 .unwrap_or_else(|e| {
@@ -570,11 +533,7 @@ fn main() {
         }
         "bench" => {
             let run = |cfg: EngineConfig| {
-                let mut t = SecureTrainer::<Fixed64>::new(cfg, spec_of(&args), args.seed)
-                    .unwrap_or_else(|e| {
-                        eprintln!("trainer: {e}");
-                        exit(1);
-                    });
+                let mut t = trainer_of(&args, cfg);
                 t.train_epochs(args.dataset, args.batch, args.batches, args.epochs, args.seed)
                     .map(|r| r.report)
                     .unwrap_or_else(|e| {

@@ -38,9 +38,10 @@ use crate::provider::TripleProvider;
 use crate::report::{PhaseBreakdown, RunReport};
 use psml_gpu::kernels::device_random;
 use psml_gpu::{GemmMode, GpuDevice, GpuElement, GpuError};
+use psml_mpc::protocol::{finish, finish_hadamard, finish_packed, mask, reconstruct_public};
 use psml_mpc::{
-    gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing,
-    ServerMulSession, TripleShare, TripleSpec,
+    gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing, TripleShare,
+    TripleSpec,
 };
 use psml_net::{
     build_network, DeltaDecoder, DeltaEncoder, Endpoint, FaultCounters, NetError, NodeId, Packet,
@@ -51,6 +52,7 @@ use psml_simtime::{Resource, SimDuration, SimTime};
 use psml_tensor::{gemm_auto, pack_b_auto, AutoPackedB, ConvShape, Matrix};
 use psml_trace::{ns_of_secs, Phase, TraceEvent, TraceSink};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Layer index encoded in a stream key (`"l3.fwd"` -> `Some(3)`).
 fn layer_of_key(key: &str) -> Option<u32> {
@@ -179,7 +181,7 @@ impl<R: SecureRing> SharedMatrix<R> {
 }
 
 /// A distributed Beaver triple: each server's `TripleShare` with readiness.
-#[derive(Clone)]
+/// Not `Clone`: multiplications borrow it, the reuse cache shares an `Rc`.
 pub struct DistTriple<R: SecureRing> {
     shares: [Timed<TripleShare<R>>; 2],
     dims: (usize, usize, usize),
@@ -238,16 +240,17 @@ impl<R: SecureRing + GpuElement> Wire<R> {
         Ok(self.reliable.transfer(snd, from_clock, rcv, to_clock, payload)?)
     }
 
-    /// [`Wire::ship`] of one dense matrix: what arrived, and when.
+    /// [`Wire::ship`] where a dense matrix must land: what arrived, and
+    /// when. The sender's copy stays in `payload`, to keep or to drop.
     fn ship_dense(
         &mut self,
         from: NodeId,
         from_clock: &mut SimTime,
         to: NodeId,
         to_clock: &mut SimTime,
-        m: Matrix<R>,
+        payload: &Payload<R>,
     ) -> Result<Timed<Matrix<R>>> {
-        let pkt = self.ship(from, from_clock, to, to_clock, &Payload::Dense(m))?;
+        let pkt = self.ship(from, from_clock, to, to_clock, payload)?;
         match pkt.payload {
             Payload::Dense(v) => Ok(Timed {
                 v,
@@ -322,7 +325,7 @@ pub struct SecureContext<R: SecureRing + GpuElement> {
     /// Interned call-site keys; protocol hot paths key caches and
     /// compression streams on the `u32` id, never on a fresh `String`.
     site_names: HashMap<String, u32>,
-    triple_cache: HashMap<(u32, TripleSpec), DistTriple<R>>,
+    triple_cache: HashMap<(u32, TripleSpec), Rc<DistTriple<R>>>,
     /// How many multiplications were served a *cached* triple (only ever
     /// non-zero under `insecure_reuse_triples`; surfaces as a
     /// [`RunReport::warnings`] entry).
@@ -481,30 +484,36 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     }
 
     /// Distributes a share pair to the two servers and advances offline
-    /// accounting; the servers then hold it, ready at online zero (their
-    /// online clocks are not advanced). When the material is already
-    /// `held` there — prefetch derives it server-side — only the identical
-    /// fault-free wire time is charged, no payload bytes move: that
-    /// elision *is* the prefetch pipeline's host-side win.
-    fn distribute(&mut self, shares: [&Matrix<R>; 2], held: bool) -> Result<()> {
+    /// accounting; returns what the servers then hold — the matrices that
+    /// *landed* — ready at online zero (their online clocks are not
+    /// advanced). When the material is already `held` there — prefetch
+    /// derives it server-side — only the identical fault-free wire time is
+    /// charged, no payload bytes move: that elision *is* the prefetch
+    /// pipeline's host-side win.
+    fn distribute(&mut self, shares: [Matrix<R>; 2], held: bool) -> Result<[Matrix<R>; 2]> {
         let start = self.client.now;
         let mut arrive = SimTime::ZERO;
-        for (share, to) in shares.into_iter().zip(SERVER) {
+        let mut send_to = |to: NodeId, share: Matrix<R>| -> Result<Matrix<R>> {
             let (now, mut srv_clock) = (&mut self.client.now, SimTime::ZERO);
-            let landed_at = if held {
+            let landed = if held {
                 let (rows, cols) = share.shape();
-                self.wire.ship_accounted(NodeId::Client, now, to, &mut srv_clock, rows, cols)?
+                let ready =
+                    self.wire.ship_accounted(NodeId::Client, now, to, &mut srv_clock, rows, cols)?;
+                Timed { v: share, ready }
             } else {
-                let sent = share.clone();
-                let landed = self.wire.ship_dense(NodeId::Client, now, to, &mut srv_clock, sent)?;
-                debug_assert_eq!(&landed.v, share);
-                landed.ready
+                let sent = Payload::Dense(share);
+                let landed = self.wire.ship_dense(NodeId::Client, now, to, &mut srv_clock, &sent)?;
+                debug_assert!(matches!(&sent, Payload::Dense(m) if *m == landed.v));
+                landed
             };
-            arrive = arrive.max(landed_at);
-        }
+            arrive = arrive.max(landed.ready);
+            Ok(landed.v)
+        };
+        let [to_s0, to_s1] = shares;
+        let landed = [send_to(SERVER[0], to_s0)?, send_to(SERVER[1], to_s1)?];
         self.breakdown.distribution += arrive.saturating_since(start.min(arrive));
         self.offline_end = self.offline_end.max(arrive).max(self.client.now);
-        Ok(())
+        Ok(landed)
     }
 
     /// Offline: encodes a client plaintext and distributes its two shares
@@ -516,7 +525,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let mask = self.client_random(m.rows(), m.cols())?;
         self.client_cpu(2 * secret.byte_size());
         let other = secret.sub(&mask);
-        self.distribute([&mask, &other], false)?;
+        let landed = self.distribute([mask, other], false)?;
         trace_phase(
             "share_input",
             Phase::Offline,
@@ -527,7 +536,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             None,
             2 * m.rows() * m.cols() * R::BYTES,
         );
-        Ok(SharedMatrix::new([mask, other].map(Timed::at_zero)))
+        Ok(SharedMatrix::new(landed.map(Timed::at_zero)))
     }
 
     /// Offline: generates one Beaver triple for an `(m x k) * (k x n)`
@@ -592,9 +601,10 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let (s0, s1) = triple.into_shares();
         // Prefetched material is already server-side.
         let held = self.provider.is_some();
-        for pair in [[&s0.u, &s1.u], [&s0.v, &s1.v], [&s0.z, &s1.z]] {
-            self.distribute(pair, held)?;
-        }
+        let [u0, u1] = self.distribute([s0.u, s1.u], held)?;
+        let [v0, v1] = self.distribute([s0.v, s1.v], held)?;
+        let [z0, z1] = self.distribute([s0.z, s1.z], held)?;
+        let shares = [(u0, v0, z0), (u1, v1, z1)].map(|(u, v, z)| TripleShare { u, v, z });
         let dims = spec.dims();
         trace_phase(
             "gen_triple",
@@ -607,7 +617,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             2 * (dims.0 * dims.1 + dims.1 * dims.2 + dims.0 * dims.2) * R::BYTES,
         );
         Ok(DistTriple {
-            shares: [s0, s1].map(Timed::at_zero),
+            shares: shares.map(Timed::at_zero),
             dims,
         })
     }
@@ -620,17 +630,18 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     /// compressed-transmission design, and a deliberate information
     /// leak; see DESIGN.md). The offline cost is then paid once per call
     /// site. Without it, every multiplication consumes a fresh triple —
-    /// which is what the prefetch pipeline provisions ahead of time.
-    fn triple_for(&mut self, site: u32, spec: TripleSpec) -> Result<DistTriple<R>> {
+    /// which is what the prefetch pipeline provisions ahead of time. The
+    /// cache and the multiplication share one allocation.
+    fn triple_for(&mut self, site: u32, spec: TripleSpec) -> Result<Rc<DistTriple<R>>> {
         if !self.cfg.insecure_reuse_triples {
-            return self.provision_triple(spec);
+            return self.provision_triple(spec).map(Rc::new);
         }
         if let Some(cached) = self.triple_cache.get(&(site, spec)) {
             self.triple_reuses += 1;
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
-        let fresh = self.provision_triple(spec)?;
-        self.triple_cache.insert((site, spec), fresh.clone());
+        let fresh = Rc::new(self.provision_triple(spec)?);
+        self.triple_cache.insert((site, spec), Rc::clone(&fresh));
         Ok(fresh)
     }
 
@@ -704,7 +715,6 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         m: &Matrix<R>,
         now: SimTime,
     ) -> Result<Timed<Matrix<R>>> {
-        let j = 1 - i;
         let payload = if self.cfg.compression {
             let enc = self.servers[i]
                 .encoders
@@ -715,11 +725,46 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
                 TransmitForm::Delta(csr) => Payload::SparseDelta(csr),
             }
         } else {
+            // `m` is only lent to us and a `Payload` owns its matrix.
             Payload::Dense(m.clone())
         };
+        self.deliver(i, stream, &payload, now)
+    }
+
+    /// [`SecureContext::transfer_mat`] of a matrix the sender owns and
+    /// keeps: with compression off it rides in the payload for the call
+    /// and is moved back, where a lent one has to be copied.
+    fn transfer_kept(
+        &mut self,
+        i: usize,
+        stream: u64,
+        m: &mut Matrix<R>,
+        now: SimTime,
+    ) -> Result<Timed<Matrix<R>>> {
+        if self.cfg.compression {
+            return self.transfer_mat(i, stream, m, now);
+        }
+        let payload = Payload::Dense(std::mem::replace(m, Matrix::zeros(0, 0)));
+        let landed = self.deliver(i, stream, &payload, now);
+        if let Payload::Dense(sent) = payload {
+            *m = sent;
+        }
+        landed
+    }
+
+    /// The wire half of a transfer: ships `payload` from server `i` at
+    /// `now` and applies what lands to the peer's `stream` decoder.
+    fn deliver(
+        &mut self,
+        i: usize,
+        stream: u64,
+        payload: &Payload<R>,
+        now: SimTime,
+    ) -> Result<Timed<Matrix<R>>> {
+        let j = 1 - i;
         let (mut snd_clock, mut rcv_clock) = (now, SimTime::ZERO);
         let (from, to) = (SERVER[i], SERVER[j]);
-        let pkt = self.wire.ship(from, &mut snd_clock, to, &mut rcv_clock, &payload)?;
+        let pkt = self.wire.ship(from, &mut snd_clock, to, &mut rcv_clock, payload)?;
         let form = match pkt.payload {
             Payload::Dense(m) => TransmitForm::Full(m),
             Payload::SparseDelta(c) => TransmitForm::Delta(c),
@@ -744,9 +789,8 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     }
 
     /// *compute1*, matmul or Hadamard alike: once it holds both operand
-    /// shares and its triple share, each server masks `E_i = A_i - U_i`,
-    /// `F_i = B_i - V_i` in one CPU pass of `dur`. Also returns the earlier
-    /// of the two start instants.
+    /// shares and its triple share, each server runs [`mask`] in one CPU
+    /// pass of `dur`. Also returns the earlier of the two start instants.
     fn mask_operands(
         &mut self,
         a: &SharedMatrix<R>,
@@ -757,29 +801,28 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let (a, b, tri) = (&a.parts, &b.parts, &triple.shares);
         let ready = [0, 1].map(|i| a[i].ready.max(b[i].ready).max(tri[i].ready));
         self.breakdown.compute1 += dur;
-        let masked = self.per_server(ready, dur, |i| {
-            (a[i].v.sub(&tri[i].v.u), b[i].v.sub(&tri[i].v.v))
-        });
+        let masked = self.per_server(ready, dur, |i| mask(&a[i].v, &b[i].v, &tri[i].v));
         (masked, ready[0].min(ready[1]))
     }
 
     /// The exchange of *communicate*: each server ships its masked pair to
-    /// its peer over the site's `chans` streams and adds what it receives,
-    /// so both hold the public `(E, F)` — ready when the later half lands;
-    /// the additions are the caller's to charge.
+    /// its peer over the site's `chans` streams and opens what it receives
+    /// with [`reconstruct_public`], so both hold the public `(E, F)` — ready
+    /// when the later half lands; the additions are the caller's to charge.
     fn exchange_masked(
         &mut self,
         site: u32,
         chans: [u64; 2],
-        masked: &[Masked<R>; 2],
+        mut masked: [Masked<R>; 2],
     ) -> Result<[Masked<R>; 2]> {
         let [on_e, on_f] = chans.map(|chan| stream_id(site, chan));
         let mut open = |i: usize| -> Result<Masked<R>> {
-            let (mine, theirs) = (&masked[i], &masked[1 - i]);
-            let e = self.transfer_mat(1 - i, on_e, &theirs.v.0, theirs.ready)?;
-            let f = self.transfer_mat(1 - i, on_f, &theirs.v.1, theirs.ready)?;
+            let theirs = &mut masked[1 - i];
+            let e = self.transfer_kept(1 - i, on_e, &mut theirs.v.0, theirs.ready)?;
+            let f = self.transfer_kept(1 - i, on_f, &mut theirs.v.1, theirs.ready)?;
+            let mine = &masked[i];
             Ok(Timed {
-                v: (mine.v.0.add(&e.v), mine.v.1.add(&f.v)),
+                v: (reconstruct_public(&mine.v.0, &e.v), reconstruct_public(&mine.v.1, &f.v)),
                 ready: mine.ready.max(e.ready).max(f.ready),
             })
         };
@@ -839,7 +882,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             None,
             0,
         );
-        let mut publics = self.exchange_masked(site, [CHAN_E, CHAN_F], &masked)?;
+        let mut publics = self.exchange_masked(site, [CHAN_E, CHAN_F], masked)?;
         let add_dur = self.cpu_dur(3 * (m * k + k * n) * R::BYTES);
         for (i, public) in publics.iter_mut().enumerate() {
             public.ready = self.server_cpu(i, public.ready, add_dur);
@@ -963,20 +1006,14 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         drop(c1_guard);
         let comm_guard = TraceSink::scope(Phase::Communicate, layer);
         let comm_start = latest(&masked);
-        let publics = self.exchange_masked(site, [CHAN_HAD_E, CHAN_HAD_F], &masked)?;
+        let publics = self.exchange_masked(site, [CHAN_HAD_E, CHAN_HAD_F], masked)?;
         drop(comm_guard);
         let _c2_guard = TraceSink::scope(Phase::Compute2, layer);
         let c2_dur = self.cpu_dur(8 * m * n * R::BYTES);
         let outs = self.per_server([publics[0].ready, publics[1].ready], c2_dur, |i| {
             let (e_pub, f_pub) = &publics[i].v;
-            let party = Party::BOTH[i];
-            let mut c = a.parts[i].v.hadamard(f_pub);
-            c.add_assign(&e_pub.hadamard(&b.parts[i].v));
-            if party == Party::P1 {
-                c.sub_assign(&e_pub.hadamard(f_pub));
-            }
-            c.add_assign(&triple.shares[i].v.z);
-            R::truncate_matrix(&c, party)
+            let z_i = &triple.shares[i].v.z;
+            finish_hadamard(Party::BOTH[i], &a.parts[i].v, &b.parts[i].v, z_i, e_pub, f_pub)
         });
         self.breakdown.compute2 += latest(&outs).saturating_since(comm_start);
         Ok(SharedMatrix::new(outs))
@@ -994,15 +1031,10 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let (m, k, n) = triple.dims;
         let party = Party::BOTH[i];
         let (e_pub, f_pub) = &public.v;
-        let session = ServerMulSession::new(
-            party,
-            a.parts[i].v.clone(),
-            b.parts[i].v.clone(),
-            triple.shares[i].v.clone(),
-        );
+        let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].v.z);
         let c = match (self.cfg.eval_strategy, f_packed) {
-            (EvalStrategy::Fused, Some(fp)) => session.finish_packed_auto(e_pub, fp),
-            (strategy, _) => session.finish(e_pub, f_pub, strategy, gemm_auto),
+            (EvalStrategy::Fused, Some(fp)) => finish_packed(party, a_i, b_i, z_i, e_pub, fp),
+            (strategy, _) => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
         };
         let mut dur = self.cfg.cpu_gemm_time(m, 2 * k, n);
         if matches!(self.cfg.eval_strategy, EvalStrategy::Expanded) && party == Party::P1 {
@@ -1283,13 +1315,10 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let mut collect = |i: usize| -> Result<Timed<Matrix<R>>> {
             let part = &x.parts[i];
             let mut srv_clock = part.ready;
-            let got = self.wire.ship_dense(
-                SERVER[i],
-                &mut srv_clock,
-                NodeId::Client,
-                &mut client_clock,
-                part.v.clone(),
-            )?;
+            // `x` is only lent to us and a `Payload` owns its matrix.
+            let sent = Payload::Dense(part.v.clone());
+            let (from, to) = (SERVER[i], NodeId::Client);
+            let got = self.wire.ship_dense(from, &mut srv_clock, to, &mut client_clock, &sent)?;
             self.servers[i].note(srv_clock);
             Ok(got)
         };
@@ -1324,13 +1353,9 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let mut land = |i: usize, share: Matrix<R>| -> Result<Timed<Matrix<R>>> {
             let mut client_clock = client_done;
             let mut srv_clock = SimTime::ZERO;
-            let landed = self.wire.ship_dense(
-                NodeId::Client,
-                &mut client_clock,
-                SERVER[i],
-                &mut srv_clock,
-                share,
-            )?;
+            let sent = Payload::Dense(share);
+            let (from, to) = (NodeId::Client, SERVER[i]);
+            let landed = self.wire.ship_dense(from, &mut client_clock, to, &mut srv_clock, &sent)?;
             self.servers[i].note(srv_clock.max(landed.ready));
             Ok(landed)
         };
@@ -1653,6 +1678,19 @@ mod tests {
         let warnings = ctx.report().warnings;
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("insecure_reuse_triples"));
+    }
+
+    #[test]
+    fn reuse_cache_hands_out_one_allocation() {
+        let spec = TripleSpec::Gemm { m: 4, k: 4, n: 4 };
+        let mut reuse = ctx(EngineConfig::parsecureml());
+        let site = reuse.site_id("k1");
+        let first = reuse.triple_for(site, spec).unwrap();
+        let again = reuse.triple_for(site, spec).unwrap();
+        assert!(Rc::ptr_eq(&first, &again), "a cache hit must not copy the triple");
+        let mut fresh = ctx(EngineConfig::parsecureml().with_insecure_reuse_triples(false));
+        let first = fresh.triple_for(site, spec).unwrap();
+        assert!(!Rc::ptr_eq(&first, &fresh.triple_for(site, spec).unwrap()));
     }
 
     // Runs matmul + hadamard and returns the revealed values plus the

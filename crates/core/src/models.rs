@@ -50,6 +50,24 @@ impl ModelKind {
             ModelKind::Svm => "SVM",
         }
     }
+
+    /// The lower-case spelling used on command lines and in session
+    /// `begin` frames.
+    pub fn token(self) -> &'static str {
+        match self {
+            ModelKind::Cnn => "cnn",
+            ModelKind::Mlp => "mlp",
+            ModelKind::Rnn => "rnn",
+            ModelKind::Linear => "linear",
+            ModelKind::Logistic => "logistic",
+            ModelKind::Svm => "svm",
+        }
+    }
+
+    /// Inverse of [`ModelKind::token`] (exact match).
+    pub fn from_token(s: &str) -> Option<ModelKind> {
+        Self::ALL.into_iter().find(|k| k.token() == s)
+    }
 }
 
 /// Training loss.
@@ -75,6 +93,13 @@ pub struct ModelSpec {
 }
 
 impl ModelSpec {
+    /// The paper's architecture for `kind` at `dataset`'s geometry.
+    pub fn for_dataset(kind: ModelKind, dataset: psml_data::DatasetKind) -> Result<ModelSpec> {
+        let data = dataset.spec();
+        let image = Some((data.channels, data.height, data.width));
+        ModelSpec::build(kind, data.features(), image, data.classes)
+    }
+
     /// Builds the paper's architecture for `kind` on inputs of
     /// `features` flattened features (with optional image geometry for the
     /// CNN) and `classes` classes.
@@ -360,7 +385,18 @@ mod tests {
             let spec = ModelSpec::build(kind, 784, Some((1, 28, 28)), 10).unwrap();
             assert_eq!(spec.input_features(), 784, "{kind:?}");
             spec.validate().unwrap();
+            let same = ModelSpec::for_dataset(kind, psml_data::DatasetKind::Mnist).unwrap();
+            assert_eq!(format!("{same:?}"), format!("{spec:?}"));
         }
+    }
+
+    #[test]
+    fn model_tokens_roundtrip() {
+        for kind in ModelKind::ALL {
+            assert_eq!(ModelKind::from_token(kind.token()), Some(kind));
+        }
+        assert_eq!(ModelKind::from_token("gpt"), None);
+        assert_eq!(ModelKind::from_token("MLP"), None, "case folding is the CLI's business");
     }
 
     #[test]

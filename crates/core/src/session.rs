@@ -37,7 +37,7 @@ use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::io;
 use crate::models::{ModelKind, ModelSpec};
-use crate::trainer::{SecureTrainer, TrainResult, TrainerCheckpoint};
+use crate::trainer::{non_empty_plan, SecureTrainer, TrainResult, TrainerCheckpoint};
 use psml_data::DatasetKind;
 use psml_mpc::{Fixed64, PlainMatrix};
 use psml_net::{Endpoint, NodeId, Payload, Supervisor, SupervisorConfig, TcpTransport};
@@ -100,50 +100,6 @@ pub struct TrainPlan {
     pub epochs: usize,
     /// User seed (generation 0 seed).
     pub seed: u32,
-}
-
-fn model_token(m: ModelKind) -> &'static str {
-    match m {
-        ModelKind::Cnn => "cnn",
-        ModelKind::Mlp => "mlp",
-        ModelKind::Rnn => "rnn",
-        ModelKind::Linear => "linear",
-        ModelKind::Logistic => "logistic",
-        ModelKind::Svm => "svm",
-    }
-}
-
-fn parse_model_token(s: &str) -> Option<ModelKind> {
-    Some(match s {
-        "cnn" => ModelKind::Cnn,
-        "mlp" => ModelKind::Mlp,
-        "rnn" => ModelKind::Rnn,
-        "linear" => ModelKind::Linear,
-        "logistic" => ModelKind::Logistic,
-        "svm" => ModelKind::Svm,
-        _ => return None,
-    })
-}
-
-fn dataset_token(d: DatasetKind) -> &'static str {
-    match d {
-        DatasetKind::Mnist => "mnist",
-        DatasetKind::VggFace2 => "vggface2",
-        DatasetKind::Nist => "nist",
-        DatasetKind::Cifar10 => "cifar10",
-        DatasetKind::Synthetic => "synthetic",
-    }
-}
-
-fn parse_dataset_token(s: &str) -> Option<DatasetKind> {
-    Some(match s {
-        "mnist" => DatasetKind::Mnist,
-        "vggface2" => DatasetKind::VggFace2,
-        "nist" => DatasetKind::Nist,
-        "cifar10" => DatasetKind::Cifar10,
-        "synthetic" => DatasetKind::Synthetic,
-        _ => return None,
-    })
 }
 
 /// One party's view of how to run a session.
@@ -331,8 +287,8 @@ fn recv_control(ep: &mut Net, from: NodeId) -> Result<String> {
 fn begin_line(run_id: u64, plan: &TrainPlan, generation: u64, start: usize) -> String {
     format!(
         "begin:{run_id}:{}:{}:{}:{}:{}:{}:{generation}:{start}",
-        model_token(plan.model),
-        dataset_token(plan.dataset),
+        plan.model.token(),
+        plan.dataset.token(),
         plan.batch,
         plan.batches,
         plan.epochs,
@@ -348,13 +304,15 @@ fn parse_begin(msg: &str, run_id: u64) -> Option<(TrainPlan, u64, usize)> {
         return None;
     }
     let plan = TrainPlan {
-        model: parse_model_token(parts[2])?,
-        dataset: parse_dataset_token(parts[3])?,
+        model: ModelKind::from_token(parts[2])?,
+        dataset: DatasetKind::from_token(parts[3])?,
         batch: parts[4].parse().ok()?,
         batches: parts[5].parse().ok()?,
         epochs: parts[6].parse().ok()?,
         seed: parts[7].parse().ok()?,
     };
+    // An empty plan would fail every replica's trainer; refuse the frame.
+    non_empty_plan(plan.batch, plan.batches).ok()?;
     Some((plan, parts[8].parse().ok()?, parts[9].parse().ok()?))
 }
 
@@ -398,13 +356,7 @@ fn trainer_for(
     start: usize,
     store: &PartyStore,
 ) -> Result<SecureTrainer<Fixed64>> {
-    let dspec = plan.dataset.spec();
-    let spec = ModelSpec::build(
-        plan.model,
-        dspec.features(),
-        Some((dspec.channels, dspec.height, dspec.width)),
-        dspec.classes,
-    )?;
+    let spec = ModelSpec::for_dataset(plan.model, plan.dataset)?;
     let seed = generation_seed(plan.seed, generation);
     let mut trainer = SecureTrainer::new(EngineConfig::parsecureml(), spec, seed)?;
     if start > 0 {
@@ -450,6 +402,7 @@ fn outcome_of(
 /// epoch barrier, and coordinates rollback when a server process is
 /// killed and restarted mid-run.
 pub fn run_client(cfg: &SessionConfig, plan: &TrainPlan) -> Result<SessionOutcome> {
+    non_empty_plan(plan.batch, plan.batches)?;
     let store = PartyStore::new(&cfg.state_dir)?;
     let run_id = cfg.supervisor.run_id;
     let (mut generation, my_committed, mut losses) =
@@ -847,30 +800,8 @@ mod tests {
         assert_eq!(parse_commit("commit:1:2:zz"), None);
         assert_eq!(parse_digest("final:1:10", "final"), Some((1, 0x10)));
         assert_eq!(parse_digest("done:0:10", "done"), Some((0, 0x10)));
-    }
-
-    #[test]
-    fn model_and_dataset_tokens_roundtrip() {
-        for m in [
-            ModelKind::Cnn,
-            ModelKind::Mlp,
-            ModelKind::Rnn,
-            ModelKind::Linear,
-            ModelKind::Logistic,
-            ModelKind::Svm,
-        ] {
-            assert_eq!(parse_model_token(model_token(m)), Some(m));
-        }
-        for d in [
-            DatasetKind::Mnist,
-            DatasetKind::VggFace2,
-            DatasetKind::Nist,
-            DatasetKind::Cifar10,
-            DatasetKind::Synthetic,
-        ] {
-            assert_eq!(parse_dataset_token(dataset_token(d)), Some(d));
-        }
-        assert_eq!(parse_model_token("gpt"), None);
-        assert_eq!(parse_dataset_token("imagenet"), None);
+        assert!(parse_begin("begin:9:mlp:synthetic:8:1:2:42:0:0", 9).is_some());
+        assert!(parse_begin("begin:9:mlp:synthetic:0:1:2:42:0:0", 9).is_none(), "batch 0");
+        assert!(parse_begin("begin:9:mlp:synthetic:8:0:2:42:0:0", 9).is_none(), "batches 0");
     }
 }

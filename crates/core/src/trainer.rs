@@ -574,6 +574,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         seed: u32,
         mut observer: impl FnMut(&TrainerCheckpoint, f64) -> Result<()>,
     ) -> Result<TrainResult> {
+        non_empty_plan(batch_size, batches)?;
         // Offline: share all inputs once.
         let mut shared = Vec::with_capacity(batches);
         for b in 0..batches {
@@ -593,13 +594,13 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
             for (xs, ys, y, _) in &shared {
                 epoch_loss += self.train_on_shared(xs, ys, y)?;
             }
-            let mean_loss = epoch_loss / batches.max(1) as f64;
+            let mean_loss = epoch_loss / batches as f64;
             losses.push(mean_loss);
             self.last_checkpoint = Some(self.checkpoint(e + 1));
             let ckpt = self.last_checkpoint.as_ref().expect("just set");
             observer(ckpt, mean_loss)?;
         }
-        let (_, _, y_last, x_last) = shared.last().expect("at least one batch");
+        let (_, _, y_last, x_last) = shared.last().expect("batches >= 1 was checked on entry");
         let out = self.infer_plain(x_last)?;
         let accuracy = self.accuracy(&out, y_last);
         Ok(TrainResult {
@@ -669,6 +670,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         batches: usize,
         seed: u32,
     ) -> Result<TrainResult> {
+        non_empty_plan(batch_size, batches)?;
         let mut losses = Vec::with_capacity(batches);
         let mut last_acc = 0.0;
         for b in 0..batches {
@@ -698,8 +700,8 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         batches: usize,
         seed: u32,
     ) -> Result<InferenceResult> {
+        non_empty_plan(batch_size, batches)?;
         let mut correct = 0.0;
-        let mut total = 0.0;
         let mut last = PlainMatrix::zeros(0, 0);
         for b in 0..batches {
             let data = psml_data::batch(dataset, batch_size, b, seed);
@@ -707,13 +709,12 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
             let resp = self
                 .infer_request(&InferRequest::new(data.x).with_tag(b as u64))?;
             correct += self.accuracy(&resp.output, &y) * batch_size as f64;
-            total += batch_size as f64;
             last = resp.output;
         }
         Ok(InferenceResult {
             outputs: last,
             report: self.ctx.report(),
-            accuracy: if total > 0.0 { correct / total } else { 0.0 },
+            accuracy: correct / (batch_size * batches) as f64,
         })
     }
 
@@ -742,6 +743,18 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
             .count();
         correct as f64 / pred.rows() as f64
     }
+}
+
+/// A run over no batches, or over empty ones, has no loss and no last
+/// batch to score: refuse it before anything is shared. Both numbers can
+/// arrive from a command line or a session `begin` frame.
+pub(crate) fn non_empty_plan(batch_size: usize, batches: usize) -> Result<()> {
+    if batch_size == 0 || batches == 0 {
+        return Err(EngineError::Shape(format!(
+            "a run needs at least one batch of at least one sample, got {batches} x {batch_size}"
+        )));
+    }
+    Ok(())
 }
 
 fn argmax(row: &[f64]) -> usize {
@@ -985,6 +998,23 @@ mod tests {
             r1.report.offline_time.as_secs(),
             offline_now.as_secs()
         );
+    }
+
+    #[test]
+    fn empty_plans_are_typed_errors() {
+        let spec = ModelSpec::build(ModelKind::Linear, 2048, None, 10).unwrap();
+        let mut trainer = SecureTrainer::<Fixed64>::new(small_cfg(), spec, 19).unwrap();
+        let synthetic = psml_data::DatasetKind::Synthetic;
+        let offline_before = trainer.report().offline_time;
+        // (batch_size, batches): `--batches 0` used to panic, `--batch 0`
+        // to report a NaN loss.
+        for (batch_size, batches) in [(4, 0), (0, 1)] {
+            let shape = |r: EngineError| matches!(r, EngineError::Shape(_));
+            assert!(shape(trainer.train_epochs(synthetic, batch_size, batches, 1, 3).unwrap_err()));
+            assert!(shape(trainer.train(synthetic, batch_size, batches, 3).unwrap_err()));
+            assert!(shape(trainer.evaluate(synthetic, batch_size, batches, 3).unwrap_err()));
+        }
+        assert_eq!(trainer.report().offline_time, offline_before, "nothing was shared");
     }
 
     #[test]

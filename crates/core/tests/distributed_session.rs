@@ -216,14 +216,7 @@ fn outcome_line(p: &Party) -> String {
 
 /// The in-process reference run of the default test plan.
 fn in_process_reference(epochs: usize) -> (String, String, String) {
-    let dspec = DatasetKind::Synthetic.spec();
-    let spec = ModelSpec::build(
-        ModelKind::Mlp,
-        dspec.features(),
-        Some((dspec.channels, dspec.height, dspec.width)),
-        dspec.classes,
-    )
-    .unwrap();
+    let spec = ModelSpec::for_dataset(ModelKind::Mlp, DatasetKind::Synthetic).unwrap();
     let mut trainer =
         SecureTrainer::<Fixed64>::new(EngineConfig::parsecureml(), spec, SEED).unwrap();
     let result = trainer

@@ -71,6 +71,23 @@ impl DatasetKind {
         DatasetKind::Cifar10,
     ];
 
+    /// The lower-case spelling used on command lines and in session
+    /// `begin` frames.
+    pub fn token(self) -> &'static str {
+        match self {
+            DatasetKind::Mnist => "mnist",
+            DatasetKind::VggFace2 => "vggface2",
+            DatasetKind::Nist => "nist",
+            DatasetKind::Cifar10 => "cifar10",
+            DatasetKind::Synthetic => "synthetic",
+        }
+    }
+
+    /// Inverse of [`DatasetKind::token`] (exact match).
+    pub fn from_token(s: &str) -> Option<DatasetKind> {
+        Self::ALL.into_iter().find(|k| k.token() == s)
+    }
+
     /// The dataset's static description.
     pub fn spec(self) -> DatasetSpec {
         match self {
@@ -294,6 +311,15 @@ fn uniform(spec: &DatasetSpec, rng: &mut Mt19937) -> Matrix<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dataset_tokens_roundtrip() {
+        for kind in DatasetKind::ALL {
+            assert_eq!(DatasetKind::from_token(kind.token()), Some(kind));
+        }
+        assert_eq!(DatasetKind::from_token("imagenet"), None);
+        assert_eq!(DatasetKind::from_token("cifar-10"), None, "the alias is the CLI's business");
+    }
 
     #[test]
     fn specs_match_paper_shapes() {

@@ -16,6 +16,15 @@
 //! to both servers (that is the protocol's design — `E = A - U` is a
 //! one-time-pad masking of `A`).
 //!
+//! This crate is the workspace's one protocol core: the online
+//! multiplication exists once, in [`protocol`], as five party-local steps
+//! over borrowed operands — [`protocol::mask`] (nothing public),
+//! [`protocol::reconstruct_public`] (`E`, `F` become public), then
+//! [`protocol::finish`], [`protocol::finish_packed`] or
+//! [`protocol::finish_hadamard`] (the output stays shared). Drivers —
+//! [`secure_matmul`] here, `parsecureml`'s lock-step engine — schedule,
+//! charge and ship around them and add no algebra of their own.
+//!
 //! ```
 //! use psml_mpc::{secure_matmul, Fixed64, Party};
 //! use psml_parallel::Mt19937;

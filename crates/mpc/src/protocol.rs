@@ -1,10 +1,30 @@
-//! The online triplet-multiplication protocol (paper Eqs. (4)-(8)).
+//! The online triplet-multiplication protocol (paper Eqs. (4)-(8)), written
+//! once, as party-local steps.
+//!
+//! A secure product over shares `A_i`, `B_i` and a triple share
+//! `(U_i, V_i, Z_i)` is five pure functions. Each runs on *one* server over
+//! operands it borrows; none owns, copies, clocks or ships anything —
+//! scheduling, charging and transport belong to the driver that calls them:
+//!
+//! | step | runs on | computes | becomes public |
+//! |---|---|---|---|
+//! | [`mask`] (Eq. 4, *compute1*) | each server | `E_i = A_i - U_i`, `F_i = B_i - V_i` | nothing yet: `E_i`, `F_i` are one-time-pad masked and go to the peer only |
+//! | [`reconstruct_public`] (Eq. 5, *communicate*) | each server, on its own and its peer's half | `E = E_0 + E_1`, `F = F_0 + F_1` | `E` and `F`, to both servers — the protocol's one sanctioned reveal |
+//! | [`finish`] (Eq. 6 / materialised Eq. 8, *compute2*) | each server | `C_i` through a caller-supplied GEMM | nothing (`C_i` is a share) |
+//! | [`finish_packed`] (fused Eq. 8, the production CPU path) | each server | the same `C_i`, `[F ; B_i]` never materialised, `F` packed once for both servers | nothing |
+//! | [`finish_hadamard`] (Sec. 7.2) | each server | the element-wise twin of Eq. 6 | nothing |
+//!
+//! Two drivers sit on top: the one-shot reference here
+//! ([`secure_matmul_with`], [`secure_hadamard`]) and `parsecureml`'s
+//! lock-step engine, which adds simulated time, traffic and placement.
+//! [`ServerMulSession`] owns one server's operands between the steps.
 
 use crate::ring::{Party, PlainMatrix, SecureRing};
 use crate::share::SharePair;
 use crate::triple::{gen_triple, gen_triple_hadamard, TripleShare};
 use psml_parallel::Mt19937;
 use psml_tensor::{gemm_auto, gemm_packed_sum_auto, pack_b_auto, AutoPackedB, Matrix};
+use std::borrow::Cow;
 
 /// How a server evaluates its output share `C_i`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -17,15 +37,122 @@ pub enum EvalStrategy {
     Fused,
 }
 
-/// One server's state for a single secure matrix multiplication.
+/// *compute1* (Eq. (4)): one server's masked operands
+/// `(E_i, F_i) = (A_i - U_i, B_i - V_i)`, to send to its peer.
+pub fn mask<R: SecureRing>(
+    a_i: &Matrix<R>,
+    b_i: &Matrix<R>,
+    triple: &TripleShare<R>,
+) -> (Matrix<R>, Matrix<R>) {
+    (a_i.sub(&triple.u), b_i.sub(&triple.v))
+}
+
+/// *communicate* (Eq. (5)): combines the two servers' masked matrices into
+/// the public value (`E = E_0 + E_1`).
+pub fn reconstruct_public<R: SecureRing>(mine: &Matrix<R>, theirs: &Matrix<R>) -> Matrix<R> {
+    mine.add(theirs)
+}
+
+/// Eq. (8)'s left block `(-i)E + A_i`: server 0's is `A_0` itself.
+fn left_block<'a, R: SecureRing>(
+    party: Party,
+    a_i: &'a Matrix<R>,
+    e: &Matrix<R>,
+) -> Cow<'a, Matrix<R>> {
+    match party {
+        Party::P0 => Cow::Borrowed(a_i),
+        Party::P1 => Cow::Owned(a_i.sub(e)),
+    }
+}
+
+/// The tail of every evaluation: `Z_i` is a share of a double-scale
+/// product, so it joins *before* the fixed-point truncation.
+fn add_z_and_truncate<R: SecureRing>(party: Party, mut c: Matrix<R>, z_i: &Matrix<R>) -> Matrix<R> {
+    c.add_assign(z_i);
+    R::truncate_matrix(&c, party)
+}
+
+/// *compute2*: server `party`'s output share `C_i`, given the public `E`
+/// and `F`. `mul` is the GEMM kernel to use; [`EvalStrategy::Fused`]
+/// materialises Eq. (8)'s concatenations for it, which makes this the
+/// reference [`finish_packed`] is tested against. Truncates fixed point.
+#[allow(clippy::too_many_arguments)] // one server's whole view of the product
+pub fn finish<R: SecureRing>(
+    party: Party,
+    a_i: &Matrix<R>,
+    b_i: &Matrix<R>,
+    z_i: &Matrix<R>,
+    e: &Matrix<R>,
+    f: &Matrix<R>,
+    strategy: EvalStrategy,
+    mut mul: impl FnMut(&Matrix<R>, &Matrix<R>) -> Matrix<R>,
+) -> Matrix<R> {
+    debug_assert_eq!((a_i.shape(), b_i.shape()), (e.shape(), f.shape()));
+    let c = match strategy {
+        EvalStrategy::Expanded => {
+            // (-i) * E*F + A_i*F + E*B_i
+            let mut acc = mul(a_i, f);
+            acc.add_assign(&mul(e, b_i));
+            if party == Party::P1 {
+                acc.sub_assign(&mul(e, f));
+            }
+            acc
+        }
+        // [(-i)E + A_i | E] x [F ; B_i]
+        EvalStrategy::Fused => mul(&left_block(party, a_i, e).hconcat(e), &f.vconcat(b_i)),
+    };
+    add_z_and_truncate(party, c, z_i)
+}
+
+/// *compute2* on the production CPU path: the fused Eq. (8) evaluated
+/// through the packed kernel hierarchy.
 ///
-/// Protocol flow (per server `i`):
-/// 1. [`ServerMulSession::masked`] — compute `E_i = A_i - U_i`,
-///    `F_i = B_i - V_i` (the paper's *compute1*),
-/// 2. exchange `E_i`/`F_i` with the peer and form the public `E`, `F` via
-///    [`reconstruct_public`] (*communicate*),
-/// 3. [`ServerMulSession::finish`] — compute `C_i` (*compute2*, the step
-///    the paper pushes to the GPU).
+/// Both servers' right-hand sides `[F ; B_i]` share the same public `F`
+/// block, so the driver packs `F` once (via [`pack_b_auto`], which chooses
+/// between element column panels and quantized byte planes for the product
+/// size) and passes it to each server; this server's `B_i` is packed to
+/// match. The concatenations of Eq. (8) are never materialized:
+/// `[L | E] x [F ; B_i] = L*F + E*B_i`, which [`gemm_packed_sum_auto`]
+/// accumulates in one pass over the output on whichever kernel the pack
+/// selected. Bit-identical to [`finish`] under [`EvalStrategy::Fused`] —
+/// over the ring every kernel computes the same wrapping product.
+pub fn finish_packed<R: SecureRing>(
+    party: Party,
+    a_i: &Matrix<R>,
+    b_i: &Matrix<R>,
+    z_i: &Matrix<R>,
+    e: &Matrix<R>,
+    f_packed: &AutoPackedB<R>,
+) -> Matrix<R> {
+    debug_assert_eq!(a_i.shape(), e.shape());
+    let left = left_block(party, a_i, e);
+    let b_packed = f_packed.pack_matching(b_i);
+    let c = gemm_packed_sum_auto(&[(&*left, f_packed), (e, &b_packed)]);
+    add_z_and_truncate(party, c, z_i)
+}
+
+/// *compute2* of the element-wise product (Sec. 7.2, the CNN
+/// point-to-point path): `C_i = A_i o F + E o B_i + (-i) E o F + Z_i`,
+/// accumulated in that order, then truncated.
+pub fn finish_hadamard<R: SecureRing>(
+    party: Party,
+    a_i: &Matrix<R>,
+    b_i: &Matrix<R>,
+    z_i: &Matrix<R>,
+    e: &Matrix<R>,
+    f: &Matrix<R>,
+) -> Matrix<R> {
+    let mut c = a_i.hadamard(f);
+    c.add_assign(&e.hadamard(b_i));
+    if party == Party::P1 {
+        c.sub_assign(&e.hadamard(f));
+    }
+    add_z_and_truncate(party, c, z_i)
+}
+
+/// One server's operands for a single secure matrix multiplication, owned
+/// between the steps. Every method is one of the module's free steps
+/// applied to the owned shares.
 #[derive(Clone, Debug)]
 pub struct ServerMulSession<R: SecureRing> {
     party: Party,
@@ -62,83 +189,43 @@ impl<R: SecureRing> ServerMulSession<R> {
         self.party
     }
 
-    /// *compute1*: the masked operands `(E_i, F_i)` to send to the peer.
+    /// [`mask`] over the owned shares.
     pub fn masked(&self) -> (Matrix<R>, Matrix<R>) {
-        (self.a.sub(&self.triple.u), self.b.sub(&self.triple.v))
+        mask(&self.a, &self.b, &self.triple)
     }
 
-    /// *compute2*: this server's output share `C_i`, given the public
-    /// `E = E_0 + E_1` and `F = F_0 + F_1`. `mul` is the GEMM kernel to
-    /// use (CPU or simulated GPU). Fixed-point carriers are truncated.
+    /// [`finish`] over the owned shares.
     pub fn finish(
         &self,
         e: &Matrix<R>,
         f: &Matrix<R>,
         strategy: EvalStrategy,
-        mut mul: impl FnMut(&Matrix<R>, &Matrix<R>) -> Matrix<R>,
+        mul: impl FnMut(&Matrix<R>, &Matrix<R>) -> Matrix<R>,
     ) -> Matrix<R> {
-        let c = match strategy {
-            EvalStrategy::Expanded => {
-                // (-i) * E*F + A_i*F + E*B_i + Z_i
-                let mut acc = mul(&self.a, f);
-                acc.add_assign(&mul(e, &self.b));
-                if self.party == Party::P1 {
-                    acc.sub_assign(&mul(e, f));
-                }
-                acc
-            }
-            EvalStrategy::Fused => {
-                // [(-i)E + A_i | E] x [F ; B_i]
-                let left_block = match self.party {
-                    Party::P0 => self.a.clone(),
-                    Party::P1 => self.a.sub(e),
-                };
-                let left = left_block.hconcat(e);
-                let right = f.vconcat(&self.b);
-                mul(&left, &right)
-            }
-        };
-        // Z_i is a share of a double-scale product, so it joins *before*
-        // truncation.
-        let c = c.add(&self.triple.z);
-        R::truncate_matrix(&c, self.party)
+        finish(self.party, &self.a, &self.b, &self.triple.z, e, f, strategy, mul)
     }
 
-    /// *compute2* on the production CPU path: the fused Eq. (8) evaluated
-    /// through the packed kernel hierarchy.
-    ///
-    /// Both servers' right-hand sides `[F ; B_i]` share the same public
-    /// `F` block, so the caller packs `F` once (via [`pack_b_auto`], which
-    /// chooses between element column panels and quantized byte planes for
-    /// the product size) and passes it to each server; this server's `B_i`
-    /// is packed to match. The concatenations of Eq. (8) are never
-    /// materialized: `[L | E] x [F ; B_i] = L*F + E*B_i`, which
-    /// [`gemm_packed_sum_auto`] accumulates in one pass over the output on
-    /// whichever kernel the pack selected. Bit-identical to
-    /// [`ServerMulSession::finish`] under [`EvalStrategy::Fused`] — over
-    /// the ring every kernel computes the same wrapping product.
+    /// [`finish_packed`] over the owned shares.
     pub fn finish_packed_auto(&self, e: &Matrix<R>, f_packed: &AutoPackedB<R>) -> Matrix<R> {
-        let left = match self.party {
-            Party::P0 => self.a.clone(),
-            Party::P1 => self.a.sub(e),
-        };
-        let b_packed = f_packed.pack_matching(&self.b);
-        let c = gemm_packed_sum_auto(&[(&left, f_packed), (e, &b_packed)]);
-        let c = c.add(&self.triple.z);
-        R::truncate_matrix(&c, self.party)
+        finish_packed(self.party, &self.a, &self.b, &self.triple.z, e, f_packed)
     }
 }
 
-/// Combines the two servers' masked matrices into the public value
-/// (`E = E_0 + E_1`, Eq. (5)).
-pub fn reconstruct_public<R: SecureRing>(mine: &Matrix<R>, theirs: &Matrix<R>) -> Matrix<R> {
-    mine.add(theirs)
+/// The one-shot drivers' online opening: each server runs [`mask`] on its
+/// shares and the pair is opened with [`reconstruct_public`] to `(E, F)`.
+fn open_masks<R: SecureRing>(
+    a_i: &[Matrix<R>; 2],
+    b_i: &[Matrix<R>; 2],
+    t: &[TripleShare<R>; 2],
+) -> (Matrix<R>, Matrix<R>) {
+    let [(e0, f0), (e1, f1)] = [0, 1].map(|i| mask(&a_i[i], &b_i[i], &t[i]));
+    (reconstruct_public(&e0, &e1), reconstruct_public(&f0, &f1))
 }
 
 /// One-shot reference driver: runs the complete client + two-server
 /// protocol in-process and returns the cleartext product. Used by tests
-/// and the quickstart example; the distributed runtime in `parsecureml`
-/// performs the same steps across channels.
+/// and the quickstart example; the lock-step engine in `parsecureml`
+/// drives the same steps under simulated time.
 pub fn secure_matmul<R: SecureRing>(
     a: &PlainMatrix,
     b: &PlainMatrix,
@@ -156,38 +243,20 @@ pub fn secure_matmul_with<R: SecureRing>(
 ) -> PlainMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     // Client: split inputs and generate the triple (offline phase).
-    let a_pair = SharePair::<R>::split(a, rng);
-    let b_pair = SharePair::<R>::split(b, rng);
-    let triple = gen_triple::<R>(m, k, n, rng, gemm_auto);
-    let (a0, a1) = a_pair.into_shares();
-    let (b0, b1) = b_pair.into_shares();
-    let (t0, t1) = triple.into_shares();
-
-    // Servers: compute1.
-    let s0 = ServerMulSession::new(Party::P0, a0, b0, t0);
-    let s1 = ServerMulSession::new(Party::P1, a1, b1, t1);
-    let (e0, f0) = s0.masked();
-    let (e1, f1) = s1.masked();
-
-    // Communicate: both servers learn E and F.
-    let e = reconstruct_public(&e0, &e1);
-    let f = reconstruct_public(&f0, &f1);
-
+    let a_i: [_; 2] = SharePair::<R>::split(a, rng).into_shares().into();
+    let b_i: [_; 2] = SharePair::<R>::split(b, rng).into_shares().into();
+    let t: [_; 2] = gen_triple::<R>(m, k, n, rng, gemm_auto).into_shares().into();
+    let (e, f) = open_masks(&a_i, &b_i, &t);
     // compute2 on each server, then the client merges C = C_0 + C_1.
     // The fused strategy packs the shared public F once for both servers.
-    let (c0, c1) = match strategy {
-        EvalStrategy::Fused => {
-            let f_packed = pack_b_auto(&f, m);
-            (
-                s0.finish_packed_auto(&e, &f_packed),
-                s1.finish_packed_auto(&e, &f_packed),
-            )
+    let f_packed = (strategy == EvalStrategy::Fused).then(|| pack_b_auto(&f, m));
+    let [c0, c1] = Party::BOTH.map(|p| {
+        let (a_i, b_i, z_i) = (&a_i[p.index()], &b_i[p.index()], &t[p.index()].z);
+        match &f_packed {
+            Some(fp) => finish_packed(p, a_i, b_i, z_i, &e, fp),
+            None => finish(p, a_i, b_i, z_i, &e, &f, strategy, gemm_auto),
         }
-        EvalStrategy::Expanded => (
-            s0.finish(&e, &f, strategy, gemm_auto),
-            s1.finish(&e, &f, strategy, gemm_auto),
-        ),
-    };
+    });
     R::decode_matrix(&c0.add(&c1))
 }
 
@@ -198,32 +267,13 @@ pub fn secure_hadamard<R: SecureRing>(
     rng: &mut Mt19937,
 ) -> PlainMatrix {
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
-    let a_pair = SharePair::<R>::split(a, rng);
-    let b_pair = SharePair::<R>::split(b, rng);
-    let triple = gen_triple_hadamard::<R>(a.rows(), a.cols(), rng);
-    let (a0, a1) = a_pair.into_shares();
-    let (b0, b1) = b_pair.into_shares();
-    let (t0, t1) = triple.into_shares();
-
-    let e0 = a0.sub(&t0.u);
-    let f0 = b0.sub(&t0.v);
-    let e1 = a1.sub(&t1.u);
-    let f1 = b1.sub(&t1.v);
-    let e = reconstruct_public(&e0, &e1);
-    let f = reconstruct_public(&f0, &f1);
-
-    // C_i = (-i) E o F + A_i o F + E o B_i + Z_i (element-wise).
-    let mut c0 = a0.hadamard(&f);
-    c0.add_assign(&e.hadamard(&b0));
-    c0.add_assign(&t0.z);
-    let c0 = R::truncate_matrix(&c0, Party::P0);
-
-    let mut c1 = a1.hadamard(&f);
-    c1.add_assign(&e.hadamard(&b1));
-    c1.sub_assign(&e.hadamard(&f));
-    c1.add_assign(&t1.z);
-    let c1 = R::truncate_matrix(&c1, Party::P1);
-
+    let a_i: [_; 2] = SharePair::<R>::split(a, rng).into_shares().into();
+    let b_i: [_; 2] = SharePair::<R>::split(b, rng).into_shares().into();
+    let t: [_; 2] = gen_triple_hadamard::<R>(a.rows(), a.cols(), rng).into_shares().into();
+    let (e, f) = open_masks(&a_i, &b_i, &t);
+    let [c0, c1] = Party::BOTH.map(|p| {
+        finish_hadamard(p, &a_i[p.index()], &b_i[p.index()], &t[p.index()].z, &e, &f)
+    });
     R::decode_matrix(&c0.add(&c1))
 }
 
@@ -295,10 +345,12 @@ mod tests {
         let f = reconstruct_public(&f0, &f1);
         let f_auto = pack_b_auto(&f, 4);
         for s in [&s0, &s1] {
-            assert_eq!(
-                s.finish_packed_auto(&e, &f_auto),
-                s.finish(&e, &f, EvalStrategy::Fused, psml_tensor::gemm_naive)
-            );
+            // The session's methods and the free steps are one computation.
+            let (p, z, fused) = (s.party, &s.triple.z, EvalStrategy::Fused);
+            let reference = finish(p, &s.a, &s.b, z, &e, &f, fused, psml_tensor::gemm_naive);
+            assert_eq!(finish_packed(p, &s.a, &s.b, z, &e, &f_auto), reference);
+            assert_eq!(s.finish_packed_auto(&e, &f_auto), reference);
+            assert_eq!(s.finish(&e, &f, fused, psml_tensor::gemm_naive), reference);
         }
     }
 

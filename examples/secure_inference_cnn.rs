@@ -11,16 +11,7 @@ use parsecureml::prelude::*;
 
 fn main() {
     let dataset = DatasetKind::Cifar10;
-    let spec_of = || {
-        let s = dataset.spec();
-        ModelSpec::build(
-            ModelKind::Cnn,
-            s.features(),
-            Some((s.channels, s.height, s.width)),
-            s.classes,
-        )
-        .expect("model")
-    };
+    let spec_of = || ModelSpec::for_dataset(ModelKind::Cnn, dataset).expect("model");
     let batch_size = 8;
     let batches = 2;
 

@@ -43,6 +43,15 @@ echo "ci: psml-lint whole-workspace scan took ${lint_elapsed_ms} ms"
 # inter-procedural passes see the full symbol table.
 ./target/release/psml-lint --crate lint --deny all
 
+# One protocol core: the Beaver algebra lives in psml_mpc::protocol's
+# party-local steps, and the engine only schedules, charges and ships
+# around them. An owning ServerMulSession or an inline Hadamard in
+# non-test engine.rs is that algebra (or its operand copies) growing back.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/engine.rs \
+    | grep -nE 'ServerMulSession|\.hadamard\('; then
+    echo "ci: core::engine re-implements or re-owns the protocol steps (listed above)" >&2; exit 1
+fi
+
 # Fault-injection seed matrix: every chaos scenario must hold for any
 # plan seed, not just the default. The sweep covers both the in-process
 # chaos suite and the process-per-party TCP suite (whose chaos proxy

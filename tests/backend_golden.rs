@@ -102,14 +102,7 @@ fn trained_weights_digest_is_unchanged() {
 
 /// The paper's architecture for `kind` on SYNTHETIC.
 fn synthetic_spec(kind: ModelKind) -> ModelSpec {
-    let data = DatasetKind::Synthetic.spec();
-    ModelSpec::build(
-        kind,
-        data.features(),
-        Some((data.channels, data.height, data.width)),
-        data.classes,
-    )
-    .unwrap()
+    ModelSpec::for_dataset(kind, DatasetKind::Synthetic).unwrap()
 }
 
 /// Conv 32x64 k5 f2 -> avgpool 2 -> dense: the one stack that runs
