@@ -75,21 +75,8 @@ impl PlainModel {
     /// [`crate::SecureTrainer`] (same seed -> same initial weights).
     pub fn new(cfg: EngineConfig, spec: ModelSpec, backend: PlainBackend, seed: u32) -> Result<Self> {
         spec.validate()?;
-        let mut init_rng = psml_parallel::derived_rng(seed, 0x5EED);
-        let mut weights = Vec::with_capacity(spec.layers.len());
-        let mut upload = 0usize;
-        for layer in &spec.layers {
-            let mut per_layer = Vec::new();
-            for (rows, cols) in layer.weight_shapes() {
-                let bound = 1.0 / (rows as f64).sqrt();
-                let w = PlainMatrix::from_fn(rows, cols, |_, _| {
-                    (init_rng.next_f64() * 2.0 - 1.0) * bound
-                });
-                upload += w.byte_size();
-                per_layer.push(w);
-            }
-            weights.push(per_layer);
-        }
+        let weights = spec.init_weights(seed);
+        let upload: usize = weights.iter().flatten().map(PlainMatrix::byte_size).sum();
         let mut model = PlainModel {
             spec,
             cfg,
@@ -389,37 +376,14 @@ impl PlainModel {
         })
     }
 
-    /// Maps a dataset batch to targets (same rule as the secure trainer).
+    /// Maps a dataset batch to targets ([`ModelSpec::targets_for`]).
     pub fn targets_for(&self, data: &psml_data::Batch) -> PlainMatrix {
-        match (self.spec.loss, self.spec.outputs) {
-            (Loss::Hinge, _) => data.y_scalar.map(|v| if v > 0.5 { 1.0 } else { -1.0 }),
-            (_, 1) => data.y_scalar.clone(),
-            _ => data.y_onehot.clone(),
-        }
+        self.spec.targets_for(data)
     }
 
-    /// Accuracy under the same rule as the secure trainer.
+    /// Fraction of rows predicted correctly ([`ModelSpec::accuracy`]).
     pub fn accuracy(&self, pred: &PlainMatrix, y: &PlainMatrix) -> f64 {
-        if pred.rows() == 0 {
-            return 0.0;
-        }
-        let correct = (0..pred.rows())
-            .filter(|&r| match (self.spec.loss, self.spec.outputs) {
-                (Loss::Hinge, _) => (pred[(r, 0)] >= 0.0) == (y[(r, 0)] >= 0.0),
-                (_, 1) => (pred[(r, 0)] >= 0.5) == (y[(r, 0)] >= 0.5),
-                _ => {
-                    let am = |row: &[f64]| {
-                        row.iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .map(|(i, _)| i)
-                            .unwrap_or(0)
-                    };
-                    am(pred.row(r)) == am(y.row(r))
-                }
-            })
-            .count();
-        correct as f64 / pred.rows() as f64
+        self.spec.accuracy(pred, y)
     }
 }
 

@@ -49,7 +49,7 @@ use psml_net::{
 };
 use psml_parallel::Mt19937;
 use psml_simtime::{Resource, SimDuration, SimTime};
-use psml_tensor::{gemm_auto, pack_b_auto, AutoPackedB, ConvShape, Matrix};
+use psml_tensor::{gemm_auto, pack_b_auto, AutoPackedB, Matrix};
 use psml_trace::{ns_of_secs, Phase, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -1223,13 +1223,6 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         self.map_local(a, Matrix::transpose)
     }
 
-    /// im2col on a shared image (local data movement; linear, so it
-    /// commutes with sharing).
-    pub fn im2col_shared(&mut self, a: &SharedMatrix<R>, shape: &ConvShape) -> SharedMatrix<R> {
-        let shape = *shape;
-        self.map_local(a, move |m| psml_tensor::im2col(m, &shape))
-    }
-
     // ---------------------------------------------------------------
     // Activation (interactive) and reveal
     // ---------------------------------------------------------------
@@ -1611,23 +1604,6 @@ mod tests {
         let p = plain(3, 3, 1.0);
         let sp = ctx.share_public(&p);
         assert!(sp.reveal_insecure().max_abs_diff(&p) < 1e-3);
-    }
-
-    #[test]
-    fn im2col_shared_commutes_with_sharing() {
-        let mut ctx = ctx(EngineConfig::parsecureml());
-        let shape = ConvShape {
-            channels: 1,
-            height: 5,
-            width: 5,
-            kernel: 3,
-            filters: 1,
-        };
-        let img = plain(1, 25, 1.0);
-        let si = ctx.share_input(&img).unwrap();
-        let patches = ctx.im2col_shared(&si, &shape);
-        let expect = psml_tensor::im2col(&img, &shape);
-        assert!(patches.reveal_insecure().max_abs_diff(&expect) < 1e-3);
     }
 
     #[test]

@@ -78,10 +78,6 @@ pub enum EngineError {
     Config(ConfigError),
     /// A protocol invariant was violated (e.g. an unexpected message).
     Protocol(String),
-    /// A distributed session's epoch observer unwound the training span
-    /// because another party ordered a rollback; `core::session` holds the
-    /// directive and restarts the span. Never escapes a session.
-    Rollback,
     /// A filesystem operation (weight files, trace/profile export) failed.
     Io {
         /// What the framework was doing, e.g. `"write weights"`.
@@ -119,7 +115,6 @@ impl std::fmt::Display for EngineError {
             EngineError::Shape(s) => write!(f, "shape: {s}"),
             EngineError::Config(e) => write!(f, "config: {e}"),
             EngineError::Protocol(s) => write!(f, "protocol: {s}"),
-            EngineError::Rollback => write!(f, "session rollback ordered"),
             EngineError::Io {
                 context, message, ..
             } => write!(f, "io: {context}: {message}"),

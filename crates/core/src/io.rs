@@ -12,7 +12,9 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"PSMLWTS\x01";
 
-/// Serializes layered weights (`layers x matrices-per-layer`) to a writer.
+/// Serializes layered weights (`layers x matrices-per-layer`) to a writer
+/// and flushes it: a buffered writer's drop discards the error of its
+/// final flush, so an unflushed tail would be reported as written.
 pub fn write_weights<W: Write>(mut w: W, weights: &[Vec<PlainMatrix>]) -> Result<()> {
     let io_err = |e: std::io::Error| EngineError::io("write weights", &e);
     w.write_all(MAGIC).map_err(io_err)?;
@@ -29,7 +31,7 @@ pub fn write_weights<W: Write>(mut w: W, weights: &[Vec<PlainMatrix>]) -> Result
             }
         }
     }
-    Ok(())
+    w.flush().map_err(io_err)
 }
 
 /// Deserializes layered weights from a reader.
@@ -123,6 +125,30 @@ mod tests {
         let back = load_weights(&path).unwrap();
         assert_eq!(back[0][0], weights[0][0]);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Accepts every `write`, fails the `flush` — a `BufWriter` over a full
+    /// disk behaves this way for the bytes still in its buffer.
+    struct FlushFails;
+
+    impl Write for FlushFails {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full"))
+        }
+    }
+
+    #[test]
+    fn unflushed_tail_is_a_typed_io_error() {
+        match write_weights(FlushFails, &sample()).unwrap_err() {
+            EngineError::Io { context, kind, .. } => {
+                assert_eq!(context, "write weights");
+                assert_eq!(kind, std::io::ErrorKind::StorageFull);
+            }
+            other => panic!("expected EngineError::Io, got {other:?}"),
+        }
     }
 
     #[test]

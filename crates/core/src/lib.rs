@@ -64,7 +64,7 @@ pub use session::{
     fnv64, generation_seed, run_client, run_server, weights_digest, SessionConfig,
     SessionOutcome, TrainPlan,
 };
-pub use trainer::{InferenceResult, SecureTrainer, TrainResult, TrainerCheckpoint};
+pub use trainer::{InferenceResult, SecureTrainer, SharedPlan, TrainResult, TrainerCheckpoint};
 
 // Fault-injection / reliability vocabulary (configured via
 // `EngineConfig::fault_plan` / `EngineConfig::retry`, reported in

@@ -2,7 +2,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::layers::{Activation, LayerSpec};
-use psml_mpc::TripleSpec;
+use psml_mpc::{PlainMatrix, TripleSpec};
 use psml_tensor::ConvShape;
 
 /// Which benchmark to build.
@@ -259,6 +259,50 @@ impl ModelSpec {
         self.layers[0].input_features()
     }
 
+    /// The client's plaintext initial weights, layer-major (the `crate::io`
+    /// layout): small uniform values in `+-1/sqrt(fan_in)` from a stream
+    /// derived from `seed`. The secure trainer shares these; the plaintext
+    /// baseline uses them as they are, so both start from the same model.
+    pub fn init_weights(&self, seed: u32) -> Vec<Vec<PlainMatrix>> {
+        let mut rng = psml_parallel::derived_rng(seed, 0x5EED);
+        let mut init = |(rows, cols): (usize, usize)| {
+            let bound = 1.0 / (rows as f64).sqrt();
+            PlainMatrix::from_fn(rows, cols, |_, _| (rng.next_f64() * 2.0 - 1.0) * bound)
+        };
+        self.layers
+            .iter()
+            .map(|layer| layer.weight_shapes().into_iter().map(&mut init).collect())
+            .collect()
+    }
+
+    /// Maps a dataset batch to this model's target representation: `+-1`
+    /// labels under hinge loss, the scalar label for a single output,
+    /// one-hot rows otherwise.
+    pub fn targets_for(&self, data: &psml_data::Batch) -> PlainMatrix {
+        match (self.loss, self.outputs) {
+            (Loss::Hinge, _) => data.y_scalar.map(|v| if v > 0.5 { 1.0 } else { -1.0 }),
+            (_, 1) => data.y_scalar.clone(),
+            _ => data.y_onehot.clone(),
+        }
+    }
+
+    /// Fraction of rows of `pred` on the same side of the decision rule as
+    /// `y` (sign under hinge loss, 0.5 for a single output, arg-max
+    /// otherwise).
+    pub fn accuracy(&self, pred: &PlainMatrix, y: &PlainMatrix) -> f64 {
+        if pred.rows() == 0 {
+            return 0.0;
+        }
+        let correct = (0..pred.rows())
+            .filter(|&r| match (self.loss, self.outputs) {
+                (Loss::Hinge, _) => (pred[(r, 0)] >= 0.0) == (y[(r, 0)] >= 0.0),
+                (_, 1) => (pred[(r, 0)] >= 0.5) == (y[(r, 0)] >= 0.5),
+                _ => argmax(pred.row(r)) == argmax(y.row(r)),
+            })
+            .count();
+        correct as f64 / pred.rows() as f64
+    }
+
     /// Total triplet multiplications per forward pass.
     pub fn forward_muls(&self) -> usize {
         self.layers.iter().map(LayerSpec::forward_muls).sum()
@@ -373,6 +417,14 @@ impl ModelSpec {
         }
         sched
     }
+}
+
+fn argmax(row: &[f64]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -131,11 +131,6 @@ impl<R: SecureRing> TripleProvider<R> {
         self.shared.cv.notify_all();
     }
 
-    /// Number of scheduled-but-not-yet-taken triples.
-    pub fn backlog(&self) -> usize {
-        self.shared.state.lock().unwrap().schedule.len()
-    }
-
     /// Retrieves triple `seq`, which must be the next schedule entry and
     /// must carry the expected shape — any disagreement between what the
     /// engine multiplies and what was scheduled is a protocol error, not
@@ -293,7 +288,6 @@ mod tests {
                 assert_eq!(got.share(party), want.share(party), "seq {seq}");
             }
         }
-        assert_eq!(p.backlog(), 0);
     }
 
     #[test]

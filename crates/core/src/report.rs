@@ -29,11 +29,6 @@ impl PhaseBreakdown {
         self.compute1 + self.communicate + self.compute2 + self.activation
     }
 
-    /// Sum of the offline step durations.
-    pub fn offline_serialized(&self) -> SimDuration {
-        self.share_generation + self.distribution
-    }
-
     /// Versioned, serde-free JSON form (`psml.phases.v1`), durations in
     /// f64 seconds.
     pub fn to_json(&self) -> psml_trace::json::JsonValue {
@@ -226,7 +221,6 @@ mod tests {
             activation: secs(0.25),
         };
         assert!((b.online_serialized().as_secs() - 5.0).abs() < 1e-12);
-        assert!((b.offline_serialized().as_secs() - 3.0).abs() < 1e-12);
         let mut c = b;
         c.merge(&b);
         assert!((c.compute2.as_secs() - 8.0).abs() < 1e-12);

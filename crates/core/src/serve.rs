@@ -253,9 +253,6 @@ pub struct ServeConfig {
     /// Admission bound per model: arrivals beyond this queue depth are
     /// rejected with [`ServeError::Overloaded`].
     pub max_queue_depth: usize,
-    /// Per-model provider backpressure depth; 0 inherits
-    /// [`EngineConfig::prefetch_depth`].
-    pub prefetch_depth: usize,
     /// Optional p99 latency target, echoed (with a met/missed verdict) in
     /// the [`ServeReport`].
     pub slo_p99: Option<SimDuration>,
@@ -275,7 +272,6 @@ impl ServeConfig {
                 batch_window: SimDuration::from_micros(200.0),
                 max_batch: 16,
                 max_queue_depth: 128,
-                prefetch_depth: 0,
                 slo_p99: None,
                 run_id: 1,
             },
@@ -286,13 +282,10 @@ impl ServeConfig {
     /// the embedded config with prefetch forced on (each host owns a
     /// `TripleProvider`; forcing prefetch also clears
     /// `insecure_reuse_triples` — serving provisions one fresh triple per
-    /// scheduled use) and the serving prefetch depth applied.
+    /// scheduled use). The provider's backpressure depth is
+    /// [`EngineConfig::prefetch_depth`].
     pub fn engine_for_host(&self) -> EngineConfig {
-        let mut e = self.engine.clone().with_prefetch(true);
-        if self.prefetch_depth > 0 {
-            e = e.with_prefetch_depth(self.prefetch_depth);
-        }
-        e
+        self.engine.clone().with_prefetch(true)
     }
 
     /// Validates internal consistency.
@@ -364,12 +357,6 @@ impl ServeConfigBuilder {
     /// Per-model admission bound (validated `>= 1`).
     pub fn max_queue_depth(mut self, depth: usize) -> Self {
         self.cfg.max_queue_depth = depth;
-        self
-    }
-
-    /// Per-model provider backpressure depth (0 inherits the engine's).
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.cfg.prefetch_depth = depth;
         self
     }
 

@@ -50,6 +50,17 @@ pub struct TrainerCheckpoint {
     pub weights: Vec<Vec<PlainMatrix>>,
 }
 
+/// A plan's inputs, shared **once**: what [`SecureTrainer::share_plan`]
+/// returns and every epoch of the run trains over. Re-sharing per epoch
+/// would draw the masking RNG again and diverge from an uninterrupted
+/// run; holding the shares in a value only `share_plan` can build rules
+/// that out.
+pub struct SharedPlan<R: SecureRing> {
+    /// Per mini-batch, in plan order (never empty): shared inputs and
+    /// targets, and the plaintext targets and inputs.
+    batches: Vec<(SharedMatrix<R>, SharedMatrix<R>, PlainMatrix, PlainMatrix)>,
+}
+
 /// Result of an inference run.
 #[derive(Clone, Debug)]
 pub struct InferenceResult {
@@ -102,26 +113,15 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
     pub fn new(cfg: EngineConfig, spec: ModelSpec, seed: u32) -> Result<Self> {
         cfg.validate()?;
         spec.validate()?;
-        let mut ctx = SecureContext::new(cfg, seed);
-        let mut init_rng = psml_parallel::derived_rng(seed, 0x5EED);
-        let mut weights = Vec::with_capacity(spec.layers.len());
-        for layer in &spec.layers {
-            let mut per_layer = Vec::new();
-            for (rows, cols) in layer.weight_shapes() {
-                let bound = 1.0 / (rows as f64).sqrt();
-                let w = PlainMatrix::from_fn(rows, cols, |_, _| {
-                    (init_rng.next_f64() * 2.0 - 1.0) * bound
-                });
-                per_layer.push(ctx.share_input(&w)?);
-            }
-            weights.push(per_layer);
-        }
-        Ok(SecureTrainer {
-            ctx,
+        let init = spec.init_weights(seed);
+        let mut trainer = SecureTrainer {
+            ctx: SecureContext::new(cfg, seed),
             spec,
-            weights,
+            weights: Vec::new(),
             last_checkpoint: None,
-        })
+        };
+        trainer.import_weights(&init)?;
+        Ok(trainer)
     }
 
     /// The model being trained.
@@ -198,8 +198,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
                 self.spec.layers.len()
             )));
         }
-        let mut shared = Vec::with_capacity(weights.len());
-        for (layer, ws) in self.spec.layers.clone().iter().zip(weights) {
+        for (layer, ws) in self.spec.layers.iter().zip(weights) {
             let expect = layer.weight_shapes();
             let got: Vec<_> = ws.iter().map(|w| w.shape()).collect();
             if expect != got {
@@ -207,6 +206,9 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
                     "layer weight shapes {got:?} != expected {expect:?}"
                 )));
             }
+        }
+        let mut shared = Vec::with_capacity(weights.len());
+        for ws in weights {
             let mut per_layer = Vec::with_capacity(ws.len());
             for w in ws {
                 per_layer.push(self.ctx.share_input(w)?);
@@ -538,7 +540,10 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
     /// Trains `epochs` passes over the same `batches` mini-batches, sharing
     /// each batch **once** (the paper's full-batch/epoch training setup —
     /// Fig. 2 puts the whole dataset in one batch). Returns per-epoch mean
-    /// losses.
+    /// losses. It is the plain loop over [`SecureTrainer::share_plan`],
+    /// [`SecureTrainer::train_epoch`] and [`SecureTrainer::score`]; a
+    /// caller that needs to act between epochs (the distributed session's
+    /// commit barrier) drives those three itself.
     pub fn train_epochs(
         &mut self,
         dataset: DatasetKind,
@@ -547,35 +552,31 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         epochs: usize,
         seed: u32,
     ) -> Result<TrainResult> {
-        self.train_epochs_from(dataset, batch_size, batches, 0, epochs, seed, |_, _| Ok(()))
+        let plan = self.share_plan(dataset, batch_size, batches, seed)?;
+        let mut losses = Vec::with_capacity(epochs);
+        for epoch in 0..epochs {
+            losses.push(self.train_epoch(&plan, epoch)?.1);
+        }
+        let accuracy = self.score(&plan)?;
+        Ok(TrainResult {
+            losses,
+            report: self.ctx.report(),
+            accuracy,
+        })
     }
 
-    /// [`SecureTrainer::train_epochs`] with an explicit starting epoch and
-    /// a per-epoch observer — the hook the distributed session layer uses
-    /// to commit checkpoints across parties.
-    ///
-    /// Runs epochs `start_epoch..epochs` (resume by restoring a
-    /// checkpoint first, then passing its epoch here). The observer fires
-    /// at every epoch boundary, *after* `last_checkpoint` is updated,
-    /// with the fresh checkpoint and that epoch's mean loss; an `Err`
-    /// from it aborts training immediately and propagates (the session
-    /// layer uses this to signal a cross-party rollback). Inputs are
-    /// shared exactly once per *call* — callers must run a whole
-    /// resumed span in one call, not once per epoch, or the input-share
-    /// RNG draws diverge from an uninterrupted run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_epochs_from(
+    /// Offline: draws the plan's `batches` mini-batches from `dataset` and
+    /// shares each exactly once. To resume an interrupted run, restore the
+    /// checkpoint ([`SecureTrainer::resume_from_checkpoint`]) first, then
+    /// share, then train the remaining epochs.
+    pub fn share_plan(
         &mut self,
         dataset: DatasetKind,
         batch_size: usize,
         batches: usize,
-        start_epoch: usize,
-        epochs: usize,
         seed: u32,
-        mut observer: impl FnMut(&TrainerCheckpoint, f64) -> Result<()>,
-    ) -> Result<TrainResult> {
+    ) -> Result<SharedPlan<R>> {
         non_empty_plan(batch_size, batches)?;
-        // Offline: share all inputs once.
         let mut shared = Vec::with_capacity(batches);
         for b in 0..batches {
             let data = psml_data::batch(dataset, batch_size, b, seed);
@@ -584,30 +585,36 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
             let ys = self.ctx.share_input(&y)?;
             shared.push((xs, ys, y, data.x));
         }
-        // Online: epochs over the fixed shares, checkpointing at every
-        // epoch boundary so a mid-epoch network failure (typed
-        // `EngineError::Net`) loses at most one epoch of work — the
-        // caller resumes from `last_checkpoint` on a fresh trainer.
-        let mut losses = Vec::with_capacity(epochs.saturating_sub(start_epoch));
-        for e in start_epoch..epochs {
-            let mut epoch_loss = 0.0;
-            for (xs, ys, y, _) in &shared {
-                epoch_loss += self.train_on_shared(xs, ys, y)?;
-            }
-            let mean_loss = epoch_loss / batches as f64;
-            losses.push(mean_loss);
-            self.last_checkpoint = Some(self.checkpoint(e + 1));
-            let ckpt = self.last_checkpoint.as_ref().expect("just set");
-            observer(ckpt, mean_loss)?;
+        Ok(SharedPlan { batches: shared })
+    }
+
+    /// Online: one pass over the plan's shares. `epoch` counts the epochs
+    /// completed before this one; afterwards `last_checkpoint` holds the
+    /// epoch-`epoch + 1` boundary (`reveal_weights`, no simulated
+    /// traffic), so a mid-epoch network failure (typed
+    /// [`EngineError::Net`]) loses at most one epoch of work — the caller
+    /// resumes from it on a fresh trainer. Returns that checkpoint and
+    /// the epoch's mean loss.
+    pub fn train_epoch(
+        &mut self,
+        plan: &SharedPlan<R>,
+        epoch: usize,
+    ) -> Result<(&TrainerCheckpoint, f64)> {
+        let mut epoch_loss = 0.0;
+        for (xs, ys, y, _) in &plan.batches {
+            epoch_loss += self.train_on_shared(xs, ys, y)?;
         }
-        let (_, _, y_last, x_last) = shared.last().expect("batches >= 1 was checked on entry");
+        let ckpt = self.checkpoint(epoch + 1);
+        Ok((self.last_checkpoint.insert(ckpt), epoch_loss / plan.batches.len() as f64))
+    }
+
+    /// Scores the model as it stands: secure inference on the plan's last
+    /// batch, accuracy against its targets.
+    pub fn score(&mut self, plan: &SharedPlan<R>) -> Result<f64> {
+        let (_, _, y_last, x_last) =
+            plan.batches.last().expect("share_plan refuses an empty plan");
         let out = self.infer_plain(x_last)?;
-        let accuracy = self.accuracy(&out, y_last);
-        Ok(TrainResult {
-            losses,
-            report: self.ctx.report(),
-            accuracy,
-        })
+        Ok(self.accuracy(&out, y_last))
     }
 
     /// Typed secure inference: schedules this request's triples, runs the
@@ -718,30 +725,15 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         })
     }
 
-    /// Maps a dataset batch to this model's target representation.
+    /// Maps a dataset batch to this model's target representation
+    /// ([`ModelSpec::targets_for`]).
     pub fn targets_for(&self, data: &psml_data::Batch) -> PlainMatrix {
-        match (self.spec.loss, self.spec.outputs) {
-            (Loss::Hinge, _) => data
-                .y_scalar
-                .map(|v| if v > 0.5 { 1.0 } else { -1.0 }),
-            (_, 1) => data.y_scalar.clone(),
-            _ => data.y_onehot.clone(),
-        }
+        self.spec.targets_for(data)
     }
 
-    /// Fraction of rows predicted correctly.
+    /// Fraction of rows predicted correctly ([`ModelSpec::accuracy`]).
     pub fn accuracy(&self, pred: &PlainMatrix, y: &PlainMatrix) -> f64 {
-        if pred.rows() == 0 {
-            return 0.0;
-        }
-        let correct = (0..pred.rows())
-            .filter(|&r| match (self.spec.loss, self.spec.outputs) {
-                (Loss::Hinge, _) => (pred[(r, 0)] >= 0.0) == (y[(r, 0)] >= 0.0),
-                (_, 1) => (pred[(r, 0)] >= 0.5) == (y[(r, 0)] >= 0.5),
-                _ => argmax(pred.row(r)) == argmax(y.row(r)),
-            })
-            .count();
-        correct as f64 / pred.rows() as f64
+        self.spec.accuracy(pred, y)
     }
 }
 
@@ -755,14 +747,6 @@ pub(crate) fn non_empty_plan(batch_size: usize, batches: usize) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-fn argmax(row: &[f64]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 /// `batch x (ch*h*w)` -> `(batch*patches) x patch_len` via per-sample
@@ -998,6 +982,36 @@ mod tests {
             r1.report.offline_time.as_secs(),
             offline_now.as_secs()
         );
+    }
+
+    #[test]
+    fn train_epochs_is_the_loop_over_its_three_pieces() {
+        use crate::session::weights_digest;
+        let synthetic = psml_data::DatasetKind::Synthetic;
+        let fresh = || {
+            let spec = ModelSpec::for_dataset(ModelKind::Mlp, synthetic).unwrap();
+            SecureTrainer::<Fixed64>::new(small_cfg(), spec, 19).unwrap()
+        };
+        let mut whole = fresh();
+        let want = whole.train_epochs(synthetic, 8, 2, 2, 3).unwrap();
+
+        let mut by_hand = fresh();
+        let plan = by_hand.share_plan(synthetic, 8, 2, 3).unwrap();
+        let mut losses = Vec::new();
+        for epoch in 0..2 {
+            let (ckpt, loss) = by_hand.train_epoch(&plan, epoch).unwrap();
+            assert_eq!(ckpt.epoch, epoch + 1);
+            losses.push(loss);
+        }
+        let accuracy = by_hand.score(&plan).unwrap();
+
+        assert_eq!(losses, want.losses);
+        assert_eq!(accuracy, want.accuracy);
+        assert_eq!(
+            weights_digest(&by_hand.reveal_weights()),
+            weights_digest(&whole.reveal_weights())
+        );
+        assert_eq!(format!("{:?}", by_hand.report()), format!("{:?}", want.report));
     }
 
     #[test]

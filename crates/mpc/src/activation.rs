@@ -18,8 +18,6 @@
 //! local arithmetic once the pre-activation is known; the leakage profile
 //! matches the reference system, not an idealized garbled-circuit variant.
 
-use crate::ring::PlainMatrix;
-
 /// Eq. (9) on a scalar.
 #[inline]
 pub fn piecewise_activation(x: f64) -> f64 {
@@ -58,19 +56,10 @@ pub fn relu_derivative(x: f64) -> f64 {
     }
 }
 
-/// Applies Eq. (9) element-wise.
-pub fn piecewise_activation_matrix(m: &PlainMatrix) -> PlainMatrix {
-    m.map(piecewise_activation)
-}
-
-/// Applies ReLU element-wise.
-pub fn relu_matrix(m: &PlainMatrix) -> PlainMatrix {
-    m.map(relu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::PlainMatrix;
 
     #[test]
     fn piecewise_matches_definition() {
@@ -124,24 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_versions_apply_elementwise() {
-        let m = PlainMatrix::from_fn(2, 3, |r, c| (r as f64) - c as f64 * 0.5);
-        let act = piecewise_activation_matrix(&m);
-        for r in 0..2 {
-            for c in 0..3 {
-                assert_eq!(act[(r, c)], piecewise_activation(m[(r, c)]));
-            }
-        }
-        let rl = relu_matrix(&m);
-        assert!(rl.as_slice().iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
     fn relu_output_sparsity_motivates_compression() {
         // The paper's Sec. 4.4 argument: post-ReLU matrices contain many
         // zeros. Check a symmetric input goes ~half zero.
         let m = PlainMatrix::from_fn(20, 20, |r, c| ((r * 20 + c) as f64) * 0.01 - 2.0);
-        let rl = relu_matrix(&m);
+        let rl = m.map(relu);
         assert!(rl.zero_fraction() > 0.4);
     }
 }

@@ -56,7 +56,7 @@ impl<R: Num> DeltaEncoder<R> {
                 let delta = next.sub(prev);
                 if delta.zero_fraction() >= self.threshold {
                     let csr = Csr::from_dense(&delta);
-                    if csr.byte_size() < next.byte_size() {
+                    if csr.wins_over_dense() {
                         TransmitForm::Delta(csr)
                     } else {
                         TransmitForm::Full(next.clone())

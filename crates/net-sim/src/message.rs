@@ -41,15 +41,6 @@ impl NodeId {
             NodeId::Server1 => "server1",
         }
     }
-
-    /// The other server, if this is a server.
-    pub fn peer_server(self) -> Option<NodeId> {
-        match self {
-            NodeId::Server0 => Some(NodeId::Server1),
-            NodeId::Server1 => Some(NodeId::Server0),
-            NodeId::Client => None,
-        }
-    }
 }
 
 /// A message body. Matrices dominate the protocol's traffic; `Control`
@@ -114,13 +105,6 @@ mod tests {
             assert_eq!(NodeId::from_index(n.index()), Some(n));
         }
         assert_eq!(NodeId::from_index(3), None);
-    }
-
-    #[test]
-    fn peer_server_pairs() {
-        assert_eq!(NodeId::Server0.peer_server(), Some(NodeId::Server1));
-        assert_eq!(NodeId::Server1.peer_server(), Some(NodeId::Server0));
-        assert_eq!(NodeId::Client.peer_server(), None);
     }
 
     #[test]

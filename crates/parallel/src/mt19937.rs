@@ -172,20 +172,6 @@ impl Mt19937 {
             *v = self.next_u64();
         }
     }
-
-    /// Fills a byte slice from consecutive 32-bit outputs (little-endian),
-    /// discarding unused bytes of the final word on unaligned lengths.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u32().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u32().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,17 +275,6 @@ mod tests {
             let v = rng.gen_range_f32(-2.5, 3.5);
             assert!((-2.5..3.5).contains(&v));
         }
-    }
-
-    #[test]
-    fn fill_bytes_handles_unaligned_tail() {
-        let mut rng = Mt19937::new(3);
-        let mut buf = [0u8; 7];
-        rng.fill_bytes(&mut buf);
-        // First 4 bytes are the LE encoding of the first output.
-        let mut rng2 = Mt19937::new(3);
-        let first = rng2.next_u32().to_le_bytes();
-        assert_eq!(&buf[..4], &first);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub struct Resource {
     name: String,
     free_at: SimTime,
     busy: SimDuration,
-    ops: usize,
 }
 
 impl Resource {
@@ -37,7 +36,6 @@ impl Resource {
             name: name.into(),
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            ops: 0,
         }
     }
 
@@ -59,12 +57,6 @@ impl Resource {
         self.busy
     }
 
-    /// Number of operations executed so far.
-    #[inline]
-    pub fn op_count(&self) -> usize {
-        self.ops
-    }
-
     /// Schedules an operation whose inputs are ready at `ready` and that
     /// takes `dur`; returns its `(start, end)` interval.
     pub fn schedule(&mut self, ready: SimTime, dur: SimDuration) -> (SimTime, SimTime) {
@@ -72,7 +64,6 @@ impl Resource {
         let end = start + dur;
         self.free_at = end;
         self.busy += dur;
-        self.ops += 1;
         (start, end)
     }
 
@@ -80,7 +71,6 @@ impl Resource {
     pub fn reset(&mut self) {
         self.free_at = SimTime::ZERO;
         self.busy = SimDuration::ZERO;
-        self.ops = 0;
     }
 }
 
@@ -98,7 +88,6 @@ mod tests {
         let (s2, e2) = r.schedule(SimTime::from_secs(1.0), SimDuration::from_secs(1.0));
         assert_eq!(s2, SimTime::from_secs(2.0));
         assert_eq!(e2, SimTime::from_secs(3.0));
-        assert_eq!(r.op_count(), 2);
         assert!((r.busy_time().as_secs() - 3.0).abs() < 1e-12);
     }
 
@@ -119,6 +108,5 @@ mod tests {
         r.reset();
         assert_eq!(r.free_at(), SimTime::ZERO);
         assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.op_count(), 0);
     }
 }

@@ -67,11 +67,6 @@ impl Timeline {
         &self.resources[id.0]
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
     /// Schedules an operation on `res` that may start once `ready` has
     /// passed and takes `dur`. Returns the operation's end time, which
     /// callers thread into dependent operations' `ready` arguments.
@@ -256,6 +251,6 @@ mod tests {
         tl.reset();
         assert_eq!(tl.makespan(), SimTime::ZERO);
         assert!(tl.trace().is_empty());
-        assert_eq!(tl.resource_count(), 1);
+        assert_eq!(tl.resource(gpu).busy_time(), SimDuration::ZERO);
     }
 }

@@ -147,11 +147,6 @@ impl<T: Num> Matrix<T> {
         self.map(|x| x.mul(k))
     }
 
-    /// Negates every element.
-    pub fn negate(&self) -> Matrix<T> {
-        self.map(T::neg)
-    }
-
     /// Applies `f` element-wise.
     pub fn map(&self, f: impl Fn(T) -> T) -> Matrix<T> {
         Matrix {
@@ -250,11 +245,6 @@ impl Matrix<f32> {
             .zip(&rhs.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -382,10 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_negate() {
+    fn scale_multiplies_every_element() {
         let m = mat(2, 2);
         assert_eq!(m.scale(2.0)[(1, 1)], 6.0);
-        assert_eq!(m.negate()[(1, 1)], -3.0);
     }
 
     #[test]
@@ -407,13 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_and_norm() {
+    fn max_abs_diff_finds_the_largest_gap() {
         let a = mat(2, 2);
         let mut b = a.clone();
         b[(1, 0)] += 0.5;
         assert_eq!(a.max_abs_diff(&b), 0.5);
-        let unit = Matrix::from_vec(1, 2, vec![3.0f32, 4.0]);
-        assert!((unit.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

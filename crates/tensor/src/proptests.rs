@@ -5,7 +5,7 @@ use crate::gemm::{gemm_auto, gemm_blocked, gemm_naive, gemm_packed};
 use crate::half::quantize_f16;
 use crate::matrix::Matrix;
 use crate::quant;
-use crate::sparse::{density_of_zeros, Csr, MaybeCompressed};
+use crate::sparse::{density_of_zeros, Csr};
 use proptest::prelude::*;
 
 fn ring_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<u64>> {
@@ -74,18 +74,6 @@ proptest! {
         let mut applied = base.clone();
         csr.add_into(&mut applied);
         prop_assert_eq!(applied, base.add(&delta));
-    }
-
-    /// The compression policy never selects a representation larger than
-    /// dense, and always round-trips.
-    #[test]
-    fn compression_policy_safe(vals in prop::collection::vec((any::<u64>(), 0u8..5), 64)) {
-        let data: Vec<u64> = vals.iter().map(|&(v, z)| if z == 0 { v } else { 0 }).collect();
-        let m = Matrix::from_vec(8, 8, data);
-        let dense_bytes = m.byte_size();
-        let choice = MaybeCompressed::choose(m.clone(), 0.75);
-        prop_assert!(choice.byte_size() <= dense_bytes);
-        prop_assert_eq!(choice.into_dense(), m);
     }
 
     /// zero_fraction and density_of_zeros agree.

@@ -158,51 +158,6 @@ impl<T: Num> Csr<T> {
     }
 }
 
-/// Decision + payload for one transmission: dense or compressed, whichever
-/// the Sec. 4.4 policy selects.
-#[derive(Clone, Debug)]
-pub enum MaybeCompressed<T: Num> {
-    /// Matrix shipped dense (not sparse enough).
-    Dense(Matrix<T>),
-    /// Matrix shipped as CSR.
-    Sparse(Csr<T>),
-}
-
-impl<T: Num> MaybeCompressed<T> {
-    /// Applies the paper's policy: CSR when the zero fraction reaches
-    /// `threshold` (default 0.75) *and* CSR is actually smaller.
-    pub fn choose(m: Matrix<T>, threshold: f64) -> Self {
-        if m.zero_fraction() >= threshold {
-            let csr = Csr::from_dense(&m);
-            if csr.wins_over_dense() {
-                return MaybeCompressed::Sparse(csr);
-            }
-        }
-        MaybeCompressed::Dense(m)
-    }
-
-    /// Bytes this payload occupies on the wire.
-    pub fn byte_size(&self) -> usize {
-        match self {
-            MaybeCompressed::Dense(m) => m.byte_size(),
-            MaybeCompressed::Sparse(c) => c.byte_size(),
-        }
-    }
-
-    /// Recovers the dense matrix.
-    pub fn into_dense(self) -> Matrix<T> {
-        match self {
-            MaybeCompressed::Dense(m) => m,
-            MaybeCompressed::Sparse(c) => c.to_dense(),
-        }
-    }
-
-    /// Whether the compressed representation was chosen.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, MaybeCompressed::Sparse(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,24 +213,6 @@ mod tests {
         let mut out = base.clone();
         csr.add_into(&mut out);
         assert_eq!(out, base.add(&delta));
-    }
-
-    #[test]
-    fn policy_compresses_only_when_sparse_enough() {
-        let sparse = sparse_matrix(); // 80 % zeros
-        assert!(MaybeCompressed::choose(sparse, DEFAULT_SPARSITY_THRESHOLD).is_compressed());
-        let dense = Matrix::from_fn(10, 10, |r, c| (r + c + 1) as f32);
-        assert!(!MaybeCompressed::choose(dense, DEFAULT_SPARSITY_THRESHOLD).is_compressed());
-    }
-
-    #[test]
-    fn policy_never_grows_payload() {
-        // A matrix that is 75 % zeros but so small that CSR indices outweigh
-        // the dense form must stay dense.
-        let mut tiny = Matrix::<f32>::zeros(1, 4);
-        tiny[(0, 0)] = 1.0;
-        let choice = MaybeCompressed::choose(tiny.clone(), 0.5);
-        assert!(choice.byte_size() <= tiny.byte_size());
     }
 
     #[test]

@@ -129,15 +129,6 @@ impl Summary {
         }
         out
     }
-
-    /// Busy nanoseconds attributed to `phase`.
-    pub fn phase_ns(&self, phase: Phase) -> u64 {
-        self.phases
-            .iter()
-            .find(|(p, ..)| *p == phase)
-            .map(|&(_, ns, ..)| ns)
-            .unwrap_or(0)
-    }
 }
 
 /// Human-readable nanosecond count with adaptive units.
@@ -199,8 +190,7 @@ mod tests {
         let s = Summary::from_events(&events);
         assert_eq!(s.total_ns, 100 + 150 + 150 + 500);
         assert_eq!(s.total_bytes, 64);
-        assert_eq!(s.phase_ns(Phase::Compute1), 250);
-        assert_eq!(s.phase_ns(Phase::Offline), 0);
+        assert_eq!(s.phases[0].1, 250, "compute1 busy ns");
         assert_eq!(s.layers, vec![(0, 400, 3), (1, 500, 1)]);
         // Phases come out in pipeline order.
         let order: Vec<Phase> = s.phases.iter().map(|&(p, ..)| p).collect();

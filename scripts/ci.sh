@@ -52,6 +52,23 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/engine.rs \
     echo "ci: core::engine re-implements or re-owns the protocol steps (listed above)" >&2; exit 1
 fi
 
+# One session protocol: the session calls the trainer (no epoch observer, no
+# rollback smuggled through the error type), and each control string is
+# spelled once, in `Control`'s Display; `Control::parse` matches bare tags.
+if grep -rn 'train_epochs_from' crates tests examples; then
+    echo "ci: the epoch-observer entry point is back (listed above)" >&2; exit 1
+fi
+if grep -n 'Rollback' crates/core/src/error.rs; then
+    echo "ci: EngineError carries session control flow again (listed above)" >&2; exit 1
+fi
+for tag in commit final done ok state begin; do
+    writers="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/session.rs | grep -c "\"$tag:" || true)"
+    [ "$writers" -le 1 ] || {
+        echo "ci: session.rs spells the \"$tag:\" message $writers times; the grammar has a second writer" >&2
+        exit 1
+    }
+done
+
 # Fault-injection seed matrix: every chaos scenario must hold for any
 # plan seed, not just the default. The sweep covers both the in-process
 # chaos suite and the process-per-party TCP suite (whose chaos proxy

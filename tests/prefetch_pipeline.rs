@@ -101,24 +101,25 @@ fn checkpoint_resume_is_bit_identical_under_prefetch() {
     // Full prefetching run, capturing the epoch-2 checkpoint en route.
     let mut ckpt2 = None;
     let mut full = fresh(true);
-    full.train_epochs_from(DatasetKind::Synthetic, 8, 1, 0, EPOCHS, SEED, |c, _| {
+    let plan = full.share_plan(DatasetKind::Synthetic, 8, 1, SEED).unwrap();
+    for epoch in 0..EPOCHS {
+        let (c, _) = full.train_epoch(&plan, epoch).unwrap();
         if c.epoch == 2 {
             ckpt2 = Some(c.clone());
         }
-        Ok(())
-    })
-    .unwrap();
-    let ckpt = ckpt2.expect("observer saw the epoch-2 checkpoint");
+    }
+    let ckpt = ckpt2.expect("the run passed the epoch-2 checkpoint");
 
     // Two fresh replicas resume the 2..4 span from that checkpoint.
     let mut finishes = Vec::new();
     for prefetch in [true, false] {
         let mut t = fresh(prefetch);
         assert_eq!(t.resume_from_checkpoint(&ckpt).unwrap(), 2);
-        let r = t
-            .train_epochs_from(DatasetKind::Synthetic, 8, 1, 2, EPOCHS, SEED, |_, _| Ok(()))
-            .unwrap();
-        finishes.push((weights_digest(&t.reveal_weights()), r.losses));
+        let plan = t.share_plan(DatasetKind::Synthetic, 8, 1, SEED).unwrap();
+        let losses: Vec<f64> = (2..EPOCHS)
+            .map(|epoch| t.train_epoch(&plan, epoch).unwrap().1)
+            .collect();
+        finishes.push((weights_digest(&t.reveal_weights()), losses));
     }
     assert_eq!(
         finishes[0], finishes[1],
