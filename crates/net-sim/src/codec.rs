@@ -357,6 +357,9 @@ pub const STREAM_HEADER_BYTES: usize = 8;
 /// never completes; anything larger is treated as line noise and skipped.
 pub const MAX_STREAM_FRAME_BYTES: usize = 1 << 28;
 
+/// Room [`StreamDecoder::read_from`] offers the transport per `read`.
+const READ_UNIT: usize = 64 * 1024;
+
 /// True when a payload of `payload_len` bytes fits one stream record:
 /// the body (`seq | crc | payload`) must not exceed
 /// [`MAX_STREAM_FRAME_BYTES`], beyond which a [`StreamDecoder`] treats the
@@ -409,6 +412,22 @@ impl StreamDecoder {
     /// Appends raw bytes read from the transport.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Performs one `read` on `src` straight into the decoder's own buffer
+    /// ([`READ_UNIT`] bytes of room per call, so a large record costs one
+    /// syscall per 64 KiB and no intermediate copy) and returns what `read`
+    /// returned: `Ok(0)` is end of stream, and an error — `WouldBlock` and
+    /// `TimedOut` included — leaves the buffered bytes as they were.
+    pub fn read_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        // Copied from a static, not `resize`d: an unoptimized build fills
+        // element by element, which at this size outweighs the syscall.
+        static ROOM: [u8; READ_UNIT] = [0; READ_UNIT];
+        let filled = self.buf.len();
+        self.buf.extend_from_slice(&ROOM);
+        let res = src.read(&mut self.buf[filled..]);
+        self.buf.truncate(filled + *res.as_ref().unwrap_or(&0));
+        res
     }
 
     /// Times the decoder lost alignment and had to scan for magic.
@@ -697,6 +716,47 @@ mod tests {
             }
             assert_eq!(dec.resyncs(), 0);
             assert_eq!(dec.buffered(), 0);
+        }
+    }
+
+    /// `read_from` is `push` without the caller's buffer: short reads, a
+    /// record larger than one read unit and an erroring source all leave
+    /// the decoder exactly where `push` of the same bytes would.
+    #[test]
+    fn stream_read_from_matches_push() {
+        struct Dribble<'a>(&'a [u8], usize);
+        impl std::io::Read for Dribble<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                let n = self.1.min(out.len()).min(self.0.len());
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let big = vec![0xC3u8; 3 * READ_UNIT + 17];
+        let mut wire = encode_stream_frame(0, b"small");
+        wire.extend_from_slice(&encode_stream_frame(1, &big));
+        for step in [4093usize, READ_UNIT, usize::MAX] {
+            let mut src = Dribble(&wire, step);
+            let mut dec = StreamDecoder::new();
+            let mut got = Vec::new();
+            loop {
+                match dec.read_from(&mut src) {
+                    Ok(n) => assert!(n > 0 && n <= READ_UNIT),
+                    Err(e) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock);
+                        break;
+                    }
+                }
+                while let Some(f) = dec.next_frame() {
+                    got.push(f.unwrap());
+                }
+            }
+            assert_eq!(got, vec![(0, b"small".to_vec()), (1, big.clone())]);
+            assert_eq!((dec.buffered(), dec.resyncs()), (0, 0), "step {step}");
         }
     }
 

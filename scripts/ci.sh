@@ -69,6 +69,21 @@ for tag in commit final done ok state begin; do
     }
 done
 
+# One wait, one outbound path: the supervisor's party thread blocks in one
+# place (on the awaited socket, never in a fixed-period sleep), and installed
+# sockets are non-blocking, so the only `write_all`s left are the `hello` and
+# `hello-ack` on a fresh, still blocking stream. A third one is a record
+# bypassing the outbound queue — which reads `WouldBlock` as a dead link.
+supervise_src="$(sed '/^#\[cfg(test)\]/,$d' crates/net-sim/src/supervise.rs)"
+if grep -n 'sleep(POLL)' <<<"$supervise_src"; then
+    echo "ci: net-sim::supervise sleep-polls again (listed above)" >&2; exit 1
+fi
+write_alls="$(grep -c 'write_all(' <<<"$supervise_src" || true)"
+[ "$write_alls" -le 2 ] || {
+    echo "ci: net-sim::supervise has $write_alls write_all sites; only the two handshake writes may bypass the outbound queue" >&2
+    exit 1
+}
+
 # Fault-injection seed matrix: every chaos scenario must hold for any
 # plan seed, not just the default. The sweep covers both the in-process
 # chaos suite and the process-per-party TCP suite (whose chaos proxy
