@@ -99,10 +99,11 @@ pub struct EngineConfig {
     /// fresh triple per scheduled use) and with fault injection (triple
     /// distribution is charged on the fault-free fast path).
     pub prefetch: bool,
-    /// Bound on triples buffered ahead by the prefetch pipeline
-    /// (backpressure: the provider blocks once this many are ready and
-    /// unconsumed). Memory stays bounded by `depth` triples of the
-    /// largest scheduled shape.
+    /// Secondary cap on the *count* of triples the prefetch pipeline
+    /// holds ready. What binds is the provider's byte budget, derived from
+    /// the declared schedule (see [`crate::provider`], "Backpressure");
+    /// this field stays because `e2e` passes it to
+    /// [`crate::TripleProvider::new`], and goes with that argument.
     pub prefetch_depth: usize,
     /// Learning rate for training tasks.
     pub learning_rate: f64,
@@ -140,7 +141,7 @@ impl EngineConfig {
             client_aided_activation: false,
             insecure_reuse_triples: true,
             prefetch: false,
-            prefetch_depth: 4,
+            prefetch_depth: 64,
             learning_rate: 0.05,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
@@ -167,7 +168,7 @@ impl EngineConfig {
             client_aided_activation: false,
             insecure_reuse_triples: true,
             prefetch: false,
-            prefetch_depth: 4,
+            prefetch_depth: 64,
             learning_rate: 0.05,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),

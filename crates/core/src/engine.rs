@@ -34,7 +34,7 @@
 use crate::adaptive::{AdaptiveEngine, Placement};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
-use crate::provider::TripleProvider;
+use crate::provider::{ProviderStats, TripleProvider};
 use crate::report::{PhaseBreakdown, RunReport};
 use psml_gpu::kernels::device_random;
 use psml_gpu::{GemmMode, GpuDevice, GpuElement, GpuError};
@@ -554,6 +554,14 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         if let Some(p) = &self.provider {
             p.schedule(specs);
         }
+    }
+
+    /// Counters of the prefetch pipeline (deliveries, consumer stall,
+    /// lookahead adopted and discarded, ready-queue high water); `None`
+    /// when prefetch is off. Not part of [`RunReport`]: stall time is
+    /// wall clock.
+    pub fn provider_stats(&self) -> Option<ProviderStats> {
+        self.provider.as_ref().map(TripleProvider::stats)
     }
 
     /// Charges the client-side compute of generating one triple —
@@ -1681,6 +1689,8 @@ mod tests {
         let y = ctx.share_input(&plain(5, 4, 0.5)).unwrap();
         let h = ctx.secure_hadamard(&x, &y, "had").unwrap();
         let hv = ctx.reveal(&h).unwrap().v;
+        let takes = ctx.provider_stats().map(|s| s.takes);
+        assert_eq!(takes, ctx.config().prefetch.then_some(2));
         (c, hv, ctx.report())
     }
 

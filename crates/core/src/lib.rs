@@ -53,7 +53,7 @@ pub use engine::SecureContext;
 pub use error::{ConfigError, EngineError};
 pub use layers::{Activation, LayerSpec};
 pub use models::{ModelKind, ModelSpec};
-pub use provider::TripleProvider;
+pub use provider::{ProviderStats, TripleProvider};
 pub use report::{PhaseBreakdown, RunReport};
 pub use serve::{
     outputs_digest, InferRequest, InferResponse, ModelHost, ModelId, ModelServeStats,

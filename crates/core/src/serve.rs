@@ -282,8 +282,9 @@ impl ServeConfig {
     /// the embedded config with prefetch forced on (each host owns a
     /// `TripleProvider`; forcing prefetch also clears
     /// `insecure_reuse_triples` — serving provisions one fresh triple per
-    /// scheduled use). The provider's backpressure depth is
-    /// [`EngineConfig::prefetch_depth`].
+    /// scheduled use). The provider bounds its ready queue in bytes from
+    /// the window schedules it is given; [`EngineConfig::prefetch_depth`]
+    /// is only a secondary count cap.
     pub fn engine_for_host(&self) -> EngineConfig {
         self.engine.clone().with_prefetch(true)
     }

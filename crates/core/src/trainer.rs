@@ -20,6 +20,7 @@ use psml_mpc::{PlainMatrix, SecureRing};
 #[cfg(test)]
 use psml_parallel::Mt19937;
 use psml_tensor::{im2col, ConvShape, Matrix, Num};
+use std::borrow::Cow;
 
 /// Result of a training run.
 #[derive(Clone, Debug)]
@@ -72,9 +73,11 @@ pub struct InferenceResult {
     pub accuracy: f64,
 }
 
-enum Cache<R: SecureRing> {
+enum Cache<'a, R: SecureRing> {
     Dense {
-        x: SharedMatrix<R>,
+        /// The layer's input: the caller's shares for the first layer
+        /// (borrowed, not copied), the previous activation after that.
+        x: Cow<'a, SharedMatrix<R>>,
         mask: Option<PlainMatrix>,
     },
     Conv {
@@ -240,12 +243,12 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
 
     /// Secure forward pass. Returns the (still-shared) outputs and the
     /// caches backward propagation needs.
-    fn forward(
+    fn forward<'a>(
         &mut self,
-        x: &SharedMatrix<R>,
-    ) -> Result<(SharedMatrix<R>, Vec<Cache<R>>)> {
+        x: &'a SharedMatrix<R>,
+    ) -> Result<(SharedMatrix<R>, Vec<Cache<'a, R>>)> {
         let batch = x.shape().0;
-        let mut cur = x.clone();
+        let mut cur = Cow::Borrowed(x);
         let mut caches = Vec::with_capacity(self.spec.layers.len());
         for (li, layer) in self.spec.layers.clone().iter().enumerate() {
             match layer {
@@ -255,7 +258,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
                             .secure_mul_auto(&cur, &self.weights[li][0], &format!("l{li}.fwd"))?;
                     let (a, mask) = self.apply_activation(z, *activation, &format!("l{li}"))?;
                     caches.push(Cache::Dense { x: cur, mask });
-                    cur = a;
+                    cur = Cow::Owned(a);
                 }
                 LayerSpec::Conv2D { shape, activation } => {
                     let shape = *shape;
@@ -277,7 +280,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
                         batch,
                         shape,
                     });
-                    cur = flat;
+                    cur = Cow::Owned(flat);
                 }
                 LayerSpec::AvgPool2D {
                     channels,
@@ -291,9 +294,10 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
                         pool_window_sum(m, channels, grid_h, grid_w, window)
                     });
                     // Mean = window sum x public 1/window^2.
-                    cur = self
-                        .ctx
-                        .scale_public(&summed, 1.0 / (window * window) as f64);
+                    cur = Cow::Owned(
+                        self.ctx
+                            .scale_public(&summed, 1.0 / (window * window) as f64),
+                    );
                     caches.push(Cache::Pool {
                         channels,
                         grid_h,
@@ -341,16 +345,16 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
                         last_mask: last_mask
                             .unwrap_or_else(|| PlainMatrix::from_fn(batch, hidden, |_, _| 1.0)),
                     });
-                    cur = h;
+                    cur = Cow::Owned(h);
                 }
             }
         }
-        Ok((cur, caches))
+        Ok((cur.into_owned(), caches))
     }
 
     /// Secure backward pass from the loss gradient `d` (w.r.t. the model's
     /// activated output), updating all weights in place.
-    fn backward(&mut self, caches: Vec<Cache<R>>, d: SharedMatrix<R>) -> Result<()> {
+    fn backward(&mut self, caches: Vec<Cache<'_, R>>, d: SharedMatrix<R>) -> Result<()> {
         let lr = self.ctx.config().learning_rate;
         let mut d = d;
         for (li, cache) in caches.into_iter().enumerate().rev() {

@@ -27,6 +27,36 @@ impl<R: Num> TransmitForm<R> {
     }
 }
 
+/// `next.sub(prev).zero_fraction() >= threshold`, decided in one pass over
+/// the two operands without materialising the difference, and given up as
+/// soon as the non-zeros seen so far put the threshold out of reach. The
+/// comparison is the one `zero_fraction` makes (same `f64` quotient), so
+/// the decision is the same on every input.
+fn delta_is_sparse<R: Num>(next: &Matrix<R>, prev: &Matrix<R>, threshold: f64) -> bool {
+    const CHUNK: usize = 1024;
+    let len = next.as_slice().len();
+    let mut nonzeros = 0usize;
+    for (n, p) in next.as_slice().chunks(CHUNK).zip(prev.as_slice().chunks(CHUNK)) {
+        nonzeros += n.iter().zip(p).filter(|&(&a, &b)| !a.sub(b).is_zero()).count();
+        // Every element still to come can only add non-zeros.
+        if ((len - nonzeros) as f64 / len as f64) < threshold {
+            return false;
+        }
+    }
+    true
+}
+
+/// Makes `slot` a copy of `m`, reusing its buffer when the shape is
+/// unchanged (the steady state of a stream).
+fn mirror<R: Num>(slot: &mut Option<Matrix<R>>, m: &Matrix<R>) {
+    match slot {
+        Some(prev) if prev.shape() == m.shape() => {
+            prev.as_mut_slice().copy_from_slice(m.as_slice());
+        }
+        _ => *slot = Some(m.clone()),
+    }
+}
+
 /// Sender-side state for one matrix stream.
 #[derive(Clone, Debug)]
 pub struct DeltaEncoder<R: Num> {
@@ -49,25 +79,24 @@ impl<R: Num> DeltaEncoder<R> {
         }
     }
 
-    /// Decides the wire form for `next` and updates the mirror state.
+    /// Decides the wire form for `next` and updates the mirror state. A
+    /// full send costs one copy of `next` (the form); the delta and its
+    /// CSR are built only when the delta is sparse enough to be shipped.
     pub fn encode(&mut self, next: &Matrix<R>) -> TransmitForm<R> {
         let form = match &self.prev {
-            Some(prev) if prev.shape() == next.shape() => {
-                let delta = next.sub(prev);
-                if delta.zero_fraction() >= self.threshold {
-                    let csr = Csr::from_dense(&delta);
-                    if csr.wins_over_dense() {
-                        TransmitForm::Delta(csr)
-                    } else {
-                        TransmitForm::Full(next.clone())
-                    }
+            Some(prev)
+                if prev.shape() == next.shape() && delta_is_sparse(next, prev, self.threshold) =>
+            {
+                let csr = Csr::from_dense(&next.sub(prev));
+                if csr.wins_over_dense() {
+                    TransmitForm::Delta(csr)
                 } else {
                     TransmitForm::Full(next.clone())
                 }
             }
             _ => TransmitForm::Full(next.clone()),
         };
-        self.prev = Some(next.clone());
+        mirror(&mut self.prev, next);
         form
     }
 
@@ -124,19 +153,20 @@ impl<R: Num> DeltaDecoder<R> {
 
     /// Applies a received form, returning the reconstructed full matrix.
     pub fn decode(&mut self, form: TransmitForm<R>) -> Result<Matrix<R>, DeltaError> {
-        let full = match form {
-            TransmitForm::Full(m) => m,
+        match form {
+            TransmitForm::Full(m) => {
+                mirror(&mut self.prev, &m);
+                Ok(m)
+            }
             TransmitForm::Delta(csr) => {
-                let mut base = self.prev.clone().ok_or(DeltaError::NoBase)?;
+                let base = self.prev.as_mut().ok_or(DeltaError::NoBase)?;
                 if base.shape() != csr.shape() {
                     return Err(DeltaError::ShapeMismatch);
                 }
-                csr.add_into(&mut base);
-                base
+                csr.add_into(base);
+                Ok(base.clone())
             }
-        };
-        self.prev = Some(full.clone());
-        Ok(full)
+        }
     }
 
     /// Drops the mirror state.
@@ -260,5 +290,65 @@ mod tests {
             TransmitForm::Delta(c) => c.byte_size(),
         };
         assert!(wire <= m1.byte_size());
+    }
+
+    use proptest::prelude::*;
+
+    /// `encode` as it was before the one-pass decision: the delta is
+    /// materialised and its zero fraction compared with the threshold.
+    fn encode_by_materialised_delta(
+        prev: &Matrix<u64>,
+        next: &Matrix<u64>,
+        threshold: f64,
+    ) -> TransmitForm<u64> {
+        let delta = next.sub(prev);
+        if delta.zero_fraction() >= threshold {
+            let csr = Csr::from_dense(&delta);
+            if csr.wins_over_dense() {
+                return TransmitForm::Delta(csr);
+            }
+        }
+        TransmitForm::Full(next.clone())
+    }
+
+    proptest! {
+        /// The one-pass decision is the materialised-delta decision, with
+        /// the delta's zero count just below, at and just above the count
+        /// the threshold asks for — on streams short and long enough to
+        /// stop early in a later chunk.
+        #[test]
+        fn one_pass_decision_equals_the_materialised_one(
+            (rows, cols) in (1usize..48, 1usize..64),
+            threshold in prop::sample::select(vec![0.0, 0.3, 0.5, 0.75, 0.8, 0.999, 1.0]),
+            around in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let len = rows * cols;
+            let wanted = (threshold * len as f64).ceil() as usize;
+            let zeros = (wanted + around).saturating_sub(2).min(len);
+            let prev = Matrix::from_fn(rows, cols, |r, c| seed.wrapping_mul((r * cols + c) as u64 | 1));
+            // `zeros` unchanged elements, as a run from a random offset.
+            let mut next = prev.map(|v| v.wrapping_add(1));
+            for i in 0..zeros {
+                let at = (seed as usize % len + i) % len;
+                next.as_mut_slice()[at] = prev.as_slice()[at];
+            }
+            let delta = next.sub(&prev);
+            prop_assert_eq!(
+                delta_is_sparse(&next, &prev, threshold),
+                delta.zero_fraction() >= threshold
+            );
+
+            let mut enc = DeltaEncoder::with_threshold(threshold);
+            let mut dec = DeltaDecoder::new();
+            prop_assert_eq!(dec.decode(enc.encode(&prev)).unwrap(), prev.clone());
+            let form = enc.encode(&next);
+            prop_assert_eq!(&form, &encode_by_materialised_delta(&prev, &next, threshold));
+            prop_assert_eq!(dec.decode(form).unwrap(), next.clone());
+            // Both mirrors now hold `next`: an unchanged resend is an empty delta.
+            let form = enc.encode(&next);
+            prop_assert_eq!(&form, &encode_by_materialised_delta(&next, &next, threshold));
+            prop_assert_eq!(dec.decode(form).unwrap(), next);
+        }
     }
 }

@@ -74,6 +74,13 @@ const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 /// DESIGN.md "Quantized ring GEMM".
 const AUTO_QUANT_FLOPS: usize = 4_000_000;
 
+/// Summed `m * k * n` of a batch's serial-tier items below which
+/// [`gemm_batch`] runs them on the calling thread: a pool region costs two
+/// thread wake-ups and a latch round-trip (tens of microseconds), more than
+/// a window of serving-sized triples (sixteen `1 x 2048 x 1` products, 32 K
+/// multiply-adds) takes to compute in place.
+const BATCH_POOL_FLOPS: usize = 4 * AUTO_PACK_FLOPS;
+
 fn assert_shapes<T: Num>(a: &Matrix<T>, b: &Matrix<T>) {
     assert_eq!(
         a.cols(),
@@ -740,8 +747,10 @@ fn auto_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
 /// Evaluates a batch of *independent* products, each with the exact kernel
 /// [`gemm_auto`] would pick for it, amortizing pool dispatch across the
 /// batch: all serial-tier items (blocked / serial-packed) are submitted to
-/// the process-global pool as one region and run concurrently, while
-/// parallel-tier items run one after another, each owning the whole pool.
+/// the process-global pool as one region and run concurrently (unless
+/// together they are too small to be worth one — `BATCH_POOL_FLOPS` — and
+/// run in place), while parallel-tier items run one after another, each
+/// owning the whole pool.
 ///
 /// Results are bit-identical to calling [`gemm_auto`] per pair — the same
 /// kernel functions execute on the same operands; only *where* they run
@@ -795,7 +804,13 @@ pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> 
     };
     let mut results: Vec<Option<Matrix<T>>> = pairs.iter().map(|_| None).collect();
     let serial_items = tiers.iter().filter(|&&t| t != AutoTier::Parallel).count();
-    if serial_items > 1 && configured_workers() >= 2 {
+    let serial_flops: usize = pairs
+        .iter()
+        .zip(&tiers)
+        .filter(|&(_, &t)| t != AutoTier::Parallel)
+        .map(|(&(a, b), _)| a.rows() * a.cols() * b.cols())
+        .sum();
+    if serial_items > 1 && serial_flops >= BATCH_POOL_FLOPS && configured_workers() >= 2 {
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
             .iter_mut()
             .enumerate()
@@ -1062,6 +1077,18 @@ mod tests {
         let pairs: Vec<(&Matrix<u64>, &Matrix<u64>)> = lhs.iter().map(|a| (a, &b)).collect();
         for (got, a) in gemm_batch(&pairs).iter().zip(&lhs) {
             assert_eq!(got, &gemm_auto(a, &b));
+        }
+    }
+
+    #[test]
+    fn batch_under_the_pool_floor_runs_in_place_and_matches() {
+        // A serving window: sixteen 1 x 2048 x 1 products, 32 K flops.
+        let mats: Vec<(Matrix<u64>, Matrix<u64>)> =
+            (0..16).map(|i| (umat(1, 2048, i + 1), umat(2048, 1, i + 40))).collect();
+        let pairs: Vec<(&Matrix<u64>, &Matrix<u64>)> = mats.iter().map(|(a, b)| (a, b)).collect();
+        assert!(16 * 2048 < BATCH_POOL_FLOPS);
+        for (got, (a, b)) in gemm_batch(&pairs).iter().zip(&mats) {
+            assert_eq!(got, &gemm_auto(a, b));
         }
     }
 

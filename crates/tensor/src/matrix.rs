@@ -171,12 +171,26 @@ impl<T: Num> Matrix<T> {
         }
     }
 
-    /// Matrix transpose.
+    /// Matrix transpose, cache-blocked: each `TILE x TILE` block is read
+    /// as strided column walks that stay inside the block's cache lines
+    /// and written as contiguous row segments of the result.
     pub fn transpose(&self) -> Matrix<T> {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
+        const TILE: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        if rows == 0 || cols == 0 {
+            return out;
+        }
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for c0 in (0..cols).step_by(TILE) {
+                for c in c0..(c0 + TILE).min(cols) {
+                    let column = self.data[r0 * cols + c..].iter().step_by(cols);
+                    let segment = &mut out.data[c * rows + r0..c * rows + r1];
+                    for (dst, &src) in segment.iter_mut().zip(column) {
+                        *dst = src;
+                    }
+                }
             }
         }
         out

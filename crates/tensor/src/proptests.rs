@@ -124,6 +124,31 @@ proptest! {
         prop_assert_eq!(a.add(&b).transpose(), a.transpose().add(&b.transpose()));
     }
 
+    /// The tiled transpose is the definition `out[c][r] = m[r][c]`, on
+    /// empty (0xN, Nx0), single-row and single-column shapes and on sides
+    /// that straddle the 32-wide tile.
+    #[test]
+    fn transpose_matches_the_double_loop((rows, cols) in (0usize..70, 0usize..70), seed in any::<u64>(),
+                                         edge in 0usize..8) {
+        let (rows, cols) = match edge {
+            0 => (0, cols),
+            1 => (rows, 0),
+            2 => (1, cols),
+            3 => (rows, 1),
+            _ => (rows, cols),
+        };
+        let m = Matrix::from_fn(rows, cols, |r, c| {
+            seed.wrapping_mul(r as u64 + 1).wrapping_add((c as u64) << 9)
+        });
+        let mut naive = Matrix::zeros(cols, rows);
+        for r in 0..rows {
+            for c in 0..cols {
+                naive[(c, r)] = m[(r, c)];
+            }
+        }
+        prop_assert_eq!(m.transpose(), naive);
+    }
+
     /// (AB)^T = B^T A^T over the ring.
     #[test]
     fn transpose_of_product(a in ring_matrix(3, 5), b in ring_matrix(5, 4)) {

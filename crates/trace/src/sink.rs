@@ -135,16 +135,14 @@ impl TraceSink {
         CONTEXT.with(Cell::get)
     }
 
-    /// Wall-clock nanoseconds since the first [`TraceSink::enable`] of the
-    /// process. Returns 0 before the epoch is set.
+    /// Wall-clock nanoseconds since the process epoch: the first
+    /// [`TraceSink::enable`] or the first call of this function, whichever
+    /// came first. It reads the clock whether or not tracing is on, so
+    /// counters kept outside the span path (the triple provider's stall
+    /// time) can be stamped with it.
     pub fn wall_ns() -> u64 {
-        EPOCH
-            .get()
-            .map(|e| {
-                let n = e.elapsed().as_nanos();
-                u64::try_from(n).unwrap_or(u64::MAX)
-            })
-            .unwrap_or(0)
+        let n = EPOCH.get_or_init(Instant::now).elapsed().as_nanos();
+        u64::try_from(n).unwrap_or(u64::MAX)
     }
 }
 
@@ -198,6 +196,15 @@ mod tests {
         assert_eq!(evs[0].bytes, 64);
         assert_eq!(evs[1].phase, Phase::Other);
         assert_eq!(evs[1].layer, None);
+    }
+
+    #[test]
+    fn wall_clock_advances_without_enable() {
+        // No `enable()` here (and none is needed by any other test for
+        // this to hold): the epoch is set by the first reader.
+        let before = TraceSink::wall_ns();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(TraceSink::wall_ns() >= before + 1_000_000);
     }
 
     #[test]

@@ -84,6 +84,20 @@ write_alls="$(grep -c 'write_all(' <<<"$supervise_src" || true)"
     exit 1
 }
 
+# One lock site in the triple provider: `Shared::lock` / `Shared::wait`
+# recover a poisoned guard (entries enter the queues whole), so a panic on
+# either side of the hand-off is a typed error from `take` and never a second
+# panic from `schedule` or `drop`. An unwrapped guard is that regression.
+provider_src="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/provider.rs)"
+if grep -nE 'lock\(\)\.unwrap\(\)|\.wait\(.*\.unwrap\(\)' <<<"$provider_src"; then
+    echo "ci: core::provider unwraps a lock or condvar guard (listed above)" >&2; exit 1
+fi
+# The reconcile races (a `schedule` landing while a speculative window is in
+# flight) depend on timing; one green run proves little.
+for round in 1 2 3 4 5; do
+    cargo test -q --offline -p parsecureml --lib provider::
+done
+
 # Fault-injection seed matrix: every chaos scenario must hold for any
 # plan seed, not just the default. The sweep covers both the in-process
 # chaos suite and the process-per-party TCP suite (whose chaos proxy

@@ -69,10 +69,10 @@ fn prefetch_is_invisible_in_results_and_reports_across_models() {
 }
 
 /// Checkpoint resume composes with the prefetch pipeline. A checkpoint
-/// taken at the epoch-2 boundary of a prefetching run (`prefetch_depth`
-/// defaults to 4 > 1, so triples are buffered ahead of consumption) is
-/// resumed by two fresh replicas — one prefetching, one provisioning
-/// synchronously. Both re-derive their counter-RNG triple streams from
+/// taken at the epoch-2 boundary of a prefetching run (triples are
+/// buffered ahead of consumption, and generated past the declared
+/// schedule by the provider's lookahead) is resumed by two fresh
+/// replicas — one prefetching, one provisioning synchronously. Both re-derive their counter-RNG triple streams from
 /// the same seed and must finish the remaining span with bit-identical
 /// weights and losses: buffered-ahead triples never leak across the
 /// resume boundary.
