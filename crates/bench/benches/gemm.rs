@@ -14,11 +14,17 @@
 //!    the same code as `packed`). Written to `BENCH_gemm.json` (a
 //!    `psml.bench.gemm.v1` document) at the repository root so the
 //!    speedups are recorded per host.
+//! 3. A u64 shape-class ladder: every ring-product shape class the `e2e`
+//!    workloads run, timed on `packed`, `packed_parallel`, `quant` and
+//!    `auto`, plus the cutover and padding sweeps the dispatcher's
+//!    `AUTO_QUANT_FLOPS` and `QUANT_MAX_PADDING` are read from.
 //!
 //! `PSML_SMOKE=1` shrinks the headline to a seconds-scale CI check
-//! written to `BENCH_gemm.smoke.json`; both modes assert that the
-//! `gemm_auto` dispatcher is never the slowest kernel at any recorded
-//! size (the whole point of a dispatcher).
+//! written to `BENCH_gemm.smoke.json` (the shape classes at full size and
+//! fewer reps, no sweeps); both modes assert that the `gemm_auto`
+//! dispatcher is never the slowest kernel at any recorded size, and within
+//! 10 % of the best kernel it may choose on every shape class (the whole
+//! point of a dispatcher).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use psml_gpu::{kernels, GemmMode};
@@ -42,10 +48,44 @@ fn rect(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
 
 /// Full-range ring elements (every limb populated, as shares are).
 fn ring(n: usize, seed: u64) -> Matrix<u64> {
-    Matrix::from_fn(n, n, |r, c| {
+    ring_rect(n, n, seed)
+}
+
+fn ring_rect(rows: usize, cols: usize, seed: u64) -> Matrix<u64> {
+    Matrix::from_fn(rows, cols, |r, c| {
         ((r as u64 * 0x9E37_79B9_7F4A_7C15) ^ (c as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add(seed.wrapping_mul(0x94D0_49BB_1331_11EB))
     })
+}
+
+/// The ring-product shape classes the `e2e` workloads run, `(name, m, k,
+/// n, memory_gated)`; the two-term fused Eq. 8 forms count `k` twice.
+/// `memory_gated` marks the class the dispatcher keeps off the quant
+/// kernel for its tile padding (5.1x here), whatever the speed: its limb
+/// planes would raise `train_cnn_reuse`'s peak RSS by a quarter (DESIGN.md
+/// "Quantized ring GEMM"), so `auto` is held to the packed kernels there.
+const SHAPE_CLASSES: [(&str, usize, usize, usize, bool); 6] = [
+    ("mlp_layer0_fused", 128, 6272, 128, false),
+    ("mlp_layer0_grad_fused", 3136, 256, 128, false),
+    ("cnn_dense_fused", 64, 9216, 64, false),
+    ("cnn_im2col_fused", 36864, 50, 8, true),
+    ("mlp_hidden_fused", 128, 256, 64, false),
+    ("serve_request", 1, 2048, 1, false),
+];
+
+/// Ring cubes around the quant kernel's volume cutover.
+const CUTOVER_SWEEP: [usize; 4] = [32, 48, 64, 96];
+
+/// Products of one volume (`m·n = 2^17`, `k = 256`) whose `n` leaves the
+/// quant kernel's 32-column output blocks more and more empty: the ladder
+/// the dispatcher's padding bound is read from.
+const PADDING_SWEEP_N: [usize; 5] = [32, 24, 16, 12, 8];
+
+/// Tile-padded volume over the real one for the quant kernel (m and n
+/// padded to 32, k to 64).
+fn quant_padding(m: usize, k: usize, n: usize) -> f64 {
+    let pad = |x: usize, to: usize| x.div_ceil(to) * to;
+    (pad(m, 32) * pad(k, 64) * pad(n, 32)) as f64 / (m * k * n) as f64
 }
 
 /// The im2col-lowered conv GEMM shape `conv2d_im2col` now routes through
@@ -135,17 +175,24 @@ fn rounded(x: f64, decimals: i32) -> JsonValue {
 /// kernels: the CI hosts are shared VMs whose throughput oscillates ~2x
 /// in phases lasting seconds, so back-to-back reps of one kernel can
 /// land entirely inside a slow phase. Round-robin sampling gives every
-/// kernel a shot at the quiet phases.
+/// kernel a shot at the quiet phases. Rounds alternate direction and
+/// rotate their start, so no kernel always runs first after the gap (which
+/// also wakes parked pool workers) or always right after the same kernel:
+/// a sub-millisecond product measured right after a tile-unit product was
+/// seen to take up to twice its time.
 fn best_of<R>(kernels: &mut [NamedKernel<R>], reps: usize, gap_ms: u64) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; kernels.len()];
+    let n = kernels.len();
+    let mut best = vec![f64::INFINITY; n];
     for rep in 0..reps {
         if rep > 0 {
             // Let a thermally/AVX-license-throttled core recover between
             // rounds so the gaps sample distinct host phases.
             std::thread::sleep(std::time::Duration::from_millis(gap_ms));
         }
-        for (slot, (_, f)) in kernels.iter_mut().enumerate() {
-            best[slot] = best[slot].min(time_once(f));
+        for i in 0..n {
+            let step = if rep % 2 == 0 { i } else { n - 1 - i };
+            let slot = (rep / 2 + step) % n;
+            best[slot] = best[slot].min(time_once(&mut kernels[slot].1));
         }
     }
     best
@@ -232,6 +279,113 @@ fn element_entry<R: Num>(
     ])
 }
 
+/// Times `packed`, `packed_parallel` (with a pool of 2+ workers), `quant`
+/// (where the tile unit verifies; banded over the pool like every call)
+/// and `auto` on one `m x k x n` ring product, returning its entry and
+/// `auto`'s time over the best kernel's — the best packed kernel's when
+/// `memory_gated`.
+fn ring_shape_entry(
+    name: &str,
+    (m, k, n): (usize, usize, usize),
+    memory_gated: bool,
+    reps: usize,
+    gap_ms: u64,
+) -> (JsonValue, f64) {
+    let a = ring_rect(m, k, 1);
+    let b = ring_rect(k, n, 2);
+    let mut kernels: Vec<NamedKernel<u64>> = vec![
+        ("auto", Box::new(|| gemm_auto(&a, &b))),
+        ("packed", Box::new(|| gemm_packed(&a, &b))),
+    ];
+    if psml_parallel::global_pool().workers() > 1 {
+        kernels.push(("packed_parallel", Box::new(|| gemm_packed_parallel(&a, &b))));
+    }
+    if quant_ring_available() {
+        kernels.push(("quant", Box::new(|| gemm_quant(&a, &b))));
+    }
+    let best = best_of(&mut kernels, reps, gap_ms);
+    let flops = 2.0 * (m * k * n) as f64;
+    let mut fields = Vec::new();
+    for ((kernel, _), secs) in kernels.iter().zip(&best) {
+        println!(
+            "gemm shape {name} {m}x{k}x{n} {kernel}: {:.3} ms ({:.2} GFLOP/s)",
+            secs * 1e3,
+            flops / secs / 1e9
+        );
+        fields.push((
+            *kernel,
+            obj([
+                ("secs", rounded(*secs, 6)),
+                ("gflops", rounded(flops / secs / 1e9, 3)),
+            ]),
+        ));
+    }
+    let rivals = kernels.iter().zip(&best).skip(1);
+    let best_rival = rivals
+        .filter(|((kernel, _), _)| !(memory_gated && *kernel == "quant"))
+        .map(|(_, &secs)| secs)
+        .fold(f64::INFINITY, f64::min);
+    let auto_vs_best = best[0] / best_rival.min(best[0]);
+    let entry = obj([
+        ("class", JsonValue::Str(name.into())),
+        ("m", JsonValue::UInt(m as u64)),
+        ("k", JsonValue::UInt(k as u64)),
+        ("n", JsonValue::UInt(n as u64)),
+        ("quant_padding", rounded(quant_padding(m, k, n), 3)),
+        ("memory_gated", JsonValue::Bool(memory_gated)),
+        ("kernels", obj(fields)),
+        ("auto_vs_best", rounded(auto_vs_best, 3)),
+    ]);
+    (entry, auto_vs_best)
+}
+
+/// The u64 shape-class ladder: every ring-product class the workloads
+/// run and — outside smoke runs — the cutover and padding sweeps the
+/// dispatcher's `AUTO_QUANT_FLOPS` and `QUANT_MAX_PADDING` are read from.
+/// Panics unless `gemm_auto` is within 10 % of the best kernel on every
+/// workload class: the dispatcher's cutovers are wrong wherever it is
+/// not. `auto` runs one of the other kernels, so a class that misses the
+/// bound is measured once more, at twice the reps, before it fails —
+/// host noise alone can separate two runs of one kernel by that much.
+fn shape_classes_entry(reps: usize, gap_ms: u64, sweeps: bool) -> JsonValue {
+    let mut classes = Vec::new();
+    for (name, m, k, n, gated) in SHAPE_CLASSES {
+        let mut measured = ring_shape_entry(name, (m, k, n), gated, reps, gap_ms);
+        if measured.1 > 1.10 {
+            let ratio = measured.1;
+            println!("gemm shape {name}: auto {ratio:.2}x the best; re-measuring");
+            measured = ring_shape_entry(name, (m, k, n), gated, 2 * reps, gap_ms);
+        }
+        let (entry, auto_vs_best) = measured;
+        assert!(
+            auto_vs_best <= 1.10,
+            "gemm_auto is {auto_vs_best:.2}x the best kernel on {name} ({m}x{k}x{n}): \
+             cutover regression"
+        );
+        classes.push(entry);
+    }
+    let mut fields = vec![
+        ("element", JsonValue::Str("u64".into())),
+        ("classes", JsonValue::Array(classes)),
+    ];
+    if sweeps {
+        let cutover = CUTOVER_SWEEP
+            .iter()
+            .map(|&n| ring_shape_entry(&format!("cube_{n}"), (n, n, n), false, reps, gap_ms).0)
+            .collect();
+        let padding = PADDING_SWEEP_N
+            .iter()
+            .map(|&n| {
+                let m = ((1 << 17) / n).div_ceil(32) * 32;
+                ring_shape_entry(&format!("padding_n{n}"), (m, 256, n), false, reps, gap_ms).0
+            })
+            .collect();
+        fields.push(("cutover_sweep", JsonValue::Array(cutover)));
+        fields.push(("padding_sweep", JsonValue::Array(padding)));
+    }
+    obj(fields)
+}
+
 /// Times the seed kernel against the packed hierarchy (and the
 /// limb-split quantized ring kernel, where available) and records the
 /// result as a versioned JSON document at the repository root.
@@ -247,6 +401,8 @@ fn headline() {
         element_entry("f32", sizes, reps, gap_ms, &mat),
         element_entry("u64", sizes, reps, gap_ms, &ring),
     ];
+    // Smoke runs the same classes at fewer reps, without the sweeps.
+    let shape_classes = shape_classes_entry(reps, gap_ms.min(100), !smoke);
     // Conv-derived (im2col) shape: tall-skinny, where the packed paths'
     // register tiling pays off without any square-size sweet spot.
     let ca = rect(CONV_M, CONV_K, 3);
@@ -283,6 +439,7 @@ fn headline() {
             ]),
         ),
         ("elements", JsonValue::Array(elements.into())),
+        ("shape_classes", shape_classes),
     ]);
     // crates/bench -> repo root.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -265,16 +265,20 @@ impl EngineConfig {
     }
 
     /// `m * k * n` above which [`EngineConfig::model_quant_ring`] lets
-    /// the CPU cost model consider the host tile unit — mirrors the
-    /// `gemm_auto` quant cutover in `psml_tensor` (measured even at
-    /// 128³, ahead from 160³ up).
+    /// the CPU cost model consider the tile unit. This is the simulated
+    /// paper machine's own rule, kept from the host measurement it was
+    /// calibrated on (even at 128³, ahead from 160³ up); it does not
+    /// follow the host dispatcher (`psml_tensor::gemm_auto`, which goes to
+    /// the quantized kernel from 64³ on any worker count, gated by tile
+    /// padding), because no simulated value may move with the host.
     const QUANT_MODEL_MIN_FLOPS: usize = 4_000_000;
 
     /// Time for an `(m x k) * (k x n)` CPU GEMM under this config's
     /// thread count and kernel tuning. With
     /// [`EngineConfig::model_quant_ring`] on, large products may charge
-    /// the host tile unit's quantized-ring rate instead, where it wins
-    /// (the `gemm_auto` dispatcher takes that path on such hosts).
+    /// the tile unit's quantized-ring rate instead, where the model says
+    /// it wins (a simulated-machine rule, independent of which kernel
+    /// `gemm_auto` runs on this host).
     pub fn cpu_gemm_time(&self, m: usize, k: usize, n: usize) -> psml_simtime::SimDuration {
         let standard = self
             .machine
@@ -441,8 +445,9 @@ mod tests {
         );
         // CPU cost: never raised by the knob. The single-core tile-unit
         // path wins against a serial host from 512^3 up, loses to the
-        // full multi-core model, and is ignored below the dispatcher's
-        // cutover — exactly mirroring what `gemm_auto` runs.
+        // full multi-core model, and is ignored below the model's own
+        // cutover. The simulated machine keeps this rule whatever the host
+        // dispatcher runs, so no simulated value moves with the host.
         let (m, k, n) = (512, 512, 512);
         let mut p1 = p.clone();
         p1.cpu_threads = 1;

@@ -921,7 +921,8 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         // path its column panels are packed once and shared between the
         // two `[F ; B_i]` evaluations (Eq. (8)'s common top block). The
         // carrier (standard vs quantized limb planes) follows what
-        // `gemm_auto` would pick for the full `[L|E] x [F ; B_i]` product.
+        // `gemm_auto` would pick for F's own `m x k x n` product — half the
+        // volume of the fused `[L|E] x [F ; B_i]`, with the same padding.
         let f_packed = match (placement, self.cfg.eval_strategy) {
             (Placement::Cpu, EvalStrategy::Fused) => Some(pack_b_auto(&publics[0].v.1, m)),
             _ => None,

@@ -97,7 +97,13 @@ const SCHEMAS: &[(&str, &[&str])] = &[
     ),
     (
         "psml.bench.gemm.v1",
-        &["bench", "host_workers", "quant_ring_available", "elements"],
+        &[
+            "bench",
+            "host_workers",
+            "quant_ring_available",
+            "elements",
+            "shape_classes",
+        ],
     ),
     // Per-finding `fingerprint` and `evidence` fields live inside the
     // findings array, which the header check does not descend into.

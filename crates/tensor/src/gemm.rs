@@ -13,11 +13,13 @@
 //!   on the persistent process-global thread pool;
 //! - [`gemm_auto`]: the production dispatcher — picks one of the above by
 //!   problem size, mirroring the paper's profiling-guided adaptive
-//!   placement; large ring products on verified-AMX hosts route to the
-//!   limb-split quantized kernel ([`crate::quant`]) instead, with
-//!   bit-identical results. `Matrix::matmul`, triple generation, the fused
-//!   Eq. 8 evaluation and the gpu-sim functional kernel all route through
-//!   it.
+//!   placement; ring products of 64^3 and up that the AMX tiles pad at
+//!   most 3x route to the limb-split quantized kernel ([`crate::quant`])
+//!   instead, banded over the pool on any worker count, with bit-identical
+//!   results. `Matrix::matmul`, triple generation, the fused Eq. 8
+//!   evaluation and the gpu-sim functional kernel all route through it.
+//!   The rule is one pure function of the shape, the worker count and the
+//!   AMX probe (`auto_tier`), table-tested per workload shape class.
 //!
 //! [`gemm_packed_sum`] evaluates `sum_t A_t x B_t` against pre-packed
 //! right-hand sides without materializing concatenations; the fused Eq. 8
@@ -33,9 +35,11 @@
 use crate::matrix::Matrix;
 use crate::num::Num;
 use crate::quant::{
-    gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, quant_ring_available, QuantPackedB,
+    gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, padded_volume, quant_ring_available,
+    QuantPackedB,
 };
 use psml_parallel::{configured_workers, for_each_chunk_mut_pooled, global_pool};
+use std::sync::OnceLock;
 
 /// Cache tile edge (elements) for [`gemm_blocked`]. 64 puts a 64x64 f32
 /// tile (16 KiB) well within L1 on common cores.
@@ -65,14 +69,26 @@ const AUTO_PACK_FLOPS: usize = 32 * 32 * 32;
 /// amortize it, so the cutover sits between those sizes (~363^3).
 const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 
-/// `m * k * n` above which [`gemm_auto`] routes ring carriers to the
+/// `m * k * n` from which [`gemm_auto`] routes ring carriers to the
 /// limb-split quantized kernel ([`crate::quant`]) when the AMX backend is
-/// available. Below this the digit recode + recombine overhead (9 bytes
-/// written per element, 8 shifted-add output passes) eats the tile unit's
-/// multiplier advantage: measured even (0.95x) at 128^3 and ahead (1.2x)
-/// from 160^3 = 4.1M up, so the cutover sits just under that. See
-/// DESIGN.md "Quantized ring GEMM".
-const AUTO_QUANT_FLOPS: usize = 4_000_000;
+/// available: 64^3. Below it the digit recode + recombine overhead (9
+/// bytes written per element, 8 shifted-add output passes) eats the tile
+/// unit's multiplier advantage. Read off the `cutover_sweep` of
+/// `BENCH_gemm.json`: quant loses at 32^3 and leads the best packed kernel
+/// from 64^3 up. See DESIGN.md "Quantized ring GEMM".
+const AUTO_QUANT_FLOPS: usize = 64 * 64 * 64;
+
+/// Largest tile-padding blow-up the quantized tier accepts: the kernel
+/// pads m and n to 32 and k to 64, and it applies only while
+/// `pad32(m) · pad64(k) · pad32(n) <= QUANT_MAX_PADDING · m·k·n`. Padding
+/// costs tile work and limb-plane bytes in proportion. Read off the
+/// `padding_sweep` of `BENCH_gemm.json` (one volume, `n` from 32 down to
+/// 8): quant leads the packed kernels 1.4x at padding 2.67 and trails
+/// them at 4. The bound also keeps the CNN's im2col product
+/// (`36864 x 25 x 8`, padded 10x; its limb planes raised peak RSS by a
+/// quarter) and every batch-8 product (padded 4x) on the packed kernel,
+/// while every dense-layer product of the training workloads pads by 1.0.
+const QUANT_MAX_PADDING: f64 = 3.0;
 
 /// Summed `m * k * n` of a batch's serial-tier items below which
 /// [`gemm_batch`] runs them on the calling thread: a pool region costs two
@@ -644,12 +660,12 @@ impl<T: Num> AutoPackedB<T> {
 }
 
 /// Packs `b` for the kernel [`gemm_auto`] would pick for an
-/// `m_hint x b.rows() x b.cols()` product: quantized byte planes when the
-/// limb-split path applies ([`quant_applies`]), element column panels
-/// otherwise. `m_hint` is the row count of the left-hand side(s) the pack
-/// will multiply.
+/// `m_hint x b.rows() x b.cols()` product: quantized byte planes when that
+/// product lands on the limb-split tier, element column panels otherwise.
+/// `m_hint` is the row count of the left-hand side(s) the pack will
+/// multiply.
 pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<T> {
-    if quant_applies::<T>(m_hint, b.rows(), b.cols()) {
+    if host_tier::<T>(m_hint, b.rows(), b.cols()) == AutoTier::Quant {
         AutoPackedB::Quant(pack_b_quant(b))
     } else {
         AutoPackedB::Std(pack_b(b))
@@ -688,33 +704,22 @@ pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<T>)]) -> 
     }
 }
 
-/// True when [`gemm_auto`] would route an `m x k x n` product in carrier
-/// `T` through the limb-split quantized kernel: ring carrier, product
-/// large enough to amortize recode/recombine, a single configured worker
-/// (with 2+ workers the pool path keeps every multiplier busy while the
-/// tile driver is serial), and the AMX backend verified on this host.
-pub(crate) fn quant_applies<T: Num>(m: usize, k: usize, n: usize) -> bool {
-    let flops = m.saturating_mul(k).saturating_mul(n);
-    T::WRAPPING_U64
-        && flops >= AUTO_QUANT_FLOPS
-        && configured_workers() < 2
-        && quant_ring_available()
-}
-
 /// The production GEMM: dispatches on problem size, mirroring the paper's
-/// profiling-guided adaptive placement.
+/// profiling-guided adaptive placement. The tier is [`auto_tier`] of the
+/// product's shape, the configured worker count and the host's AMX probe:
 ///
 /// - tiny products (`m*k*n < `[`AUTO_PACK_FLOPS`]): [`gemm_blocked`] —
 ///   packing cannot be amortized and the zero-skip helps sparse operands;
-/// - large ring products on AMX hosts ([`quant_applies`]):
+/// - large ring products on AMX hosts that the tiles do not pad much:
 ///   [`gemm_quant`] — the limb-split quantized kernel on the tile unit,
-///   bit-identical to the packed ring kernel;
+///   banded over the pool, bit-identical to the packed ring kernel, on
+///   any worker count;
 /// - medium: [`gemm_packed`] — serial register-tiled kernel;
 /// - large (`m*k*n >= `[`AUTO_PARALLEL_FLOPS`] with more than one
 ///   configured worker): [`gemm_packed_parallel`] on the persistent pool.
 pub fn gemm_auto<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
-    match auto_tier::<T>(a.rows(), a.cols(), b.cols()) {
+    match host_tier::<T>(a.rows(), a.cols(), b.cols()) {
         AutoTier::Blocked => gemm_blocked(a, b),
         AutoTier::Quant => gemm_quant(a, b),
         AutoTier::Packed => gemm_packed(a, b),
@@ -731,17 +736,49 @@ enum AutoTier {
     Parallel,
 }
 
-fn auto_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
+/// The dispatch rule, as a pure function of the product's shape, the
+/// carrier `T`, the pool's configured `workers` and whether the AMX tile
+/// backend verified on this host (`quant_available`):
+///
+/// - `m·k·n <` [`AUTO_PACK_FLOPS`]: `Blocked`;
+/// - a ring carrier with `quant_available`, `m·k·n ≥` [`AUTO_QUANT_FLOPS`]
+///   and a tile-padded volume of at most [`QUANT_MAX_PADDING`] times
+///   `m·k·n`: `Quant`, whatever `workers` is (the tile driver bands itself
+///   over the pool);
+/// - `m·k·n <` [`AUTO_PARALLEL_FLOPS`] or a single worker: `Packed`;
+/// - otherwise `Parallel`.
+fn auto_tier<T: Num>(
+    m: usize,
+    k: usize,
+    n: usize,
+    workers: usize,
+    quant_available: bool,
+) -> AutoTier {
     let flops = m.saturating_mul(k).saturating_mul(n);
     if flops < AUTO_PACK_FLOPS {
         AutoTier::Blocked
-    } else if quant_applies::<T>(m, k, n) {
+    } else if T::WRAPPING_U64
+        && quant_available
+        && flops >= AUTO_QUANT_FLOPS
+        && padded_volume(m, k, n) as f64 <= QUANT_MAX_PADDING * flops as f64
+    {
         AutoTier::Quant
-    } else if flops < AUTO_PARALLEL_FLOPS || configured_workers() < 2 {
+    } else if flops < AUTO_PARALLEL_FLOPS || workers < 2 {
         AutoTier::Packed
     } else {
         AutoTier::Parallel
     }
+}
+
+/// [`auto_tier`] with this process's worker count and AMX probe — the tier
+/// [`gemm_auto`], [`gemm_batch`] and [`pack_b_auto`] use. Both are read
+/// once: `configured_workers()` re-reads the environment and the cgroup
+/// CPU quota (~20 µs, more than a served request's products take), and
+/// asking the pool instead would start it on a path that never uses it.
+fn host_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    let workers = *WORKERS.get_or_init(configured_workers);
+    auto_tier::<T>(m, k, n, workers, quant_ring_available())
 }
 
 /// Evaluates a batch of *independent* products, each with the exact kernel
@@ -768,7 +805,7 @@ pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> 
     }
     let tiers: Vec<AutoTier> = pairs
         .iter()
-        .map(|&(a, b)| auto_tier::<T>(a.rows(), a.cols(), b.cols()))
+        .map(|&(a, b)| host_tier::<T>(a.rows(), a.cols(), b.cols()))
         .collect();
     let shares_rhs = |tier: AutoTier| {
         pairs.len() > 1
@@ -1132,18 +1169,57 @@ mod tests {
     #[test]
     fn pack_b_auto_respects_carrier_and_size() {
         // Small products and float carriers always take the Std pack; the
-        // Quant pack appears only for large ring products on verified-AMX
-        // single-worker hosts, which is exactly quant_applies.
+        // Quant pack appears for large, little-padded ring products on
+        // verified-AMX hosts, on any worker count — exactly the Quant tier.
         let small = umat(8, 8, 1);
         assert!(matches!(pack_b_auto(&small, 8), AutoPackedB::Std(_)));
         let fb = fmat(64, 400, 1);
         assert!(matches!(pack_b_auto(&fb, 4000), AutoPackedB::Std(_)));
         let big = umat(400, 400, 1);
-        let expect_quant = quant_applies::<u64>(1000, 400, 400);
         assert_eq!(
             matches!(pack_b_auto(&big, 1000), AutoPackedB::Quant(_)),
-            expect_quant
+            quant_ring_available()
         );
+    }
+
+    #[test]
+    fn dispatch_table_over_workload_shape_classes() {
+        use AutoTier::*;
+        // (m, k, n, tier with AMX, tier without AMX on one worker, tier
+        // without AMX on 2+ workers). The AMX column is the same for every
+        // worker count: the tile driver bands itself over the pool.
+        let table = [
+            // MLP first layer, fused [L|E] x [F;B_i]: pads by 1.0.
+            (128, 6272, 128, Quant, Packed, Parallel),
+            // MLP first-layer weight gradient, fused.
+            (3136, 256, 128, Quant, Packed, Parallel),
+            // CNN dense layer, fused: under the parallel cutover.
+            (64, 9216, 64, Quant, Packed, Packed),
+            // CNN im2col product, fused: pads 5.1x, so never Quant.
+            (36864, 50, 8, Packed, Packed, Packed),
+            // MLP hidden layer, fused: over the quant cutover.
+            (128, 256, 64, Quant, Packed, Packed),
+            // Under the quant cutover.
+            (32, 64, 32, Packed, Packed, Packed),
+            // One served request.
+            (1, 2048, 1, Blocked, Blocked, Blocked),
+        ];
+        for (m, k, n, amx, one, many) in table {
+            for workers in [1, 2, 4] {
+                let plain = if workers < 2 { one } else { many };
+                let at = |quant| auto_tier::<u64>(m, k, n, workers, quant);
+                assert_eq!(at(true), amx, "{m}x{k}x{n} workers {workers} amx");
+                assert_eq!(at(false), plain, "{m}x{k}x{n} workers {workers} no amx");
+                // f32 never takes the ring kernel.
+                let f = auto_tier::<f32>(m, k, n, workers, true);
+                assert_eq!(f, plain, "{m}x{k}x{n} workers {workers} f32");
+            }
+        }
+        // The padding gate: 2048 x 256 x 32 pads by exactly 1.0; the same
+        // volume as 8192 x 256 x 8 pads 4x and stays on the packed kernel.
+        assert_eq!(auto_tier::<u64>(2048, 256, 32, 2, true), Quant);
+        assert_eq!(auto_tier::<u64>(8192, 256, 8, 2, true), Packed);
+        assert_eq!(padded_volume(36864, 50, 8), 36864 * 64 * 32);
     }
 
     #[test]

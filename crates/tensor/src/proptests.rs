@@ -187,9 +187,32 @@ proptest! {
             seed.rotate_left(29).wrapping_add(r as u64).wrapping_mul((c as u64) | 1)
         });
         let oracle = gemm_packed(&a, &b);
-        for result in quant::all_backends_for_tests(&a, &b, 64) {
+        for result in quant::all_backends_for_tests(&a, &b, 64, 1) {
             prop_assert_eq!(&result, &oracle);
         }
         prop_assert_eq!(&quant::gemm_quant(&a, &b), &oracle);
+    }
+
+    /// Around the quant cutover (`m·k·n` = 4M) and across the padding
+    /// gate, the dispatcher and the banded quant kernel are bit-identical
+    /// to the packed ring kernel — whichever tier each shape lands on.
+    /// The tile kernel runs only where AMX verified: the scalar model is
+    /// far too slow at these sizes.
+    #[test]
+    fn quant_and_auto_match_packed_across_the_cutover(
+        (m, k, n) in (1usize..400, 1usize..300, 1usize..160),
+        seed in any::<u64>(),
+    ) {
+        let a = Matrix::from_fn(m, k, |r, c| {
+            seed.wrapping_mul(r as u64 ^ 0x1357_9BDF).wrapping_add((c as u64) << 23)
+        });
+        let b = Matrix::from_fn(k, n, |r, c| {
+            seed.rotate_left(41).wrapping_add(r as u64).wrapping_mul((c as u64) | 1)
+        });
+        let oracle = gemm_packed(&a, &b);
+        prop_assert_eq!(&gemm_auto(&a, &b), &oracle);
+        if quant::quant_ring_available() {
+            prop_assert_eq!(&quant::gemm_quant(&a, &b), &oracle);
+        }
     }
 }

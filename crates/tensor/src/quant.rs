@@ -35,6 +35,15 @@
 //! 2^{64-8s} ⊆ mod 2^32`, so i32 wraparound is itself exact and no
 //! draining is needed.
 //!
+//! ## Driver
+//!
+//! The output is a grid of 32×32 blocks, each accumulated independently.
+//! One `run` walks a contiguous range of that grid (a `Band`); a call
+//! splits the grid into near-equal bands, one for the caller and one per
+//! worker of the global pool, all reading the same `A` planes and packed
+//! `B` (a call made from a pool job runs one band). No output bit depends
+//! on the split.
+//!
 //! ## Availability
 //!
 //! The AMX backend needs `amx-tile`/`amx-int8` in CPUID **and** a
@@ -49,8 +58,10 @@
 use crate::gemm::{cast_slice, cast_slice_mut};
 use crate::matrix::Matrix;
 use crate::num::Num;
+use psml_parallel::{chunks, for_each_chunk_mut_pooled, global_pool, in_pool_worker};
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 
 /// Signed 8-bit digits per `u64` ring element.
 pub const LIMBS: usize = 8;
@@ -73,9 +84,27 @@ fn pad_to(x: usize, mult: usize) -> usize {
     x.div_ceil(mult) * mult
 }
 
-/// Retained plane buffers per pool (bounds per-thread memory held back
-/// from the allocator to a few working sets).
-const POOL_MAX: usize = 4;
+/// Tile-padded volume `pad32(m) · pad64(k) · pad32(n)` the kernel
+/// actually multiplies for an `m x k x n` product: output blocks are
+/// [`BLOCK_MN`] square and every tile step consumes [`TILE_K_BYTES`] of K.
+pub(crate) fn padded_volume(m: usize, k: usize, n: usize) -> usize {
+    pad_to(m, BLOCK_MN)
+        .saturating_mul(pad_to(k, TILE_K_BYTES))
+        .saturating_mul(pad_to(n, BLOCK_MN))
+}
+
+/// A pooled buffer is handed out only for a request of at least
+/// `1/POOL_SLACK` of its capacity; a smaller request gets a fresh buffer
+/// and leaves the large one pooled for a request its size.
+const POOL_SLACK: usize = 4;
+
+/// One thread's recycled limb-plane buffers.
+struct PlanePool {
+    free: Vec<Vec<i8>>,
+    /// Bytes of the largest plane buffer a pack on this thread has taken.
+    /// The pool never retains more capacity than this in total.
+    cap: usize,
+}
 
 thread_local! {
     /// Recycled limb-plane buffers. Per-call packing allocates megabytes
@@ -88,10 +117,18 @@ thread_local! {
     /// pages already have, and nothing ever reads a pooled buffer before
     /// the next pack fully rewrites it (bijective tile layout, or an
     /// explicit re-zero when the shape leaves padding).
-    static PLANE_POOL: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
+    ///
+    /// Retention is one largest buffer's worth of bytes per thread, not a
+    /// whole call's working set: every retained byte is resident while
+    /// the thread does anything else, and the triple provider and the
+    /// engine both pack planes (DESIGN.md "Host-aware packing").
+    static PLANE_POOL: RefCell<PlanePool> =
+        const { RefCell::new(PlanePool { free: Vec::new(), cap: 0 }) };
 }
 
-/// Takes a recycled buffer (or a fresh one) of exactly `len` bytes.
+/// Takes a recycled buffer (or a fresh one) of exactly `len` bytes: the
+/// smallest pooled buffer that holds `len` without exceeding
+/// [`POOL_SLACK`] times it.
 ///
 /// Contents are **stale** (whatever the previous pack left) unless
 /// `zeroed` is set: the tile layouts below are bijections onto the
@@ -100,8 +137,17 @@ thread_local! {
 /// Packs of padded shapes pass `zeroed = true` so the pad lanes
 /// contribute exact zeros to the accumulators.
 fn pool_take(len: usize, zeroed: bool) -> Vec<i8> {
+    let fits = |b: &Vec<i8>| (len..=len.saturating_mul(POOL_SLACK)).contains(&b.capacity());
     let mut buf = PLANE_POOL
-        .with(|pool| pool.borrow_mut().pop())
+        .with(|pool| {
+            let mut pool = pool.borrow_mut();
+            pool.cap = pool.cap.max(len);
+            let free = &mut pool.free;
+            let best = (0..free.len())
+                .filter(|&i| fits(&free[i]))
+                .min_by_key(|&i| free[i].capacity());
+            best.map(|i| free.swap_remove(i))
+        })
         .unwrap_or_default();
     if zeroed {
         buf.clear();
@@ -112,12 +158,14 @@ fn pool_take(len: usize, zeroed: bool) -> Vec<i8> {
     buf
 }
 
-/// Returns a plane buffer to the pool for the next pack to reuse.
+/// Returns a plane buffer to the pool for the next pack to reuse, or
+/// frees it when keeping it would hold more than the pool's cap.
 fn pool_put(buf: Vec<i8>) {
     PLANE_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        if pool.len() < POOL_MAX {
-            pool.push(buf);
+        let held: usize = pool.free.iter().map(Vec::capacity).sum();
+        if held + buf.capacity() <= pool.cap {
+            pool.free.push(buf);
         }
     });
 }
@@ -569,24 +617,68 @@ fn best_backend() -> BackendKind {
     BackendKind::Portable
 }
 
-/// Adds one drained 32×32 block into the `u64` output at shift `8·s`,
-/// wrapping: `out += sext(lane) · 2^{8s} (mod 2^64)`.
+/// One part of the output's grid of 32×32 blocks: a contiguous range of
+/// row-major block indices and the pieces of the output rows those blocks
+/// cover. Parts of one grid own disjoint output elements, so each can run
+/// on its own thread.
+struct Band<'a> {
+    /// Row-major block indices `ib · nb + jb` this part computes.
+    blocks: Range<usize>,
+    /// First output row the part touches.
+    row0: usize,
+    /// One entry per output row from `row0` on: the column the segment
+    /// starts at, and the segment of that row the part owns.
+    rows: Vec<(usize, &'a mut [u64])>,
+}
+
+/// Splits the `m x n` output (`m = out.len() / n`) into at most `parts`
+/// [`Band`]s of near-equal block counts. The split is over blocks, not
+/// row blocks, so a short output still spreads evenly (a 128 × 128 output
+/// has 16 blocks: 6/5/5 over three parts, where whole row blocks would
+/// split 2/1/1); a row block shared by two parts is cut at a block column.
+fn split_bands(out: &mut [u64], n: usize, parts: usize) -> Vec<Band<'_>> {
+    let nb = n.div_ceil(BLOCK_MN);
+    let mb = (out.len() / n).div_ceil(BLOCK_MN);
+    let mut bands: Vec<Band> = chunks(mb * nb, parts, 1)
+        .into_iter()
+        .map(|c| Band {
+            blocks: c.start..c.end,
+            row0: c.start / nb * BLOCK_MN,
+            rows: Vec::new(),
+        })
+        .collect();
+    for (i, mut row) in out.chunks_mut(n).enumerate() {
+        let first = i / BLOCK_MN * nb; // first block of this row's row block
+        let mut c0 = 0;
+        for band in &mut bands {
+            let end = band.blocks.end.min(first + nb);
+            if band.blocks.start.max(first) >= end {
+                continue;
+            }
+            let c1 = ((end - first) * BLOCK_MN).min(n);
+            let (seg, rest) = std::mem::take(&mut row).split_at_mut(c1 - c0);
+            band.rows.push((c0, seg));
+            (row, c0) = (rest, c1);
+        }
+    }
+    bands
+}
+
+/// Adds one drained 32×32 block at `(i0, j0)` into the band's output at
+/// shift `8·s`, wrapping: `out += sext(lane) · 2^{8s} (mod 2^64)`.
 fn add_block(
-    out: &mut [u64],
-    m: usize,
-    n: usize,
+    band: &mut Band,
     i0: usize,
     j0: usize,
     s: usize,
     scratch: &[i32; BLOCK_MN * BLOCK_MN],
 ) {
     let shift = 8 * s;
-    let rows = BLOCK_MN.min(m - i0);
-    let cols = BLOCK_MN.min(n - j0);
-    for r in 0..rows {
-        let orow = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols];
-        let srow = &scratch[r * BLOCK_MN..r * BLOCK_MN + cols];
-        for (o, &v) in orow.iter_mut().zip(srow) {
+    let rows = band.rows[i0 - band.row0..].iter_mut().take(BLOCK_MN);
+    for ((c0, seg), srow) in rows.zip(scratch.chunks_exact(BLOCK_MN)) {
+        let seg = &mut seg[j0 - *c0..];
+        let cols = BLOCK_MN.min(seg.len());
+        for (o, &v) in seg[..cols].iter_mut().zip(srow) {
             *o = o.wrapping_add((v as i64 as u64) << shift);
         }
     }
@@ -601,29 +693,37 @@ fn add_block(
 /// noise of each other, 8 divides the padded block counts evenly).
 const JB_TILE: usize = 8;
 
-/// Block driver: for every 32×32 output block and every output shift `s`,
-/// accumulates the `s+1` live digit-pair volumes of every term, draining
-/// on the K budget wherever exactness demands it. Blocks are visited in
-/// L2-tiled column groups (see [`JB_TILE`]); every block's accumulation
-/// is independent, so the visit order cannot change any output bit.
+/// Block driver over one [`Band`]: for every 32×32 output block of the
+/// band and every output shift `s`, accumulates the `s+1` live digit-pair
+/// volumes of `A x B` into the band's output, draining on the K budget
+/// wherever exactness demands it. Blocks are visited in L2-tiled column
+/// groups (see [`JB_TILE`]); every block's accumulation is independent, so
+/// neither the visit order nor the split into bands can change any output
+/// bit. `nb` is the grid's block-column count.
+///
+/// Each band configures and releases the tile unit itself (`begin` /
+/// `end`): tile state is per thread, while the `arch_prctl` permission
+/// [`quant_ring_available`] obtained covers the whole process.
 fn run<B: Backend>(
     be: &mut B,
-    m: usize,
-    n: usize,
-    terms: &[(&QuantA, &QuantPackedB)],
-    out: &mut [u64],
+    nb: usize,
+    (qa, qb): (&QuantA, &QuantPackedB),
+    band: &mut Band,
     budget_kb: usize,
 ) {
     assert!(budget_kb >= TILE_K_BYTES && budget_kb.is_multiple_of(TILE_K_BYTES));
-    let m_pad = pad_to(m, BLOCK_MN);
-    let n_pad = pad_to(n, BLOCK_MN);
-    let (mb, nb) = (m_pad / BLOCK_MN, n_pad / BLOCK_MN);
+    debug_assert_eq!(qa.k_pad, qb.k_pad);
+    let a_panel = qa.k_pad * 16;
+    let row_blocks = band.blocks.start / nb..band.blocks.end.div_ceil(nb);
     let mut scratch = [0i32; BLOCK_MN * BLOCK_MN];
     be.begin();
     for jbg in (0..nb).step_by(JB_TILE) {
-        for ib in 0..mb {
+        for ib in row_blocks.clone() {
             let i0 = ib * BLOCK_MN;
             for jb in jbg..nb.min(jbg + JB_TILE) {
+                if !band.blocks.contains(&(ib * nb + jb)) {
+                    continue;
+                }
                 let j0 = jb * BLOCK_MN;
                 for s in 0..LIMBS {
                     be.zero();
@@ -632,51 +732,47 @@ fn run<B: Backend>(
                     // needed; s < 4 drains on the budget.
                     let exact = s < 4;
                     let mut budget = budget_kb;
-                    for &(qa, qb) in terms {
-                        debug_assert_eq!(qa.k_pad, qb.k_pad);
-                        let a_panel = qa.k_pad * 16;
-                        for p in 0..=s {
-                            let q = s - p;
-                            let ap = qa.plane(p);
-                            let bp = qb.plane(q);
-                            let a0 = ap[2 * ib * a_panel..].as_ptr();
-                            let a1 = ap[(2 * ib + 1) * a_panel..].as_ptr();
-                            let b0 = bp[2 * jb * a_panel..].as_ptr();
-                            let b1 = bp[(2 * jb + 1) * a_panel..].as_ptr();
-                            let mut kb = 0;
-                            while kb < qa.k_pad {
-                                let take = if exact {
-                                    budget.min(qa.k_pad - kb)
-                                } else {
-                                    qa.k_pad - kb
-                                };
-                                let steps = take / TILE_K_BYTES;
-                                // SAFETY: each panel holds k_pad * 16 bytes and
-                                // kb*16 + steps*1024 = (kb + take)*16 <= that.
-                                unsafe {
-                                    be.step(
-                                        a0.add(kb * 16),
-                                        a1.add(kb * 16),
-                                        b0.add(kb * 16),
-                                        b1.add(kb * 16),
-                                        steps,
-                                    );
-                                }
-                                kb += take;
-                                if exact {
-                                    budget -= take;
-                                    if budget == 0 {
-                                        be.drain(&mut scratch);
-                                        be.zero();
-                                        add_block(out, m, n, i0, j0, s, &scratch);
-                                        budget = budget_kb;
-                                    }
+                    for p in 0..=s {
+                        let q = s - p;
+                        let ap = qa.plane(p);
+                        let bp = qb.plane(q);
+                        let a0 = ap[2 * ib * a_panel..].as_ptr();
+                        let a1 = ap[(2 * ib + 1) * a_panel..].as_ptr();
+                        let b0 = bp[2 * jb * a_panel..].as_ptr();
+                        let b1 = bp[(2 * jb + 1) * a_panel..].as_ptr();
+                        let mut kb = 0;
+                        while kb < qa.k_pad {
+                            let take = if exact {
+                                budget.min(qa.k_pad - kb)
+                            } else {
+                                qa.k_pad - kb
+                            };
+                            let steps = take / TILE_K_BYTES;
+                            // SAFETY: each panel holds k_pad * 16 bytes and
+                            // kb*16 + steps*1024 = (kb + take)*16 <= that.
+                            unsafe {
+                                be.step(
+                                    a0.add(kb * 16),
+                                    a1.add(kb * 16),
+                                    b0.add(kb * 16),
+                                    b1.add(kb * 16),
+                                    steps,
+                                );
+                            }
+                            kb += take;
+                            if exact {
+                                budget -= take;
+                                if budget == 0 {
+                                    be.drain(&mut scratch);
+                                    be.zero();
+                                    add_block(band, i0, j0, s, &scratch);
+                                    budget = budget_kb;
                                 }
                             }
                         }
                     }
                     be.drain(&mut scratch);
-                    add_block(out, m, n, i0, j0, s, &scratch);
+                    add_block(band, i0, j0, s, &scratch);
                 }
             }
         }
@@ -684,18 +780,51 @@ fn run<B: Backend>(
     be.end();
 }
 
-fn gemm_quant_sum_into(
+/// Parts a product's block grid splits into on this thread: one for the
+/// caller plus one per worker of the global pool — or a single part when
+/// the pool has one worker, or when the caller is itself a pool job (a
+/// `gemm_batch` item on the triple provider's path), which must not wait
+/// on the pool it runs on.
+fn band_parts() -> usize {
+    let workers = global_pool().workers();
+    if workers < 2 || in_pool_worker() {
+        1
+    } else {
+        workers + 1
+    }
+}
+
+/// Adds `A x B` into the `m x n` output `out` (`n` columns) with the block
+/// grid split into at most `parts` bands: the first runs on the caller,
+/// the rest on the global pool. All bands read the same `A` planes and the
+/// same packed `B`.
+fn gemm_quant_into(
     kind: BackendKind,
     budget_kb: usize,
-    m: usize,
     n: usize,
-    terms: &[(&QuantA, &QuantPackedB)],
+    term: (&QuantA, &QuantPackedB),
     out: &mut [u64],
+    parts: usize,
 ) {
-    match kind {
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Amx => run(&mut amx::AmxBackend, m, n, terms, out, budget_kb),
-        BackendKind::Portable => run(&mut PortableBackend::new(), m, n, terms, out, budget_kb),
+    let nb = n.div_ceil(BLOCK_MN);
+    let body = |_: usize, bands: &mut [Band]| {
+        for band in bands {
+            match kind {
+                #[cfg(target_arch = "x86_64")]
+                BackendKind::Amx => run(&mut amx::AmxBackend, nb, term, band, budget_kb),
+                BackendKind::Portable => {
+                    run(&mut PortableBackend::new(), nb, term, band, budget_kb)
+                }
+            }
+        }
+    };
+    let mut bands = split_bands(out, n, parts);
+    if bands.len() == 1 {
+        // In place, without touching the pool: the availability probe
+        // runs here before any pool exists.
+        body(0, &mut bands);
+    } else {
+        for_each_chunk_mut_pooled(&mut bands, 1, body);
     }
 }
 
@@ -741,22 +870,9 @@ fn amx_verified() -> bool {
     let qb = pack_b_planes(k, n, &b);
     let mut amx_out = vec![0u64; m * n];
     let mut ref_out = vec![0u64; m * n];
-    gemm_quant_sum_into(
-        BackendKind::Amx,
-        TILE_K_BYTES,
-        m,
-        n,
-        &[(&qa, &qb)],
-        &mut amx_out,
-    );
-    gemm_quant_sum_into(
-        BackendKind::Portable,
-        TILE_K_BYTES,
-        m,
-        n,
-        &[(&qa, &qb)],
-        &mut ref_out,
-    );
+    let run = |kind, out: &mut [u64]| gemm_quant_into(kind, TILE_K_BYTES, n, (&qa, &qb), out, 1);
+    run(BackendKind::Amx, &mut amx_out);
+    run(BackendKind::Portable, &mut ref_out);
     amx_out == ref_out
 }
 
@@ -814,35 +930,31 @@ pub fn gemm_quant_sum<T: Num>(terms: &[(&Matrix<T>, &QuantPackedB)]) -> Matrix<T
     if m == 0 || n == 0 {
         return out;
     }
-    let quant_as: Vec<QuantA> = terms
-        .iter()
-        .map(|&(a, qb)| {
-            assert_eq!(
-                a.cols(),
-                qb.k,
-                "gemm shape mismatch: {:?} x quant-packed {:?}",
-                a.shape(),
-                (qb.k, qb.n)
-            );
-            assert_eq!(
-                (a.rows(), qb.n),
-                (m, n),
-                "gemm_quant_sum terms disagree on output shape"
-            );
-            // SAFETY: WRAPPING_U64 contract as in pack_b_quant.
-            pack_a_planes(m, a.cols(), unsafe { cast_slice::<T, u64>(a.as_slice()) })
-        })
-        .collect();
-    let term_refs: Vec<(&QuantA, &QuantPackedB)> = quant_as
-        .iter()
-        .zip(terms.iter())
-        .map(|(qa, &(_, qb))| (qa, qb))
-        .collect();
+    for &(a, qb) in terms {
+        assert_eq!(
+            a.cols(),
+            qb.k,
+            "gemm shape mismatch: {:?} x quant-packed {:?}",
+            a.shape(),
+            (qb.k, qb.n)
+        );
+        assert_eq!(
+            (a.rows(), qb.n),
+            (m, n),
+            "gemm_quant_sum terms disagree on output shape"
+        );
+    }
     // SAFETY: WRAPPING_U64 contract; the &mut borrow keeps it unique.
     let out64 = unsafe { cast_slice_mut::<T, u64>(out.as_mut_slice()) };
-    gemm_quant_sum_into(best_backend(), DRAIN_BUDGET_KB, m, n, &term_refs, out64);
-    drop(term_refs);
-    for qa in quant_as {
+    let (kind, parts) = (best_backend(), band_parts());
+    // The terms add into the output one after another (exact ring sums, so
+    // the order cannot move a bit), and each term's A planes go back to the
+    // pool before the next term packs: a fused product holds one A plane
+    // set at a time, not one per term.
+    for &(a, qb) in terms {
+        // SAFETY: WRAPPING_U64 contract as in pack_b_quant.
+        let qa = pack_a_planes(m, a.cols(), unsafe { cast_slice::<T, u64>(a.as_slice()) });
+        gemm_quant_into(kind, DRAIN_BUDGET_KB, n, (&qa, qb), out64, parts);
         pool_put(qa.planes);
     }
     out
@@ -855,33 +967,34 @@ pub(crate) fn digits_roundtrip_for_tests(v: u64) -> u64 {
 }
 
 /// Test-only: runs `a x b` through every backend usable on this host with
-/// the given drain budget, for cross-backend identity checks.
+/// the given drain budget and band count, for cross-backend identity
+/// checks.
 #[cfg(test)]
 pub(crate) fn all_backends_for_tests(
     a: &Matrix<u64>,
     b: &Matrix<u64>,
     budget_kb: usize,
+    parts: usize,
 ) -> Vec<Matrix<u64>> {
-    let mut out = vec![gemm_quant_u64_forced(
-        BackendKind::Portable,
-        budget_kb,
-        a,
-        b,
-    )];
+    let mut kinds = vec![BackendKind::Portable];
     #[cfg(target_arch = "x86_64")]
     if quant_ring_available() {
-        out.push(gemm_quant_u64_forced(BackendKind::Amx, budget_kb, a, b));
+        kinds.push(BackendKind::Amx);
     }
-    out
+    kinds
+        .into_iter()
+        .map(|kind| gemm_quant_u64_forced(kind, budget_kb, parts, a, b))
+        .collect()
 }
 
-/// Test-only entry with an explicit backend and drain budget, so drain
-/// schedules (K > budget) are exercised cheaply and both backends can be
-/// compared on any host.
+/// Test-only entry with an explicit backend, drain budget and band count,
+/// so drain schedules (K > budget) and band splits are exercised cheaply
+/// and both backends can be compared on any host.
 #[cfg(test)]
 pub(crate) fn gemm_quant_u64_forced(
     kind: BackendKind,
     budget_kb: usize,
+    parts: usize,
     a: &Matrix<u64>,
     b: &Matrix<u64>,
 ) -> Matrix<u64> {
@@ -893,7 +1006,7 @@ pub(crate) fn gemm_quant_u64_forced(
     }
     let qa = pack_a_planes(m, k, a.as_slice());
     let qb = pack_b_planes(k, n, b.as_slice());
-    gemm_quant_sum_into(kind, budget_kb, m, n, &[(&qa, &qb)], out.as_mut_slice());
+    gemm_quant_into(kind, budget_kb, n, (&qa, &qb), out.as_mut_slice(), parts);
     out
 }
 
@@ -939,7 +1052,7 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (5, 70, 9), (8, 1, 8), (17, 40, 23), (33, 64, 40)] {
             let a = umat(m, k, 5);
             let b = umat(k, n, 9);
-            let got = gemm_quant_u64_forced(BackendKind::Portable, DRAIN_BUDGET_KB, &a, &b);
+            let got = gemm_quant_u64_forced(BackendKind::Portable, DRAIN_BUDGET_KB, 1, &a, &b);
             assert_eq!(got, gemm_naive(&a, &b), "portable {m}x{k}x{n}");
         }
     }
@@ -953,7 +1066,7 @@ mod tests {
         let b = umat(k, n, 7);
         let expect = gemm_naive(&a, &b);
         for budget in [TILE_K_BYTES, 2 * TILE_K_BYTES, DRAIN_BUDGET_KB] {
-            let got = gemm_quant_u64_forced(BackendKind::Portable, budget, &a, &b);
+            let got = gemm_quant_u64_forced(BackendKind::Portable, budget, 1, &a, &b);
             assert_eq!(got, expect, "budget {budget}");
         }
     }
@@ -969,13 +1082,143 @@ mod tests {
             let expect = gemm_naive(&a, &b);
             #[cfg(target_arch = "x86_64")]
             {
-                let amx = gemm_quant_u64_forced(BackendKind::Amx, DRAIN_BUDGET_KB, &a, &b);
+                let amx = gemm_quant_u64_forced(BackendKind::Amx, DRAIN_BUDGET_KB, 1, &a, &b);
                 assert_eq!(amx, expect, "amx {m}x{k}x{n}");
-                let chunked = gemm_quant_u64_forced(BackendKind::Amx, TILE_K_BYTES, &a, &b);
+                let chunked = gemm_quant_u64_forced(BackendKind::Amx, TILE_K_BYTES, 1, &a, &b);
                 assert_eq!(chunked, expect, "amx chunked {m}x{k}x{n}");
             }
             assert_eq!(gemm_quant(&a, &b), expect, "dispatched {m}x{k}x{n}");
         }
+    }
+
+    #[test]
+    fn bands_partition_the_output_by_blocks() {
+        // 128 x 128 is 16 blocks: 6/5/5 over three parts, where whole row
+        // blocks would give 2/1/1. Every output element is owned once, in
+        // row-major order.
+        for (m, n, parts, sizes) in [
+            (128, 128, 3, vec![6, 5, 5]),
+            (33, 130, 3, vec![4, 3, 3]),
+            (1, 31, 3, vec![1]),
+            (97, 33, 2, vec![4, 4]),
+        ] {
+            let mut out = vec![0u64; m * n];
+            let base = out.as_ptr();
+            let bands = split_bands(&mut out, n, parts);
+            let counts: Vec<usize> = bands.iter().map(|b| b.blocks.len()).collect();
+            assert_eq!(counts, sizes);
+            let mut owned: Vec<usize> = bands
+                .iter()
+                .flat_map(|b| &b.rows)
+                .flat_map(|(_, seg)| {
+                    let at = (seg.as_ptr() as usize - base as usize) / 8;
+                    at..at + seg.len()
+                })
+                .collect();
+            owned.sort_unstable();
+            assert_eq!(owned, (0..m * n).collect::<Vec<_>>(), "{m}x{n} / {parts}");
+        }
+    }
+
+    #[test]
+    fn banded_driver_matches_reference_across_edges_and_drains() {
+        // Band edges inside and between row blocks, partial last blocks,
+        // and a drain after every tile step (budget = one step). The grid
+        // runs on the tile backend; the scalar model computes the same
+        // function a thousand times slower, so it runs a corner of it.
+        let amx = quant_ring_available();
+        for m in [1, 31, 32, 33, 95, 96, 97, 3136] {
+            for n in [31, 32, 33, 128] {
+                for k in [64, 130] {
+                    if m == 3136 && (n, k) != (128, 130) {
+                        continue; // the MLP gradient's shape; keeps debug runs short
+                    }
+                    let a = umat(m, k, 3 + m as u64);
+                    let b = umat(k, n, 5 + n as u64);
+                    let expect = crate::gemm::gemm_packed(&a, &b);
+                    for parts in [1, 2, 3, 5] {
+                        let portable = [31, 33].contains(&m)
+                            && [31, 33].contains(&n)
+                            && k == 130
+                            && parts == 3;
+                        let kinds = [
+                            amx.then(best_backend),
+                            portable.then_some(BackendKind::Portable),
+                        ];
+                        for kind in kinds.into_iter().flatten() {
+                            let got = gemm_quant_u64_forced(kind, TILE_K_BYTES, parts, &a, &b);
+                            assert_eq!(got, expect, "{kind:?} {m}x{k}x{n} / {parts}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quant_inside_a_pool_job_stays_serial_and_matches() {
+        // A gemm_batch item on the provider path: the call runs on a pool
+        // worker, so it must not band (waiting on its own pool).
+        let a = umat(70, 130, 5);
+        let b = umat(130, 40, 7);
+        let expect = gemm_naive(&a, &b);
+        let mut got = None;
+        global_pool().scoped_run(vec![Box::new(|| {
+            got = Some((in_pool_worker(), band_parts(), gemm_quant(&a, &b)));
+        })]);
+        let (nested, parts, got) = got.expect("the job ran");
+        assert!(nested);
+        assert_eq!(parts, 1);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn concurrent_quant_products_on_two_threads_match() {
+        // The triple provider and the engine run large ring products at
+        // once; each thread configures and releases its own tile state.
+        if !quant_ring_available() {
+            return; // tile state is the AMX backend's; no AMX on this host
+        }
+        let pairs = [
+            (umat(256, 192, 1), umat(192, 128, 2)),
+            (umat(128, 320, 3), umat(320, 96, 4)),
+        ];
+        let expect: Vec<Matrix<u64>> = pairs.iter().map(|(a, b)| gemm_naive(a, b)).collect();
+        std::thread::scope(|s| {
+            let runs: Vec<_> = pairs
+                .iter()
+                .map(|(a, b)| s.spawn(move || (0..4).map(|_| gemm_quant(a, b)).collect::<Vec<_>>()))
+                .collect();
+            for (run, e) in runs.into_iter().zip(&expect) {
+                for got in run.join().expect("no panic") {
+                    assert_eq!(&got, e);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn plane_pool_retains_at_most_its_largest_buffer() {
+        // Run on a fresh thread so the pool starts empty.
+        std::thread::spawn(|| {
+            let big = umat(256, 256, 1);
+            let small = umat(64, 64, 2);
+            let _ = gemm_quant(&big, &big);
+            let _ = gemm_quant(&small, &small);
+            let _ = gemm_quant(&big, &big);
+            PLANE_POOL.with(|pool| {
+                let pool = pool.borrow();
+                // A 256^2 operand recodes into 8 x 256 x 256 plane bytes;
+                // of a call's two such buffers the pool keeps one.
+                assert_eq!(pool.cap, LIMBS * 256 * 256);
+                assert_eq!(pool.free.len(), 1);
+                // The 64^3 call did not take it (16x its need) and shrink
+                // it: it is still there, whole, for the next large call.
+                assert!(pool.free[0].capacity() >= LIMBS * 256 * 256);
+            });
+        })
+        .join()
+        .expect("pool thread");
     }
 
     #[test]

@@ -14,6 +14,13 @@ fi
 # observability gate below runs).
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The ring GEMMs take the limb-split kernel on any worker count, serial on a
+# one-worker pool and banded over a larger one; `gemm_packed_sum` also
+# branches on the count. The pool is sized from PSML_WORKERS at first use,
+# so run the kernel crates under both shapes whatever this host's cores.
+for workers in 1 3; do
+    PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
+done
 # `-D warnings` now comes from [workspace.lints] in Cargo.toml, so plain
 # builds and clippy runs enforce the same bar as CI.
 cargo clippy --all-targets --offline
