@@ -2,10 +2,7 @@
 //!
 //! Two parts:
 //!
-//! 1. A criterion group comparing the whole kernel ladder — naive,
-//!    blocked, packed, packed-parallel, the `gemm_auto` dispatcher, and
-//!    the Tensor-Core (through-f16) variant — at small and medium sizes.
-//! 2. A headline measurement at 256/512/1024 cubed, over both an f32
+//! 1. A headline measurement at 256/512/1024 cubed, over both an f32
 //!    carrier and the u64 ring carrier secure training runs on,
 //!    comparing the seed production kernel (`gemm_blocked`) against the
 //!    packed paths and — where the host tile unit verifies — the
@@ -14,7 +11,7 @@
 //!    the same code as `packed`). Written to `BENCH_gemm.json` (a
 //!    `psml.bench.gemm.v1` document) at the repository root so the
 //!    speedups are recorded per host.
-//! 3. A u64 shape-class ladder: every ring-product shape class the `e2e`
+//! 2. A u64 shape-class ladder: every ring-product shape class the `e2e`
 //!    workloads run, timed on `packed`, `packed_parallel`, `quant` and
 //!    `auto`, plus the cutover and padding sweeps the dispatcher's
 //!    `AUTO_QUANT_FLOPS` and `QUANT_MAX_PADDING` are read from.
@@ -26,11 +23,9 @@
 //! 10 % of the best kernel it may choose on every shape class (the whole
 //! point of a dispatcher).
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
-use psml_gpu::{kernels, GemmMode};
 use psml_tensor::{
-    gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel, gemm_quant,
-    quant_ring_available, Matrix, Num,
+    gemm_auto, gemm_blocked, gemm_packed, gemm_packed_parallel, gemm_quant, quant_ring_available,
+    Matrix, Num,
 };
 use psml_trace::json::{obj, JsonValue};
 use std::hint::black_box;
@@ -94,61 +89,6 @@ fn quant_padding(m: usize, k: usize, n: usize) -> f64 {
 const CONV_M: usize = 16 * 576;
 const CONV_K: usize = 25;
 const CONV_N: usize = 8;
-
-fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    for &n in &[32usize, 64, 128] {
-        let a = mat(n, 1);
-        let b = mat(n, 2);
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_naive(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_blocked(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("packed", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_packed(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("packed_parallel", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_packed_parallel(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("auto", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_auto(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("tensor_core_f16", n), &n, |bench, _| {
-            bench.iter(|| black_box(kernels::gemm(&a, &b, GemmMode::TensorCore)))
-        });
-    }
-    // Ring carrier at a size past the quant cutover, so the limb-split
-    // kernel appears in the criterion ladder next to the packed path.
-    if quant_ring_available() {
-        let n = 192;
-        let a = ring(n, 1);
-        let b = ring(n, 2);
-        group.bench_with_input(BenchmarkId::new("packed_u64", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_packed(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("quant_u64", n), &n, |bench, _| {
-            bench.iter(|| black_box(gemm_quant(&a, &b)))
-        });
-    }
-    // Conv-derived shape: the blocked seed kernel vs the dispatcher the
-    // im2col path now uses.
-    let a = rect(CONV_M, CONV_K, 1);
-    let b = rect(CONV_K, CONV_N, 2);
-    group.bench_function("conv_im2col/blocked", |bench| {
-        bench.iter(|| black_box(gemm_blocked(&a, &b)))
-    });
-    group.bench_function("conv_im2col/auto", |bench| {
-        bench.iter(|| black_box(gemm_auto(&a, &b)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_gemm);
 
 /// A named GEMM kernel closure under measurement.
 type NamedKernel<'a, R> = (&'static str, Box<dyn FnMut() -> Matrix<R> + 'a>);
@@ -458,15 +398,5 @@ fn headline() {
 }
 
 fn main() {
-    // Headline first: minutes of sustained criterion sampling heats the
-    // (shared, AVX-512-throttled) host and would depress the recorded
-    // peak numbers for every kernel. PSML_HEADLINE_ONLY=1 skips the
-    // criterion ladder for quick re-measurement; PSML_SMOKE=1 also
-    // skips it and shrinks the headline itself.
     headline();
-    if std::env::var_os("PSML_HEADLINE_ONLY").is_none()
-        && std::env::var_os("PSML_SMOKE").is_none()
-    {
-        benches();
-    }
 }

@@ -644,6 +644,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         if !self.cfg.insecure_reuse_triples {
             return self.provision_triple(spec).map(Rc::new);
         }
+        // psml-lint: allow(timing, "branches on whether the public site/spec key is cached, never on the triple")
         if let Some(cached) = self.triple_cache.get(&(site, spec)) {
             self.triple_reuses += 1;
             return Ok(Rc::clone(cached));

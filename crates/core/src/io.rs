@@ -12,6 +12,10 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"PSMLWTS\x01";
 
+/// Most elements `read_weights` reserves for a matrix before its data has
+/// been read (512 KiB of `f64`).
+const MAX_RESERVE: usize = 1 << 16;
+
 /// Serializes layered weights (`layers x matrices-per-layer`) to a writer
 /// and flushes it: a buffered writer's drop discards the error of its
 /// final flush, so an unflushed tail would be reported as written.
@@ -64,7 +68,10 @@ pub fn read_weights<R: Read>(mut r: R) -> Result<Vec<Vec<PlainMatrix>>> {
             if rows.checked_mul(cols).is_none_or(|n| n > (1 << 28)) {
                 return Err(ConfigError::WeightFormat("implausible matrix shape".into()).into());
             }
-            let mut data = Vec::with_capacity(rows * cols);
+            // The shape is only a claim until its data arrives: reserve a
+            // bounded prefix and grow with what is actually read, so a
+            // short file cannot buy a 2 GiB allocation with 24 bytes.
+            let mut data = Vec::with_capacity((rows * cols).min(MAX_RESERVE));
             let mut f64buf = [0u8; 8];
             for _ in 0..rows * cols {
                 r.read_exact(&mut f64buf).map_err(io_err)?;
@@ -183,5 +190,55 @@ mod tests {
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd layer count
         assert!(read_weights(&buf[..]).is_err());
+    }
+
+    /// Magic, one layer of one matrix, then `dims` and `data`.
+    fn one_matrix(dims: [u32; 2], data: &[u8]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for v in [1, 1, dims[0], dims[1]] {
+            buf.extend_from_slice(&u32::to_le_bytes(v));
+        }
+        buf.extend_from_slice(data);
+        buf
+    }
+
+    #[test]
+    fn huge_header_over_short_data_is_a_typed_error() {
+        // 16384 x 16384 is within the shape bound, so only the data can
+        // refute it: a 2 GiB claim backed by two values.
+        let buf = one_matrix([16384, 16384], &[0u8; 16]);
+        match read_weights(&buf[..]).unwrap_err() {
+            EngineError::Io { context, kind, .. } => {
+                assert_eq!(context, "read weights");
+                assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
+            }
+            other => panic!("expected EngineError::Io, got {other:?}"),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever follows a valid magic — noise, or a small header over
+        /// noise — reading it returns weights or a typed error, never a
+        /// panic.
+        #[test]
+        fn arbitrary_bytes_after_magic_are_ok_or_typed(
+            noise in prop::collection::vec(any::<u8>(), 0..96),
+            dims in prop::collection::vec(any::<u32>(), 2),
+            headed in any::<bool>(),
+        ) {
+            let buf = if headed {
+                one_matrix([dims[0] % 64, dims[1] % 8192], &noise)
+            } else {
+                [&MAGIC[..], &noise[..]].concat()
+            };
+            match read_weights(&buf[..]) {
+                Ok(_) | Err(EngineError::Io { .. }) | Err(EngineError::Config(_)) => {}
+                Err(other) => prop_assert!(false, "untyped failure: {other:?}"),
+            }
+        }
     }
 }

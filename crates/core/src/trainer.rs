@@ -776,9 +776,6 @@ pub(crate) fn batched_im2col<T: Num>(x: &Matrix<T>, shape: &ConvShape) -> Matrix
 
 /// `(batch*patches) x filters` -> `batch x (patches*filters)`.
 pub(crate) fn conv_to_rows<T: Num>(y: &Matrix<T>, batch: usize, shape: &ConvShape) -> Matrix<T> {
-    // `n_patches`, not `patches`: a field elsewhere in this file binds
-    // `patches` to a secret share, and psml-lint's taint tracking is
-    // file-granular — never reuse a secret-typed name for plain data.
     let n_patches = shape.patches();
     let filters = shape.filters;
     debug_assert_eq!(y.shape(), (batch * n_patches, filters));

@@ -5,7 +5,7 @@
 
 //! Seeded cross-function leak: the secret is minted two calls away from
 //! the sink, so no single statement both names a secret type and formats
-//! it — exactly the shape the v1 file-granular taint provably misses.
+//! it — the shape only the call-graph summaries can follow.
 
 #[doc = "psml-secret"]
 pub struct LimbVec {

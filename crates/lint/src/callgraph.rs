@@ -3,15 +3,17 @@
 //! Resolution is deliberately conservative: a call resolves only when the
 //! token pattern pins down a unique workspace definition — same-module
 //! free functions, `use`-imported paths, fully-qualified `crate::module`
-//! paths, `Type::method`, `self.method` inside an impl, and receiver-blind
-//! `x.method(..)` when exactly one type in the workspace defines the
-//! method. Anything ambiguous stays unresolved, and the dataflow passes
-//! treat unresolved calls as opaque (no taint transfer, no lock summary),
-//! trading recall for a zero-false-positive default.
+//! paths, `Type::method`, `x.method(..)` on a local whose type is declared
+//! (`self`, a typed param or `let`, a `Type::new(..)` binding), and
+//! receiver-blind `x.method(..)` when exactly one type in the workspace
+//! defines the method. Anything ambiguous stays unresolved, and the
+//! dataflow passes treat unresolved calls as opaque (no taint transfer, no
+//! lock summary), trading recall for a zero-false-positive default.
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
-use crate::symbols::{skip_balanced, SymbolTable};
+use crate::symbols::{FnDef, SymbolTable};
+use crate::tokens::{skip_balanced, tok_is};
 use std::collections::BTreeMap;
 
 /// One resolved call site inside a function body.
@@ -55,8 +57,7 @@ impl CallGraph {
                     if j > 0 && (t[j - 1].text == "fn" || tok_is(t, j + 1, "!")) {
                         continue;
                     }
-                    let callee = resolve(sources, table, d.file, d.impl_type.as_deref(), t, j);
-                    if let Some(callee) = callee {
+                    if let Some(callee) = resolve(sources, table, d, t, j) {
                         sites.insert(
                             j,
                             CallSite {
@@ -107,30 +108,22 @@ pub const KEYWORDS: &[&str] = &[
     "as", "where", "impl", "dyn", "break", "continue", "unsafe", "mut", "ref", "use",
 ];
 
-fn tok_is(t: &[Tok], i: usize, s: &str) -> bool {
-    t.get(i).map(|x| x.text.as_str()) == Some(s)
-}
-
-/// Resolves the call whose name identifier sits at `j` (followed by `(`).
-fn resolve(
-    sources: &[SourceFile],
-    table: &SymbolTable,
-    file_idx: usize,
-    impl_type: Option<&str>,
-    t: &[Tok],
-    j: usize,
-) -> Option<usize> {
+/// Resolves the call whose name identifier sits at `j` (followed by `(`)
+/// inside the body of `d`.
+fn resolve(sources: &[SourceFile], table: &SymbolTable, d: &FnDef, t: &[Tok], j: usize) -> Option<usize> {
+    let (file_idx, impl_type) = (d.file, d.impl_type.as_deref());
     let name = t[j].text.as_str();
     // Method call: `<recv> . name (`.
     if j >= 1 && t[j - 1].text == "." {
-        // `self.name(..)` inside an impl resolves against the impl target
+        // A bare local receiver of declared type (`self` inside an impl,
+        // `p: Type`, `let p = Type::new(..)`) resolves against that type
         // first.
-        if j >= 2 && t[j - 2].text == "self" {
-            if let Some(ty) = impl_type {
-                if let Some(ids) = table.methods.get(&(ty.to_string(), name.to_string())) {
-                    if ids.len() == 1 {
-                        return Some(ids[0]);
-                    }
+        let recv = (j >= 2 && t[j - 2].kind == TokKind::Ident && !tok_is(t, j.wrapping_sub(3), "."))
+            .then(|| t[j - 2].text.as_str());
+        if let Some(ty) = recv.and_then(|r| d.locals.get(r)) {
+            if let Some(ids) = table.methods.get(&(ty.clone(), name.to_string())) {
+                if ids.len() == 1 {
+                    return Some(ids[0]);
                 }
             }
         }
@@ -305,9 +298,31 @@ mod tests {
             "struct A; struct B;\n\
              impl A { fn go(&self) {} }\n\
              impl B { fn go(&self) {} }\n\
-             fn f(a: &A) { a.go() }\n",
+             fn f(v: &[A]) { v[0].go() }\n",
         )]);
         assert!(callee_names(&table, &cg, "f").is_empty());
+    }
+
+    #[test]
+    fn typed_local_receivers_resolve_even_std_named_methods() {
+        let (_, table, cg) = graph(&[(
+            "mpc",
+            "mpc::share",
+            "struct A; struct B;\n\
+             impl A { fn take(&self) -> u8 { 1 } fn new() -> A { A } }\n\
+             impl B { fn take(&self) -> u8 { 2 } }\n\
+             fn param(a: &A) -> u8 { a.take() }\n\
+             fn ctor() -> u8 { let a = A::new(); a.take() }\n\
+             fn annotated(x: u8) -> u8 { let b: B = make(x); b.take() }\n",
+        )]);
+        let callee = |caller: &str| {
+            let id = table.fns.iter().position(|d| d.name == caller).unwrap();
+            let ids: Vec<_> = cg.calls[id].values().map(|s| s.callee).collect();
+            ids.iter().map(|&c| table.fns[c].impl_type.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(callee("param"), vec![Some("A".to_string())]);
+        assert_eq!(callee("ctor"), vec![Some("A".to_string()); 2]);
+        assert_eq!(callee("annotated"), vec![Some("B".to_string())]);
     }
 
     #[test]

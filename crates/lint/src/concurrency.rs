@@ -23,6 +23,7 @@ use crate::findings::{Evidence, Finding, RuleId};
 use crate::lexer::{Tok, TokKind};
 use crate::source::{module_in, SourceFile};
 use crate::symbols::SymbolTable;
+use crate::tokens::{expr_end, tok_is};
 use std::collections::BTreeMap;
 
 /// One lock acquisition inside a function body.
@@ -253,10 +254,6 @@ pub fn run(sources: &[SourceFile], table: &SymbolTable, cg: &CallGraph) -> Vec<F
     findings
 }
 
-fn tok_is(t: &[Tok], i: usize, s: &str) -> bool {
-    t.get(i).map(|x| x.text.as_str()) == Some(s)
-}
-
 /// Finds every `.lock()` / `.read()` / `.write()` (zero-argument) in the
 /// body and computes each guard's scope.
 fn collect_events(id: usize, sources: &[SourceFile], table: &SymbolTable) -> Vec<LockEvent> {
@@ -356,26 +353,8 @@ fn guard_scope(t: &[Tok], chain_start: usize, lock_dot: usize, body_end: usize) 
             }
             body_end
         }
-        None => {
-            // Statement temporary: to the `;` (or block edge).
-            let mut depth = 0i64;
-            let mut u = lock_dot;
-            while u < body_end {
-                match t[u].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        if depth < 0 {
-                            return u;
-                        }
-                    }
-                    ";" if depth == 0 => return u,
-                    _ => {}
-                }
-                u += 1;
-            }
-            body_end
-        }
+        // Statement temporary: to the `;` (or block edge).
+        None => expr_end(t, lock_dot, body_end, false),
     }
 }
 

@@ -27,11 +27,12 @@ pub enum RuleId {
     /// Hand-written `Debug`/`Display` for a secret type outside the
     /// redaction modules.
     SecretDebugImpl,
-    /// Secret value reaching a format macro or trace sink.
+    /// Secret value reaching a format macro or trace sink inside the
+    /// function that holds it.
     SecretFormatLeak,
-    /// Secret value crossing a function boundary before reaching a
-    /// format sink — the inter-procedural flow v1's file-granular taint
-    /// cannot see. Carries the call chain as evidence.
+    /// Secret value crossing a function boundary (a call's return or
+    /// argument) before reaching a format sink. Carries the call chain as
+    /// evidence.
     SecretCrossFunctionLeak,
     /// `if`/`while`/`match` or short-circuit operator conditioned on a
     /// secret-derived value in an online-path module.

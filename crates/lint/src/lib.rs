@@ -18,10 +18,10 @@
 //! 2. **RNG discipline** — `Mt19937` minted only in sanctioned modules,
 //!    fault RNG never referenced from protocol code;
 //! 3. **secrecy** — registered secret types (plus `#[doc = "psml-secret"]`
-//!    marked ones) never derive `Debug`, are hand-Debug'd only in the
-//!    redaction modules, and never reach format macros or trace sinks —
-//!    including across function boundaries, via the inter-procedural
-//!    taint pass ([`taint`]);
+//!    marked ones) never derive `Debug` and are hand-Debug'd only in the
+//!    redaction modules ([`rules`]), and secret values never reach format
+//!    macros or trace sinks, inside one function or across calls — one
+//!    inter-procedural taint pass ([`taint`]) reports both;
 //! 4. **timing** — online-path control flow and memory access never
 //!    depend on secret-derived values ([`timing`]);
 //! 5. **concurrency** — one global lock-acquisition order, no blocking
@@ -29,12 +29,13 @@
 //! 6. **determinism** — no wall-clock types and no `HashMap` iteration in
 //!    protocol-path modules.
 //!
-//! The analyzer is a hand-rolled lexer ([`lexer`]), token-pattern rules
-//! ([`rules`]), and a workspace symbol table + call graph ([`symbols`],
-//! [`callgraph`]) feeding the dataflow passes — no `syn`, no `serde`, no
-//! dependencies at all, so it builds and runs even when the crates it
-//! scans do not. Findings are emitted as human diagnostics and as a
-//! versioned `psml.lint.v2` JSON document that `psml validate` accepts.
+//! The analyzer is a hand-rolled lexer ([`lexer`]) with one set of
+//! token-walking helpers ([`tokens`]), token-pattern rules ([`rules`]),
+//! and a workspace symbol table + call graph ([`symbols`], [`callgraph`])
+//! feeding the dataflow passes — no `syn`, no `serde`, no dependencies at
+//! all, so it builds and runs even when the crates it scans do not.
+//! Findings are emitted as human diagnostics and as a versioned
+//! `psml.lint.v2` JSON document that `psml validate` accepts.
 
 pub mod callgraph;
 pub mod concurrency;
@@ -49,6 +50,7 @@ pub mod source;
 pub mod symbols;
 pub mod taint;
 pub mod timing;
+pub mod tokens;
 pub mod workspace;
 
 pub use findings::{Evidence, Finding, Report, RuleId};
@@ -56,26 +58,10 @@ pub use rules::SecretRegistry;
 pub use source::{Context, SourceFile};
 pub use workspace::{lint_sources, lint_workspace};
 
-/// Lints a single in-memory file under the given identity with the
-/// per-file rules only — v1 semantics, kept as the regression baseline
-/// that the cross-function fixture provably escapes.
+/// Lints a single in-memory file under the given identity through the
+/// whole pipeline — per-file rules plus symbol table, call graph, taint,
+/// timing, and concurrency — as if it were the whole workspace.
 pub fn lint_str(
-    path: &str,
-    crate_name: &str,
-    module: &str,
-    context: Context,
-    text: &str,
-) -> Vec<Finding> {
-    let f = SourceFile::parse(path, crate_name, module, context, text);
-    let mut secrets = SecretRegistry::default();
-    secrets.collect(&f);
-    rules::lint_file(&f, &secrets)
-}
-
-/// Lints a single in-memory file through the *full* pipeline — per-file
-/// rules plus symbol table, call graph, taint, timing, and concurrency —
-/// the fixture tests' entry point for the inter-procedural families.
-pub fn lint_str_full(
     path: &str,
     crate_name: &str,
     module: &str,

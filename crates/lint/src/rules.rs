@@ -1,6 +1,6 @@
-//! The per-file rule families (unsafe, rng, secrecy, determinism),
-//! implemented as token-pattern scans. The inter-procedural families
-//! (cross-function secrecy, timing, concurrency) live in
+//! The per-file rule families (unsafe, rng, secrecy declarations,
+//! determinism), implemented as token-pattern scans. The dataflow
+//! families (secret flows into sinks, timing, concurrency) live in
 //! [`crate::taint`] / [`crate::timing`] / [`crate::concurrency`] on top
 //! of the workspace-wide symbol table and call graph.
 //!
@@ -13,8 +13,9 @@
 
 use crate::config::*;
 use crate::findings::{Finding, RuleId};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::TokKind;
 use crate::source::{module_in, SourceFile};
+use crate::tokens::{skip_attrs_and_vis, skip_balanced, tok_is};
 use std::collections::BTreeSet;
 
 /// Secret-type registry: the built-in list plus every type carrying the
@@ -45,65 +46,15 @@ impl SecretRegistry {
                 && tok_is(t, i + 5, "]")
             {
                 // Skip further attributes and visibility, find the type name.
-                let mut j = i + 6;
-                while j < t.len() {
-                    match t[j].text.as_str() {
-                        "#" => j = skip_attr(t, j),
-                        "pub" => {
-                            j += 1;
-                            if tok_is(t, j, "(") {
-                                j = skip_balanced(t, j, "(", ")");
-                            }
-                        }
-                        "struct" | "enum" | "union" | "type" => {
-                            if let Some(name) = t.get(j + 1) {
-                                self.marked.insert(name.text.clone());
-                            }
-                            break;
-                        }
-                        _ => break,
+                let j = skip_attrs_and_vis(t, i + 6);
+                if ["struct", "enum", "union", "type"].iter().any(|kw| tok_is(t, j, kw)) {
+                    if let Some(name) = t.get(j + 1) {
+                        self.marked.insert(name.text.clone());
                     }
                 }
             }
         }
     }
-}
-
-fn tok_is(t: &[Tok], i: usize, s: &str) -> bool {
-    t.get(i).map(|x| x.text.as_str()) == Some(s)
-}
-
-/// Skips an attribute starting at the `#` token; returns the index after
-/// the closing `]`.
-fn skip_attr(t: &[Tok], i: usize) -> usize {
-    debug_assert_eq!(t[i].text, "#");
-    let mut j = i + 1;
-    if tok_is(t, j, "!") {
-        j += 1;
-    }
-    if tok_is(t, j, "[") {
-        return skip_balanced(t, j, "[", "]");
-    }
-    j
-}
-
-/// Skips a balanced delimiter run starting at the opener; returns the
-/// index after the matching closer.
-fn skip_balanced(t: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0usize;
-    let mut j = open_idx;
-    while j < t.len() {
-        if t[j].text == open {
-            depth += 1;
-        } else if t[j].text == close {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    t.len()
 }
 
 /// Runs every per-file rule over `f`.
@@ -314,7 +265,9 @@ fn rng_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
 
 // --------------------------------------------------------------- secrecy --
 
-/// Rule family 3: secrecy.
+/// Rule family 3, declaration half: secret types are never debug-printable
+/// by construction. (Secret *values* reaching a sink are the dataflow
+/// half, [`crate::taint`].)
 ///
 /// Exemptions: test contexts (tests fabricate their own "secrets" and the
 /// redaction regression test must be able to format one); the redaction
@@ -329,19 +282,7 @@ fn secrecy(f: &SourceFile, secrets: &SecretRegistry, out: &mut Vec<Finding>) {
             let end = skip_balanced(t, i + 1, "(", ")");
             let derives_debug = t[i + 1..end].iter().any(|x| x.text == "Debug");
             // After `)]`, skip further attributes/visibility to the item.
-            let mut j = end + 1; // skip `]`
-            loop {
-                if tok_is(t, j, "#") {
-                    j = skip_attr(t, j);
-                } else if tok_is(t, j, "pub") {
-                    j += 1;
-                    if tok_is(t, j, "(") {
-                        j = skip_balanced(t, j, "(", ")");
-                    }
-                } else {
-                    break;
-                }
-            }
+            let j = skip_attrs_and_vis(t, end + 1);
             if derives_debug
                 && (tok_is(t, j, "struct") || tok_is(t, j, "enum") || tok_is(t, j, "union"))
             {
@@ -396,131 +337,6 @@ fn secrecy(f: &SourceFile, secrets: &SecretRegistry, out: &mut Vec<Finding>) {
             }
         }
     }
-
-    // (c) tainted values reaching format macros / trace sinks.
-    let tainted = taint_set(t, secrets);
-    let mut i = 0;
-    while i < t.len() {
-        let is_format_macro = t[i].kind == TokKind::Ident
-            && FORMAT_MACROS.contains(&t[i].text.as_str())
-            && tok_is(t, i + 1, "!")
-            && tok_is(t, i + 2, "(");
-        let is_trace_sink = t[i].text == "TraceSink"
-            && tok_is(t, i + 1, ":")
-            && tok_is(t, i + 2, ":")
-            && t.get(i + 3).map(|x| x.kind) == Some(TokKind::Ident)
-            && tok_is(t, i + 4, "(");
-        let open = if is_format_macro {
-            i + 2
-        } else if is_trace_sink {
-            i + 4
-        } else {
-            i += 1;
-            continue;
-        };
-        let end = skip_balanced(t, open, "(", ")");
-        if !f.is_test_line(t[i].line) {
-            for k in open + 1..end.saturating_sub(1) {
-                let x = &t[k];
-                if x.kind != TokKind::Ident {
-                    continue;
-                }
-                let secret_name = secrets.contains(&x.text);
-                let is_tainted = tainted.contains(x.text.as_str());
-                if !secret_name && !is_tainted {
-                    continue;
-                }
-                // Metadata accessors are the sanctioned way to format
-                // information about a secret: `pair.shape()` is fine, and
-                // so is a longer chain that *ends* in one
-                // (`triple.u.shape()`) — the formatted value is the chain
-                // result, not the secret.
-                if chain_ends_in_metadata(t, k) {
-                    continue;
-                }
-                // A secret type name in turbofish/path position that never
-                // touches a value (e.g. `size_of::<SharePair<R>>()`) is
-                // still flagged conservatively — protocol code has no
-                // business naming secrets inside a format call.
-                out.push(finding(
-                    f,
-                    RuleId::SecretFormatLeak,
-                    x.line,
-                    format!(
-                        "`{}` ({}) reaches `{}{}`; format only metadata accessors ({})",
-                        x.text,
-                        if secret_name {
-                            "secret type".to_string()
-                        } else {
-                            "secret-typed value".to_string()
-                        },
-                        t[i].text,
-                        if is_format_macro { "!" } else { "" },
-                        METADATA_ACCESSORS.join("/"),
-                    ),
-                ));
-            }
-        }
-        i = end;
-    }
-}
-
-/// Walks the postfix chain starting at the identifier at `k`
-/// (`ident(.field | .method(..))*`) and reports whether it ends in a
-/// *called* metadata accessor, which yields shape/dimension data rather
-/// than limb values.
-fn chain_ends_in_metadata(t: &[Tok], k: usize) -> bool {
-    let mut j = k + 1;
-    let mut last_call: Option<&str> = None;
-    while tok_is(t, j, ".") && t.get(j + 1).map(|x| x.kind) == Some(TokKind::Ident) {
-        let name = t[j + 1].text.as_str();
-        j += 2;
-        if tok_is(t, j, "(") {
-            last_call = Some(name);
-            j = skip_balanced(t, j, "(", ")");
-        } else {
-            // Bare field access (`triple.u`) exposes the secret itself
-            // unless a later accessor call closes the chain.
-            last_call = None;
-        }
-    }
-    last_call.is_some_and(|m| METADATA_ACCESSORS.contains(&m))
-}
-
-/// Identifiers bound with a secret type annotation anywhere in the file:
-/// `x: SharePair<R>` (params, fields, lets) and `let x = SharePair::...`.
-fn taint_set<'a>(t: &'a [Tok], secrets: &SecretRegistry) -> BTreeSet<&'a str> {
-    let mut set = BTreeSet::new();
-    for i in 0..t.len() {
-        // ident : [&] [mut] ['a] Secret
-        if t[i].kind == TokKind::Ident && tok_is(t, i + 1, ":") && !tok_is(t, i + 2, ":") {
-            let mut j = i + 2;
-            while j < t.len()
-                && (t[j].text == "&"
-                    || t[j].text == "mut"
-                    || t[j].kind == TokKind::Lifetime)
-            {
-                j += 1;
-            }
-            if t.get(j).is_some_and(|x| secrets.contains(&x.text)) {
-                set.insert(t[i].text.as_str());
-            }
-        }
-        // let [mut] x = Secret :: ...
-        if t[i].text == "let" {
-            let mut j = i + 1;
-            if tok_is(t, j, "mut") {
-                j += 1;
-            }
-            if t.get(j).map(|x| x.kind) == Some(TokKind::Ident)
-                && tok_is(t, j + 1, "=")
-                && t.get(j + 2).is_some_and(|x| secrets.contains(&x.text))
-            {
-                set.insert(t[j].text.as_str());
-            }
-        }
-    }
-    set
 }
 
 // ----------------------------------------------------------- determinism --

@@ -1,6 +1,7 @@
 //! A lexed source file plus the workspace identity the rules key on.
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::tokens::{skip_balanced, tok_is};
 
 /// How a file participates in the build — rules exempt non-production
 /// contexts (tests may print secrets they made up; benches may read the
@@ -97,23 +98,13 @@ fn find_test_spans(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].text == "#" && toks.get(i + 1).map(|t| t.text.as_str()) == Some("[") {
-            // Collect idents inside the attribute brackets.
-            let mut j = i + 2;
-            let mut depth = 1usize;
-            let mut idents: Vec<&str> = Vec::new();
-            while j < toks.len() && depth > 0 {
-                match toks[j].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => depth -= 1,
-                    _ => {
-                        if toks[j].kind == TokKind::Ident {
-                            idents.push(&toks[j].text);
-                        }
-                    }
-                }
-                j += 1;
-            }
+        if toks[i].text == "#" && tok_is(toks, i + 1, "[") {
+            let j = skip_balanced(toks, i + 1, "[", "]");
+            let idents: Vec<&str> = toks[i + 2..j]
+                .iter()
+                .filter(|t| t.kind == TokKind::Ident)
+                .map(|t| t.text.as_str())
+                .collect();
             let is_test_cfg = idents.contains(&"cfg")
                 && idents.contains(&"test")
                 && !idents.contains(&"not");
@@ -122,36 +113,15 @@ fn find_test_spans(toks: &[Tok]) -> Vec<(u32, u32)> {
                 // the first `{ ... }` block, or up to `;` for a bodyless
                 // item (`#[cfg(test)] mod tests;`).
                 let mut k = j;
-                while k + 1 < toks.len()
-                    && toks[k].text == "#"
-                    && toks[k + 1].text == "["
-                {
-                    let mut d = 1usize;
-                    k += 2;
-                    while k < toks.len() && d > 0 {
-                        match toks[k].text.as_str() {
-                            "[" => d += 1,
-                            "]" => d -= 1,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
+                while tok_is(toks, k, "#") && tok_is(toks, k + 1, "[") {
+                    k = skip_balanced(toks, k + 1, "[", "]");
                 }
                 let start_line = toks[i].line;
                 while k < toks.len() && toks[k].text != "{" && toks[k].text != ";" {
                     k += 1;
                 }
-                if k < toks.len() && toks[k].text == "{" {
-                    let mut d = 1usize;
-                    k += 1;
-                    while k < toks.len() && d > 0 {
-                        match toks[k].text.as_str() {
-                            "{" => d += 1,
-                            "}" => d -= 1,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
+                if tok_is(toks, k, "{") {
+                    k = skip_balanced(toks, k, "{", "}");
                 }
                 let end_line = toks
                     .get(k.saturating_sub(1))

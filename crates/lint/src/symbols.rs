@@ -1,13 +1,15 @@
 //! Workspace symbol table: every `fn` definition (free functions and
-//! inherent/trait methods with their receiver type), struct fields, and
-//! the per-file `use` import map. Built by one token walk per file on top
-//! of the existing lexer — no syn, no rustc, keeping the crate's
-//! zero-dependency guarantee. The call graph ([`crate::callgraph`]) and
-//! the inter-procedural passes resolve names against this table.
+//! inherent/trait methods with their receiver type, plus the declared
+//! types of their locals), struct fields, and the per-file `use` import
+//! map. Built by one token walk per file on top of the existing lexer —
+//! no syn, no rustc, keeping the crate's zero-dependency guarantee. The
+//! call graph ([`crate::callgraph`]) and the inter-procedural passes
+//! resolve names against this table.
 
 use crate::config::CRATE_PREFIXES;
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
+use crate::tokens::{expr_end, is_ident, skip_angles, skip_attrs_and_vis, skip_balanced, tok_is};
 use std::collections::BTreeMap;
 
 /// One declared parameter.
@@ -41,6 +43,12 @@ pub struct FnDef {
     /// body tokens are `toks[open + 1 .. after_close - 1]`. `None` for
     /// bodyless trait declarations.
     pub body: Option<(usize, usize)>,
+    /// Declared types of the named locals, by binding name: the receiver
+    /// (`self` is the impl target), params (`p: Type`), annotated lets
+    /// (`let p: Type`) and constructor lets (`let p = Type[::<..>]::f(..)`).
+    /// Method calls on them resolve through `(type, method)`, and their
+    /// field reads through the struct's declared fields.
+    pub locals: BTreeMap<String, String>,
 }
 
 /// Where a `use`-imported name points.
@@ -114,56 +122,186 @@ impl SymbolTable {
     }
 }
 
-/// Whether the token at `i` has exactly the text `s`.
-pub fn tok_is(t: &[Tok], i: usize, s: &str) -> bool {
-    t.get(i).map(|x| x.text.as_str()) == Some(s)
+/// One `let` statement: `let PATTERN [: TYPE] [= RHS]`.
+pub struct Let {
+    /// Every name the pattern binds (`x`, `mut x`, `(a, _)`, `Some(x)`,
+    /// `Ok((a, b))`, `S { f, g: h }`).
+    pub names: Vec<String>,
+    /// For a tuple or array pattern of plain bindings (`(a, _)`,
+    /// `[z0, z1]`): the binding at each position, `None` for `_`.
+    pub elems: Option<Vec<Option<String>>>,
+    /// Token range of the type annotation.
+    pub ty: Option<(usize, usize)>,
+    /// Token range of the initializer: to the statement end, or for
+    /// `if let` / `while let` to the block opener.
+    pub rhs: Option<(usize, usize)>,
 }
 
-fn is_ident(t: &[Tok], i: usize) -> bool {
-    t.get(i).map(|x| x.kind) == Some(TokKind::Ident)
-}
-
-/// Skips a `< ... >` generic group starting at the `<`; returns the index
-/// after the matching `>`. `->`'s `>` (function-trait bounds like
-/// `F: Fn() -> u64`) does not close a group.
-pub fn skip_angles(t: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < t.len() {
-        match t[j].text.as_str() {
-            "<" => depth += 1,
-            ">" if j > 0 && t[j - 1].text == "-" => {}
-            ">" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
+/// Parses the `let` at `let_idx`, scanning no further than `limit`.
+pub fn parse_let(t: &[Tok], let_idx: usize, limit: usize) -> Let {
+    let mut out = Let { names: Vec::new(), elems: None, ty: None, rhs: None };
+    let mut depth = 0usize;
+    let mut k = let_idx + 1;
+    let pattern = k;
+    while k < limit {
+        let path_colon = tok_is(t, k + 1, ":") || tok_is(t, k.wrapping_sub(1), ":"); // `::`
+        if depth == 0 && out.elems.is_none() && matches!(t[k].text.as_str(), ":" | "=" | ";") {
+            out.elems = tuple_elems(&t[pattern..k]);
+        }
+        match t[k].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => break,
+            ")" | "]" | "}" => depth -= 1,
+            ":" if depth == 0 && !path_colon && out.ty.is_none() => {
+                // `x: TYPE` — the annotation runs to the `=` or the `;`.
+                let mut e = k + 1;
+                let mut angle = 0i64;
+                while e < limit {
+                    match t[e].text.as_str() {
+                        "<" => angle += 1,
+                        ">" => angle -= 1,
+                        "=" | ";" if angle <= 0 => break,
+                        _ => {}
+                    }
+                    e += 1;
                 }
+                out.ty = Some((k + 1, e));
+                k = e;
+                continue;
             }
-            "{" | ";" => return j,
+            "=" if depth == 0 => {
+                out.rhs = Some((k + 1, expr_end(t, k + 1, limit, true)));
+                break;
+            }
+            ";" if depth == 0 => break,
+            _ if out.ty.is_none() && is_binding(t, k, depth) => out.names.push(t[k].text.clone()),
             _ => {}
         }
-        j += 1;
+        k += 1;
     }
-    j
+    out
 }
 
-/// Skips a balanced delimiter run starting at the opener; returns the
-/// index after the matching closer.
-pub fn skip_balanced(t: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0usize;
-    let mut j = open_idx;
-    while j < t.len() {
-        if t[j].text == open {
-            depth += 1;
-        } else if t[j].text == close {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
+/// The positional bindings of a tuple or array pattern whose elements are
+/// all plain bindings or `_`; `None` for any other pattern.
+fn tuple_elems(p: &[Tok]) -> Option<Vec<Option<String>>> {
+    let close = match p.first()?.text.as_str() {
+        "(" => ")",
+        "[" => "]",
+        _ => return None,
+    };
+    if skip_balanced(p, 0, &p[0].text, close) != p.len() {
+        return None;
     }
-    t.len()
+    split_top_level(&p[1..p.len() - 1])
+        .into_iter()
+        .map(|g| match g {
+            [x] if x.text == "_" => Some(None),
+            [.., x]
+                if is_binding(g, g.len() - 1, 0)
+                    && (g.len() == 1 || (g.len() == 2 && matches!(g[0].text.as_str(), "mut" | "ref"))) =>
+            {
+                Some(Some(x.text.clone()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The element types of the first tuple or array type in `ty` — what a
+/// tuple/array pattern destructures once `Result`/`Option` wrappers are
+/// peeled (`Result<(A, B), E>` -> `A`, `B`; `[T; 2]` -> `T`, `T`).
+pub fn element_types(ty: &[String], n: usize) -> Vec<&[String]> {
+    let Some(open) = ty.iter().position(|s| s == "(" || s == "[") else { return Vec::new() };
+    let mut out = Vec::new();
+    let (mut depth, mut start) = (0i32, open + 1);
+    for (k, s) in ty.iter().enumerate().skip(open) {
+        match s.as_str() {
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" | ">" | "," | ";" if depth == 1 => {
+                out.push(&ty[start..k]);
+                start = k + 1;
+                if s == ";" {
+                    // `[T; N]`: every element is a `T`.
+                    return vec![&ty[open + 1..k]; n];
+                }
+                if s != "," {
+                    break;
+                }
+            }
+            ")" | "]" | ">" => depth -= 1,
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Whether the identifier at `k` of a pattern binds a name: not a
+/// keyword, `_`, constructor or path segment (`Some(`, `S {`, `E::V`), an
+/// upper-case unit variant / constant, or a struct-pattern field name
+/// (`S { f: g }` binds `g`).
+fn is_binding(t: &[Tok], k: usize, depth: usize) -> bool {
+    let name = t[k].text.as_str();
+    t[k].kind == TokKind::Ident
+        && !matches!(name, "mut" | "ref" | "box" | "_")
+        && !name.starts_with(|c: char| c.is_ascii_uppercase())
+        && !tok_is(t, k + 1, "(")
+        && !tok_is(t, k + 1, "{")
+        && !(tok_is(t, k + 1, ":") && (depth > 0 || tok_is(t, k + 2, ":")))
+        && !(tok_is(t, k.wrapping_sub(1), ":") && tok_is(t, k.wrapping_sub(2), ":"))
+}
+
+/// The type a declaration names: its last path segment before any
+/// generic arguments, after reference sugar (`&'a mut psml_mpc::
+/// SharePair<R>` -> `SharePair`). `None` for tuple, slice and array
+/// types.
+pub fn type_name<'a>(ty: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    let mut name = None;
+    for s in ty {
+        match s {
+            "&" | "mut" | "dyn" | "impl" | ":" => {}
+            "<" | "=" | ";" | "," | ")" | ">" => break,
+            _ if s.starts_with(|c: char| c == '_' || c.is_ascii_alphabetic()) => name = Some(s),
+            _ => return None,
+        }
+    }
+    name
+}
+
+/// The declared types of a function's named locals (see [`FnDef::locals`]).
+fn collect_locals(
+    t: &[Tok],
+    params: &[Param],
+    body: Option<(usize, usize)>,
+    impl_type: Option<&str>,
+) -> BTreeMap<String, String> {
+    let mut locals = BTreeMap::new();
+    for p in params.iter().filter(|p| !p.name.is_empty()) {
+        if let Some(ty) = type_name(p.ty.iter().map(String::as_str)) {
+            locals.insert(p.name.clone(), ty.to_string());
+        }
+    }
+    let Some((open, end)) = body else { return locals };
+    for j in open + 1..end {
+        if t[j].text != "let" {
+            continue;
+        }
+        let l = parse_let(t, j, end);
+        let [name] = &l.names[..] else { continue };
+        let ty = match (l.ty, l.rhs) {
+            (Some((a, b)), _) => type_name(t[a..b].iter().map(|x| x.text.as_str())),
+            // `Type::f(..)` / `Type::<..>::f(..)`: the path's type.
+            (None, Some((a, _))) if is_ident(t, a) && tok_is(t, a + 1, ":") => {
+                Some(t[a].text.as_str()).filter(|s| s.starts_with(|c: char| c.is_ascii_uppercase()))
+            }
+            _ => None,
+        };
+        let ty = if ty == Some("Self") { impl_type } else { ty };
+        if let Some(ty) = ty {
+            locals.insert(name.clone(), ty.to_string());
+        }
+    }
+    locals
 }
 
 /// One pass over a file's tokens: `impl` targets (a depth-tracked stack),
@@ -298,6 +436,7 @@ fn parse_fn(
         j += 1;
         None
     };
+    let locals = collect_locals(t, &params, body, impl_type.as_deref());
     Some((
         FnDef {
             file: file_idx,
@@ -307,6 +446,7 @@ fn parse_fn(
             params,
             ret,
             body,
+            locals,
         },
         j,
     ))
@@ -431,56 +571,7 @@ fn parse_struct(t: &[Tok], i: usize, table: &mut SymbolTable) {
     let end = skip_balanced(t, j, "{", "}");
     let mut fields = BTreeMap::new();
     for group in split_top_level(&t[j + 1..end - 1]) {
-        // Skip attributes and visibility on the field.
-        let mut k = 0;
-        while k < group.len() {
-            match group[k].text.as_str() {
-                "#" => {
-                    if group.get(k + 1).map(|x| x.text.as_str()) == Some("[") {
-                        let mut d = 0usize;
-                        k += 1;
-                        while k < group.len() {
-                            match group[k].text.as_str() {
-                                "[" => d += 1,
-                                "]" => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            k += 1;
-                        }
-                        k += 1;
-                    } else {
-                        k += 1;
-                    }
-                }
-                "pub" => {
-                    k += 1;
-                    if group.get(k).map(|x| x.text.as_str()) == Some("(") {
-                        let mut d = 0usize;
-                        while k < group.len() {
-                            match group[k].text.as_str() {
-                                "(" => d += 1,
-                                ")" => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            k += 1;
-                        }
-                        k += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-        let rest = &group[k.min(group.len())..];
+        let rest = &group[skip_attrs_and_vis(group, 0).min(group.len())..];
         if rest.len() >= 2 && rest[0].kind == TokKind::Ident && rest[1].text == ":" {
             let ty: Vec<String> = rest[2..].iter().map(|x| x.text.clone()).collect();
             fields.insert(rest[0].text.clone(), ty);
@@ -674,6 +765,37 @@ mod tests {
             UseTarget { module: Some("mpc::triple".into()), item: "gen_triple".into() }
         );
         assert!(!uses.contains_key("HashMap"), "std paths are not workspace targets");
+    }
+
+    #[test]
+    fn let_patterns_bind_names_and_positions() {
+        let f = SourceFile::parse(
+            "a.rs",
+            "c",
+            "c::m",
+            Context::Lib,
+            "let (mut a, _) = f(); let x: Option<u8> = g; let S { p, q: r } = s;",
+        );
+        let t = &f.toks;
+        let lets: Vec<Let> = (0..t.len())
+            .filter(|&i| t[i].text == "let")
+            .map(|i| parse_let(t, i, t.len()))
+            .collect();
+        assert_eq!(lets[0].names, ["a"]);
+        assert_eq!(lets[0].elems, Some(vec![Some("a".to_string()), None]));
+        assert_eq!(lets[1].names, ["x"]);
+        assert!(lets[1].ty.is_some() && lets[1].rhs.is_some());
+        assert_eq!(lets[2].names, ["p", "r"]);
+        assert_eq!(lets[2].elems, None);
+    }
+
+    #[test]
+    fn element_types_peel_result_and_arrays() {
+        let s = |v: &str| v.split(' ').map(String::from).collect::<Vec<_>>();
+        let ty = s("Result < ( BeaverTriple < R > , Vec < u8 > ) , String >");
+        assert_eq!(element_types(&ty, 2), vec![&ty[3..7], &ty[8..12]]);
+        let arr = s("[ Timed < T > ; 2 ]");
+        assert_eq!(element_types(&arr, 2), vec![&arr[1..5]; 2]);
     }
 
     #[test]

@@ -19,8 +19,9 @@ use crate::findings::{Evidence, Finding, RuleId};
 use crate::lexer::{Tok, TokKind};
 use crate::rules::SecretRegistry;
 use crate::source::{module_in, SourceFile};
-use crate::symbols::{skip_balanced, tok_is, SymbolTable};
-use crate::taint::{chain_taint, TaintAnalysis};
+use crate::symbols::SymbolTable;
+use crate::taint::{FnScope, TaintAnalysis};
+use crate::tokens::{expr_end, skip_balanced, tok_is};
 use std::collections::BTreeSet;
 
 /// Runs the timing rules over every function in an online-path module.
@@ -42,8 +43,8 @@ pub fn run(
         let Some((open, end)) = d.body else { continue };
         let t = &f.toks;
         let env = &ta.env[id];
-        let sites = &cg.calls[id];
-        let taint_at = |k: usize| chain_taint(f, k, env, secrets, sites, &ta.summaries);
+        let scope = FnScope::new(id, sources, table, cg, secrets, &ta.summaries);
+        let taint_at = |k: usize| scope.chain_taint(k, env);
 
         // Condition ranges: `if`/`while` to the block opener, `match`
         // scrutinees, and the statement around short-circuit operators.
@@ -53,20 +54,7 @@ pub fn run(
             match t[j].text.as_str() {
                 "if" | "while" | "match" if t[j].kind == TokKind::Ident => {
                     let kind = if t[j].text == "match" { "match" } else { "branch" };
-                    let mut depth = 0i64;
-                    let mut e = j + 1;
-                    while e < end {
-                        match t[e].text.as_str() {
-                            "(" | "[" => depth += 1,
-                            ")" | "]" => depth -= 1,
-                            "{" if depth == 0 => break,
-                            "{" => depth += 1,
-                            "}" => depth -= 1,
-                            _ => {}
-                        }
-                        e += 1;
-                    }
-                    cond_ranges.push((j + 1, e, kind));
+                    cond_ranges.push((j + 1, expr_end(t, j + 1, end, true), kind));
                 }
                 "&" | "|"
                     if tok_is(t, j + 1, &t[j].text)
@@ -171,19 +159,7 @@ fn statement_around(t: &[Tok], j: usize, open: usize, end: usize) -> (usize, usi
             _ => a -= 1,
         }
     }
-    let mut b = j;
-    let mut depth = 0i64;
-    while b < end {
-        match t[b].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => break,
-            ";" if depth == 0 => break,
-            _ => {}
-        }
-        b += 1;
-    }
-    (a, b)
+    (a, expr_end(t, j, end, true))
 }
 
 /// The suppression state of `line`: `None` (no allow comment),

@@ -86,7 +86,7 @@ fn run_fixture(fx: &Fixture) -> Vec<(RuleId, u32)> {
     // taint, timing, and concurrency — fixtures for the inter-procedural
     // families need the whole stack, and running every fixture through it
     // also proves the new passes add no stray findings to the old corpus.
-    let mut findings = psml_lint::lint_str_full(
+    let mut findings = psml_lint::lint_str(
         &fx.name,
         &fx.crate_name,
         &fx.module,

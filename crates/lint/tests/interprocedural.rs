@@ -1,11 +1,10 @@
-//! Regression pin for the reason the inter-procedural pass exists: the
-//! seeded cross-function leak fixture is *invisible* to the v1 file-
-//! granular taint (`lint_str`) and *caught* by the full pipeline
-//! (`lint_str_full`). If the first half of this test ever fails, v1 grew
-//! cross-function powers and the pass is redundant; if the second half
-//! fails, the flagship analysis regressed.
+//! Regression pin for the cross-function half of the secret-flow pass:
+//! the seeded fixture mints its secret two calls away from the sink, so
+//! no single function both holds a secret type and formats it. The pass
+//! must report it as a cross-function leak whose evidence walks the call
+//! path back to the type.
 
-use psml_lint::{lint_str, lint_str_full, Context, RuleId};
+use psml_lint::{lint_str, Context, RuleId};
 use std::path::Path;
 
 fn fixture_text() -> String {
@@ -16,27 +15,8 @@ fn fixture_text() -> String {
 }
 
 #[test]
-fn v1_file_granular_taint_misses_the_cross_function_leak() {
-    let findings = lint_str(
-        "cross_function_leak.rs",
-        "core",
-        "core::serve",
-        Context::Lib,
-        &fixture_text(),
-    );
-    assert!(
-        findings.is_empty(),
-        "v1 was expected to miss the cross-function leak, found: {:?}",
-        findings
-            .iter()
-            .map(|f| (f.rule.id(), f.line))
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
 fn full_pipeline_catches_the_cross_function_leak_with_evidence() {
-    let findings = lint_str_full(
+    let findings = lint_str(
         "cross_function_leak.rs",
         "core",
         "core::serve",

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: everything must pass offline (the vendored criterion /
-# proptest shims make the workspace std-only).
+# Tier-1 gate: everything must pass offline (the vendored proptest shim
+# makes the workspace std-only).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +53,19 @@ echo "ci: psml-lint whole-workspace scan took ${lint_elapsed_ms} ms"
 # findings to the lint crate while still scanning every crate, so the
 # inter-procedural passes see the full symbol table.
 ./target/release/psml-lint --crate lint --deny all
+# One secret-flow pass: format-macro and `TraceSink` sinks are scanned only
+# by `lint::taint`, over the lists in `lint::config`; a sink scan anywhere
+# else is the old lexical pass growing back. One token toolkit: the
+# token-walking helpers live in `lint::tokens` alone.
+if grep -rnE 'FORMAT_MACROS|"TraceSink"' crates/lint/src \
+    | grep -vE '^crates/lint/src/(config|taint)\.rs:'; then
+    echo "ci: psml-lint scans secret sinks outside lint::taint (listed above)" >&2; exit 1
+fi
+tok_is_defs="$(grep -rn 'fn tok_is' crates/lint/src | wc -l)"
+[ "$tok_is_defs" -le 1 ] || {
+    echo "ci: psml-lint defines tok_is $tok_is_defs times; the helpers live in lint::tokens" >&2
+    exit 1
+}
 
 # One protocol core: the Beaver algebra lives in psml_mpc::protocol's
 # party-local steps, and the engine only schedules, charges and ships
