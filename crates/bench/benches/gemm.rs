@@ -55,21 +55,24 @@ fn ring_rect(rows: usize, cols: usize, seed: u64) -> Matrix<u64> {
 
 /// The ring-product shape classes the `e2e` workloads run, `(name, m, k,
 /// n, memory_gated)`; the two-term fused Eq. 8 forms count `k` twice.
-/// `memory_gated` marks the class the dispatcher keeps off the quant
-/// kernel for its tile padding (5.1x here), whatever the speed: its limb
-/// planes would raise `train_cnn_reuse`'s peak RSS by a quarter (DESIGN.md
-/// "Quantized ring GEMM"), so `auto` is held to the packed kernels there.
-const SHAPE_CLASSES: [(&str, usize, usize, usize, bool); 6] = [
+/// `memory_gated` marks the classes the dispatcher keeps off the quant
+/// kernel for their tile padding (4x and more here), whatever the speed:
+/// the CNN's limb planes would raise `train_cnn_reuse`'s peak RSS by a
+/// quarter (DESIGN.md "Quantized ring GEMM"), so `auto` is held to the
+/// packed kernels there.
+const SHAPE_CLASSES: [(&str, usize, usize, usize, bool); 8] = [
     ("mlp_layer0_fused", 128, 6272, 128, false),
     ("mlp_layer0_grad_fused", 3136, 256, 128, false),
     ("cnn_dense_fused", 64, 9216, 64, false),
     ("cnn_im2col_fused", 36864, 50, 8, true),
+    ("cnn_conv_grad_fused", 25, 73728, 8, true),
+    ("tcp_layer0_fused", 8, 4096, 128, true),
     ("mlp_hidden_fused", 128, 256, 64, false),
     ("serve_request", 1, 2048, 1, false),
 ];
 
 /// Ring cubes around the quant kernel's volume cutover.
-const CUTOVER_SWEEP: [usize; 4] = [32, 48, 64, 96];
+const CUTOVER_SWEEP: [usize; 4] = [256, 384, 512, 768];
 
 /// Products of one volume (`m·n = 2^17`, `k = 256`) whose `n` leaves the
 /// quant kernel's 32-column output blocks more and more empty: the ladder

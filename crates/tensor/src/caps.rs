@@ -2,13 +2,13 @@
 //!
 //! Kernel dispatch needs to know what the host can actually execute: the
 //! AMX INT8 tile unit (CPUID, the kernel's xstate opt-in, *and* a
-//! correctness cross-check — see [`crate::quant`]) and the AVX2 vector
-//! unit the packed kernels dispatch on; F16C is probed only for the e2e
-//! benchmark's host header. Probing at every call site is wasted work,
-//! and probing in several places lets the answers drift. This module runs
-//! every probe exactly once and caches an immutable [`HostCaps`] for the
-//! process lifetime, so the answer can never change mid-run; every
-//! availability question in the workspace reads from here.
+//! correctness cross-check — see [`crate::quant`]) and the AVX2 and
+//! AVX-512 vector units the packed kernels dispatch on; F16C is probed
+//! only for the e2e benchmark's host header. Probing at every call site
+//! is wasted work, and probing in several places lets the answers drift.
+//! This module runs every probe exactly once and caches an immutable
+//! [`HostCaps`] for the process lifetime, so the answer can never change
+//! mid-run; every availability question in the workspace reads from here.
 
 use std::sync::OnceLock;
 
@@ -25,6 +25,10 @@ pub struct HostCaps {
     pub f16c: bool,
     /// AVX2+FMA are present (the packed GEMM kernels' wide path).
     pub avx2: bool,
+    /// AVX-512F+DQ are present: ring products run the explicit `vpmullq`
+    /// band kernel in [`crate::gemm`], which also lowers the size from
+    /// which they band over the pool.
+    pub avx512_ring: bool,
 }
 
 /// The cached process-wide capability set.
@@ -34,6 +38,7 @@ pub fn host_caps() -> &'static HostCaps {
         quant_ring: crate::quant::probe_quant_ring(),
         f16c: probe_feature("f16c"),
         avx2: probe_feature("avx2") && probe_feature("fma"),
+        avx512_ring: probe_feature("avx512f") && probe_feature("avx512dq"),
     })
 }
 
@@ -43,6 +48,8 @@ fn probe_feature(name: &str) -> bool {
         "f16c" => std::arch::is_x86_feature_detected!("f16c"),
         "avx2" => std::arch::is_x86_feature_detected!("avx2"),
         "fma" => std::arch::is_x86_feature_detected!("fma"),
+        "avx512f" => std::arch::is_x86_feature_detected!("avx512f"),
+        "avx512dq" => std::arch::is_x86_feature_detected!("avx512dq"),
         _ => false,
     }
 }

@@ -6,25 +6,31 @@
 //! - [`gemm_naive`]: the textbook triple loop, used as the test oracle;
 //! - [`gemm_blocked`]: i-k-j loop order with cache tiling and a zero-skip
 //!   for sparse operands — the small-matrix kernel;
-//! - [`gemm_packed`]: B packed once into contiguous [`PackedB`] column
-//!   panels, driven through an unrolled `MR x NR` register-tile
-//!   micro-kernel — the large-matrix serial kernel;
+//! - [`gemm_packed`]: B packed once into contiguous `PackedB` column
+//!   panels, driven through an `MR x NR` register-tile micro-kernel — the
+//!   large-matrix serial kernel. Ring carriers run it as explicit
+//!   AVX-512F+DQ code (`vpmullq`) where the CPU has it, and as the
+//!   autovectorized AVX2 or scalar build of the generic kernel elsewhere;
+//!   f32 always runs the generic kernel;
 //! - [`gemm_packed_parallel`]: [`gemm_packed`] split over output row bands
 //!   on the persistent process-global thread pool;
 //! - [`gemm_auto`]: the production dispatcher — picks one of the above by
 //!   problem size, mirroring the paper's profiling-guided adaptive
-//!   placement; ring products of 64^3 and up that the AMX tiles pad at
-//!   most 3x route to the limb-split quantized kernel ([`crate::quant`])
-//!   instead, banded over the pool on any worker count, with bit-identical
-//!   results. `Matrix::matmul`, triple generation, the fused Eq. 8
-//!   evaluation and the gpu-sim functional kernel all route through it.
-//!   The rule is one pure function of the shape, the worker count and the
-//!   AMX probe (`auto_tier`), table-tested per workload shape class.
+//!   placement. With the AVX-512 ring kernel live, ring products band over
+//!   the pool from 2^22 `m·k·n` (and two row tiles), against 48M for
+//!   everything else; ring products of 512^3 and up that the AMX tiles
+//!   pad at most 3x route to the limb-split quantized kernel
+//!   ([`crate::quant`]) instead, with bit-identical results.
+//!   `Matrix::matmul`, triple generation, the fused Eq. 8 evaluation and
+//!   the gpu-sim functional kernel all route through it. The rule is one
+//!   pure function of the shape, the worker count, the AMX probe and the
+//!   AVX-512 probe (`auto_tier`), table-tested per workload shape class.
 //!
-//! [`gemm_packed_sum`] evaluates `sum_t A_t x B_t` against pre-packed
+//! [`gemm_packed_sum_auto`] evaluates `sum_t A_t x B_t` against pre-packed
 //! right-hand sides without materializing concatenations; the fused Eq. 8
 //! product `[((-i)E + Ai) | E] x [F ; Bi]` uses it so both servers share one
-//! packed `F` panel set.
+//! packed `F`. Its register-tiled form bands over the pool from the same
+//! floor as [`gemm_auto`].
 //!
 //! All kernels are exact (bit-identical) over `u64`/`Fixed64`: wrapping ring
 //! arithmetic is associative and commutative, so packing and tiling cannot
@@ -32,11 +38,11 @@
 //! so results agree only to rounding (~1e-3 relative for the sizes used
 //! here).
 
+use crate::caps::host_caps;
 use crate::matrix::Matrix;
 use crate::num::Num;
 use crate::quant::{
-    gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, padded_volume, quant_ring_available,
-    QuantPackedB,
+    gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, padded_volume, QuantPackedB,
 };
 use psml_parallel::{configured_workers, for_each_chunk_mut_pooled, global_pool};
 use std::sync::OnceLock;
@@ -61,7 +67,8 @@ pub const NR: usize = 16;
 /// (see `BENCH_gemm.json`): the packed kernel wins from roughly 32^3 up.
 const AUTO_PACK_FLOPS: usize = 32 * 32 * 32;
 
-/// `m * k * n` above which [`gemm_auto`] moves to the pool-backed
+/// `m * k * n` from which [`gemm_auto`] moves f32 products, and ring
+/// products on hosts without the AVX-512 ring kernel, to the pool-backed
 /// [`gemm_packed_parallel`]. Below this the band bookkeeping and
 /// latch/wake-up round-trip of a parallel region cost more than they
 /// recover: BENCH_gemm.json showed the parallel path 11% *slower* than
@@ -69,25 +76,37 @@ const AUTO_PACK_FLOPS: usize = 32 * 32 * 32;
 /// amortize it, so the cutover sits between those sizes (~363^3).
 const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 
+/// `m * k * n` from which ring products band over the pool when the
+/// explicit AVX-512 ring kernel is live (and the output has two row tiles
+/// to split): 2^22. That kernel does a 14.7M product in ~2.5 ms on one core,
+/// so a pool region's wake-ups pay off far below [`AUTO_PARALLEL_FLOPS`]:
+/// banded, the CNN's im2col and dense-layer products run 1.1–1.4x faster
+/// on two workers. With the floor at 2^20 the smoke ladder had
+/// `gemm_auto` 1.3–1.4x slower than the serial kernel on
+/// `mlp_hidden_fused` (`128 x 256 x 64`, 2^21), so the floor sits above
+/// it.
+const RING_PARALLEL_FLOPS: usize = 1 << 22;
+
 /// `m * k * n` from which [`gemm_auto`] routes ring carriers to the
 /// limb-split quantized kernel ([`crate::quant`]) when the AMX backend is
-/// available: 64^3. Below it the digit recode + recombine overhead (9
-/// bytes written per element, 8 shifted-add output passes) eats the tile
-/// unit's multiplier advantage. Read off the `cutover_sweep` of
-/// `BENCH_gemm.json`: quant loses at 32^3 and leads the best packed kernel
-/// from 64^3 up. See DESIGN.md "Quantized ring GEMM".
-const AUTO_QUANT_FLOPS: usize = 64 * 64 * 64;
+/// available: 512^3. Below it the digit recode, the 36 limb-pair tile
+/// products and the recombine cost more than the AVX-512 ring kernel's
+/// `vpmullq` products: on every ring class the workloads run (up to
+/// `128 x 6272 x 128`, ~468^3) quant was slower, and the
+/// `cutover_sweep` of `BENCH_gemm.json` has it behind at 384^3, level at
+/// 512^3 and ahead from 768^3. See DESIGN.md "Quantized ring GEMM".
+const AUTO_QUANT_FLOPS: usize = 512 * 512 * 512;
 
 /// Largest tile-padding blow-up the quantized tier accepts: the kernel
 /// pads m and n to 32 and k to 64, and it applies only while
 /// `pad32(m) · pad64(k) · pad32(n) <= QUANT_MAX_PADDING · m·k·n`. Padding
-/// costs tile work and limb-plane bytes in proportion. Read off the
-/// `padding_sweep` of `BENCH_gemm.json` (one volume, `n` from 32 down to
-/// 8): quant leads the packed kernels 1.4x at padding 2.67 and trails
-/// them at 4. The bound also keeps the CNN's im2col product
-/// (`36864 x 25 x 8`, padded 10x; its limb planes raised peak RSS by a
-/// quarter) and every batch-8 product (padded 4x) on the packed kernel,
-/// while every dense-layer product of the training workloads pads by 1.0.
+/// costs tile work and limb-plane bytes in proportion, and the bound is
+/// now a memory gate more than a speed one: under [`AUTO_QUANT_FLOPS`]
+/// no product reaches the tiles, and above it a padded product's `A`
+/// planes cost the padding ratio times the operand's bytes. The CNN's
+/// im2col product (`36864 x 25 x 8`, padded 10x), whose limb planes once
+/// raised peak RSS by a quarter, and every batch-8 product (padded 4x)
+/// would stay on the register-tiled kernel at any size.
 const QUANT_MAX_PADDING: f64 = 3.0;
 
 /// Summed `m * k * n` of a batch's serial-tier items below which
@@ -172,25 +191,15 @@ pub fn gemm_blocked<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 /// paid once and reused across every row band — and, via
 /// [`gemm_packed_sum`], across both servers' fused Eq. 8 evaluations.
 #[derive(Clone, Debug)]
-pub struct PackedB<T: Num> {
+pub(crate) struct PackedB<T: Num> {
     k: usize,
     n: usize,
     data: Vec<T>,
 }
 
 impl<T: Num> PackedB<T> {
-    /// Inner dimension (rows of the packed `B`).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Columns of the packed `B`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Bytes held by the packed panels.
-    pub fn byte_size(&self) -> usize {
+    fn byte_size(&self) -> usize {
         self.data.len() * T::BYTES
     }
 }
@@ -283,7 +292,7 @@ unsafe fn cast_terms<'a, Src: Num, Dst: Num>(
 }
 
 /// Packs `b` into [`PackedB`] column panels.
-pub fn pack_b<T: Num>(b: &Matrix<T>) -> PackedB<T> {
+pub(crate) fn pack_b<T: Num>(b: &Matrix<T>) -> PackedB<T> {
     let (k, n) = (b.rows(), b.cols());
     let panels = n.div_ceil(NR);
     let mut data = vec![T::zero(); panels * k * NR];
@@ -411,8 +420,8 @@ fn packed_band_impl<T: Num, const FMA: bool>(
 }
 
 /// AVX-512 instantiation of the band kernel: 512-bit lanes plus hardware
-/// FMA (`avx512dq` supplies the 64-bit lane multiply the ring carrier
-/// needs).
+/// FMA. It runs f32 products; ring products on the same CPUs take
+/// [`packed_band_ring_avx512`] instead.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,fma")]
 fn packed_band_avx512<T: Num>(
@@ -460,6 +469,162 @@ fn packed_band_dispatch<T: Num>(
     packed_band_impl::<T, false>(terms, band_rows, n, out_band);
 }
 
+/// The `Z_{2^64}` band kernel written out in AVX-512F+DQ intrinsics, over
+/// the same [`PackedB`] layout: each `MR x NR` tile keeps its accumulators
+/// in sixteen zmm registers (two per row), and every `p` step loads one
+/// packed `B` row as two vectors, broadcasts `A[r][p]` from each row's
+/// stride and adds `vpmullq` products lane-wise. Left to LLVM, the generic
+/// kernel's `u64` instantiation gathered the eight strided `A` loads
+/// (`vpgatherqq`) and spilled the accumulators.
+///
+/// The terms' inner dimensions are walked as one concatenated `k`, cut
+/// into slabs of at most `RING_KC` steps, and each slab's panels into
+/// `RING_NC`-wide column blocks: the `B` block a row tile streams (at
+/// most 256 KiB) stays in L2 across the band's row tiles, and the `A` tile
+/// (`MR x RING_KC`, 16 KiB) in L1 across the block's panels. A fused
+/// product whose terms fit one slab (the CNN's `k = 25 + 25`) writes each
+/// output tile once; later slabs add into it. A panel with at most eight
+/// live columns (`n = 8`, or the last panel of `n ≡ 1..=8 mod 16`) runs
+/// one vector per row, not two.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn packed_band_ring_avx512(
+    terms: &[BandTerm<u64>],
+    band_rows: usize,
+    n: usize,
+    out_band: &mut [u64],
+) {
+    const RING_KC: usize = 256;
+    const RING_NC: usize = 256;
+    let mut pieces: Vec<RingPiece> = Vec::new();
+    let mut steps_before = 0;
+    for t in terms {
+        let mut p0 = 0;
+        while p0 < t.k {
+            let steps = (RING_KC - steps_before % RING_KC).min(t.k - p0);
+            pieces.push((steps_before / RING_KC, t, p0..p0 + steps));
+            steps_before += steps;
+            p0 += steps;
+        }
+    }
+    let panels = n.div_ceil(NR);
+    for (s, slab) in pieces.chunk_by(|x, y| x.0 == y.0).enumerate() {
+        for q0 in (0..panels).step_by(RING_NC / NR) {
+            let block = q0..(q0 + RING_NC / NR).min(panels);
+            let mut i0 = 0;
+            while i0 < band_rows {
+                let rows = MR.min(band_rows - i0);
+                for q in block.clone() {
+                    let wide = n - q * NR > NR / 2;
+                    let tile = RingTile {
+                        slab,
+                        i0,
+                        q,
+                        n,
+                        accumulate: s > 0,
+                    };
+                    macro_rules! run {
+                        ($($r:literal)*) => {
+                            match rows {
+                                $($r if wide => tile.run::<$r, 2>(out_band),
+                                $r => tile.run::<$r, 1>(out_band),)*
+                                _ => unreachable!("a row tile has 1..=MR rows"),
+                            }
+                        };
+                    }
+                    run!(1 2 3 4 5 6 7 8);
+                }
+                i0 += rows;
+            }
+        }
+    }
+}
+
+/// A run of one term's inner indices inside a slab of
+/// [`packed_band_ring_avx512`]: the slab's index, the term, the run.
+#[cfg(target_arch = "x86_64")]
+type RingPiece<'t, 'a> = (usize, &'t BandTerm<'a, u64>, std::ops::Range<usize>);
+
+/// One output tile of [`packed_band_ring_avx512`]: rows `i0..` of the band
+/// against panel `q`, over one slab's pieces. `accumulate` adds into the
+/// output rather than overwriting it (every slab but the first).
+#[cfg(target_arch = "x86_64")]
+struct RingTile<'s, 't, 'a> {
+    slab: &'s [RingPiece<'t, 'a>],
+    i0: usize,
+    q: usize,
+    n: usize,
+    accumulate: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RingTile<'_, '_, '_> {
+    /// Writes the tile's `ROWS x (8·VECS)` result over `out_band`'s live
+    /// columns. `VECS` is 2 only when the panel has more than eight live
+    /// columns.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
+    fn run<const ROWS: usize, const VECS: usize>(&self, out_band: &mut [u64]) {
+        use std::arch::x86_64::*;
+        const LANES: usize = 8;
+        let (i0, n) = (self.i0, self.n);
+        let j0 = self.q * NR;
+        let width = NR.min(n - j0);
+        assert!(VECS * LANES <= NR && (VECS - 1) * LANES < width);
+        let masks: [__mmask8; VECS] =
+            std::array::from_fn(|v| ((1u16 << (width - v * LANES).min(LANES)) - 1) as __mmask8);
+        let mut acc = [[_mm512_setzero_si512(); VECS]; ROWS];
+        if self.accumulate {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let row = &out_band[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
+                for (v, c) in acc_r.iter_mut().enumerate() {
+                    // SAFETY: `v * LANES < width` (asserted above) and
+                    // `row` holds `width` elements, so the unmasked lanes
+                    // from `v * LANES` lie inside it; masked-off lanes are
+                    // not accessed.
+                    *c = unsafe {
+                        _mm512_maskz_loadu_epi64(masks[v], row.as_ptr().add(v * LANES).cast())
+                    };
+                }
+            }
+        }
+        for (_, term, depth) in self.slab {
+            let k = term.k;
+            let a = &term.a_band[i0 * k..(i0 + ROWS) * k];
+            let b = term.panel(self.q);
+            for p in depth.clone() {
+                let mut bv = [_mm512_setzero_si512(); VECS];
+                for (v, bv) in bv.iter_mut().enumerate() {
+                    // SAFETY: `panel` checked that `b` holds `k * NR`
+                    // elements, `p < k` and `v * LANES + LANES <= NR`
+                    // (asserted above), so the eight lanes read from
+                    // `p * NR + v * LANES` are in bounds.
+                    *bv = unsafe { _mm512_loadu_si512(b.as_ptr().add(p * NR + v * LANES).cast()) };
+                }
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    // SAFETY: slicing `a` above checked that it holds
+                    // `ROWS * k` elements; `r < ROWS`, and `p < k` since a
+                    // slab's runs lie in `0..k`. (A checked index here ran
+                    // the `k = 25` tiles ~1.5x slower.)
+                    let av = _mm512_set1_epi64(unsafe { *a.as_ptr().add(r * k + p) } as i64);
+                    for (c, &b) in acc_r.iter_mut().zip(&bv) {
+                        *c = _mm512_add_epi64(*c, _mm512_mullo_epi64(av, b));
+                    }
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let row = &mut out_band[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
+            for (v, &c) in acc_r.iter().enumerate() {
+                // SAFETY: as for the loads above.
+                unsafe {
+                    _mm512_mask_storeu_epi64(row.as_mut_ptr().add(v * LANES).cast(), masks[v], c)
+                };
+            }
+        }
+    }
+}
+
 /// Monomorphic pinned copy of the f32 kernel. Generic monomorphizations
 /// are re-emitted by every downstream crate, and their optimization
 /// quality varies with that crate's codegen-unit layout — binaries were
@@ -472,9 +637,16 @@ fn packed_band_f32(terms: &[BandTerm<f32>], band_rows: usize, n: usize, out_band
 }
 
 /// Monomorphic pinned copy of the `Z_{2^64}` kernel; see
-/// [`packed_band_f32`].
+/// [`packed_band_f32`]. Hosts with AVX-512F+DQ run the explicit
+/// [`packed_band_ring_avx512`]; the others the AVX2 or scalar
+/// instantiation of the generic kernel.
 #[inline(never)]
 fn packed_band_u64(terms: &[BandTerm<u64>], band_rows: usize, n: usize, out_band: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    if host_caps().avx512_ring {
+        // SAFETY: avx512f and avx512dq were detected on this CPU.
+        return unsafe { packed_band_ring_avx512(terms, band_rows, n, out_band) };
+    }
     packed_band_dispatch(terms, band_rows, n, out_band);
 }
 
@@ -513,7 +685,7 @@ fn packed_band<T: Num>(terms: &[BandTerm<T>], band_rows: usize, n: usize, out_ba
 /// Serial register-tiled GEMM against a pre-packed `B`. Use when the same
 /// `B` multiplies several left-hand sides (e.g. the shared public `F` of
 /// Eq. 8).
-pub fn gemm_packed_with<T: Num>(a: &Matrix<T>, packed: &PackedB<T>) -> Matrix<T> {
+pub(crate) fn gemm_packed_with<T: Num>(a: &Matrix<T>, packed: &PackedB<T>) -> Matrix<T> {
     assert_eq!(
         a.cols(),
         packed.k,
@@ -554,9 +726,10 @@ pub fn gemm_packed_parallel<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 ///
 /// This is the fused Eq. 8 workhorse: `[L | E] x [F ; Bi]` is exactly
 /// `L x F + E x Bi`, so the caller passes `[(L, packed_f), (E, packed_bi)]`
-/// and the shared `packed_f` is reused by both servers. Falls back to the
-/// serial band for small outputs; larger ones run on the global pool.
-pub fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Matrix<T> {
+/// and the shared `packed_f` is reused by both servers. Runs the serial
+/// band below the [`bands_over_pool`] floor and row bands on the global
+/// pool above it.
+pub(crate) fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Matrix<T> {
     let (m, n) = terms
         .first()
         .map(|(a, pb)| (a.rows(), pb.n))
@@ -577,6 +750,18 @@ pub fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Matrix<T>
         );
         flops = flops.saturating_add(m.saturating_mul(pb.k).saturating_mul(n));
     }
+    let pooled = bands_over_pool::<T>(m, flops, host_workers(), host_caps().avx512_ring);
+    packed_sum_on(terms, pooled)
+}
+
+/// [`gemm_packed_sum`]'s evaluation with the serial-or-pool choice made by
+/// the caller (`pooled`), so tests can drive both branches on any pool.
+/// The terms are already validated.
+pub(crate) fn packed_sum_on<T: Num>(
+    terms: &[(&Matrix<T>, &PackedB<T>)],
+    pooled: bool,
+) -> Matrix<T> {
+    let (m, n) = (terms[0].0.rows(), terms[0].1.n);
     let mut out = Matrix::zeros(m, n);
     if m == 0 || n == 0 {
         return out;
@@ -585,7 +770,7 @@ pub fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Matrix<T>
         .iter()
         .map(|&(a, pb)| BandTerm::new(a.as_slice(), pb))
         .collect();
-    if flops < AUTO_PARALLEL_FLOPS || configured_workers() < 2 {
+    if !pooled {
         packed_band(&bands, m, n, out.as_mut_slice());
         return out;
     }
@@ -615,7 +800,11 @@ pub fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Matrix<T>
 /// secondary operands of a fused sum must be packed with
 /// [`AutoPackedB::pack_matching`] so every term lands on the same kernel.
 #[derive(Clone, Debug)]
-pub enum AutoPackedB<T: Num> {
+pub struct AutoPackedB<T: Num>(Packing<T>);
+
+/// The representation inside an [`AutoPackedB`].
+#[derive(Clone, Debug)]
+enum Packing<T: Num> {
     /// Column panels for the register-tiled micro-kernel.
     Std(PackedB<T>),
     /// Byte planes for the quantized ring kernel.
@@ -625,25 +814,25 @@ pub enum AutoPackedB<T: Num> {
 impl<T: Num> AutoPackedB<T> {
     /// Inner dimension (rows of the packed `B`).
     pub fn k(&self) -> usize {
-        match self {
-            AutoPackedB::Std(p) => p.k(),
-            AutoPackedB::Quant(q) => q.k(),
+        match &self.0 {
+            Packing::Std(p) => p.k,
+            Packing::Quant(q) => q.k(),
         }
     }
 
     /// Columns of the packed `B`.
     pub fn n(&self) -> usize {
-        match self {
-            AutoPackedB::Std(p) => p.n(),
-            AutoPackedB::Quant(q) => q.n(),
+        match &self.0 {
+            Packing::Std(p) => p.n,
+            Packing::Quant(q) => q.n(),
         }
     }
 
     /// Bytes held by the packed representation.
     pub fn byte_size(&self) -> usize {
-        match self {
-            AutoPackedB::Std(p) => p.byte_size(),
-            AutoPackedB::Quant(q) => q.byte_size(),
+        match &self.0 {
+            Packing::Std(p) => p.byte_size(),
+            Packing::Quant(q) => q.byte_size(),
         }
     }
 
@@ -652,9 +841,9 @@ impl<T: Num> AutoPackedB<T> {
     /// product packs the shared `F` first, then each server's `B_i` to
     /// match).
     pub fn pack_matching(&self, b: &Matrix<T>) -> AutoPackedB<T> {
-        match self {
-            AutoPackedB::Std(_) => AutoPackedB::Std(pack_b(b)),
-            AutoPackedB::Quant(_) => AutoPackedB::Quant(pack_b_quant(b)),
+        match self.0 {
+            Packing::Std(_) => AutoPackedB(Packing::Std(pack_b(b))),
+            Packing::Quant(_) => AutoPackedB(Packing::Quant(pack_b_quant(b))),
         }
     }
 }
@@ -666,9 +855,9 @@ impl<T: Num> AutoPackedB<T> {
 /// multiply.
 pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<T> {
     if host_tier::<T>(m_hint, b.rows(), b.cols()) == AutoTier::Quant {
-        AutoPackedB::Quant(pack_b_quant(b))
+        AutoPackedB(Packing::Quant(pack_b_quant(b)))
     } else {
-        AutoPackedB::Std(pack_b(b))
+        AutoPackedB(Packing::Std(pack_b(b)))
     }
 }
 
@@ -677,25 +866,23 @@ pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<T> {
 /// the same [`AutoPackedB`] variant (use [`AutoPackedB::pack_matching`]);
 /// results are bit-identical across variants for ring carriers.
 pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<T>)]) -> Matrix<T> {
-    let all_std = terms.iter().all(|(_, p)| matches!(p, AutoPackedB::Std(_)));
-    let all_quant = terms
-        .iter()
-        .all(|(_, p)| matches!(p, AutoPackedB::Quant(_)));
+    let all_std = terms.iter().all(|(_, p)| matches!(p.0, Packing::Std(_)));
+    let all_quant = terms.iter().all(|(_, p)| matches!(p.0, Packing::Quant(_)));
     if all_std {
         let std_terms: Vec<(&Matrix<T>, &PackedB<T>)> = terms
             .iter()
-            .map(|&(a, p)| match p {
-                AutoPackedB::Std(pb) => (a, pb),
-                AutoPackedB::Quant(_) => unreachable!(),
+            .map(|&(a, p)| match &p.0 {
+                Packing::Std(pb) => (a, pb),
+                Packing::Quant(_) => unreachable!(),
             })
             .collect();
         gemm_packed_sum(&std_terms)
     } else if all_quant {
         let quant_terms: Vec<(&Matrix<T>, &QuantPackedB)> = terms
             .iter()
-            .map(|&(a, p)| match p {
-                AutoPackedB::Quant(qb) => (a, qb),
-                AutoPackedB::Std(_) => unreachable!(),
+            .map(|&(a, p)| match &p.0 {
+                Packing::Quant(qb) => (a, qb),
+                Packing::Std(_) => unreachable!(),
             })
             .collect();
         gemm_quant_sum(&quant_terms)
@@ -706,16 +893,17 @@ pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<T>)]) -> 
 
 /// The production GEMM: dispatches on problem size, mirroring the paper's
 /// profiling-guided adaptive placement. The tier is [`auto_tier`] of the
-/// product's shape, the configured worker count and the host's AMX probe:
+/// product's shape, the configured worker count and the host's AMX and
+/// AVX-512 probes:
 ///
 /// - tiny products (`m*k*n < `[`AUTO_PACK_FLOPS`]): [`gemm_blocked`] —
 ///   packing cannot be amortized and the zero-skip helps sparse operands;
-/// - large ring products on AMX hosts that the tiles do not pad much:
-///   [`gemm_quant`] — the limb-split quantized kernel on the tile unit,
-///   banded over the pool, bit-identical to the packed ring kernel, on
-///   any worker count;
+/// - ring products of 512^3 and up on AMX hosts that the tiles do not pad
+///   much: [`gemm_quant`] — the limb-split quantized kernel on the tile
+///   unit, banded over the pool, bit-identical to the packed ring kernel,
+///   on any worker count;
 /// - medium: [`gemm_packed`] — serial register-tiled kernel;
-/// - large (`m*k*n >= `[`AUTO_PARALLEL_FLOPS`] with more than one
+/// - large (over the [`bands_over_pool`] floor with more than one
 ///   configured worker): [`gemm_packed_parallel`] on the persistent pool.
 pub fn gemm_auto<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
@@ -737,22 +925,24 @@ enum AutoTier {
 }
 
 /// The dispatch rule, as a pure function of the product's shape, the
-/// carrier `T`, the pool's configured `workers` and whether the AMX tile
-/// backend verified on this host (`quant_available`):
+/// carrier `T`, the pool's configured `workers`, whether the AMX tile
+/// backend verified on this host (`quant_available`) and whether ring
+/// products run the explicit AVX-512 kernel (`avx512_ring`):
 ///
 /// - `m·k·n <` [`AUTO_PACK_FLOPS`]: `Blocked`;
 /// - a ring carrier with `quant_available`, `m·k·n ≥` [`AUTO_QUANT_FLOPS`]
 ///   and a tile-padded volume of at most [`QUANT_MAX_PADDING`] times
 ///   `m·k·n`: `Quant`, whatever `workers` is (the tile driver bands itself
 ///   over the pool);
-/// - `m·k·n <` [`AUTO_PARALLEL_FLOPS`] or a single worker: `Packed`;
-/// - otherwise `Parallel`.
+/// - over the [`bands_over_pool`] floor: `Parallel`;
+/// - otherwise `Packed`.
 fn auto_tier<T: Num>(
     m: usize,
     k: usize,
     n: usize,
     workers: usize,
     quant_available: bool,
+    avx512_ring: bool,
 ) -> AutoTier {
     let flops = m.saturating_mul(k).saturating_mul(n);
     if flops < AUTO_PACK_FLOPS {
@@ -763,22 +953,44 @@ fn auto_tier<T: Num>(
         && padded_volume(m, k, n) as f64 <= QUANT_MAX_PADDING * flops as f64
     {
         AutoTier::Quant
-    } else if flops < AUTO_PARALLEL_FLOPS || workers < 2 {
-        AutoTier::Packed
-    } else {
+    } else if bands_over_pool::<T>(m, flops, workers, avx512_ring) {
         AutoTier::Parallel
+    } else {
+        AutoTier::Packed
     }
 }
 
-/// [`auto_tier`] with this process's worker count and AMX probe — the tier
-/// [`gemm_auto`], [`gemm_batch`] and [`pack_b_auto`] use. Both are read
-/// once: `configured_workers()` re-reads the environment and the cgroup
-/// CPU quota (~20 µs, more than a served request's products take), and
-/// asking the pool instead would start it on a path that never uses it.
-fn host_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
+/// Whether a register-tiled product of `m` output rows and `flops`
+/// multiply-adds bands over a pool of `workers`: the one floor both
+/// [`auto_tier`]'s `Packed`/`Parallel` split and [`gemm_packed_sum`]'s
+/// serial-or-pool branch read, so `gemm_auto` and the fused Eq. 8 path
+/// band the same products. With `avx512_ring` (the explicit ring kernel
+/// is live) ring products band from [`RING_PARALLEL_FLOPS`] and at least
+/// two row tiles; every other product from [`AUTO_PARALLEL_FLOPS`].
+fn bands_over_pool<T: Num>(m: usize, flops: usize, workers: usize, avx512_ring: bool) -> bool {
+    if workers < 2 {
+        false
+    } else if T::WRAPPING_U64 && avx512_ring {
+        flops >= RING_PARALLEL_FLOPS && m >= 2 * MR
+    } else {
+        flops >= AUTO_PARALLEL_FLOPS
+    }
+}
+
+/// The pool's configured worker count, read once: `configured_workers()`
+/// re-reads the environment and the cgroup CPU quota (~20 µs, more than a
+/// served request's products take), and asking the pool instead would
+/// start it on a path that never uses it.
+fn host_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
-    let workers = *WORKERS.get_or_init(configured_workers);
-    auto_tier::<T>(m, k, n, workers, quant_ring_available())
+    *WORKERS.get_or_init(configured_workers)
+}
+
+/// [`auto_tier`] with this process's worker count, AMX probe and AVX-512
+/// probe — the tier [`gemm_auto`], [`gemm_batch`] and [`pack_b_auto`] use.
+fn host_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
+    let caps = host_caps();
+    auto_tier::<T>(m, k, n, host_workers(), caps.quant_ring, caps.avx512_ring)
 }
 
 /// Evaluates a batch of *independent* products, each with the exact kernel
@@ -847,7 +1059,7 @@ pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> 
         .filter(|&(_, &t)| t != AutoTier::Parallel)
         .map(|(&(a, b), _)| a.rows() * a.cols() * b.cols())
         .sum();
-    if serial_items > 1 && serial_flops >= BATCH_POOL_FLOPS && configured_workers() >= 2 {
+    if serial_items > 1 && serial_flops >= BATCH_POOL_FLOPS && host_workers() >= 2 {
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
             .iter_mut()
             .enumerate()
@@ -880,6 +1092,7 @@ pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::quant_ring_available;
 
     fn fmat(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -1146,10 +1359,10 @@ mod tests {
         let f = umat(40, 11, 3);
         let b = umat(33, 11, 4);
         let expect = gemm_naive(&l, &f).add(&gemm_naive(&e, &b));
-        let f_std: AutoPackedB<u64> = AutoPackedB::Std(pack_b(&f));
+        let f_std: AutoPackedB<u64> = AutoPackedB(Packing::Std(pack_b(&f)));
         let b_std = f_std.pack_matching(&b);
         assert_eq!(gemm_packed_sum_auto(&[(&l, &f_std), (&e, &b_std)]), expect);
-        let f_q: AutoPackedB<u64> = AutoPackedB::Quant(pack_b_quant(&f));
+        let f_q: AutoPackedB<u64> = AutoPackedB(Packing::Quant(pack_b_quant(&f)));
         let b_q = f_q.pack_matching(&b);
         assert_eq!(gemm_packed_sum_auto(&[(&l, &f_q), (&e, &b_q)]), expect);
         assert_eq!((f_q.k(), f_q.n()), (40, 11));
@@ -1161,23 +1374,26 @@ mod tests {
     fn packed_sum_auto_rejects_mixed_variants() {
         let l = umat(4, 4, 1);
         let f = umat(4, 4, 2);
-        let std: AutoPackedB<u64> = AutoPackedB::Std(pack_b(&f));
-        let quant: AutoPackedB<u64> = AutoPackedB::Quant(pack_b_quant(&f));
+        let std: AutoPackedB<u64> = AutoPackedB(Packing::Std(pack_b(&f)));
+        let quant: AutoPackedB<u64> = AutoPackedB(Packing::Quant(pack_b_quant(&f)));
         let _ = gemm_packed_sum_auto(&[(&l, &std), (&l, &quant)]);
     }
 
     #[test]
     fn pack_b_auto_respects_carrier_and_size() {
-        // Small products and float carriers always take the Std pack; the
-        // Quant pack appears for large, little-padded ring products on
-        // verified-AMX hosts, on any worker count — exactly the Quant tier.
+        // Small products, float carriers and ring products under the quant
+        // cutover always take the Std pack; the Quant pack appears for
+        // large, little-padded ring products on verified-AMX hosts, on any
+        // worker count — exactly the Quant tier.
         let small = umat(8, 8, 1);
-        assert!(matches!(pack_b_auto(&small, 8), AutoPackedB::Std(_)));
+        assert!(matches!(pack_b_auto(&small, 8).0, Packing::Std(_)));
         let fb = fmat(64, 400, 1);
-        assert!(matches!(pack_b_auto(&fb, 4000), AutoPackedB::Std(_)));
+        assert!(matches!(pack_b_auto(&fb, 4000).0, Packing::Std(_)));
+        let under = umat(256, 256, 1);
+        assert!(matches!(pack_b_auto(&under, 1024).0, Packing::Std(_)));
         let big = umat(400, 400, 1);
         assert_eq!(
-            matches!(pack_b_auto(&big, 1000), AutoPackedB::Quant(_)),
+            matches!(pack_b_auto(&big, 1000).0, Packing::Quant(_)),
             quant_ring_available()
         );
     }
@@ -1185,41 +1401,93 @@ mod tests {
     #[test]
     fn dispatch_table_over_workload_shape_classes() {
         use AutoTier::*;
-        // (m, k, n, tier with AMX, tier without AMX on one worker, tier
-        // without AMX on 2+ workers). The AMX column is the same for every
-        // worker count: the tile driver bands itself over the pool.
+        // (m, k, n, tier on 2+ workers with AMX and AVX-512, with AVX-512
+        // alone, with neither). Fused Eq. 8 products count both terms' k.
+        // On one worker every `Parallel` below is `Packed`; the other tiers
+        // do not depend on the worker count.
         let table = [
-            // MLP first layer, fused [L|E] x [F;B_i]: pads by 1.0.
-            (128, 6272, 128, Quant, Packed, Parallel),
+            // MLP first layer, fused [L|E] x [F;B_i]: under the quant cutover.
+            (128, 6272, 128, Parallel, Parallel, Parallel),
             // MLP first-layer weight gradient, fused.
-            (3136, 256, 128, Quant, Packed, Parallel),
-            // CNN dense layer, fused: under the parallel cutover.
-            (64, 9216, 64, Quant, Packed, Packed),
+            (3136, 256, 128, Parallel, Parallel, Parallel),
+            // CNN dense layer, fused: under the generic parallel cutover.
+            (64, 9216, 64, Parallel, Parallel, Packed),
             // CNN im2col product, fused: pads 5.1x, so never Quant.
-            (36864, 50, 8, Packed, Packed, Packed),
-            // MLP hidden layer, fused: over the quant cutover.
-            (128, 256, 64, Quant, Packed, Packed),
-            // Under the quant cutover.
+            (36864, 50, 8, Parallel, Parallel, Packed),
+            // CNN conv weight gradient, fused.
+            (25, 73728, 8, Parallel, Parallel, Packed),
+            // TCP session (batch 8) first layer, fused: one row tile.
+            (8, 4096, 128, Packed, Packed, Packed),
+            // MLP hidden layer, fused: under the ring banding floor.
+            (128, 256, 64, Packed, Packed, Packed),
+            // Exactly the ring banding floor, and just under it.
+            (64, 256, 256, Parallel, Parallel, Packed),
+            (64, 256, 255, Packed, Packed, Packed),
+            // Under the ring banding floor.
             (32, 64, 32, Packed, Packed, Packed),
             // One served request.
             (1, 2048, 1, Blocked, Blocked, Blocked),
+            // The quant cutover, and a cube over it.
+            (512, 512, 512, Quant, Parallel, Parallel),
+            (1024, 1024, 1024, Quant, Parallel, Parallel),
         ];
-        for (m, k, n, amx, one, many) in table {
+        for (m, k, n, amx, simd, plain) in table {
             for workers in [1, 2, 4] {
-                let plain = if workers < 2 { one } else { many };
-                let at = |quant| auto_tier::<u64>(m, k, n, workers, quant);
-                assert_eq!(at(true), amx, "{m}x{k}x{n} workers {workers} amx");
-                assert_eq!(at(false), plain, "{m}x{k}x{n} workers {workers} no amx");
-                // f32 never takes the ring kernel.
-                let f = auto_tier::<f32>(m, k, n, workers, true);
-                assert_eq!(f, plain, "{m}x{k}x{n} workers {workers} f32");
+                let on = |tier| match tier {
+                    Parallel if workers < 2 => Packed,
+                    tier => tier,
+                };
+                let at = |quant, simd| auto_tier::<u64>(m, k, n, workers, quant, simd);
+                let case = format!("{m}x{k}x{n} workers {workers}");
+                assert_eq!(at(true, true), on(amx), "{case} amx");
+                assert_eq!(at(false, true), on(simd), "{case} avx-512");
+                assert_eq!(at(false, false), on(plain), "{case} neither");
+                // f32 takes neither ring kernel.
+                let f = auto_tier::<f32>(m, k, n, workers, true, true);
+                assert_eq!(f, on(plain), "{case} f32");
             }
         }
-        // The padding gate: 2048 x 256 x 32 pads by exactly 1.0; the same
-        // volume as 8192 x 256 x 8 pads 4x and stays on the packed kernel.
-        assert_eq!(auto_tier::<u64>(2048, 256, 32, 2, true), Quant);
-        assert_eq!(auto_tier::<u64>(8192, 256, 8, 2, true), Packed);
+        // The padding gate, over the cutover: 16384 x 256 x 32 pads by
+        // exactly 1.0; the same volume as 65536 x 256 x 8 pads 4x and
+        // stays on the register-tiled kernel.
+        assert_eq!(auto_tier::<u64>(16384, 256, 32, 2, true, true), Quant);
+        assert_eq!(auto_tier::<u64>(65536, 256, 8, 2, true, true), Parallel);
         assert_eq!(padded_volume(36864, 50, 8), 36864 * 64 * 32);
+    }
+
+    #[test]
+    fn portable_band_kernel_matches_naive_on_u64() {
+        // `packed_band_u64` takes the AVX-512 kernel wherever it can, so
+        // call the generic kernel behind it directly — its dispatcher, and
+        // the AVX2 and scalar builds hosts without AVX-512 run: the
+        // fallback stays tested on hosts with it.
+        type Band = fn(&[BandTerm<u64>], usize, usize, &mut [u64]);
+        let mut kernels: Vec<(&str, Band)> = vec![
+            ("dispatch", packed_band_dispatch::<u64>),
+            ("scalar", packed_band_impl::<u64, false>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if host_caps().avx2 {
+            // SAFETY: avx2 and fma were detected on this CPU.
+            kernels.push(("avx2", |t, rows, n, out| unsafe {
+                packed_band_avx2(t, rows, n, out)
+            }));
+        }
+        for &(m, k, n) in &[(1, 1, 1), (MR + 3, 25, NR + 9), (2 * MR, 50, 8), (5, 0, 3)] {
+            let a = umat(m, k, 3);
+            let b = umat(k, n, 5);
+            let packed = pack_b(&b);
+            for (name, kernel) in &kernels {
+                let mut out = Matrix::zeros(m, n);
+                kernel(
+                    &[BandTerm::new(a.as_slice(), &packed)],
+                    m,
+                    n,
+                    out.as_mut_slice(),
+                );
+                assert_eq!(out, gemm_naive(&a, &b), "{name} {m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub use caps::{host_caps, HostCaps};
 pub use conv::{conv2d_direct, conv2d_im2col, im2col, ConvShape};
 pub use gemm::{
     gemm_auto, gemm_batch, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel,
-    gemm_packed_sum, gemm_packed_sum_auto, gemm_packed_with, pack_b, pack_b_auto,
-    AutoPackedB, PackedB, MR, NR,
+    gemm_packed_sum_auto, pack_b_auto, AutoPackedB, MR, NR,
 };
 pub use half::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};
 pub use matrix::Matrix;

@@ -1,7 +1,9 @@
 //! Property-based tests over the tensor substrate.
 
 use crate::conv::{conv2d_direct, conv2d_im2col, ConvShape};
-use crate::gemm::{gemm_auto, gemm_blocked, gemm_naive, gemm_packed};
+use crate::gemm::{
+    gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_sum, pack_b, packed_sum_on,
+};
 use crate::half::quantize_f16;
 use crate::matrix::Matrix;
 use crate::quant;
@@ -214,5 +216,58 @@ proptest! {
         if quant::quant_ring_available() {
             prop_assert_eq!(&quant::gemm_quant(&a, &b), &oracle);
         }
+    }
+}
+
+/// Row counts the ring kernel's edge tiles see: every row tile height
+/// (1..=8) once alone and once after a full tile, and multi-tile bands.
+fn edge_rows() -> Vec<usize> {
+    (1..=17).chain([25, 64]).collect()
+}
+
+/// Column counts around the 16-wide panel and its 8-lane halves.
+fn edge_cols() -> Vec<usize> {
+    (1..=17).chain([8, 10, 33]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `gemm_packed_sum` over one to three terms of differing inner
+    /// dimension (0 and 1, under and over one tile step, and over the
+    /// AVX-512 kernel's 256-deep slab) is bit-identical to the summed
+    /// oracle on every edge shape, through both its serial branch and its
+    /// pooled row bands — whichever band kernel this host runs.
+    #[test]
+    fn packed_sum_matches_naive_on_edge_shapes(
+        m in prop::sample::select(edge_rows()),
+        n in prop::sample::select(edge_cols()),
+        ks in prop::collection::vec(prop::sample::select(vec![0usize, 1, 25, 50, 257]), 1..4),
+        seed in any::<u64>(),
+    ) {
+        let operands: Vec<(Matrix<u64>, Matrix<u64>)> = ks
+            .iter()
+            .enumerate()
+            .map(|(t, &k)| {
+                let salt = seed.rotate_left(7 * t as u32 + 1);
+                let a = Matrix::from_fn(m, k, |r, c| {
+                    salt.wrapping_mul(r as u64 ^ 0x9E37_79B9).wrapping_add((c as u64) << 19)
+                });
+                let b = Matrix::from_fn(k, n, |r, c| {
+                    salt.rotate_left(23).wrapping_add(r as u64).wrapping_mul((c as u64) | 1)
+                });
+                (a, b)
+            })
+            .collect();
+        let mut oracle = Matrix::zeros(m, n);
+        for (a, b) in &operands {
+            oracle = oracle.add(&gemm_naive(a, b));
+        }
+        let packed: Vec<_> = operands.iter().map(|(_, b)| pack_b(b)).collect();
+        let terms: Vec<(&Matrix<u64>, _)> =
+            operands.iter().zip(&packed).map(|((a, _), p)| (a, p)).collect();
+        prop_assert_eq!(&packed_sum_on(&terms, false), &oracle);
+        prop_assert_eq!(&packed_sum_on(&terms, true), &oracle);
+        prop_assert_eq!(&gemm_packed_sum(&terms), &oracle);
     }
 }

@@ -18,10 +18,11 @@ cargo build --release --offline --workspace
 # (`tests/figures.rs` checks the same claims at reduced scale in tier-1.)
 ./target/release/figures
 cargo test -q --offline --workspace
-# The ring GEMMs take the limb-split kernel on any worker count, serial on a
-# one-worker pool and banded over a larger one; `gemm_packed_sum` also
-# branches on the count. The pool is sized from PSML_WORKERS at first use,
-# so run the kernel crates under both shapes whatever this host's cores.
+# Ring GEMMs run serial on a one-worker pool and in row bands over a larger
+# one: the AVX-512 kernel from 2^22 multiply-adds (`gemm_packed_sum` and
+# `gemm_auto` read one floor), the AMX limb-split kernel from 512^3. The
+# pool is sized from PSML_WORKERS at first use, so run the kernel crates
+# under both shapes whatever this host's cores.
 for workers in 1 3; do
     PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
 done
