@@ -5,27 +5,23 @@
 //! 1. A headline measurement at 256/512/1024 cubed, over both an f32
 //!    carrier and the u64 ring carrier secure training runs on,
 //!    comparing the seed production kernel (`gemm_blocked`) against the
-//!    packed paths and — where the host tile unit verifies — the
-//!    limb-split quantized ring kernel. `packed_parallel` is recorded
-//!    only when the global pool has more than one worker (with one it is
-//!    the same code as `packed`). Written to `BENCH_gemm.json` (a
-//!    `psml.bench.gemm.v1` document) at the repository root so the
-//!    speedups are recorded per host.
+//!    packed paths. `packed_parallel` is recorded only when the global
+//!    pool has more than one worker (with one it is the same code as
+//!    `packed`). Written to `BENCH_gemm.json` (a `psml.bench.gemm.v1`
+//!    document) at the repository root so the speedups are recorded per
+//!    host.
 //! 2. A u64 shape-class ladder: every ring-product shape class the `e2e`
-//!    workloads run, timed on `packed`, `packed_parallel`, `quant` and
-//!    `auto`, plus the cutover and padding sweeps the dispatcher's
-//!    `AUTO_QUANT_FLOPS` and `QUANT_MAX_PADDING` are read from.
+//!    workloads run, timed on `packed`, `packed_parallel` and `auto`.
 //!
 //! `PSML_SMOKE=1` shrinks the headline to a seconds-scale CI check
 //! written to `BENCH_gemm.smoke.json` (the shape classes at full size and
-//! fewer reps, no sweeps); both modes assert that the `gemm_auto`
+//! fewer reps); both modes assert that the `gemm_auto`
 //! dispatcher is never the slowest kernel at any recorded size, and within
 //! 10 % of the best kernel it may choose on every shape class (the whole
 //! point of a dispatcher).
 
 use psml_tensor::{
-    gemm_auto, gemm_blocked, gemm_packed, gemm_packed_parallel, gemm_quant, quant_ring_available,
-    Matrix, Num,
+    gemm_auto, gemm_blocked, gemm_packed, gemm_packed_parallel, quant_ring_available, Matrix, Num,
 };
 use psml_trace::json::{obj, JsonValue};
 use std::hint::black_box;
@@ -41,7 +37,7 @@ fn rect(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
     })
 }
 
-/// Full-range ring elements (every limb populated, as shares are).
+/// Full-range ring elements (every bit populated, as shares are).
 fn ring(n: usize, seed: u64) -> Matrix<u64> {
     ring_rect(n, n, seed)
 }
@@ -54,37 +50,17 @@ fn ring_rect(rows: usize, cols: usize, seed: u64) -> Matrix<u64> {
 }
 
 /// The ring-product shape classes the `e2e` workloads run, `(name, m, k,
-/// n, memory_gated)`; the two-term fused Eq. 8 forms count `k` twice.
-/// `memory_gated` marks the classes the dispatcher keeps off the quant
-/// kernel for their tile padding (4x and more here), whatever the speed:
-/// the CNN's limb planes would raise `train_cnn_reuse`'s peak RSS by a
-/// quarter (DESIGN.md "Quantized ring GEMM"), so `auto` is held to the
-/// packed kernels there.
-const SHAPE_CLASSES: [(&str, usize, usize, usize, bool); 8] = [
-    ("mlp_layer0_fused", 128, 6272, 128, false),
-    ("mlp_layer0_grad_fused", 3136, 256, 128, false),
-    ("cnn_dense_fused", 64, 9216, 64, false),
-    ("cnn_im2col_fused", 36864, 50, 8, true),
-    ("cnn_conv_grad_fused", 25, 73728, 8, true),
-    ("tcp_layer0_fused", 8, 4096, 128, true),
-    ("mlp_hidden_fused", 128, 256, 64, false),
-    ("serve_request", 1, 2048, 1, false),
+/// n)`; the two-term fused Eq. 8 forms count `k` twice.
+const SHAPE_CLASSES: [(&str, usize, usize, usize); 8] = [
+    ("mlp_layer0_fused", 128, 6272, 128),
+    ("mlp_layer0_grad_fused", 3136, 256, 128),
+    ("cnn_dense_fused", 64, 9216, 64),
+    ("cnn_im2col_fused", 36864, 50, 8),
+    ("cnn_conv_grad_fused", 25, 73728, 8),
+    ("tcp_layer0_fused", 8, 4096, 128),
+    ("mlp_hidden_fused", 128, 256, 64),
+    ("serve_request", 1, 2048, 1),
 ];
-
-/// Ring cubes around the quant kernel's volume cutover.
-const CUTOVER_SWEEP: [usize; 4] = [256, 384, 512, 768];
-
-/// Products of one volume (`m·n = 2^17`, `k = 256`) whose `n` leaves the
-/// quant kernel's 32-column output blocks more and more empty: the ladder
-/// the dispatcher's padding bound is read from.
-const PADDING_SWEEP_N: [usize; 5] = [32, 24, 16, 12, 8];
-
-/// Tile-padded volume over the real one for the quant kernel (m and n
-/// padded to 32, k to 64).
-fn quant_padding(m: usize, k: usize, n: usize) -> f64 {
-    let pad = |x: usize, to: usize| x.div_ceil(to) * to;
-    (pad(m, 32) * pad(k, 64) * pad(n, 32)) as f64 / (m * k * n) as f64
-}
 
 /// The im2col-lowered conv GEMM shape `conv2d_im2col` now routes through
 /// `gemm_auto`: batch 16 of 1x28x28 images, 5x5 kernel, 8 filters —
@@ -121,8 +97,8 @@ fn rounded(x: f64, decimals: i32) -> JsonValue {
 /// kernel a shot at the quiet phases. Rounds alternate direction and
 /// rotate their start, so no kernel always runs first after the gap (which
 /// also wakes parked pool workers) or always right after the same kernel:
-/// a sub-millisecond product measured right after a tile-unit product was
-/// seen to take up to twice its time.
+/// a sub-millisecond product measured right after a large one was seen to
+/// take up to twice its time.
 fn best_of<R>(kernels: &mut [NamedKernel<R>], reps: usize, gap_ms: u64) -> Vec<f64> {
     let n = kernels.len();
     let mut best = vec![f64::INFINITY; n];
@@ -153,7 +129,6 @@ fn element_entry<R: Num>(
     gap_ms: u64,
     make: &dyn Fn(usize, u64) -> Matrix<R>,
 ) -> JsonValue {
-    let quant = R::WRAPPING_U64 && quant_ring_available();
     let pooled = psml_parallel::global_pool().workers() > 1;
     let mut size_entries = Vec::new();
     for &n in sizes {
@@ -166,9 +141,6 @@ fn element_entry<R: Num>(
         ];
         if pooled {
             kernels.push(("packed_parallel", Box::new(|| gemm_packed_parallel(&a, &b))));
-        }
-        if quant {
-            kernels.push(("quant", Box::new(|| gemm_quant(&a, &b))));
         }
         let best = best_of(&mut kernels, reps, gap_ms);
         let secs_of = |name: &str| {
@@ -209,11 +181,6 @@ fn element_entry<R: Num>(
             let s = secs_of("blocked").unwrap() / par_secs;
             entry.push(("speedup_packed_parallel_vs_blocked", rounded(s, 3)));
         }
-        if let Some(quant_secs) = secs_of("quant") {
-            let s = secs_of("packed").unwrap() / quant_secs;
-            println!("gemm headline {element} n={n} quant vs packed: {s:.2}x");
-            entry.push(("speedup_quant_vs_packed", rounded(s, 3)));
-        }
         size_entries.push(obj(entry));
     }
     obj([
@@ -222,15 +189,12 @@ fn element_entry<R: Num>(
     ])
 }
 
-/// Times `packed`, `packed_parallel` (with a pool of 2+ workers), `quant`
-/// (where the tile unit verifies; banded over the pool like every call)
-/// and `auto` on one `m x k x n` ring product, returning its entry and
-/// `auto`'s time over the best kernel's — the best packed kernel's when
-/// `memory_gated`.
+/// Times `packed`, `packed_parallel` (with a pool of 2+ workers) and `auto`
+/// on one `m x k x n` ring product, returning its entry and `auto`'s time
+/// over the best kernel's.
 fn ring_shape_entry(
     name: &str,
     (m, k, n): (usize, usize, usize),
-    memory_gated: bool,
     reps: usize,
     gap_ms: u64,
 ) -> (JsonValue, f64) {
@@ -242,9 +206,6 @@ fn ring_shape_entry(
     ];
     if psml_parallel::global_pool().workers() > 1 {
         kernels.push(("packed_parallel", Box::new(|| gemm_packed_parallel(&a, &b))));
-    }
-    if quant_ring_available() {
-        kernels.push(("quant", Box::new(|| gemm_quant(&a, &b))));
     }
     let best = best_of(&mut kernels, reps, gap_ms);
     let flops = 2.0 * (m * k * n) as f64;
@@ -263,19 +224,13 @@ fn ring_shape_entry(
             ]),
         ));
     }
-    let rivals = kernels.iter().zip(&best).skip(1);
-    let best_rival = rivals
-        .filter(|((kernel, _), _)| !(memory_gated && *kernel == "quant"))
-        .map(|(_, &secs)| secs)
-        .fold(f64::INFINITY, f64::min);
+    let best_rival = best[1..].iter().cloned().fold(f64::INFINITY, f64::min);
     let auto_vs_best = best[0] / best_rival.min(best[0]);
     let entry = obj([
         ("class", JsonValue::Str(name.into())),
         ("m", JsonValue::UInt(m as u64)),
         ("k", JsonValue::UInt(k as u64)),
         ("n", JsonValue::UInt(n as u64)),
-        ("quant_padding", rounded(quant_padding(m, k, n), 3)),
-        ("memory_gated", JsonValue::Bool(memory_gated)),
         ("kernels", obj(fields)),
         ("auto_vs_best", rounded(auto_vs_best, 3)),
     ]);
@@ -283,21 +238,19 @@ fn ring_shape_entry(
 }
 
 /// The u64 shape-class ladder: every ring-product class the workloads
-/// run and — outside smoke runs — the cutover and padding sweeps the
-/// dispatcher's `AUTO_QUANT_FLOPS` and `QUANT_MAX_PADDING` are read from.
-/// Panics unless `gemm_auto` is within 10 % of the best kernel on every
+/// run. Panics unless `gemm_auto` is within 10 % of the best kernel on every
 /// workload class: the dispatcher's cutovers are wrong wherever it is
 /// not. `auto` runs one of the other kernels, so a class that misses the
 /// bound is measured once more, at twice the reps, before it fails —
 /// host noise alone can separate two runs of one kernel by that much.
-fn shape_classes_entry(reps: usize, gap_ms: u64, sweeps: bool) -> JsonValue {
+fn shape_classes_entry(reps: usize, gap_ms: u64) -> JsonValue {
     let mut classes = Vec::new();
-    for (name, m, k, n, gated) in SHAPE_CLASSES {
-        let mut measured = ring_shape_entry(name, (m, k, n), gated, reps, gap_ms);
+    for (name, m, k, n) in SHAPE_CLASSES {
+        let mut measured = ring_shape_entry(name, (m, k, n), reps, gap_ms);
         if measured.1 > 1.10 {
             let ratio = measured.1;
             println!("gemm shape {name}: auto {ratio:.2}x the best; re-measuring");
-            measured = ring_shape_entry(name, (m, k, n), gated, 2 * reps, gap_ms);
+            measured = ring_shape_entry(name, (m, k, n), 2 * reps, gap_ms);
         }
         let (entry, auto_vs_best) = measured;
         assert!(
@@ -307,30 +260,13 @@ fn shape_classes_entry(reps: usize, gap_ms: u64, sweeps: bool) -> JsonValue {
         );
         classes.push(entry);
     }
-    let mut fields = vec![
+    obj([
         ("element", JsonValue::Str("u64".into())),
         ("classes", JsonValue::Array(classes)),
-    ];
-    if sweeps {
-        let cutover = CUTOVER_SWEEP
-            .iter()
-            .map(|&n| ring_shape_entry(&format!("cube_{n}"), (n, n, n), false, reps, gap_ms).0)
-            .collect();
-        let padding = PADDING_SWEEP_N
-            .iter()
-            .map(|&n| {
-                let m = ((1 << 17) / n).div_ceil(32) * 32;
-                ring_shape_entry(&format!("padding_n{n}"), (m, 256, n), false, reps, gap_ms).0
-            })
-            .collect();
-        fields.push(("cutover_sweep", JsonValue::Array(cutover)));
-        fields.push(("padding_sweep", JsonValue::Array(padding)));
-    }
-    obj(fields)
+    ])
 }
 
-/// Times the seed kernel against the packed hierarchy (and the
-/// limb-split quantized ring kernel, where available) and records the
+/// Times the seed kernel against the packed hierarchy and records the
 /// result as a versioned JSON document at the repository root.
 fn headline() {
     let smoke = std::env::var_os("PSML_SMOKE").is_some();
@@ -344,8 +280,8 @@ fn headline() {
         element_entry("f32", sizes, reps, gap_ms, &mat),
         element_entry("u64", sizes, reps, gap_ms, &ring),
     ];
-    // Smoke runs the same classes at fewer reps, without the sweeps.
-    let shape_classes = shape_classes_entry(reps, gap_ms.min(100), !smoke);
+    // Smoke runs the same classes at fewer reps.
+    let shape_classes = shape_classes_entry(reps, gap_ms.min(100));
     // Conv-derived (im2col) shape: tall-skinny, where the packed paths'
     // register tiling pays off without any square-size sweet spot.
     let ca = rect(CONV_M, CONV_K, 3);

@@ -50,15 +50,16 @@ pub struct EngineConfig {
     pub sparsity_threshold: f64,
     /// Use Tensor Cores for GPU GEMMs (Sec. 5.2).
     pub tensor_cores: bool,
-    /// Model the limb-split quantized ring GEMM (`psml_tensor::quant`,
-    /// `GemmMode::QuantizedRing`) in the *cost model*: GPU compute2 GEMMs
-    /// are charged as 36 int8 limb-product volumes instead of one f16
-    /// product (exact ring arithmetic has no f16 shortcut), and CPU
-    /// compute2 GEMMs may charge the host tile unit's measured rate where
-    /// it wins. Changes charged durations — and therefore placement and
-    /// `RunReport` timings — so it defaults to `false`; the *functional*
-    /// results are bit-identical either way (the quantized kernel is
-    /// exact).
+    /// Model a limb-split quantized ring GEMM (`GemmMode::QuantizedRing`)
+    /// in the *cost model*: GPU compute2 GEMMs are charged as 36 int8
+    /// limb-product volumes instead of one f16 product (exact ring
+    /// arithmetic has no f16 shortcut), and CPU compute2 GEMMs may charge
+    /// a simulated host tile unit's rate where it wins. It prices a
+    /// simulated unit only: every product still computes through
+    /// `gemm_auto`, which has no tile kernel. Changes charged durations —
+    /// and therefore placement and `RunReport` timings — so it defaults to
+    /// `false`, and only tests set it; the *functional* results are
+    /// bit-identical either way.
     pub model_quant_ring: bool,
     /// CPU threads the *simulated* servers run host work on. 1 = serial.
     /// (The real host GEMM pool is sized by `PSML_WORKERS`, not here.)
@@ -267,10 +268,10 @@ impl EngineConfig {
     /// `m * k * n` above which [`EngineConfig::model_quant_ring`] lets
     /// the CPU cost model consider the tile unit. This is the simulated
     /// paper machine's own rule, kept from the host measurement it was
-    /// calibrated on (even at 128³, ahead from 160³ up); it does not
-    /// follow the host dispatcher (`psml_tensor::gemm_auto`, which goes to
-    /// the quantized kernel from 64³ on any worker count, gated by tile
-    /// padding), because no simulated value may move with the host.
+    /// calibrated on (even at 128³, ahead from 160³ up, against the
+    /// autovectorized ring kernel of the time). The host dispatcher
+    /// (`psml_tensor::gemm_auto`) has no tile tier, and no simulated value
+    /// may move with the host anyway.
     const QUANT_MODEL_MIN_FLOPS: usize = 4_000_000;
 
     /// Time for an `(m x k) * (k x n)` CPU GEMM under this config's

@@ -920,10 +920,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let placement = self.adaptive.place(&self.cfg, m, 2 * k, n, bytes_moved);
         // Both servers reconstruct the same public F, so on the fused CPU
         // path its column panels are packed once and shared between the
-        // two `[F ; B_i]` evaluations (Eq. (8)'s common top block). The
-        // carrier (standard vs quantized limb planes) follows what
-        // `gemm_auto` would pick for F's own `m x k x n` product — half the
-        // volume of the fused `[L|E] x [F ; B_i]`, with the same padding.
+        // two `[F ; B_i]` evaluations (Eq. (8)'s common top block).
         let f_packed = match (placement, self.cfg.eval_strategy) {
             (Placement::Cpu, EvalStrategy::Fused) => Some(pack_b_auto(&publics[0].v.1, m)),
             _ => None,

@@ -9,11 +9,21 @@
 
 use crate::kernels::GemmMode;
 use psml_simtime::{LinkModel, SimDuration};
-use psml_tensor::quant::{LIMBS, LIVE_LIMB_PAIRS};
 
-/// Measured advantage of the limb-split quantized ring GEMM over the
-/// tuned serial `u64` kernel at 1024³ on a verified-AMX host (see
-/// DESIGN.md "Quantized ring GEMM"; the bench records 2.5-2.9x).
+/// Signed 8-bit digits per `u64` ring element in the simulated limb-split
+/// pipeline ([`GemmMode::QuantizedRing`]).
+const LIMBS: usize = 8;
+
+/// Live limb-product volumes of that pipeline: digit pairs `(p, q)` with
+/// `p + q < LIMBS`. The other 28 pairs shift by ≥ 64 bits and vanish mod
+/// 2^64.
+const LIVE_LIMB_PAIRS: usize = LIMBS * (LIMBS + 1) / 2;
+
+/// Advantage of a limb-split quantized ring GEMM on a host tile unit over
+/// the tuned serial `u64` kernel, as once measured at 1024³ on an AMX host
+/// against the autovectorized ring kernel (2.5-2.9x; DESIGN.md "No host
+/// tile kernel"). A constant of the simulated machine: no host kernel
+/// follows it.
 /// [`CpuConfig::quant_gemm_time`] scales the tuned per-core rate by this.
 const QUANT_RING_SPEEDUP: f64 = 2.6;
 
@@ -214,9 +224,9 @@ impl CpuConfig {
         region + SimDuration::from_secs(compute.max(floor))
     }
 
-    /// Time for the limb-split quantized ring GEMM on the host's dense
-    /// low-precision matrix unit (`psml_tensor::quant`; single tile-driver
-    /// thread, so `threads` does not appear). The rate scales the tuned
+    /// Time for a limb-split quantized ring GEMM on the simulated host's
+    /// dense low-precision matrix unit (a single tile-driver thread, so
+    /// `threads` does not appear). The rate scales the tuned
     /// serial rate by the measured [`QUANT_RING_SPEEDUP`]; the floor
     /// charges the recode/recombine traffic (one digit byte per limb
     /// plane of each operand element, plus the 8 shifted i32→u64 output

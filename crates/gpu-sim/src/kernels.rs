@@ -18,8 +18,8 @@ pub enum GemmMode {
     /// inputs rounded through binary16, FP32 accumulation.
     TensorCore,
     /// Limb-split quantized ring GEMM on the tensor units (the paper's
-    /// Sec. 5.2 pipeline as built in `psml_tensor::quant`): ring operands
-    /// recoded into signed 8-bit limb planes, the live limb-pair volumes
+    /// Sec. 5.2 pipeline carried to 64-bit rings; simulated only): ring
+    /// operands recoded into signed 8-bit limb planes, the live limb-pair volumes
     /// multiplied on the dense int8 pipeline, partials recombined with
     /// wrapping shifts. **Exact** over ring carriers — unlike
     /// [`GemmMode::TensorCore`] there is no f16 rounding anywhere — so

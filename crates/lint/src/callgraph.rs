@@ -29,6 +29,19 @@ pub struct CallSite {
     pub line: u32,
 }
 
+impl CallSite {
+    /// Token range of the argument bound to the callee's parameter `pi`,
+    /// its index in `FnDef::params` (a receiver `self` is parameter 0),
+    /// given the site's [`CallGraph::arg_ranges`]. A `recv.method(..)` call
+    /// passes `self` before the parentheses, so its first argument binds
+    /// parameter 1 and the receiver binds none here; `Type::method(recv,
+    /// ..)` and free calls line up.
+    pub fn param_arg(&self, t: &[Tok], args: &[(usize, usize)], pi: usize) -> Option<(usize, usize)> {
+        let dot_call = self.name_tok >= 1 && t[self.name_tok - 1].text == ".";
+        args.get(pi.checked_sub(usize::from(dot_call))?).copied()
+    }
+}
+
 /// Per-function resolved call sites, indexed by caller function id; the
 /// map key is the name-token index (so expression scans can look up "is
 /// this identifier a resolved call?" in O(log n)).

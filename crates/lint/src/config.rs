@@ -11,16 +11,13 @@
 
 /// Modules permitted to contain the `unsafe` keyword at all. Each exists
 /// for one vetted reason: the GEMM carrier casts (`tensor::gemm`), the
-/// `WRAPPING_U64` trait contract (`tensor::num`), the AMX tile-unit
-/// configuration and inline-asm kernel of the limb-split quantized path
-/// (`tensor::quant`), the scoped-job lifetime transmute
-/// (`parallel::pool`), the `Fixed64` ring carrier's `unsafe impl Num`
-/// (`mpc::fixed`), and the feature-detected call into the PCLMULQDQ CRC
-/// fold (`net-sim::crc`).
+/// `WRAPPING_U64` trait contract (`tensor::num`), the scoped-job lifetime
+/// transmute (`parallel::pool`), the `Fixed64` ring carrier's `unsafe impl
+/// Num` (`mpc::fixed`), and the feature-detected call into the PCLMULQDQ
+/// CRC fold (`net-sim::crc`).
 pub const UNSAFE_MODULES: &[&str] = &[
     "tensor::gemm",
     "tensor::num",
-    "tensor::quant",
     "parallel::pool",
     "mpc::fixed",
     "net-sim::crc",
@@ -70,7 +67,6 @@ pub const SECRET_TYPES: &[&str] = &[
     "BeaverTriple",
     "DistTriple",
     "SharedMatrix",
-    "QuantPackedB",
 ];
 
 /// Doc-attribute marker that adds a type to the secret registry.
@@ -83,18 +79,21 @@ pub const REDACTION_MODULES: &[&str] = &[
     "mpc::share",
     "mpc::triple",
     "core::engine",
-    "tensor::quant",
 ];
 
 /// Methods on secret values whose results are *metadata*, safe to format:
-/// shapes, dimensions, readiness times. `pair.shape()` in an assert is
-/// fine; `pair.u` is not.
+/// shapes, dimensions, byte counts, payload labels, readiness times.
+/// `pair.shape()` in an assert is fine; `pair.u` is not. A byte count or a
+/// payload's kind is what the wire already shows an observer (a sparse
+/// payload's size included), and the simulated clocks charge by it.
 pub const METADATA_ACCESSORS: &[&str] = &[
     "shape",
     "rows",
     "cols",
     "dims",
     "len",
+    "byte_size",
+    "kind",
     "is_empty",
     "ready",
     "spec",

@@ -541,8 +541,8 @@ impl<'a> FnScope<'a> {
             }
             let args = CallGraph::arg_ranges(t, site.args_open);
             for (&ci, chain) in &callee.leak_params {
-                let Some(&(a, b)) = args.get(ci) else { continue };
-                for k in (a..b).filter(|&k| is_base_ident(t, k)) {
+                let Some(arg) = site.param_arg(t, &args, ci) else { continue };
+                for (k, _) in self.roots(arg, &probe) {
                     if let Some(&pi) = param_idx.get(t[k].text.as_str()) {
                         out.leak_params.entry(pi).or_insert_with(|| {
                             let note = format!(
@@ -634,14 +634,15 @@ impl<'a> FnScope<'a> {
             }
             let args = CallGraph::arg_ranges(t, site.args_open);
             for (&ci, chain) in &callee_sum.leak_params {
-                let Some(&(a, b)) = args.get(ci) else { continue };
+                let Some((a, b)) = site.param_arg(t, &args, ci) else { continue };
                 let Some(taint) = self.expr_taint((a, b), env) else { continue };
-                let callee_name = &self.table.fns[site.callee].name;
+                let callee = &self.table.fns[site.callee];
+                let (callee_name, param) = (&callee.name, &callee.params[ci].name);
                 let mut fin = Finding::new(
                     RuleId::SecretCrossFunctionLeak,
                     &f.path,
                     site.line,
-                    format!("secret value passed to `{callee_name}`, which formats its argument #{ci}"),
+                    format!("secret value passed to `{callee_name}`, which formats its parameter `{param}`"),
                     f.line_text(site.line),
                 );
                 let mut ev = taint.src;

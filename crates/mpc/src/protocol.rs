@@ -108,13 +108,11 @@ pub fn finish<R: SecureRing>(
 /// through the packed kernel hierarchy.
 ///
 /// Both servers' right-hand sides `[F ; B_i]` share the same public `F`
-/// block, so the driver packs `F` once (via [`pack_b_auto`], which chooses
-/// between element column panels and quantized byte planes for the product
-/// size) and passes it to each server; this server's `B_i` is packed to
-/// match. The concatenations of Eq. (8) are never materialized:
+/// block, so the driver packs `F` once (via [`pack_b_auto`]) and passes it
+/// to each server; this server's `B_i` is packed to match. The
+/// concatenations of Eq. (8) are never materialized:
 /// `[L | E] x [F ; B_i] = L*F + E*B_i`, which [`gemm_packed_sum_auto`]
-/// accumulates in one pass over the output on whichever kernel the pack
-/// selected. Bit-identical to [`finish`] under [`EvalStrategy::Fused`] —
+/// accumulates in one pass over the output. Bit-identical to [`finish`] under [`EvalStrategy::Fused`] —
 /// over the ring every kernel computes the same wrapping product.
 pub fn finish_packed<R: SecureRing>(
     party: Party,
@@ -355,11 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_expanded_agree_at_quant_dispatch_size() {
-        // Large enough that gemm_auto / pack_b_auto route ring products
-        // through the limb-split quantized kernel on verified-AMX hosts;
-        // on other hosts this still exercises the auto-packed fused path.
-        // Both strategies must reconstruct the same cleartext bits.
+    fn fused_and_expanded_agree_at_banded_dispatch_size() {
+        // Large enough that gemm_auto and the fused sum band ring products
+        // over a pool of two or more workers on AVX-512 hosts. Both
+        // strategies must reconstruct the same cleartext bits.
         let dim = 160;
         let a = PlainMatrix::from_fn(dim, dim, |r, c| ((r * 7 + c) % 23) as f64 * 0.25 - 2.0);
         let b = PlainMatrix::from_fn(dim, dim, |r, c| ((r + 11 * c) % 19) as f64 * 0.5 - 4.0);

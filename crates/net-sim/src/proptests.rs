@@ -2,7 +2,7 @@
 
 use crate::codec::{
     decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
-    StreamDecoder, STREAM_HEADER_BYTES,
+    StreamDecoder, FRAME_MAGIC, STREAM_HEADER_BYTES,
 };
 use crate::compress::{DeltaDecoder, DeltaEncoder};
 use crate::endpoint::build_network;
@@ -10,6 +10,50 @@ use crate::message::{NodeId, Payload};
 use proptest::prelude::*;
 use psml_simtime::{LinkModel, SimTime};
 use psml_tensor::{Csr, Matrix};
+
+/// `bytes` split at the random `cuts` (taken modulo its length, sorted),
+/// in order: arbitrary read boundaries over one stream.
+fn chunks<'a>(bytes: &'a [u8], cuts: &[u64]) -> Vec<&'a [u8]> {
+    let mut offsets: Vec<usize> =
+        cuts.iter().map(|&c| (c % (bytes.len() as u64 + 1)) as usize).collect();
+    offsets.sort_unstable();
+    offsets.push(bytes.len());
+    let mut prev = 0;
+    offsets
+        .into_iter()
+        .map(|off| {
+            let chunk = &bytes[prev..off];
+            prev = off;
+            chunk
+        })
+        .collect()
+}
+
+/// Bytes over the whole `u8` range, built from tokens that make whole
+/// magics, plausible little-endian length fields (under 64) and partial
+/// magics frequent, so the decoder's header and length paths are reached.
+fn stream_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0u8..5, any::<u32>()), 0..128).prop_map(|tokens| {
+        let mut bytes = Vec::new();
+        for (pick, x) in tokens {
+            match pick {
+                0 => bytes.extend_from_slice(&FRAME_MAGIC),
+                1 => bytes.extend_from_slice(&(x % 64).to_le_bytes()),
+                2 => bytes.extend_from_slice(&FRAME_MAGIC[..1 + x as usize % 3]),
+                _ => bytes.push(x as u8),
+            }
+        }
+        bytes
+    })
+}
+
+/// Garbage that can never start a magic: any byte but `FRAME_MAGIC[0]`.
+fn garbage() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        any::<u8>().prop_map(|b| if b == FRAME_MAGIC[0] { b.wrapping_add(1) } else { b }),
+        0..48,
+    )
+}
 
 fn matrices() -> impl Strategy<Value = Matrix<u64>> {
     (1usize..8, 1usize..8)
@@ -171,17 +215,10 @@ proptest! {
         for (i, p) in payloads.iter().enumerate() {
             wire.extend_from_slice(&encode_stream_frame(i as u64, p));
         }
-        // Turn the random cuts into sorted split offsets inside the wire.
-        let mut offsets: Vec<usize> =
-            cuts.iter().map(|&c| (c % (wire.len() as u64 + 1)) as usize).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
         let mut dec = StreamDecoder::new();
         let mut got = Vec::new();
-        let mut prev = 0usize;
-        for &off in offsets.iter().chain(std::iter::once(&wire.len())) {
-            dec.push(&wire[prev..off]);
-            prev = off;
+        for chunk in chunks(&wire, &cuts) {
+            dec.push(chunk);
             while let Some(f) = dec.next_frame() {
                 got.push(f.expect("valid stream must never surface an error"));
             }
@@ -244,6 +281,67 @@ proptest! {
                 good.iter().any(|(seq, body)| *seq == i as u64 && body == p),
                 "record {} lost to corruption in record {}", i, v
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes pushed in arbitrary chunks never panic the stream
+    /// decoder: each drain ends in `None` (every `Some` consumes bytes, so
+    /// a drain is bounded by what was pushed), and the decoder never holds
+    /// more than it was given.
+    #[test]
+    fn stream_decoder_survives_arbitrary_bytes(
+        bytes in stream_bytes(),
+        cuts in prop::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let mut dec = StreamDecoder::new();
+        let mut pushed = 0usize;
+        for chunk in chunks(&bytes, &cuts) {
+            dec.push(chunk);
+            pushed += chunk.len();
+            let mut drained = 0usize;
+            while dec.next_frame().is_some() {
+                drained += 1;
+                prop_assert!(drained <= pushed, "a drain yielded more frames than bytes pushed");
+            }
+            prop_assert!(dec.buffered() <= pushed);
+        }
+    }
+
+    /// Garbage that holds no `FRAME_MAGIC[0]`, spliced before, between and
+    /// after valid records and read in arbitrary chunks, is skipped byte
+    /// for byte: every record comes back `Ok`, in order, with its seq and
+    /// payload.
+    #[test]
+    fn stream_decoder_resyncs_past_spliced_garbage(
+        mats in prop::collection::vec(matrices(), 1..4),
+        junk in prop::collection::vec(garbage(), 4),
+        cuts in prop::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let payloads: Vec<Vec<u8>> =
+            mats.iter().map(|m| encode(&Payload::Dense(m.clone()))).collect();
+        let mut wire = junk[0].clone();
+        for (i, p) in payloads.iter().enumerate() {
+            wire.extend_from_slice(&encode_stream_frame(i as u64, p));
+            wire.extend_from_slice(&junk[i + 1]);
+        }
+        let mut dec = StreamDecoder::new();
+        let mut got = Vec::new();
+        for chunk in chunks(&wire, &cuts) {
+            dec.push(chunk);
+            while let Some(f) = dec.next_frame() {
+                got.push(f);
+            }
+        }
+        let spliced: usize = junk[..=payloads.len()].iter().map(Vec::len).sum();
+        prop_assert_eq!(dec.skipped_bytes(), spliced as u64);
+        prop_assert_eq!(dec.buffered(), 0);
+        prop_assert_eq!(got.len(), payloads.len());
+        for (i, f) in got.into_iter().enumerate() {
+            prop_assert_eq!(f, Ok((i as u64, payloads[i].clone())));
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Once-per-process host capability probe.
 //!
 //! Kernel dispatch needs to know what the host can actually execute: the
-//! AMX INT8 tile unit (CPUID, the kernel's xstate opt-in, *and* a
-//! correctness cross-check — see [`crate::quant`]) and the AVX2 and
-//! AVX-512 vector units the packed kernels dispatch on; F16C is probed
-//! only for the e2e benchmark's host header. Probing at every call site
-//! is wasted work, and probing in several places lets the answers drift.
+//! AVX2 and AVX-512 vector units the packed kernels dispatch on. F16C and
+//! the AMX INT8 tile unit are probed only for benchmark host headers;
+//! nothing dispatches on them. Probing at every call site is wasted work,
+//! and probing in several places lets the answers drift.
 //! This module runs every probe exactly once and caches an immutable
 //! [`HostCaps`] for the process lifetime, so the answer can never change
 //! mid-run; every availability question in the workspace reads from here.
@@ -15,9 +14,10 @@ use std::sync::OnceLock;
 /// What this host's hardware can run, probed once per process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HostCaps {
-    /// The AMX INT8 tile backend is usable: CPUID advertises
-    /// `amx-tile`+`amx-int8`, the kernel granted tile state, the tile
-    /// kernel cross-checked bit-identical against the portable model.
+    /// The AMX INT8 tile unit is present (`amx-tile`+`amx-int8`). Nothing
+    /// dispatches on it: no kernel in this workspace uses the tile unit
+    /// (DESIGN.md "No host tile kernel"). Benchmark headers record it, as
+    /// they do `f16c`.
     pub quant_ring: bool,
     /// The F16C conversion unit (`vcvtps2ph`/`vcvtph2ps`) is present.
     /// Nothing dispatches on it (f16 rounding is the scalar emulation in
@@ -31,11 +31,17 @@ pub struct HostCaps {
     pub avx512_ring: bool,
 }
 
+/// [`HostCaps::quant_ring`]: whether the host has the AMX INT8 tile unit.
+/// Benchmark headers record it; no kernel dispatches on it.
+pub fn quant_ring_available() -> bool {
+    host_caps().quant_ring
+}
+
 /// The cached process-wide capability set.
 pub fn host_caps() -> &'static HostCaps {
     static CAPS: OnceLock<HostCaps> = OnceLock::new();
     CAPS.get_or_init(|| HostCaps {
-        quant_ring: crate::quant::probe_quant_ring(),
+        quant_ring: probe_feature("amx-tile") && probe_feature("amx-int8"),
         f16c: probe_feature("f16c"),
         avx2: probe_feature("avx2") && probe_feature("fma"),
         avx512_ring: probe_feature("avx512f") && probe_feature("avx512dq"),
@@ -50,6 +56,13 @@ fn probe_feature(name: &str) -> bool {
         "fma" => std::arch::is_x86_feature_detected!("fma"),
         "avx512f" => std::arch::is_x86_feature_detected!("avx512f"),
         "avx512dq" => std::arch::is_x86_feature_detected!("avx512dq"),
+        // CPUID leaf 7 EDX bits 24 and 25 (`is_x86_feature_detected!`
+        // does not take the AMX names on stable).
+        "amx-tile" | "amx-int8" => {
+            use std::arch::x86_64::{__cpuid_count, __get_cpuid_max};
+            let bit = if name == "amx-tile" { 24 } else { 25 };
+            __get_cpuid_max(0).0 >= 7 && (__cpuid_count(7, 0).edx >> bit) & 1 == 1
+        }
         _ => false,
     }
 }
@@ -69,10 +82,5 @@ mod tests {
         let b = *host_caps();
         assert_eq!(a, b);
         assert!(std::ptr::eq(host_caps(), host_caps()));
-    }
-
-    #[test]
-    fn quant_ring_cap_agrees_with_the_public_predicate() {
-        assert_eq!(host_caps().quant_ring, crate::quant::quant_ring_available());
     }
 }

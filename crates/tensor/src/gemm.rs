@@ -18,12 +18,9 @@
 //!   problem size, mirroring the paper's profiling-guided adaptive
 //!   placement. With the AVX-512 ring kernel live, ring products band over
 //!   the pool from 2^22 `m·k·n` (and two row tiles), against 48M for
-//!   everything else; ring products of 512^3 and up that the AMX tiles
-//!   pad at most 3x route to the limb-split quantized kernel
-//!   ([`crate::quant`]) instead, with bit-identical results.
-//!   `Matrix::matmul`, triple generation, the fused Eq. 8 evaluation and
-//!   the gpu-sim functional kernel all route through it. The rule is one
-//!   pure function of the shape, the worker count, the AMX probe and the
+//!   everything else. `Matrix::matmul`, triple generation, the fused Eq. 8
+//!   evaluation and the gpu-sim functional kernel all route through it.
+//!   The rule is one pure function of the shape, the worker count and the
 //!   AVX-512 probe (`auto_tier`), table-tested per workload shape class.
 //!
 //! [`gemm_packed_sum_auto`] evaluates `sum_t A_t x B_t` against pre-packed
@@ -41,9 +38,6 @@
 use crate::caps::host_caps;
 use crate::matrix::Matrix;
 use crate::num::Num;
-use crate::quant::{
-    gemm_quant, gemm_quant_sum, gemm_quant_with, pack_b_quant, padded_volume, QuantPackedB,
-};
 use psml_parallel::{configured_workers, for_each_chunk_mut_pooled, global_pool};
 use std::sync::OnceLock;
 
@@ -86,28 +80,6 @@ const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 /// `mlp_hidden_fused` (`128 x 256 x 64`, 2^21), so the floor sits above
 /// it.
 const RING_PARALLEL_FLOPS: usize = 1 << 22;
-
-/// `m * k * n` from which [`gemm_auto`] routes ring carriers to the
-/// limb-split quantized kernel ([`crate::quant`]) when the AMX backend is
-/// available: 512^3. Below it the digit recode, the 36 limb-pair tile
-/// products and the recombine cost more than the AVX-512 ring kernel's
-/// `vpmullq` products: on every ring class the workloads run (up to
-/// `128 x 6272 x 128`, ~468^3) quant was slower, and the
-/// `cutover_sweep` of `BENCH_gemm.json` has it behind at 384^3, level at
-/// 512^3 and ahead from 768^3. See DESIGN.md "Quantized ring GEMM".
-const AUTO_QUANT_FLOPS: usize = 512 * 512 * 512;
-
-/// Largest tile-padding blow-up the quantized tier accepts: the kernel
-/// pads m and n to 32 and k to 64, and it applies only while
-/// `pad32(m) · pad64(k) · pad32(n) <= QUANT_MAX_PADDING · m·k·n`. Padding
-/// costs tile work and limb-plane bytes in proportion, and the bound is
-/// now a memory gate more than a speed one: under [`AUTO_QUANT_FLOPS`]
-/// no product reaches the tiles, and above it a padded product's `A`
-/// planes cost the padding ratio times the operand's bytes. The CNN's
-/// im2col product (`36864 x 25 x 8`, padded 10x), whose limb planes once
-/// raised peak RSS by a quarter, and every batch-8 product (padded 4x)
-/// would stay on the register-tiled kernel at any size.
-const QUANT_MAX_PADDING: f64 = 3.0;
 
 /// Summed `m * k * n` of a batch's serial-tier items below which
 /// [`gemm_batch`] runs them on the calling thread: a pool region costs two
@@ -245,7 +217,7 @@ impl<'a, T: Num> BandTerm<'a, T> {
 /// at both call sites: either the types are literally equal, checked by
 /// `TypeId`, or `Src` is `#[repr(transparent)]` over `Dst = u64` per the
 /// `unsafe` [`Num`] contract behind [`Num::WRAPPING_U64`]).
-pub(crate) unsafe fn cast_slice<Src, Dst>(s: &[Src]) -> &[Dst] {
+unsafe fn cast_slice<Src, Dst>(s: &[Src]) -> &[Dst] {
     debug_assert_eq!(std::mem::size_of::<Src>(), std::mem::size_of::<Dst>());
     debug_assert_eq!(std::mem::align_of::<Src>(), std::mem::align_of::<Dst>());
     // SAFETY: caller guarantees Src and Dst agree in size, alignment, and
@@ -260,7 +232,7 @@ pub(crate) unsafe fn cast_slice<Src, Dst>(s: &[Src]) -> &[Dst] {
 ///
 /// Same contract as [`cast_slice`]; the `&mut` borrow it consumes keeps
 /// the reinterpreted slice unique.
-pub(crate) unsafe fn cast_slice_mut<Src, Dst>(s: &mut [Src]) -> &mut [Dst] {
+unsafe fn cast_slice_mut<Src, Dst>(s: &mut [Src]) -> &mut [Dst] {
     debug_assert_eq!(std::mem::size_of::<Src>(), std::mem::size_of::<Dst>());
     debug_assert_eq!(std::mem::align_of::<Src>(), std::mem::align_of::<Dst>());
     // SAFETY: as in `cast_slice`, plus exclusivity from the incoming
@@ -791,117 +763,61 @@ pub(crate) fn packed_sum_on<T: Num>(
     out
 }
 
-/// A right-hand side packed for whichever kernel the auto dispatcher
-/// selected when it was created: element-typed column panels for the
-/// register-tiled kernel, or byte planes for the limb-split quantized
-/// ring kernel.
+/// A right-hand side packed for [`gemm_packed_sum_auto`]: the column
+/// panels of the register-tiled kernel every tier above `Blocked` runs.
 ///
-/// Produced by [`pack_b_auto`] and consumed by [`gemm_packed_sum_auto`];
-/// secondary operands of a fused sum must be packed with
-/// [`AutoPackedB::pack_matching`] so every term lands on the same kernel.
+/// Produced by [`pack_b_auto`]; secondary operands of a fused sum are
+/// packed with [`AutoPackedB::pack_matching`].
 #[derive(Clone, Debug)]
-pub struct AutoPackedB<T: Num>(Packing<T>);
-
-/// The representation inside an [`AutoPackedB`].
-#[derive(Clone, Debug)]
-enum Packing<T: Num> {
-    /// Column panels for the register-tiled micro-kernel.
-    Std(PackedB<T>),
-    /// Byte planes for the quantized ring kernel.
-    Quant(QuantPackedB),
-}
+pub struct AutoPackedB<T: Num>(PackedB<T>);
 
 impl<T: Num> AutoPackedB<T> {
     /// Inner dimension (rows of the packed `B`).
     pub fn k(&self) -> usize {
-        match &self.0 {
-            Packing::Std(p) => p.k,
-            Packing::Quant(q) => q.k(),
-        }
+        self.0.k
     }
 
     /// Columns of the packed `B`.
     pub fn n(&self) -> usize {
-        match &self.0 {
-            Packing::Std(p) => p.n,
-            Packing::Quant(q) => q.n(),
-        }
+        self.0.n
     }
 
     /// Bytes held by the packed representation.
     pub fn byte_size(&self) -> usize {
-        match &self.0 {
-            Packing::Std(p) => p.byte_size(),
-            Packing::Quant(q) => q.byte_size(),
-        }
+        self.0.byte_size()
     }
 
-    /// Packs another right-hand side in this pack's representation, so it
-    /// can join the same [`gemm_packed_sum_auto`] call (the fused Eq. 8
-    /// product packs the shared `F` first, then each server's `B_i` to
-    /// match).
+    /// Packs another right-hand side to join the same
+    /// [`gemm_packed_sum_auto`] call (the fused Eq. 8 product packs the
+    /// shared `F` first, then each server's `B_i` to match).
     pub fn pack_matching(&self, b: &Matrix<T>) -> AutoPackedB<T> {
-        match self.0 {
-            Packing::Std(_) => AutoPackedB(Packing::Std(pack_b(b))),
-            Packing::Quant(_) => AutoPackedB(Packing::Quant(pack_b_quant(b))),
-        }
+        AutoPackedB(pack_b(b))
     }
 }
 
-/// Packs `b` for the kernel [`gemm_auto`] would pick for an
-/// `m_hint x b.rows() x b.cols()` product: quantized byte planes when that
-/// product lands on the limb-split tier, element column panels otherwise.
-/// `m_hint` is the row count of the left-hand side(s) the pack will
-/// multiply.
-pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<T> {
-    if host_tier::<T>(m_hint, b.rows(), b.cols()) == AutoTier::Quant {
-        AutoPackedB(Packing::Quant(pack_b_quant(b)))
-    } else {
-        AutoPackedB(Packing::Std(pack_b(b)))
-    }
+/// Packs `b` into column panels for [`gemm_packed_sum_auto`].
+///
+/// `m_hint` (the row count of the left-hand side the pack will multiply)
+/// is unused: every product size takes the same panels. It stays in the
+/// signature because the `e2e` benchmark, a separate workspace, passes it.
+pub fn pack_b_auto<T: Num>(b: &Matrix<T>, _m_hint: usize) -> AutoPackedB<T> {
+    AutoPackedB(pack_b(b))
 }
 
-/// [`gemm_packed_sum`] over auto-packed right-hand sides: dispatches the
-/// whole sum to the kernel the packs were built for. All terms must carry
-/// the same [`AutoPackedB`] variant (use [`AutoPackedB::pack_matching`]);
-/// results are bit-identical across variants for ring carriers.
+/// [`gemm_packed_sum`] over auto-packed right-hand sides: bands over the
+/// pool from the same floor as [`gemm_auto`].
 pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<T>)]) -> Matrix<T> {
-    let all_std = terms.iter().all(|(_, p)| matches!(p.0, Packing::Std(_)));
-    let all_quant = terms.iter().all(|(_, p)| matches!(p.0, Packing::Quant(_)));
-    if all_std {
-        let std_terms: Vec<(&Matrix<T>, &PackedB<T>)> = terms
-            .iter()
-            .map(|&(a, p)| match &p.0 {
-                Packing::Std(pb) => (a, pb),
-                Packing::Quant(_) => unreachable!(),
-            })
-            .collect();
-        gemm_packed_sum(&std_terms)
-    } else if all_quant {
-        let quant_terms: Vec<(&Matrix<T>, &QuantPackedB)> = terms
-            .iter()
-            .map(|&(a, p)| match &p.0 {
-                Packing::Quant(qb) => (a, qb),
-                Packing::Std(_) => unreachable!(),
-            })
-            .collect();
-        gemm_quant_sum(&quant_terms)
-    } else {
-        panic!("gemm_packed_sum_auto terms mix packed representations; use pack_matching");
-    }
+    let terms: Vec<(&Matrix<T>, &PackedB<T>)> = terms.iter().map(|&(a, p)| (a, &p.0)).collect();
+    gemm_packed_sum(&terms)
 }
 
 /// The production GEMM: dispatches on problem size, mirroring the paper's
 /// profiling-guided adaptive placement. The tier is [`auto_tier`] of the
-/// product's shape, the configured worker count and the host's AMX and
-/// AVX-512 probes:
+/// product's shape, the configured worker count and the host's AVX-512
+/// probe:
 ///
 /// - tiny products (`m*k*n < `[`AUTO_PACK_FLOPS`]): [`gemm_blocked`] —
 ///   packing cannot be amortized and the zero-skip helps sparse operands;
-/// - ring products of 512^3 and up on AMX hosts that the tiles do not pad
-///   much: [`gemm_quant`] — the limb-split quantized kernel on the tile
-///   unit, banded over the pool, bit-identical to the packed ring kernel,
-///   on any worker count;
 /// - medium: [`gemm_packed`] — serial register-tiled kernel;
 /// - large (over the [`bands_over_pool`] floor with more than one
 ///   configured worker): [`gemm_packed_parallel`] on the persistent pool.
@@ -909,7 +825,6 @@ pub fn gemm_auto<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
     match host_tier::<T>(a.rows(), a.cols(), b.cols()) {
         AutoTier::Blocked => gemm_blocked(a, b),
-        AutoTier::Quant => gemm_quant(a, b),
         AutoTier::Packed => gemm_packed(a, b),
         AutoTier::Parallel => gemm_packed_parallel(a, b),
     }
@@ -919,40 +834,21 @@ pub fn gemm_auto<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum AutoTier {
     Blocked,
-    Quant,
     Packed,
     Parallel,
 }
 
 /// The dispatch rule, as a pure function of the product's shape, the
-/// carrier `T`, the pool's configured `workers`, whether the AMX tile
-/// backend verified on this host (`quant_available`) and whether ring
-/// products run the explicit AVX-512 kernel (`avx512_ring`):
+/// carrier `T`, the pool's configured `workers` and whether ring products
+/// run the explicit AVX-512 kernel (`avx512_ring`):
 ///
 /// - `m·k·n <` [`AUTO_PACK_FLOPS`]: `Blocked`;
-/// - a ring carrier with `quant_available`, `m·k·n ≥` [`AUTO_QUANT_FLOPS`]
-///   and a tile-padded volume of at most [`QUANT_MAX_PADDING`] times
-///   `m·k·n`: `Quant`, whatever `workers` is (the tile driver bands itself
-///   over the pool);
 /// - over the [`bands_over_pool`] floor: `Parallel`;
 /// - otherwise `Packed`.
-fn auto_tier<T: Num>(
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-    quant_available: bool,
-    avx512_ring: bool,
-) -> AutoTier {
+fn auto_tier<T: Num>(m: usize, k: usize, n: usize, workers: usize, avx512_ring: bool) -> AutoTier {
     let flops = m.saturating_mul(k).saturating_mul(n);
     if flops < AUTO_PACK_FLOPS {
         AutoTier::Blocked
-    } else if T::WRAPPING_U64
-        && quant_available
-        && flops >= AUTO_QUANT_FLOPS
-        && padded_volume(m, k, n) as f64 <= QUANT_MAX_PADDING * flops as f64
-    {
-        AutoTier::Quant
     } else if bands_over_pool::<T>(m, flops, workers, avx512_ring) {
         AutoTier::Parallel
     } else {
@@ -986,11 +882,10 @@ fn host_workers() -> usize {
     *WORKERS.get_or_init(configured_workers)
 }
 
-/// [`auto_tier`] with this process's worker count, AMX probe and AVX-512
-/// probe — the tier [`gemm_auto`], [`gemm_batch`] and [`pack_b_auto`] use.
+/// [`auto_tier`] with this process's worker count and AVX-512 probe — the
+/// tier [`gemm_auto`] and [`gemm_batch`] use.
 fn host_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
-    let caps = host_caps();
-    auto_tier::<T>(m, k, n, host_workers(), caps.quant_ring, caps.avx512_ring)
+    auto_tier::<T>(m, k, n, host_workers(), host_caps().avx512_ring)
 }
 
 /// Evaluates a batch of *independent* products, each with the exact kernel
@@ -1019,31 +914,16 @@ pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> 
         .iter()
         .map(|&(a, b)| host_tier::<T>(a.rows(), a.cols(), b.cols()))
         .collect();
-    let shares_rhs = |tier: AutoTier| {
-        pairs.len() > 1
-            && tiers.contains(&tier)
-            && pairs.iter().all(|&(_, b)| std::ptr::eq(b, pairs[0].1))
-    };
     // Pack a shared right-hand side once (only worth it when some item is
-    // in the packed/quant tier and the B really is the same allocation).
-    let shared_packed: Option<PackedB<T>> = if shares_rhs(AutoTier::Packed) {
-        Some(pack_b(pairs[0].1))
-    } else {
-        None
-    };
-    let shared_quant: Option<QuantPackedB> = if shares_rhs(AutoTier::Quant) {
-        Some(pack_b_quant(pairs[0].1))
-    } else {
-        None
-    };
+    // in the packed tier and the B really is the same allocation).
+    let shares_rhs = pairs.len() > 1
+        && tiers.contains(&AutoTier::Packed)
+        && pairs.iter().all(|&(_, b)| std::ptr::eq(b, pairs[0].1));
+    let shared_packed: Option<PackedB<T>> = shares_rhs.then(|| pack_b(pairs[0].1));
     let run_serial = |i: usize, slot: &mut Option<Matrix<T>>| {
         let (a, b) = pairs[i];
         *slot = Some(match tiers[i] {
             AutoTier::Blocked => gemm_blocked(a, b),
-            AutoTier::Quant => match &shared_quant {
-                Some(q) => gemm_quant_with(a, q),
-                None => gemm_quant(a, b),
-            },
             AutoTier::Packed => match &shared_packed {
                 Some(p) => gemm_packed_with(a, p),
                 None => gemm_packed(a, b),
@@ -1092,7 +972,6 @@ pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::quant_ring_available;
 
     fn fmat(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -1351,108 +1230,68 @@ mod tests {
     }
 
     #[test]
-    fn packed_sum_auto_matches_for_both_variants() {
-        // The fused Eq. 8 sum through explicit Std and Quant packs must
-        // agree bit-for-bit with each other and the oracle.
+    fn packed_sum_auto_matches_naive() {
+        // The fused Eq. 8 sum through `pack_b_auto` / `pack_matching` must
+        // agree bit-for-bit with the oracle.
         let l = umat(9, 40, 1);
         let e = umat(9, 33, 2);
         let f = umat(40, 11, 3);
         let b = umat(33, 11, 4);
         let expect = gemm_naive(&l, &f).add(&gemm_naive(&e, &b));
-        let f_std: AutoPackedB<u64> = AutoPackedB(Packing::Std(pack_b(&f)));
-        let b_std = f_std.pack_matching(&b);
-        assert_eq!(gemm_packed_sum_auto(&[(&l, &f_std), (&e, &b_std)]), expect);
-        let f_q: AutoPackedB<u64> = AutoPackedB(Packing::Quant(pack_b_quant(&f)));
-        let b_q = f_q.pack_matching(&b);
-        assert_eq!(gemm_packed_sum_auto(&[(&l, &f_q), (&e, &b_q)]), expect);
-        assert_eq!((f_q.k(), f_q.n()), (40, 11));
-        assert!(f_q.byte_size() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mix packed representations")]
-    fn packed_sum_auto_rejects_mixed_variants() {
-        let l = umat(4, 4, 1);
-        let f = umat(4, 4, 2);
-        let std: AutoPackedB<u64> = AutoPackedB(Packing::Std(pack_b(&f)));
-        let quant: AutoPackedB<u64> = AutoPackedB(Packing::Quant(pack_b_quant(&f)));
-        let _ = gemm_packed_sum_auto(&[(&l, &std), (&l, &quant)]);
-    }
-
-    #[test]
-    fn pack_b_auto_respects_carrier_and_size() {
-        // Small products, float carriers and ring products under the quant
-        // cutover always take the Std pack; the Quant pack appears for
-        // large, little-padded ring products on verified-AMX hosts, on any
-        // worker count — exactly the Quant tier.
-        let small = umat(8, 8, 1);
-        assert!(matches!(pack_b_auto(&small, 8).0, Packing::Std(_)));
-        let fb = fmat(64, 400, 1);
-        assert!(matches!(pack_b_auto(&fb, 4000).0, Packing::Std(_)));
-        let under = umat(256, 256, 1);
-        assert!(matches!(pack_b_auto(&under, 1024).0, Packing::Std(_)));
-        let big = umat(400, 400, 1);
-        assert_eq!(
-            matches!(pack_b_auto(&big, 1000).0, Packing::Quant(_)),
-            quant_ring_available()
-        );
+        let f_auto = pack_b_auto(&f, 9);
+        let b_auto = f_auto.pack_matching(&b);
+        assert_eq!(gemm_packed_sum_auto(&[(&l, &f_auto), (&e, &b_auto)]), expect);
+        assert_eq!((f_auto.k(), f_auto.n()), (40, 11));
+        assert!(f_auto.byte_size() > 0);
     }
 
     #[test]
     fn dispatch_table_over_workload_shape_classes() {
         use AutoTier::*;
-        // (m, k, n, tier on 2+ workers with AMX and AVX-512, with AVX-512
-        // alone, with neither). Fused Eq. 8 products count both terms' k.
-        // On one worker every `Parallel` below is `Packed`; the other tiers
-        // do not depend on the worker count.
+        // (m, k, n, tier on 2+ workers with AVX-512, without it). Fused
+        // Eq. 8 products count both terms' k. On one worker every
+        // `Parallel` below is `Packed`; `Blocked` does not depend on the
+        // worker count.
         let table = [
-            // MLP first layer, fused [L|E] x [F;B_i]: under the quant cutover.
-            (128, 6272, 128, Parallel, Parallel, Parallel),
+            // MLP first layer, fused [L|E] x [F;B_i].
+            (128, 6272, 128, Parallel, Parallel),
             // MLP first-layer weight gradient, fused.
-            (3136, 256, 128, Parallel, Parallel, Parallel),
+            (3136, 256, 128, Parallel, Parallel),
             // CNN dense layer, fused: under the generic parallel cutover.
-            (64, 9216, 64, Parallel, Parallel, Packed),
-            // CNN im2col product, fused: pads 5.1x, so never Quant.
-            (36864, 50, 8, Parallel, Parallel, Packed),
+            (64, 9216, 64, Parallel, Packed),
+            // CNN im2col product, fused.
+            (36864, 50, 8, Parallel, Packed),
             // CNN conv weight gradient, fused.
-            (25, 73728, 8, Parallel, Parallel, Packed),
+            (25, 73728, 8, Parallel, Packed),
             // TCP session (batch 8) first layer, fused: one row tile.
-            (8, 4096, 128, Packed, Packed, Packed),
+            (8, 4096, 128, Packed, Packed),
             // MLP hidden layer, fused: under the ring banding floor.
-            (128, 256, 64, Packed, Packed, Packed),
+            (128, 256, 64, Packed, Packed),
             // Exactly the ring banding floor, and just under it.
-            (64, 256, 256, Parallel, Parallel, Packed),
-            (64, 256, 255, Packed, Packed, Packed),
+            (64, 256, 256, Parallel, Packed),
+            (64, 256, 255, Packed, Packed),
             // Under the ring banding floor.
-            (32, 64, 32, Packed, Packed, Packed),
+            (32, 64, 32, Packed, Packed),
             // One served request.
-            (1, 2048, 1, Blocked, Blocked, Blocked),
-            // The quant cutover, and a cube over it.
-            (512, 512, 512, Quant, Parallel, Parallel),
-            (1024, 1024, 1024, Quant, Parallel, Parallel),
+            (1, 2048, 1, Blocked, Blocked),
+            // Cubes past every workload product.
+            (512, 512, 512, Parallel, Parallel),
+            (1024, 1024, 1024, Parallel, Parallel),
         ];
-        for (m, k, n, amx, simd, plain) in table {
+        for (m, k, n, simd, plain) in table {
             for workers in [1, 2, 4] {
                 let on = |tier| match tier {
                     Parallel if workers < 2 => Packed,
                     tier => tier,
                 };
-                let at = |quant, simd| auto_tier::<u64>(m, k, n, workers, quant, simd);
                 let case = format!("{m}x{k}x{n} workers {workers}");
-                assert_eq!(at(true, true), on(amx), "{case} amx");
-                assert_eq!(at(false, true), on(simd), "{case} avx-512");
-                assert_eq!(at(false, false), on(plain), "{case} neither");
-                // f32 takes neither ring kernel.
-                let f = auto_tier::<f32>(m, k, n, workers, true, true);
+                assert_eq!(auto_tier::<u64>(m, k, n, workers, true), on(simd), "{case} avx-512");
+                assert_eq!(auto_tier::<u64>(m, k, n, workers, false), on(plain), "{case} without");
+                // f32 never takes the ring kernel's floor.
+                let f = auto_tier::<f32>(m, k, n, workers, true);
                 assert_eq!(f, on(plain), "{case} f32");
             }
         }
-        // The padding gate, over the cutover: 16384 x 256 x 32 pads by
-        // exactly 1.0; the same volume as 65536 x 256 x 8 pads 4x and
-        // stays on the register-tiled kernel.
-        assert_eq!(auto_tier::<u64>(16384, 256, 32, 2, true, true), Quant);
-        assert_eq!(auto_tier::<u64>(65536, 256, 8, 2, true, true), Parallel);
-        assert_eq!(padded_volume(36864, 50, 8), 36864 * 64 * 32);
     }
 
     #[test]

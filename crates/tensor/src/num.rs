@@ -46,10 +46,8 @@ pub unsafe trait Num: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static
     /// over `u64` and whose `add`/`sub`/`mul`/`neg`/`mul_add` are exactly
     /// the wrapping `u64` ring operations. The GEMM kernels use this
     /// promise to route such carriers through the pinned monomorphic
-    /// `u64` micro-kernel, and the limb-split quantized kernel
-    /// (`crate::quant`) additionally relies on it to recode the raw bit
-    /// pattern into signed byte planes — both reinterpret slices in
-    /// place, so a false claim is undefined behavior, which is why
+    /// `u64` micro-kernel, which reinterprets slices in place, so a
+    /// false claim is undefined behavior, which is why
     /// implementing `Num` at all requires `unsafe impl` (see the
     /// trait-level safety contract).
     const WRAPPING_U64: bool = false;

@@ -6,7 +6,6 @@ use crate::gemm::{
 };
 use crate::half::quantize_f16;
 use crate::matrix::Matrix;
-use crate::quant;
 use crate::sparse::{density_of_zeros, Csr};
 use proptest::prelude::*;
 
@@ -158,50 +157,18 @@ proptest! {
         let rhs = gemm_blocked(&b.transpose(), &a.transpose());
         prop_assert_eq!(lhs, rhs);
     }
-
-    /// Balanced-digit recoding round-trips every u64 mod 2^64.
-    #[test]
-    fn quant_digits_roundtrip(v in any::<u64>()) {
-        prop_assert_eq!(quant::digits_roundtrip_for_tests(v), v);
-    }
 }
 
 proptest! {
-    // The quantized-GEMM identity cases run the scalar tile model, which
-    // is deliberately dumb (it mirrors the hardware per-lane); fewer,
-    // broader cases keep the debug-mode suite fast.
+    // Shapes up to 400 x 300 x 160 take a while in a debug build; fewer,
+    // broader cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The limb-split quantized GEMM is bit-identical to the reference
-    /// u64 kernel on random shapes and seeds — including non-square
-    /// shapes and K larger than the drain budget (64-byte budget forces a
-    /// drain after every tile step), on both backends wherever AMX is
-    /// available.
+    /// Across the serial, banding and blocked tiers, the dispatcher is
+    /// bit-identical to the packed ring kernel — whichever tier each
+    /// shape lands on.
     #[test]
-    fn quant_gemm_matches_reference(
-        (m, k, n) in (1usize..17, 1usize..90, 1usize..17),
-        seed in any::<u64>(),
-    ) {
-        let a = Matrix::from_fn(m, k, |r, c| {
-            seed.wrapping_mul(r as u64 ^ 0x243F_6A88).wrapping_add((c as u64) << 17)
-        });
-        let b = Matrix::from_fn(k, n, |r, c| {
-            seed.rotate_left(29).wrapping_add(r as u64).wrapping_mul((c as u64) | 1)
-        });
-        let oracle = gemm_packed(&a, &b);
-        for result in quant::all_backends_for_tests(&a, &b, 64, 1) {
-            prop_assert_eq!(&result, &oracle);
-        }
-        prop_assert_eq!(&quant::gemm_quant(&a, &b), &oracle);
-    }
-
-    /// Around the quant cutover (`m·k·n` = 4M) and across the padding
-    /// gate, the dispatcher and the banded quant kernel are bit-identical
-    /// to the packed ring kernel — whichever tier each shape lands on.
-    /// The tile kernel runs only where AMX verified: the scalar model is
-    /// far too slow at these sizes.
-    #[test]
-    fn quant_and_auto_match_packed_across_the_cutover(
+    fn auto_matches_packed_across_the_tiers(
         (m, k, n) in (1usize..400, 1usize..300, 1usize..160),
         seed in any::<u64>(),
     ) {
@@ -211,11 +178,7 @@ proptest! {
         let b = Matrix::from_fn(k, n, |r, c| {
             seed.rotate_left(41).wrapping_add(r as u64).wrapping_mul((c as u64) | 1)
         });
-        let oracle = gemm_packed(&a, &b);
-        prop_assert_eq!(&gemm_auto(&a, &b), &oracle);
-        if quant::quant_ring_available() {
-            prop_assert_eq!(&quant::gemm_quant(&a, &b), &oracle);
-        }
+        prop_assert_eq!(&gemm_auto(&a, &b), &gemm_packed(&a, &b));
     }
 }
 

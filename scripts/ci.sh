@@ -19,10 +19,10 @@ cargo build --release --offline --workspace
 ./target/release/figures
 cargo test -q --offline --workspace
 # Ring GEMMs run serial on a one-worker pool and in row bands over a larger
-# one: the AVX-512 kernel from 2^22 multiply-adds (`gemm_packed_sum` and
-# `gemm_auto` read one floor), the AMX limb-split kernel from 512^3. The
-# pool is sized from PSML_WORKERS at first use, so run the kernel crates
-# under both shapes whatever this host's cores.
+# one: on AVX-512 CPUs the explicit ring kernel bands from 2^22
+# multiply-adds (`gemm_packed_sum` and `gemm_auto` read one floor), every
+# other product from 48M. The pool is sized from PSML_WORKERS at first use,
+# so run the kernel crates under both shapes whatever this host's cores.
 for workers in 1 3; do
     PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
 done
@@ -67,6 +67,13 @@ tok_is_defs="$(grep -rn 'fn tok_is' crates/lint/src | wc -l)"
     echo "ci: psml-lint defines tok_is $tok_is_defs times; the helpers live in lint::tokens" >&2
     exit 1
 }
+
+# One register-tiled kernel family: the host GEMMs are intrinsics and
+# portable Rust. Inline assembly, or a raw `arch_prctl` asking the kernel
+# for tile state, is the deleted AMX limb-split tier growing back.
+if grep -rnE 'asm!|arch_prctl' crates; then
+    echo "ci: inline asm or arch_prctl under crates/ (listed above)" >&2; exit 1
+fi
 
 # One protocol core: the Beaver algebra lives in psml_mpc::protocol's
 # party-local steps, and the engine only schedules, charges and ships
