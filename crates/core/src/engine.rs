@@ -299,6 +299,15 @@ impl<R: SecureRing + GpuElement> ServerState<R> {
         self.end = self.end.max(t);
         t
     }
+
+    /// Applies a form that arrived on `stream` to its decoder and lends
+    /// the decoded matrix.
+    fn land(&mut self, stream: u64, form: TransmitForm<R>) -> Result<&Matrix<R>> {
+        let decoder = self.decoders.entry(stream).or_default();
+        decoder
+            .decode(form)
+            .map_err(|e| EngineError::Protocol(e.to_string()))
+    }
 }
 
 /// The three-party secure execution context.
@@ -710,20 +719,22 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     /// Moves one matrix from server `i` to its peer through the reliable
     /// channel, delta-compressing per `stream` on the way out and
     /// decoding on arrival (`stream` is a [`stream_id`] of the interned
-    /// call site and a channel constant). `now` is the instant the data
-    /// is ready on the sender.
+    /// call site and a channel constant), and returns what `open` makes
+    /// of the landed matrix. `now` is the instant the data is ready on
+    /// the sender.
     ///
     /// The stream is delta-encoded exactly once per logical transfer —
     /// retransmissions inside [`ReliableChannel::transfer`] resend the
     /// same payload bytes, so the receiver's mirror state advances once
     /// per call no matter how many frames the chaos layer eats.
-    fn transfer_mat(
+    fn transfer_mat<T>(
         &mut self,
         i: usize,
         stream: u64,
         m: &Matrix<R>,
         now: SimTime,
-    ) -> Result<Timed<Matrix<R>>> {
+        open: impl FnOnce(&Matrix<R>) -> T,
+    ) -> Result<Timed<T>> {
         let payload = if self.cfg.compression {
             let enc = self.servers[i]
                 .encoders
@@ -737,24 +748,25 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             // `m` is only lent to us and a `Payload` owns its matrix.
             Payload::Dense(m.clone())
         };
-        self.deliver(i, stream, &payload, now)
+        self.deliver(i, stream, &payload, now, open)
     }
 
     /// [`SecureContext::transfer_mat`] of a matrix the sender owns and
     /// keeps: with compression off it rides in the payload for the call
     /// and is moved back, where a lent one has to be copied.
-    fn transfer_kept(
+    fn transfer_kept<T>(
         &mut self,
         i: usize,
         stream: u64,
         m: &mut Matrix<R>,
         now: SimTime,
-    ) -> Result<Timed<Matrix<R>>> {
+        open: impl FnOnce(&Matrix<R>) -> T,
+    ) -> Result<Timed<T>> {
         if self.cfg.compression {
-            return self.transfer_mat(i, stream, m, now);
+            return self.transfer_mat(i, stream, m, now, open);
         }
         let payload = Payload::Dense(std::mem::replace(m, Matrix::zeros(0, 0)));
-        let landed = self.deliver(i, stream, &payload, now);
+        let landed = self.deliver(i, stream, &payload, now, open);
         if let Payload::Dense(sent) = payload {
             *m = sent;
         }
@@ -762,37 +774,40 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     }
 
     /// The wire half of a transfer: ships `payload` from server `i` at
-    /// `now` and applies what lands to the peer's `stream` decoder.
-    fn deliver(
+    /// `now` and runs `open` on the matrix that lands. With compression
+    /// on, that is the peer's `stream` decoder's mirror after applying
+    /// the payload; with it off, the payload's own dense matrix, and no
+    /// decoder is kept.
+    fn deliver<T>(
         &mut self,
         i: usize,
         stream: u64,
         payload: &Payload<R>,
         now: SimTime,
-    ) -> Result<Timed<Matrix<R>>> {
+        open: impl FnOnce(&Matrix<R>) -> T,
+    ) -> Result<Timed<T>> {
         let j = 1 - i;
         let (mut snd_clock, mut rcv_clock) = (now, SimTime::ZERO);
         let (from, to) = (SERVER[i], SERVER[j]);
         let pkt = self.wire.ship(from, &mut snd_clock, to, &mut rcv_clock, payload)?;
-        let form = match pkt.payload {
-            Payload::Dense(m) => TransmitForm::Full(m),
-            Payload::SparseDelta(c) => TransmitForm::Delta(c),
-            Payload::Control(c) => {
+        let v = match (pkt.payload, self.cfg.compression) {
+            (Payload::Dense(m), false) => open(&m),
+            (Payload::Dense(m), true) => open(self.servers[j].land(stream, TransmitForm::Full(m))?),
+            (Payload::SparseDelta(c), true) => {
+                open(self.servers[j].land(stream, TransmitForm::Delta(c))?)
+            }
+            (other, compression) => {
                 return Err(EngineError::Protocol(format!(
-                    "unexpected control message '{c}'"
+                    "unexpected {} on a matrix stream (compression {})",
+                    other.kind(),
+                    if compression { "on" } else { "off" }
                 )))
             }
         };
-        let decoded = self.servers[j]
-            .decoders
-            .entry(stream)
-            .or_default()
-            .decode(form)
-            .map_err(|e| EngineError::Protocol(e.to_string()))?;
         self.servers[i].note(snd_clock);
         self.servers[j].note(rcv_clock.max(pkt.available_at));
         Ok(Timed {
-            v: decoded,
+            v,
             ready: pkt.available_at,
         })
     }
@@ -826,12 +841,16 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     ) -> Result<[Masked<R>; 2]> {
         let [on_e, on_f] = chans.map(|chan| stream_id(site, chan));
         let mut open = |i: usize| -> Result<Masked<R>> {
-            let theirs = &mut masked[1 - i];
-            let e = self.transfer_kept(1 - i, on_e, &mut theirs.v.0, theirs.ready)?;
-            let f = self.transfer_kept(1 - i, on_f, &mut theirs.v.1, theirs.ready)?;
-            let mine = &masked[i];
+            let [m0, m1] = &mut masked;
+            let (mine, theirs) = if i == 0 { (&*m0, m1) } else { (&*m1, m0) };
+            let e = self.transfer_kept(1 - i, on_e, &mut theirs.v.0, theirs.ready, |e| {
+                reconstruct_public(&mine.v.0, e)
+            })?;
+            let f = self.transfer_kept(1 - i, on_f, &mut theirs.v.1, theirs.ready, |f| {
+                reconstruct_public(&mine.v.1, f)
+            })?;
             Ok(Timed {
-                v: (reconstruct_public(&mine.v.0, &e.v), reconstruct_public(&mine.v.1, &f.v)),
+                v: (e.v, f.v),
                 ready: mine.ready.max(e.ready).max(f.ready),
             })
         };
@@ -1190,13 +1209,10 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         }
         let dur = self.cpu_dur(3 * a.parts[0].v.byte_size());
         Ok(SharedMatrix::new(self.per_server(a.ready(), dur, |i| {
-            Matrix::from_fn(mask.rows(), mask.cols(), |r, c| {
-                if mask[(r, c)] != 0.0 {
-                    a.parts[i].v[(r, c)]
-                } else {
-                    R::zero()
-                }
-            })
+            let share = &a.parts[i].v;
+            let kept = share.as_slice().iter().zip(mask.as_slice());
+            let kept = kept.map(|(&x, &keep)| if keep != 0.0 { x } else { R::zero() });
+            Matrix::from_vec(share.rows(), share.cols(), kept.collect())
         })))
     }
 
@@ -1275,13 +1291,15 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             // channel and adds its own.
             let on = stream_id(self.site_id(key), CHAN_ACT);
             let mut fetch = |i: usize| {
-                let peer = &z.parts[1 - i];
-                self.transfer_mat(1 - i, on, &peer.v, peer.ready)
+                let (mine, peer) = (&z.parts[i].v, &z.parts[1 - i]);
+                self.transfer_mat(1 - i, on, &peer.v, peer.ready, |theirs| mine.add(theirs))
             };
-            let theirs = [fetch(0)?, fetch(1)?];
+            let mut sums = [fetch(0)?, fetch(1)?];
             let dur = self.cpu_dur(4 * z.parts[0].v.byte_size());
-            let ready = [0, 1].map(|i| z.parts[i].ready.max(theirs[i].ready));
-            let [z0, z1] = self.per_server(ready, dur, |i| z.parts[i].v.add(&theirs[i].v));
+            let ready = [0, 1].map(|i| z.parts[i].ready.max(sums[i].ready));
+            let [z0, z1] = self.per_server(ready, dur, |i| {
+                std::mem::replace(&mut sums[i].v, Matrix::zeros(0, 0))
+            });
             // Both servers hold identical z; apply f / f' and re-share
             // deterministically.
             debug_assert_eq!(z0.v, z1.v);
@@ -1468,7 +1486,9 @@ fn activate(
 mod tests {
     use super::*;
     use crate::config::AdaptivePolicy;
+    use psml_mpc::activation::{relu, relu_derivative};
     use psml_mpc::Fixed64;
+    use psml_tensor::{Csr, Num};
 
     fn ctx(cfg: EngineConfig) -> SecureContext<Fixed64> {
         SecureContext::new(cfg, 99)
@@ -1563,8 +1583,23 @@ mod tests {
         let mut ctx = ctx(EngineConfig::parsecureml());
         let a = plain(3, 4, 2.0);
         let sa = ctx.share_input(&a).unwrap();
-        let mask = PlainMatrix::from_fn(3, 4, |r, c| ((r + c) % 2) as f64);
+        // Any non-zero entry keeps, negative and fractional ones too.
+        let mask = PlainMatrix::from_fn(3, 4, |r, c| [0.0, 1.0, -0.5][(r + c) % 3]);
         let masked = ctx.mask_public(&sa, &mask).unwrap();
+        for i in 0..2 {
+            let (share, kept) = (&sa.parts[i].v, &masked.parts[i].v);
+            assert_eq!(kept.shape(), share.shape());
+            for r in 0..3 {
+                for c in 0..4 {
+                    let want = if mask[(r, c)] == 0.0 {
+                        Fixed64::zero()
+                    } else {
+                        share[(r, c)]
+                    };
+                    assert!(kept[(r, c)] == want, "share {i} at ({r},{c})");
+                }
+            }
+        }
         let revealed = masked.reveal_insecure();
         for r in 0..3 {
             for c in 0..4 {
@@ -1575,6 +1610,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn no_compression_keeps_no_mirrors() {
+        let mut ctx = ctx(EngineConfig::secureml());
+        let a = plain(6, 9, 1.0);
+        let b = plain(9, 4, 2.0);
+        for _ in 0..3 {
+            let c = ctx.secure_matmul_plain(&a, &b).unwrap();
+            assert!(c.max_abs_diff(&a.matmul(&b)) < 1e-2);
+        }
+        let z = ctx.share_input(&a).unwrap();
+        ctx.secure_activation(&z, relu, relu_derivative, "t")
+            .unwrap();
+        for s in &ctx.servers {
+            assert!(s.encoders.is_empty() && s.decoders.is_empty());
+        }
+    }
+
+    #[test]
+    fn sparse_delta_without_compression_is_a_protocol_error() {
+        let mut ctx = ctx(EngineConfig::secureml());
+        let delta = Payload::SparseDelta(Csr::from_dense(&Matrix::<Fixed64>::zeros(2, 2)));
+        let err = ctx
+            .deliver(0, 7, &delta, SimTime::ZERO, Matrix::clone)
+            .unwrap_err();
+        match err {
+            EngineError::Protocol(msg) => assert!(msg.contains("sparse-delta"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(ctx.servers[1].decoders.is_empty());
     }
 
     #[test]

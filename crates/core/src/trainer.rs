@@ -19,7 +19,7 @@ use psml_gpu::GpuElement;
 use psml_mpc::{PlainMatrix, SecureRing};
 #[cfg(test)]
 use psml_parallel::Mt19937;
-use psml_tensor::{im2col, ConvShape, Matrix, Num};
+use psml_tensor::{im2col_rows, ConvShape, Matrix, Num};
 use std::borrow::Cow;
 
 /// Result of a training run.
@@ -753,23 +753,14 @@ pub(crate) fn non_empty_plan(batch_size: usize, batches: usize) -> Result<()> {
     Ok(())
 }
 
-/// `batch x (ch*h*w)` -> `(batch*patches) x patch_len` via per-sample
-/// im2col, stacked.
+/// `batch x (ch*h*w)` -> `(batch*patches) x patch_len`: each sample's
+/// im2col patch rows, written straight into its block of the output.
 pub(crate) fn batched_im2col<T: Num>(x: &Matrix<T>, shape: &ConvShape) -> Matrix<T> {
-    let batch = x.rows();
-    let patches = shape.patches();
-    let plen = shape.patch_len();
-    let mut out = Matrix::zeros(batch * patches, plen);
-    for s in 0..batch {
-        let img = Matrix::from_vec(
-            shape.channels,
-            shape.height * shape.width,
-            x.row(s).to_vec(),
-        );
-        let p = im2col(&img, shape);
-        for r in 0..patches {
-            out.row_mut(s * patches + r).copy_from_slice(p.row(r));
-        }
+    let block = shape.patches() * shape.patch_len();
+    let mut out = Matrix::zeros(x.rows() * shape.patches(), shape.patch_len());
+    for s in 0..x.rows() {
+        let dst = &mut out.as_mut_slice()[s * block..(s + 1) * block];
+        im2col_rows(x.row(s), shape, dst);
     }
     out
 }
@@ -899,6 +890,26 @@ mod tests {
         assert_eq!(p.shape(), (2 * 4, 4));
         // Sample 1's first patch starts with element 100.
         assert_eq!(p[(4, 0)], 100);
+
+        // Every sample's block is its own im2col, on several channels.
+        let shape = ConvShape {
+            channels: 2,
+            height: 5,
+            width: 4,
+            kernel: 3,
+            filters: 1,
+        };
+        let x = Matrix::<u64>::from_fn(3, 40, |s, c| (s * 1000 + c * 7) as u64);
+        let p = batched_im2col(&x, &shape);
+        assert_eq!(p.shape(), (3 * shape.patches(), shape.patch_len()));
+        for s in 0..3 {
+            let img = Matrix::from_vec(2, 20, x.row(s).to_vec());
+            let want = psml_tensor::im2col(&img, &shape);
+            for r in 0..shape.patches() {
+                let got = p.row(s * shape.patches() + r);
+                assert_eq!(got, want.row(r), "sample {s} patch {r}");
+            }
+        }
     }
 
     #[test]

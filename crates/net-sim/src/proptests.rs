@@ -129,7 +129,7 @@ proptest! {
                 current[(r, c)] = val;
             }
             let got = dec.decode(enc.encode(&current)).unwrap();
-            prop_assert_eq!(got, current.clone());
+            prop_assert_eq!(got, &current);
         }
     }
 

@@ -71,24 +71,37 @@ pub fn im2col<T: Num>(input: &Matrix<T>, shape: &ConvShape) -> Matrix<T> {
         (shape.channels, shape.height * shape.width),
         "input shape mismatch"
     );
-    let (oh, ow, k) = (shape.out_h(), shape.out_w(), shape.kernel);
     let mut out = Matrix::zeros(shape.patches(), shape.patch_len());
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let patch_row = oy * ow + ox;
-            let dst = out.row_mut(patch_row);
-            let mut idx = 0;
-            for ch in 0..shape.channels {
-                for ky in 0..k {
-                    let src_row = (oy + ky) * shape.width + ox;
-                    let src = &input.row(ch)[src_row..src_row + k];
-                    dst[idx..idx + k].copy_from_slice(src);
-                    idx += k;
-                }
+    im2col_rows(input.as_slice(), shape, out.as_mut_slice());
+    out
+}
+
+/// [`im2col`] on raw row-major storage: writes the patch rows of one
+/// sample (`input`, its `channels x (H*W)` elements) into `out`, which
+/// holds exactly `patches x patch_len` elements — one sample's block of a
+/// batched patch matrix, say.
+///
+/// # Panics
+/// If the kernel does not fit, or either slice has the wrong length.
+pub fn im2col_rows<T: Num>(input: &[T], shape: &ConvShape, out: &mut [T]) {
+    shape.validate();
+    let (plane, k) = (shape.height * shape.width, shape.kernel);
+    assert_eq!(input.len(), shape.channels * plane, "input length mismatch");
+    assert_eq!(
+        out.len(),
+        shape.patches() * shape.patch_len(),
+        "output length mismatch"
+    );
+    let ow = shape.out_w();
+    for (patch_row, dst) in out.chunks_exact_mut(shape.patch_len()).enumerate() {
+        let (oy, ox) = (patch_row / ow, patch_row % ow);
+        for (ch, field) in dst.chunks_exact_mut(k * k).enumerate() {
+            for (ky, dst) in field.chunks_exact_mut(k).enumerate() {
+                let src = ch * plane + (oy + ky) * shape.width + ox;
+                dst.copy_from_slice(&input[src..src + k]);
             }
         }
     }
-    out
 }
 
 /// Convolution via im2col + GEMM. `kernels` has shape
@@ -198,6 +211,18 @@ mod tests {
         assert_eq!(patches.row(0), &[0.0, 1.0, 3.0, 4.0]);
         // Bottom-right patch: [4 5; 7 8].
         assert_eq!(patches.row(3), &[4.0, 5.0, 7.0, 8.0]);
+    }
+
+    #[test]
+    fn im2col_rows_fill_a_block_of_a_larger_buffer() {
+        let s = shape();
+        let inp = input(&s);
+        let block = s.patches() * s.patch_len();
+        let mut out = vec![-1.0f32; 3 * block];
+        im2col_rows(inp.as_slice(), &s, &mut out[block..2 * block]);
+        assert_eq!(&out[block..2 * block], im2col(&inp, &s).as_slice());
+        let outside = out[..block].iter().chain(&out[2 * block..]);
+        assert!(outside.copied().all(|v| v == -1.0));
     }
 
     #[test]

@@ -63,6 +63,53 @@ impl<T: Num> Csr<T> {
         }
     }
 
+    /// Builds the CSR matrix [`Csr::from_dense`] would of a `rows x cols`
+    /// matrix whose non-zeros are `entries`: `(row-major flat index,
+    /// value)` pairs in increasing index order, exactly `nnz` of them. No
+    /// dense matrix is needed, and each array is allocated once at its
+    /// final length.
+    ///
+    /// # Panics
+    /// As [`Csr::from_dense`]; also if an index is out of range or not
+    /// above the previous one, or if the entries do not number `nnz`.
+    pub fn from_row_major_entries(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        entries: impl IntoIterator<Item = (usize, T)>,
+    ) -> Self {
+        assert!(cols <= u32::MAX as usize, "too many columns for CSR");
+        assert!(nnz <= u32::MAX as usize, "too many non-zeros");
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0u32);
+        let mut next_free = 0;
+        for (at, v) in entries {
+            assert!(
+                at >= next_free && at < rows * cols,
+                "entry index out of order or range"
+            );
+            debug_assert!(!v.is_zero(), "CSR entries are non-zero");
+            next_free = at + 1;
+            // Close every row before this entry's.
+            while row_ptr.len() <= at / cols {
+                row_ptr.push(values.len() as u32);
+            }
+            col_idx.push((at % cols) as u32);
+            values.push(v);
+        }
+        assert_eq!(values.len(), nnz, "entry count differs from nnz");
+        row_ptr.resize(rows + 1, nnz as u32);
+        Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Expands back to a dense matrix.
     pub fn to_dense(&self) -> Matrix<T> {
         let mut out = Matrix::zeros(self.rows, self.cols);
@@ -115,7 +162,14 @@ impl<T: Num> Csr<T> {
 
     /// Whether shipping this matrix as CSR is smaller than dense.
     pub fn wins_over_dense(&self) -> bool {
-        self.byte_size() < self.rows * self.cols * T::BYTES
+        Self::would_win(self.rows, self.cols, self.nnz())
+    }
+
+    /// [`Csr::wins_over_dense`] of a `rows x cols` matrix with `nnz`
+    /// non-zeros, decided before it is built: its [`Csr::byte_size`] is
+    /// `(rows + 1 + nnz) * 4 + nnz * T::BYTES`.
+    pub fn would_win(rows: usize, cols: usize, nnz: usize) -> bool {
+        (rows + 1 + nnz) * 4 + nnz * T::BYTES < rows * cols * T::BYTES
     }
 
     /// Accessors for the raw arrays (wire encoding).
@@ -213,6 +267,49 @@ mod tests {
         let mut out = base.clone();
         csr.add_into(&mut out);
         assert_eq!(out, base.add(&delta));
+    }
+
+    #[test]
+    fn row_major_entries_build_what_from_dense_builds() {
+        // Empty leading, inner and trailing rows, and a 0-row matrix.
+        let mut m = Matrix::<f32>::zeros(5, 4);
+        m[(1, 0)] = 1.0;
+        m[(1, 3)] = -2.0;
+        m[(3, 2)] = f32::NAN;
+        for m in [m, sparse_matrix(), Matrix::zeros(0, 3), Matrix::zeros(3, 0)] {
+            let entries: Vec<(usize, f32)> = m
+                .as_slice()
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_zero())
+                .map(|(at, &v)| (at, v))
+                .collect();
+            let built = Csr::from_row_major_entries(m.rows(), m.cols(), entries.len(), entries);
+            let want = Csr::from_dense(&m);
+            assert_eq!(built.shape(), want.shape());
+            assert_eq!(built.raw_parts().0, want.raw_parts().0);
+            assert_eq!(built.raw_parts().1, want.raw_parts().1);
+            let bits = |c: &Csr<f32>| -> Vec<u32> {
+                c.raw_parts().2.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&built), bits(&want));
+            assert_eq!(
+                Csr::<f32>::would_win(m.rows(), m.cols(), want.nnz()),
+                want.wins_over_dense()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn row_major_entries_must_increase() {
+        let _ = Csr::from_row_major_entries(2, 2, 2, [(3, 1.0f32), (1, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from nnz")]
+    fn row_major_entries_must_number_nnz() {
+        let _ = Csr::from_row_major_entries(2, 2, 2, [(1, 1.0f32)]);
     }
 
     #[test]

@@ -116,6 +116,17 @@ write_alls="$(grep -c 'write_all(' <<<"$supervise_src" || true)"
     exit 1
 }
 
+# One read pass per compressed send: the delta+CSR encoder counts the
+# delta's non-zeros, then emits the CSR straight from `(next, mirror)`, and
+# the decoder lends its mirror. A materialised delta (a matrix `.sub(`;
+# element differences are spelled `R::sub`), `Csr::from_dense` on the send
+# path, or a copy of a mirror in non-test compress.rs is the old
+# encode/decode growing back.
+compress_src="$(sed '/^#\[cfg(test)\]/,$d' crates/net-sim/src/compress.rs | grep -v '^ *//')"
+if grep -nE 'Csr::from_dense\(|\.sub\(|\b(prev|base)\b[^;]*\.(clone|to_vec|to_owned)\(' <<<"$compress_src"; then
+    echo "ci: net-sim::compress materialises a delta or copies a mirror again (listed above)" >&2; exit 1
+fi
+
 # One lock site in the triple provider: `Shared::lock` / `Shared::wait`
 # recover a poisoned guard (entries enter the queues whole), so a panic on
 # either side of the hand-off is a typed error from `take` and never a second
