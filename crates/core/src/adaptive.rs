@@ -372,28 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_ring_modeling_shifts_placement_toward_cpu() {
-        // With the limb-split quantized ring path modeled, the GPU must
-        // charge all live limb-pair volumes for an exact Z_2^64 product
-        // (many times one f16 volume) — so a shape the default model
-        // narrowly offloads comes back to the host when exactness is
-        // required of the GPU too. 512^3 sits right at that boundary
-        // under the v100_node preset.
-        let cfg = cfg();
-        let quant = cfg.clone().with_model_quant_ring(true);
-        let (m, k, n) = (512, 512, 512);
-        let bytes = bytes_for(m, k, n);
-        assert!(
-            AdaptiveEngine::gpu_cost(&quant, m, k, n, bytes)
-                > AdaptiveEngine::gpu_cost(&cfg, m, k, n, bytes)
-        );
-        let mut auto_off = AdaptiveEngine::new(AdaptivePolicy::Auto);
-        let mut auto_on = AdaptiveEngine::new(AdaptivePolicy::Auto);
-        assert_eq!(auto_off.place(&cfg, m, k, n, bytes), Placement::Gpu);
-        assert_eq!(auto_on.place(&quant, m, k, n, bytes), Placement::Cpu);
-    }
-
-    #[test]
     fn measured_cost_flips_after_hysteresis_window() {
         // A shape the static model places on the GPU, but whose measured
         // spans come back far slower than the CPU alternative (the
@@ -487,7 +465,7 @@ mod tests {
         use psml_gpu::{Backend, SimBackend};
         let (m, k, n) = (192, 256, 128);
         let bytes = bytes_for(m, k, n);
-        for cfg in [cfg(), cfg().with_model_quant_ring(true), cfg().with_tensor_cores(false)] {
+        for cfg in [cfg(), cfg().with_tensor_cores(false)] {
             let want = AdaptiveEngine::gpu_cost(&cfg, m, k, n, bytes);
             let (label, dur) = Backend::<f32>::gemm_charge(
                 &SimBackend,

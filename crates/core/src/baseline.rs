@@ -1,19 +1,20 @@
 //! Non-secure baselines: plaintext training/inference on CPU or GPU.
 //!
-//! These implement the *same* [`ModelSpec`] networks as the secure trainer,
-//! over plaintext `f64` matrices, with simulated-time accounting from the
-//! same machine model. They are the comparison points of Table 1
+//! These run the *same* layer walk ([`crate::walk`]) as the secure
+//! trainer, over plaintext `f64` matrices, with simulated-time accounting
+//! from the same machine model. They are the comparison points of Table 1
 //! ("Original") and Table 2 ("GPU time").
 
 use crate::config::EngineConfig;
-use crate::error::{EngineError, Result};
-use crate::layers::{Activation, LayerSpec};
+use crate::error::Result;
+use crate::layers::Activation;
 use crate::models::{Loss, ModelSpec};
-use crate::trainer::{batched_im2col, column_slice, conv_to_rows, rows_to_conv};
+use crate::walk::{
+    self, batched_im2col, column_slice, conv_to_rows, non_empty_plan, pool_upsample,
+    pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Site,
+};
 use psml_data::DatasetKind;
 use psml_mpc::PlainMatrix;
-#[cfg(test)]
-use psml_parallel::Mt19937;
 use psml_simtime::SimDuration;
 use psml_tensor::ConvShape;
 
@@ -24,30 +25,6 @@ pub enum PlainBackend {
     Cpu,
     /// GPU with weights resident; inputs cross PCIe per batch.
     Gpu,
-}
-
-enum PlainCache {
-    Dense {
-        x: PlainMatrix,
-        mask: Option<PlainMatrix>,
-    },
-    Conv {
-        patches: PlainMatrix,
-        mask: Option<PlainMatrix>,
-        batch: usize,
-        shape: ConvShape,
-    },
-    Rnn {
-        last_x: PlainMatrix,
-        last_h_prev: PlainMatrix,
-        last_mask: PlainMatrix,
-    },
-    Pool {
-        channels: usize,
-        grid_h: usize,
-        grid_w: usize,
-        window: usize,
-    },
 }
 
 /// Result of a plaintext run.
@@ -64,6 +41,12 @@ pub struct PlainRunResult {
 /// A plaintext (non-secure) model with simulated-time accounting.
 pub struct PlainModel {
     spec: ModelSpec,
+    ops: Plain,
+}
+
+/// The plaintext driver of the layer walk: computes in `f64` and charges
+/// each op to the simulated clock of its backend.
+struct Plain {
     cfg: EngineConfig,
     backend: PlainBackend,
     weights: Vec<Vec<PlainMatrix>>,
@@ -72,28 +55,31 @@ pub struct PlainModel {
 
 impl PlainModel {
     /// Builds the model with the same weight initialization stream as
-    /// [`crate::SecureTrainer`] (same seed -> same initial weights).
+    /// [`crate::SecureTrainer`] (same seed -> same initial weights). An
+    /// inconsistent `cfg` or `spec` is an [`crate::EngineError::Config`].
     pub fn new(cfg: EngineConfig, spec: ModelSpec, backend: PlainBackend, seed: u32) -> Result<Self> {
-        spec.validate()?;
+        walk::check_model(&cfg, &spec)?;
         let weights = spec.init_weights(seed);
-        let upload: usize = weights.iter().flatten().map(PlainMatrix::byte_size).sum();
-        let mut model = PlainModel {
-            spec,
-            cfg,
-            backend,
-            weights,
-            elapsed: SimDuration::ZERO,
-        };
+        let mut elapsed = SimDuration::ZERO;
         if backend == PlainBackend::Gpu {
             // One-time weight residency transfer.
-            model.elapsed += model.cfg.machine.gpu.pcie.transfer_time(upload);
+            let upload: usize = weights.iter().flatten().map(PlainMatrix::byte_size).sum();
+            elapsed += cfg.machine.gpu.pcie.transfer_time(upload);
         }
-        Ok(model)
+        Ok(PlainModel {
+            spec,
+            ops: Plain {
+                cfg,
+                backend,
+                weights,
+                elapsed,
+            },
+        })
     }
 
     /// Accumulated simulated time.
     pub fn elapsed(&self) -> SimDuration {
-        self.elapsed
+        self.ops.elapsed
     }
 
     /// The model specification.
@@ -101,6 +87,56 @@ impl PlainModel {
         &self.spec
     }
 
+    /// Trains on one batch; returns the loss.
+    pub fn train_batch(&mut self, x: &PlainMatrix, y: &PlainMatrix) -> Result<f64> {
+        walk::step(&mut self.ops, &self.spec, x, y)
+    }
+
+    /// Plain inference on one batch.
+    pub fn infer_batch(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
+        walk::forward(&mut self.ops, &self.spec, x)
+    }
+
+    /// Trains over dataset batches, mirroring
+    /// [`crate::SecureTrainer::train`].
+    pub fn train(
+        &mut self,
+        dataset: DatasetKind,
+        batch_size: usize,
+        batches: usize,
+        seed: u32,
+    ) -> Result<PlainRunResult> {
+        non_empty_plan(batch_size, batches)?;
+        let mut losses = Vec::with_capacity(batches);
+        let mut accuracy = 0.0;
+        for b in 0..batches {
+            let data = psml_data::batch(dataset, batch_size, b, seed);
+            let y = self.targets_for(&data);
+            losses.push(self.train_batch(&data.x, &y)?);
+            if b + 1 == batches {
+                let out = self.infer_batch(&data.x)?;
+                accuracy = self.accuracy(&out, &y);
+            }
+        }
+        Ok(PlainRunResult {
+            losses,
+            elapsed: self.ops.elapsed,
+            accuracy,
+        })
+    }
+
+    /// Maps a dataset batch to targets ([`ModelSpec::targets_for`]).
+    pub fn targets_for(&self, data: &psml_data::Batch) -> PlainMatrix {
+        self.spec.targets_for(data)
+    }
+
+    /// Fraction of rows predicted correctly ([`ModelSpec::accuracy`]).
+    pub fn accuracy(&self, pred: &PlainMatrix, y: &PlainMatrix) -> f64 {
+        self.spec.accuracy(pred, y)
+    }
+}
+
+impl Plain {
     fn charge_gemm(&mut self, m: usize, k: usize, n: usize) {
         self.elapsed += match self.backend {
             PlainBackend::Cpu => self.cfg.cpu_gemm_time(m, k, n),
@@ -124,266 +160,128 @@ impl PlainModel {
             self.elapsed += self.cfg.machine.gpu.pcie.transfer_time(bytes);
         }
     }
+}
 
-    fn apply_activation(
+/// Each op's charge is its own: GEMMs at the backend's GEMM rate; the
+/// layout transforms that write a new matrix (im2col, conv output rows)
+/// two passes over their output; the pool and its adjoint one charge for
+/// sum and scale together; slicing, transposes and masks nothing; a
+/// layer's weight update one pass of three over all its gradients.
+impl LayerOps for Plain {
+    type M = PlainMatrix;
+    type Mask = PlainMatrix;
+    type Targets = PlainMatrix;
+
+    fn dims(m: &PlainMatrix) -> (usize, usize) {
+        m.shape()
+    }
+    fn target_dims(y: &PlainMatrix) -> (usize, usize) {
+        y.shape()
+    }
+    /// On the GPU backend the batch crosses PCIe in, the prediction out.
+    fn load(&mut self, x: &PlainMatrix) {
+        self.charge_io(x.byte_size());
+    }
+    fn unload(&mut self, y: &PlainMatrix) {
+        self.charge_io(y.byte_size());
+    }
+    fn mul(&mut self, x: &PlainMatrix, w: Param, _: Site) -> Result<PlainMatrix> {
+        let z = x.matmul(&self.weights[w.layer][w.which]);
+        self.charge_gemm(x.rows(), x.cols(), z.cols());
+        Ok(z)
+    }
+    fn mul_by_t(&mut self, d: &PlainMatrix, w: Param, _: Site) -> Result<PlainMatrix> {
+        let z = d.matmul(&self.weights[w.layer][w.which].transpose());
+        self.charge_gemm(d.rows(), d.cols(), z.cols());
+        Ok(z)
+    }
+    fn mul_t(&mut self, a: &PlainMatrix, d: &PlainMatrix, _: Site) -> Result<PlainMatrix> {
+        let z = a.transpose().matmul(d);
+        self.charge_gemm(a.cols(), a.rows(), d.cols());
+        Ok(z)
+    }
+    fn add(&mut self, a: &PlainMatrix, b: &PlainMatrix) -> Result<PlainMatrix> {
+        let z = a.add(b);
+        self.charge_elementwise(3 * z.byte_size());
+        Ok(z)
+    }
+    fn zeros(&mut self, rows: usize, cols: usize) -> PlainMatrix {
+        PlainMatrix::zeros(rows, cols)
+    }
+    fn activate(
         &mut self,
         z: PlainMatrix,
-        activation: Activation,
-    ) -> (PlainMatrix, Option<PlainMatrix>) {
+        f: Activation,
+        _: Site,
+    ) -> Result<(PlainMatrix, Option<PlainMatrix>)> {
         self.charge_elementwise(2 * z.byte_size());
-        if activation.is_linear() {
-            (z, None)
-        } else {
-            let a = z.map(|x| activation.apply(x));
-            let mask = z.map(|x| if activation.derivative(x) != 0.0 { 1.0 } else { 0.0 });
-            (a, Some(mask))
+        if f.is_linear() {
+            return Ok((z, None));
         }
+        let a = z.map(|x| f.apply(x));
+        let mask = z.map(|x| if f.derivative(x) != 0.0 { 1.0 } else { 0.0 });
+        Ok((a, Some(mask)))
     }
-
-    fn forward(&mut self, x: &PlainMatrix) -> (PlainMatrix, Vec<PlainCache>) {
-        let batch = x.rows();
-        self.charge_io(x.byte_size());
-        let mut cur = x.clone();
-        let mut caches = Vec::new();
-        for li in 0..self.spec.layers.len() {
-            let layer = self.spec.layers[li].clone();
-            match layer {
-                LayerSpec::Dense { activation, .. } => {
-                    let w = &self.weights[li][0];
-                    let z = cur.matmul(w);
-                    self.charge_gemm(cur.rows(), cur.cols(), w.cols());
-                    let (a, mask) = self.apply_activation(z, activation);
-                    caches.push(PlainCache::Dense { x: cur, mask });
-                    cur = a;
-                }
-                LayerSpec::Conv2D { shape, activation } => {
-                    let patches = batched_im2col(&cur, &shape);
-                    self.charge_elementwise(2 * patches.byte_size());
-                    let w = &self.weights[li][0];
-                    let z = patches.matmul(w);
-                    self.charge_gemm(patches.rows(), patches.cols(), w.cols());
-                    let (a, mask) = self.apply_activation(z, activation);
-                    let flat = conv_to_rows(&a, batch, &shape);
-                    self.charge_elementwise(2 * flat.byte_size());
-                    caches.push(PlainCache::Conv {
-                        patches,
-                        mask,
-                        batch,
-                        shape,
-                    });
-                    cur = flat;
-                }
-                LayerSpec::AvgPool2D {
-                    channels,
-                    grid_h,
-                    grid_w,
-                    window,
-                } => {
-                    let summed =
-                        crate::trainer::pool_window_sum(&cur, channels, grid_h, grid_w, window);
-                    cur = summed.scale(1.0 / (window * window) as f64);
-                    self.charge_elementwise(2 * cur.byte_size());
-                    caches.push(PlainCache::Pool {
-                        channels,
-                        grid_h,
-                        grid_w,
-                        window,
-                    });
-                }
-                LayerSpec::Rnn {
-                    step_inputs,
-                    hidden,
-                    seq_len,
-                    activation,
-                } => {
-                    let mut h = PlainMatrix::zeros(batch, hidden);
-                    let mut last_x = PlainMatrix::zeros(0, 0);
-                    let mut last_h_prev = PlainMatrix::zeros(0, 0);
-                    let mut last_mask = PlainMatrix::from_fn(batch, hidden, |_, _| 1.0);
-                    for t in 0..seq_len {
-                        let x_t = column_slice(&cur, t * step_inputs, step_inputs);
-                        let zx = x_t.matmul(&self.weights[li][0]);
-                        self.charge_gemm(batch, step_inputs, hidden);
-                        let zh = h.matmul(&self.weights[li][1]);
-                        self.charge_gemm(batch, hidden, hidden);
-                        let z = zx.add(&zh);
-                        self.charge_elementwise(3 * z.byte_size());
-                        let h_prev = h.clone();
-                        let (h_new, mask) = self.apply_activation(z, activation);
-                        last_x = x_t;
-                        last_h_prev = h_prev;
-                        if let Some(m) = mask {
-                            last_mask = m;
-                        }
-                        h = h_new;
-                    }
-                    caches.push(PlainCache::Rnn {
-                        last_x,
-                        last_h_prev,
-                        last_mask,
-                    });
-                    cur = h;
-                }
-            }
-        }
-        self.charge_io(cur.byte_size());
-        (cur, caches)
+    fn ones(rows: usize, cols: usize) -> PlainMatrix {
+        PlainMatrix::from_fn(rows, cols, |_, _| 1.0)
     }
-
-    fn backward(&mut self, caches: Vec<PlainCache>, d: PlainMatrix) {
+    fn mask(&mut self, d: &PlainMatrix, mask: &PlainMatrix) -> Result<PlainMatrix> {
+        Ok(d.hadamard(mask))
+    }
+    fn im2col(&mut self, x: &PlainMatrix, shape: &ConvShape) -> PlainMatrix {
+        let patches = batched_im2col(x, shape);
+        self.charge_elementwise(2 * patches.byte_size());
+        patches
+    }
+    fn conv_to_rows(&mut self, y: &PlainMatrix, batch: usize, shape: &ConvShape) -> PlainMatrix {
+        let flat = conv_to_rows(y, batch, shape);
+        self.charge_elementwise(2 * flat.byte_size());
+        flat
+    }
+    fn rows_to_conv(&mut self, d: &PlainMatrix, batch: usize, shape: &ConvShape) -> PlainMatrix {
+        rows_to_conv(d, batch, shape)
+    }
+    fn column_slice(&mut self, x: &PlainMatrix, start: usize, width: usize) -> PlainMatrix {
+        column_slice(x, start, width)
+    }
+    fn pool(&mut self, x: &PlainMatrix, pool: PoolWindow) -> PlainMatrix {
+        let mean = pool_window_sum(x, pool).scale(pool.scale());
+        self.charge_elementwise(2 * mean.byte_size());
+        mean
+    }
+    fn unpool(&mut self, d: &PlainMatrix, pool: PoolWindow) -> PlainMatrix {
+        let up = pool_upsample(d, pool).scale(pool.scale());
+        self.charge_elementwise(2 * up.byte_size());
+        up
+    }
+    fn update(&mut self, layer: usize, grads: &[PlainMatrix]) -> Result<()> {
         let lr = self.cfg.learning_rate;
-        let mut d = d;
-        for (li, cache) in caches.into_iter().enumerate().rev() {
-            match cache {
-                PlainCache::Dense { x, mask } => {
-                    let dz = match &mask {
-                        Some(m) => d.hadamard(m),
-                        None => d.clone(),
-                    };
-                    let dw = x.transpose().matmul(&dz);
-                    self.charge_gemm(x.cols(), x.rows(), dz.cols());
-                    if li > 0 {
-                        d = dz.matmul(&self.weights[li][0].transpose());
-                        self.charge_gemm(dz.rows(), dz.cols(), self.weights[li][0].rows());
-                    }
-                    let bytes = self.weights[li][0].byte_size();
-                    let w = &mut self.weights[li][0];
-                    *w = w.sub(&dw.scale(lr));
-                    self.charge_elementwise(3 * bytes);
-                }
-                PlainCache::Conv {
-                    patches,
-                    mask,
-                    batch,
-                    shape,
-                } => {
-                    let dcols = rows_to_conv(&d, batch, &shape);
-                    let dz = match &mask {
-                        Some(m) => dcols.hadamard(m),
-                        None => dcols,
-                    };
-                    let dw = patches.transpose().matmul(&dz);
-                    self.charge_gemm(patches.cols(), patches.rows(), dz.cols());
-                    let bytes = self.weights[li][0].byte_size();
-                    let w = &mut self.weights[li][0];
-                    *w = w.sub(&dw.scale(lr));
-                    self.charge_elementwise(3 * bytes);
-                }
-                PlainCache::Pool {
-                    channels,
-                    grid_h,
-                    grid_w,
-                    window,
-                } => {
-                    let up =
-                        crate::trainer::pool_upsample(&d, channels, grid_h, grid_w, window);
-                    d = up.scale(1.0 / (window * window) as f64);
-                    self.charge_elementwise(2 * d.byte_size());
-                }
-                PlainCache::Rnn {
-                    last_x,
-                    last_h_prev,
-                    last_mask,
-                } => {
-                    let dz = d.hadamard(&last_mask);
-                    let dwx = last_x.transpose().matmul(&dz);
-                    self.charge_gemm(last_x.cols(), last_x.rows(), dz.cols());
-                    let dwh = last_h_prev.transpose().matmul(&dz);
-                    self.charge_gemm(last_h_prev.cols(), last_h_prev.rows(), dz.cols());
-                    let wx = &mut self.weights[li][0];
-                    *wx = wx.sub(&dwx.scale(lr));
-                    let wh = &mut self.weights[li][1];
-                    *wh = wh.sub(&dwh.scale(lr));
-                    self.charge_elementwise(3 * (dwx.byte_size() + dwh.byte_size()));
-                }
-            }
+        for (w, grad) in self.weights[layer].iter_mut().zip(grads) {
+            *w = w.sub(&grad.scale(lr));
         }
+        let bytes: usize = grads.iter().map(PlainMatrix::byte_size).sum();
+        self.charge_elementwise(3 * bytes);
+        Ok(())
     }
-
-    fn loss_grad(&mut self, pred: &PlainMatrix, y: &PlainMatrix) -> (PlainMatrix, f64) {
+    fn loss_grad(
+        &mut self,
+        pred: &PlainMatrix,
+        y: &PlainMatrix,
+        loss: Loss,
+    ) -> Result<(PlainMatrix, f64)> {
         let batch = pred.rows() as f64;
         self.charge_elementwise(3 * pred.byte_size());
-        match self.spec.loss {
-            Loss::Mse => {
-                let diff = pred.sub(y);
-                let loss = diff.as_slice().iter().map(|e| e * e).sum::<f64>() / batch;
-                (diff.scale(2.0 / batch), loss)
-            }
-            Loss::Hinge => {
-                let grad = PlainMatrix::from_fn(pred.rows(), pred.cols(), |r, c| {
-                    if 1.0 - y[(r, c)] * pred[(r, c)] > 0.0 {
-                        -y[(r, c)] / batch
-                    } else {
-                        0.0
-                    }
-                });
-                let loss = pred
-                    .as_slice()
-                    .iter()
-                    .zip(y.as_slice())
-                    .map(|(&p, &yv)| (1.0 - yv * p).max(0.0))
-                    .sum::<f64>()
-                    / batch;
-                (grad, loss)
-            }
-        }
-    }
-
-    /// Trains on one batch; returns the loss.
-    pub fn train_batch(&mut self, x: &PlainMatrix, y: &PlainMatrix) -> Result<f64> {
-        if x.cols() != self.spec.input_features() {
-            return Err(EngineError::Shape(format!(
-                "batch features {} != model features {}",
-                x.cols(),
-                self.spec.input_features()
-            )));
-        }
-        let (pred, caches) = self.forward(x);
-        let (grad, loss) = self.loss_grad(&pred, y);
-        self.backward(caches, grad);
-        Ok(loss)
-    }
-
-    /// Plain inference on one batch.
-    pub fn infer_batch(&mut self, x: &PlainMatrix) -> PlainMatrix {
-        self.forward(x).0
-    }
-
-    /// Trains over dataset batches, mirroring
-    /// [`crate::SecureTrainer::train`].
-    pub fn train(
-        &mut self,
-        dataset: DatasetKind,
-        batch_size: usize,
-        batches: usize,
-        seed: u32,
-    ) -> Result<PlainRunResult> {
-        let mut losses = Vec::with_capacity(batches);
-        let mut accuracy = 0.0;
-        for b in 0..batches {
-            let data = psml_data::batch(dataset, batch_size, b, seed);
-            let y = self.targets_for(&data);
-            losses.push(self.train_batch(&data.x, &y)?);
-            if b + 1 == batches {
-                let out = self.infer_batch(&data.x);
-                accuracy = self.accuracy(&out, &y);
-            }
-        }
-        Ok(PlainRunResult {
-            losses,
-            elapsed: self.elapsed,
-            accuracy,
-        })
-    }
-
-    /// Maps a dataset batch to targets ([`ModelSpec::targets_for`]).
-    pub fn targets_for(&self, data: &psml_data::Batch) -> PlainMatrix {
-        self.spec.targets_for(data)
-    }
-
-    /// Fraction of rows predicted correctly ([`ModelSpec::accuracy`]).
-    pub fn accuracy(&self, pred: &PlainMatrix, y: &PlainMatrix) -> f64 {
-        self.spec.accuracy(pred, y)
+        let grad = match loss {
+            Loss::Mse => pred.sub(y).scale(2.0 / batch),
+            Loss::Hinge => PlainMatrix::from_fn(pred.rows(), pred.cols(), |r, c| {
+                if 1.0 - y[(r, c)] * pred[(r, c)] > 0.0 {
+                    -y[(r, c)] / batch
+                } else {
+                    0.0
+                }
+            }),
+        };
+        Ok((grad, loss.value(pred, y)))
     }
 }
 
@@ -391,6 +289,7 @@ impl PlainModel {
 mod tests {
     use super::*;
     use crate::models::ModelKind;
+    use psml_parallel::Mt19937;
 
     fn build(kind: ModelKind, backend: PlainBackend) -> PlainModel {
         let spec = ModelSpec::build(kind, 64, None, 10).unwrap();
@@ -464,7 +363,7 @@ mod tests {
             SecureTrainer::<Fixed64>::new(EngineConfig::parsecureml(), spec, 21).unwrap();
         let mut rng = Mt19937::new(2);
         let x = PlainMatrix::from_fn(4, 16, |_, _| rng.next_f64() - 0.5);
-        let plain_out = plain.infer_batch(&x);
+        let plain_out = plain.infer_batch(&x).unwrap();
         let secure_out = secure
             .infer_request(&crate::serve::InferRequest::new(x.clone()))
             .unwrap()

@@ -50,17 +50,6 @@ pub struct EngineConfig {
     pub sparsity_threshold: f64,
     /// Use Tensor Cores for GPU GEMMs (Sec. 5.2).
     pub tensor_cores: bool,
-    /// Model a limb-split quantized ring GEMM (`GemmMode::QuantizedRing`)
-    /// in the *cost model*: GPU compute2 GEMMs are charged as 36 int8
-    /// limb-product volumes instead of one f16 product (exact ring
-    /// arithmetic has no f16 shortcut), and CPU compute2 GEMMs may charge
-    /// a simulated host tile unit's rate where it wins. It prices a
-    /// simulated unit only: every product still computes through
-    /// `gemm_auto`, which has no tile kernel. Changes charged durations —
-    /// and therefore placement and `RunReport` timings — so it defaults to
-    /// `false`, and only tests set it; the *functional* results are
-    /// bit-identical either way.
-    pub model_quant_ring: bool,
     /// CPU threads the *simulated* servers run host work on. 1 = serial.
     /// (The real host GEMM pool is sized by `PSML_WORKERS`, not here.)
     pub cpu_threads: usize,
@@ -133,7 +122,6 @@ impl EngineConfig {
             compression: true,
             sparsity_threshold: DEFAULT_SPARSITY_THRESHOLD,
             tensor_cores: true,
-            model_quant_ring: false,
             cpu_threads: MachineConfig::v100_node().cpu.cores,
             client_cpu_threads: MachineConfig::v100_node().cpu.cores,
             tuned_cpu_gemm: true,
@@ -160,7 +148,6 @@ impl EngineConfig {
             compression: false,
             sparsity_threshold: DEFAULT_SPARSITY_THRESHOLD,
             tensor_cores: false,
-            model_quant_ring: false,
             cpu_threads: 1,
             client_cpu_threads: 1,
             tuned_cpu_gemm: false,
@@ -203,13 +190,6 @@ impl EngineConfig {
     /// Returns this config with Tensor Cores toggled.
     pub fn with_tensor_cores(mut self, on: bool) -> Self {
         self.tensor_cores = on;
-        self
-    }
-
-    /// Returns this config with quantized-ring cost modeling toggled
-    /// (see [`EngineConfig::model_quant_ring`]).
-    pub fn with_model_quant_ring(mut self, on: bool) -> Self {
-        self.model_quant_ring = on;
         self
     }
 
@@ -265,44 +245,21 @@ impl EngineConfig {
         self
     }
 
-    /// `m * k * n` above which [`EngineConfig::model_quant_ring`] lets
-    /// the CPU cost model consider the tile unit. This is the simulated
-    /// paper machine's own rule, kept from the host measurement it was
-    /// calibrated on (even at 128³, ahead from 160³ up, against the
-    /// autovectorized ring kernel of the time). The host dispatcher
-    /// (`psml_tensor::gemm_auto`) has no tile tier, and no simulated value
-    /// may move with the host anyway.
-    const QUANT_MODEL_MIN_FLOPS: usize = 4_000_000;
-
     /// Time for an `(m x k) * (k x n)` CPU GEMM under this config's
-    /// thread count and kernel tuning. With
-    /// [`EngineConfig::model_quant_ring`] on, large products may charge
-    /// the tile unit's quantized-ring rate instead, where the model says
-    /// it wins (a simulated-machine rule, independent of which kernel
-    /// `gemm_auto` runs on this host).
+    /// thread count and kernel tuning.
     pub fn cpu_gemm_time(&self, m: usize, k: usize, n: usize) -> psml_simtime::SimDuration {
-        let standard = self
-            .machine
+        self.machine
             .cpu
-            .gemm_time_with(m, k, n, self.cpu_threads, self.tuned_cpu_gemm);
-        if self.model_quant_ring
-            && m.saturating_mul(k).saturating_mul(n) >= Self::QUANT_MODEL_MIN_FLOPS
-        {
-            standard.min(self.machine.cpu.quant_gemm_time(m, k, n))
-        } else {
-            standard
-        }
+            .gemm_time_with(m, k, n, self.cpu_threads, self.tuned_cpu_gemm)
     }
 
     /// The GEMM unit GPU compute2 offloads run on under this config:
-    /// tensor cores when enabled — as the exact limb-split quantized
-    /// pipeline when [`EngineConfig::model_quant_ring`] is on — CUDA-core
-    /// FP32 otherwise.
+    /// tensor cores when enabled, CUDA-core FP32 otherwise.
     pub fn gpu_gemm_mode(&self) -> GemmMode {
-        match (self.tensor_cores, self.model_quant_ring) {
-            (true, true) => GemmMode::QuantizedRing,
-            (true, false) => GemmMode::TensorCore,
-            (false, _) => GemmMode::Fp32,
+        if self.tensor_cores {
+            GemmMode::TensorCore
+        } else {
+            GemmMode::Fp32
         }
     }
 
@@ -428,36 +385,6 @@ mod tests {
             .with_policy(AdaptivePolicy::ForceGpu);
         assert!(!cfg.pipeline && !cfg.compression && !cfg.tensor_cores);
         assert_eq!(cfg.policy, AdaptivePolicy::ForceGpu);
-    }
-
-    #[test]
-    fn quant_ring_modeling_defaults_off_and_selects_units() {
-        // Off by default so existing run reports stay bit-identical.
-        let p = EngineConfig::parsecureml();
-        assert!(!p.model_quant_ring && !EngineConfig::secureml().model_quant_ring);
-        assert_eq!(p.gpu_gemm_mode(), psml_gpu::GemmMode::TensorCore);
-
-        let q = EngineConfig::parsecureml().with_model_quant_ring(true);
-        assert_eq!(q.gpu_gemm_mode(), psml_gpu::GemmMode::QuantizedRing);
-        assert_eq!(
-            q.clone().with_tensor_cores(false).gpu_gemm_mode(),
-            psml_gpu::GemmMode::Fp32,
-            "the quantized path rides the tensor units"
-        );
-        // CPU cost: never raised by the knob. The single-core tile-unit
-        // path wins against a serial host from 512^3 up, loses to the
-        // full multi-core model, and is ignored below the model's own
-        // cutover. The simulated machine keeps this rule whatever the host
-        // dispatcher runs, so no simulated value moves with the host.
-        let (m, k, n) = (512, 512, 512);
-        let mut p1 = p.clone();
-        p1.cpu_threads = 1;
-        let q1 = p1.clone().with_model_quant_ring(true);
-        assert!(q1.cpu_gemm_time(m, k, n) < p1.cpu_gemm_time(m, k, n));
-        assert_eq!(q1.cpu_gemm_time(16, 16, 16), p1.cpu_gemm_time(16, 16, 16));
-        assert_eq!(q.cpu_gemm_time(m, k, n), p.cpu_gemm_time(m, k, n));
-        // GPU cost: exact ring GEMM charges all live limb-pair volumes.
-        assert!(q.gpu_gemm_time(m, k, n) > p.gpu_gemm_time(m, k, n));
     }
 
     #[test]

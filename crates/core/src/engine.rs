@@ -37,7 +37,7 @@ use crate::error::{EngineError, Result};
 use crate::provider::{ProviderStats, TripleProvider};
 use crate::report::{PhaseBreakdown, RunReport};
 use psml_gpu::kernels::device_random;
-use psml_gpu::{GemmMode, GpuDevice, GpuElement, GpuError};
+use psml_gpu::{GpuDevice, GpuElement, GpuError};
 use psml_mpc::protocol::{finish, finish_hadamard, finish_packed, mask, reconstruct_public};
 use psml_mpc::{
     gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing, TripleShare,
@@ -475,14 +475,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     /// Charges the client for a triple's `Z = U x V` product.
     fn charge_client_product(&mut self, m: usize, k: usize, n: usize) -> Result<()> {
         let bytes = (m * k + k * n + m * n) * R::BYTES;
-        // The client's triple product always runs on the plain or
-        // Tensor-Core unit (never the quantized-ring charge model, which
-        // only applies to server compute2 — see `gpu_gemm_mode`).
-        let mode = if self.cfg.tensor_cores {
-            GemmMode::TensorCore
-        } else {
-            GemmMode::Fp32
-        };
+        let mode = self.cfg.gpu_gemm_mode();
         let cpu_cost = self.cfg.client_gemm_time(m, k, n);
         let gpu_cost = self.cfg.machine.gpu.gemm_time_mode(m, k, n, mode)
             + self.cfg.machine.gpu.pcie.transfer_time(bytes);

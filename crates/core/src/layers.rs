@@ -1,8 +1,11 @@
 //! Layer specifications for the benchmark models.
 //!
-//! Layers are *descriptions*; `SecureTrainer` interprets them over shares
-//! and `baseline::PlainModel` interprets them over plaintext, so both
-//! execute the identical network.
+//! Layers are *descriptions*. One walk interprets them, `crate::walk`'s
+//! `forward` and `step`, and three drivers run it: `SecureTrainer` over
+//! shares, `baseline::PlainModel` over plaintext, and the shape-only
+//! driver behind `ModelSpec::forward_schedule` / `step_schedule`. So the
+//! secure network, the plaintext baseline and the triple schedule are the
+//! same network by construction.
 
 use psml_mpc::activation as act;
 use psml_tensor::ConvShape;
@@ -155,15 +158,6 @@ impl LayerSpec {
             LayerSpec::AvgPool2D { .. } => vec![],
         }
     }
-
-    /// Number of triplet multiplications one forward pass performs.
-    pub fn forward_muls(&self) -> usize {
-        match self {
-            LayerSpec::Dense { .. } | LayerSpec::Conv2D { .. } => 1,
-            LayerSpec::Rnn { seq_len, .. } => 2 * seq_len,
-            LayerSpec::AvgPool2D { .. } => 0, // pooling is local
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +186,6 @@ mod tests {
         assert_eq!(l.input_features(), 784);
         assert_eq!(l.output_features(), 128);
         assert_eq!(l.weight_shapes(), vec![(784, 128)]);
-        assert_eq!(l.forward_muls(), 1);
     }
 
     #[test]
@@ -224,7 +217,6 @@ mod tests {
         assert_eq!(l.input_features(), 8 * 24 * 24);
         assert_eq!(l.output_features(), 8 * 12 * 12);
         assert!(l.weight_shapes().is_empty());
-        assert_eq!(l.forward_muls(), 0);
         assert!(l.activation().is_linear());
     }
 
@@ -239,6 +231,5 @@ mod tests {
         assert_eq!(l.input_features(), 64);
         assert_eq!(l.output_features(), 32);
         assert_eq!(l.weight_shapes(), vec![(16, 32), (32, 32)]);
-        assert_eq!(l.forward_muls(), 8);
     }
 }

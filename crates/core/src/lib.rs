@@ -46,6 +46,7 @@ pub mod report;
 pub mod serve;
 pub mod session;
 pub mod trainer;
+mod walk;
 
 pub use adaptive::{AdaptiveEngine, Placement, RecalEvent, Recalibrator};
 pub use config::{AdaptivePolicy, EngineConfig};

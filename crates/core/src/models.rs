@@ -2,6 +2,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::layers::{Activation, LayerSpec};
+use crate::walk::{self, Shapes};
 use psml_mpc::{PlainMatrix, TripleSpec};
 use psml_tensor::ConvShape;
 
@@ -77,6 +78,21 @@ pub enum Loss {
     Mse,
     /// Hinge loss with +-1 labels (SVM).
     Hinge,
+}
+
+impl Loss {
+    /// The batch loss of plaintext predictions against targets, summed
+    /// over elements and divided by the batch size.
+    pub(crate) fn value(self, pred: &PlainMatrix, y: &PlainMatrix) -> f64 {
+        let batch = pred.rows() as f64;
+        match self {
+            Loss::Mse => pred.sub(y).as_slice().iter().map(|e| e * e).sum::<f64>() / batch,
+            Loss::Hinge => {
+                let margins = pred.as_slice().iter().zip(y.as_slice());
+                margins.map(|(&p, &y)| (1.0 - y * p).max(0.0)).sum::<f64>() / batch
+            }
+        }
+    }
 }
 
 /// A complete model description.
@@ -303,22 +319,53 @@ impl ModelSpec {
         correct as f64 / pred.rows() as f64
     }
 
-    /// Total triplet multiplications per forward pass.
-    pub fn forward_muls(&self) -> usize {
-        self.layers.iter().map(LayerSpec::forward_muls).sum()
-    }
-
     /// The Beaver-triple shapes one secure forward pass consumes for a
     /// batch of `batch` samples, in the exact order
-    /// [`crate::SecureTrainer`] provisions them. Activations are
-    /// client-aided and consume no triples; pooling is local.
+    /// [`crate::SecureTrainer`] provisions them: the layer walk over
+    /// shapes ([`crate::walk`]). Activations are client-aided and consume
+    /// no triples; pooling is local.
     ///
     /// This is the declaration the prefetch pipeline
     /// ([`crate::TripleProvider`]) runs ahead on: the trainer enqueues it
     /// before the pass so offline generation overlaps online compute.
     pub fn forward_schedule(&self, batch: usize) -> Vec<TripleSpec> {
-        let mut sched = Vec::with_capacity(self.forward_muls());
-        for layer in &self.layers {
+        let mut shapes = Shapes::default();
+        walk::forward(&mut shapes, self, &(batch, self.input_features()))
+            .expect("a model's own input shape passes the walk's checks");
+        shapes.0
+    }
+
+    /// The triple shapes of one full training step — forward pass, loss
+    /// gradient, backward pass — in provisioning order (the backward half
+    /// walks the layers in reverse, as [`crate::SecureTrainer`] updates
+    /// them).
+    pub fn step_schedule(&self, batch: usize) -> Vec<TripleSpec> {
+        let mut shapes = Shapes::default();
+        let x = (batch, self.input_features());
+        walk::step(&mut shapes, self, &x, &(batch, self.outputs))
+            .expect("a model's own batch shapes pass the walk's checks");
+        shapes.0
+    }
+}
+
+fn argmax(row: &[f64]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The hand-derived schedules the walk replaced, kept as the oracle
+    /// the walk-derived [`ModelSpec::forward_schedule`] and
+    /// [`ModelSpec::step_schedule`] are checked against.
+    fn oracle_forward(spec: &ModelSpec, batch: usize) -> Vec<TripleSpec> {
+        let mut sched = Vec::new();
+        for layer in &spec.layers {
             match layer {
                 LayerSpec::Dense { inputs, outputs, .. } => {
                     sched.push(TripleSpec::Gemm {
@@ -359,21 +406,15 @@ impl ModelSpec {
         sched
     }
 
-    /// The triple shapes of one full training step — forward pass, loss
-    /// gradient, backward pass — in provisioning order (the backward half
-    /// walks the layers in reverse, mirroring
-    /// [`crate::SecureTrainer`]'s update order).
-    pub fn step_schedule(&self, batch: usize) -> Vec<TripleSpec> {
-        let mut sched = self.forward_schedule(batch);
-        if self.loss == Loss::Hinge {
-            // `margin = 1 - y o pred` needs one element-wise triple; the
-            // subgradient mask reuses the activation mechanism (no triple).
+    fn oracle_step(spec: &ModelSpec, batch: usize) -> Vec<TripleSpec> {
+        let mut sched = oracle_forward(spec, batch);
+        if spec.loss == Loss::Hinge {
             sched.push(TripleSpec::Hadamard {
                 m: batch,
-                n: self.outputs,
+                n: spec.outputs,
             });
         }
-        for (li, layer) in self.layers.iter().enumerate().rev() {
+        for (li, layer) in spec.layers.iter().enumerate().rev() {
             match layer {
                 LayerSpec::Dense { inputs, outputs, .. } => {
                     sched.push(TripleSpec::Gemm {
@@ -400,8 +441,6 @@ impl ModelSpec {
                 LayerSpec::Rnn {
                     step_inputs, hidden, ..
                 } => {
-                    // Truncated BPTT: one step of gradients, two weight
-                    // matrices.
                     sched.push(TripleSpec::Gemm {
                         m: *step_inputs,
                         k: batch,
@@ -417,19 +456,62 @@ impl ModelSpec {
         }
         sched
     }
-}
 
-fn argmax(row: &[f64]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn walk_schedules_match_the_hand_derived_oracle() {
+        let pooled = ModelSpec {
+            kind: ModelKind::Cnn,
+            layers: vec![
+                LayerSpec::Conv2D {
+                    shape: ConvShape {
+                        channels: 1,
+                        height: 8,
+                        width: 8,
+                        kernel: 3,
+                        filters: 2,
+                    },
+                    activation: Activation::Relu,
+                },
+                LayerSpec::AvgPool2D {
+                    channels: 2,
+                    grid_h: 6,
+                    grid_w: 6,
+                    window: 2,
+                },
+                LayerSpec::Dense {
+                    inputs: 18,
+                    outputs: 4,
+                    activation: Activation::None,
+                },
+            ],
+            loss: Loss::Mse,
+            outputs: 4,
+        };
+        let mut specs: Vec<ModelSpec> = ModelKind::ALL
+            .into_iter()
+            .map(|kind| ModelSpec::for_dataset(kind, psml_data::DatasetKind::Mnist).unwrap())
+            .collect();
+        specs.push(pooled);
+        // Both losses on every network, whatever its own.
+        let hinged: Vec<ModelSpec> = specs
+            .iter()
+            .map(|s| ModelSpec {
+                loss: match s.loss {
+                    Loss::Mse => Loss::Hinge,
+                    Loss::Hinge => Loss::Mse,
+                },
+                ..s.clone()
+            })
+            .collect();
+        specs.extend(hinged);
+        for spec in &specs {
+            for batch in [1, 7, 64] {
+                let what = format!("{:?}/{:?} batch {batch}", spec.kind, spec.loss);
+                assert_eq!(spec.forward_schedule(batch), oracle_forward(spec, batch), "{what}");
+                assert_eq!(spec.step_schedule(batch), oracle_step(spec, batch), "{what}");
+            }
+        }
+    }
 
     #[test]
     fn all_models_build_on_mnist_shapes() {
@@ -494,6 +576,6 @@ mod tests {
     fn rnn_requires_divisible_features() {
         assert!(ModelSpec::build(ModelKind::Rnn, 783, None, 10).is_err());
         let spec = ModelSpec::build(ModelKind::Rnn, 2048, None, 10).unwrap();
-        assert_eq!(spec.forward_muls(), 2 * 4 + 1);
+        assert_eq!(spec.forward_schedule(1).len(), 2 * 4 + 1);
     }
 }

@@ -62,7 +62,8 @@ use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::io;
 use crate::models::{ModelKind, ModelSpec};
-use crate::trainer::{non_empty_plan, SecureTrainer, TrainerCheckpoint};
+use crate::trainer::{SecureTrainer, TrainerCheckpoint};
+use crate::walk::non_empty_plan;
 use psml_data::DatasetKind;
 use psml_mpc::{Fixed64, PlainMatrix};
 use psml_net::{Endpoint, NodeId, Payload, Supervisor, SupervisorConfig, TcpTransport};

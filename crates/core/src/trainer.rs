@@ -1,26 +1,28 @@
 //! Secure training and inference over the benchmark models.
 //!
-//! The trainer interprets a [`ModelSpec`] over secret shares using the
-//! [`SecureContext`] primitives: every GEMM is a triplet multiplication
-//! (adaptively placed on CPU/GPU, pipelined, with compressed
-//! transmission), every activation the interactive reconstruct/re-share
-//! step, and every weight update a local share operation. Both forward
-//! and backward propagation run securely, as in the paper's Fig. 6.
+//! The trainer runs the layer walk ([`crate::walk`]) over secret shares
+//! using the [`SecureContext`] primitives: every GEMM is a triplet
+//! multiplication (adaptively placed on CPU/GPU, pipelined, with
+//! compressed transmission), every activation the interactive
+//! reconstruct/re-share step, and every weight update a local share
+//! operation. Both forward and backward propagation run securely, as in
+//! the paper's Fig. 6.
 
 use crate::config::EngineConfig;
 use crate::engine::{SecureContext, SharedMatrix};
 use crate::error::{EngineError, Result};
-use crate::layers::{Activation, LayerSpec};
+use crate::layers::Activation;
 use crate::models::{Loss, ModelSpec};
 use crate::report::RunReport;
 use crate::serve::{InferRequest, InferResponse, RequestReport};
+use crate::walk::{
+    self, batched_im2col, column_slice, conv_to_rows, non_empty_plan, pool_upsample,
+    pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Site,
+};
 use psml_data::DatasetKind;
 use psml_gpu::GpuElement;
 use psml_mpc::{PlainMatrix, SecureRing};
-#[cfg(test)]
-use psml_parallel::Mt19937;
-use psml_tensor::{im2col_rows, ConvShape, Matrix, Num};
-use std::borrow::Cow;
+use psml_tensor::ConvShape;
 
 /// Result of a training run.
 #[derive(Clone, Debug)]
@@ -73,32 +75,6 @@ pub struct InferenceResult {
     pub accuracy: f64,
 }
 
-enum Cache<'a, R: SecureRing> {
-    Dense {
-        /// The layer's input: the caller's shares for the first layer
-        /// (borrowed, not copied), the previous activation after that.
-        x: Cow<'a, SharedMatrix<R>>,
-        mask: Option<PlainMatrix>,
-    },
-    Conv {
-        patches: SharedMatrix<R>,
-        mask: Option<PlainMatrix>,
-        batch: usize,
-        shape: ConvShape,
-    },
-    Rnn {
-        last_x: SharedMatrix<R>,
-        last_h_prev: SharedMatrix<R>,
-        last_mask: PlainMatrix,
-    },
-    Pool {
-        channels: usize,
-        grid_h: usize,
-        grid_w: usize,
-        window: usize,
-    },
-}
-
 /// The secure three-party trainer.
 pub struct SecureTrainer<R: SecureRing + GpuElement> {
     ctx: SecureContext<R>,
@@ -114,8 +90,7 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
     /// uniform) and shares them to the servers (offline phase). An
     /// inconsistent `cfg` or `spec` is an [`EngineError::Config`].
     pub fn new(cfg: EngineConfig, spec: ModelSpec, seed: u32) -> Result<Self> {
-        cfg.validate()?;
-        spec.validate()?;
+        walk::check_model(&cfg, &spec)?;
         let init = spec.init_weights(seed);
         let mut trainer = SecureTrainer {
             ctx: SecureContext::new(cfg, seed),
@@ -222,298 +197,11 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         Ok(())
     }
 
-    fn apply_activation(
-        &mut self,
-        z: SharedMatrix<R>,
-        activation: Activation,
-        key: &str,
-    ) -> Result<(SharedMatrix<R>, Option<PlainMatrix>)> {
-        if activation.is_linear() {
-            Ok((z, None))
-        } else {
-            let (a, mask) = self.ctx.secure_activation(
-                &z,
-                move |x| activation.apply(x),
-                move |x| activation.derivative(x),
-                key,
-            )?;
-            Ok((a, Some(mask)))
-        }
-    }
-
-    /// Secure forward pass. Returns the (still-shared) outputs and the
-    /// caches backward propagation needs.
-    fn forward<'a>(
-        &mut self,
-        x: &'a SharedMatrix<R>,
-    ) -> Result<(SharedMatrix<R>, Vec<Cache<'a, R>>)> {
-        let batch = x.shape().0;
-        let mut cur = Cow::Borrowed(x);
-        let mut caches = Vec::with_capacity(self.spec.layers.len());
-        for (li, layer) in self.spec.layers.clone().iter().enumerate() {
-            match layer {
-                LayerSpec::Dense { activation, .. } => {
-                    let z =
-                        self.ctx
-                            .secure_mul_auto(&cur, &self.weights[li][0], &format!("l{li}.fwd"))?;
-                    let (a, mask) = self.apply_activation(z, *activation, &format!("l{li}"))?;
-                    caches.push(Cache::Dense { x: cur, mask });
-                    cur = Cow::Owned(a);
-                }
-                LayerSpec::Conv2D { shape, activation } => {
-                    let shape = *shape;
-                    let patches = self
-                        .ctx
-                        .map_local(&cur, move |m| batched_im2col(m, &shape));
-                    let z = self.ctx.secure_mul_auto(
-                        &patches,
-                        &self.weights[li][0],
-                        &format!("l{li}.fwd"),
-                    )?;
-                    let (a, mask) = self.apply_activation(z, *activation, &format!("l{li}"))?;
-                    let flat = self
-                        .ctx
-                        .map_local(&a, move |m| conv_to_rows(m, batch, &shape));
-                    caches.push(Cache::Conv {
-                        patches,
-                        mask,
-                        batch,
-                        shape,
-                    });
-                    cur = Cow::Owned(flat);
-                }
-                LayerSpec::AvgPool2D {
-                    channels,
-                    grid_h,
-                    grid_w,
-                    window,
-                } => {
-                    let (channels, grid_h, grid_w, window) =
-                        (*channels, *grid_h, *grid_w, *window);
-                    let summed = self.ctx.map_local(&cur, move |m| {
-                        pool_window_sum(m, channels, grid_h, grid_w, window)
-                    });
-                    // Mean = window sum x public 1/window^2.
-                    cur = Cow::Owned(
-                        self.ctx
-                            .scale_public(&summed, 1.0 / (window * window) as f64),
-                    );
-                    caches.push(Cache::Pool {
-                        channels,
-                        grid_h,
-                        grid_w,
-                        window,
-                    });
-                }
-                LayerSpec::Rnn {
-                    step_inputs,
-                    hidden,
-                    seq_len,
-                    activation,
-                } => {
-                    let (step_inputs, hidden, seq_len) = (*step_inputs, *hidden, *seq_len);
-                    let mut h = self.ctx.zeros_shared(batch, hidden);
-                    let mut last_x = None;
-                    let mut last_h_prev = None;
-                    let mut last_mask = None;
-                    for t in 0..seq_len {
-                        let x_t = self.ctx.map_local(&cur, move |m| {
-                            column_slice(m, t * step_inputs, step_inputs)
-                        });
-                        let zx = self.ctx.secure_mul_auto(
-                            &x_t,
-                            &self.weights[li][0],
-                            &format!("l{li}.t{t}.x"),
-                        )?;
-                        let zh = self.ctx.secure_mul_auto(
-                            &h,
-                            &self.weights[li][1],
-                            &format!("l{li}.t{t}.h"),
-                        )?;
-                        let z = self.ctx.add_shared(&zx, &zh)?;
-                        let h_prev = h.clone();
-                        let (h_new, mask) =
-                            self.apply_activation(z, *activation, &format!("l{li}.t{t}"))?;
-                        last_x = Some(x_t);
-                        last_h_prev = Some(h_prev);
-                        last_mask = mask.or(last_mask);
-                        h = h_new;
-                    }
-                    caches.push(Cache::Rnn {
-                        last_x: last_x.expect("seq_len >= 1"),
-                        last_h_prev: last_h_prev.expect("seq_len >= 1"),
-                        last_mask: last_mask
-                            .unwrap_or_else(|| PlainMatrix::from_fn(batch, hidden, |_, _| 1.0)),
-                    });
-                    cur = Cow::Owned(h);
-                }
-            }
-        }
-        Ok((cur.into_owned(), caches))
-    }
-
-    /// Secure backward pass from the loss gradient `d` (w.r.t. the model's
-    /// activated output), updating all weights in place.
-    fn backward(&mut self, caches: Vec<Cache<'_, R>>, d: SharedMatrix<R>) -> Result<()> {
-        let lr = self.ctx.config().learning_rate;
-        let mut d = d;
-        for (li, cache) in caches.into_iter().enumerate().rev() {
-            match cache {
-                Cache::Dense { x, mask } => {
-                    let dz = match &mask {
-                        Some(m) => self.ctx.mask_public(&d, m)?,
-                        None => d.clone(),
-                    };
-                    let xt = self.ctx.transpose_shared(&x);
-                    let dw = self
-                        .ctx
-                        .secure_mul_auto(&xt, &dz, &format!("l{li}.bwd.dw"))?;
-                    if li > 0 {
-                        let wt = self.ctx.transpose_shared(&self.weights[li][0]);
-                        d = self
-                            .ctx
-                            .secure_mul_auto(&dz, &wt, &format!("l{li}.bwd.dx"))?;
-                    }
-                    self.update_weight(li, 0, &dw, lr)?;
-                }
-                Cache::Conv {
-                    patches,
-                    mask,
-                    batch,
-                    shape,
-                } => {
-                    // d: (batch x patches*filters) -> (batch*patches x filters)
-                    let dcols = self
-                        .ctx
-                        .map_local(&d, move |m| rows_to_conv(m, batch, &shape));
-                    let dz = match &mask {
-                        Some(m) => self.ctx.mask_public(&dcols, m)?,
-                        None => dcols,
-                    };
-                    let pt = self.ctx.transpose_shared(&patches);
-                    let dw = self
-                        .ctx
-                        .secure_mul_auto(&pt, &dz, &format!("l{li}.bwd.dw"))?;
-                    self.update_weight(li, 0, &dw, lr)?;
-                    // Conv is the first layer: no dX needed.
-                }
-                Cache::Pool {
-                    channels,
-                    grid_h,
-                    grid_w,
-                    window,
-                } => {
-                    // d(mean-pool): broadcast each output gradient to its
-                    // window, scaled by 1/window^2. Purely local.
-                    let up = self.ctx.map_local(&d, move |m| {
-                        pool_upsample(m, channels, grid_h, grid_w, window)
-                    });
-                    d = self
-                        .ctx
-                        .scale_public(&up, 1.0 / (window * window) as f64);
-                }
-                Cache::Rnn {
-                    last_x,
-                    last_h_prev,
-                    last_mask,
-                } => {
-                    // Truncated BPTT (one step): gradients flow through the
-                    // final time step only. Documented simplification; the
-                    // secure-GEMM path exercised is identical.
-                    let dz = self.ctx.mask_public(&d, &last_mask)?;
-                    let xt = self.ctx.transpose_shared(&last_x);
-                    let dwx = self
-                        .ctx
-                        .secure_mul_auto(&xt, &dz, &format!("l{li}.bwd.dwx"))?;
-                    let ht = self.ctx.transpose_shared(&last_h_prev);
-                    let dwh = self
-                        .ctx
-                        .secure_mul_auto(&ht, &dz, &format!("l{li}.bwd.dwh"))?;
-                    self.update_weight(li, 0, &dwx, lr)?;
-                    self.update_weight(li, 1, &dwh, lr)?;
-                    // RNN is the first layer in our models: no dX needed.
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn update_weight(
-        &mut self,
-        layer: usize,
-        which: usize,
-        grad: &SharedMatrix<R>,
-        lr: f64,
-    ) -> Result<()> {
-        let step = self.ctx.scale_public(grad, lr);
-        let updated = self.ctx.sub_shared(&self.weights[layer][which], &step)?;
-        self.weights[layer][which] = updated;
-        Ok(())
-    }
-
-    /// Computes the loss gradient (shared) and the scalar loss (client
-    /// side, from the revealed predictions).
-    fn loss_grad(
-        &mut self,
-        pred: &SharedMatrix<R>,
-        pred_plain: &PlainMatrix,
-        y: &SharedMatrix<R>,
-        y_plain: &PlainMatrix,
-    ) -> Result<(SharedMatrix<R>, f64)> {
-        let batch = pred.shape().0 as f64;
-        match self.spec.loss {
-            Loss::Mse => {
-                let diff = self.ctx.sub_shared(pred, y)?;
-                let grad = self.ctx.scale_public(&diff, 2.0 / batch);
-                let loss = pred_plain
-                    .sub(y_plain)
-                    .as_slice()
-                    .iter()
-                    .map(|e| e * e)
-                    .sum::<f64>()
-                    / batch;
-                Ok((grad, loss))
-            }
-            Loss::Hinge => {
-                // margin = 1 - y o pred; subgradient = -y where margin > 0.
-                let yp = self.ctx.secure_hadamard(y, pred, "loss")?;
-                let ones = self
-                    .ctx
-                    .share_public(&PlainMatrix::from_fn(pred.shape().0, pred.shape().1, |_, _| 1.0));
-                let margin = self.ctx.sub_shared(&ones, &yp)?;
-                // Reveal-style mask via the activation mechanism (same
-                // leakage profile as activations; see psml-mpc docs).
-                let (_, mask) = self.ctx.secure_activation(
-                    &margin,
-                    |x| x.max(0.0),
-                    |x| if x > 0.0 { 1.0 } else { 0.0 },
-                    "loss.hinge",
-                )?;
-                let masked_y = self.ctx.mask_public(y, &mask)?;
-                let grad = self.ctx.scale_public(&masked_y, -1.0 / batch);
-                let loss = pred_plain
-                    .as_slice()
-                    .iter()
-                    .zip(y_plain.as_slice())
-                    .map(|(&p, &y)| (1.0 - y * p).max(0.0))
-                    .sum::<f64>()
-                    / batch;
-                Ok((grad, loss))
-            }
-        }
-    }
-
     /// Trains on one plaintext batch `(x, y)`; returns the batch loss.
     /// `x` is `batch x features`; `y` is `batch x outputs` (one-hot,
     /// scalar target, or +-1 labels depending on the model).
     pub fn train_batch(&mut self, x: &PlainMatrix, y: &PlainMatrix) -> Result<f64> {
-        if x.cols() != self.spec.input_features() {
-            return Err(EngineError::Shape(format!(
-                "batch features {} != model features {}",
-                x.cols(),
-                self.spec.input_features()
-            )));
-        }
+        walk::check_batch(&self.spec, x.shape(), Some(y.shape()))?;
         let xs = self.ctx.share_input(x)?;
         let ys = self.ctx.share_input(y)?;
         self.train_on_shared(&xs, &ys, y)
@@ -528,15 +216,18 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
         ys: &SharedMatrix<R>,
         y_plain: &PlainMatrix,
     ) -> Result<f64> {
+        // A bad batch is refused before its triples are declared.
+        walk::check_batch(&self.spec, xs.shape(), Some(ys.shape()))?;
         // Declare the whole step's triple shapes up front so the
         // provisioning pipeline generates them concurrently with the
         // online phase (no-op without `prefetch`).
         self.ctx
             .schedule_triples(&self.spec.step_schedule(xs.shape().0));
-        let (pred, caches) = self.forward(xs)?;
-        let pred_plain = self.ctx.reveal(&pred)?.v;
-        let (grad, loss) = self.loss_grad(&pred, &pred_plain, ys, y_plain)?;
-        self.backward(caches, grad)?;
+        let mut ops = Shares {
+            ctx: &mut self.ctx,
+            weights: &mut self.weights,
+        };
+        let loss = walk::step(&mut ops, &self.spec, xs, &(ys, y_plain))?;
         self.ctx.barrier();
         Ok(loss)
     }
@@ -659,7 +350,11 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
     /// the serve micro-batcher's folded window declaration) already did.
     pub(crate) fn infer_prescheduled(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
         let xs = self.ctx.share_input(x)?;
-        let (pred, _) = self.forward(&xs)?;
+        let mut ops = Shares {
+            ctx: &mut self.ctx,
+            weights: &mut self.weights,
+        };
+        let pred = walk::forward(&mut ops, &self.spec, &xs)?;
         let out = self.ctx.reveal(&pred)?.v;
         self.ctx.barrier();
         Ok(out)
@@ -741,175 +436,143 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
     }
 }
 
-/// A run over no batches, or over empty ones, has no loss and no last
-/// batch to score: refuse it before anything is shared. Both numbers can
-/// arrive from a command line or a session `begin` frame.
-pub(crate) fn non_empty_plan(batch_size: usize, batches: usize) -> Result<()> {
-    if batch_size == 0 || batches == 0 {
-        return Err(EngineError::Shape(format!(
-            "a run needs at least one batch of at least one sample, got {batches} x {batch_size}"
-        )));
+/// The secure driver of the layer walk ([`crate::walk`]): the ops call
+/// the [`SecureContext`] primitives on the trainer's context and shared
+/// weights.
+struct Shares<'a, R: SecureRing + GpuElement> {
+    ctx: &'a mut SecureContext<R>,
+    weights: &'a mut [Vec<SharedMatrix<R>>],
+}
+
+impl<'a, R: SecureRing + GpuElement> LayerOps for Shares<'a, R> {
+    type M = SharedMatrix<R>;
+    type Mask = PlainMatrix;
+    /// The shared targets and the client's plaintext copy (for the loss
+    /// value, computed client-side from the revealed predictions).
+    type Targets = (&'a SharedMatrix<R>, &'a PlainMatrix);
+
+    fn dims(m: &Self::M) -> (usize, usize) {
+        m.shape()
     }
-    Ok(())
-}
-
-/// `batch x (ch*h*w)` -> `(batch*patches) x patch_len`: each sample's
-/// im2col patch rows, written straight into its block of the output.
-pub(crate) fn batched_im2col<T: Num>(x: &Matrix<T>, shape: &ConvShape) -> Matrix<T> {
-    let block = shape.patches() * shape.patch_len();
-    let mut out = Matrix::zeros(x.rows() * shape.patches(), shape.patch_len());
-    for s in 0..x.rows() {
-        let dst = &mut out.as_mut_slice()[s * block..(s + 1) * block];
-        im2col_rows(x.row(s), shape, dst);
+    fn target_dims(y: &Self::Targets) -> (usize, usize) {
+        y.0.shape()
     }
-    out
-}
-
-/// `(batch*patches) x filters` -> `batch x (patches*filters)`.
-pub(crate) fn conv_to_rows<T: Num>(y: &Matrix<T>, batch: usize, shape: &ConvShape) -> Matrix<T> {
-    let n_patches = shape.patches();
-    let filters = shape.filters;
-    debug_assert_eq!(y.shape(), (batch * n_patches, filters));
-    Matrix::from_fn(batch, n_patches * filters, |s, j| {
-        let (p, f) = (j / filters, j % filters);
-        y[(s * n_patches + p, f)]
-    })
-}
-
-/// Inverse of [`conv_to_rows`].
-pub(crate) fn rows_to_conv<T: Num>(d: &Matrix<T>, batch: usize, shape: &ConvShape) -> Matrix<T> {
-    // See `conv_to_rows` for why this is not named `patches`.
-    let n_patches = shape.patches();
-    let filters = shape.filters;
-    debug_assert_eq!(d.shape(), (batch, n_patches * filters));
-    Matrix::from_fn(batch * n_patches, filters, |r, f| {
-        let (s, p) = (r / n_patches, r % n_patches);
-        d[(s, p * filters + f)]
-    })
-}
-
-/// Extracts `width` columns starting at `start`.
-pub(crate) fn column_slice<T: Num>(m: &Matrix<T>, start: usize, width: usize) -> Matrix<T> {
-    Matrix::from_fn(m.rows(), width, |r, c| m[(r, start + c)])
-}
-
-/// Non-overlapping window *sum* over the `(y*grid_w + x)*channels + c`
-/// layout; the mean's `1/window^2` factor is applied by the caller (it
-/// needs ring truncation on shares).
-pub(crate) fn pool_window_sum<T: Num>(
-    x: &Matrix<T>,
-    channels: usize,
-    grid_h: usize,
-    grid_w: usize,
-    window: usize,
-) -> Matrix<T> {
-    assert!(grid_h.is_multiple_of(window) && grid_w.is_multiple_of(window));
-    debug_assert_eq!(x.cols(), channels * grid_h * grid_w);
-    let (oh, ow) = (grid_h / window, grid_w / window);
-    Matrix::from_fn(x.rows(), channels * oh * ow, |s, j| {
-        let c = j % channels;
-        let p = j / channels;
-        let (py, px) = (p / ow, p % ow);
-        let mut acc = T::zero();
-        for wy in 0..window {
-            for wx in 0..window {
-                let y = py * window + wy;
-                let xx = px * window + wx;
-                acc = acc.add(x[(s, (y * grid_w + xx) * channels + c)]);
-            }
+    fn mul(&mut self, x: &Self::M, w: Param, site: Site) -> Result<Self::M> {
+        let w = &self.weights[w.layer][w.which];
+        self.ctx.secure_mul_auto(x, w, &site.to_string())
+    }
+    fn mul_by_t(&mut self, d: &Self::M, w: Param, site: Site) -> Result<Self::M> {
+        let wt = self.ctx.transpose_shared(&self.weights[w.layer][w.which]);
+        self.ctx.secure_mul_auto(d, &wt, &site.to_string())
+    }
+    fn mul_t(&mut self, a: &Self::M, d: &Self::M, site: Site) -> Result<Self::M> {
+        let at = self.ctx.transpose_shared(a);
+        self.ctx.secure_mul_auto(&at, d, &site.to_string())
+    }
+    fn add(&mut self, a: &Self::M, b: &Self::M) -> Result<Self::M> {
+        self.ctx.add_shared(a, b)
+    }
+    fn zeros(&mut self, rows: usize, cols: usize) -> Self::M {
+        self.ctx.zeros_shared(rows, cols)
+    }
+    fn activate(
+        &mut self,
+        z: Self::M,
+        f: Activation,
+        site: Site,
+    ) -> Result<(Self::M, Option<PlainMatrix>)> {
+        if f.is_linear() {
+            return Ok((z, None));
         }
-        acc
-    })
-}
-
-/// Adjoint of [`pool_window_sum`]: broadcasts each pooled gradient back to
-/// its window (the caller applies the `1/window^2` factor).
-pub(crate) fn pool_upsample<T: Num>(
-    d: &Matrix<T>,
-    channels: usize,
-    grid_h: usize,
-    grid_w: usize,
-    window: usize,
-) -> Matrix<T> {
-    let (oh, ow) = (grid_h / window, grid_w / window);
-    debug_assert_eq!(d.cols(), channels * oh * ow);
-    Matrix::from_fn(d.rows(), channels * grid_h * grid_w, |s, j| {
-        let c = j % channels;
-        let p = j / channels;
-        let (y, x) = (p / grid_w, p % grid_w);
-        let (py, px) = (y / window, x / window);
-        d[(s, (py * ow + px) * channels + c)]
-    })
+        let (a, mask) = self.ctx.secure_activation(
+            &z,
+            move |x| f.apply(x),
+            move |x| f.derivative(x),
+            &site.to_string(),
+        )?;
+        Ok((a, Some(mask)))
+    }
+    fn ones(rows: usize, cols: usize) -> PlainMatrix {
+        PlainMatrix::from_fn(rows, cols, |_, _| 1.0)
+    }
+    fn mask(&mut self, d: &Self::M, mask: &PlainMatrix) -> Result<Self::M> {
+        self.ctx.mask_public(d, mask)
+    }
+    fn im2col(&mut self, x: &Self::M, shape: &ConvShape) -> Self::M {
+        self.ctx.map_local(x, |m| batched_im2col(m, shape))
+    }
+    fn conv_to_rows(&mut self, y: &Self::M, batch: usize, shape: &ConvShape) -> Self::M {
+        self.ctx.map_local(y, |m| conv_to_rows(m, batch, shape))
+    }
+    fn rows_to_conv(&mut self, d: &Self::M, batch: usize, shape: &ConvShape) -> Self::M {
+        self.ctx.map_local(d, |m| rows_to_conv(m, batch, shape))
+    }
+    fn column_slice(&mut self, x: &Self::M, start: usize, width: usize) -> Self::M {
+        self.ctx.map_local(x, |m| column_slice(m, start, width))
+    }
+    fn pool(&mut self, x: &Self::M, pool: PoolWindow) -> Self::M {
+        let summed = self.ctx.map_local(x, |m| pool_window_sum(m, pool));
+        self.ctx.scale_public(&summed, pool.scale())
+    }
+    fn unpool(&mut self, d: &Self::M, pool: PoolWindow) -> Self::M {
+        let up = self.ctx.map_local(d, |m| pool_upsample(m, pool));
+        self.ctx.scale_public(&up, pool.scale())
+    }
+    fn update(&mut self, layer: usize, grads: &[Self::M]) -> Result<()> {
+        let lr = self.ctx.config().learning_rate;
+        for (w, grad) in self.weights[layer].iter_mut().zip(grads) {
+            let step = self.ctx.scale_public(grad, lr);
+            *w = self.ctx.sub_shared(w, &step)?;
+        }
+        Ok(())
+    }
+    /// The loss gradient stays shared; the scalar loss is the client's,
+    /// from the revealed predictions.
+    fn loss_grad(
+        &mut self,
+        pred: &Self::M,
+        &(y, y_plain): &Self::Targets,
+        loss: Loss,
+    ) -> Result<(Self::M, f64)> {
+        let pred_plain = self.ctx.reveal(pred)?.v;
+        let batch = pred.shape().0 as f64;
+        let grad = match loss {
+            Loss::Mse => {
+                let diff = self.ctx.sub_shared(pred, y)?;
+                self.ctx.scale_public(&diff, 2.0 / batch)
+            }
+            Loss::Hinge => {
+                // margin = 1 - y o pred; subgradient = -y where margin > 0.
+                let yp = self.ctx.secure_hadamard(y, pred, "loss")?;
+                let (rows, cols) = pred.shape();
+                let ones = self.ctx.share_public(&Self::ones(rows, cols));
+                let margin = self.ctx.sub_shared(&ones, &yp)?;
+                // Reveal-style mask via the activation mechanism (same
+                // leakage profile as activations; see psml-mpc docs).
+                let (_, mask) = self.ctx.secure_activation(
+                    &margin,
+                    |x| x.max(0.0),
+                    |x| if x > 0.0 { 1.0 } else { 0.0 },
+                    "loss.hinge",
+                )?;
+                let masked_y = self.ctx.mask_public(y, &mask)?;
+                self.ctx.scale_public(&masked_y, -1.0 / batch)
+            }
+        };
+        Ok((grad, loss.value(&pred_plain, y_plain)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::LayerSpec;
     use crate::models::ModelKind;
     use psml_mpc::Fixed64;
+    use psml_parallel::Mt19937;
 
     fn small_cfg() -> EngineConfig {
         EngineConfig::parsecureml()
-    }
-
-    #[test]
-    fn conv_reshape_helpers_are_inverse() {
-        let shape = ConvShape {
-            channels: 1,
-            height: 5,
-            width: 5,
-            kernel: 3,
-            filters: 2,
-        };
-        let batch = 3;
-        let y = Matrix::<u64>::from_fn(batch * shape.patches(), 2, |r, c| (r * 2 + c) as u64);
-        let rows = conv_to_rows(&y, batch, &shape);
-        assert_eq!(rows.shape(), (3, shape.patches() * 2));
-        assert_eq!(rows_to_conv(&rows, batch, &shape), y);
-    }
-
-    #[test]
-    fn column_slice_extracts() {
-        let m = Matrix::<u64>::from_fn(2, 6, |r, c| (r * 6 + c) as u64);
-        let s = column_slice(&m, 2, 3);
-        assert_eq!(s.shape(), (2, 3));
-        assert_eq!(s[(1, 0)], 8);
-    }
-
-    #[test]
-    fn batched_im2col_stacks_samples() {
-        let shape = ConvShape {
-            channels: 1,
-            height: 3,
-            width: 3,
-            kernel: 2,
-            filters: 1,
-        };
-        let x = Matrix::<u64>::from_fn(2, 9, |s, c| (s * 100 + c) as u64);
-        let p = batched_im2col(&x, &shape);
-        assert_eq!(p.shape(), (2 * 4, 4));
-        // Sample 1's first patch starts with element 100.
-        assert_eq!(p[(4, 0)], 100);
-
-        // Every sample's block is its own im2col, on several channels.
-        let shape = ConvShape {
-            channels: 2,
-            height: 5,
-            width: 4,
-            kernel: 3,
-            filters: 1,
-        };
-        let x = Matrix::<u64>::from_fn(3, 40, |s, c| (s * 1000 + c * 7) as u64);
-        let p = batched_im2col(&x, &shape);
-        assert_eq!(p.shape(), (3 * shape.patches(), shape.patch_len()));
-        for s in 0..3 {
-            let img = Matrix::from_vec(2, 20, x.row(s).to_vec());
-            let want = psml_tensor::im2col(&img, &shape);
-            for r in 0..shape.patches() {
-                let got = p.row(s * shape.patches() + r);
-                assert_eq!(got, want.row(r), "sample {s} patch {r}");
-            }
-        }
     }
 
     #[test]
@@ -1098,39 +761,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_helpers_are_adjoint_and_correct() {
-        // 2x2 mean over a 4x4 grid, 2 channels, layout (y*gw+x)*ch + c.
-        let (ch, gh, gw, w) = (2usize, 4usize, 4usize, 2usize);
-        let x = Matrix::<u64>::from_fn(1, ch * gh * gw, |_, j| j as u64);
-        let sum = pool_window_sum(&x, ch, gh, gw, w);
-        assert_eq!(sum.shape(), (1, ch * 2 * 2));
-        // Output (py=0,px=0,c=0) sums inputs at (0,0),(0,1),(1,0),(1,1).
-        let expect: u64 = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            .iter()
-            .map(|&(y, xx)| ((y * gw + xx) * ch) as u64)
-            .sum();
-        assert_eq!(sum[(0, 0)], expect);
-
-        // Adjoint check: <sum(x), d> == <x, upsample(d)> over the ring.
-        let d = Matrix::<u64>::from_fn(1, ch * 2 * 2, |_, j| (j * j + 1) as u64);
-        let up = pool_upsample(&d, ch, gh, gw, w);
-        let lhs: u64 = sum
-            .as_slice()
-            .iter()
-            .zip(d.as_slice())
-            .fold(0u64, |a, (&s, &dv)| a.wrapping_add(s.wrapping_mul(dv)));
-        let rhs: u64 = x
-            .as_slice()
-            .iter()
-            .zip(up.as_slice())
-            .fold(0u64, |a, (&xv, &uv)| a.wrapping_add(xv.wrapping_mul(uv)));
-        assert_eq!(lhs, rhs, "pooling operators are not adjoint");
-    }
-
-    #[test]
     fn secure_pooled_cnn_matches_plain() {
         use crate::baseline::{PlainBackend, PlainModel};
-        use psml_tensor::ConvShape;
         // Custom model: conv 8x8 k3 f2 -> avgpool 2 -> dense 18 -> 4.
         let shape = ConvShape {
             channels: 1,
@@ -1172,7 +804,7 @@ mod tests {
             .infer_request(&InferRequest::new(x.clone()))
             .unwrap()
             .output;
-        let p_out = plain.infer_batch(&x);
+        let p_out = plain.infer_batch(&x).unwrap();
         assert!(
             s_out.max_abs_diff(&p_out) < 2e-2,
             "pooled CNN secure/plain diverged by {}",

@@ -98,7 +98,7 @@ mod tests {
     fn rate_table_matches_config_for_every_mode() {
         let cfg = GpuConfig::v100();
         let be = backend_for::<u64>(BackendKind::default());
-        for mode in [GemmMode::Fp32, GemmMode::TensorCore, GemmMode::QuantizedRing] {
+        for mode in [GemmMode::Fp32, GemmMode::TensorCore] {
             let (label, dur) = be.gemm_charge(&cfg, 32, 48, 16, mode);
             assert_eq!(label, mode.kernel_label());
             assert_eq!(dur, cfg.gemm_time_mode(32, 48, 16, mode));

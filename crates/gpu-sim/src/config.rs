@@ -10,28 +10,6 @@
 use crate::kernels::GemmMode;
 use psml_simtime::{LinkModel, SimDuration};
 
-/// Signed 8-bit digits per `u64` ring element in the simulated limb-split
-/// pipeline ([`GemmMode::QuantizedRing`]).
-const LIMBS: usize = 8;
-
-/// Live limb-product volumes of that pipeline: digit pairs `(p, q)` with
-/// `p + q < LIMBS`. The other 28 pairs shift by ≥ 64 bits and vanish mod
-/// 2^64.
-const LIVE_LIMB_PAIRS: usize = LIMBS * (LIMBS + 1) / 2;
-
-/// Advantage of a limb-split quantized ring GEMM on a host tile unit over
-/// the tuned serial `u64` kernel, as once measured at 1024³ on an AMX host
-/// against the autovectorized ring kernel (2.5-2.9x; DESIGN.md "No host
-/// tile kernel"). A constant of the simulated machine: no host kernel
-/// follows it.
-/// [`CpuConfig::quant_gemm_time`] scales the tuned per-core rate by this.
-const QUANT_RING_SPEEDUP: f64 = 2.6;
-
-/// Sustained int8 tensor-unit rate relative to the f16 rate: dense
-/// low-precision units run the 8-bit pipeline at twice the f16 FMA
-/// throughput (V100-generation DP4A/IMMA and later tensor units alike).
-const INT8_RATE_VS_TENSOR: f64 = 2.0;
-
 /// Simulated GPU parameters.
 #[derive(Clone, Debug)]
 pub struct GpuConfig {
@@ -89,32 +67,8 @@ impl GpuConfig {
 
     /// Time for a dense `(m x k) * (k x n)` GEMM on the unit `mode`
     /// selects.
-    ///
-    /// [`GemmMode::QuantizedRing`] models the paper's limb-split pipeline
-    /// for the `Z_{2^64}` carrier: [`LIVE_LIMB_PAIRS`] = 36 live
-    /// limb-product volumes on the int8 pipeline (at
-    /// [`INT8_RATE_VS_TENSOR`]x the f16 tensor rate), plus a
-    /// bandwidth-bound recombination of the [`LIMBS`] shifted i32 partial
-    /// planes into the `u64` output. The exactness this buys (no f16
-    /// rounding) costs real volume: for 64-bit rings the quantized path
-    /// is *slower* than the f16 mode and wins only against carriers that
-    /// cannot tolerate rounding.
     pub fn gemm_time_mode(&self, m: usize, k: usize, n: usize, mode: GemmMode) -> SimDuration {
-        match mode {
-            GemmMode::Fp32 => self.gemm_time(m, k, n, false),
-            GemmMode::TensorCore => self.gemm_time(m, k, n, true),
-            GemmMode::QuantizedRing => {
-                let flops = LIVE_LIMB_PAIRS as f64 * 2.0 * m as f64 * k as f64 * n as f64;
-                let rate = INT8_RATE_VS_TENSOR * self.tensor_gflops * 1e9;
-                let occupancy = (flops / (1 << 21) as f64).clamp(1.0 / 4096.0, 1.0);
-                // Each of the 8 shift planes reads an i32 partial and
-                // read-modify-writes the u64 output lane.
-                let recombine_bytes = LIMBS * m * n * 12;
-                self.launch()
-                    + SimDuration::from_secs(flops / (rate * occupancy))
-                    + SimDuration::from_secs(recombine_bytes as f64 / (self.mem_bw_gbs * 1e9))
-            }
-        }
+        self.gemm_time(m, k, n, mode == GemmMode::TensorCore)
     }
 
     /// Time for an element-wise kernel touching `bytes` of device memory.
@@ -222,21 +176,6 @@ impl CpuConfig {
             SimDuration::ZERO
         };
         region + SimDuration::from_secs(compute.max(floor))
-    }
-
-    /// Time for a limb-split quantized ring GEMM on the simulated host's
-    /// dense low-precision matrix unit (a single tile-driver thread, so
-    /// `threads` does not appear). The rate scales the tuned
-    /// serial rate by the measured [`QUANT_RING_SPEEDUP`]; the floor
-    /// charges the recode/recombine traffic (one digit byte per limb
-    /// plane of each operand element, plus the 8 shifted i32→u64 output
-    /// passes) at the tuned element-wise rate.
-    pub fn quant_gemm_time(&self, m: usize, k: usize, n: usize) -> SimDuration {
-        let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        let compute = flops / (self.gflops_per_core * 1e9 * QUANT_RING_SPEEDUP);
-        let pack_bytes = ((m * k + k * n) * 9 + m * n * 12 * 8) as f64;
-        let floor = pack_bytes / self.elem_bytes_per_core;
-        SimDuration::from_secs(compute.max(floor))
     }
 
     /// Time for an element-wise ring-arithmetic pass over `bytes` on

@@ -17,15 +17,6 @@ pub enum GemmMode {
     /// Tensor-Core GEMM (`cublasSgemmEx` under `CUBLAS_TENSOR_OP_MATH`):
     /// inputs rounded through binary16, FP32 accumulation.
     TensorCore,
-    /// Limb-split quantized ring GEMM on the tensor units (the paper's
-    /// Sec. 5.2 pipeline carried to 64-bit rings; simulated only): ring
-    /// operands recoded into signed 8-bit limb planes, the live limb-pair volumes
-    /// multiplied on the dense int8 pipeline, partials recombined with
-    /// wrapping shifts. **Exact** over ring carriers — unlike
-    /// [`GemmMode::TensorCore`] there is no f16 rounding anywhere — so
-    /// the functional kernel is plain `gemm_auto`; only the charged time
-    /// differs (see `GpuConfig::gemm_time_mode`).
-    QuantizedRing,
 }
 
 impl GemmMode {
@@ -36,7 +27,6 @@ impl GemmMode {
         match self {
             GemmMode::Fp32 => "gemm",
             GemmMode::TensorCore => "gemm_tc",
-            GemmMode::QuantizedRing => "gemm_quant",
         }
     }
 }
@@ -44,7 +34,7 @@ impl GemmMode {
 /// GEMM with the selected unit's numerics.
 pub fn gemm<R: GpuElement>(a: &Matrix<R>, b: &Matrix<R>, mode: GemmMode) -> Matrix<R> {
     match mode {
-        GemmMode::Fp32 | GemmMode::QuantizedRing => gemm_auto(a, b),
+        GemmMode::Fp32 => gemm_auto(a, b),
         GemmMode::TensorCore => {
             let aq = a.map(GpuElement::quantize_tc);
             let bq = b.map(GpuElement::quantize_tc);

@@ -39,7 +39,7 @@ fn main() {
     .expect("plain model");
     for b in 0..batches {
         let data = batch(dataset, batch_size, b, 17);
-        let _ = plain.infer_batch(&data.x);
+        plain.infer_batch(&data.x).expect("plain inference");
     }
 
     println!("secure CNN inference on {} ({} images/batch, {} batches)", dataset.spec().name, batch_size, batches);

@@ -84,6 +84,20 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/engine.rs \
     echo "ci: core::engine re-implements or re-owns the protocol steps (listed above)" >&2; exit 1
 fi
 
+# One layer walk: `core::walk` interprets a model's layers, and the secure
+# trainer, the plaintext baseline and the triple schedule are its drivers.
+# A `LayerSpec::` in non-test trainer.rs or baseline.rs, or a hand-built
+# `TripleSpec::Gemm {` in non-test models.rs, is a second copy of the
+# network growing back.
+for f in trainer baseline; do
+    if sed '/^mod tests {/,$d' "crates/core/src/$f.rs" | grep -n 'LayerSpec::'; then
+        echo "ci: core::$f interprets LayerSpec outside the layer walk (listed above)" >&2; exit 1
+    fi
+done
+if sed '/^mod tests {/,$d' crates/core/src/models.rs | grep -n 'TripleSpec::Gemm {'; then
+    echo "ci: core::models derives a triple schedule by hand again (listed above)" >&2; exit 1
+fi
+
 # One session protocol: the session calls the trainer (no epoch observer, no
 # rollback smuggled through the error type), and each control string is
 # spelled once, in `Control`'s Display; `Control::parse` matches bare tags.

@@ -53,6 +53,7 @@ fn prefetch_is_invisible_in_results_and_reports_across_models() {
         ModelKind::Mlp,
         ModelKind::Cnn,
         ModelKind::Rnn,
+        ModelKind::Linear,
         ModelKind::Svm,
         ModelKind::Logistic,
     ] {

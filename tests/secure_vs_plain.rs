@@ -6,6 +6,8 @@ use parsecureml::baseline::{PlainBackend, PlainModel};
 use parsecureml::prelude::*;
 use psml_parallel::Mt19937;
 
+mod common;
+
 const SEED: u32 = 77;
 
 fn small_spec(kind: ModelKind) -> ModelSpec {
@@ -35,7 +37,7 @@ fn initial_inference_matches_plain_for_every_model() {
             SecureTrainer::<Fixed64>::new(EngineConfig::parsecureml(), spec.clone(), SEED)
                 .unwrap();
         let x = batch_for(&spec, 6);
-        let plain_out = plain.infer_batch(&x);
+        let plain_out = plain.infer_batch(&x).unwrap();
         let secure_out = secure
             .infer_request(&InferRequest::new(x.clone()))
             .unwrap()
@@ -80,7 +82,7 @@ fn training_trajectories_stay_close_for_linear_models() {
             );
         }
         // Final weights agree too.
-        let pw = plain.infer_batch(&x);
+        let pw = plain.infer_batch(&x).unwrap();
         let sw = secure
             .infer_request(&InferRequest::new(x.clone()))
             .unwrap()
@@ -187,4 +189,148 @@ fn float_carrier_agrees_with_fixed_carrier() {
         "carriers disagree by {}",
         fixed_out.max_abs_diff(&float_out)
     );
+}
+
+/// A conv -> 2x2 average pool -> dense network on MNIST geometry: the
+/// one layer mix the paper's CNN does not have.
+fn pooled_cnn() -> ModelSpec {
+    let shape = psml_tensor::ConvShape {
+        channels: 1,
+        height: 28,
+        width: 28,
+        kernel: 5,
+        filters: 2,
+    };
+    let spec = ModelSpec {
+        kind: ModelKind::Cnn,
+        layers: vec![
+            LayerSpec::Conv2D {
+                shape,
+                activation: Activation::Relu,
+            },
+            LayerSpec::AvgPool2D {
+                channels: 2,
+                grid_h: 24,
+                grid_w: 24,
+                window: 2,
+            },
+            LayerSpec::Dense {
+                inputs: 2 * 12 * 12,
+                outputs: 10,
+                activation: Activation::None,
+            },
+        ],
+        loss: parsecureml::models::Loss::Mse,
+        outputs: 10,
+    };
+    spec.validate().unwrap();
+    spec
+}
+
+/// The plaintext baseline's simulated clock, bit for bit: one line per
+/// model and backend, the `elapsed()` bits after a two-batch `train` and
+/// after one more `infer_batch`. `figures.txt` pins plain times only for
+/// some models at reduced scale; this pins every layer kind's charges.
+#[test]
+fn plain_clock_is_unchanged() {
+    let dataset = DatasetKind::Mnist;
+    let mut specs: Vec<(String, ModelSpec)> = ModelKind::ALL
+        .into_iter()
+        .map(|kind| (kind.token().to_string(), ModelSpec::for_dataset(kind, dataset).unwrap()))
+        .collect();
+    specs.push(("pooled-cnn".to_string(), pooled_cnn()));
+    let mut out = String::new();
+    for (name, spec) in &specs {
+        for backend in [PlainBackend::Cpu, PlainBackend::Gpu] {
+            let mut plain =
+                PlainModel::new(EngineConfig::parsecureml(), spec.clone(), backend, SEED).unwrap();
+            plain.train(dataset, 8, 2, 3).unwrap();
+            let trained = plain.elapsed().as_secs();
+            let x = psml_data::batch(dataset, 5, 9, 3).x;
+            plain.infer_batch(&x).unwrap();
+            let inferred = plain.elapsed().as_secs();
+            out.push_str(&format!(
+                "{name} {backend:?} train={:016x} infer={:016x} ({trained:.9e} s, {inferred:.9e} s)\n",
+                trained.to_bits(),
+                inferred.to_bits()
+            ));
+        }
+    }
+    common::check_golden("tests/golden/plain_clock.txt", &out, "plaintext simulated clock");
+}
+
+/// The walk's entry checks are shared, so a bad input gets the same typed
+/// error from the plaintext driver as from the secure one — never a
+/// panic, a NaN loss or a model built on a NaN learning rate.
+#[test]
+fn both_drivers_refuse_bad_inputs_with_the_same_error() {
+    fn refused<T>(r: Result<T, EngineError>) -> EngineError {
+        match r {
+            Ok(_) => panic!("bad input accepted"),
+            Err(e) => e,
+        }
+    }
+    let spec = small_spec(ModelKind::Mlp);
+    let cfg = EngineConfig::parsecureml;
+    let plain = || PlainModel::new(cfg(), spec.clone(), PlainBackend::Cpu, SEED).unwrap();
+    let secure = || SecureTrainer::<Fixed64>::new(cfg(), spec.clone(), SEED).unwrap();
+    let nan_lr = || EngineConfig {
+        learning_rate: f64::NAN,
+        ..cfg()
+    };
+    let x = batch_for(&spec, 4);
+    let narrow = PlainMatrix::zeros(4, 63);
+    let y = PlainMatrix::zeros(4, 10);
+    let wrong_y = PlainMatrix::zeros(4, 3);
+    let synthetic = DatasetKind::Synthetic;
+    let shape = |e: &EngineError| matches!(e, EngineError::Shape(_));
+    let nan_rate = |e: &EngineError| {
+        matches!(e, EngineError::Config(ConfigError::LearningRate(lr)) if lr.is_nan())
+    };
+    // (bad input, expected variant, plaintext run, secure run)
+    type Run<'a> = Box<dyn Fn() -> EngineError + 'a>;
+    type Case<'a> = (&'a str, fn(&EngineError) -> bool, Run<'a>, Run<'a>);
+    let cases: Vec<Case> = vec![
+        (
+            "learning rate NaN",
+            nan_rate,
+            Box::new(|| refused(PlainModel::new(nan_lr(), spec.clone(), PlainBackend::Cpu, SEED))),
+            Box::new(|| refused(SecureTrainer::<Fixed64>::new(nan_lr(), spec.clone(), SEED))),
+        ),
+        (
+            "targets of the wrong shape",
+            shape,
+            Box::new(|| refused(plain().train_batch(&x, &wrong_y))),
+            Box::new(|| refused(secure().train_batch(&x, &wrong_y))),
+        ),
+        (
+            "inputs of the wrong width",
+            shape,
+            Box::new(|| refused(plain().train_batch(&narrow, &y))),
+            Box::new(|| refused(secure().train_batch(&narrow, &y))),
+        ),
+        (
+            "inference on inputs of the wrong width",
+            shape,
+            Box::new(|| refused(plain().infer_batch(&narrow))),
+            Box::new(|| refused(secure().infer_request(&InferRequest::new(narrow.clone())))),
+        ),
+        (
+            "a plan of empty batches",
+            shape,
+            Box::new(|| refused(plain().train(synthetic, 0, 1, 3))),
+            Box::new(|| refused(secure().train(synthetic, 0, 1, 3))),
+        ),
+        (
+            "a plan of no batches",
+            shape,
+            Box::new(|| refused(plain().train(synthetic, 4, 0, 3))),
+            Box::new(|| refused(secure().train(synthetic, 4, 0, 3))),
+        ),
+    ];
+    for (what, variant, plain_run, secure_run) in &cases {
+        let (p, s) = (plain_run(), secure_run());
+        assert!(variant(&p), "{what}: plaintext driver returned {p:?}");
+        assert!(variant(&s), "{what}: secure driver returned {s:?}");
+    }
 }

@@ -76,36 +76,6 @@ fn tracing_does_not_perturb_simulated_time() {
     }
 }
 
-#[test]
-fn quant_ring_modeling_never_changes_functional_results() {
-    let _serial = FLAG_LOCK.lock().unwrap();
-    // `model_quant_ring` only informs the cost model (placement and
-    // charged time). The trained model itself — every loss, every
-    // revealed weight — must be bit-identical with the knob on or off:
-    // the quantized kernel the modes stand for is exact over the ring.
-    let run = |on: bool| {
-        let cfg = EngineConfig::parsecureml().with_model_quant_ring(on);
-        let data = DatasetKind::Synthetic.spec();
-        let spec = ModelSpec::build(ModelKind::Mlp, data.features(), None, data.classes)
-            .expect("model");
-        let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec, 7).expect("trainer");
-        let result = trainer
-            .train_epochs(DatasetKind::Synthetic, 8, 2, 1, 19)
-            .expect("training");
-        (result.losses, trainer.reveal_weights(), trainer.report())
-    };
-    let (losses_off, weights_off, report_off) = run(false);
-    let (losses_on, weights_on, report_on) = run(true);
-    assert_eq!(
-        losses_off.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-        losses_on.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-        "losses drifted under quant-ring modeling"
-    );
-    assert_eq!(weights_off, weights_on, "weights drifted");
-    // The protocol shape is also unchanged; only placement may move.
-    assert_eq!(report_off.secure_muls, report_on.secure_muls);
-}
-
 /// A machine whose static model mispredicts: the GPU narrowly wins on
 /// paper (one launch, one bulk transfer) but the real compute2 pipeline
 /// pays ~5 kernel launches and ~6 per-operand PCIe latencies, so the
