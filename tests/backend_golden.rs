@@ -16,7 +16,9 @@
 //! the `e2e` profile reads. The fourth freezes the wire itself: the exact
 //! bytes of framed and stream-framed payloads and three CRC-32 values,
 //! which round-trip tests cannot hold because a change that moves encoder
-//! and decoder together passes them.
+//! and decoder together passes them. The fifth freezes the offline phase's
+//! draw order: the share bits of streamed Beaver triples and the outputs
+//! of the one-shot reference drivers, which consume a sequential stream.
 //!
 //! Regenerate (only for an *intentional* cost-model or numerics change,
 //! with the why recorded in the commit):
@@ -36,13 +38,16 @@ use psml_net::codec::{
     crc32, decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
     payload_bytes, StreamDecoder,
 };
+use psml_mpc::{gen_triple_streamed, secure_hadamard, secure_matmul_with, EvalStrategy};
 use psml_net::Payload;
+use psml_parallel::Mt19937;
 use psml_tensor::{ConvShape, Csr, Num};
 
 const REPORTS_GOLDEN: &str = "tests/golden/default_run_reports.txt";
 const DIGEST_GOLDEN: &str = "tests/golden/train_mlp_synthetic_seed42_digest.txt";
 const ENGINE_PATHS_GOLDEN: &str = "tests/golden/engine_path_reports.txt";
 const WIRE_GOLDEN: &str = "tests/golden/wire_frames.txt";
+const TRIPLES_GOLDEN: &str = "tests/golden/triples.txt";
 
 /// The pinned workload: two secure matmuls per preset — one small shape
 /// the adaptive engine keeps on the CPU, one large enough to offload —
@@ -265,4 +270,51 @@ fn wire_frames_are_unchanged() {
     }
     assert_eq!(received, pin.sent);
     assert_eq!((decoder.resyncs(), decoder.buffered()), (0, 0));
+}
+
+/// One line per matrix: its label, shape and every element's bits in hex.
+fn bits_line<T: Num>(label: &str, m: &Matrix<T>, bits: impl Fn(&T) -> u64) -> String {
+    let hex: Vec<String> = m.as_slice().iter().map(|x| format!("{:016x}", bits(x))).collect();
+    format!("{label} {}x{} {}\n", m.rows(), m.cols(), hex.join(" "))
+}
+
+/// The one-shot reference drivers over ring `R`, each from `Mt19937::new(7)`,
+/// plus the generator's next draw (how much randomness each consumed).
+fn driver_lines<R: SecureRing>(ring: &str) -> String {
+    let a = PlainMatrix::from_fn(4, 5, |r, c| (r as f64 + 1.0) * 0.5 - c as f64 * 0.3);
+    let b = PlainMatrix::from_fn(5, 3, |r, c| (r * 3 + c) as f64 * 0.2 - 1.0);
+    let a2 = PlainMatrix::from_fn(4, 5, |r, c| (c as f64 - r as f64) * 0.25 + 0.1);
+    let mut out = String::new();
+    for strategy in [EvalStrategy::Expanded, EvalStrategy::Fused] {
+        let mut rng = Mt19937::new(7);
+        let c = secure_matmul_with::<R>(&a, &b, &mut rng, strategy);
+        let label = format!("{ring} secure_matmul {strategy:?} next={:016x}", rng.next_u64());
+        out += &bits_line(&label, &c, |x| x.to_bits());
+    }
+    let mut rng = Mt19937::new(7);
+    let h = secure_hadamard::<R>(&a, &a2, &mut rng);
+    let label = format!("{ring} secure_hadamard next={:016x}", rng.next_u64());
+    out + &bits_line(&label, &h, |x| x.to_bits())
+}
+
+#[test]
+fn beaver_triples_are_unchanged() {
+    let mut out = String::new();
+    for spec in [TripleSpec::Gemm { m: 3, k: 4, n: 2 }, TripleSpec::Hadamard { m: 5, n: 4 }] {
+        for seq in 0..4 {
+            let t = gen_triple_streamed::<Fixed64>(spec, 42, seq, psml_tensor::gemm_blocked);
+            for p in Party::BOTH {
+                let s = t.share(p);
+                for (name, m) in [("u", &s.u), ("v", &s.v), ("z", &s.z)] {
+                    let label = format!("{spec:?} seq{seq} {p:?}.{name}");
+                    out += &bits_line(&label, m, |x| x.0);
+                }
+            }
+        }
+    }
+    // Fixed64 outputs are exact whatever the masks; the float ring's
+    // rounding depends on the mask values, so its rows pin the draw order.
+    out += &driver_lines::<Fixed64>("fixed64");
+    out += &driver_lines::<f32>("f32");
+    check_golden(TRIPLES_GOLDEN, &out, "Beaver triple bits");
 }
