@@ -180,19 +180,20 @@ impl<R: SecureRing> SharedMatrix<R> {
     }
 }
 
-/// A distributed Beaver triple: each server's `TripleShare` with readiness.
-/// Not `Clone`: multiplications borrow it, the reuse cache shares an `Rc`.
+/// A distributed Beaver triple: each server's `TripleShare`. The offline
+/// phase delivers it before the online clock starts, so it is ready at
+/// online zero by construction. Not `Clone`: multiplications borrow it,
+/// the reuse cache shares an `Rc`.
 pub struct DistTriple<R: SecureRing> {
-    shares: [Timed<TripleShare<R>>; 2],
+    shares: [TripleShare<R>; 2],
     dims: (usize, usize, usize),
 }
 
-/// Redacting formatter: dimensions, readiness, and ring only.
+/// Redacting formatter: dimensions and ring only.
 impl<R: SecureRing> std::fmt::Debug for DistTriple<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistTriple")
             .field("dims", &self.dims)
-            .field("ready", &[self.shares[0].ready, self.shares[1].ready])
             .field("ring", &std::any::type_name::<R>())
             .finish_non_exhaustive()
     }
@@ -339,7 +340,6 @@ pub struct SecureContext<R: SecureRing + GpuElement> {
     /// non-zero under `insecure_reuse_triples`; surfaces as a
     /// [`RunReport::warnings`] entry).
     triple_reuses: usize,
-    activation_roundtrips: usize,
 }
 
 impl<R: SecureRing + GpuElement> SecureContext<R> {
@@ -392,7 +392,6 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             site_names: HashMap::new(),
             triple_cache: HashMap::new(),
             triple_reuses: 0,
-            activation_roundtrips: 0,
             cfg,
         };
         ctx.client.device.set_trace_scope("client");
@@ -626,10 +625,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             None,
             2 * (dims.0 * dims.1 + dims.1 * dims.2 + dims.0 * dims.2) * R::BYTES,
         );
-        Ok(DistTriple {
-            shares: shares.map(Timed::at_zero),
-            dims,
-        })
+        Ok(DistTriple { shares, dims })
     }
 
     /// The triple a multiplication at `site` consumes. With
@@ -816,9 +812,9 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         dur: SimDuration,
     ) -> ([Masked<R>; 2], SimTime) {
         let (a, b, tri) = (&a.parts, &b.parts, &triple.shares);
-        let ready = [0, 1].map(|i| a[i].ready.max(b[i].ready).max(tri[i].ready));
+        let ready = [0, 1].map(|i| a[i].ready.max(b[i].ready));
         self.breakdown.compute1 += dur;
-        let masked = self.per_server(ready, dur, |i| mask(&a[i].v, &b[i].v, &tri[i].v));
+        let masked = self.per_server(ready, dur, |i| mask(&a[i].v, &b[i].v, &tri[i]));
         (masked, ready[0].min(ready[1]))
     }
 
@@ -1031,7 +1027,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let c2_dur = self.cpu_dur(8 * m * n * R::BYTES);
         let outs = self.per_server([publics[0].ready, publics[1].ready], c2_dur, |i| {
             let (e_pub, f_pub) = &publics[i].v;
-            let z_i = &triple.shares[i].v.z;
+            let z_i = &triple.shares[i].z;
             finish_hadamard(Party::BOTH[i], &a.parts[i].v, &b.parts[i].v, z_i, e_pub, f_pub)
         });
         self.breakdown.compute2 += latest(&outs).saturating_since(comm_start);
@@ -1050,7 +1046,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let (m, k, n) = triple.dims;
         let party = Party::BOTH[i];
         let (e_pub, f_pub) = &public.v;
-        let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].v.z);
+        let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].z);
         let c = match (self.cfg.eval_strategy, f_packed) {
             (EvalStrategy::Fused, Some(fp)) => finish_packed(party, a_i, b_i, z_i, e_pub, fp),
             (strategy, _) => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
@@ -1111,7 +1107,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         fence(dev);
         let heb = dev.gemm(he, hb, mode)?;
         fence(dev);
-        let hz = dev.upload(&triple.shares[i].v.z, triple.shares[i].ready.max(ready))?;
+        let hz = dev.upload(&triple.shares[i].z, ready)?;
         fence(dev);
         let hsum = dev.add(hdf, heb)?;
         fence(dev);
@@ -1256,10 +1252,9 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
     /// - **Client-aided**: each server ships its share to the *client*,
     ///   which reconstructs, applies `f`, and returns fresh random shares.
     ///   The servers learn nothing, at the cost of a client round trip
-    ///   per activation ([`SecureContext::activation_roundtrips`] counts
-    ///   them). The derivative mask stays client-side knowledge in a real
-    ///   deployment; here it is returned for the backward pass exactly as
-    ///   the other mode returns it.
+    ///   per activation. The derivative mask stays client-side knowledge
+    ///   in a real deployment; here it is returned for the backward pass
+    ///   exactly as the other mode returns it.
     ///
     /// Returns the new shares plus the 0/1 derivative mask used by
     /// backward passes.
@@ -1371,13 +1366,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
             Ok(landed)
         };
         let out = SharedMatrix::new([land(0, fresh_mask)?, land(1, other)?]);
-        self.activation_roundtrips += 1;
         Ok((out, mask))
-    }
-
-    /// Number of client round trips taken by client-aided activations.
-    pub fn activation_roundtrips(&self) -> usize {
-        self.activation_roundtrips
     }
 
     /// Online-phase reveal: both servers ship their `C_i` back to the

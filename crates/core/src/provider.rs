@@ -12,7 +12,7 @@
 //! Triple `seq` draws all of its material from the counter-derived
 //! stream `(master, seq)` ([`psml_parallel::Mt19937::from_stream`]), so
 //! the values depend only on the master seed and the triple's position
-//! in the schedule — never on thread timing, batch boundaries, or how
+//! in the schedule — never on thread timing, window boundaries, or how
 //! far ahead the pipeline ran. Prefetch on and off are bit-identical.
 //!
 //! # Lookahead
@@ -54,24 +54,22 @@
 //! `take`: only once the queue has drained to half of both bounds (which
 //! includes "empty", so a consumer never waits on a parked worker). On a
 //! stream of small same-shape triples (a serving window) the worker then
-//! refills half a window in one batched generation per wake-up instead of
-//! trading one thread hand-off with the consumer per triple — the
-//! hand-offs made that workload's wall time depend on which core the
-//! kernel woke the worker on. A queue holding one large triple (the MLP's)
+//! refills half a window per wake-up instead of trading one thread
+//! hand-off with the consumer per triple — the hand-offs made that
+//! workload's wall time depend on which core the kernel woke the worker
+//! on. A queue holding one large triple (the MLP's)
 //! is above half until that triple is taken and below it afterwards, so
 //! there the rule changes nothing.
 //!
-//! # Batching
+//! # Windows
 //!
-//! Within the open window the worker groups *consecutive same-shape*
-//! schedule entries and generates them through one
-//! [`psml_mpc::gen_triples_streamed`] call, so a batched GEMM
-//! ([`psml_tensor::gemm_batch`]) amortizes packing across the group.
-//! Batching is invisible in the values (each triple still owns its own
-//! stream) and in delivery order.
+//! The worker claims *consecutive same-shape* schedule entries as one
+//! window, generates each with [`psml_mpc::gen_triple_streamed`] (each
+//! triple still owns its own stream), and pushes the whole window under
+//! one lock, so the consumer sees one hand-off per window.
 
-use psml_mpc::{gen_triples_streamed, BeaverTriple, SecureRing, TripleSpec};
-use psml_tensor::gemm_batch;
+use psml_mpc::{gen_triple_streamed, BeaverTriple, SecureRing, TripleSpec};
+use psml_tensor::gemm_auto;
 use psml_trace::{Phase, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -383,7 +381,9 @@ impl<R: SecureRing> TripleProvider<R> {
             // the engine's online phase.
             let traced = TraceSink::is_enabled();
             let wall_start = if traced { TraceSink::wall_ns() } else { 0 };
-            let triples = gen_triples_streamed::<R>(spec, master, base_seq, count, gemm_batch);
+            let triples: Vec<BeaverTriple<R>> = (base_seq..base_seq + count as u64)
+                .map(|seq| gen_triple_streamed(spec, master, seq, gemm_auto))
+                .collect();
             let wall_end = if traced { TraceSink::wall_ns() } else { 0 };
 
             let bytes = triple_bytes::<R>(spec);
@@ -395,7 +395,7 @@ impl<R: SecureRing> TripleProvider<R> {
                     st.stats.discarded += 1;
                     continue;
                 }
-                // One span per triple; batch members share the batch's
+                // One span per triple; window members share the window's
                 // wall interval (they were genuinely produced within it).
                 let events = if traced {
                     let (m, k, n) = spec.dims();

@@ -16,9 +16,9 @@
 //! 1. **One provisioning declaration.** The concatenation of every
 //!    request's `ModelSpec::forward_schedule` is scheduled on the model's
 //!    `TripleProvider` up front, so the provider worker generates the
-//!    whole window's Beaver triples ahead of the online phase and groups
-//!    consecutive same-shape specs into batched GEMM generation — the
-//!    shared offline GEMM stream.
+//!    whole window's Beaver triples ahead of the online phase, handing
+//!    consecutive same-shape triples over under one lock — the shared
+//!    offline stream.
 //! 2. **Per-request online passes in admission order.** Share the input,
 //!    run the forward pass, reveal — byte-for-byte the sequential code
 //!    path.
@@ -590,7 +590,7 @@ impl<R: SecureRing + GpuElement> ModelHost<R> {
         }
 
         // The fold, step 1: one provisioning declaration for the whole
-        // window (the shared GEMM stream — see module docs).
+        // window (the shared offline stream — see module docs).
         let folded_schedule: Vec<TripleSpec> = batch
             .iter()
             .flat_map(|q| host.trainer.spec().forward_schedule(q.req.input.rows()))

@@ -1,8 +1,8 @@
 //! The compute seam behind the device API: one rate table, one kernel set.
 //!
 //! [`GpuDevice`](crate::device::GpuDevice) splits into two layers: the
-//! *device surface* (buffers/arena, the three-engine timeline, profiler
-//! charging, OOM accounting) and the *compute backend* that produces
+//! *device surface* (buffers/arena, the three engines and their profiler
+//! tally, OOM accounting) and the *compute backend* that produces
 //! kernel results and prices them. This module defines the seam:
 //!
 //! - [`Backend`] is the kernel-execution trait. It also owns the **rate

@@ -5,7 +5,7 @@ use crate::config::GpuConfig;
 use crate::element::GpuElement;
 use crate::kernels::GemmMode;
 use crate::profiler::ProfileReport;
-use psml_simtime::{ResourceId, SimTime, Timeline};
+use psml_simtime::{Resource, SimDuration, SimTime};
 use psml_tensor::Matrix;
 use std::fmt;
 
@@ -57,6 +57,14 @@ impl fmt::Display for GpuError {
 
 impl std::error::Error for GpuError {}
 
+/// One of the device's three serial engines.
+#[derive(Clone, Copy)]
+enum Engine {
+    H2d,
+    Compute,
+    D2h,
+}
+
 struct Slot<R: GpuElement> {
     data: Matrix<R>,
     /// Simulated instant at which the buffer's contents become valid.
@@ -74,15 +82,18 @@ struct Slot<R: GpuElement> {
 /// engine's availability.
 ///
 /// Kernel *execution* is delegated to the [`Backend`]; the device keeps
-/// the arena, the timeline, and the profiler, and prices every kernel
-/// through the backend's rate table.
+/// the arena, the engines, and a per-label tally of engine time for the
+/// profiler, and prices every kernel through the backend's rate table.
 pub struct GpuDevice<R: GpuElement> {
     config: GpuConfig,
     backend: Box<dyn Backend<R>>,
-    timeline: Timeline,
-    h2d: ResourceId,
-    d2h: ResourceId,
-    compute: ResourceId,
+    h2d: Resource,
+    compute: Resource,
+    d2h: Resource,
+    /// `(label, summed engine time, calls)` in first-seen label order.
+    tally: Vec<(&'static str, SimDuration, usize)>,
+    /// Lane prefix of this device's spans in the global trace sink.
+    trace_scope: Option<String>,
     slots: Vec<Option<Slot<R>>>,
     free_ids: Vec<usize>,
     allocated: usize,
@@ -98,17 +109,14 @@ impl<R: GpuElement> GpuDevice<R> {
     /// Creates an idle device executing and pricing kernels through the
     /// given backend.
     pub fn with_backend(config: GpuConfig, backend: Box<dyn Backend<R>>) -> Self {
-        let mut timeline = Timeline::new();
-        let h2d = timeline.add_resource("pcie:h2d");
-        let compute = timeline.add_resource("gpu:compute");
-        let d2h = timeline.add_resource("pcie:d2h");
         GpuDevice {
             config,
             backend,
-            timeline,
-            h2d,
-            d2h,
-            compute,
+            h2d: Resource::new("pcie:h2d"),
+            compute: Resource::new("gpu:compute"),
+            d2h: Resource::new("pcie:d2h"),
+            tally: Vec::new(),
+            trace_scope: None,
             slots: Vec::new(),
             free_ids: Vec::new(),
             allocated: 0,
@@ -128,7 +136,10 @@ impl<R: GpuElement> GpuDevice<R> {
 
     /// The simulated instant at which all issued work completes.
     pub fn now(&self) -> SimTime {
-        self.timeline.makespan()
+        self.h2d
+            .free_at()
+            .max(self.compute.free_at())
+            .max(self.d2h.free_at())
     }
 
     /// Inserts a full-device fence: every subsequently issued operation
@@ -136,24 +147,63 @@ impl<R: GpuElement> GpuDevice<R> {
     /// *non*-pipelined baseline serializes transfers and kernels
     /// (`cudaDeviceSynchronize` between every step).
     pub fn fence(&mut self) -> SimTime {
-        self.fence = self.timeline.makespan();
+        self.fence = self.now();
         self.fence
     }
 
-    /// Read access to the simulated trace.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
     /// Names this device's lane in the global structured trace (e.g.
-    /// `"server0.gpu"`); see [`Timeline::set_trace_scope`].
+    /// `"server0.gpu"`): its spans appear on tracks `"<scope>/<engine>"`,
+    /// an unscoped device's on the bare engine name.
     pub fn set_trace_scope(&mut self, scope: impl Into<String>) {
-        self.timeline.set_trace_scope(scope);
+        self.trace_scope = Some(scope.into());
     }
 
     /// nvprof-style profile of everything executed so far.
     pub fn profile(&self) -> ProfileReport {
-        ProfileReport::from_timeline(&self.timeline)
+        ProfileReport::from_tally(&self.tally)
+    }
+
+    /// Runs an op on `engine` once `ready` has passed, taking `dur`; adds
+    /// its engine time to `label`'s tally and, when tracing, emits its span
+    /// (`bytes` is carried into the span only). Returns the op's end.
+    fn schedule(
+        &mut self,
+        engine: Engine,
+        ready: SimTime,
+        dur: SimDuration,
+        label: &'static str,
+        bytes: usize,
+    ) -> SimTime {
+        let res = match engine {
+            Engine::H2d => &mut self.h2d,
+            Engine::Compute => &mut self.compute,
+            Engine::D2h => &mut self.d2h,
+        };
+        let (start, end) = res.schedule(ready, dur);
+        if psml_trace::TraceSink::is_enabled() {
+            let track = match &self.trace_scope {
+                Some(scope) => format!("{scope}/{}", res.name()),
+                None => res.name().to_string(),
+            };
+            psml_trace::TraceSink::span(
+                label,
+                &track,
+                psml_trace::ns_of_secs(start.as_secs()),
+                psml_trace::ns_of_secs(end.as_secs()),
+                bytes as u64,
+            );
+        }
+        // `end - start`, not `dur`: the two differ by f64 rounding, and the
+        // profile sums what the engine was occupied for.
+        let spent = end - start;
+        match self.tally.iter_mut().find(|(l, ..)| *l == label) {
+            Some((_, total, calls)) => {
+                *total += spent;
+                *calls += 1;
+            }
+            None => self.tally.push((label, spent, 1)),
+        }
+        end
     }
 
     fn alloc(&mut self, data: Matrix<R>, ready: SimTime) -> Result<BufferId, GpuError> {
@@ -204,19 +254,18 @@ impl<R: GpuElement> GpuDevice<R> {
         Ok(self.slot(id)?.data.shape())
     }
 
-    /// The simulated instant a buffer's contents become valid.
-    pub fn ready_at(&self, id: BufferId) -> Result<SimTime, GpuError> {
-        Ok(self.slot(id)?.ready)
-    }
-
     /// Copies a host matrix to the device (H2D over PCIe). `after` is the
     /// instant the host data becomes available (e.g. when the CPU finished
     /// producing it).
     pub fn upload(&mut self, m: &Matrix<R>, after: SimTime) -> Result<BufferId, GpuError> {
         let dur = self.config.pcie.transfer_time(m.byte_size());
-        let ready =
-            self.timeline
-                .schedule_bytes(self.h2d, after.max(self.fence), dur, "h2d", m.byte_size());
+        let ready = self.schedule(
+            Engine::H2d,
+            after.max(self.fence),
+            dur,
+            "h2d",
+            m.byte_size(),
+        );
         self.alloc(m.clone(), ready)
     }
 
@@ -228,9 +277,7 @@ impl<R: GpuElement> GpuDevice<R> {
             (slot.data.clone(), slot.ready, slot.bytes)
         };
         let dur = self.config.pcie.transfer_time(bytes);
-        let done =
-            self.timeline
-                .schedule_bytes(self.d2h, ready.max(self.fence), dur, "d2h", bytes);
+        let done = self.schedule(Engine::D2h, ready.max(self.fence), dur, "d2h", bytes);
         Ok((data, done))
     }
 
@@ -248,7 +295,7 @@ impl<R: GpuElement> GpuDevice<R> {
         let ready = sa.ready.max(sb.ready).max(self.fence);
         let out = self.backend.gemm(&sa.data, &sb.data, mode);
         let (label, dur) = self.backend.gemm_charge(&self.config, m, k, n, mode);
-        let done = self.timeline.schedule(self.compute, ready, dur, label);
+        let done = self.schedule(Engine::Compute, ready, dur, label, 0);
         self.alloc(out, done)
     }
 
@@ -260,22 +307,6 @@ impl<R: GpuElement> GpuDevice<R> {
     /// Element-wise subtraction kernel.
     pub fn sub(&mut self, a: BufferId, b: BufferId) -> Result<BufferId, GpuError> {
         self.elementwise(a, b, "sub", |x, y| x.sub(y))
-    }
-
-    /// Element-wise (Hadamard) multiplication kernel.
-    pub fn hadamard(&mut self, a: BufferId, b: BufferId) -> Result<BufferId, GpuError> {
-        self.elementwise(a, b, "hadamard", |x, y| x.mul(y))
-    }
-
-    /// Scales every element by `k` (a `*alpha` kernel).
-    pub fn scale(&mut self, a: BufferId, k: R) -> Result<BufferId, GpuError> {
-        let sa = self.slot(a)?;
-        let ready = sa.ready.max(self.fence);
-        let out = sa.data.map(|x| x.mul(k));
-        // Read one operand, write one result.
-        let dur = self.config.elementwise_time(2 * sa.bytes);
-        let done = self.timeline.schedule(self.compute, ready, dur, "scale");
-        self.alloc(out, done)
     }
 
     fn elementwise(
@@ -297,7 +328,7 @@ impl<R: GpuElement> GpuDevice<R> {
         let out = sa.data.zip_map(&sb.data, f);
         // Read two operands, write one result.
         let dur = self.config.elementwise_time(3 * sa.bytes);
-        let done = self.timeline.schedule(self.compute, ready, dur, label);
+        let done = self.schedule(Engine::Compute, ready, dur, label, 0);
         self.alloc(out, done)
     }
 
@@ -312,9 +343,7 @@ impl<R: GpuElement> GpuDevice<R> {
     ) -> Result<BufferId, GpuError> {
         let out = self.backend.random(rows, cols, seed);
         let (label, dur) = self.backend.rng_charge(&self.config, rows * cols);
-        let done = self
-            .timeline
-            .schedule(self.compute, after.max(self.fence), dur, label);
+        let done = self.schedule(Engine::Compute, after.max(self.fence), dur, label, 0);
         self.alloc(out, done)
     }
 
@@ -333,7 +362,7 @@ impl<R: GpuElement> GpuDevice<R> {
         Ok(())
     }
 
-    /// Charges the timeline for `random(rows, cols, …)` followed by
+    /// Charges the engines for `random(rows, cols, …)` followed by
     /// `download` and `free`, without generating or moving any data.
     ///
     /// Bit-exact mirror of the real sequence: same engines, same labels,
@@ -351,19 +380,15 @@ impl<R: GpuElement> GpuDevice<R> {
     ) -> Result<SimTime, GpuError> {
         let bytes = rows * cols * R::BYTES;
         let (label, dur) = self.backend.rng_charge(&self.config, rows * cols);
-        let ready = self
-            .timeline
-            .schedule(self.compute, after.max(self.fence), dur, label);
+        let ready = self.schedule(Engine::Compute, after.max(self.fence), dur, label, 0);
         self.charge_alloc(bytes)?;
         let dl = self.config.pcie.transfer_time(bytes);
-        let done = self
-            .timeline
-            .schedule_bytes(self.d2h, ready.max(self.fence), dl, "d2h", bytes);
+        let done = self.schedule(Engine::D2h, ready.max(self.fence), dl, "d2h", bytes);
         self.allocated -= bytes;
         Ok(done)
     }
 
-    /// Charges the timeline for `upload(A)`, `upload(B)`, `gemm`,
+    /// Charges the engines for `upload(A)`, `upload(B)`, `gemm`,
     /// `download(C)` and the three frees, without touching any data.
     /// Both uploads start no earlier than `after` (the host-ready
     /// instant), exactly as when the engine issues them back to back.
@@ -382,16 +407,16 @@ impl<R: GpuElement> GpuDevice<R> {
         let b_bytes = k * n * R::BYTES;
         let c_bytes = m * n * R::BYTES;
         let start = after.max(self.fence);
-        let a_ready = self.timeline.schedule_bytes(
-            self.h2d,
+        let a_ready = self.schedule(
+            Engine::H2d,
             start,
             self.config.pcie.transfer_time(a_bytes),
             "h2d",
             a_bytes,
         );
         self.charge_alloc(a_bytes)?;
-        let b_ready = self.timeline.schedule_bytes(
-            self.h2d,
+        let b_ready = self.schedule(
+            Engine::H2d,
             after.max(self.fence),
             self.config.pcie.transfer_time(b_bytes),
             "h2d",
@@ -400,12 +425,10 @@ impl<R: GpuElement> GpuDevice<R> {
         self.charge_alloc(b_bytes)?;
         let ready = a_ready.max(b_ready).max(self.fence);
         let (label, dur) = self.backend.gemm_charge(&self.config, m, k, n, mode);
-        let c_ready = self.timeline.schedule(self.compute, ready, dur, label);
+        let c_ready = self.schedule(Engine::Compute, ready, dur, label, 0);
         self.charge_alloc(c_bytes)?;
         let dl = self.config.pcie.transfer_time(c_bytes);
-        let done = self
-            .timeline
-            .schedule_bytes(self.d2h, c_ready.max(self.fence), dl, "d2h", c_bytes);
+        let done = self.schedule(Engine::D2h, c_ready.max(self.fence), dl, "d2h", c_bytes);
         self.allocated -= a_bytes + b_bytes + c_bytes;
         Ok(done)
     }
@@ -444,11 +467,10 @@ mod tests {
         let mut dev = device();
         let a = mat(64, 3);
         let ha = dev.upload(&a, SimTime::ZERO).unwrap();
-        let upload_done = dev.ready_at(ha).unwrap();
         let hb = dev.upload(&a, SimTime::ZERO).unwrap();
-        let hc = dev.gemm(ha, hb, GemmMode::Fp32).unwrap();
-        let gemm_done = dev.ready_at(hc).unwrap();
-        assert!(gemm_done > upload_done, "kernel must wait for its inputs");
+        let upload_done = dev.now();
+        let _ = dev.gemm(ha, hb, GemmMode::Fp32).unwrap();
+        assert!(dev.now() > upload_done, "kernel must wait for its inputs");
     }
 
     #[test]
@@ -459,8 +481,7 @@ mod tests {
         let ha = piped.upload(&a, SimTime::ZERO).unwrap();
         let hb = piped.upload(&a, SimTime::ZERO).unwrap();
         let _ = piped.gemm(ha, hb, GemmMode::Fp32).unwrap();
-        let hc = piped.upload(&a, SimTime::ZERO).unwrap();
-        let _ = piped.ready_at(hc).unwrap();
+        let _ = piped.upload(&a, SimTime::ZERO).unwrap();
         let t_piped = piped.now();
 
         // Fenced: every step waits for the previous one.
@@ -499,6 +520,7 @@ mod tests {
         dev.free(ha).unwrap();
         assert_eq!(dev.download(ha).unwrap_err(), GpuError::InvalidBuffer(ha));
         assert_eq!(dev.free(ha).unwrap_err(), GpuError::InvalidBuffer(ha));
+        assert_eq!(dev.add(ha, ha).unwrap_err(), GpuError::InvalidBuffer(ha));
     }
 
     #[test]
@@ -534,43 +556,13 @@ mod tests {
             dev.download(h).unwrap()
         };
         assert_eq!(diff, a.sub(&b));
-        let (prod, _) = {
-            let h = dev.hadamard(ha, hb).unwrap();
-            dev.download(h).unwrap()
-        };
-        assert_eq!(prod, a.hadamard(&b));
-    }
-
-    #[test]
-    fn unary_kernel_computes_and_charges_time() {
-        let mut dev = device();
-        let a = mat(16, 3);
-        let ha = dev.upload(&a, SimTime::ZERO).unwrap();
-        let t0 = dev.now();
-
-        let hs = dev.scale(ha, 2.0).unwrap();
-        let (scaled, _) = dev.download(hs).unwrap();
-        assert_eq!(scaled, a.scale(2.0));
-
-        assert!(dev.now() > t0, "kernels must advance simulated time");
-        let profile = dev.profile();
-        assert!(profile.fraction_matching("scale") > 0.0);
-    }
-
-    #[test]
-    fn unary_kernel_on_freed_buffer_errors() {
-        let mut dev = device();
-        let ha = dev.upload(&mat(4, 1), SimTime::ZERO).unwrap();
-        dev.free(ha).unwrap();
-        assert_eq!(dev.scale(ha, 1.0).unwrap_err(), GpuError::InvalidBuffer(ha));
     }
 
     #[test]
     fn device_rng_charges_time_and_is_reproducible() {
         let mut dev = device();
         let h1 = dev.random(32, 32, 99, SimTime::ZERO).unwrap();
-        let t1 = dev.ready_at(h1).unwrap();
-        assert!(t1 > SimTime::ZERO);
+        assert!(dev.now() > SimTime::ZERO);
         let (m1, _) = dev.download(h1).unwrap();
         let mut dev2 = device();
         let h2 = dev2.random(32, 32, 99, SimTime::ZERO).unwrap();
@@ -597,9 +589,9 @@ mod tests {
         assert_eq!(charged.profile().to_string(), real.profile().to_string());
 
         // Clocks keep agreeing when more work lands after the roundtrip.
-        let t2r = real.random(8, 8, 5, SimTime::ZERO).unwrap();
-        let t2c = charged.random(8, 8, 5, SimTime::ZERO).unwrap();
-        assert_eq!(real.ready_at(t2r).unwrap(), charged.ready_at(t2c).unwrap());
+        real.random(8, 8, 5, SimTime::ZERO).unwrap();
+        charged.random(8, 8, 5, SimTime::ZERO).unwrap();
+        assert_eq!(real.now(), charged.now());
     }
 
     #[test]
@@ -660,5 +652,64 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("gemm"));
         assert!(text.contains("h2d"));
+    }
+
+    #[test]
+    fn tally_aggregates_calls_and_time_per_label() {
+        let mut dev = device();
+        assert_eq!(dev.now(), SimTime::ZERO);
+        assert!(dev.profile().lines.is_empty());
+        let ha = dev.upload(&mat(16, 1), SimTime::ZERO).unwrap();
+        let hb = dev.upload(&mat(16, 2), SimTime::ZERO).unwrap();
+        let _ = dev.add(ha, hb).unwrap();
+        let _ = dev.add(ha, hb).unwrap();
+        let profile = dev.profile();
+        let line = |label: &str| profile.lines.iter().find(|l| l.label == label).unwrap();
+        assert_eq!((line("h2d").calls, line("add").calls), (2, 2));
+        assert_eq!(profile.lines.len(), 2);
+        // Two back-to-back uploads on one engine: their summed time is the
+        // engine's whole busy span.
+        let upload = dev.config().pcie.transfer_time(mat(16, 1).byte_size());
+        assert_eq!(line("h2d").total, upload + upload);
+    }
+
+    #[test]
+    fn a_thousand_ops_leave_one_tally_entry_per_label() {
+        let mut dev = device();
+        let a = mat(4, 1);
+        // Five ops a round: upload, add, download, then the RNG kernel and
+        // its download.
+        for _ in 0..200 {
+            let ha = dev.upload(&a, SimTime::ZERO).unwrap();
+            let hs = dev.add(ha, ha).unwrap();
+            let _ = dev.download(hs).unwrap();
+            dev.free(ha).unwrap();
+            dev.free(hs).unwrap();
+            dev.charge_random_roundtrip(4, 4, SimTime::ZERO).unwrap();
+        }
+        assert_eq!(dev.tally.len(), 4, "h2d, add, d2h and the RNG kernel");
+        let calls: usize = dev.tally.iter().map(|&(_, _, n)| n).sum();
+        assert_eq!(calls, 1000);
+    }
+
+    #[test]
+    fn scheduled_ops_reach_the_global_trace_sink() {
+        use psml_trace::TraceSink;
+        let mut dev = device();
+        dev.set_trace_scope("server0.gpu");
+        TraceSink::enable();
+        TraceSink::clear();
+        let ha = dev.upload(&mat(8, 1), SimTime::ZERO).unwrap();
+        let _ = dev.add(ha, ha).unwrap();
+        let events = TraceSink::drain();
+        TraceSink::disable();
+        assert_eq!(events.len(), 2);
+        assert_eq!((events[0].op.as_str(), events[0].bytes), ("h2d", 256));
+        assert_eq!(events[0].track, "server0.gpu/pcie:h2d");
+        assert_eq!(events[1].track, "server0.gpu/gpu:compute");
+        assert_eq!(
+            events[1].end_ns,
+            psml_trace::ns_of_secs(dev.now().as_secs())
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! nvprof-style profiling report (paper Sec. 5.2 uses nvprof to find that
 //! GEMM dominates GPU time — Fig. 8 is generated from this report).
 
-use psml_simtime::{SimDuration, Timeline};
+use psml_simtime::SimDuration;
 use std::fmt;
 
 /// One aggregated activity line.
@@ -25,9 +25,12 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Builds the report from a timeline's trace.
-    pub fn from_timeline(tl: &Timeline) -> Self {
-        let summary = tl.summary_by_label();
+    /// Builds the report from a device's `(label, time, calls)` tally,
+    /// sorted by descending time (stable: ties keep first-seen order) —
+    /// the shape of an `nvprof` summary table.
+    pub(crate) fn from_tally(tally: &[(&'static str, SimDuration, usize)]) -> Self {
+        let mut summary = tally.to_vec();
+        summary.sort_by_key(|&(_, d, _)| std::cmp::Reverse(d));
         let total: SimDuration = summary.iter().map(|(_, d, _)| *d).sum();
         let lines = summary
             .into_iter()
@@ -37,7 +40,7 @@ impl ProfileReport {
                 } else {
                     dur / total
                 },
-                label,
+                label: label.to_string(),
                 total: dur,
                 calls,
             })
@@ -134,20 +137,16 @@ impl fmt::Display for ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psml_simtime::SimTime;
 
-    fn sample_timeline() -> Timeline {
-        let mut tl = Timeline::new();
-        let gpu = tl.add_resource("gpu");
-        tl.schedule(gpu, SimTime::ZERO, SimDuration::from_secs(3.0), "gemm");
-        tl.schedule(gpu, SimTime::ZERO, SimDuration::from_secs(1.0), "h2d");
-        tl.schedule(gpu, SimTime::ZERO, SimDuration::from_secs(1.0), "gemm");
-        Timeline::clone(&tl)
+    /// `gemm` 3 s, `h2d` 1 s, `gemm` 1 s, tallied as a device does.
+    fn sample() -> ProfileReport {
+        let s = SimDuration::from_secs;
+        ProfileReport::from_tally(&[("gemm", s(3.0) + s(1.0), 2), ("h2d", s(1.0), 1)])
     }
 
     #[test]
     fn aggregates_and_sorts() {
-        let report = ProfileReport::from_timeline(&sample_timeline());
+        let report = sample();
         assert_eq!(report.lines.len(), 2);
         assert_eq!(report.lines[0].label, "gemm");
         assert_eq!(report.lines[0].calls, 2);
@@ -157,7 +156,7 @@ mod tests {
 
     #[test]
     fn fraction_matching_sums_labels() {
-        let report = ProfileReport::from_timeline(&sample_timeline());
+        let report = sample();
         assert!((report.fraction_matching("gemm") - 0.8).abs() < 1e-12);
         assert!((report.fraction_matching("h2d") - 0.2).abs() < 1e-12);
         assert_eq!(report.fraction_matching("nope"), 0.0);
@@ -194,8 +193,8 @@ mod tests {
 
     #[test]
     fn merge_aggregates_by_label_and_recomputes_fractions() {
-        let mut a = ProfileReport::from_timeline(&sample_timeline());
-        let b = ProfileReport::from_timeline(&sample_timeline());
+        let mut a = sample();
+        let b = sample();
         a.merge(&b);
         assert_eq!(a.lines.len(), 2);
         assert_eq!(a.lines[0].label, "gemm");
@@ -208,15 +207,27 @@ mod tests {
     }
 
     #[test]
-    fn empty_timeline_yields_empty_report() {
-        let report = ProfileReport::from_timeline(&Timeline::new());
+    fn sort_is_stable_over_first_seen_order() {
+        let s = SimDuration::from_secs;
+        let report = ProfileReport::from_tally(&[
+            ("d2h", s(1.0), 1),
+            ("rng", s(2.0), 1),
+            ("h2d", s(1.0), 3),
+        ]);
+        let labels: Vec<&str> = report.lines.iter().map(|l| l.label.as_str()).collect();
+        assert_eq!(labels, ["rng", "d2h", "h2d"]);
+    }
+
+    #[test]
+    fn empty_tally_yields_empty_report() {
+        let report = ProfileReport::from_tally(&[]);
         assert!(report.lines.is_empty());
         assert_eq!(report.total(), SimDuration::ZERO);
     }
 
     #[test]
     fn display_renders_table() {
-        let report = ProfileReport::from_timeline(&sample_timeline());
+        let report = sample();
         let s = report.to_string();
         assert!(s.contains("Activity"));
         assert!(s.contains("80.00%"));

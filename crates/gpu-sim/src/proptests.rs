@@ -89,4 +89,46 @@ proptest! {
             t_prev = t;
         }
     }
+
+    /// The makespan bounds every engine's busy time: the profile's time on
+    /// each engine (the copy labels on their engines, every kernel on the
+    /// compute engine) never exceeds `now`, however ops chain, overlap or
+    /// wait on host-ready instants and fences.
+    #[test]
+    fn makespan_bounds_engine_busy_time(
+        ops in prop::collection::vec((0u8..5, 0.0f64..1e-4), 1..40),
+    ) {
+        let mut dev = GpuDevice::<f32>::new(MachineConfig::v100_node().gpu);
+        let m = Matrix::<f32>::from_fn(16, 16, |r, c| (r * c) as f32);
+        let mut last = dev.upload(&m, SimTime::ZERO).unwrap();
+        for (op, after) in ops {
+            let after = SimTime::from_secs(after);
+            match op {
+                0 => last = dev.upload(&m, after).unwrap(),
+                1 => last = dev.gemm(last, last, GemmMode::Fp32).unwrap(),
+                2 => last = dev.add(last, last).unwrap(),
+                3 => {
+                    let _ = dev.download(last).unwrap();
+                }
+                _ => {
+                    dev.fence();
+                    dev.charge_random_roundtrip(8, 8, after).unwrap();
+                }
+            }
+        }
+        let span = dev.now().saturating_since(SimTime::ZERO);
+        let profile = dev.profile();
+        for engine in ["h2d", "d2h", "compute"] {
+            let busy: f64 = profile
+                .lines
+                .iter()
+                .filter(|l| match l.label.as_str() {
+                    copy @ ("h2d" | "d2h") => copy == engine,
+                    _ => engine == "compute",
+                })
+                .map(|l| l.total.as_secs())
+                .sum();
+            prop_assert!(busy <= span.as_secs() * (1.0 + 1e-12), "{engine}: {busy} > {span}");
+        }
+    }
 }

@@ -52,9 +52,7 @@ pub use protocol::{
 };
 pub use ring::{Party, SecureRing};
 pub use share::{PlainMatrix, SharePair};
-pub use triple::{
-    gen_triple, gen_triple_streamed, gen_triples_streamed, BeaverTriple, TripleShare, TripleSpec,
-};
+pub use triple::{gen_triple, gen_triple_streamed, BeaverTriple, TripleShare, TripleSpec};
 
 #[cfg(test)]
 mod proptests;

@@ -8,9 +8,7 @@ use crate::protocol::{
 };
 use crate::ring::{Party, PlainMatrix, SecureRing};
 use crate::share::SharePair;
-use crate::triple::{
-    gen_triple, gen_triple_hadamard, gen_triple_streamed, BeaverTriple, TripleShare, TripleSpec,
-};
+use crate::triple::{gen_triple, gen_triple_streamed, BeaverTriple, TripleShare, TripleSpec};
 use proptest::prelude::*;
 use psml_parallel::Mt19937;
 use psml_tensor::{gemm_blocked, gemm_naive, pack_b_auto, Matrix, Num};
@@ -85,7 +83,7 @@ proptest! {
         let mut rng = Mt19937::new(seed);
         let a = PlainMatrix::from_fn(m, k, |r, c| vals[r * k + c]);
         let b = PlainMatrix::from_fn(k, n, |r, c| vals[144 + r * n + c]);
-        let triple = gen_triple::<Fixed64>(m, k, n, &mut rng, gemm_naive);
+        let triple = gen_triple::<Fixed64>(TripleSpec::Gemm { m, k, n }, &mut rng, gemm_naive);
         let d = deal(&a, &b, triple, &mut rng);
         let exact = gemm_naive(&d.ring.0, &d.ring.1);
         let run = |strategy| Party::BOTH.map(|p| {
@@ -117,7 +115,8 @@ proptest! {
         let mut rng = Mt19937::new(seed);
         let a = PlainMatrix::from_fn(m, n, |r, c| vals[r * n + c]);
         let b = PlainMatrix::from_fn(m, n, |r, c| vals[144 + r * n + c]);
-        let triple = gen_triple_hadamard::<Fixed64>(m, n, &mut rng);
+        let spec = TripleSpec::Hadamard { m, n };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, |_, _| unreachable!());
         let d = deal(&a, &b, triple, &mut rng);
         let shares = Party::BOTH.map(|p| {
             let i = p.index();
@@ -183,7 +182,7 @@ proptest! {
     #[test]
     fn triples_always_consistent(m in 1usize..5, k in 1usize..5, n in 1usize..5, seed in any::<u32>()) {
         let mut rng = Mt19937::new(seed);
-        let triple = gen_triple::<Fixed64>(m, k, n, &mut rng, gemm_blocked);
+        let triple = gen_triple::<Fixed64>(TripleSpec::Gemm { m, k, n }, &mut rng, gemm_blocked);
         let (u, v, z) = triple.reconstruct();
         prop_assert_eq!(gemm_blocked(&u, &v), z);
     }

@@ -21,7 +21,7 @@
 
 use crate::ring::{Party, PlainMatrix, SecureRing};
 use crate::share::SharePair;
-use crate::triple::{gen_triple, gen_triple_hadamard, TripleShare};
+use crate::triple::{gen_triple, TripleShare, TripleSpec};
 use psml_parallel::Mt19937;
 use psml_tensor::{gemm_auto, gemm_packed_sum_auto, pack_b_auto, AutoPackedB, Matrix};
 use std::borrow::Cow;
@@ -243,7 +243,8 @@ pub fn secure_matmul_with<R: SecureRing>(
     // Client: split inputs and generate the triple (offline phase).
     let a_i: [_; 2] = SharePair::<R>::split(a, rng).into_shares().into();
     let b_i: [_; 2] = SharePair::<R>::split(b, rng).into_shares().into();
-    let t: [_; 2] = gen_triple::<R>(m, k, n, rng, gemm_auto).into_shares().into();
+    let spec = TripleSpec::Gemm { m, k, n };
+    let t: [_; 2] = gen_triple::<R>(spec, rng, gemm_auto).into_shares().into();
     let (e, f) = open_masks(&a_i, &b_i, &t);
     // compute2 on each server, then the client merges C = C_0 + C_1.
     // The fused strategy packs the shared public F once for both servers.
@@ -267,7 +268,8 @@ pub fn secure_hadamard<R: SecureRing>(
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
     let a_i: [_; 2] = SharePair::<R>::split(a, rng).into_shares().into();
     let b_i: [_; 2] = SharePair::<R>::split(b, rng).into_shares().into();
-    let t: [_; 2] = gen_triple_hadamard::<R>(a.rows(), a.cols(), rng).into_shares().into();
+    let spec = TripleSpec::Hadamard { m: a.rows(), n: a.cols() };
+    let t: [_; 2] = gen_triple::<R>(spec, rng, |_, _| unreachable!()).into_shares().into();
     let (e, f) = open_masks(&a_i, &b_i, &t);
     let [c0, c1] = Party::BOTH.map(|p| {
         finish_hadamard(p, &a_i[p.index()], &b_i[p.index()], &t[p.index()].z, &e, &f)
@@ -331,7 +333,8 @@ mod tests {
         let (a, b) = (plain_a(), plain_b());
         let a_pair = SharePair::<Fixed64>::split(&a, &mut rng);
         let b_pair = SharePair::<Fixed64>::split(&b, &mut rng);
-        let triple = gen_triple::<Fixed64>(4, 5, 3, &mut rng, gemm_auto);
+        let spec = TripleSpec::Gemm { m: 4, k: 5, n: 3 };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, gemm_auto);
         let (a0, a1) = a_pair.into_shares();
         let (b0, b1) = b_pair.into_shares();
         let (t0, t1) = triple.into_shares();
@@ -388,7 +391,8 @@ mod tests {
             let mut rng = Mt19937::new(seed);
             let a_pair = SharePair::<Fixed64>::split(&a, &mut rng);
             let b_pair = SharePair::<Fixed64>::split(&b, &mut rng);
-            let triple = gen_triple::<Fixed64>(4, 5, 3, &mut rng, gemm_auto);
+            let spec = TripleSpec::Gemm { m: 4, k: 5, n: 3 };
+            let triple = gen_triple::<Fixed64>(spec, &mut rng, gemm_auto);
             let (a0, _) = a_pair.into_shares();
             let (b0, _) = b_pair.into_shares();
             let (t0, _) = triple.into_shares();
@@ -416,7 +420,8 @@ mod tests {
     #[should_panic(expected = "A/U shape mismatch")]
     fn session_rejects_wrong_triple() {
         let mut rng = Mt19937::new(53);
-        let triple = gen_triple::<Fixed64>(2, 2, 2, &mut rng, gemm_auto);
+        let spec = TripleSpec::Gemm { m: 2, k: 2, n: 2 };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, gemm_auto);
         let (t0, _) = triple.into_shares();
         let a = Matrix::<Fixed64>::zeros(3, 2);
         let b = Matrix::<Fixed64>::zeros(2, 2);

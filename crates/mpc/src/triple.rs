@@ -142,134 +142,57 @@ impl<R: SecureRing> BeaverTriple<R> {
     }
 }
 
-/// Generates a Beaver triple for an `(m x k) * (k x n)` product.
+/// Generates the Beaver triple for `spec`: draws `U` and `V` from `rng`,
+/// computes `Z = U * V` (or `U o V` for a Hadamard triple, the CNN
+/// point-to-point product path of Sec. 7.2), then splits all three.
 ///
-/// `mul` computes `U * V`; pass [`psml_tensor::gemm_auto`] for the CPU
-/// path or the simulated-GPU GEMM for the paper's offline acceleration.
+/// Draw order is fixed: `U`, `V`, then the three split masks (`U`, `V`,
+/// `Z`). `mul` computes a GEMM triple's `U * V`; pass
+/// [`psml_tensor::gemm_auto`] for the CPU path or the simulated-GPU GEMM
+/// for the paper's offline acceleration. Hadamard triples never call it.
 pub fn gen_triple<R: SecureRing>(
-    m: usize,
-    k: usize,
-    n: usize,
+    spec: TripleSpec,
     rng: &mut Mt19937,
     mul: impl FnOnce(&Matrix<R>, &Matrix<R>) -> Matrix<R>,
 ) -> BeaverTriple<R> {
-    let u = R::random_matrix(m, k, rng);
-    let v = R::random_matrix(k, n, rng);
-    let z = mul(&u, &v);
-    build_triple(u, v, z, rng)
+    let (ur, uc) = spec.u_shape();
+    let (vr, vc) = spec.v_shape();
+    let u = R::random_matrix(ur, uc, rng);
+    let v = R::random_matrix(vr, vc, rng);
+    let z = match spec {
+        TripleSpec::Gemm { .. } => mul(&u, &v),
+        TripleSpec::Hadamard { .. } => u.hadamard(&v),
+    };
+    let [u, v, z] = [u, v, z].map(|x| SharePair::split_ring(&x, rng).into_shares());
+    BeaverTriple {
+        shares: [
+            TripleShare {
+                u: u.0,
+                v: v.0,
+                z: z.0,
+            },
+            TripleShare {
+                u: u.1,
+                v: v.1,
+                z: z.1,
+            },
+        ],
+    }
 }
 
-/// Generates a Beaver triple for element-wise (Hadamard) multiplication of
-/// `m x n` matrices — the CNN point-to-point product path (Sec. 7.2).
-pub fn gen_triple_hadamard<R: SecureRing>(
-    m: usize,
-    n: usize,
-    rng: &mut Mt19937,
-) -> BeaverTriple<R> {
-    let u = R::random_matrix(m, n, rng);
-    let v = R::random_matrix(m, n, rng);
-    let z = u.hadamard(&v);
-    build_triple(u, v, z, rng)
-}
-
-/// Generates the triple for `spec` from the counter-derived stream
-/// `(master, seq)` — see [`Mt19937::from_stream`].
-///
-/// Unlike [`gen_triple`], which advances a caller-owned sequential
-/// generator, every triple here owns stream `seq` of `master` outright:
-/// the values depend only on `(master, seq, spec)`, never on *when* or on
-/// *which thread* the triple was generated. That is what lets a prefetch
-/// pipeline produce triples ahead of time, out of order, or in batches
-/// while staying bit-identical to on-demand generation.
-///
-/// Draw order within the stream is fixed: `U`, `V`, then the three split
-/// masks (`U`, `V`, `Z`) — the same order as [`gen_triple`].
+/// [`gen_triple`] over the counter-derived stream `(master, seq)` — see
+/// [`Mt19937::from_stream`]. Every triple owns stream `seq` of `master`
+/// outright, so its values depend only on `(master, seq, spec)`, never on
+/// *when* or on *which thread* it was generated: that is what lets a
+/// prefetch pipeline produce triples ahead of time or out of order while
+/// staying bit-identical to on-demand generation.
 pub fn gen_triple_streamed<R: SecureRing>(
     spec: TripleSpec,
     master: u64,
     seq: u64,
     mul: impl FnOnce(&Matrix<R>, &Matrix<R>) -> Matrix<R>,
 ) -> BeaverTriple<R> {
-    let mut rng = Mt19937::from_stream(master, seq);
-    let (ur, uc) = spec.u_shape();
-    let (vr, vc) = spec.v_shape();
-    let u = R::random_matrix(ur, uc, &mut rng);
-    let v = R::random_matrix(vr, vc, &mut rng);
-    let z = match spec {
-        TripleSpec::Gemm { .. } => mul(&u, &v),
-        TripleSpec::Hadamard { .. } => u.hadamard(&v),
-    };
-    build_triple(u, v, z, &mut rng)
-}
-
-/// Generates `count` consecutive streamed triples of one shape —
-/// streams `first_seq .. first_seq + count` of `master` — computing all
-/// the `Z = U * V` products through one `mul_batch` call so a batched
-/// GEMM (shared packing, pooled workers) can amortize setup across the
-/// window.
-///
-/// Value-identical to calling [`gen_triple_streamed`] once per sequence
-/// index: each item's masks come only from its own stream, and `mul_batch`
-/// must return outputs positionally (element `i` = product of pair `i`),
-/// as [`psml_tensor::gemm_batch`] does.
-pub fn gen_triples_streamed<R: SecureRing>(
-    spec: TripleSpec,
-    master: u64,
-    first_seq: u64,
-    count: usize,
-    mul_batch: impl FnOnce(&[(&Matrix<R>, &Matrix<R>)]) -> Vec<Matrix<R>>,
-) -> Vec<BeaverTriple<R>> {
-    let (ur, uc) = spec.u_shape();
-    let (vr, vc) = spec.v_shape();
-    let mut rngs = Vec::with_capacity(count);
-    let mut uvs = Vec::with_capacity(count);
-    for i in 0..count {
-        let mut rng = Mt19937::from_stream(master, first_seq + i as u64);
-        let u = R::random_matrix(ur, uc, &mut rng);
-        let v = R::random_matrix(vr, vc, &mut rng);
-        rngs.push(rng);
-        uvs.push((u, v));
-    }
-    let zs: Vec<Matrix<R>> = match spec {
-        TripleSpec::Gemm { .. } => {
-            let pairs: Vec<(&Matrix<R>, &Matrix<R>)> =
-                uvs.iter().map(|(u, v)| (u, v)).collect();
-            let zs = mul_batch(&pairs);
-            assert_eq!(zs.len(), count, "mul_batch must be positional");
-            zs
-        }
-        TripleSpec::Hadamard { .. } => uvs.iter().map(|(u, v)| u.hadamard(v)).collect(),
-    };
-    uvs.into_iter()
-        .zip(zs)
-        .zip(&mut rngs)
-        .map(|(((u, v), z), rng)| build_triple(u, v, z, rng))
-        .collect()
-}
-
-fn build_triple<R: SecureRing>(
-    u: Matrix<R>,
-    v: Matrix<R>,
-    z: Matrix<R>,
-    rng: &mut Mt19937,
-) -> BeaverTriple<R> {
-    let (u0, u1) = SharePair::split_ring(&u, rng).into_shares();
-    let (v0, v1) = SharePair::split_ring(&v, rng).into_shares();
-    let (z0, z1) = SharePair::split_ring(&z, rng).into_shares();
-    BeaverTriple {
-        shares: [
-            TripleShare {
-                u: u0,
-                v: v0,
-                z: z0,
-            },
-            TripleShare {
-                u: u1,
-                v: v1,
-                z: z1,
-            },
-        ],
-    }
+    gen_triple(spec, &mut Mt19937::from_stream(master, seq), mul)
 }
 
 #[cfg(test)]
@@ -282,7 +205,8 @@ mod tests {
     #[test]
     fn debug_output_redacts_triple_limbs() {
         let mut rng = Mt19937::new(29);
-        let triple = gen_triple::<Fixed64>(3, 4, 2, &mut rng, gemm_blocked);
+        let spec = TripleSpec::Gemm { m: 3, k: 4, n: 2 };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, gemm_blocked);
         for rendered in [
             format!("{triple:?}"),
             format!("{:?}", triple.share(Party::P0)),
@@ -303,7 +227,8 @@ mod tests {
     #[test]
     fn triple_satisfies_z_eq_uv_exactly() {
         let mut rng = Mt19937::new(11);
-        let triple = gen_triple::<Fixed64>(3, 4, 2, &mut rng, gemm_blocked);
+        let spec = TripleSpec::Gemm { m: 3, k: 4, n: 2 };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, gemm_blocked);
         let (u, v, z) = triple.reconstruct();
         assert_eq!(gemm_blocked(&u, &v), z);
     }
@@ -311,7 +236,8 @@ mod tests {
     #[test]
     fn hadamard_triple_satisfies_z_eq_uv() {
         let mut rng = Mt19937::new(13);
-        let triple = gen_triple_hadamard::<Fixed64>(5, 4, &mut rng);
+        let spec = TripleSpec::Hadamard { m: 5, n: 4 };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, |_, _| unreachable!());
         let (u, v, z) = triple.reconstruct();
         assert_eq!(u.hadamard(&v), z);
     }
@@ -319,7 +245,8 @@ mod tests {
     #[test]
     fn shares_have_protocol_shapes() {
         let mut rng = Mt19937::new(17);
-        let triple = gen_triple::<Fixed64>(3, 4, 2, &mut rng, gemm_blocked);
+        let spec = TripleSpec::Gemm { m: 3, k: 4, n: 2 };
+        let triple = gen_triple::<Fixed64>(spec, &mut rng, gemm_blocked);
         for p in Party::BOTH {
             let s = triple.share(p);
             assert_eq!(s.u.shape(), (3, 4));
@@ -333,9 +260,10 @@ mod tests {
         // Inject a multiplier that tags its output; the reconstruction of z
         // must reflect it. (This is the seam the GPU plugs into.)
         let mut rng = Mt19937::new(19);
-        let triple = gen_triple::<Fixed64>(2, 2, 2, &mut rng, |_, _| {
-            Matrix::from_fn(2, 2, |r, c| Fixed64((r * 2 + c) as u64))
-        });
+        let triple =
+            gen_triple::<Fixed64>(TripleSpec::Gemm { m: 2, k: 2, n: 2 }, &mut rng, |_, _| {
+                Matrix::from_fn(2, 2, |r, c| Fixed64((r * 2 + c) as u64))
+            });
         let (_, _, z) = triple.reconstruct();
         assert_eq!(z[(1, 1)], Fixed64(3));
     }
@@ -365,31 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_streamed_triples_match_per_item_generation() {
-        let spec = TripleSpec::Gemm { m: 3, k: 4, n: 2 };
-        let batch =
-            gen_triples_streamed::<Fixed64>(spec, 42, 10, 5, psml_tensor::gemm_batch);
-        assert_eq!(batch.len(), 5);
-        for (i, t) in batch.iter().enumerate() {
-            let solo = gen_triple_streamed::<Fixed64>(spec, 42, 10 + i as u64, gemm_blocked);
-            for p in Party::BOTH {
-                assert_eq!(t.share(p), solo.share(p), "gemm item {i}");
-            }
-        }
-
-        let spec = TripleSpec::Hadamard { m: 4, n: 3 };
-        let batch =
-            gen_triples_streamed::<Fixed64>(spec, 42, 3, 4, |_| unreachable!());
-        for (i, t) in batch.iter().enumerate() {
-            let solo =
-                gen_triple_streamed::<Fixed64>(spec, 42, 3 + i as u64, |_, _| unreachable!());
-            for p in Party::BOTH {
-                assert_eq!(t.share(p), solo.share(p), "hadamard item {i}");
-            }
-        }
-    }
-
-    #[test]
     fn spec_shapes_are_consistent() {
         let g = TripleSpec::Gemm { m: 2, k: 3, n: 5 };
         assert_eq!(g.u_shape(), (2, 3));
@@ -406,7 +309,8 @@ mod tests {
     #[test]
     fn float_triples_hold_approximately() {
         let mut rng = Mt19937::new(23);
-        let triple = gen_triple::<f32>(4, 4, 4, &mut rng, gemm_blocked);
+        let spec = TripleSpec::Gemm { m: 4, k: 4, n: 4 };
+        let triple = gen_triple::<f32>(spec, &mut rng, gemm_blocked);
         let (u, v, z) = triple.reconstruct();
         let err = gemm_blocked(&u, &v).max_abs_diff(&z);
         assert!(err < 1e-4, "float triple error {err}");

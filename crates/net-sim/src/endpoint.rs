@@ -146,11 +146,6 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         &self.stats
     }
 
-    /// Resets traffic counters (e.g. to isolate the online phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::new();
-    }
-
     /// Arms (or, with an empty plan, disarms) send-side fault injection.
     /// Each endpoint draws from its own lane of the plan's seed, so one
     /// node's send count never perturbs another's verdict stream.

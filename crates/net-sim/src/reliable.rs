@@ -216,14 +216,9 @@ impl ReliableChannel {
         &self.policy
     }
 
-    /// Counters accumulated since construction / the last reset.
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> &ReliabilityStats {
         &self.stats
-    }
-
-    /// Zeroes the counters (e.g. to isolate the online phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = ReliabilityStats::default();
     }
 
     /// Moves `payload` from `sender` to `receiver`, retransmitting until

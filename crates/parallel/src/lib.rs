@@ -13,9 +13,8 @@
 //!    ([`chunking::chunks`], `CACHE_LINE_F32`, applied by
 //!    [`for_each_chunk_mut_pooled`]).
 //! 2. **Merged parallel regions**: the workers of [`global_pool`] are
-//!    spawned once and every parallel loop borrows them
-//!    ([`for_each_chunk_mut_pooled`], [`ThreadPool::scoped_run`]), so no
-//!    region pays a thread start.
+//!    spawned once and every parallel loop borrows them through
+//!    [`for_each_chunk_mut_pooled`], so no region pays a thread start.
 //! 3. **Thread-safe random number generation**: the paper gives each
 //!    thread a `thread_local` *Mersenne Twister 19937* seeded from the
 //!    current time plus a hash of the thread id. This crate substitutes

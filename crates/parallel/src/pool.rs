@@ -4,8 +4,8 @@
 //! reduce the overhead of opening more than one parallel region, multiple
 //! parallel regions should be merged") is the pool itself: [`global_pool`]
 //! spawns its workers once and every parallel loop in the program borrows
-//! them through [`ThreadPool::scoped_run`], so no region pays a thread
-//! start. *Cache-line-aware chunking* is [`for_each_chunk_mut_pooled`]: it
+//! them, so no region pays a thread start. *Cache-line-aware chunking* is
+//! [`for_each_chunk_mut_pooled`], the one way a loop borrows them: it
 //! splits a mutable slice on [`chunks`] boundaries and runs one part on the
 //! caller and the rest on the pool.
 //!
@@ -158,16 +158,6 @@ impl ThreadPool {
         while *count != 0 {
             count = self.pending.done.wait(count).unwrap();
         }
-    }
-
-    /// Runs borrowed jobs on the pool and blocks until all of them finish.
-    ///
-    /// This is the scoped bridge that lets hot-path kernels hand
-    /// stack-borrowed closures to the persistent workers: the jobs only live
-    /// until this call returns, and the call does not return before every job
-    /// has run (or the first captured panic is re-raised on the caller).
-    pub fn scoped_run<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        pool_run_with_local(self, jobs, || {});
     }
 }
 
@@ -382,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn scoped_run_borrows_stack_data() {
+    fn pool_region_borrows_stack_data() {
         let pool = ThreadPool::new(3);
         let mut out = vec![0usize; 8];
         {
@@ -397,16 +387,17 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            pool.scoped_run(jobs);
+            pool_run_with_local(&pool, jobs, || {});
         }
         assert_eq!(out, vec![1, 1, 2, 2, 3, 3, 4, 4]);
     }
 
     #[test]
-    fn scoped_run_propagates_panics() {
+    fn pool_region_propagates_panics() {
         let pool = ThreadPool::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scoped_run(vec![Box::new(|| panic!("job failure")) as Box<dyn FnOnce() + Send>]);
+            let jobs = vec![Box::new(|| panic!("job failure")) as Box<dyn FnOnce() + Send>];
+            pool_run_with_local(&pool, jobs, || {});
         }));
         assert!(result.is_err());
         // The pool must remain usable after a panicked job.
@@ -479,7 +470,11 @@ mod tests {
             });
         }));
         assert!(result.is_err());
-        global_pool().scoped_run(vec![Box::new(|| {}) as Box<dyn FnOnce() + Send>]);
+        pool_run_with_local(
+            global_pool(),
+            vec![Box::new(|| {}) as Box<dyn FnOnce() + Send>],
+            || {},
+        );
     }
 
     #[test]
@@ -498,14 +493,15 @@ mod tests {
         assert!(!in_pool_worker(), "test thread is not a pool worker");
         let mut data = vec![0u32; 515];
         let data_ref = &mut data;
-        global_pool().scoped_run(vec![Box::new(move || {
+        let job = Box::new(move || {
             assert!(in_pool_worker());
             for_each_chunk_mut_pooled(data_ref, CACHE_LINE_F32, |off, slice| {
                 for (i, v) in slice.iter_mut().enumerate() {
                     *v = (off + i) as u32;
                 }
             });
-        }) as Box<dyn FnOnce() + Send + '_>]);
+        }) as Box<dyn FnOnce() + Send + '_>;
+        pool_run_with_local(global_pool(), vec![job], || {});
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
     }
 

@@ -9,11 +9,11 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: simulated instants and durations,
 //! - [`Resource`]: a serial execution engine (a GPU compute engine, a PCIe
-//!   copy engine, a NIC, ...) that can run one operation at a time,
-//! - [`Timeline`]: a set of resources plus a trace of scheduled operations,
-//!   supporting dependency-aware scheduling (an op starts when both its
-//!   inputs are ready *and* its resource is free — exactly how CUDA streams
-//!   overlap copies with kernels),
+//!   copy engine, a NIC, ...) that runs one operation at a time. Scheduling
+//!   is dependency-aware: an op starts when both its inputs are ready *and*
+//!   its resource is free — exactly how CUDA streams overlap copies with
+//!   kernels. The callers (the simulated GPU, the engine's CPUs) keep their
+//!   own per-label accounting,
 //! - [`LinkModel`]: the latency + bandwidth transfer-time model used for
 //!   both PCIe and the inter-node network.
 //!
@@ -23,12 +23,10 @@
 pub mod link;
 pub mod resource;
 pub mod time;
-pub mod timeline;
 
 pub use link::LinkModel;
-pub use resource::{Resource, ResourceId};
+pub use resource::Resource;
 pub use time::{SimDuration, SimTime};
-pub use timeline::{OpRecord, Timeline};
 
 #[cfg(test)]
 mod proptests;

@@ -1,11 +1,7 @@
 //! Property-based tests for the timing substrate.
 
-use crate::{LinkModel, Resource, SimDuration, SimTime, Timeline};
+use crate::{LinkModel, Resource, SimDuration, SimTime};
 use proptest::prelude::*;
-
-fn durations() -> impl Strategy<Value = SimDuration> {
-    (0.0f64..10.0).prop_map(SimDuration::from_secs)
-}
 
 proptest! {
     /// A serial resource never starts an op before its ready time and never
@@ -23,30 +19,6 @@ proptest! {
             prop_assert!((end.as_secs() - start.as_secs() - dur.as_secs()).abs() < 1e-9);
             prev_end = end;
         }
-    }
-
-    /// Makespan always bounds every trace record, and busy time never
-    /// exceeds the makespan for any single resource.
-    #[test]
-    fn timeline_makespan_bounds_trace(durs in prop::collection::vec(durations(), 1..40)) {
-        let mut tl = Timeline::new();
-        let a = tl.add_resource("a");
-        let b = tl.add_resource("b");
-        let mut ready = SimTime::ZERO;
-        for (i, d) in durs.iter().enumerate() {
-            let res = if i % 2 == 0 { a } else { b };
-            // Alternate dependency chaining and independent ops.
-            let r = if i % 3 == 0 { SimTime::ZERO } else { ready };
-            ready = tl.schedule(res, r, *d, "op");
-        }
-        let span = tl.makespan();
-        for op in tl.trace() {
-            prop_assert!(op.end <= span);
-            prop_assert!(op.start <= op.end);
-        }
-        prop_assert!(tl.busy_time(a) <= span.saturating_since(SimTime::ZERO));
-        prop_assert!(tl.busy_time(b) <= span.saturating_since(SimTime::ZERO));
-        prop_assert!(tl.utilization(a) <= 1.0 + 1e-9);
     }
 
     /// Link transfer time is monotonically non-decreasing in byte count.

@@ -2,18 +2,6 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a resource inside a [`crate::Timeline`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ResourceId(pub(crate) usize);
-
-impl ResourceId {
-    /// Index of this resource inside its timeline.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// A serial execution engine in the simulated machine.
 ///
 /// A resource runs one operation at a time, in the order operations are
@@ -26,7 +14,6 @@ impl ResourceId {
 pub struct Resource {
     name: String,
     free_at: SimTime,
-    busy: SimDuration,
 }
 
 impl Resource {
@@ -35,7 +22,6 @@ impl Resource {
         Resource {
             name: name.into(),
             free_at: SimTime::ZERO,
-            busy: SimDuration::ZERO,
         }
     }
 
@@ -51,26 +37,13 @@ impl Resource {
         self.free_at
     }
 
-    /// Total busy time accumulated so far.
-    #[inline]
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Schedules an operation whose inputs are ready at `ready` and that
     /// takes `dur`; returns its `(start, end)` interval.
     pub fn schedule(&mut self, ready: SimTime, dur: SimDuration) -> (SimTime, SimTime) {
         let start = ready.max(self.free_at);
         let end = start + dur;
         self.free_at = end;
-        self.busy += dur;
         (start, end)
-    }
-
-    /// Resets the resource to idle at t=0, clearing statistics.
-    pub fn reset(&mut self) {
-        self.free_at = SimTime::ZERO;
-        self.busy = SimDuration::ZERO;
     }
 }
 
@@ -88,25 +61,15 @@ mod tests {
         let (s2, e2) = r.schedule(SimTime::from_secs(1.0), SimDuration::from_secs(1.0));
         assert_eq!(s2, SimTime::from_secs(2.0));
         assert_eq!(e2, SimTime::from_secs(3.0));
-        assert!((r.busy_time().as_secs() - 3.0).abs() < 1e-12);
+        assert_eq!(r.free_at(), e2);
     }
 
     #[test]
-    fn idle_gap_not_counted_busy() {
+    fn idle_resource_starts_at_ready() {
         let mut r = Resource::new("nic");
         r.schedule(SimTime::ZERO, SimDuration::from_secs(1.0));
         // Gap between t=1 and t=5.
         let (s, _) = r.schedule(SimTime::from_secs(5.0), SimDuration::from_secs(1.0));
         assert_eq!(s, SimTime::from_secs(5.0));
-        assert!((r.busy_time().as_secs() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new("cpu");
-        r.schedule(SimTime::ZERO, SimDuration::from_secs(4.0));
-        r.reset();
-        assert_eq!(r.free_at(), SimTime::ZERO);
-        assert_eq!(r.busy_time(), SimDuration::ZERO);
     }
 }

@@ -38,7 +38,7 @@
 use crate::caps::host_caps;
 use crate::matrix::Matrix;
 use crate::num::Num;
-use psml_parallel::{configured_workers, for_each_chunk_mut_pooled, global_pool};
+use psml_parallel::{configured_workers, for_each_chunk_mut_pooled};
 use std::sync::OnceLock;
 
 /// Cache tile edge (elements) for [`gemm_blocked`]. 64 puts a 64x64 f32
@@ -80,13 +80,6 @@ const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 /// `mlp_hidden_fused` (`128 x 256 x 64`, 2^21), so the floor sits above
 /// it.
 const RING_PARALLEL_FLOPS: usize = 1 << 22;
-
-/// Summed `m * k * n` of a batch's serial-tier items below which
-/// [`gemm_batch`] runs them on the calling thread: a pool region costs two
-/// thread wake-ups and a latch round-trip (tens of microseconds), more than
-/// a window of serving-sized triples (sixteen `1 x 2048 x 1` products, 32 K
-/// multiply-adds) takes to compute in place.
-const BATCH_POOL_FLOPS: usize = 4 * AUTO_PACK_FLOPS;
 
 fn assert_shapes<T: Num>(a: &Matrix<T>, b: &Matrix<T>) {
     assert_eq!(
@@ -654,35 +647,22 @@ fn packed_band<T: Num>(terms: &[BandTerm<T>], band_rows: usize, n: usize, out_ba
     packed_band_dispatch(terms, band_rows, n, out_band);
 }
 
-/// Serial register-tiled GEMM against a pre-packed `B`. Use when the same
-/// `B` multiplies several left-hand sides (e.g. the shared public `F` of
-/// Eq. 8).
-pub(crate) fn gemm_packed_with<T: Num>(a: &Matrix<T>, packed: &PackedB<T>) -> Matrix<T> {
-    assert_eq!(
-        a.cols(),
-        packed.k,
-        "gemm shape mismatch: {:?} x packed {:?}",
-        a.shape(),
-        (packed.k, packed.n)
-    );
+/// Serial register-tiled GEMM: packs `B`, then runs the micro-kernel.
+pub fn gemm_packed<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    assert_shapes(a, b);
+    let packed = pack_b(b);
     let (m, n) = (a.rows(), packed.n);
     let mut out = Matrix::zeros(m, n);
     if m == 0 || n == 0 {
         return out;
     }
     packed_band(
-        &[BandTerm::new(a.as_slice(), packed)],
+        &[BandTerm::new(a.as_slice(), &packed)],
         m,
         n,
         out.as_mut_slice(),
     );
     out
-}
-
-/// Serial register-tiled GEMM: packs `B`, then runs the micro-kernel.
-pub fn gemm_packed<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_shapes(a, b);
-    gemm_packed_with(a, &pack_b(b))
 }
 
 /// Register-tiled GEMM over output row bands on the process-global thread
@@ -883,90 +863,9 @@ fn host_workers() -> usize {
 }
 
 /// [`auto_tier`] with this process's worker count and AVX-512 probe — the
-/// tier [`gemm_auto`] and [`gemm_batch`] use.
+/// tier [`gemm_auto`] uses.
 fn host_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
     auto_tier::<T>(m, k, n, host_workers(), host_caps().avx512_ring)
-}
-
-/// Evaluates a batch of *independent* products, each with the exact kernel
-/// [`gemm_auto`] would pick for it, amortizing pool dispatch across the
-/// batch: all serial-tier items (blocked / serial-packed) are submitted to
-/// the process-global pool as one region and run concurrently (unless
-/// together they are too small to be worth one — `BATCH_POOL_FLOPS` — and
-/// run in place), while parallel-tier items run one after another, each
-/// owning the whole pool.
-///
-/// Results are bit-identical to calling [`gemm_auto`] per pair — the same
-/// kernel functions execute on the same operands; only *where* they run
-/// changes. When every pair shares the same right-hand side (pointer
-/// equality), `B` is packed once and reused by all packed-tier items.
-///
-/// This is the triple-provisioning batch path: `b` pending same-shape
-/// triples become `b` concurrent `Z = U x V` products. Stacking them into
-/// one `(b*m, k) x (k, n)` GEMM — the more obvious fusion — would be
-/// wrong for independent triples, since each has its own `V`; see
-/// DESIGN.md ("Offline/online overlap on the host").
-pub fn gemm_batch<T: Num>(pairs: &[(&Matrix<T>, &Matrix<T>)]) -> Vec<Matrix<T>> {
-    for (a, b) in pairs {
-        assert_shapes(a, b);
-    }
-    let tiers: Vec<AutoTier> = pairs
-        .iter()
-        .map(|&(a, b)| host_tier::<T>(a.rows(), a.cols(), b.cols()))
-        .collect();
-    // Pack a shared right-hand side once (only worth it when some item is
-    // in the packed tier and the B really is the same allocation).
-    let shares_rhs = pairs.len() > 1
-        && tiers.contains(&AutoTier::Packed)
-        && pairs.iter().all(|&(_, b)| std::ptr::eq(b, pairs[0].1));
-    let shared_packed: Option<PackedB<T>> = shares_rhs.then(|| pack_b(pairs[0].1));
-    let run_serial = |i: usize, slot: &mut Option<Matrix<T>>| {
-        let (a, b) = pairs[i];
-        *slot = Some(match tiers[i] {
-            AutoTier::Blocked => gemm_blocked(a, b),
-            AutoTier::Packed => match &shared_packed {
-                Some(p) => gemm_packed_with(a, p),
-                None => gemm_packed(a, b),
-            },
-            AutoTier::Parallel => unreachable!("parallel items run below"),
-        });
-    };
-    let mut results: Vec<Option<Matrix<T>>> = pairs.iter().map(|_| None).collect();
-    let serial_items = tiers.iter().filter(|&&t| t != AutoTier::Parallel).count();
-    let serial_flops: usize = pairs
-        .iter()
-        .zip(&tiers)
-        .filter(|&(_, &t)| t != AutoTier::Parallel)
-        .map(|(&(a, b), _)| a.rows() * a.cols() * b.cols())
-        .sum();
-    if serial_items > 1 && serial_flops >= BATCH_POOL_FLOPS && host_workers() >= 2 {
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-            .iter_mut()
-            .enumerate()
-            .filter(|&(i, _)| tiers[i] != AutoTier::Parallel)
-            .map(|(i, slot)| {
-                let run_serial = &run_serial;
-                Box::new(move || run_serial(i, slot)) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        global_pool().scoped_run(jobs);
-    } else {
-        for (i, slot) in results.iter_mut().enumerate() {
-            if tiers[i] != AutoTier::Parallel {
-                run_serial(i, slot);
-            }
-        }
-    }
-    for (i, slot) in results.iter_mut().enumerate() {
-        if tiers[i] == AutoTier::Parallel {
-            let (a, b) = pairs[i];
-            *slot = Some(gemm_packed_parallel(a, b));
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every batch item computed"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1101,7 +1000,7 @@ mod tests {
         let packed = pack_b(&b);
         for seed in [1, 7, 13] {
             let a = umat(11, 23, seed);
-            assert_eq!(gemm_packed_with(&a, &packed), gemm_naive(&a, &b));
+            assert_eq!(gemm_packed_sum(&[(&a, &packed)]), gemm_naive(&a, &b));
         }
     }
 
@@ -1160,73 +1059,6 @@ mod tests {
     #[should_panic(expected = "gemm shape mismatch")]
     fn packed_mismatched_inner_dims_panic() {
         let _ = gemm_packed(&fmat(2, 3, 1), &fmat(4, 2, 1));
-    }
-
-    #[test]
-    fn batch_matches_auto_exactly_in_ring() {
-        // Items spread over all three dispatch tiers.
-        let shapes = [
-            (8, 8, 8),
-            (48, 48, 48),
-            (160, 160, 160),
-            (3, 5, 2),
-            (40, 33, 50),
-        ];
-        let mats: Vec<(Matrix<u64>, Matrix<u64>)> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, &(m, k, n))| (umat(m, k, i as u64 + 1), umat(k, n, i as u64 + 11)))
-            .collect();
-        let pairs: Vec<(&Matrix<u64>, &Matrix<u64>)> = mats.iter().map(|(a, b)| (a, b)).collect();
-        let batched = gemm_batch(&pairs);
-        for ((a, b), got) in mats.iter().zip(&batched) {
-            assert_eq!(got, &gemm_auto(a, b));
-        }
-    }
-
-    #[test]
-    fn batch_matches_auto_bitwise_f32() {
-        // f32 summation order is kernel-dependent, so bit-identity here
-        // proves the batch really runs the same kernels as gemm_auto.
-        let mats: Vec<(Matrix<f32>, Matrix<f32>)> = [(8, 8, 8), (48, 48, 48), (33, 70, 41)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(m, k, n))| (fmat(m, k, i as u64 + 1), fmat(k, n, i as u64 + 7)))
-            .collect();
-        let pairs: Vec<(&Matrix<f32>, &Matrix<f32>)> = mats.iter().map(|(a, b)| (a, b)).collect();
-        for (got, (a, b)) in gemm_batch(&pairs).iter().zip(&mats) {
-            assert_eq!(got.as_slice(), gemm_auto(a, b).as_slice());
-        }
-    }
-
-    #[test]
-    fn batch_shared_rhs_packs_once_and_matches() {
-        let b = umat(48, 48, 3);
-        let lhs: Vec<Matrix<u64>> = (0..4).map(|i| umat(48, 48, i + 21)).collect();
-        let pairs: Vec<(&Matrix<u64>, &Matrix<u64>)> = lhs.iter().map(|a| (a, &b)).collect();
-        for (got, a) in gemm_batch(&pairs).iter().zip(&lhs) {
-            assert_eq!(got, &gemm_auto(a, &b));
-        }
-    }
-
-    #[test]
-    fn batch_under_the_pool_floor_runs_in_place_and_matches() {
-        // A serving window: sixteen 1 x 2048 x 1 products, 32 K flops.
-        let mats: Vec<(Matrix<u64>, Matrix<u64>)> =
-            (0..16).map(|i| (umat(1, 2048, i + 1), umat(2048, 1, i + 40))).collect();
-        let pairs: Vec<(&Matrix<u64>, &Matrix<u64>)> = mats.iter().map(|(a, b)| (a, b)).collect();
-        assert!(16 * 2048 < BATCH_POOL_FLOPS);
-        for (got, (a, b)) in gemm_batch(&pairs).iter().zip(&mats) {
-            assert_eq!(got, &gemm_auto(a, b));
-        }
-    }
-
-    #[test]
-    fn batch_of_empty_and_one() {
-        assert!(gemm_batch::<u64>(&[]).is_empty());
-        let a = umat(5, 6, 1);
-        let b = umat(6, 4, 2);
-        assert_eq!(gemm_batch(&[(&a, &b)]), vec![gemm_auto(&a, &b)]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod sparse;
 pub use caps::{host_caps, quant_ring_available, HostCaps};
 pub use conv::{conv2d_direct, conv2d_im2col, im2col, im2col_rows, ConvShape};
 pub use gemm::{
-    gemm_auto, gemm_batch, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel,
+    gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel,
     gemm_packed_sum_auto, pack_b_auto, AutoPackedB, MR, NR,
 };
 pub use half::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};

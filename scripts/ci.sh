@@ -75,6 +75,15 @@ if grep -rnE 'asm!|arch_prctl' crates; then
     echo "ci: inline asm or arch_prctl under crates/ (listed above)" >&2; exit 1
 fi
 
+# One Beaver-triple generator: `psml_mpc::gen_triple` draws every triple,
+# one at a time, and the simulated GPU tallies engine time per label. A
+# batched GEMM dispatcher, a second triple generator, a scoped pool entry
+# or a per-op trace log under crates/ is the deleted batch path growing
+# back.
+if grep -rnE 'fn (gemm_batch|gen_triples_streamed|gen_triple_hadamard|scoped_run)\b|struct (Timeline|OpRecord)\b' crates; then
+    echo "ci: a deleted triple batch path or per-op timeline is back (listed above)" >&2; exit 1
+fi
+
 # One protocol core: the Beaver algebra lives in psml_mpc::protocol's
 # party-local steps, and the engine only schedules, charges and ships
 # around them. An owning ServerMulSession or an inline Hadamard in

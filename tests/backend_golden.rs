@@ -18,7 +18,7 @@
 //! which round-trip tests cannot hold because a change that moves encoder
 //! and decoder together passes them. The fifth freezes the offline phase's
 //! draw order: the share bits of streamed Beaver triples and the outputs
-//! of the one-shot reference drivers, which consume a sequential stream.
+//! of the one-shot reference protocols, which consume a sequential stream.
 //!
 //! Regenerate (only for an *intentional* cost-model or numerics change,
 //! with the why recorded in the commit):
@@ -34,11 +34,11 @@ use parsecureml::models::Loss;
 use parsecureml::observe::traced;
 use parsecureml::prelude::*;
 use parsecureml::{chrome_trace_json, fnv64, weights_digest};
+use psml_mpc::{gen_triple_streamed, secure_hadamard, secure_matmul_with, EvalStrategy};
 use psml_net::codec::{
     crc32, decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
     payload_bytes, StreamDecoder,
 };
-use psml_mpc::{gen_triple_streamed, secure_hadamard, secure_matmul_with, EvalStrategy};
 use psml_net::Payload;
 use psml_parallel::Mt19937;
 use psml_tensor::{ConvShape, Csr, Num};
@@ -278,9 +278,9 @@ fn bits_line<T: Num>(label: &str, m: &Matrix<T>, bits: impl Fn(&T) -> u64) -> St
     format!("{label} {}x{} {}\n", m.rows(), m.cols(), hex.join(" "))
 }
 
-/// The one-shot reference drivers over ring `R`, each from `Mt19937::new(7)`,
+/// The one-shot reference protocols over ring `R`, each from `Mt19937::new(7)`,
 /// plus the generator's next draw (how much randomness each consumed).
-fn driver_lines<R: SecureRing>(ring: &str) -> String {
+fn reference_lines<R: SecureRing>(ring: &str) -> String {
     let a = PlainMatrix::from_fn(4, 5, |r, c| (r as f64 + 1.0) * 0.5 - c as f64 * 0.3);
     let b = PlainMatrix::from_fn(5, 3, |r, c| (r * 3 + c) as f64 * 0.2 - 1.0);
     let a2 = PlainMatrix::from_fn(4, 5, |r, c| (c as f64 - r as f64) * 0.25 + 0.1);
@@ -312,9 +312,9 @@ fn beaver_triples_are_unchanged() {
             }
         }
     }
-    // Fixed64 outputs are exact whatever the masks; the float ring's
-    // rounding depends on the mask values, so its rows pin the draw order.
-    out += &driver_lines::<Fixed64>("fixed64");
-    out += &driver_lines::<f32>("f32");
+    // Both rings' outputs move with the masks (Fixed64 through each share's
+    // truncation, f32 through rounding), so these rows pin the draw order.
+    out += &reference_lines::<Fixed64>("fixed64");
+    out += &reference_lines::<f32>("f32");
     check_golden(TRIPLES_GOLDEN, &out, "Beaver triple bits");
 }
