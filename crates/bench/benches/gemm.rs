@@ -11,7 +11,10 @@
 //!    document) at the repository root so the speedups are recorded per
 //!    host.
 //! 2. A u64 shape-class ladder: every ring-product shape class the `e2e`
-//!    workloads run, timed on `packed`, `packed_parallel` and `auto`.
+//!    workloads run, timed on `packed`, `packed_parallel` and `auto`, and
+//!    as `fused_auto`: the fused Eq. 8 path the engine runs
+//!    (`pack_b_auto`, `pack_matching`, a two-term `gemm_packed_sum_auto`),
+//!    recorded beside the kernels but not one of `auto`'s rivals.
 //!
 //! `PSML_SMOKE=1` shrinks the headline to a seconds-scale CI check
 //! written to `BENCH_gemm.smoke.json` (the shape classes at full size and
@@ -21,7 +24,8 @@
 //! point of a dispatcher).
 
 use psml_tensor::{
-    gemm_auto, gemm_blocked, gemm_packed, gemm_packed_parallel, quant_ring_available, Matrix, Num,
+    gemm_auto, gemm_blocked, gemm_packed, gemm_packed_parallel, gemm_packed_sum_auto, pack_b_auto,
+    quant_ring_available, Matrix, Num,
 };
 use psml_trace::json::{obj, JsonValue};
 use std::hint::black_box;
@@ -191,7 +195,10 @@ fn element_entry<R: Num>(
 
 /// Times `packed`, `packed_parallel` (with a pool of 2+ workers) and `auto`
 /// on one `m x k x n` ring product, returning its entry and `auto`'s time
-/// over the best kernel's.
+/// over the best kernel's. `fused_auto` times the same class as the
+/// engine's fused Eq. 8 sum — `F` prepared for `m` rows, `B_i` to match,
+/// each term half of `k` — and is recorded only: it computes a different
+/// product, so it is no rival of `auto`.
 fn ring_shape_entry(
     name: &str,
     (m, k, n): (usize, usize, usize),
@@ -200,6 +207,8 @@ fn ring_shape_entry(
 ) -> (JsonValue, f64) {
     let a = ring_rect(m, k, 1);
     let b = ring_rect(k, n, 2);
+    let (l, f) = (ring_rect(m, k / 2, 3), ring_rect(k / 2, n, 4));
+    let (e, b_i) = (ring_rect(m, k - k / 2, 5), ring_rect(k - k / 2, n, 6));
     let mut kernels: Vec<NamedKernel<u64>> = vec![
         ("auto", Box::new(|| gemm_auto(&a, &b))),
         ("packed", Box::new(|| gemm_packed(&a, &b))),
@@ -207,6 +216,14 @@ fn ring_shape_entry(
     if psml_parallel::global_pool().workers() > 1 {
         kernels.push(("packed_parallel", Box::new(|| gemm_packed_parallel(&a, &b))));
     }
+    kernels.push((
+        "fused_auto",
+        Box::new(|| {
+            let f_auto = pack_b_auto(&f, m);
+            let b_auto = f_auto.pack_matching(&b_i);
+            gemm_packed_sum_auto(&[(&l, &f_auto), (&e, &b_auto)])
+        }),
+    ));
     let best = best_of(&mut kernels, reps, gap_ms);
     let flops = 2.0 * (m * k * n) as f64;
     let mut fields = Vec::new();
@@ -224,7 +241,11 @@ fn ring_shape_entry(
             ]),
         ));
     }
-    let best_rival = best[1..].iter().cloned().fold(f64::INFINITY, f64::min);
+    let best_rival = kernels
+        .iter()
+        .zip(&best)
+        .filter(|((kernel, _), _)| !matches!(*kernel, "auto" | "fused_auto"))
+        .fold(f64::INFINITY, |acc, (_, &secs)| acc.min(secs));
     let auto_vs_best = best[0] / best_rival.min(best[0]);
     let entry = obj([
         ("class", JsonValue::Str(name.into())),

@@ -927,8 +927,9 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let bytes_moved = (2 * m * k + 2 * k * n + 2 * m * n) * R::BYTES;
         let placement = self.adaptive.place(&self.cfg, m, 2 * k, n, bytes_moved);
         // Both servers reconstruct the same public F, so on the fused CPU
-        // path its column panels are packed once and shared between the
-        // two `[F ; B_i]` evaluations (Eq. (8)'s common top block).
+        // path it is prepared once (packed into column panels above the
+        // blocked kernel's floor) and shared between the two `[F ; B_i]`
+        // evaluations (Eq. (8)'s common top block).
         let f_packed = match (placement, self.cfg.eval_strategy) {
             (Placement::Cpu, EvalStrategy::Fused) => Some(pack_b_auto(&publics[0].v.1, m)),
             _ => None,
@@ -1041,7 +1042,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         triple: &DistTriple<R>,
-        f_packed: Option<&AutoPackedB<R>>,
+        f_packed: Option<&AutoPackedB<'_, R>>,
     ) -> Result<Timed<Matrix<R>>> {
         let (m, k, n) = triple.dims;
         let party = Party::BOTH[i];

@@ -610,13 +610,16 @@ impl<R: SecureRing + GpuElement> ModelHost<R> {
             let completion = t_dispatch + after.saturating_since(fold_start);
             let latency = completion.saturating_since(q.arrival);
             let queue_wait = t_dispatch.saturating_since(q.arrival);
-            TraceSink::span(
-                "serve.request",
-                &format!("serve/{}", q.req.model),
-                (q.arrival.as_secs() * 1e9) as u64,
-                (completion.as_secs() * 1e9) as u64,
-                (output.rows() * output.cols() * 8) as u64,
-            );
+            // The span's name is formatted only when a sink will keep it.
+            if TraceSink::is_enabled() {
+                TraceSink::span(
+                    "serve.request",
+                    &format!("serve/{}", q.req.model),
+                    (q.arrival.as_secs() * 1e9) as u64,
+                    (completion.as_secs() * 1e9) as u64,
+                    (output.rows() * output.cols() * 8) as u64,
+                );
+            }
             out.push(InferResponse {
                 tag: q.req.tag,
                 model: q.req.model,

@@ -2,7 +2,7 @@
 
 use crate::ring::{Party, SecureRing};
 use psml_parallel::Mt19937;
-use psml_tensor::Num;
+use psml_tensor::{Matrix, Num};
 
 /// Fractional bits of the fixed-point encoding (SecureML's `l_D = 13`).
 pub const SCALE_BITS: u32 = 13;
@@ -88,6 +88,14 @@ impl SecureRing for Fixed64 {
     #[inline]
     fn random(rng: &mut Mt19937) -> Self {
         Fixed64(rng.next_u64())
+    }
+
+    /// [`SecureRing::random`] element by element, drawn as one
+    /// [`Mt19937::fill_u64`] block copy.
+    fn random_matrix(rows: usize, cols: usize, rng: &mut Mt19937) -> Matrix<Self> {
+        let mut words = vec![0u64; rows * cols];
+        rng.fill_u64(&mut words);
+        Matrix::from_vec(rows, cols, words.into_iter().map(Fixed64).collect())
     }
 
     /// SecureML local truncation: P0 computes `z0 >> d`; P1 computes
@@ -186,6 +194,18 @@ mod tests {
         assert_eq!(x.mul(Fixed64::one()), x);
         assert_eq!(x.add(x.neg()), Fixed64::zero());
         assert!(Fixed64::zero().is_zero());
+    }
+
+    #[test]
+    fn random_matrix_is_the_element_draws() {
+        // One block copy draws what `random` draws element by element,
+        // from an odd offset and across twists.
+        let (mut a, mut b) = (Mt19937::new(3), Mt19937::new(3));
+        assert_eq!(a.next_u32(), b.next_u32());
+        let got = Fixed64::random_matrix(7, 181, &mut a);
+        let want = Matrix::from_fn(7, 181, |_, _| Fixed64::random(&mut b));
+        assert_eq!(got, want);
+        assert_eq!(a.next_u32(), b.next_u32());
     }
 
     #[test]

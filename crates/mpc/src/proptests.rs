@@ -11,7 +11,9 @@ use crate::share::SharePair;
 use crate::triple::{gen_triple, gen_triple_streamed, BeaverTriple, TripleShare, TripleSpec};
 use proptest::prelude::*;
 use psml_parallel::Mt19937;
-use psml_tensor::{gemm_blocked, gemm_naive, pack_b_auto, Matrix, Num};
+use psml_tensor::{
+    gemm_blocked, gemm_naive, gemm_packed, gemm_packed_sum_auto, pack_b_auto, Matrix, Num,
+};
 
 fn small_plain(rows: usize, cols: usize) -> impl Strategy<Value = PlainMatrix> {
     prop::collection::vec(-8.0f64..8.0, rows * cols)
@@ -63,6 +65,53 @@ fn within_one_lsb(shares: [Matrix<Fixed64>; 2], exact: &Matrix<Fixed64>) -> Resu
         if off.abs() > 1 {
             return Err(format!("{off} LSB off the truncated ring product"));
         }
+    }
+    Ok(())
+}
+
+/// `m·k·n` from which `pack_b_auto` packs a ring operand into panels (the
+/// blocked kernel's floor in `gemm_auto`).
+const PACK_FLOOR: usize = 32 * 32 * 32;
+
+/// The fused sum `L x F (+ E x B)` through `pack_b_auto`, `pack_matching`
+/// and `gemm_packed_sum_auto`, against the naive oracle and the panel
+/// kernel, bit for bit; and the operands' form against the floor.
+fn fused_sum_agrees<T: Num>(
+    (m, k, n): (usize, usize, usize),
+    two_terms: bool,
+    seed: u32,
+) -> Result<(), String> {
+    let mut rng = Mt19937::new(seed);
+    let mut draw = |rows: usize, cols: usize| {
+        let mut words = vec![0u64; rows * cols];
+        rng.fill_u64(&mut words);
+        Matrix::from_vec(rows, cols, words.into_iter().map(T::from_bits64).collect())
+    };
+    let (l, f, e, b) = (draw(m, k), draw(k, n), draw(m, k), draw(k, n));
+    let f_auto = pack_b_auto(&f, m);
+    let b_auto = f_auto.pack_matching(&b);
+    let shape = format!("{m}x{k}x{n}");
+    if f_auto.is_packed() != (m * k * n >= PACK_FLOOR) {
+        return Err(format!("{shape}: F packed = {}", f_auto.is_packed()));
+    }
+    if b_auto.is_packed() != f_auto.is_packed() {
+        return Err(format!("{shape}: B_i's form differs from F's"));
+    }
+    let (got, naive, panels) = if two_terms {
+        (
+            gemm_packed_sum_auto(&[(&l, &f_auto), (&e, &b_auto)]),
+            gemm_naive(&l, &f).add(&gemm_naive(&e, &b)),
+            gemm_packed(&l, &f).add(&gemm_packed(&e, &b)),
+        )
+    } else {
+        (
+            gemm_packed_sum_auto(&[(&l, &f_auto)]),
+            gemm_naive(&l, &f),
+            gemm_packed(&l, &f),
+        )
+    };
+    if got != naive || got != panels {
+        return Err(format!("{shape}: fused sum differs from the oracle or the panels"));
     }
     Ok(())
 }
@@ -249,5 +298,28 @@ proptest! {
         if (x.abs() - 0.5).abs() > 1e-3 {
             prop_assert!((fd - piecewise_derivative(x)).abs() < 1e-3);
         }
+    }
+
+    /// The fused Eq. 8 sum is exact in both forms over both ring carriers:
+    /// `m` or `n` in {0, 1}, `n` under `NR`, `k` in {0, 1} or `m·k·n` just
+    /// under, at and just over the packing floor, one term and two. f32
+    /// operands take panels at every one of these shapes.
+    #[test]
+    fn fused_sum_is_exact_on_both_sides_of_the_packing_floor(
+        m in prop::sample::select(vec![0usize, 1, 2, 7, 8, 9, 17]),
+        n in prop::sample::select(vec![0usize, 1, 2, 8, 15, 16, 17, 33]),
+        (k_kind, around) in (0usize..4, 0usize..5),
+        (two_terms, seed) in (any::<bool>(), any::<u32>()),
+    ) {
+        let k = match k_kind {
+            0 | 1 => k_kind,
+            _ if m * n == 0 => 40,
+            _ => (PACK_FLOOR / (m * n) + around).saturating_sub(2),
+        };
+        prop_assert_eq!(fused_sum_agrees::<u64>((m, k, n), two_terms, seed), Ok(()));
+        prop_assert_eq!(fused_sum_agrees::<Fixed64>((m, k, n), two_terms, seed), Ok(()));
+        let f = Matrix::<f32>::zeros(k, n);
+        let f_auto = pack_b_auto(&f, m);
+        prop_assert!(f_auto.is_packed() && f_auto.pack_matching(&f).is_packed());
     }
 }

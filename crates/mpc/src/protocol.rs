@@ -11,7 +11,7 @@
 //! | [`mask`] (Eq. 4, *compute1*) | each server | `E_i = A_i - U_i`, `F_i = B_i - V_i` | nothing yet: `E_i`, `F_i` are one-time-pad masked and go to the peer only |
 //! | [`reconstruct_public`] (Eq. 5, *communicate*) | each server, on its own and its peer's half | `E = E_0 + E_1`, `F = F_0 + F_1` | `E` and `F`, to both servers — the protocol's one sanctioned reveal |
 //! | [`finish`] (Eq. 6 / materialised Eq. 8, *compute2*) | each server | `C_i` through a caller-supplied GEMM | nothing (`C_i` is a share) |
-//! | [`finish_packed`] (fused Eq. 8, the production CPU path) | each server | the same `C_i`, `[F ; B_i]` never materialised, `F` packed once for both servers | nothing |
+//! | [`finish_packed`] (fused Eq. 8, the production CPU path) | each server | the same `C_i`, `[F ; B_i]` never materialised, `F` prepared once for both servers (packed above the blocked kernel's floor) | nothing |
 //! | [`finish_hadamard`] (Sec. 7.2) | each server | the element-wise twin of Eq. 6 | nothing |
 //!
 //! Two drivers sit on top: the one-shot reference here
@@ -108,9 +108,12 @@ pub fn finish<R: SecureRing>(
 /// through the packed kernel hierarchy.
 ///
 /// Both servers' right-hand sides `[F ; B_i]` share the same public `F`
-/// block, so the driver packs `F` once (via [`pack_b_auto`]) and passes it
-/// to each server; this server's `B_i` is packed to match. The
-/// concatenations of Eq. (8) are never materialized:
+/// block, so the driver prepares `F` once (via [`pack_b_auto`]) and passes
+/// it to each server; this server's `B_i` is prepared to match. Above
+/// [`gemm_auto`]'s packing floor that means `F` is packed into panels once
+/// for both servers; below it (a served single-row request) neither
+/// operand is packed and the blocked kernel runs. The concatenations of
+/// Eq. (8) are never materialized:
 /// `[L | E] x [F ; B_i] = L*F + E*B_i`, which [`gemm_packed_sum_auto`]
 /// accumulates in one pass over the output. Bit-identical to [`finish`] under [`EvalStrategy::Fused`] —
 /// over the ring every kernel computes the same wrapping product.
@@ -120,7 +123,7 @@ pub fn finish_packed<R: SecureRing>(
     b_i: &Matrix<R>,
     z_i: &Matrix<R>,
     e: &Matrix<R>,
-    f_packed: &AutoPackedB<R>,
+    f_packed: &AutoPackedB<'_, R>,
 ) -> Matrix<R> {
     debug_assert_eq!(a_i.shape(), e.shape());
     let left = left_block(party, a_i, e);
@@ -204,7 +207,7 @@ impl<R: SecureRing> ServerMulSession<R> {
     }
 
     /// [`finish_packed`] over the owned shares.
-    pub fn finish_packed_auto(&self, e: &Matrix<R>, f_packed: &AutoPackedB<R>) -> Matrix<R> {
+    pub fn finish_packed_auto(&self, e: &Matrix<R>, f_packed: &AutoPackedB<'_, R>) -> Matrix<R> {
         finish_packed(self.party, &self.a, &self.b, &self.triple.z, e, f_packed)
     }
 }
@@ -247,7 +250,7 @@ pub fn secure_matmul_with<R: SecureRing>(
     let t: [_; 2] = gen_triple::<R>(spec, rng, gemm_auto).into_shares().into();
     let (e, f) = open_masks(&a_i, &b_i, &t);
     // compute2 on each server, then the client merges C = C_0 + C_1.
-    // The fused strategy packs the shared public F once for both servers.
+    // The fused strategy prepares the shared public F once for both servers.
     let f_packed = (strategy == EvalStrategy::Fused).then(|| pack_b_auto(&f, m));
     let [c0, c1] = Party::BOTH.map(|p| {
         let (a_i, b_i, z_i) = (&a_i[p.index()], &b_i[p.index()], &t[p.index()].z);

@@ -4,6 +4,14 @@
 //! This is a from-scratch implementation of Matsumoto & Nishimura's
 //! MT19937 with the standard `init_genrand` seeding, verified against the
 //! reference outputs of `std::mt19937` (default seed 5489).
+//!
+//! It generates a block at a time: each twist regenerates the 624-word
+//! state in three index ranges (no `%`, a branchless `MATRIX_A` mix) and
+//! tempers the whole block into an output buffer, so a draw is one load
+//! and [`Mt19937::fill_u64`] copies word pairs straight out of the block.
+//! Plain loops the compiler vectorises; the stream is the reference
+//! generator's, word for word (the test module keeps the one-word-at-a-time
+//! generator as the oracle).
 
 const N: usize = 624;
 const M: usize = 397;
@@ -17,7 +25,11 @@ pub const DEFAULT_SEED: u32 = 5489;
 /// A 32-bit Mersenne Twister generator with period 2^19937 - 1.
 #[derive(Clone)]
 pub struct Mt19937 {
+    /// The untempered state block the twist recurrence runs on.
     state: [u32; N],
+    /// `state` tempered: the outputs of the current block.
+    block: [u32; N],
+    /// Next output's position in `block`; `N` once the block is spent.
     index: usize,
 }
 
@@ -44,7 +56,11 @@ impl Mt19937 {
                 .wrapping_mul(state[i - 1] ^ (state[i - 1] >> 30))
                 .wrapping_add(i as u32);
         }
-        Mt19937 { state, index: N }
+        Mt19937 {
+            state,
+            block: [0; N],
+            index: N,
+        }
     }
 
     /// Creates a generator from a multi-word key using the reference
@@ -105,15 +121,34 @@ impl Mt19937 {
         ])
     }
 
-    /// Regenerates the state block (the "twist").
+    /// Regenerates the state block (the "twist") and tempers it into
+    /// `block`.
+    ///
+    /// Word `i` mixes words `i` and `i + 1` with word `i + M`, indices mod
+    /// `N`. The three ranges below spell the wrap-around out, each with
+    /// constant offsets: `i + M` in range, `i + M - N` (a word this twist
+    /// already rewrote), and the last word, whose `i + 1` is the new word 0.
     fn twist(&mut self) {
-        for i in 0..N {
-            let x = (self.state[i] & UPPER_MASK) | (self.state[(i + 1) % N] & LOWER_MASK);
-            let mut x_a = x >> 1;
-            if x & 1 != 0 {
-                x_a ^= MATRIX_A;
-            }
-            self.state[i] = self.state[(i + M) % N] ^ x_a;
+        #[inline(always)]
+        fn mix(cur: u32, next: u32, far: u32) -> u32 {
+            let x = (cur & UPPER_MASK) | (next & LOWER_MASK);
+            far ^ (x >> 1) ^ ((x & 1).wrapping_neg() & MATRIX_A)
+        }
+        let mt = &mut self.state;
+        for i in 0..N - M {
+            mt[i] = mix(mt[i], mt[i + 1], mt[i + M]);
+        }
+        for i in N - M..N - 1 {
+            mt[i] = mix(mt[i], mt[i + 1], mt[i + M - N]);
+        }
+        mt[N - 1] = mix(mt[N - 1], mt[0], mt[M - 1]);
+        for (out, &word) in self.block.iter_mut().zip(mt.iter()) {
+            let mut y = word;
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9D2C_5680;
+            y ^= (y << 15) & 0xEFC6_0000;
+            y ^= y >> 18;
+            *out = y;
         }
         self.index = 0;
     }
@@ -124,12 +159,8 @@ impl Mt19937 {
         if self.index >= N {
             self.twist();
         }
-        let mut y = self.state[self.index];
+        let y = self.block[self.index];
         self.index += 1;
-        y ^= y >> 11;
-        y ^= (y << 7) & 0x9D2C_5680;
-        y ^= (y << 15) & 0xEFC6_0000;
-        y ^= y >> 18;
         y
     }
 
@@ -166,10 +197,27 @@ impl Mt19937 {
         }
     }
 
-    /// Fills a slice with raw 64-bit outputs (used for ring shares).
-    pub fn fill_u64(&mut self, out: &mut [u64]) {
-        for v in out {
-            *v = self.next_u64();
+    /// Fills a slice with raw 64-bit outputs (used for ring shares): the
+    /// values `next_u64` would return, copied pair by pair out of each
+    /// block.
+    pub fn fill_u64(&mut self, mut out: &mut [u64]) {
+        while !out.is_empty() {
+            if self.index == N - 1 {
+                // One word left: this pair straddles the twist.
+                out[0] = self.next_u64();
+                out = &mut out[1..];
+                continue;
+            }
+            if self.index >= N {
+                self.twist();
+            }
+            let words = &self.block[self.index..];
+            let (head, rest) = out.split_at_mut((words.len() / 2).min(out.len()));
+            for (v, pair) in head.iter_mut().zip(words.chunks_exact(2)) {
+                *v = ((pair[0] as u64) << 32) | pair[1] as u64;
+            }
+            self.index += 2 * head.len();
+            out = rest;
         }
     }
 }
@@ -284,6 +332,119 @@ mod tests {
         let hi = b.next_u32() as u64;
         let lo = b.next_u32() as u64;
         assert_eq!(a.next_u64(), (hi << 32) | lo);
+    }
+
+    use proptest::prelude::*;
+
+    /// The generator as it was before block generation, kept as its
+    /// oracle: the twist takes `% N` twice per word and branches on its low
+    /// bit, and every draw checks the index and tempers one word. Seeding
+    /// did not change, so an oracle starts from a fresh generator's state.
+    struct Oracle {
+        state: [u32; N],
+        index: usize,
+    }
+
+    impl Oracle {
+        fn of(rng: &Mt19937) -> Self {
+            Oracle {
+                state: rng.state,
+                index: rng.index,
+            }
+        }
+
+        fn twist(&mut self) {
+            for i in 0..N {
+                let x = (self.state[i] & UPPER_MASK) | (self.state[(i + 1) % N] & LOWER_MASK);
+                let mut x_a = x >> 1;
+                if x & 1 != 0 {
+                    x_a ^= MATRIX_A;
+                }
+                self.state[i] = self.state[(i + M) % N] ^ x_a;
+            }
+            self.index = 0;
+        }
+
+        fn next_u32(&mut self) -> u32 {
+            if self.index >= N {
+                self.twist();
+            }
+            let mut y = self.state[self.index];
+            self.index += 1;
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9D2C_5680;
+            y ^= (y << 15) & 0xEFC6_0000;
+            y ^= y >> 18;
+            y
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            ((self.next_u32() as u64) << 32) | self.next_u32() as u64
+        }
+
+        fn next_f64(&mut self) -> f64 {
+            let high = (self.next_u32() >> 5) as u64;
+            let low = (self.next_u32() >> 6) as u64;
+            ((high << 26) | low) as f64 * (1.0 / (1u64 << 53) as f64)
+        }
+
+        fn fill_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
+            for v in out {
+                *v = lo + (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32) * (hi - lo);
+            }
+        }
+
+        fn fill_u64(&mut self, out: &mut [u64]) {
+            for v in out {
+                *v = self.next_u64();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every call returns the oracle's values, from `new` seeds and
+        /// `from_stream` keys alike: `skip` single words put the calls at
+        /// odd and even offsets anywhere in a block, and fills of up to
+        /// 2,000 pairs cross one or more twists.
+        #[test]
+        fn block_generator_matches_the_scalar_oracle(
+            (from_stream, master, stream) in (any::<bool>(), any::<u64>(), any::<u64>()),
+            skip in 0usize..1300,
+            calls in prop::collection::vec((0u8..5, 0usize..2001), 1..12),
+        ) {
+            let mut rng = if from_stream {
+                Mt19937::from_stream(master, stream)
+            } else {
+                Mt19937::new(master as u32)
+            };
+            let mut oracle = Oracle::of(&rng);
+            for _ in 0..skip {
+                prop_assert_eq!(rng.next_u32(), oracle.next_u32());
+            }
+            for (call, len) in calls {
+                match call {
+                    0 => prop_assert_eq!(rng.next_u32(), oracle.next_u32()),
+                    1 => prop_assert_eq!(rng.next_u64(), oracle.next_u64()),
+                    2 => prop_assert_eq!(rng.next_f64().to_bits(), oracle.next_f64().to_bits()),
+                    3 => {
+                        let (mut got, mut want) = (vec![0f32; len], vec![0f32; len]);
+                        rng.fill_f32(&mut got, -2.5, 3.5);
+                        oracle.fill_f32(&mut want, -2.5, 3.5);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(&got), bits(&want));
+                    }
+                    _ => {
+                        let (mut got, mut want) = (vec![0u64; len], vec![0u64; len]);
+                        rng.fill_u64(&mut got);
+                        oracle.fill_u64(&mut want);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(rng.index, oracle.index);
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //!   The rule is one pure function of the shape, the worker count and the
 //!   AVX-512 probe (`auto_tier`), table-tested per workload shape class.
 //!
-//! [`gemm_packed_sum_auto`] evaluates `sum_t A_t x B_t` against pre-packed
-//! right-hand sides without materializing concatenations; the fused Eq. 8
-//! product `[((-i)E + Ai) | E] x [F ; Bi]` uses it so both servers share one
-//! packed `F`. Its register-tiled form bands over the pool from the same
-//! floor as [`gemm_auto`].
+//! [`gemm_packed_sum_auto`] evaluates `sum_t A_t x B_t` against right-hand
+//! sides prepared by [`pack_b_auto`], without materializing
+//! concatenations; the fused Eq. 8 product `[((-i)E + Ai) | E] x [F ; Bi]`
+//! uses it so both servers share one prepared `F`. It keeps
+//! [`gemm_auto`]'s floors: a ring product under [`AUTO_PACK_FLOPS`] is
+//! left unpacked and runs the blocked kernel, and the register-tiled form
+//! bands over the pool from the same floor as [`gemm_auto`].
 //!
 //! All kernels are exact (bit-identical) over `u64`/`Fixed64`: wrapping ring
 //! arithmetic is associative and commutative, so packing and tiling cannot
@@ -160,13 +162,6 @@ pub(crate) struct PackedB<T: Num> {
     k: usize,
     n: usize,
     data: Vec<T>,
-}
-
-impl<T: Num> PackedB<T> {
-    /// Bytes held by the packed panels.
-    fn byte_size(&self) -> usize {
-        self.data.len() * T::BYTES
-    }
 }
 
 /// One `A` row band paired with its packed right-hand side, flattened to
@@ -743,52 +738,115 @@ pub(crate) fn packed_sum_on<T: Num>(
     out
 }
 
-/// A right-hand side packed for [`gemm_packed_sum_auto`]: the column
-/// panels of the register-tiled kernel every tier above `Blocked` runs.
+/// A right-hand side prepared for [`gemm_packed_sum_auto`], in one of two
+/// forms picked by [`pack_b_auto`]: the column panels of the
+/// register-tiled kernel, or — for a ring product under
+/// [`AUTO_PACK_FLOPS`], where [`gemm_auto`] runs [`gemm_blocked`] — `B`
+/// itself, borrowed, for the blocked kernel.
 ///
-/// Produced by [`pack_b_auto`]; secondary operands of a fused sum are
-/// packed with [`AutoPackedB::pack_matching`].
+/// Secondary operands of a fused sum are prepared with
+/// [`AutoPackedB::pack_matching`], which takes the form of the operand it
+/// is called on.
 #[derive(Clone, Debug)]
-pub struct AutoPackedB<T: Num>(PackedB<T>);
+pub struct AutoPackedB<'b, T: Num>(AutoForm<'b, T>);
 
-impl<T: Num> AutoPackedB<T> {
-    /// Inner dimension (rows of the packed `B`).
+#[derive(Clone, Debug)]
+enum AutoForm<'b, T: Num> {
+    /// `B` as given, evaluated by the blocked kernel.
+    Unpacked(&'b Matrix<T>),
+    /// `B` packed into the register-tiled kernel's column panels.
+    Panels(PackedB<T>),
+}
+
+impl<'b, T: Num> AutoPackedB<'b, T> {
+    /// Inner dimension (rows of `B`).
     pub fn k(&self) -> usize {
-        self.0.k
+        match &self.0 {
+            AutoForm::Unpacked(b) => b.rows(),
+            AutoForm::Panels(pb) => pb.k,
+        }
     }
 
-    /// Columns of the packed `B`.
+    /// Columns of `B`.
     pub fn n(&self) -> usize {
-        self.0.n
+        match &self.0 {
+            AutoForm::Unpacked(b) => b.cols(),
+            AutoForm::Panels(pb) => pb.n,
+        }
     }
 
-    /// Bytes held by the packed representation.
-    pub fn byte_size(&self) -> usize {
-        self.0.byte_size()
+    /// Whether `B` was packed into column panels (`false`: it is kept as
+    /// given for the blocked kernel).
+    pub fn is_packed(&self) -> bool {
+        matches!(self.0, AutoForm::Panels(_))
     }
 
-    /// Packs another right-hand side to join the same
-    /// [`gemm_packed_sum_auto`] call (the fused Eq. 8 product packs the
-    /// shared `F` first, then each server's `B_i` to match).
-    pub fn pack_matching(&self, b: &Matrix<T>) -> AutoPackedB<T> {
-        AutoPackedB(pack_b(b))
+    /// Prepares another right-hand side to join the same
+    /// [`gemm_packed_sum_auto`] call, in this operand's form (the fused
+    /// Eq. 8 product prepares the shared `F` first, then each server's
+    /// `B_i` to match).
+    pub fn pack_matching<'c>(&self, b: &'c Matrix<T>) -> AutoPackedB<'c, T> {
+        AutoPackedB(match self.0 {
+            AutoForm::Unpacked(_) => AutoForm::Unpacked(b),
+            AutoForm::Panels(_) => AutoForm::Panels(pack_b(b)),
+        })
     }
 }
 
-/// Packs `b` into column panels for [`gemm_packed_sum_auto`].
+/// Prepares `b` for [`gemm_packed_sum_auto`] against a left-hand side of
+/// `m_hint` rows.
 ///
-/// `m_hint` (the row count of the left-hand side the pack will multiply)
-/// is unused: every product size takes the same panels. It stays in the
-/// signature because the `e2e` benchmark, a separate workspace, passes it.
-pub fn pack_b_auto<T: Num>(b: &Matrix<T>, _m_hint: usize) -> AutoPackedB<T> {
-    AutoPackedB(pack_b(b))
+/// `m_hint` picks the form with the floor [`gemm_auto`] applies: a ring
+/// product (`T::WRAPPING_U64`) with `m_hint·k·n <` [`AUTO_PACK_FLOPS`]
+/// keeps `b` unpacked for the blocked kernel, since zero-filling panels
+/// for it costs more than the product (a served `1 x 2048 x 1` request
+/// would pad `b` to a `2048 x 16` panel). Every other product, and every
+/// f32 product, is packed into column panels: f32 results depend on the
+/// kernel's summation order, so they stay on the panels' order at any
+/// size.
+pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<'_, T> {
+    let flops = m_hint.saturating_mul(b.rows()).saturating_mul(b.cols());
+    AutoPackedB(if T::WRAPPING_U64 && flops < AUTO_PACK_FLOPS {
+        AutoForm::Unpacked(b)
+    } else {
+        AutoForm::Panels(pack_b(b))
+    })
 }
 
-/// [`gemm_packed_sum`] over auto-packed right-hand sides: bands over the
-/// pool from the same floor as [`gemm_auto`].
-pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<T>)]) -> Matrix<T> {
-    let terms: Vec<(&Matrix<T>, &PackedB<T>)> = terms.iter().map(|&(a, p)| (a, &p.0)).collect();
-    gemm_packed_sum(&terms)
+/// `sum_t A_t x B_t` over prepared right-hand sides, accumulated into one
+/// output. Packed terms run [`gemm_packed_sum`] (banding over the pool
+/// from the same floor as [`gemm_auto`]); unpacked terms add onto its
+/// result through the blocked kernel, which is exact since only ring
+/// operands are ever left unpacked.
+pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<'_, T>)]) -> Matrix<T> {
+    let (m, n) = terms
+        .first()
+        .map(|(a, b)| (a.rows(), b.n()))
+        .expect("gemm_packed_sum_auto needs at least one term");
+    let panels: Vec<(&Matrix<T>, &PackedB<T>)> = terms
+        .iter()
+        .filter_map(|&(a, b)| match &b.0 {
+            AutoForm::Panels(pb) => Some((a, pb)),
+            AutoForm::Unpacked(_) => None,
+        })
+        .collect();
+    let mut out = if panels.is_empty() {
+        Matrix::zeros(m, n)
+    } else {
+        gemm_packed_sum(&panels)
+    };
+    for &(a, b) in terms {
+        if let AutoForm::Unpacked(b) = b.0 {
+            assert_shapes(a, b);
+            assert_eq!(
+                (a.rows(), b.cols()),
+                (m, n),
+                "gemm_packed_sum terms disagree on output shape"
+            );
+            gemm_band(a.as_slice(), m, a.cols(), b, out.as_mut_slice());
+        }
+    }
+    out
 }
 
 /// The production GEMM: dispatches on problem size, mirroring the paper's
@@ -1064,17 +1122,36 @@ mod tests {
     #[test]
     fn packed_sum_auto_matches_naive() {
         // The fused Eq. 8 sum through `pack_b_auto` / `pack_matching` must
-        // agree bit-for-bit with the oracle.
-        let l = umat(9, 40, 1);
-        let e = umat(9, 33, 2);
-        let f = umat(40, 11, 3);
-        let b = umat(33, 11, 4);
+        // agree bit-for-bit with the oracle in both forms: `9 x 40 x 11`
+        // is under the packing floor, `90 x 40 x 11` over it.
+        for m in [9, 90] {
+            let l = umat(m, 40, 1);
+            let e = umat(m, 33, 2);
+            let f = umat(40, 11, 3);
+            let b = umat(33, 11, 4);
+            let expect = gemm_naive(&l, &f).add(&gemm_naive(&e, &b));
+            let f_auto = pack_b_auto(&f, m);
+            let b_auto = f_auto.pack_matching(&b);
+            assert_eq!(gemm_packed_sum_auto(&[(&l, &f_auto), (&e, &b_auto)]), expect);
+            assert_eq!((f_auto.k(), f_auto.n()), (40, 11));
+            assert_eq!(f_auto.is_packed(), m * 40 * 11 >= AUTO_PACK_FLOPS, "m = {m}");
+            assert_eq!(b_auto.is_packed(), f_auto.is_packed(), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn packed_sum_auto_adds_mixed_forms() {
+        // Terms prepared separately may disagree in form; each is
+        // evaluated in its own and all land in one output.
+        let l = umat(2, 40, 1);
+        let e = umat(2, 900, 2);
+        let f = umat(40, 20, 3);
+        let b = umat(900, 20, 4);
+        let (f_auto, b_auto) = (pack_b_auto(&f, 2), pack_b_auto(&b, 2));
+        assert!(!f_auto.is_packed() && b_auto.is_packed());
         let expect = gemm_naive(&l, &f).add(&gemm_naive(&e, &b));
-        let f_auto = pack_b_auto(&f, 9);
-        let b_auto = f_auto.pack_matching(&b);
         assert_eq!(gemm_packed_sum_auto(&[(&l, &f_auto), (&e, &b_auto)]), expect);
-        assert_eq!((f_auto.k(), f_auto.n()), (40, 11));
-        assert!(f_auto.byte_size() > 0);
+        assert_eq!(gemm_packed_sum_auto(&[(&e, &b_auto), (&l, &f_auto)]), expect);
     }
 
     #[test]

@@ -232,17 +232,25 @@ cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
 # Serving gate: the multi-tenant micro-batcher must reveal exactly the
 # bytes a sequential run reveals (digest equality over tag-sorted
 # outputs) and its JSON report must validate against psml.serve.v1.
+serve_digests_agree() {
+    local batched sequential
+    batched="$(./target/release/psml serve "$@" | awk '/serve digest/ {print $4}')"
+    sequential="$(./target/release/psml serve "$@" --sequential \
+        | awk '/serve digest/ {print $4}')"
+    [ -n "$batched" ] && [ "$batched" = "$sequential" ] || {
+        echo "ci: serve digest $batched != sequential $sequential ($*)" >&2
+        exit 1
+    }
+}
 serve_json="$(mktemp)"
 serve_args=(--models mlp,logistic --dataset synthetic --fleet 16 --requests 32 \
     --window-us 400 --max-batch 8 --queue 4096 --seed 42)
-batched_digest="$(./target/release/psml serve "${serve_args[@]}" \
-    | awk '/serve digest/ {print $4}')"
-sequential_digest="$(./target/release/psml serve "${serve_args[@]}" --sequential \
-    | awk '/serve digest/ {print $4}')"
-[ -n "$batched_digest" ] && [ "$batched_digest" = "$sequential_digest" ] || {
-    echo "ci: serve digest $batched_digest != sequential $sequential_digest" >&2
-    exit 1
-}
+serve_digests_agree "${serve_args[@]}"
+# Logistic alone at the e2e serving shape (single-row requests, windows of
+# up to 16): every product is under the packing floor, so this checks the
+# unpacked fused path every such request takes.
+serve_digests_agree --models logistic --dataset synthetic --fleet 32 --requests 64 \
+    --window-us 200 --max-batch 16 --queue 4096 --seed 7
 ./target/release/psml serve "${serve_args[@]}" --json "$serve_json"
 ./target/release/psml validate "$serve_json"
 rm -f "$serve_json"
