@@ -1114,7 +1114,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         fence(dev);
         let hc = dev.add(hsum, hz)?;
         fence(dev);
-        let (c_raw, done) = dev.download(hc)?;
+        let (mut c, done) = dev.download(hc)?;
         for h in [he, ha, hf, hdf, hb, heb, hz, hsum, hc] {
             // `hd` aliases `ha` for P0 and is freed separately for P1.
             let _ = dev.free(h);
@@ -1124,7 +1124,7 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         }
 
         // Local truncation on the CPU after download.
-        let c = R::truncate_matrix(&c_raw, party);
+        R::truncate_in_place(&mut c, party);
         let trunc_dur = self.cpu_dur(2 * m * n * R::BYTES);
         let t = self.server_cpu(i, done, trunc_dur);
         Ok(Timed { v: c, ready: t })
@@ -1179,7 +1179,8 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let enc = R::encode(c);
         let dur = self.cpu_dur(2 * a.parts[0].v.byte_size());
         SharedMatrix::new(self.per_server(a.ready(), dur, |i| {
-            R::truncate_matrix(&a.parts[i].v.map(|x| x.mul(enc)), Party::BOTH[i])
+            let party = Party::BOTH[i];
+            a.parts[i].v.map(|x| x.mul(enc).truncate_share(party))
         }))
     }
 

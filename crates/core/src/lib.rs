@@ -7,7 +7,7 @@
 //!
 //! The framework executes real secret-shared machine learning — CNN, MLP,
 //! RNN, linear/logistic regression and SVM over additive shares in
-//! `Z_{2^64}` (or `f32`) — across one client and two servers, while a
+//! `Z_{2^64}` — across one client and two servers, while a
 //! calibrated machine model (see `psml-gpu` and `psml-net`) accounts
 //! simulated time for every CPU op, GPU kernel, PCIe transfer and network
 //! message. The three paper contributions are all here and all togglable:

@@ -708,7 +708,10 @@ mod tests {
         }
         // Eight ready is above half: no take woke the worker.
         settle();
-        c.observe(|st| Some(assert_eq!((st.ready.len(), st.claimed()), (8, 8))));
+        c.observe(|st| {
+            assert_eq!((st.ready.len(), st.claimed()), (8, 8));
+            Some(())
+        });
         // Seven is not: the worker tops the queue up again.
         c.take(GEMM);
         c.observe(full);

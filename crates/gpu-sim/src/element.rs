@@ -34,19 +34,6 @@ impl GpuElement for f32 {
     }
 }
 
-impl GpuElement for f64 {
-    #[inline]
-    fn quantize_tc(self) -> Self {
-        quantize_f16(self as f32) as f64
-    }
-
-    #[inline]
-    fn from_random_bits(bits: u64) -> Self {
-        let unit = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        2.0 * unit - 1.0
-    }
-}
-
 impl GpuElement for u64 {
     #[inline]
     fn quantize_tc(self) -> Self {
@@ -95,8 +82,6 @@ mod tests {
             let bits = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let f = f32::from_random_bits(bits);
             assert!((-1.0..1.0).contains(&f));
-            let d = f64::from_random_bits(bits);
-            assert!((-1.0..1.0).contains(&d));
         }
     }
 

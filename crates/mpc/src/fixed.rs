@@ -71,8 +71,6 @@ unsafe impl Num for Fixed64 {
 }
 
 impl SecureRing for Fixed64 {
-    const NEEDS_TRUNCATION: bool = true;
-
     /// `round(x * 2^13)` in two's complement.
     #[inline]
     fn encode(x: f64) -> Self {
@@ -85,13 +83,8 @@ impl SecureRing for Fixed64 {
         self.0 as i64 as f64 / SCALE
     }
 
-    #[inline]
-    fn random(rng: &mut Mt19937) -> Self {
-        Fixed64(rng.next_u64())
-    }
-
-    /// [`SecureRing::random`] element by element, drawn as one
-    /// [`Mt19937::fill_u64`] block copy.
+    /// Uniform over the whole ring, drawn as one [`Mt19937::fill_u64`]
+    /// block copy.
     fn random_matrix(rows: usize, cols: usize, rng: &mut Mt19937) -> Matrix<Self> {
         let mut words = vec![0u64; rows * cols];
         rng.fill_u64(&mut words);
@@ -99,8 +92,14 @@ impl SecureRing for Fixed64 {
     }
 
     /// SecureML local truncation: P0 computes `z0 >> d`; P1 computes
-    /// `-((-z1) >> d)`. Reconstruction equals `floor(z / 2^d)` up to +-1 ULP
-    /// with probability `1 - 2^(log|z| + 1 - 64)`.
+    /// `-((-z1) >> d)`.
+    ///
+    /// With P0 holding the mask `r` of a double-scale value `z` (and P1
+    /// `z - r`), the two results add to `floor(z / 2^d)` or that plus one,
+    /// except when `r` lands in a window of `|z|` masks: `[0, z)` for
+    /// `z > 0`, `[2^64 + z, 2^64)` for `z < 0`. There the sum is off by
+    /// `-2^(64-d)` (`z > 0`) or `+2^(64-d)` (`z < 0`). Under a uniform mask
+    /// the failure probability is therefore exactly `|z| / 2^64`.
     #[inline]
     fn truncate_share(self, party: Party) -> Self {
         match party {
@@ -144,7 +143,7 @@ mod tests {
         let mut rng = Mt19937::new(5);
         for &x in &[0.0, 123.456, -987.654, 1e5, -1e5] {
             let secret = Fixed64::encode(x);
-            let mask = Fixed64::random(&mut rng);
+            let mask = Fixed64(rng.next_u64());
             let s0 = mask;
             let s1 = secret.sub(mask);
             assert_eq!(s0.add(s1), secret, "exact ring reconstruction");
@@ -159,7 +158,7 @@ mod tests {
             let eb = Fixed64::encode(b);
             let prod = ea.mul(eb); // scale 2^26
             // Share the product, truncate both shares locally, reconstruct.
-            let mask = Fixed64::random(&mut rng);
+            let mask = Fixed64(rng.next_u64());
             let s0 = mask.truncate_share(Party::P0);
             let s1 = prod.sub(mask).truncate_share(Party::P1);
             let rec = s0.add(s1).decode();
@@ -198,12 +197,12 @@ mod tests {
 
     #[test]
     fn random_matrix_is_the_element_draws() {
-        // One block copy draws what `random` draws element by element,
+        // One block copy draws what `next_u64` draws element by element,
         // from an odd offset and across twists.
         let (mut a, mut b) = (Mt19937::new(3), Mt19937::new(3));
         assert_eq!(a.next_u32(), b.next_u32());
         let got = Fixed64::random_matrix(7, 181, &mut a);
-        let want = Matrix::from_fn(7, 181, |_, _| Fixed64::random(&mut b));
+        let want = Matrix::from_fn(7, 181, |_, _| Fixed64(b.next_u64()));
         assert_eq!(got, want);
         assert_eq!(a.next_u32(), b.next_u32());
     }
@@ -211,7 +210,8 @@ mod tests {
     #[test]
     fn random_fills_full_range() {
         let mut rng = Mt19937::new(23);
-        let vals: Vec<u64> = (0..1000).map(|_| Fixed64::random(&mut rng).0).collect();
+        let m = Fixed64::random_matrix(1, 1000, &mut rng);
+        let vals: Vec<u64> = m.as_slice().iter().map(|x| x.0).collect();
         // At least one sample in each quarter of the range.
         for q in 0..4u64 {
             let lo = q << 62;

@@ -2,13 +2,10 @@
 //! Two-party computation substrate for ParSecureML-rs.
 //!
 //! Implements the protocol of the paper's Section 2.2 — additive secret
-//! sharing with Beaver multiplication triples — over two carriers:
-//!
-//! - [`Fixed64`]-interpreted `u64` (`Z_{2^64}` with SecureML's 13-bit
-//!   fixed-point encoding and local share truncation), where reconstruction
-//!   is *exact* modular arithmetic, and
-//! - `f32`, the carrier the authors' CUDA implementation actually used,
-//!   where reconstruction is approximate.
+//! sharing with Beaver multiplication triples — over one carrier,
+//! [`Fixed64`]-interpreted `u64`: `Z_{2^64}` with SecureML's 13-bit
+//! fixed-point encoding and local share truncation, where reconstruction is
+//! *exact* modular arithmetic and every mask is uniform over the ring.
 //!
 //! The protocol objects are deliberately explicit about *which party knows
 //! what*: a [`SharePair`] is only ever held by the client; servers hold one

@@ -53,9 +53,9 @@ fn deal(
 /// `C_0 + C_1` against `floor(exact / 2^13)`, in raw ring units: the two
 /// may differ by one unit in the last place and no more — the documented
 /// contract of [`SecureRing::truncate_share`] on `Fixed64`, which holds
-/// except with probability `2^(log|z| + 1 - 64)` per element. The callers
+/// except with probability exactly `|z| / 2^64` per element. The callers
 /// draw `|x| <= 8` at shapes `<= 12`, so `|z| < 2^36` and that event has
-/// probability `< 2^-27`: out of reach of the 32 cases the fixed proptest
+/// probability `< 2^-28`: out of reach of the 32 cases the fixed proptest
 /// seed generates, which is why the bound is asserted without slack.
 fn within_one_lsb(shares: [Matrix<Fixed64>; 2], exact: &Matrix<Fixed64>) -> Result<(), String> {
     let got = shares[0].add(&shares[1]);
@@ -67,6 +67,64 @@ fn within_one_lsb(shares: [Matrix<Fixed64>; 2], exact: &Matrix<Fixed64>) -> Resu
         }
     }
     Ok(())
+}
+
+/// A truncation failure's offset: `2^(64 - 13)` raw units, against the sign
+/// of the truncated value.
+const WRAP: i64 = 1 << (64 - SCALE_BITS);
+
+/// `truncate_share` on both shares of `z` under mask `r`, added, minus
+/// `floor(z / 2^13)`, in raw ring units.
+fn truncation_error(z: i64, r: u64) -> i64 {
+    let s0 = Fixed64(r).truncate_share(Party::P0);
+    let s1 = Fixed64((z as u64).wrapping_sub(r)).truncate_share(Party::P1);
+    s0.add(s1).0.wrapping_sub((z >> SCALE_BITS) as u64) as i64
+}
+
+#[test]
+fn truncation_fails_exactly_inside_the_window_edges() {
+    let ok = |z, r| (0..=1).contains(&truncation_error(z, r));
+    let fails = |z, r| (-WRAP..=1 - WRAP).contains(&truncation_error(z, r));
+    for z in [2i64, 8191, 8192, 8193, 123_456_789, 1 << 40, i64::MAX] {
+        let zu = z as u64;
+        // z > 0: the failure window is [0, z).
+        assert!(fails(z, 0) && fails(z, zu - 1), "z={z}");
+        assert!(ok(z, zu) && ok(z, zu + 1), "z={z}");
+        // Its mirror, z < 0: the window is [2^64 + z, 2^64).
+        let (neg, lo) = (-z, zu.wrapping_neg());
+        assert!(ok(neg, lo - 1) && ok(neg, 0), "z={neg}");
+        let mirror = |e: i64| (WRAP..=WRAP + 1).contains(&e);
+        assert!(mirror(truncation_error(neg, lo)), "z={neg}");
+        assert!(mirror(truncation_error(neg, lo + 1)), "z={neg}");
+        assert!(mirror(truncation_error(neg, u64::MAX)), "z={neg}");
+    }
+    // z = 0 has no failure window.
+    assert!([0, 1, u64::MAX].iter().all(|&r| ok(0, r)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Outside its failure window, local truncation is off by 0 or +1 for
+    /// any double-scale `z` and mask `r`; inside it, by `∓2^51` more. `r` is
+    /// uniform, or within a few masks of either window edge (`0` and `z`).
+    /// A case costs two shifts, so this block runs 1,024 of them.
+    #[test]
+    fn truncation_fails_only_inside_the_window(
+        (bits, shift) in (any::<i64>(), 0u32..64),
+        (r, near, edge, delta) in (any::<u64>(), any::<bool>(), any::<bool>(), -4i64..4),
+    ) {
+        let z = bits >> shift;
+        let r = if near { (if edge { z } else { 0 }).wrapping_add(delta) as u64 } else { r };
+        let zu = z as u64;
+        let off = match z.signum() {
+            1 if r < zu => -WRAP,
+            -1 if r >= zu => WRAP,
+            _ => 0,
+        };
+        let err = truncation_error(z, r);
+        prop_assert!((off..=off + 1).contains(&err), "z={} r={:#x} err={}", z, r, err);
+    }
 }
 
 /// `m·k·n` from which `pack_b_auto` packs a ring operand into panels (the
@@ -197,7 +255,7 @@ proptest! {
     fn truncation_error_bound(a in -100.0f64..100.0, b in -100.0f64..100.0, seed in any::<u32>()) {
         let mut rng = Mt19937::new(seed);
         let prod = Fixed64::encode(a).mul(Fixed64::encode(b));
-        let mask = Fixed64::random(&mut rng);
+        let mask = Fixed64(rng.next_u64());
         let s0 = mask.truncate_share(Party::P0);
         let s1 = prod.sub(mask).truncate_share(Party::P1);
         let rec = s0.add(s1).decode();

@@ -38,18 +38,14 @@ impl Party {
 /// A cleartext matrix as the client sees it.
 pub type PlainMatrix = Matrix<f64>;
 
-/// A carrier ring for additive secret sharing.
+/// The carrier ring for additive secret sharing.
 ///
-/// Two implementations exist:
-/// - [`crate::Fixed64`]: `Z_{2^64}` with 13-bit fixed point (SecureML's
-///   representation) — sharing is *exact* modular arithmetic and products
-///   need a local truncation step;
-/// - `f32`: the approximate float carrier the authors' CUDA code used —
-///   no truncation, but reconstruction carries rounding error.
+/// One implementation exists, [`crate::Fixed64`]: `Z_{2^64}` with 13-bit
+/// fixed point (SecureML's representation). Sharing is *exact* modular
+/// arithmetic, masks are uniform over the whole ring, and products need a
+/// local truncation step. A float carrier cannot hide a value: its masks
+/// are bounded, so `x - r` gives `x` away to within the mask's range.
 pub trait SecureRing: Num {
-    /// Whether [`SecureRing::truncate_share`] must run after products.
-    const NEEDS_TRUNCATION: bool;
-
     /// Encodes a cleartext value into the ring.
     fn encode(x: f64) -> Self;
 
@@ -58,11 +54,7 @@ pub trait SecureRing: Num {
     /// (i.e. *reconstructed* values, never individual shares).
     fn decode(self) -> f64;
 
-    /// Samples a uniform masking element.
-    fn random(rng: &mut Mt19937) -> Self;
-
-    /// SecureML's local post-multiplication share truncation. For carriers
-    /// without fixed point this is the identity.
+    /// SecureML's local post-multiplication share truncation.
     fn truncate_share(self, party: Party) -> Self;
 
     /// Encodes a cleartext matrix element-wise.
@@ -76,44 +68,13 @@ pub trait SecureRing: Num {
     }
 
     /// Samples a uniform masking matrix.
-    fn random_matrix(rows: usize, cols: usize, rng: &mut Mt19937) -> Matrix<Self> {
-        Matrix::from_fn(rows, cols, |_, _| Self::random(rng))
-    }
+    fn random_matrix(rows: usize, cols: usize, rng: &mut Mt19937) -> Matrix<Self>;
 
-    /// Truncates every element of a product-share matrix.
-    fn truncate_matrix(m: &Matrix<Self>, party: Party) -> Matrix<Self> {
-        if Self::NEEDS_TRUNCATION {
-            m.map(|x| x.truncate_share(party))
-        } else {
-            m.clone()
+    /// Truncates every element of a product-share matrix in place.
+    fn truncate_in_place(m: &mut Matrix<Self>, party: Party) {
+        for x in m.as_mut_slice() {
+            *x = x.truncate_share(party);
         }
-    }
-}
-
-impl SecureRing for f32 {
-    const NEEDS_TRUNCATION: bool = false;
-
-    #[inline]
-    fn encode(x: f64) -> Self {
-        x as f32
-    }
-
-    #[inline]
-    fn decode(self) -> f64 {
-        self as f64
-    }
-
-    /// Masks are drawn from `[-1, 1)`: float sharing is approximate and a
-    /// bounded mask keeps catastrophic cancellation in check (matching the
-    /// original implementation's behaviour of sharing floats directly).
-    #[inline]
-    fn random(rng: &mut Mt19937) -> Self {
-        rng.gen_range_f32(-1.0, 1.0)
-    }
-
-    #[inline]
-    fn truncate_share(self, _party: Party) -> Self {
-        self
     }
 }
 
@@ -128,29 +89,5 @@ mod tests {
         assert_eq!(Party::P0.other(), Party::P1);
         assert_eq!(Party::P1.other(), Party::P0);
         assert_eq!(Party::BOTH[0], Party::P0);
-    }
-
-    #[test]
-    fn f32_roundtrip_is_cast() {
-        assert_eq!(<f32 as SecureRing>::encode(1.5), 1.5f32);
-        assert_eq!(SecureRing::decode(2.5f32), 2.5f64);
-        assert_eq!(SecureRing::truncate_share(3.25f32, Party::P1), 3.25);
-    }
-
-    #[test]
-    fn f32_masks_bounded() {
-        let mut rng = Mt19937::new(1);
-        for _ in 0..1000 {
-            let m = <f32 as SecureRing>::random(&mut rng);
-            assert!((-1.0..1.0).contains(&m));
-        }
-    }
-
-    #[test]
-    fn matrix_encode_decode_roundtrip() {
-        let m = PlainMatrix::from_fn(3, 3, |r, c| (r as f64) - c as f64 * 0.5);
-        let enc = <f32 as SecureRing>::encode_matrix(&m);
-        let dec = <f32 as SecureRing>::decode_matrix(&enc);
-        assert!(m.max_abs_diff(&dec) < 1e-6);
     }
 }

@@ -170,31 +170,12 @@ impl Mt19937 {
         ((self.next_u32() as u64) << 32) | self.next_u32() as u64
     }
 
-    /// Uniform `f32` in `[0, 1)` using the top 24 bits.
-    #[inline]
-    pub fn next_f32(&mut self) -> f32 {
-        (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-
     /// Uniform `f64` in `[0, 1)` using 53 bits.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         let high = (self.next_u32() >> 5) as u64; // 27 bits
         let low = (self.next_u32() >> 6) as u64; // 26 bits
         ((high << 26) | low) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform `f32` in `[lo, hi)`.
-    #[inline]
-    pub fn gen_range_f32(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + self.next_f32() * (hi - lo)
-    }
-
-    /// Fills a slice with uniform values in `[lo, hi)`.
-    pub fn fill_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = self.gen_range_f32(lo, hi);
-        }
     }
 
     /// Fills a slice with raw 64-bit outputs (used for ring shares): the
@@ -309,19 +290,8 @@ mod tests {
     fn floats_in_unit_interval() {
         let mut rng = Mt19937::new(99);
         for _ in 0..10_000 {
-            let f = rng.next_f32();
-            assert!((0.0..1.0).contains(&f));
             let d = rng.next_f64();
             assert!((0.0..1.0).contains(&d));
-        }
-    }
-
-    #[test]
-    fn gen_range_respects_bounds() {
-        let mut rng = Mt19937::new(7);
-        for _ in 0..10_000 {
-            let v = rng.gen_range_f32(-2.5, 3.5);
-            assert!((-2.5..3.5).contains(&v));
         }
     }
 
@@ -388,12 +358,6 @@ mod tests {
             ((high << 26) | low) as f64 * (1.0 / (1u64 << 53) as f64)
         }
 
-        fn fill_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-            for v in out {
-                *v = lo + (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32) * (hi - lo);
-            }
-        }
-
         fn fill_u64(&mut self, out: &mut [u64]) {
             for v in out {
                 *v = self.next_u64();
@@ -412,7 +376,7 @@ mod tests {
         fn block_generator_matches_the_scalar_oracle(
             (from_stream, master, stream) in (any::<bool>(), any::<u64>(), any::<u64>()),
             skip in 0usize..1300,
-            calls in prop::collection::vec((0u8..5, 0usize..2001), 1..12),
+            calls in prop::collection::vec((0u8..4, 0usize..2001), 1..12),
         ) {
             let mut rng = if from_stream {
                 Mt19937::from_stream(master, stream)
@@ -428,13 +392,6 @@ mod tests {
                     0 => prop_assert_eq!(rng.next_u32(), oracle.next_u32()),
                     1 => prop_assert_eq!(rng.next_u64(), oracle.next_u64()),
                     2 => prop_assert_eq!(rng.next_f64().to_bits(), oracle.next_f64().to_bits()),
-                    3 => {
-                        let (mut got, mut want) = (vec![0f32; len], vec![0f32; len]);
-                        rng.fill_f32(&mut got, -2.5, 3.5);
-                        oracle.fill_f32(&mut want, -2.5, 3.5);
-                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        prop_assert_eq!(bits(&got), bits(&want));
-                    }
                     _ => {
                         let (mut got, mut want) = (vec![0u64; len], vec![0u64; len]);
                         rng.fill_u64(&mut got);

@@ -1,7 +1,6 @@
 //! Owned, row-major dense matrices.
 
 use crate::num::Num;
-use psml_parallel::Mt19937;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -243,14 +242,6 @@ impl<T: Num> Matrix<T> {
 }
 
 impl Matrix<f32> {
-    /// Fills with uniform values in `[lo, hi)` from a caller-supplied
-    /// MT19937 generator (the paper's CPU random-matrix generation path).
-    pub fn random(rows: usize, cols: usize, rng: &mut Mt19937, lo: f32, hi: f32) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        rng.fill_f32(m.as_mut_slice(), lo, hi);
-        m
-    }
-
     /// Maximum absolute element-wise difference to `rhs`.
     pub fn max_abs_diff(&self, rhs: &Matrix<f32>) -> f32 {
         assert_eq!(self.shape(), rhs.shape(), "shape mismatch");
@@ -397,16 +388,6 @@ mod tests {
         let b = Matrix::from_vec(1, 2, vec![1u64, u64::MAX]);
         let s = a.add(&b);
         assert_eq!(s.as_slice(), &[0, 4]);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let mut r1 = Mt19937::new(9);
-        let mut r2 = Mt19937::new(9);
-        let a = Matrix::random(4, 4, &mut r1, -1.0, 1.0);
-        let b = Matrix::random(4, 4, &mut r2, -1.0, 1.0);
-        assert_eq!(a, b);
-        assert!(a.as_slice().iter().all(|&x| (-1.0..1.0).contains(&x)));
     }
 
     #[test]

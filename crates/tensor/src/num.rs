@@ -2,10 +2,11 @@
 
 /// A numeric element type usable in matrices.
 ///
-/// The protocol runs over two very different carriers — IEEE floats (the
-/// paper's cuBLAS implementation) and the wrapping ring `Z_{2^64}` (the
-/// SecureML fixed-point ring, where exact reconstruction holds). `Num`
-/// abstracts exactly the operations both support. **All operations wrap for
+/// Matrices hold two very different carriers — IEEE floats (the paper's
+/// cuBLAS kernels, which the device model and the GEMM ladder run) and the
+/// wrapping ring `Z_{2^64}` (the SecureML fixed-point ring every share
+/// lives in, where exact reconstruction holds). `Num` abstracts exactly the
+/// operations both support. **All operations wrap for
 /// integer carriers**; this is intentional — additive secret sharing *is*
 /// modular arithmetic.
 ///

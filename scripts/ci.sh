@@ -27,8 +27,9 @@ for workers in 1 3; do
     PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
 done
 # `-D warnings` now comes from [workspace.lints] in Cargo.toml, so plain
-# builds and clippy runs enforce the same bar as CI.
-cargo clippy --all-targets --offline
+# builds and clippy runs enforce the same bar as CI. --workspace lints the
+# member crates' test code too (a bare run lints only the root package's).
+cargo clippy --workspace --all-targets --offline
 
 # Static-analysis gate: the workspace must pass its own secrecy /
 # determinism / timing / concurrency / unsafe-hygiene analyzer, and the
@@ -82,6 +83,19 @@ fi
 # back.
 if grep -rnE 'fn (gemm_batch|gen_triples_streamed|gen_triple_hadamard|scoped_run)\b|struct (Timeline|OpRecord)\b' crates; then
     echo "ci: a deleted triple batch path or per-op timeline is back (listed above)" >&2; exit 1
+fi
+
+# One share carrier: `Fixed64` (`Z_{2^64}`, masks uniform over the ring) is
+# the only `SecureRing`. A second impl, or the float carrier's
+# `NEEDS_TRUNCATION` switch or cloning `truncate_matrix`, is the bounded-mask
+# float ring growing back.
+ring_impls="$(grep -rn 'impl SecureRing for' crates | wc -l)"
+[ "$ring_impls" -le 1 ] || {
+    echo "ci: $ring_impls SecureRing impls under crates/; Fixed64 is the one carrier" >&2
+    exit 1
+}
+if grep -rnE 'NEEDS_TRUNCATION|truncate_matrix' crates; then
+    echo "ci: the float carrier's truncation switch is back (listed above)" >&2; exit 1
 fi
 
 # One protocol core: the Beaver algebra lives in psml_mpc::protocol's

@@ -278,22 +278,22 @@ fn bits_line<T: Num>(label: &str, m: &Matrix<T>, bits: impl Fn(&T) -> u64) -> St
     format!("{label} {}x{} {}\n", m.rows(), m.cols(), hex.join(" "))
 }
 
-/// The one-shot reference protocols over ring `R`, each from `Mt19937::new(7)`,
-/// plus the generator's next draw (how much randomness each consumed).
-fn reference_lines<R: SecureRing>(ring: &str) -> String {
+/// The one-shot reference protocols, each from `Mt19937::new(7)`, plus the
+/// generator's next draw (how much randomness each consumed).
+fn reference_lines() -> String {
     let a = PlainMatrix::from_fn(4, 5, |r, c| (r as f64 + 1.0) * 0.5 - c as f64 * 0.3);
     let b = PlainMatrix::from_fn(5, 3, |r, c| (r * 3 + c) as f64 * 0.2 - 1.0);
     let a2 = PlainMatrix::from_fn(4, 5, |r, c| (c as f64 - r as f64) * 0.25 + 0.1);
     let mut out = String::new();
     for strategy in [EvalStrategy::Expanded, EvalStrategy::Fused] {
         let mut rng = Mt19937::new(7);
-        let c = secure_matmul_with::<R>(&a, &b, &mut rng, strategy);
-        let label = format!("{ring} secure_matmul {strategy:?} next={:016x}", rng.next_u64());
+        let c = secure_matmul_with::<Fixed64>(&a, &b, &mut rng, strategy);
+        let label = format!("fixed64 secure_matmul {strategy:?} next={:016x}", rng.next_u64());
         out += &bits_line(&label, &c, |x| x.to_bits());
     }
     let mut rng = Mt19937::new(7);
-    let h = secure_hadamard::<R>(&a, &a2, &mut rng);
-    let label = format!("{ring} secure_hadamard next={:016x}", rng.next_u64());
+    let h = secure_hadamard::<Fixed64>(&a, &a2, &mut rng);
+    let label = format!("fixed64 secure_hadamard next={:016x}", rng.next_u64());
     out + &bits_line(&label, &h, |x| x.to_bits())
 }
 
@@ -312,9 +312,8 @@ fn beaver_triples_are_unchanged() {
             }
         }
     }
-    // Both rings' outputs move with the masks (Fixed64 through each share's
-    // truncation, f32 through rounding), so these rows pin the draw order.
-    out += &reference_lines::<Fixed64>("fixed64");
-    out += &reference_lines::<f32>("f32");
+    // The outputs move with the masks (through each share's truncation), so
+    // these rows pin the draw order.
+    out += &reference_lines();
     check_golden(TRIPLES_GOLDEN, &out, "Beaver triple bits");
 }

@@ -163,34 +163,6 @@ fn exported_weights_transfer_between_trainers() {
     assert!(student.import_weights(&wrong).is_err());
 }
 
-#[test]
-fn float_carrier_agrees_with_fixed_carrier() {
-    let spec = small_spec(ModelKind::Linear);
-    let x = batch_for(&spec, 6);
-    let run = |out: &mut PlainMatrix, which: u8| {
-        if which == 0 {
-            let mut t =
-                SecureTrainer::<Fixed64>::new(EngineConfig::parsecureml(), spec.clone(), SEED)
-                    .unwrap();
-            *out = t.infer_request(&InferRequest::new(x.clone())).unwrap().output;
-        } else {
-            let mut t =
-                SecureTrainer::<f32>::new(EngineConfig::parsecureml(), spec.clone(), SEED)
-                    .unwrap();
-            *out = t.infer_request(&InferRequest::new(x.clone())).unwrap().output;
-        }
-    };
-    let mut fixed_out = PlainMatrix::zeros(0, 0);
-    let mut float_out = PlainMatrix::zeros(0, 0);
-    run(&mut fixed_out, 0);
-    run(&mut float_out, 1);
-    assert!(
-        fixed_out.max_abs_diff(&float_out) < 5e-2,
-        "carriers disagree by {}",
-        fixed_out.max_abs_diff(&float_out)
-    );
-}
-
 /// A conv -> 2x2 average pool -> dense network on MNIST geometry: the
 /// one layer mix the paper's CNN does not have.
 fn pooled_cnn() -> ModelSpec {
