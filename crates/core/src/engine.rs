@@ -3,9 +3,11 @@
 //! # Execution model
 //!
 //! All three parties run in-process; every matrix operation *really
-//! executes* (so results are verifiable against plaintext), while simulated
-//! clocks advance on each party's resources — CPU, GPU engines (via
-//! `psml-gpu`), and NIC (via `psml-net`).
+//! executes* on the host (so results are verifiable against plaintext),
+//! while simulated clocks advance on each party's resources — CPU, GPU
+//! engines (via `psml-gpu`, which times work and computes no values), and
+//! NIC (via `psml-net`). Placement changes a product's charge, never its
+//! arithmetic.
 //!
 //! Phases follow SecureML's offline/online split strictly: offline work
 //! (share and triple generation + distribution) is timed on the *client's*
@@ -37,7 +39,7 @@ use crate::error::{EngineError, Result};
 use crate::provider::{ProviderStats, TripleProvider};
 use crate::report::{PhaseBreakdown, RunReport};
 use psml_gpu::kernels::device_random;
-use psml_gpu::{GpuDevice, GpuElement, GpuError};
+use psml_gpu::{GpuDevice, GpuError};
 use psml_mpc::protocol::{finish, finish_hadamard, finish_packed, mask, reconstruct_public};
 use psml_mpc::{
     gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing, TripleShare,
@@ -49,7 +51,7 @@ use psml_net::{
 };
 use psml_parallel::Mt19937;
 use psml_simtime::{Resource, SimDuration, SimTime};
-use psml_tensor::{gemm_auto, pack_b_auto, AutoPackedB, Matrix};
+use psml_tensor::{gemm_auto, pack_b_auto, Matrix};
 use psml_trace::{ns_of_secs, Phase, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -213,7 +215,7 @@ type Masked<R> = Timed<(Matrix<R>, Matrix<R>)>;
 /// The three NICs and the ack/retransmit channel over them: the only
 /// place the engine moves bytes. With an empty fault plan the channel
 /// degenerates to bare send/recv (no ack traffic, no timing change).
-struct Wire<R: SecureRing + GpuElement> {
+struct Wire<R: SecureRing> {
     /// `[client, server0, server1]`, indexed by [`NodeId::index`].
     endpoints: [Endpoint<R>; 3],
     reliable: ReliableChannel,
@@ -225,7 +227,7 @@ fn pair<T>(mesh: &mut [T; 3], from: NodeId, to: NodeId) -> Result<[&mut T; 2]> {
     pair.map_err(|_| NetError::SelfSend.into())
 }
 
-impl<R: SecureRing + GpuElement> Wire<R> {
+impl<R: SecureRing> Wire<R> {
     /// Reliable transfer of `payload` between two of the three nodes. The
     /// clocks are the parties' instants for *this* transfer (running or
     /// scratch: the caller's business), advanced past all it needed.
@@ -281,13 +283,13 @@ impl<R: SecureRing + GpuElement> Wire<R> {
     }
 }
 
-struct ClientState<R: SecureRing + GpuElement> {
+struct ClientState<R: SecureRing> {
     cpu: Resource,
     device: GpuDevice<R>,
     now: SimTime,
 }
 
-struct ServerState<R: SecureRing + GpuElement> {
+struct ServerState<R: SecureRing> {
     cpu: Resource,
     device: GpuDevice<R>,
     encoders: HashMap<u64, DeltaEncoder<R>>,
@@ -295,7 +297,7 @@ struct ServerState<R: SecureRing + GpuElement> {
     end: SimTime,
 }
 
-impl<R: SecureRing + GpuElement> ServerState<R> {
+impl<R: SecureRing> ServerState<R> {
     fn note(&mut self, t: SimTime) -> SimTime {
         self.end = self.end.max(t);
         t
@@ -312,7 +314,7 @@ impl<R: SecureRing + GpuElement> ServerState<R> {
 }
 
 /// The three-party secure execution context.
-pub struct SecureContext<R: SecureRing + GpuElement> {
+pub struct SecureContext<R: SecureRing> {
     cfg: EngineConfig,
     adaptive: AdaptiveEngine,
     rng: Mt19937,
@@ -342,7 +344,7 @@ pub struct SecureContext<R: SecureRing + GpuElement> {
     triple_reuses: usize,
 }
 
-impl<R: SecureRing + GpuElement> SecureContext<R> {
+impl<R: SecureRing> SecureContext<R> {
     /// Builds a context with the given configuration and client RNG seed.
     ///
     /// # Panics
@@ -926,17 +928,30 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         let c2_guard = TraceSink::scope(Phase::Compute2, layer);
         let bytes_moved = (2 * m * k + 2 * k * n + 2 * m * n) * R::BYTES;
         let placement = self.adaptive.place(&self.cfg, m, 2 * k, n, bytes_moved);
-        // Both servers reconstruct the same public F, so on the fused CPU
-        // path it is prepared once (packed into column panels above the
-        // blocked kernel's floor) and shared between the two `[F ; B_i]`
+        // Both placements compute `C_i` with the same protocol step; the
+        // placement decides only how it is charged. Both servers
+        // reconstruct the same public F, so on the fused path it is
+        // prepared once (packed into column panels above the blocked
+        // kernel's floor) and shared between the two `[F ; B_i]`
         // evaluations (Eq. (8)'s common top block).
-        let f_packed = match (placement, self.cfg.eval_strategy) {
-            (Placement::Cpu, EvalStrategy::Fused) => Some(pack_b_auto(&publics[0].v.1, m)),
-            _ => None,
+        let f_packed = match self.cfg.eval_strategy {
+            EvalStrategy::Fused => Some(pack_b_auto(&publics[0].v.1, m)),
+            EvalStrategy::Expanded => None,
         };
-        let mut compute2 = |i: usize| match placement {
-            Placement::Cpu => self.compute2_cpu(i, &publics[i], a, b, triple, f_packed.as_ref()),
-            Placement::Gpu => self.compute2_gpu(i, &publics[i], a, b, triple),
+        let mut compute2 = |i: usize| -> Result<Timed<Matrix<R>>> {
+            let party = Party::BOTH[i];
+            let (e_pub, f_pub) = &publics[i].v;
+            let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].z);
+            let strategy = self.cfg.eval_strategy;
+            let v = match &f_packed {
+                Some(fp) => finish_packed(party, a_i, b_i, z_i, e_pub, fp),
+                None => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
+            };
+            let ready = match placement {
+                Placement::Cpu => self.charge_compute2_cpu(i, publics[i].ready, triple.dims),
+                Placement::Gpu => self.charge_compute2_gpu(i, &publics[i], a, b, triple)?,
+            };
+            Ok(Timed { v, ready })
         };
         let outs = [compute2(0)?, compute2(1)?];
         let c2_end = latest(&outs);
@@ -1035,44 +1050,36 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         Ok(SharedMatrix::new(outs))
     }
 
-    fn compute2_cpu(
+    /// Charges CPU compute2 on server `i` from its public `(E, F)`
+    /// instant; returns when `C_i` is ready.
+    fn charge_compute2_cpu(
         &mut self,
         i: usize,
-        public: &Masked<R>,
-        a: &SharedMatrix<R>,
-        b: &SharedMatrix<R>,
-        triple: &DistTriple<R>,
-        f_packed: Option<&AutoPackedB<'_, R>>,
-    ) -> Result<Timed<Matrix<R>>> {
-        let (m, k, n) = triple.dims;
-        let party = Party::BOTH[i];
-        let (e_pub, f_pub) = &public.v;
-        let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].z);
-        let c = match (self.cfg.eval_strategy, f_packed) {
-            (EvalStrategy::Fused, Some(fp)) => finish_packed(party, a_i, b_i, z_i, e_pub, fp),
-            (strategy, _) => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
-        };
+        ready: SimTime,
+        (m, k, n): (usize, usize, usize),
+    ) -> SimTime {
         let mut dur = self.cfg.cpu_gemm_time(m, 2 * k, n);
+        let party = Party::BOTH[i];
         if matches!(self.cfg.eval_strategy, EvalStrategy::Expanded) && party == Party::P1 {
             dur += self.cfg.cpu_gemm_time(m, k, n);
         }
         // Truncation / final additions.
         dur += self.cpu_dur(2 * m * n * R::BYTES);
-        let t = self.server_cpu(i, public.ready, dur);
-        Ok(Timed { v: c, ready: t })
+        self.server_cpu(i, ready, dur)
     }
 
-    /// GPU compute2 per Fig. 5: upload E and A_i, compute `D = (-i)E + A_i`
-    /// while F transfers, `D x F` while B_i transfers, then `E x B_i`,
-    /// the sum, and `+ Z_i`; download C_i.
-    fn compute2_gpu(
+    /// Charges GPU compute2 on server `i` per Fig. 5: upload E and A_i,
+    /// compute `D = (-i)E + A_i` while F transfers, `D x F` while B_i
+    /// transfers, then `E x B_i`, the sum, and `+ Z_i`; download C_i and
+    /// truncate it on the CPU. Returns when `C_i` is ready.
+    fn charge_compute2_gpu(
         &mut self,
         i: usize,
         public: &Masked<R>,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         triple: &DistTriple<R>,
-    ) -> Result<Timed<Matrix<R>>> {
+    ) -> Result<SimTime> {
         let fenced = !self.cfg.pipeline;
         let mode = self.cfg.gpu_gemm_mode();
         let (m, n) = (triple.dims.0, triple.dims.2);
@@ -1114,20 +1121,17 @@ impl<R: SecureRing + GpuElement> SecureContext<R> {
         fence(dev);
         let hc = dev.add(hsum, hz)?;
         fence(dev);
-        let (mut c, done) = dev.download(hc)?;
+        let done = dev.download(hc)?;
         for h in [he, ha, hf, hdf, hb, heb, hz, hsum, hc] {
             // `hd` aliases `ha` for P0 and is freed separately for P1.
-            let _ = dev.free(h);
+            dev.free(h)?;
         }
         if party == Party::P1 {
-            let _ = dev.free(hd);
+            dev.free(hd)?;
         }
 
-        // Local truncation on the CPU after download.
-        R::truncate_in_place(&mut c, party);
         let trunc_dur = self.cpu_dur(2 * m * n * R::BYTES);
-        let t = self.server_cpu(i, done, trunc_dur);
-        Ok(Timed { v: c, ready: t })
+        Ok(self.server_cpu(i, done, trunc_dur))
     }
 
     // ---------------------------------------------------------------

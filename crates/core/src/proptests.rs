@@ -3,7 +3,7 @@
 use crate::config::{AdaptivePolicy, EngineConfig};
 use crate::engine::SecureContext;
 use proptest::prelude::*;
-use psml_mpc::{Fixed64, PlainMatrix};
+use psml_mpc::{Fixed64, Party, PlainMatrix};
 
 fn plain(rows: usize, cols: usize) -> impl Strategy<Value = PlainMatrix> {
     prop::collection::vec(-4.0f64..4.0, rows * cols)
@@ -26,6 +26,36 @@ proptest! {
         let mut ctx = SecureContext::<Fixed64>::new(cfg, seed);
         let c = ctx.secure_matmul_plain(&a, &b).unwrap();
         prop_assert!(c.max_abs_diff(&a.matmul(&b)) < 2e-2);
+    }
+
+    /// Placement changes the charge, never the arithmetic: for one seed,
+    /// `ForceCpu` and `ForceGpu` give bit-identical output shares of
+    /// `secure_mul` on both servers, and the same revealed product. The
+    /// shapes cover single-row products, one above the `32^3` packing
+    /// floor, and the pipeline both on and off.
+    #[test]
+    fn placements_give_bit_identical_shares(
+        (m, k, n) in prop::sample::select(vec![(1, 7, 3), (1, 48, 10), (40, 36, 30), (5, 6, 4)]),
+        pipeline in any::<bool>(),
+        seed in any::<u32>(),
+    ) {
+        let a = PlainMatrix::from_fn(m, k, |r, c| ((r * 7 + c * 3) % 17) as f64 * 0.25 - 2.0);
+        let b = PlainMatrix::from_fn(k, n, |r, c| ((r * 5 + c * 11) % 13) as f64 * 0.3 - 1.8);
+        let run = |policy: AdaptivePolicy| {
+            let cfg = EngineConfig::parsecureml().with_pipeline(pipeline).with_policy(policy);
+            let mut ctx = SecureContext::<Fixed64>::new(cfg, seed);
+            let sa = ctx.share_input(&a).unwrap();
+            let sb = ctx.share_input(&b).unwrap();
+            let c = ctx.secure_mul_auto(&sa, &sb, "c").unwrap();
+            (c, ctx.report().placements)
+        };
+        let (cpu, cpu_placed) = run(AdaptivePolicy::ForceCpu);
+        let (gpu, gpu_placed) = run(AdaptivePolicy::ForceGpu);
+        prop_assert_eq!((cpu_placed, gpu_placed), ((1, 0), (0, 1)));
+        for party in Party::BOTH {
+            prop_assert_eq!(&cpu.part(party).v, &gpu.part(party).v);
+        }
+        prop_assert_eq!(cpu.reveal_insecure(), gpu.reveal_insecure());
     }
 
     /// Pipeline on/off and compression on/off never change results, only

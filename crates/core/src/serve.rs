@@ -43,7 +43,6 @@ use crate::error::{ConfigError, EngineError};
 use crate::models::ModelSpec;
 use crate::session::fnv64;
 use crate::trainer::SecureTrainer;
-use psml_gpu::GpuElement;
 use psml_mpc::{PlainMatrix, SecureRing, TripleSpec};
 use psml_simtime::{SimDuration, SimTime};
 use psml_trace::json::{obj, JsonValue};
@@ -396,7 +395,7 @@ struct PerModelStats {
     online: SimDuration,
 }
 
-struct Hosted<R: SecureRing + GpuElement> {
+struct Hosted<R: SecureRing> {
     name: String,
     trainer: SecureTrainer<R>,
     queue: VecDeque<Queued>,
@@ -423,7 +422,7 @@ pub struct ServeOutcome {
 
 /// The multi-tenant registry + micro-batcher. See the module docs for the
 /// fold rules and the bit-identity argument.
-pub struct ModelHost<R: SecureRing + GpuElement> {
+pub struct ModelHost<R: SecureRing> {
     cfg: ServeConfig,
     models: Vec<Hosted<R>>,
     latencies: Vec<SimDuration>,
@@ -437,7 +436,7 @@ pub struct ModelHost<R: SecureRing + GpuElement> {
     last_completion: SimTime,
 }
 
-impl<R: SecureRing + GpuElement> ModelHost<R> {
+impl<R: SecureRing> ModelHost<R> {
     /// Builds an empty registry from a validated configuration.
     pub fn new(cfg: ServeConfig) -> Result<Self, ServeError> {
         cfg.validate()?;

@@ -20,7 +20,6 @@ use crate::walk::{
     pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Site,
 };
 use psml_data::DatasetKind;
-use psml_gpu::GpuElement;
 use psml_mpc::{PlainMatrix, SecureRing};
 use psml_tensor::ConvShape;
 
@@ -76,7 +75,7 @@ pub struct InferenceResult {
 }
 
 /// The secure three-party trainer.
-pub struct SecureTrainer<R: SecureRing + GpuElement> {
+pub struct SecureTrainer<R: SecureRing> {
     ctx: SecureContext<R>,
     spec: ModelSpec,
     /// Per layer: its weight matrices as shares (Dense/Conv: 1, RNN: 2).
@@ -85,7 +84,7 @@ pub struct SecureTrainer<R: SecureRing + GpuElement> {
     last_checkpoint: Option<TrainerCheckpoint>,
 }
 
-impl<R: SecureRing + GpuElement> SecureTrainer<R> {
+impl<R: SecureRing> SecureTrainer<R> {
     /// Builds the trainer: client initializes plaintext weights (small
     /// uniform) and shares them to the servers (offline phase). An
     /// inconsistent `cfg` or `spec` is an [`EngineError::Config`].
@@ -439,12 +438,12 @@ impl<R: SecureRing + GpuElement> SecureTrainer<R> {
 /// The secure driver of the layer walk ([`crate::walk`]): the ops call
 /// the [`SecureContext`] primitives on the trainer's context and shared
 /// weights.
-struct Shares<'a, R: SecureRing + GpuElement> {
+struct Shares<'a, R: SecureRing> {
     ctx: &'a mut SecureContext<R>,
     weights: &'a mut [Vec<SharedMatrix<R>>],
 }
 
-impl<'a, R: SecureRing + GpuElement> LayerOps for Shares<'a, R> {
+impl<'a, R: SecureRing> LayerOps for Shares<'a, R> {
     type M = SharedMatrix<R>;
     type Mask = PlainMatrix;
     /// The shared targets and the client's plaintext copy (for the loss

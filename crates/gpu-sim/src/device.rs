@@ -1,15 +1,17 @@
 //! The simulated GPU device: memory, engines, and operations.
+//!
+//! A timing model: a buffer is its shape, its bytes and the instant it
+//! becomes valid. No op reads or writes element values.
 
 use crate::backend::{Backend, SimBackend};
 use crate::config::GpuConfig;
-use crate::element::GpuElement;
 use crate::kernels::GemmMode;
 use crate::profiler::ProfileReport;
 use psml_simtime::{Resource, SimDuration, SimTime};
-use psml_tensor::Matrix;
+use psml_tensor::{Matrix, Num};
 use std::fmt;
 
-/// Handle to a matrix resident in (simulated) device memory.
+/// Handle to a buffer resident in (simulated) device memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BufferId(usize);
 
@@ -65,8 +67,8 @@ enum Engine {
     D2h,
 }
 
-struct Slot<R: GpuElement> {
-    data: Matrix<R>,
+struct Slot {
+    shape: (usize, usize),
     /// Simulated instant at which the buffer's contents become valid.
     ready: SimTime,
     bytes: usize,
@@ -81,10 +83,11 @@ struct Slot<R: GpuElement> {
 /// an operation starts at the max of its operands' ready times and its
 /// engine's availability.
 ///
-/// Kernel *execution* is delegated to the [`Backend`]; the device keeps
-/// the arena, the engines, and a per-label tally of engine time for the
-/// profiler, and prices every kernel through the backend's rate table.
-pub struct GpuDevice<R: GpuElement> {
+/// The device times work and holds no values: a buffer is a shape of `R`
+/// elements (which sets its bytes). It keeps the arena, the engines, and
+/// a per-label tally of engine time for the profiler, and prices every
+/// kernel through the [`Backend`]'s rate table.
+pub struct GpuDevice<R: Num> {
     config: GpuConfig,
     backend: Box<dyn Backend<R>>,
     h2d: Resource,
@@ -94,20 +97,19 @@ pub struct GpuDevice<R: GpuElement> {
     tally: Vec<(&'static str, SimDuration, usize)>,
     /// Lane prefix of this device's spans in the global trace sink.
     trace_scope: Option<String>,
-    slots: Vec<Option<Slot<R>>>,
+    slots: Vec<Option<Slot>>,
     free_ids: Vec<usize>,
     allocated: usize,
     fence: SimTime,
 }
 
-impl<R: GpuElement> GpuDevice<R> {
-    /// Creates an idle device on the simulator backend.
+impl<R: Num> GpuDevice<R> {
+    /// Creates an idle device on the simulator's rate table.
     pub fn new(config: GpuConfig) -> Self {
         Self::with_backend(config, Box::new(SimBackend))
     }
 
-    /// Creates an idle device executing and pricing kernels through the
-    /// given backend.
+    /// Creates an idle device pricing kernels through the given backend.
     pub fn with_backend(config: GpuConfig, backend: Box<dyn Backend<R>>) -> Self {
         GpuDevice {
             config,
@@ -206,8 +208,9 @@ impl<R: GpuElement> GpuDevice<R> {
         end
     }
 
-    fn alloc(&mut self, data: Matrix<R>, ready: SimTime) -> Result<BufferId, GpuError> {
-        let bytes = data.byte_size();
+    /// Reserves a `rows x cols` buffer that becomes valid at `ready`.
+    fn alloc(&mut self, (rows, cols): (usize, usize), ready: SimTime) -> Result<BufferId, GpuError> {
+        let bytes = rows * cols * R::BYTES;
         let available = self.config.memory_bytes.saturating_sub(self.allocated);
         if bytes > available {
             return Err(GpuError::OutOfMemory {
@@ -216,7 +219,11 @@ impl<R: GpuElement> GpuDevice<R> {
             });
         }
         self.allocated += bytes;
-        let slot = Slot { data, ready, bytes };
+        let slot = Slot {
+            shape: (rows, cols),
+            ready,
+            bytes,
+        };
         let id = match self.free_ids.pop() {
             Some(i) => {
                 self.slots[i] = Some(slot);
@@ -230,7 +237,7 @@ impl<R: GpuElement> GpuDevice<R> {
         Ok(BufferId(id))
     }
 
-    fn slot(&self, id: BufferId) -> Result<&Slot<R>, GpuError> {
+    fn slot(&self, id: BufferId) -> Result<&Slot, GpuError> {
         self.slots
             .get(id.0)
             .and_then(Option::as_ref)
@@ -251,62 +258,60 @@ impl<R: GpuElement> GpuDevice<R> {
 
     /// Shape of a resident buffer.
     pub fn shape(&self, id: BufferId) -> Result<(usize, usize), GpuError> {
-        Ok(self.slot(id)?.data.shape())
+        Ok(self.slot(id)?.shape)
     }
 
     /// Copies a host matrix to the device (H2D over PCIe). `after` is the
     /// instant the host data becomes available (e.g. when the CPU finished
-    /// producing it).
+    /// producing it). Only the matrix's shape is read.
     pub fn upload(&mut self, m: &Matrix<R>, after: SimTime) -> Result<BufferId, GpuError> {
-        let dur = self.config.pcie.transfer_time(m.byte_size());
-        let ready = self.schedule(
-            Engine::H2d,
-            after.max(self.fence),
-            dur,
-            "h2d",
-            m.byte_size(),
-        );
-        self.alloc(m.clone(), ready)
+        self.copy_in(m.shape(), after)
     }
 
-    /// Copies a buffer back to the host (D2H). Returns the matrix and the
-    /// simulated completion instant. The buffer stays resident.
-    pub fn download(&mut self, id: BufferId) -> Result<(Matrix<R>, SimTime), GpuError> {
-        let (data, ready, bytes) = {
+    /// [`GpuDevice::upload`] of a `rows x cols` host matrix.
+    fn copy_in(&mut self, (rows, cols): (usize, usize), after: SimTime) -> Result<BufferId, GpuError> {
+        let bytes = rows * cols * R::BYTES;
+        let dur = self.config.pcie.transfer_time(bytes);
+        let ready = self.schedule(Engine::H2d, after.max(self.fence), dur, "h2d", bytes);
+        self.alloc((rows, cols), ready)
+    }
+
+    /// Copies a buffer back to the host (D2H). Returns the simulated
+    /// completion instant. The buffer stays resident.
+    pub fn download(&mut self, id: BufferId) -> Result<SimTime, GpuError> {
+        let (ready, bytes) = {
             let slot = self.slot(id)?;
-            (slot.data.clone(), slot.ready, slot.bytes)
+            (slot.ready, slot.bytes)
         };
         let dur = self.config.pcie.transfer_time(bytes);
-        let done = self.schedule(Engine::D2h, ready.max(self.fence), dur, "d2h", bytes);
-        Ok((data, done))
+        Ok(self.schedule(Engine::D2h, ready.max(self.fence), dur, "d2h", bytes))
     }
 
     /// Dense GEMM kernel; returns the output buffer.
     pub fn gemm(&mut self, a: BufferId, b: BufferId, mode: GemmMode) -> Result<BufferId, GpuError> {
         let (sa, sb) = (self.slot(a)?, self.slot(b)?);
-        if sa.data.cols() != sb.data.rows() {
+        let ((m, k), (k2, n)) = (sa.shape, sb.shape);
+        if k != k2 {
             return Err(GpuError::ShapeMismatch {
-                left: sa.data.shape(),
-                right: sb.data.shape(),
+                left: sa.shape,
+                right: sb.shape,
                 op: "gemm",
             });
         }
-        let (m, k, n) = (sa.data.rows(), sa.data.cols(), sb.data.cols());
         let ready = sa.ready.max(sb.ready).max(self.fence);
-        let out = self.backend.gemm(&sa.data, &sb.data, mode);
         let (label, dur) = self.backend.gemm_charge(&self.config, m, k, n, mode);
         let done = self.schedule(Engine::Compute, ready, dur, label, 0);
-        self.alloc(out, done)
+        self.alloc((m, n), done)
     }
 
     /// Element-wise addition kernel.
     pub fn add(&mut self, a: BufferId, b: BufferId) -> Result<BufferId, GpuError> {
-        self.elementwise(a, b, "add", |x, y| x.add(y))
+        self.elementwise(a, b, "add")
     }
 
     /// Element-wise subtraction kernel.
     pub fn sub(&mut self, a: BufferId, b: BufferId) -> Result<BufferId, GpuError> {
-        self.elementwise(a, b, "sub", |x, y| x.sub(y))
+        self.elementwise(a, b, "sub")
     }
 
     fn elementwise(
@@ -314,87 +319,50 @@ impl<R: GpuElement> GpuDevice<R> {
         a: BufferId,
         b: BufferId,
         label: &'static str,
-        f: impl Fn(R, R) -> R,
     ) -> Result<BufferId, GpuError> {
         let (sa, sb) = (self.slot(a)?, self.slot(b)?);
-        if sa.data.shape() != sb.data.shape() {
+        if sa.shape != sb.shape {
             return Err(GpuError::ShapeMismatch {
-                left: sa.data.shape(),
-                right: sb.data.shape(),
+                left: sa.shape,
+                right: sb.shape,
                 op: label,
             });
         }
+        let (shape, bytes) = (sa.shape, sa.bytes);
         let ready = sa.ready.max(sb.ready).max(self.fence);
-        let out = sa.data.zip_map(&sb.data, f);
         // Read two operands, write one result.
-        let dur = self.config.elementwise_time(3 * sa.bytes);
+        let dur = self.config.elementwise_time(3 * bytes);
         let done = self.schedule(Engine::Compute, ready, dur, label, 0);
-        self.alloc(out, done)
+        self.alloc(shape, done)
     }
 
-    /// Device-side RNG kernel (cuRAND stand-in): fills a new buffer with
-    /// uniform samples from a counter-based generator.
-    pub fn random(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        seed: u64,
-        after: SimTime,
-    ) -> Result<BufferId, GpuError> {
-        let out = self.backend.random(rows, cols, seed);
+    /// Device-side RNG kernel (cuRAND stand-in): a new `rows x cols`
+    /// buffer of uniform samples. Their values are
+    /// [`crate::kernels::device_random`]'s, made on the host by whoever
+    /// consumes them.
+    pub fn random(&mut self, rows: usize, cols: usize, after: SimTime) -> Result<BufferId, GpuError> {
         let (label, dur) = self.backend.rng_charge(&self.config, rows * cols);
         let done = self.schedule(Engine::Compute, after.max(self.fence), dur, label, 0);
-        self.alloc(out, done)
+        self.alloc((rows, cols), done)
     }
 
-    /// Reserves `bytes` of device memory without materializing data —
-    /// the accounting half of [`GpuDevice::alloc`], with the identical
-    /// OOM check.
-    fn charge_alloc(&mut self, bytes: usize) -> Result<(), GpuError> {
-        let available = self.config.memory_bytes.saturating_sub(self.allocated);
-        if bytes > available {
-            return Err(GpuError::OutOfMemory {
-                requested: bytes,
-                available,
-            });
-        }
-        self.allocated += bytes;
-        Ok(())
-    }
-
-    /// Charges the engines for `random(rows, cols, …)` followed by
-    /// `download` and `free`, without generating or moving any data.
-    ///
-    /// Bit-exact mirror of the real sequence: same engines, same labels,
-    /// same durations, same dependency chain, same transient memory
-    /// pressure (the buffer exists between the RNG kernel's issue and
-    /// the post-download free, so OOM behavior matches). Used by the
-    /// prefetch path, where triple material is produced elsewhere but
-    /// the device clock must advance exactly as if it were produced
-    /// here.
+    /// `random(rows, cols)`, then `download` and `free`: a device draw
+    /// copied back to the host. Returns when it is there.
     pub fn charge_random_roundtrip(
         &mut self,
         rows: usize,
         cols: usize,
         after: SimTime,
     ) -> Result<SimTime, GpuError> {
-        let bytes = rows * cols * R::BYTES;
-        let (label, dur) = self.backend.rng_charge(&self.config, rows * cols);
-        let ready = self.schedule(Engine::Compute, after.max(self.fence), dur, label, 0);
-        self.charge_alloc(bytes)?;
-        let dl = self.config.pcie.transfer_time(bytes);
-        let done = self.schedule(Engine::D2h, ready.max(self.fence), dl, "d2h", bytes);
-        self.allocated -= bytes;
+        let h = self.random(rows, cols, after)?;
+        let done = self.download(h)?;
+        self.free(h)?;
         Ok(done)
     }
 
-    /// Charges the engines for `upload(A)`, `upload(B)`, `gemm`,
-    /// `download(C)` and the three frees, without touching any data.
-    /// Both uploads start no earlier than `after` (the host-ready
-    /// instant), exactly as when the engine issues them back to back.
-    ///
-    /// Same bit-exactness contract as
-    /// [`GpuDevice::charge_random_roundtrip`].
+    /// `upload(A)` and `upload(B)` (both host-ready at `after`), `gemm`,
+    /// `download(C)` and the three frees: a host product run on the
+    /// device. Returns when `C` is back on the host.
     pub fn charge_gemm_roundtrip(
         &mut self,
         m: usize,
@@ -403,33 +371,13 @@ impl<R: GpuElement> GpuDevice<R> {
         mode: GemmMode,
         after: SimTime,
     ) -> Result<SimTime, GpuError> {
-        let a_bytes = m * k * R::BYTES;
-        let b_bytes = k * n * R::BYTES;
-        let c_bytes = m * n * R::BYTES;
-        let start = after.max(self.fence);
-        let a_ready = self.schedule(
-            Engine::H2d,
-            start,
-            self.config.pcie.transfer_time(a_bytes),
-            "h2d",
-            a_bytes,
-        );
-        self.charge_alloc(a_bytes)?;
-        let b_ready = self.schedule(
-            Engine::H2d,
-            after.max(self.fence),
-            self.config.pcie.transfer_time(b_bytes),
-            "h2d",
-            b_bytes,
-        );
-        self.charge_alloc(b_bytes)?;
-        let ready = a_ready.max(b_ready).max(self.fence);
-        let (label, dur) = self.backend.gemm_charge(&self.config, m, k, n, mode);
-        let c_ready = self.schedule(Engine::Compute, ready, dur, label, 0);
-        self.charge_alloc(c_bytes)?;
-        let dl = self.config.pcie.transfer_time(c_bytes);
-        let done = self.schedule(Engine::D2h, c_ready.max(self.fence), dl, "d2h", c_bytes);
-        self.allocated -= a_bytes + b_bytes + c_bytes;
+        let ha = self.copy_in((m, k), after)?;
+        let hb = self.copy_in((k, n), after)?;
+        let hc = self.gemm(ha, hb, mode)?;
+        let done = self.download(hc)?;
+        for h in [ha, hb, hc] {
+            self.free(h)?;
+        }
         Ok(done)
     }
 }
@@ -438,7 +386,6 @@ impl<R: GpuElement> GpuDevice<R> {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use psml_tensor::gemm_blocked;
 
     fn device() -> GpuDevice<f32> {
         GpuDevice::new(MachineConfig::v100_node().gpu)
@@ -451,13 +398,14 @@ mod tests {
     #[test]
     fn upload_compute_download_roundtrip() {
         let mut dev = device();
-        let a = mat(32, 1);
-        let b = mat(32, 2);
+        let a = Matrix::<f32>::zeros(32, 24);
+        let b = Matrix::<f32>::zeros(24, 16);
         let ha = dev.upload(&a, SimTime::ZERO).unwrap();
         let hb = dev.upload(&b, SimTime::ZERO).unwrap();
         let hc = dev.gemm(ha, hb, GemmMode::Fp32).unwrap();
-        let (c, done) = dev.download(hc).unwrap();
-        assert_eq!(c, gemm_blocked(&a, &b));
+        assert_eq!(dev.shape(hc), Ok((32, 16)));
+        assert_eq!(dev.allocated_bytes(), (32 * 24 + 24 * 16 + 32 * 16) * 4);
+        let done = dev.download(hc).unwrap();
         assert!(done > SimTime::ZERO);
         assert_eq!(dev.now(), done);
     }
@@ -540,45 +488,36 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_kernels_compute_correctly() {
+    fn elementwise_kernels_keep_their_operands_shape() {
         let mut dev = device();
-        let a = mat(16, 5);
-        let b = mat(16, 9);
-        let ha = dev.upload(&a, SimTime::ZERO).unwrap();
-        let hb = dev.upload(&b, SimTime::ZERO).unwrap();
-        let (sum, _) = {
-            let h = dev.add(ha, hb).unwrap();
-            dev.download(h).unwrap()
-        };
-        assert_eq!(sum, a.add(&b));
-        let (diff, _) = {
-            let h = dev.sub(ha, hb).unwrap();
-            dev.download(h).unwrap()
-        };
-        assert_eq!(diff, a.sub(&b));
+        let ha = dev.upload(&Matrix::<f32>::zeros(16, 9), SimTime::ZERO).unwrap();
+        let hb = dev.upload(&Matrix::<f32>::zeros(16, 9), SimTime::ZERO).unwrap();
+        let hs = dev.add(ha, hb).unwrap();
+        let hd = dev.sub(ha, hb).unwrap();
+        assert_eq!((dev.shape(hs), dev.shape(hd)), (Ok((16, 9)), Ok((16, 9))));
     }
 
     #[test]
     fn device_rng_charges_time_and_is_reproducible() {
         let mut dev = device();
-        let h1 = dev.random(32, 32, 99, SimTime::ZERO).unwrap();
+        let h1 = dev.random(32, 32, SimTime::ZERO).unwrap();
         assert!(dev.now() > SimTime::ZERO);
-        let (m1, _) = dev.download(h1).unwrap();
+        assert_eq!(dev.shape(h1), Ok((32, 32)));
+        let t1 = dev.download(h1).unwrap();
         let mut dev2 = device();
-        let h2 = dev2.random(32, 32, 99, SimTime::ZERO).unwrap();
-        let (m2, _) = dev2.download(h2).unwrap();
-        assert_eq!(m1, m2);
+        let h2 = dev2.random(32, 32, SimTime::ZERO).unwrap();
+        assert_eq!(dev2.download(h2).unwrap(), t1);
     }
 
     #[test]
     fn charge_random_roundtrip_matches_real_sequence() {
         // Real: random + download + free.
         let mut real = device();
-        let h = real.random(33, 17, 4, SimTime::ZERO).unwrap();
-        let (_, real_done) = real.download(h).unwrap();
+        let h = real.random(33, 17, SimTime::ZERO).unwrap();
+        let real_done = real.download(h).unwrap();
         real.free(h).unwrap();
 
-        // Charged: identical clocks and profile, no data.
+        // The roundtrip: identical clocks and profile.
         let mut charged = device();
         let done = charged.charge_random_roundtrip(33, 17, SimTime::ZERO).unwrap();
 
@@ -589,8 +528,8 @@ mod tests {
         assert_eq!(charged.profile().to_string(), real.profile().to_string());
 
         // Clocks keep agreeing when more work lands after the roundtrip.
-        real.random(8, 8, 5, SimTime::ZERO).unwrap();
-        charged.random(8, 8, 5, SimTime::ZERO).unwrap();
+        real.random(8, 8, SimTime::ZERO).unwrap();
+        charged.random(8, 8, SimTime::ZERO).unwrap();
         assert_eq!(real.now(), charged.now());
     }
 
@@ -607,7 +546,7 @@ mod tests {
             let ha = real.upload(&a, after).unwrap();
             let hb = real.upload(&b, after).unwrap();
             let hc = real.gemm(ha, hb, mode).unwrap();
-            let (_, real_done) = real.download(hc).unwrap();
+            let real_done = real.download(hc).unwrap();
             real.free(ha).unwrap();
             real.free(hb).unwrap();
             real.free(hc).unwrap();

@@ -20,8 +20,9 @@ pub struct HostCaps {
     /// they do `f16c`.
     pub quant_ring: bool,
     /// The F16C conversion unit (`vcvtps2ph`/`vcvtph2ps`) is present.
-    /// Nothing dispatches on it (f16 rounding is the scalar emulation in
-    /// [`crate::half`]); the e2e benchmark records it in its host header.
+    /// Nothing dispatches on it: no value in the workspace is rounded
+    /// through binary16 (the simulated Tensor Core prices GEMMs and
+    /// computes none). The e2e benchmark records it in its host header.
     pub f16c: bool,
     /// AVX2+FMA are present (the packed GEMM kernels' wide path).
     pub avx2: bool,

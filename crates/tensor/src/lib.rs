@@ -5,23 +5,20 @@
 //! provides the numerical foundation the rest of the workspace builds on:
 //!
 //! - [`Matrix`]: an owned, row-major dense matrix generic over a [`Num`]
-//!   element (IEEE floats for the plaintext/GPU paths, wrapping `u64` for
-//!   the `Z_{2^64}` secret-sharing ring),
+//!   element (IEEE floats for the plaintext paths and the f32 GEMM
+//!   studies, wrapping `u64` for the `Z_{2^64}` secret-sharing ring),
 //! - [`gemm`]: GEMM kernel hierarchy (naive oracle, cache-blocked, packed
 //!   register-tiled, pool-parallel, and the `gemm_auto` size dispatcher
 //!   over the last three: one kernel family for ring and f32 carriers),
 //! - [`conv`]: direct and im2col-based 2-D convolution (the CNN workload),
 //! - [`sparse`]: the CSR format plus the 75 %-zeros density test used by the
 //!   compressed-transmission design (paper Sec. 4.4),
-//! - [`half`]: IEEE binary16 emulation for the Tensor-Core GEMM path
-//!   (paper Sec. 5.2),
 //! - [`caps`]: the once-per-process host capability probe every
 //!   availability question reads from.
 
 pub mod caps;
 pub mod conv;
 pub mod gemm;
-pub mod half;
 pub mod matrix;
 pub mod num;
 pub mod sparse;
@@ -32,7 +29,6 @@ pub use gemm::{
     gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_parallel,
     gemm_packed_sum_auto, pack_b_auto, AutoPackedB, MR, NR,
 };
-pub use half::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};
 pub use matrix::Matrix;
 pub use num::Num;
 pub use sparse::{density_of_zeros, Csr};

@@ -4,7 +4,6 @@ use crate::conv::{conv2d_direct, conv2d_im2col, ConvShape};
 use crate::gemm::{
     gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_sum, pack_b, packed_sum_on,
 };
-use crate::half::quantize_f16;
 use crate::matrix::Matrix;
 use crate::sparse::{density_of_zeros, Csr};
 use proptest::prelude::*;
@@ -107,15 +106,6 @@ proptest! {
             conv2d_direct(&input, &kernels, &shape),
             conv2d_im2col(&input, &kernels, &shape)
         );
-    }
-
-    /// f16 quantization is idempotent and monotone on finite values.
-    #[test]
-    fn f16_quantization_properties(a in -7e4f32..7e4, b in -7e4f32..7e4) {
-        let qa = quantize_f16(a);
-        prop_assert_eq!(quantize_f16(qa), qa);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(quantize_f16(lo) <= quantize_f16(hi));
     }
 
     /// Transpose is an involution and distributes over addition.

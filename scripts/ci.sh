@@ -98,6 +98,16 @@ if grep -rnE 'NEEDS_TRUNCATION|truncate_matrix' crates; then
     echo "ci: the float carrier's truncation switch is back (listed above)" >&2; exit 1
 fi
 
+# The simulated GPU is a clock: a device buffer is a shape, bytes and a
+# ready instant, and the engine computes every C_i with the same protocol
+# step whichever placement it charges. A device element trait, a Tensor-Core
+# rounding map, the binary16 emulation module or a matrix stored in a device
+# slot is the value-computing simulator growing back.
+if grep -rnE 'trait GpuElement|fn quantize_tc|pub mod half' crates \
+    || grep -nE 'data: Matrix' crates/gpu-sim/src/device.rs; then
+    echo "ci: the simulated GPU computes values again (listed above)" >&2; exit 1
+fi
+
 # One protocol core: the Beaver algebra lives in psml_mpc::protocol's
 # party-local steps, and the engine only schedules, charges and ships
 # around them. An owning ServerMulSession or an inline Hadamard in
