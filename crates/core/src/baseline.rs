@@ -11,7 +11,7 @@ use crate::layers::Activation;
 use crate::models::{Loss, ModelSpec};
 use crate::walk::{
     self, batched_im2col, column_slice, conv_to_rows, non_empty_plan, pool_upsample,
-    pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Site,
+    pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Product, Site,
 };
 use psml_data::DatasetKind;
 use psml_mpc::PlainMatrix;
@@ -85,6 +85,11 @@ impl PlainModel {
     /// The model specification.
     pub fn spec(&self) -> &ModelSpec {
         &self.spec
+    }
+
+    /// The current weights, layer-major (the `crate::io` layout).
+    pub fn weights(&self) -> &[Vec<PlainMatrix>] {
+        &self.ops.weights
     }
 
     /// Trains on one batch; returns the loss.
@@ -185,17 +190,17 @@ impl LayerOps for Plain {
     fn unload(&mut self, y: &PlainMatrix) {
         self.charge_io(y.byte_size());
     }
-    fn mul(&mut self, x: &PlainMatrix, w: Param, _: Site) -> Result<PlainMatrix> {
+    fn mul(&mut self, x: &PlainMatrix, w: Param, _: Product) -> Result<PlainMatrix> {
         let z = x.matmul(&self.weights[w.layer][w.which]);
         self.charge_gemm(x.rows(), x.cols(), z.cols());
         Ok(z)
     }
-    fn mul_by_t(&mut self, d: &PlainMatrix, w: Param, _: Site) -> Result<PlainMatrix> {
+    fn mul_by_t(&mut self, d: &PlainMatrix, w: Param, _: Product) -> Result<PlainMatrix> {
         let z = d.matmul(&self.weights[w.layer][w.which].transpose());
         self.charge_gemm(d.rows(), d.cols(), z.cols());
         Ok(z)
     }
-    fn mul_t(&mut self, a: &PlainMatrix, d: &PlainMatrix, _: Site) -> Result<PlainMatrix> {
+    fn mul_t(&mut self, a: &PlainMatrix, d: &PlainMatrix, _: Product) -> Result<PlainMatrix> {
         let z = a.transpose().matmul(d);
         self.charge_gemm(a.cols(), a.rows(), d.cols());
         Ok(z)

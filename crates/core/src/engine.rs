@@ -40,20 +40,22 @@ use crate::provider::{ProviderStats, TripleProvider};
 use crate::report::{PhaseBreakdown, RunReport};
 use psml_gpu::kernels::device_random;
 use psml_gpu::{GpuDevice, GpuError};
-use psml_mpc::protocol::{finish, finish_hadamard, finish_packed, mask, reconstruct_public};
+use psml_mpc::protocol::{
+    finish, finish_hadamard, finish_packed, mask_operand, reconstruct_public,
+};
 use psml_mpc::{
-    gen_triple_streamed, BeaverTriple, EvalStrategy, Party, PlainMatrix, SecureRing, TripleShare,
-    TripleSpec,
+    Deal, Dealer, DealtShare, EvalStrategy, MaskedProduct, Operand, Party, PlainMatrix, SecureRing,
+    Secret, TripleSpec,
 };
 use psml_net::{
     build_network, DeltaDecoder, DeltaEncoder, Endpoint, FaultCounters, NetError, NodeId, Packet,
-    Payload, ReliableChannel, TrafficStats, TransmitForm,
+    Payload, ReceiveTap, ReliableChannel, TrafficStats, TransmitForm,
 };
 use psml_parallel::Mt19937;
 use psml_simtime::{Resource, SimDuration, SimTime};
 use psml_tensor::{gemm_auto, pack_b_auto, Matrix};
 use psml_trace::{ns_of_secs, Phase, TraceEvent, TraceSink};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 /// Layer index encoded in a stream key (`"l3.fwd"` -> `Some(3)`).
@@ -182,12 +184,13 @@ impl<R: SecureRing> SharedMatrix<R> {
     }
 }
 
-/// A distributed Beaver triple: each server's `TripleShare`. The offline
-/// phase delivers it before the online clock starts, so it is ready at
-/// online zero by construction. Not `Clone`: multiplications borrow it,
-/// the reuse cache shares an `Rc`.
+/// A distributed Beaver triple: each server's part of one dealt product —
+/// its shares of the masks the product opens and of `Z` (a single-use
+/// triple opens both). The offline phase delivers it before the online
+/// clock starts, so it is ready at online zero by construction. Not
+/// `Clone`: multiplications borrow it, the reuse cache shares an `Rc`.
 pub struct DistTriple<R: SecureRing> {
-    shares: [TripleShare<R>; 2],
+    shares: [DealtShare<R>; 2],
     dims: (usize, usize, usize),
 }
 
@@ -208,9 +211,46 @@ impl<R: SecureRing> DistTriple<R> {
     }
 }
 
-/// One server's `(E, F)` pair — its masked operands before the exchange,
-/// the reconstructed public pair after it — with its readiness there.
-type Masked<R> = Timed<(Matrix<R>, Matrix<R>)>;
+/// Per operand of a product, a matrix when the product opens that
+/// operand, `None` when an earlier product did.
+type PerOperand<R> = [Option<Matrix<R>>; 2];
+
+/// One server's halves of a product's operands before the exchange (its
+/// masked shares, *compute1*), with its readiness there.
+type Halves<R> = Timed<PerOperand<R>>;
+
+/// A product's public operands `[E, F]` and when each server holds them.
+/// Both servers reconstruct the same values; the host keeps one copy of
+/// each, as it packs `F` once for both.
+struct Publics<R: SecureRing> {
+    ef: [Rc<Matrix<R>>; 2],
+    ready: [SimTime; 2],
+}
+
+/// A secret's public opening, kept from the product that opens it to the
+/// one that closes it: the matrix as the opening product read it, and
+/// when each server held it.
+struct Opening<R: SecureRing> {
+    public: Rc<Matrix<R>>,
+    transposed: bool,
+    ready: [SimTime; 2],
+}
+
+/// `(m, k, n)` of `a * b`, or the shape error.
+fn product_dims<R: SecureRing>(
+    a: &SharedMatrix<R>,
+    b: &SharedMatrix<R>,
+) -> Result<(usize, usize, usize)> {
+    let ((m, k), (k2, n)) = (a.shape(), b.shape());
+    if k != k2 {
+        return Err(EngineError::Shape(format!(
+            "secure_mul: {:?} x {:?}",
+            a.shape(),
+            b.shape()
+        )));
+    }
+    Ok((m, k, n))
+}
 
 /// The three NICs and the ack/retransmit channel over them: the only
 /// place the engine moves bytes. With an empty fault plan the channel
@@ -334,6 +374,13 @@ pub struct SecureContext<R: SecureRing> {
     triple_seq: u64,
     /// The asynchronous provisioning pipeline (prefetch mode only).
     provider: Option<TripleProvider<R>>,
+    /// Deals inline when prefetch is off; the provider's worker holds the
+    /// prefetch mode's twin.
+    dealer: Dealer<R>,
+    /// Mask-schedule products declared and not yet multiplied, in order.
+    masked_plan: VecDeque<MaskedProduct>,
+    /// Public openings of secrets still to be read by a later product.
+    openings: HashMap<Secret, Opening<R>>,
     /// Interned call-site keys; protocol hot paths key caches and
     /// compression streams on the `u32` id, never on a fresh `String`.
     site_names: HashMap<String, u32>,
@@ -391,6 +438,9 @@ impl<R: SecureRing> SecureContext<R> {
             } else {
                 None
             },
+            dealer: Dealer::new(),
+            masked_plan: VecDeque::new(),
+            openings: HashMap::new(),
             site_names: HashMap::new(),
             triple_cache: HashMap::new(),
             triple_reuses: 0,
@@ -545,7 +595,7 @@ impl<R: SecureRing> SecureContext<R> {
     /// Offline: generates one Beaver triple for an `(m x k) * (k x n)`
     /// product and distributes the shares.
     pub fn gen_triple(&mut self, m: usize, k: usize, n: usize) -> Result<DistTriple<R>> {
-        self.provision_triple(TripleSpec::Gemm { m, k, n })
+        self.provision(Deal::Triple(TripleSpec::Gemm { m, k, n }))
     }
 
     /// Declares upcoming triple shapes to the prefetch pipeline so it can
@@ -559,6 +609,34 @@ impl<R: SecureRing> SecureContext<R> {
         }
     }
 
+    /// Declares upcoming products, single-use triples and a mask
+    /// schedule's products alike ([`psml_mpc::mask_schedule`]), in the
+    /// order they will be multiplied: the prefetch pipeline deals them
+    /// ahead, and the engine keeps the mask-schedule products, which
+    /// [`SecureContext::secure_mul_masked`] takes in order. A batch holding
+    /// mask-schedule products must be whole: every mask it reads is opened
+    /// within it. A no-op under
+    /// [`EngineConfig::insecure_reuse_triples`], whose products take the
+    /// call site's cached triple.
+    pub fn schedule_deals(&mut self, deals: &[Deal]) {
+        if self.cfg.insecure_reuse_triples {
+            return;
+        }
+        self.masked_plan.extend(deals.iter().filter_map(|d| match d {
+            Deal::Masked(p) => Some(*p),
+            Deal::Triple(_) => None,
+        }));
+        if let Some(p) = &self.provider {
+            p.schedule_deals(deals);
+        }
+    }
+
+    /// Installs the observer of every packet `node` receives from now on:
+    /// that party's view of the wire, for tests of what it learns.
+    pub fn set_receive_tap(&mut self, node: NodeId, tap: ReceiveTap<R>) {
+        self.wire.endpoints[node.index()].set_receive_tap(Some(tap));
+    }
+
     /// Counters of the prefetch pipeline (deliveries, consumer stall,
     /// lookahead adopted and discarded, ready-queue high water); `None`
     /// when prefetch is off. Not part of [`RunReport`]: stall time is
@@ -567,56 +645,69 @@ impl<R: SecureRing> SecureContext<R> {
         self.provider.as_ref().map(TripleProvider::stats)
     }
 
-    /// Charges the client-side compute of generating one triple —
-    /// randomness, the `Z = U x V` product (or Hadamard pass), and the
-    /// three share splits.
-    fn charge_triple_compute(&mut self, spec: TripleSpec) -> Result<()> {
-        let (ur, uc) = spec.u_shape();
-        let (vr, vc) = spec.v_shape();
-        self.charge_client_random(ur, uc)?;
-        self.charge_client_random(vr, vc)?;
+    /// Charges the client-side compute of dealing one product —
+    /// randomness for the masks it opens, the `Z` product (or Hadamard
+    /// pass), and the share splits of those masks and `Z`.
+    fn charge_deal_compute(&mut self, deal: &Deal) -> Result<()> {
+        let spec = deal.spec();
+        let opened: Vec<(usize, usize)> = [spec.u_shape(), spec.v_shape()]
+            .into_iter()
+            .zip(deal.opens())
+            .filter_map(|(shape, open)| open.then_some(shape))
+            .collect();
+        for &(rows, cols) in &opened {
+            self.charge_client_random(rows, cols)?;
+        }
         match spec {
             TripleSpec::Gemm { m, k, n } => self.charge_client_product(m, k, n)?,
             TripleSpec::Hadamard { m, n } => self.client_cpu(3 * m * n * R::BYTES),
         }
-        for (rows, cols) in [spec.u_shape(), spec.v_shape(), spec.z_shape()] {
+        for (rows, cols) in opened.into_iter().chain([spec.z_shape()]) {
             self.charge_client_random(rows, cols)?;
             self.client_cpu(2 * rows * cols * R::BYTES);
         }
         Ok(())
     }
 
-    /// Provisions one Beaver triple: value material from the
-    /// counter-derived stream `(master_seed, seq)` — produced ahead of
-    /// time by the prefetch pipeline, or inline when prefetch is off —
-    /// plus full offline accounting (client compute charges and share
-    /// distribution). The two modes advance every simulated clock
-    /// identically and yield bit-identical shares; prefetch merely
-    /// removes the generation and wire-serialization work from the
-    /// engine thread's wall-clock critical path.
-    fn provision_triple(&mut self, spec: TripleSpec) -> Result<DistTriple<R>> {
+    /// Provisions one product's offline material: the dealer's output for
+    /// `(master_seed, seq)` — produced ahead of time by the prefetch
+    /// pipeline, or inline when prefetch is off — plus full offline
+    /// accounting (client compute charges and share distribution). The
+    /// two modes advance every simulated clock identically and yield
+    /// bit-identical shares; prefetch merely removes the generation and
+    /// wire-serialization work from the engine thread's wall-clock
+    /// critical path.
+    fn provision(&mut self, deal: Deal) -> Result<DistTriple<R>> {
         let _offline = TraceSink::scope(Phase::Offline, None);
         let t_start = self.client.now;
         let seq = self.triple_seq;
         self.triple_seq += 1;
-        let triple: BeaverTriple<R> = match &self.provider {
+        let dealt = match &self.provider {
             Some(p) => {
-                let (triple, events) = p.take(seq, spec).map_err(EngineError::Protocol)?;
+                let (dealt, events) = p.take_deal(seq, deal).map_err(EngineError::Protocol)?;
                 TraceSink::adopt(events);
-                triple
+                dealt
             }
-            None => gen_triple_streamed(spec, self.master_seed, seq, gemm_auto),
+            None => self.dealer.deal(&deal, self.master_seed, seq, gemm_auto),
         };
-        self.charge_triple_compute(spec)?;
+        self.charge_deal_compute(&deal)?;
 
-        let (s0, s1) = triple.into_shares();
+        let [s0, s1] = dealt.into_shares();
         // Prefetched material is already server-side.
         let held = self.provider.is_some();
-        let [u0, u1] = self.distribute([s0.u, s1.u], held)?;
-        let [v0, v1] = self.distribute([s0.v, s1.v], held)?;
+        let mut masks = [[None, None], [None, None]];
+        for (j, pair) in s0.masks.into_iter().zip(s1.masks).enumerate() {
+            if let (Some(m0), Some(m1)) = pair {
+                [masks[0][j], masks[1][j]] = self.distribute([m0, m1], held)?.map(Some);
+            }
+        }
         let [z0, z1] = self.distribute([s0.z, s1.z], held)?;
-        let shares = [(u0, v0, z0), (u1, v1, z1)].map(|(u, v, z)| TripleShare { u, v, z });
-        let dims = spec.dims();
+        let [masks0, masks1] = masks;
+        let shares = [
+            DealtShare { masks: masks0, z: z0 },
+            DealtShare { masks: masks1, z: z1 },
+        ];
+        let dims = deal.spec().dims();
         trace_phase(
             "gen_triple",
             Phase::Offline,
@@ -625,7 +716,7 @@ impl<R: SecureRing> SecureContext<R> {
             self.offline_end.max(self.client.now),
             Some([dims.0 as u32, dims.1 as u32, dims.2 as u32]),
             None,
-            2 * (dims.0 * dims.1 + dims.1 * dims.2 + dims.0 * dims.2) * R::BYTES,
+            2 * deal.dealt_elems() * R::BYTES,
         );
         Ok(DistTriple { shares, dims })
     }
@@ -642,14 +733,14 @@ impl<R: SecureRing> SecureContext<R> {
     /// cache and the multiplication share one allocation.
     fn triple_for(&mut self, site: u32, spec: TripleSpec) -> Result<Rc<DistTriple<R>>> {
         if !self.cfg.insecure_reuse_triples {
-            return self.provision_triple(spec).map(Rc::new);
+            return self.provision(Deal::Triple(spec)).map(Rc::new);
         }
         // psml-lint: allow(timing, "branches on whether the public site/spec key is cached, never on the triple")
         if let Some(cached) = self.triple_cache.get(&(site, spec)) {
             self.triple_reuses += 1;
             return Ok(Rc::clone(cached));
         }
-        let fresh = Rc::new(self.provision_triple(spec)?);
+        let fresh = Rc::new(self.provision(Deal::Triple(spec))?);
         self.triple_cache.insert((site, spec), Rc::clone(&fresh));
         Ok(fresh)
     }
@@ -804,48 +895,85 @@ impl<R: SecureRing> SecureContext<R> {
     }
 
     /// *compute1*, matmul or Hadamard alike: once it holds both operand
-    /// shares and its triple share, each server runs [`mask`] in one CPU
+    /// shares and its part of the dealt product, each server runs
+    /// [`mask_operand`] on each operand the product `opens`, in one CPU
     /// pass of `dur`. Also returns the earlier of the two start instants.
     fn mask_operands(
         &mut self,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
+        opens: [bool; 2],
         triple: &DistTriple<R>,
         dur: SimDuration,
-    ) -> ([Masked<R>; 2], SimTime) {
-        let (a, b, tri) = (&a.parts, &b.parts, &triple.shares);
-        let ready = [0, 1].map(|i| a[i].ready.max(b[i].ready));
+    ) -> ([Halves<R>; 2], SimTime) {
+        let (operands, tri) = ([&a.parts, &b.parts], &triple.shares);
+        let ready = [0, 1].map(|i| a.parts[i].ready.max(b.parts[i].ready));
         self.breakdown.compute1 += dur;
-        let masked = self.per_server(ready, dur, |i| mask(&a[i].v, &b[i].v, &tri[i]));
-        (masked, ready[0].min(ready[1]))
+        let halves = self.per_server(ready, dur, |i| {
+            [0, 1].map(|j| {
+                opens[j].then(|| {
+                    let mask = tri[i].masks[j].as_ref();
+                    let mask = mask.expect("a dealt product holds the masks it opens");
+                    mask_operand(&operands[j][i].v, mask)
+                })
+            })
+        });
+        (halves, ready[0].min(ready[1]))
     }
 
-    /// The exchange of *communicate*: each server ships its masked pair to
-    /// its peer over the site's `chans` streams and opens what it receives
-    /// with [`reconstruct_public`], so both hold the public `(E, F)` — ready
-    /// when the later half lands; the additions are the caller's to charge.
+    /// The exchange of *communicate*: each server ships the halves it
+    /// masked to its peer over the site's `chans` streams, server 0's
+    /// receipts first, and the opened values are reconstructed with
+    /// [`reconstruct_public`]. Returns them (`None` for an operand not
+    /// opened) and when each server holds them — when its later half
+    /// lands; the additions are the caller's to charge. Both servers
+    /// reconstruct the same values, so the host computes server 0's.
     fn exchange_masked(
         &mut self,
         site: u32,
         chans: [u64; 2],
-        mut masked: [Masked<R>; 2],
-    ) -> Result<[Masked<R>; 2]> {
-        let [on_e, on_f] = chans.map(|chan| stream_id(site, chan));
-        let mut open = |i: usize| -> Result<Masked<R>> {
-            let [m0, m1] = &mut masked;
-            let (mine, theirs) = if i == 0 { (&*m0, m1) } else { (&*m1, m0) };
-            let e = self.transfer_kept(1 - i, on_e, &mut theirs.v.0, theirs.ready, |e| {
-                reconstruct_public(&mine.v.0, e)
-            })?;
-            let f = self.transfer_kept(1 - i, on_f, &mut theirs.v.1, theirs.ready, |f| {
-                reconstruct_public(&mine.v.1, f)
-            })?;
-            Ok(Timed {
-                v: (e.v, f.v),
-                ready: mine.ready.max(e.ready).max(f.ready),
-            })
+        mut halves: [Halves<R>; 2],
+    ) -> Result<(PerOperand<R>, [SimTime; 2])> {
+        let streams = chans.map(|chan| stream_id(site, chan));
+        let [h0, h1] = &mut halves;
+        let sent_at = [h0.ready, h1.ready];
+        let (mut opened, mut ready) = ([None, None], sent_at);
+        for (j, (mine, theirs)) in h0.v.iter().zip(&mut h1.v).enumerate() {
+            if let (Some(mine), Some(theirs)) = (mine, theirs) {
+                let got = self.transfer_kept(1, streams[j], theirs, sent_at[1], |e| {
+                    reconstruct_public(mine, e)
+                })?;
+                ready[0] = ready[0].max(got.ready);
+                opened[j] = Some(got.v);
+            }
+        }
+        for (theirs, stream) in h0.v.iter_mut().zip(streams) {
+            if let Some(theirs) = theirs {
+                let got = self.transfer_kept(0, stream, theirs, sent_at[0], |_| ())?;
+                ready[1] = ready[1].max(got.ready);
+            }
+        }
+        Ok((opened, ready))
+    }
+
+    /// The kept opening of `op`'s secret as `op` reads it, and when each
+    /// server held it; dropped from the keep when `close`.
+    fn reopen(&mut self, op: Operand, close: bool) -> Result<(Rc<Matrix<R>>, [SimTime; 2])> {
+        let Some(kept) = self.openings.get(&op.secret) else {
+            return Err(EngineError::Protocol(format!(
+                "{:?} is read before a product opened it",
+                op.secret
+            )));
         };
-        Ok([open(0)?, open(1)?])
+        let public = match kept.transposed == op.transposed {
+            true => Rc::clone(&kept.public),
+            false => Rc::new(kept.public.transpose()),
+        };
+        let ready = kept.ready;
+        if close {
+            self.openings.remove(&op.secret);
+        }
+        Ok((public, ready))
     }
 
     /// One secure triplet multiplication (the paper's core operation):
@@ -859,15 +987,60 @@ impl<R: SecureRing> SecureContext<R> {
         triple: &DistTriple<R>,
         key: &str,
     ) -> Result<SharedMatrix<R>> {
-        let (m, k) = a.shape();
-        let (k2, n) = b.shape();
-        if k != k2 {
-            return Err(EngineError::Shape(format!(
-                "secure_mul: {:?} x {:?}",
-                a.shape(),
-                b.shape()
-            )));
+        self.multiply(a, b, triple, None, key)
+    }
+
+    /// The next product of the declared mask schedule
+    /// ([`SecureContext::schedule_deals`]): `operands` name the secrets `a`
+    /// and `b` are, and must be what was declared. Only the secrets this
+    /// product opens are masked and exchanged; a secret an earlier product
+    /// opened is read through that opening, transposed where this product
+    /// reads it the other way round, and the opening is dropped at the
+    /// secret's last use. Under
+    /// [`EngineConfig::insecure_reuse_triples`] this is
+    /// [`SecureContext::secure_mul_auto`].
+    pub fn secure_mul_masked(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+        operands: [Operand; 2],
+        key: &str,
+    ) -> Result<SharedMatrix<R>> {
+        if self.cfg.insecure_reuse_triples {
+            return self.secure_mul_auto(a, b, key);
         }
+        let (m, k, n) = product_dims(a, b)?;
+        let spec = TripleSpec::Gemm { m, k, n };
+        let product = match self.masked_plan.pop_front() {
+            Some(p) if p.spec == spec && p.operands == operands => p,
+            Some(p) => {
+                return Err(EngineError::Protocol(format!(
+                    "mask schedule mismatch at {key}: multiplying {spec:?} of {operands:?} \
+                     but {:?} of {:?} was declared",
+                    p.spec, p.operands
+                )))
+            }
+            None => {
+                return Err(EngineError::Protocol(format!(
+                    "mask schedule exhausted at {key}: declare the step's products first"
+                )))
+            }
+        };
+        let triple = self.provision(Deal::Masked(product))?;
+        self.multiply(a, b, &triple, Some(&product), key)
+    }
+
+    /// [`SecureContext::secure_mul`], opening the operands `product` opens
+    /// (both without a schedule) and reading the rest from the keep.
+    fn multiply(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+        triple: &DistTriple<R>,
+        product: Option<&MaskedProduct>,
+        key: &str,
+    ) -> Result<SharedMatrix<R>> {
+        let (m, k, n) = product_dims(a, b)?;
         if triple.dims != (m, k, n) {
             return Err(EngineError::Shape(format!(
                 "triple dims {:?} do not match product ({m},{k},{n})",
@@ -881,44 +1054,71 @@ impl<R: SecureRing> SecureContext<R> {
         if !self.cfg.pipeline {
             self.barrier();
         }
+        let opens = product.map_or([true, true], |p| p.opens);
+        let sizes = [m * k, k * n].into_iter().zip(opens);
+        let opened: usize = sizes.filter_map(|(elems, open)| open.then_some(elems)).sum();
 
-        // --- compute1: E_i = A_i - U_i, F_i = B_i - V_i (CPU) ---
-        let c1_guard = TraceSink::scope(Phase::Compute1, layer);
-        let c1_dur = self.cpu_dur(3 * (m * k + k * n) * R::BYTES);
-        let (masked, c1_start) = self.mask_operands(a, b, triple, c1_dur);
-        drop(c1_guard);
+        let mut fresh = [None, None];
+        let mut ready = [0, 1].map(|i| a.parts[i].ready.max(b.parts[i].ready));
+        if opened > 0 {
+            // --- compute1: E_i = A_i - U_i, F_i = B_i - V_i (CPU) ---
+            let c1_guard = TraceSink::scope(Phase::Compute1, layer);
+            let c1_dur = self.cpu_dur(3 * opened * R::BYTES);
+            let (halves, c1_start) = self.mask_operands(a, b, opens, triple, c1_dur);
+            drop(c1_guard);
 
-        // --- communicate: exchange E_i, F_i; reconstruct E, F ---
-        let comm_guard = TraceSink::scope(Phase::Communicate, layer);
-        let comm_start = latest(&masked);
-        trace_phase(
-            "compute1",
-            Phase::Compute1,
-            layer,
-            c1_start,
-            comm_start,
-            dims,
-            None,
-            0,
-        );
-        let mut publics = self.exchange_masked(site, [CHAN_E, CHAN_F], masked)?;
-        let add_dur = self.cpu_dur(3 * (m * k + k * n) * R::BYTES);
-        for (i, public) in publics.iter_mut().enumerate() {
-            public.ready = self.server_cpu(i, public.ready, add_dur);
+            // --- communicate: exchange E_i, F_i; reconstruct E, F ---
+            let comm_guard = TraceSink::scope(Phase::Communicate, layer);
+            let comm_start = latest(&halves);
+            trace_phase(
+                "compute1",
+                Phase::Compute1,
+                layer,
+                c1_start,
+                comm_start,
+                dims,
+                None,
+                0,
+            );
+            let landed;
+            (fresh, landed) = self.exchange_masked(site, [CHAN_E, CHAN_F], halves)?;
+            let add_dur = self.cpu_dur(3 * opened * R::BYTES);
+            ready = [0, 1].map(|i| self.server_cpu(i, landed[i], add_dur));
+            let comm_end = ready[0].max(ready[1]);
+            self.breakdown.communicate += comm_end.saturating_since(comm_start);
+            trace_phase(
+                "communicate",
+                Phase::Communicate,
+                layer,
+                comm_start,
+                comm_end,
+                dims,
+                None,
+                4 * opened * R::BYTES,
+            );
+            drop(comm_guard);
         }
-        let comm_end = latest(&publics);
-        self.breakdown.communicate += comm_end.saturating_since(comm_start);
-        trace_phase(
-            "communicate",
-            Phase::Communicate,
-            layer,
-            comm_start,
-            comm_end,
-            dims,
-            None,
-            4 * (m * k + k * n) * R::BYTES,
-        );
-        drop(comm_guard);
+        // Keep what this product opens for the secret's later uses; read
+        // what an earlier product opened.
+        let opened_at = ready;
+        let mut side = |j: usize| -> Result<Rc<Matrix<R>>> {
+            let Some(opening) = fresh[j].take() else {
+                let p = product.expect("only a scheduled product reads an earlier opening");
+                let (public, held) = self.reopen(p.operands[j], p.closes[j])?;
+                ready = [0, 1].map(|i| ready[i].max(held[i]));
+                return Ok(public);
+            };
+            let public = Rc::new(opening);
+            if let Some(p) = product.filter(|p| !p.closes[j]) {
+                let (kept, transposed) = (Rc::clone(&public), p.operands[j].transposed);
+                let held = Opening { public: kept, transposed, ready: opened_at };
+                self.openings.insert(p.operands[j].secret, held);
+            }
+            Ok(public)
+        };
+        let ef = [side(0)?, side(1)?];
+        let publics = Publics { ef, ready };
+        let comm_end = ready[0].max(ready[1]);
 
         if !self.cfg.pipeline {
             self.barrier();
@@ -934,13 +1134,13 @@ impl<R: SecureRing> SecureContext<R> {
         // prepared once (packed into column panels above the blocked
         // kernel's floor) and shared between the two `[F ; B_i]`
         // evaluations (Eq. (8)'s common top block).
+        let [e_pub, f_pub] = &publics.ef;
         let f_packed = match self.cfg.eval_strategy {
-            EvalStrategy::Fused => Some(pack_b_auto(&publics[0].v.1, m)),
+            EvalStrategy::Fused => Some(pack_b_auto(f_pub, m)),
             EvalStrategy::Expanded => None,
         };
         let mut compute2 = |i: usize| -> Result<Timed<Matrix<R>>> {
             let party = Party::BOTH[i];
-            let (e_pub, f_pub) = &publics[i].v;
             let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].z);
             let strategy = self.cfg.eval_strategy;
             let v = match &f_packed {
@@ -948,8 +1148,8 @@ impl<R: SecureRing> SecureContext<R> {
                 None => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
             };
             let ready = match placement {
-                Placement::Cpu => self.charge_compute2_cpu(i, publics[i].ready, triple.dims),
-                Placement::Gpu => self.charge_compute2_gpu(i, &publics[i], a, b, triple)?,
+                Placement::Cpu => self.charge_compute2_cpu(i, publics.ready[i], triple.dims),
+                Placement::Gpu => self.charge_compute2_gpu(i, &publics, a, b, triple)?,
             };
             Ok(Timed { v, ready })
         };
@@ -962,7 +1162,7 @@ impl<R: SecureRing> SecureContext<R> {
         // prediction — it includes per-operand transfers, launch overheads
         // and queueing the model omits.
         let measured = (0..2)
-            .map(|i| outs[i].ready.saturating_since(publics[i].ready))
+            .map(|i| outs[i].ready.saturating_since(publics.ready[i]))
             .fold(SimDuration::ZERO, SimDuration::max);
         self.adaptive
             .observe(&self.cfg, (m, 2 * k, n), bytes_moved, placement, measured);
@@ -1033,18 +1233,18 @@ impl<R: SecureRing> SecureContext<R> {
 
         let c1_guard = TraceSink::scope(Phase::Compute1, layer);
         let c1_dur = self.cpu_dur(6 * m * n * R::BYTES);
-        let (masked, _) = self.mask_operands(a, b, &triple, c1_dur);
+        let (halves, _) = self.mask_operands(a, b, [true, true], &triple, c1_dur);
         drop(c1_guard);
         let comm_guard = TraceSink::scope(Phase::Communicate, layer);
-        let comm_start = latest(&masked);
-        let publics = self.exchange_masked(site, [CHAN_HAD_E, CHAN_HAD_F], masked)?;
+        let comm_start = latest(&halves);
+        let ([e, f], ready) = self.exchange_masked(site, [CHAN_HAD_E, CHAN_HAD_F], halves)?;
+        let (e_pub, f_pub) = e.zip(f).expect("a Hadamard product opens both operands");
         drop(comm_guard);
         let _c2_guard = TraceSink::scope(Phase::Compute2, layer);
         let c2_dur = self.cpu_dur(8 * m * n * R::BYTES);
-        let outs = self.per_server([publics[0].ready, publics[1].ready], c2_dur, |i| {
-            let (e_pub, f_pub) = &publics[i].v;
+        let outs = self.per_server(ready, c2_dur, |i| {
             let z_i = &triple.shares[i].z;
-            finish_hadamard(Party::BOTH[i], &a.parts[i].v, &b.parts[i].v, z_i, e_pub, f_pub)
+            finish_hadamard(Party::BOTH[i], &a.parts[i].v, &b.parts[i].v, z_i, &e_pub, &f_pub)
         });
         self.breakdown.compute2 += latest(&outs).saturating_since(comm_start);
         Ok(SharedMatrix::new(outs))
@@ -1075,7 +1275,7 @@ impl<R: SecureRing> SecureContext<R> {
     fn charge_compute2_gpu(
         &mut self,
         i: usize,
-        public: &Masked<R>,
+        publics: &Publics<R>,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         triple: &DistTriple<R>,
@@ -1084,8 +1284,8 @@ impl<R: SecureRing> SecureContext<R> {
         let mode = self.cfg.gpu_gemm_mode();
         let (m, n) = (triple.dims.0, triple.dims.2);
         let party = Party::BOTH[i];
-        let (e_pub, f_pub) = &public.v;
-        let ready = public.ready;
+        let [e_pub, f_pub] = &publics.ef;
+        let ready = publics.ready[i];
         let dev = &mut self.servers[i].device;
 
         let fence = |dev: &mut GpuDevice<R>| {

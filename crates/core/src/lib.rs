@@ -71,8 +71,8 @@ pub use trainer::{InferenceResult, SecureTrainer, SharedPlan, TrainResult, Train
 // `EngineConfig::fault_plan` / `EngineConfig::retry`, reported in
 // `RunReport::reliability` / `RunReport::injected`).
 pub use psml_net::{
-    Blackout, FaultCounters, FaultPlan, LinkFaults, NetError, NodeId, ReliabilityStats,
-    RetryPolicy,
+    Blackout, FaultCounters, FaultPlan, LinkFaults, NetError, NodeId, Packet, Payload,
+    ReceiveTap, ReliabilityStats, RetryPolicy,
 };
 
 // Process-per-party transport vocabulary: connection supervision, the

@@ -3,7 +3,7 @@
 use crate::error::{EngineError, Result};
 use crate::layers::{Activation, LayerSpec};
 use crate::walk::{self, Shapes};
-use psml_mpc::{PlainMatrix, TripleSpec};
+use psml_mpc::{Deal, PlainMatrix, TripleSpec};
 use psml_tensor::ConvShape;
 
 /// Which benchmark to build.
@@ -332,19 +332,22 @@ impl ModelSpec {
         let mut shapes = Shapes::default();
         walk::forward(&mut shapes, self, &(batch, self.input_features()))
             .expect("a model's own input shape passes the walk's checks");
-        shapes.0
+        shapes.0.into_iter().map(|(spec, _)| spec).collect()
     }
 
-    /// The triple shapes of one full training step — forward pass, loss
+    /// The products of one full training step — forward pass, loss
     /// gradient, backward pass — in provisioning order (the backward half
     /// walks the layers in reverse, as [`crate::SecureTrainer`] updates
-    /// them).
-    pub fn step_schedule(&self, batch: usize) -> Vec<TripleSpec> {
+    /// them), as a mask schedule ([`psml_mpc::mask_schedule`]): each
+    /// secret the step multiplies is opened by its first product and read
+    /// by the later ones. The loss's Hadamard product (hinge loss) keeps a
+    /// single-use triple.
+    pub fn step_deals(&self, batch: usize) -> Vec<Deal> {
         let mut shapes = Shapes::default();
         let x = (batch, self.input_features());
         walk::step(&mut shapes, self, &x, &(batch, self.outputs))
             .expect("a model's own batch shapes pass the walk's checks");
-        shapes.0
+        psml_mpc::mask_schedule(&shapes.0)
     }
 }
 
@@ -362,7 +365,7 @@ mod tests {
 
     /// The hand-derived schedules the walk replaced, kept as the oracle
     /// the walk-derived [`ModelSpec::forward_schedule`] and
-    /// [`ModelSpec::step_schedule`] are checked against.
+    /// [`ModelSpec::step_deals`] are checked against.
     fn oracle_forward(spec: &ModelSpec, batch: usize) -> Vec<TripleSpec> {
         let mut sched = Vec::new();
         for layer in &spec.layers {
@@ -508,7 +511,8 @@ mod tests {
             for batch in [1, 7, 64] {
                 let what = format!("{:?}/{:?} batch {batch}", spec.kind, spec.loss);
                 assert_eq!(spec.forward_schedule(batch), oracle_forward(spec, batch), "{what}");
-                assert_eq!(spec.step_schedule(batch), oracle_step(spec, batch), "{what}");
+                let step: Vec<_> = spec.step_deals(batch).iter().map(Deal::spec).collect();
+                assert_eq!(step, oracle_step(spec, batch), "{what}");
             }
         }
     }

@@ -1,7 +1,11 @@
 //! Property-based tests over the full engine.
 
+use crate::baseline::{PlainBackend, PlainModel};
 use crate::config::{AdaptivePolicy, EngineConfig};
 use crate::engine::SecureContext;
+use crate::layers::{Activation, LayerSpec};
+use crate::models::{Loss, ModelKind, ModelSpec};
+use crate::trainer::SecureTrainer;
 use proptest::prelude::*;
 use psml_mpc::{Fixed64, Party, PlainMatrix};
 
@@ -111,5 +115,67 @@ proptest! {
             ctx.report().traffic.total_wire_bytes()
         };
         prop_assert!(bytes(true) <= bytes(false));
+    }
+
+    /// A training step under the mask schedule, on random small MLP and
+    /// RNN shapes (an RNN reads `Wx` and `Wh` at every time step of its
+    /// forward pass): prefetch and inline dealing are bit-identical, and
+    /// the step stays within fixed-point noise of the plaintext step. The
+    /// loss is a continuous function of the forward values, so it moves by
+    /// the noise alone; a weight can move further where a pre-activation
+    /// within the noise of a kink takes the other side of it and flips
+    /// one derivative, by at most about `lr * |a| * |d|`.
+    #[test]
+    fn masked_steps_match_prefetch_and_the_plain_step(
+        rnn in any::<bool>(),
+        (width, hidden, outputs, batch) in (1usize..6, 1usize..9, 1usize..4, 1usize..6),
+        seed in any::<u32>(),
+    ) {
+        let layers = if rnn {
+            vec![
+                LayerSpec::Rnn {
+                    step_inputs: width,
+                    hidden,
+                    seq_len: 3,
+                    activation: Activation::Piecewise,
+                },
+                LayerSpec::Dense { inputs: hidden, outputs, activation: Activation::None },
+            ]
+        } else {
+            vec![
+                LayerSpec::Dense { inputs: width, outputs: hidden, activation: Activation::Relu },
+                LayerSpec::Dense {
+                    inputs: hidden,
+                    outputs: hidden + 1,
+                    activation: Activation::Relu,
+                },
+                LayerSpec::Dense { inputs: hidden + 1, outputs, activation: Activation::None },
+            ]
+        };
+        let kind = if rnn { ModelKind::Rnn } else { ModelKind::Mlp };
+        let spec = ModelSpec { kind, layers, loss: Loss::Mse, outputs };
+        spec.validate().unwrap();
+        let features = spec.input_features();
+        let x = PlainMatrix::from_fn(batch, features, |r, c| {
+            ((r * 7 + c * 3 + seed as usize) % 11) as f64 * 0.15 - 0.7
+        });
+        let y = PlainMatrix::from_fn(batch, outputs, |r, c| f64::from(u8::from(c == r % outputs)));
+        let step = |cfg: EngineConfig| {
+            let mut t = SecureTrainer::<Fixed64>::new(cfg, spec.clone(), seed).unwrap();
+            let loss = t.train_batch(&x, &y).unwrap();
+            (loss, t.reveal_weights(), format!("{:?}", t.report()))
+        };
+        let inline = step(EngineConfig::parsecureml().with_insecure_reuse_triples(false));
+        let prefetch = step(EngineConfig::parsecureml().with_prefetch(true));
+        prop_assert_eq!(&inline, &prefetch);
+
+        let cfg = EngineConfig::parsecureml();
+        let mut plain = PlainModel::new(cfg, spec.clone(), PlainBackend::Cpu, seed).unwrap();
+        let loss = plain.train_batch(&x, &y).unwrap();
+        prop_assert!((loss - inline.0).abs() < 1e-2, "loss {} vs plain {loss}", inline.0);
+        for (secure, plain) in inline.1.iter().flatten().zip(plain.weights().iter().flatten()) {
+            let moved = secure.max_abs_diff(plain);
+            prop_assert!(moved < 5e-2, "weights moved {moved}");
+        }
     }
 }

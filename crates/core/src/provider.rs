@@ -1,19 +1,24 @@
 //! Asynchronous Beaver-triple provisioning (the offline half of the
 //! paper's double pipeline, hoisted onto the host).
 //!
-//! The engine declares its *shape schedule* up front — every `(m, k, n)`
-//! GEMM and every Hadamard product a training step will multiply — and a
-//! dedicated provisioning thread generates the corresponding triples
-//! ahead of and concurrently with the online phase. The engine then
-//! consumes them in strict schedule order through [`TripleProvider::take`].
+//! The engine declares its *schedule* up front — every product a training
+//! step will multiply, as a [`Deal`]: a single-use triple (an `(m, k, n)`
+//! GEMM or a Hadamard product) or a product of a mask schedule — and a
+//! dedicated provisioning thread deals the material ahead of and
+//! concurrently with the online phase. The engine then consumes it in
+//! strict schedule order through [`TripleProvider::take_deal`] (or
+//! [`TripleProvider::take`] for a single-use triple).
 //!
 //! # Determinism
 //!
-//! Triple `seq` draws all of its material from the counter-derived
-//! stream `(master, seq)` ([`psml_parallel::Mt19937::from_stream`]), so
-//! the values depend only on the master seed and the triple's position
-//! in the schedule — never on thread timing, window boundaries, or how
-//! far ahead the pipeline ran. Prefetch on and off are bit-identical.
+//! Product `seq` draws all of its material from the counter-derived
+//! stream `(master, seq)` ([`psml_parallel::Mt19937::from_stream`]); a
+//! mask-schedule product also reads the masks earlier products of its
+//! schedule opened, which the worker's [`Dealer`] keeps exactly as the
+//! engine's inline dealer does. So the values depend only on the master
+//! seed and the product's position in the schedule — never on thread
+//! timing, window boundaries, or how far ahead the pipeline ran. Prefetch
+//! on and off are bit-identical.
 //!
 //! # Lookahead
 //!
@@ -33,7 +38,11 @@
 //! declared. Only declared entries can be taken, so speculation never
 //! changes what `take` accepts; and because a triple's value is a function
 //! of `(master, seq, spec)` alone, a re-generated triple equals the one
-//! that would have been generated without lookahead. What lookahead costs
+//! that would have been generated without lookahead. A declared batch that
+//! holds mask-schedule products is adopted whole or not at all: its
+//! products read masks its earlier products opened, so speculation is cut
+//! only where a schedule starts, where the worker's dealer holds nothing
+//! the rest needs. What lookahead costs
 //! is the work discarded at a mismatch and at the end of a run — at most
 //! one byte budget (below) of generation — and one budget of memory.
 //!
@@ -68,7 +77,7 @@
 //! triple still owns its own stream), and pushes the whole window under
 //! one lock, so the consumer sees one hand-off per window.
 
-use psml_mpc::{gen_triple_streamed, BeaverTriple, SecureRing, TripleSpec};
+use psml_mpc::{BeaverTriple, Deal, Dealer, Dealt, SecureRing, TripleSpec};
 use psml_tensor::gemm_auto;
 use psml_trace::{Phase, TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -95,32 +104,28 @@ pub struct ProviderStats {
     pub ready_bytes_high_water: usize,
 }
 
-/// One generated triple waiting to be consumed, with the wall-clock
-/// trace spans of its generation (adopted by the engine at take time).
+/// One dealt product waiting to be consumed, with the wall-clock trace
+/// spans of its generation (adopted by the engine at take time).
 struct ReadyTriple<R: SecureRing> {
-    triple: BeaverTriple<R>,
+    dealt: Dealt<R>,
     events: Vec<TraceEvent>,
     bytes: usize,
 }
 
-/// Resident bytes of one generated triple (both parties' shares of `U`,
-/// `V`, `Z`). Saturating: a spec too large to exist must reach the
-/// allocator and fail there, not wrap into a small number here.
-fn triple_bytes<R: SecureRing>(spec: TripleSpec) -> usize {
-    [spec.u_shape(), spec.v_shape(), spec.z_shape()]
-        .iter()
-        .fold(0usize, |sum, &(rows, cols)| sum.saturating_add(rows.saturating_mul(cols)))
-        .saturating_mul(2 * R::BYTES)
+/// Resident bytes of one dealt product (both parties' shares of the masks
+/// it opens and of `Z`), saturating as [`Deal::dealt_elems`] does.
+fn deal_bytes<R: SecureRing>(deal: Deal) -> usize {
+    deal.dealt_elems().saturating_mul(2 * R::BYTES)
 }
 
 struct State<R: SecureRing> {
     /// Specs of seqs `next_take_seq..`, in seq order: the `declared`
     /// binding entries first, then the non-binding lookahead.
-    plan: VecDeque<TripleSpec>,
+    plan: VecDeque<Deal>,
     /// Leading entries of `plan` that were declared (and may be taken).
     declared: usize,
     /// The most recently declared batch: what the lookahead repeats.
-    last_batch: Vec<TripleSpec>,
+    last_batch: Vec<Deal>,
     /// Generated triples of seqs `next_take_seq..`, in seq order (entry
     /// `i` is `plan[i]`). Bounded by `budget` bytes and `depth` entries.
     ready: VecDeque<ReadyTriple<R>>,
@@ -145,19 +150,23 @@ impl<R: SecureRing> State<R> {
 
     /// Declares `specs` at the seqs after the declared ones, reconciling
     /// them with whatever the lookahead put there (module docs).
-    fn reconcile(&mut self, specs: &[TripleSpec]) {
-        let sizes = specs.iter().map(|&s| triple_bytes::<R>(s));
+    fn reconcile(&mut self, specs: &[Deal]) {
+        let sizes = specs.iter().map(|&s| deal_bytes::<R>(s));
         let largest = sizes.clone().max().unwrap_or(0);
         let total = sizes.fold(0usize, usize::saturating_add);
         self.budget = self.budget.max(largest).max(total - largest);
 
-        let matched = self
+        let mut matched = self
             .plan
             .iter()
             .skip(self.declared)
             .zip(specs)
             .take_while(|(planned, spec)| planned == spec)
             .count();
+        if matched < specs.len() && specs.iter().any(|d| matches!(d, Deal::Masked(_))) {
+            // A mask schedule is adopted whole or not at all (module docs).
+            matched = 0;
+        }
         let cut = self.declared + matched;
         self.stats.adopted += cut.min(self.claimed()).saturating_sub(self.declared) as u64;
         if matched < specs.len() {
@@ -180,7 +189,7 @@ impl<R: SecureRing> State<R> {
 
     /// Claims the next same-shape window the bounds admit: its spec, first
     /// seq and length. `None` when there is nothing to do or no room.
-    fn claim(&mut self) -> Option<(TripleSpec, u64, usize)> {
+    fn claim(&mut self) -> Option<(Deal, u64, usize)> {
         let at = self.claimed();
         if at == self.plan.len() {
             // Everything planned is generated: plan one more repeat of
@@ -188,7 +197,7 @@ impl<R: SecureRing> State<R> {
             self.plan.extend(&self.last_batch);
         }
         let spec = *self.plan.get(at)?;
-        let fit = self.budget.saturating_sub(self.ready_bytes) / triple_bytes::<R>(spec).max(1);
+        let fit = self.budget.saturating_sub(self.ready_bytes) / deal_bytes::<R>(spec).max(1);
         let window = fit.min(self.depth.saturating_sub(self.ready.len()));
         let count = self
             .plan
@@ -287,14 +296,22 @@ impl<R: SecureRing> TripleProvider<R> {
         }
     }
 
-    /// Appends specs to the schedule, adopting or discarding what the
-    /// lookahead generated at their seqs. The worker starts on whatever
-    /// is still missing immediately (subject to backpressure).
+    /// Appends single-use triples to the schedule ([`Self::schedule_deals`]).
     pub fn schedule(&self, specs: &[TripleSpec]) {
-        if specs.is_empty() {
+        let deals: Vec<Deal> = specs.iter().map(|&spec| Deal::Triple(spec)).collect();
+        self.schedule_deals(&deals);
+    }
+
+    /// Appends products to the schedule, adopting or discarding what the
+    /// lookahead generated at their seqs. The worker starts on whatever
+    /// is still missing immediately (subject to backpressure). A batch
+    /// holding mask-schedule products must be whole: every mask it reads
+    /// is opened within it.
+    pub fn schedule_deals(&self, deals: &[Deal]) {
+        if deals.is_empty() {
             return;
         }
-        self.shared.lock().reconcile(specs);
+        self.shared.lock().reconcile(deals);
         self.shared.cv.notify_all();
     }
 
@@ -303,11 +320,22 @@ impl<R: SecureRing> TripleProvider<R> {
         self.shared.lock().stats
     }
 
-    /// Retrieves triple `seq`, which must be the next schedule entry and
-    /// must carry the expected shape — any disagreement between what the
+    /// Retrieves single-use triple `seq` ([`Self::take_deal`]).
+    pub fn take(
+        &self,
+        seq: u64,
+        spec: TripleSpec,
+    ) -> Result<(BeaverTriple<R>, Vec<TraceEvent>), String> {
+        let (dealt, events) = self.take_deal(seq, Deal::Triple(spec))?;
+        let triple = dealt.into_triple().expect("a single-use triple deals both masks");
+        Ok((triple, events))
+    }
+
+    /// Retrieves product `seq`, which must be the next schedule entry and
+    /// must be the expected deal — any disagreement between what the
     /// engine multiplies and what was scheduled is a protocol error, not
     /// a silent fallback. Blocks until the worker delivers.
-    pub fn take(&self, seq: u64, spec: TripleSpec) -> Result<(BeaverTriple<R>, Vec<TraceEvent>), String> {
+    pub fn take_deal(&self, seq: u64, spec: Deal) -> Result<(Dealt<R>, Vec<TraceEvent>), String> {
         let mut st = self.shared.lock();
         if st.next_take_seq != seq {
             return Err(format!(
@@ -351,7 +379,7 @@ impl<R: SecureRing> TripleProvider<R> {
                 if refill {
                     self.shared.cv.notify_all();
                 }
-                return Ok((item.triple, item.events));
+                return Ok((item.dealt, item.events));
             }
             if st.worker_dead {
                 return Err("triple provider worker died".into());
@@ -362,6 +390,9 @@ impl<R: SecureRing> TripleProvider<R> {
     }
 
     fn run(shared: &Shared<R>, master: u64) {
+        // Generation runs in seq order on this thread alone, so one dealer
+        // keeps every opened mask for the products that read it.
+        let mut dealer = Dealer::new();
         loop {
             // Claim the next same-shape window under the lock.
             let (spec, base_seq, count) = {
@@ -381,12 +412,12 @@ impl<R: SecureRing> TripleProvider<R> {
             // the engine's online phase.
             let traced = TraceSink::is_enabled();
             let wall_start = if traced { TraceSink::wall_ns() } else { 0 };
-            let triples: Vec<BeaverTriple<R>> = (base_seq..base_seq + count as u64)
-                .map(|seq| gen_triple_streamed(spec, master, seq, gemm_auto))
+            let triples: Vec<Dealt<R>> = (base_seq..base_seq + count as u64)
+                .map(|seq| dealer.deal(&spec, master, seq, gemm_auto))
                 .collect();
             let wall_end = if traced { TraceSink::wall_ns() } else { 0 };
 
-            let bytes = triple_bytes::<R>(spec);
+            let bytes = deal_bytes::<R>(spec);
             let mut st = shared.lock();
             for (i, triple) in triples.into_iter().enumerate() {
                 if base_seq + i as u64 >= st.next_gen_seq {
@@ -398,7 +429,7 @@ impl<R: SecureRing> TripleProvider<R> {
                 // One span per triple; window members share the window's
                 // wall interval (they were genuinely produced within it).
                 let events = if traced {
-                    let (m, k, n) = spec.dims();
+                    let (m, k, n) = spec.spec().dims();
                     vec![TraceEvent {
                         phase: Phase::Offline,
                         op: "provider:gen_triple".to_string(),
@@ -415,7 +446,7 @@ impl<R: SecureRing> TripleProvider<R> {
                     Vec::new()
                 };
                 st.ready_bytes += bytes;
-                st.ready.push_back(ReadyTriple { triple, events, bytes });
+                st.ready.push_back(ReadyTriple { dealt: triple, events, bytes });
             }
             st.stats.ready_bytes_high_water = st.stats.ready_bytes_high_water.max(st.ready_bytes);
             drop(st);
@@ -659,7 +690,7 @@ mod tests {
             // go round again.
             let caught = c.observe(|st| {
                 if st.claimed() > st.ready.len() {
-                    st.reconcile(&[HAD]);
+                    st.reconcile(&[Deal::Triple(HAD)]);
                     Some(true)
                 } else {
                     (!st.ready.is_empty()).then_some(false)
@@ -791,6 +822,108 @@ mod tests {
         c.step(&[BIG]);
         let stats = c.finish();
         assert!(stats.stalled_takes <= 1 && (stats.stalled_takes == 0) == (stats.stall_ns == 0), "{stats:?}");
+    }
+
+    // ---- mask schedules ---------------------------------------------------
+
+    use psml_mpc::{mask_schedule, Operand, Secret};
+
+    /// `x * W` (5x4 by 4x3) and `x^T * d` (4x5 by 5x3), then `last`.
+    fn masked_step(last: (TripleSpec, [Operand; 2])) -> Vec<Deal> {
+        let (x, w, d) = (act(false), weight(false), grad());
+        mask_schedule(&[
+            (TripleSpec::Gemm { m: 5, k: 4, n: 3 }, Some([x, w])),
+            (TripleSpec::Gemm { m: 4, k: 5, n: 3 }, Some([act(true), d])),
+            (last.0, Some(last.1)),
+        ])
+    }
+
+    fn act(transposed: bool) -> Operand {
+        Operand { secret: Secret::Act { layer: 0, step: 0 }, transposed }
+    }
+
+    fn weight(transposed: bool) -> Operand {
+        Operand { secret: Secret::Weight { layer: 0, which: 0 }, transposed }
+    }
+
+    fn grad() -> Operand {
+        Operand { secret: Secret::Grad { layer: 0 }, transposed: false }
+    }
+
+    /// A dense layer's step: the two products above, then `d * W^T`.
+    fn layer_step() -> Vec<Deal> {
+        masked_step((TripleSpec::Gemm { m: 5, k: 3, n: 4 }, [grad(), weight(true)]))
+    }
+
+    /// A consumer checking every product it takes against an inline
+    /// dealer fed the same deals at the same seqs.
+    struct Inline {
+        p: TripleProvider<Fixed64>,
+        dealer: Dealer<Fixed64>,
+        master: u64,
+        seq: u64,
+    }
+
+    impl Inline {
+        fn new(master: u64) -> Self {
+            let p = TripleProvider::new(master, 64);
+            Inline { p, dealer: Dealer::new(), master, seq: 0 }
+        }
+
+        fn step(&mut self, batch: &[Deal]) {
+            self.p.schedule_deals(batch);
+            for &deal in batch {
+                let (got, _) = self.p.take_deal(self.seq, deal).unwrap();
+                let want = self.dealer.deal(&deal, self.master, self.seq, gemm_auto);
+                for party in Party::BOTH {
+                    assert_eq!(got.share(party), want.share(party), "seq {} {deal:?}", self.seq);
+                }
+                self.seq += 1;
+            }
+        }
+
+        /// Blocks until the lookahead has dealt `n` products.
+        fn await_speculated(&self, n: usize) {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while {
+                let st = self.p.shared.lock();
+                st.ready.len() < st.declared + n
+            } {
+                assert!(Instant::now() < deadline, "the lookahead never dealt");
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn mask_schedules_deal_what_the_inline_dealer_deals() {
+        let mut c = Inline::new(31);
+        let forward = [Deal::Triple(GEMM)];
+        for _ in 0..3 {
+            c.step(&layer_step());
+            c.await_speculated(1);
+            c.step(&layer_step());
+            c.await_speculated(1);
+            c.step(&forward);
+        }
+        let stats = c.p.stats();
+        assert!(stats.discarded >= 3 && stats.adopted >= 3, "{stats:?}");
+    }
+
+    // The declared step matches the speculated one in its first product
+    // only. Adopting that product would leave the worker's dealer as the
+    // whole speculated step left it, with `x`'s mask closed: the second
+    // product, which reads it, would kill the worker.
+    #[test]
+    fn a_mask_schedule_is_adopted_whole_or_not_at_all() {
+        let mut c = Inline::new(32);
+        // A large triple first: its budget lets the lookahead deal a whole step.
+        c.step(&[Deal::Triple(BIG)]);
+        c.step(&layer_step());
+        c.await_speculated(3);
+        c.step(&masked_step((TripleSpec::Gemm { m: 3, k: 4, n: 5 }, [weight(true), act(true)])));
+        let stats = c.p.stats();
+        assert!(stats.adopted == 0 && stats.discarded >= 3, "{stats:?}");
     }
 
     proptest! {

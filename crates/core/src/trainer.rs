@@ -17,7 +17,7 @@ use crate::report::RunReport;
 use crate::serve::{InferRequest, InferResponse, RequestReport};
 use crate::walk::{
     self, batched_im2col, column_slice, conv_to_rows, non_empty_plan, pool_upsample,
-    pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Site,
+    pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Product, Site,
 };
 use psml_data::DatasetKind;
 use psml_mpc::{PlainMatrix, SecureRing};
@@ -114,6 +114,12 @@ impl<R: SecureRing> SecureTrainer<R> {
     /// Current simulated report.
     pub fn report(&self) -> RunReport {
         self.ctx.report()
+    }
+
+    /// Installs the observer of every packet `node` receives from now on
+    /// ([`SecureContext::set_receive_tap`]).
+    pub fn set_receive_tap(&mut self, node: psml_net::NodeId, tap: psml_net::ReceiveTap<R>) {
+        self.ctx.set_receive_tap(node, tap);
     }
 
     /// Shares a client plaintext matrix through this trainer's context
@@ -217,14 +223,15 @@ impl<R: SecureRing> SecureTrainer<R> {
     ) -> Result<f64> {
         // A bad batch is refused before its triples are declared.
         walk::check_batch(&self.spec, xs.shape(), Some(ys.shape()))?;
-        // Declare the whole step's triple shapes up front so the
-        // provisioning pipeline generates them concurrently with the
-        // online phase (no-op without `prefetch`).
+        // Declare the whole step's products up front: the provisioning
+        // pipeline (with `prefetch`) deals them concurrently with the
+        // online phase, and the engine opens each secret of the step once.
         self.ctx
-            .schedule_triples(&self.spec.step_schedule(xs.shape().0));
+            .schedule_deals(&self.spec.step_deals(xs.shape().0));
         let mut ops = Shares {
             ctx: &mut self.ctx,
             weights: &mut self.weights,
+            masked: true,
         };
         let loss = walk::step(&mut ops, &self.spec, xs, &(ys, y_plain))?;
         self.ctx.barrier();
@@ -352,6 +359,7 @@ impl<R: SecureRing> SecureTrainer<R> {
         let mut ops = Shares {
             ctx: &mut self.ctx,
             weights: &mut self.weights,
+            masked: false,
         };
         let pred = walk::forward(&mut ops, &self.spec, &xs)?;
         let out = self.ctx.reveal(&pred)?.v;
@@ -441,6 +449,24 @@ impl<R: SecureRing> SecureTrainer<R> {
 struct Shares<'a, R: SecureRing> {
     ctx: &'a mut SecureContext<R>,
     weights: &'a mut [Vec<SharedMatrix<R>>],
+    /// A training step: products follow the declared mask schedule. A
+    /// forward pass alone (inference) takes single-use triples.
+    masked: bool,
+}
+
+/// `a * b` at `at`, by the declared mask schedule when `masked`.
+fn product<R: SecureRing>(
+    ctx: &mut SecureContext<R>,
+    masked: bool,
+    a: &SharedMatrix<R>,
+    b: &SharedMatrix<R>,
+    at: Product,
+) -> Result<SharedMatrix<R>> {
+    let key = at.site.to_string();
+    match masked {
+        true => ctx.secure_mul_masked(a, b, at.operands, &key),
+        false => ctx.secure_mul_auto(a, b, &key),
+    }
 }
 
 impl<'a, R: SecureRing> LayerOps for Shares<'a, R> {
@@ -456,17 +482,17 @@ impl<'a, R: SecureRing> LayerOps for Shares<'a, R> {
     fn target_dims(y: &Self::Targets) -> (usize, usize) {
         y.0.shape()
     }
-    fn mul(&mut self, x: &Self::M, w: Param, site: Site) -> Result<Self::M> {
+    fn mul(&mut self, x: &Self::M, w: Param, at: Product) -> Result<Self::M> {
         let w = &self.weights[w.layer][w.which];
-        self.ctx.secure_mul_auto(x, w, &site.to_string())
+        product(self.ctx, self.masked, x, w, at)
     }
-    fn mul_by_t(&mut self, d: &Self::M, w: Param, site: Site) -> Result<Self::M> {
+    fn mul_by_t(&mut self, d: &Self::M, w: Param, at: Product) -> Result<Self::M> {
         let wt = self.ctx.transpose_shared(&self.weights[w.layer][w.which]);
-        self.ctx.secure_mul_auto(d, &wt, &site.to_string())
+        product(self.ctx, self.masked, d, &wt, at)
     }
-    fn mul_t(&mut self, a: &Self::M, d: &Self::M, site: Site) -> Result<Self::M> {
-        let at = self.ctx.transpose_shared(a);
-        self.ctx.secure_mul_auto(&at, d, &site.to_string())
+    fn mul_t(&mut self, a: &Self::M, d: &Self::M, at: Product) -> Result<Self::M> {
+        let a_t = self.ctx.transpose_shared(a);
+        product(self.ctx, self.masked, &a_t, d, at)
     }
     fn add(&mut self, a: &Self::M, b: &Self::M) -> Result<Self::M> {
         self.ctx.add_shared(a, b)

@@ -10,18 +10,21 @@
 //! - the plaintext baseline's, over `f64` matrices with simulated-time
 //!   charges (`baseline.rs`);
 //! - [`Shapes`], which computes nothing and records the Beaver-triple
-//!   shape of each product. [`ModelSpec::forward_schedule`] and
-//!   [`ModelSpec::step_schedule`] are this walk, so the schedule the
-//!   prefetch pipeline runs ahead on is the products the trainer takes.
+//!   shape of each product and the secrets its operands are.
+//!   [`ModelSpec::forward_schedule`] and [`ModelSpec::step_deals`] are
+//!   this walk, so the schedule the prefetch pipeline runs ahead on, and
+//!   the mask schedule a training step opens each secret by, are the
+//!   products the trainer takes.
 //!
-//! The walk owns the op order and the call-site names ([`Site`]); a
-//! driver owns what an op computes and what it charges.
+//! The walk owns the op order, the call-site names ([`Site`]) and the
+//! names of the secrets each product reads ([`Product`]); a driver owns
+//! what an op computes and what it charges.
 
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::layers::{Activation, LayerSpec};
 use crate::models::{Loss, ModelSpec};
-use psml_mpc::TripleSpec;
+use psml_mpc::{Operand, Secret, TripleSpec};
 use psml_tensor::{im2col_rows, ConvShape, Matrix, Num};
 use std::borrow::Cow;
 use std::fmt;
@@ -48,6 +51,24 @@ impl fmt::Display for Site {
     }
 }
 
+/// A product's call site and the secrets its `[left, right]` operands
+/// are, as the product reads them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Product {
+    pub site: Site,
+    pub operands: [Operand; 2],
+}
+
+/// `secret`, read as it is.
+fn plain(secret: Secret) -> Operand {
+    Operand { secret, transposed: false }
+}
+
+/// `secret`, read transposed.
+fn transposed(secret: Secret) -> Operand {
+    Operand { secret, transposed: true }
+}
+
 /// One weight matrix: its layer, its index within the layer
 /// ([`LayerSpec::weight_shapes`] order) and its shape.
 #[derive(Clone, Copy, Debug)]
@@ -56,6 +77,13 @@ pub(crate) struct Param {
     pub which: usize,
     pub rows: usize,
     pub cols: usize,
+}
+
+impl Param {
+    /// The secret this weight is.
+    fn secret(&self) -> Secret {
+        Secret::Weight { layer: self.layer, which: self.which }
+    }
 }
 
 /// A non-overlapping average pool ([`LayerSpec::AvgPool2D`]).
@@ -95,11 +123,11 @@ pub(crate) trait LayerOps {
     fn unload(&mut self, _y: &Self::M) {}
 
     /// `x · w`.
-    fn mul(&mut self, x: &Self::M, w: Param, site: Site) -> Result<Self::M>;
+    fn mul(&mut self, x: &Self::M, w: Param, at: Product) -> Result<Self::M>;
     /// `d · wᵀ`.
-    fn mul_by_t(&mut self, d: &Self::M, w: Param, site: Site) -> Result<Self::M>;
+    fn mul_by_t(&mut self, d: &Self::M, w: Param, at: Product) -> Result<Self::M>;
     /// `aᵀ · d`.
-    fn mul_t(&mut self, a: &Self::M, d: &Self::M, site: Site) -> Result<Self::M>;
+    fn mul_t(&mut self, a: &Self::M, d: &Self::M, at: Product) -> Result<Self::M>;
     /// `a + b`.
     fn add(&mut self, a: &Self::M, b: &Self::M) -> Result<Self::M>;
     /// An all-zeros matrix.
@@ -150,7 +178,7 @@ enum Saved<'a, M: Clone, K> {
     },
     Pool(PoolWindow),
     /// The last time step only (truncated BPTT).
-    Rnn { x: M, h_prev: M, mask: K },
+    Rnn { x: M, h_prev: M, mask: K, step: usize },
 }
 
 /// The checks both model drivers make before building anything: a
@@ -230,17 +258,23 @@ fn run_forward<'a, O: LayerOps>(
     for (li, layer) in spec.layers.iter().enumerate() {
         let site = |step, role| Site { layer: li, step, role };
         let param = |which, rows, cols| Param { layer: li, which, rows, cols };
+        // `left * w` at `site`.
+        let forward = |site, left, w: Param| Product {
+            site,
+            operands: [plain(left), plain(w.secret())],
+        };
+        let input = Secret::Act { layer: li, step: 0 };
         let (next, saved) = match *layer {
             LayerSpec::Dense { inputs, outputs, activation } => {
                 let w = param(0, inputs, outputs);
-                let z = ops.mul(&cur, w, site(None, ".fwd"))?;
+                let z = ops.mul(&cur, w, forward(site(None, ".fwd"), input, w))?;
                 let (a, mask) = ops.activate(z, activation, site(None, ""))?;
                 (a, Saved::Dense { x: cur, mask, w })
             }
             LayerSpec::Conv2D { shape, activation } => {
                 let patches = ops.im2col(&cur, &shape);
                 let w = param(0, shape.patch_len(), shape.filters);
-                let z = ops.mul(&patches, w, site(None, ".fwd"))?;
+                let z = ops.mul(&patches, w, forward(site(None, ".fwd"), input, w))?;
                 let (a, mask) = ops.activate(z, activation, site(None, ""))?;
                 let flat = ops.conv_to_rows(&a, batch, &shape);
                 (flat, Saved::Conv { patches, mask, shape })
@@ -256,8 +290,10 @@ fn run_forward<'a, O: LayerOps>(
                 let mut last_mask = None;
                 for t in 0..seq_len {
                     let x_t = ops.column_slice(&cur, t * step_inputs, step_inputs);
-                    let zx = ops.mul(&x_t, wx, site(Some(t), ".x"))?;
-                    let zh = ops.mul(&h, wh, site(Some(t), ".h"))?;
+                    let x_secret = Secret::Act { layer: li, step: t };
+                    let zx = ops.mul(&x_t, wx, forward(site(Some(t), ".x"), x_secret, wx))?;
+                    let h_secret = Secret::Hidden { layer: li, step: t };
+                    let zh = ops.mul(&h, wh, forward(site(Some(t), ".h"), h_secret, wh))?;
                     let z = ops.add(&zx, &zh)?;
                     let (h_new, mask) = ops.activate(z, activation, site(Some(t), ""))?;
                     last = Some((x_t, std::mem::replace(&mut h, h_new)));
@@ -265,7 +301,7 @@ fn run_forward<'a, O: LayerOps>(
                 }
                 let (x, h_prev) = last.expect("seq_len >= 1");
                 let mask = last_mask.unwrap_or_else(|| O::ones(batch, hidden));
-                (h, Saved::Rnn { x, h_prev, mask })
+                (h, Saved::Rnn { x, h_prev, mask, step: seq_len - 1 })
             }
         };
         if let Some(tape) = tape.as_deref_mut() {
@@ -288,16 +324,27 @@ fn backward<O: LayerOps>(
 ) -> Result<()> {
     for (li, saved) in tape.into_iter().enumerate().rev() {
         let site = |role| Site { layer: li, step: None, role };
+        let grad = Secret::Grad { layer: li };
+        // `left^T * dz` at `role`.
+        let weight_grad = |role, left| Product {
+            site: site(role),
+            operands: [transposed(left), plain(grad)],
+        };
+        let input = Secret::Act { layer: li, step: 0 };
         match saved {
             Saved::Dense { x, mask, w } => {
                 let dz = match mask {
                     Some(m) => ops.mask(&d, &m)?,
                     None => d,
                 };
-                let dw = ops.mul_t(&x, &dz, site(".bwd.dw"))?;
+                let dw = ops.mul_t(&x, &dz, weight_grad(".bwd.dw", input))?;
                 let dx = match li {
                     0 => None,
-                    _ => Some(ops.mul_by_t(&dz, w, site(".bwd.dx"))?),
+                    _ => {
+                        let operands = [plain(grad), transposed(w.secret())];
+                        let at = Product { site: site(".bwd.dx"), operands };
+                        Some(ops.mul_by_t(&dz, w, at)?)
+                    }
                 };
                 ops.update(li, &[dw])?;
                 match dx {
@@ -312,20 +359,22 @@ fn backward<O: LayerOps>(
                     Some(m) => ops.mask(&dcols, &m)?,
                     None => dcols,
                 };
-                let dw = ops.mul_t(&patches, &dz, site(".bwd.dw"))?;
+                let dw = ops.mul_t(&patches, &dz, weight_grad(".bwd.dw", input))?;
                 ops.update(li, &[dw])?;
                 // Conv is the first layer: no dX needed.
             }
             // d(mean-pool): each output gradient broadcast to its window,
             // scaled by 1/window^2. Purely local.
             Saved::Pool(pool) => d = ops.unpool(&d, pool),
-            Saved::Rnn { x, h_prev, mask } => {
+            Saved::Rnn { x, h_prev, mask, step } => {
                 // Truncated BPTT (one step): gradients flow through the
                 // final time step only. Documented simplification; the
                 // secure-GEMM path exercised is identical.
                 let dz = ops.mask(&d, &mask)?;
-                let dwx = ops.mul_t(&x, &dz, site(".bwd.dwx"))?;
-                let dwh = ops.mul_t(&h_prev, &dz, site(".bwd.dwh"))?;
+                let x_secret = Secret::Act { layer: li, step };
+                let dwx = ops.mul_t(&x, &dz, weight_grad(".bwd.dwx", x_secret))?;
+                let h_secret = Secret::Hidden { layer: li, step };
+                let dwh = ops.mul_t(&h_prev, &dz, weight_grad(".bwd.dwh", h_secret))?;
                 ops.update(li, &[dwx, dwh])?;
                 // RNN is the first layer in our models: no dX needed.
             }
@@ -334,12 +383,13 @@ fn backward<O: LayerOps>(
     Ok(())
 }
 
-/// The driver that computes nothing and records the Beaver-triple shape
-/// of each product, in walk order. A matrix is its `(rows, cols)`;
-/// activations are client-aided and pooling is local, so neither
-/// consumes a triple.
+/// The driver that computes nothing and records, in walk order, the
+/// Beaver-triple shape of each product and the secrets its operands are
+/// (`None` for the loss's Hadamard product, which keeps a single-use
+/// triple). A matrix is its `(rows, cols)`; activations are client-aided
+/// and pooling is local, so neither consumes a triple.
 #[derive(Default)]
-pub(crate) struct Shapes(pub Vec<TripleSpec>);
+pub(crate) struct Shapes(pub Vec<(TripleSpec, Option<[Operand; 2]>)>);
 
 impl LayerOps for Shapes {
     type M = (usize, usize);
@@ -352,16 +402,16 @@ impl LayerOps for Shapes {
     fn target_dims(y: &Self::Targets) -> (usize, usize) {
         *y
     }
-    fn mul(&mut self, &(m, k): &Self::M, w: Param, _: Site) -> Result<Self::M> {
-        self.0.push(TripleSpec::Gemm { m, k, n: w.cols });
+    fn mul(&mut self, &(m, k): &Self::M, w: Param, at: Product) -> Result<Self::M> {
+        self.0.push((TripleSpec::Gemm { m, k, n: w.cols }, Some(at.operands)));
         Ok((m, w.cols))
     }
-    fn mul_by_t(&mut self, &(m, k): &Self::M, w: Param, _: Site) -> Result<Self::M> {
-        self.0.push(TripleSpec::Gemm { m, k, n: w.rows });
+    fn mul_by_t(&mut self, &(m, k): &Self::M, w: Param, at: Product) -> Result<Self::M> {
+        self.0.push((TripleSpec::Gemm { m, k, n: w.rows }, Some(at.operands)));
         Ok((m, w.rows))
     }
-    fn mul_t(&mut self, &(k, m): &Self::M, &(_, n): &Self::M, _: Site) -> Result<Self::M> {
-        self.0.push(TripleSpec::Gemm { m, k, n });
+    fn mul_t(&mut self, &(k, m): &Self::M, &(_, n): &Self::M, at: Product) -> Result<Self::M> {
+        self.0.push((TripleSpec::Gemm { m, k, n }, Some(at.operands)));
         Ok((m, n))
     }
     fn add(&mut self, a: &Self::M, _: &Self::M) -> Result<Self::M> {
@@ -402,7 +452,7 @@ impl LayerOps for Shapes {
         if loss == Loss::Hinge {
             // `margin = 1 - y o pred` needs one element-wise triple; the
             // subgradient mask reuses the activation mechanism (no triple).
-            self.0.push(TripleSpec::Hadamard { m: pred.0, n: pred.1 });
+            self.0.push((TripleSpec::Hadamard { m: pred.0, n: pred.1 }, None));
         }
         Ok((*pred, 0.0))
     }

@@ -14,8 +14,9 @@
 //! one-time-pad masking of `A`).
 //!
 //! This crate is the workspace's one protocol core: the online
-//! multiplication exists once, in [`protocol`], as five party-local steps
-//! over borrowed operands — [`protocol::mask`] (nothing public),
+//! multiplication exists once, in [`protocol`], as party-local steps over
+//! borrowed operands — [`protocol::mask_operand`], once per secret
+//! (nothing public),
 //! [`protocol::reconstruct_public`] (`E`, `F` become public), then
 //! [`protocol::finish`], [`protocol::finish_packed`] or
 //! [`protocol::finish_hadamard`] (the output stays shared). Drivers —
@@ -49,7 +50,10 @@ pub use protocol::{
 };
 pub use ring::{Party, SecureRing};
 pub use share::{PlainMatrix, SharePair};
-pub use triple::{gen_triple, gen_triple_streamed, BeaverTriple, TripleShare, TripleSpec};
+pub use triple::{
+    gen_triple, gen_triple_streamed, mask_schedule, BeaverTriple, Deal, Dealer, Dealt, DealtShare,
+    MaskedProduct, Operand, Secret, TripleShare, TripleSpec,
+};
 
 #[cfg(test)]
 mod proptests;

@@ -2,17 +2,24 @@
 //! once, as party-local steps.
 //!
 //! A secure product over shares `A_i`, `B_i` and a triple share
-//! `(U_i, V_i, Z_i)` is five pure functions. Each runs on *one* server over
+//! `(U_i, V_i, Z_i)` is a few pure functions. Each runs on *one* server over
 //! operands it borrows; none owns, copies, clocks or ships anything —
 //! scheduling, charging and transport belong to the driver that calls them:
 //!
 //! | step | runs on | computes | becomes public |
 //! |---|---|---|---|
-//! | [`mask`] (Eq. 4, *compute1*) | each server | `E_i = A_i - U_i`, `F_i = B_i - V_i` | nothing yet: `E_i`, `F_i` are one-time-pad masked and go to the peer only |
+//! | [`mask_operand`] (Eq. 4, *compute1*) | each server, once per secret | `E_i = A_i - U_i` for a secret the product opens | nothing yet: `E_i` is one-time-pad masked and goes to the peer only |
+//! | [`mask`] | each server | [`mask_operand`] of both operands of a single-use triple | as above |
 //! | [`reconstruct_public`] (Eq. 5, *communicate*) | each server, on its own and its peer's half | `E = E_0 + E_1`, `F = F_0 + F_1` | `E` and `F`, to both servers — the protocol's one sanctioned reveal |
 //! | [`finish`] (Eq. 6 / materialised Eq. 8, *compute2*) | each server | `C_i` through a caller-supplied GEMM | nothing (`C_i` is a share) |
 //! | [`finish_packed`] (fused Eq. 8, the production CPU path) | each server | the same `C_i`, `[F ; B_i]` never materialised, `F` prepared once for both servers (packed above the blocked kernel's floor) | nothing |
 //! | [`finish_hadamard`] (Sec. 7.2) | each server | the element-wise twin of Eq. 6 | nothing |
+//!
+//! `mask` runs once per *secret*, not once per product: under a mask
+//! schedule ([`crate::triple`]) a product reads a secret opened by an
+//! earlier product through that opening, transposed where it needs to, and
+//! only the secrets it opens are masked and exchanged. [`finish_packed`]
+//! runs unchanged on the kept `E`/`F`.
 //!
 //! Two drivers sit on top: the one-shot reference here
 //! ([`secure_matmul_with`], [`secure_hadamard`]) and `parsecureml`'s
@@ -37,14 +44,20 @@ pub enum EvalStrategy {
     Fused,
 }
 
-/// *compute1* (Eq. (4)): one server's masked operands
+/// *compute1* (Eq. (4)) of one operand: this server's half `X_i - M_i` of
+/// the opening of a secret `X` masked by `M`, to send to its peer.
+pub fn mask_operand<R: SecureRing>(x_i: &Matrix<R>, m_i: &Matrix<R>) -> Matrix<R> {
+    x_i.sub(m_i)
+}
+
+/// *compute1* of a single-use triple: one server's masked operands
 /// `(E_i, F_i) = (A_i - U_i, B_i - V_i)`, to send to its peer.
 pub fn mask<R: SecureRing>(
     a_i: &Matrix<R>,
     b_i: &Matrix<R>,
     triple: &TripleShare<R>,
 ) -> (Matrix<R>, Matrix<R>) {
-    (a_i.sub(&triple.u), b_i.sub(&triple.v))
+    (mask_operand(a_i, &triple.u), mask_operand(b_i, &triple.v))
 }
 
 /// *communicate* (Eq. (5)): combines the two servers' masked matrices into

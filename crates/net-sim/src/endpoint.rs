@@ -94,8 +94,13 @@ pub struct Endpoint<R: Num, T: Transport = ChannelTransport> {
     faults: Option<FaultInjector>,
     /// Monotone per-endpoint frame sequence counter.
     next_seq: u64,
+    tap: Option<ReceiveTap<R>>,
     _marker: std::marker::PhantomData<fn() -> R>,
 }
+
+/// An observer of every packet an endpoint receives, in arrival order:
+/// the party's view of the wire, for tests of what that party learns.
+pub type ReceiveTap<R> = Box<dyn FnMut(&Packet<R>) + Send>;
 
 /// Builds the fully connected three-node in-process network; returns
 /// `[client, server0, server1]`.
@@ -121,8 +126,15 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
             stats: TrafficStats::new(),
             faults: None,
             next_seq: 0,
+            tap: None,
             _marker: std::marker::PhantomData,
         }
+    }
+
+    /// Installs (or, with `None`, removes) the observer of every packet
+    /// this endpoint receives from now on.
+    pub fn set_receive_tap(&mut self, tap: Option<ReceiveTap<R>>) {
+        self.tap = tap;
     }
 
     /// Shared access to the underlying transport.
@@ -287,6 +299,15 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         Ok(done)
     }
 
+    /// [`Endpoint::unpack`], then the receive tap.
+    fn land(&mut self, from: NodeId, frame: TransportFrame) -> Result<Packet<R>, NetError> {
+        let packet = Self::unpack(from, frame)?;
+        if let Some(tap) = self.tap.as_mut() {
+            tap(&packet);
+        }
+        Ok(packet)
+    }
+
     /// Verifies and decodes one wire frame into a packet.
     fn unpack(from: NodeId, frame: TransportFrame) -> Result<Packet<R>, NetError> {
         let wire_bytes = frame.bytes.len();
@@ -311,13 +332,13 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
     /// wait themselves and surface [`NetError::PeerDead`].
     pub fn recv(&mut self, from: NodeId) -> Result<Packet<R>, NetError> {
         let frame = self.transport.recv(from)?;
-        Self::unpack(from, frame)
+        self.land(from, frame)
     }
 
     /// Non-blocking receive; `Ok(None)` when no message is waiting.
     pub fn try_recv(&mut self, from: NodeId) -> Result<Option<Packet<R>>, NetError> {
         match self.transport.try_recv(from)? {
-            Some(frame) => Self::unpack(from, frame).map(Some),
+            Some(frame) => self.land(from, frame).map(Some),
             None => Ok(None),
         }
     }
@@ -343,7 +364,7 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         deadline: SimTime,
     ) -> Result<Packet<R>, NetError> {
         match self.transport.try_recv(from)? {
-            Some(frame) if frame.available_at <= deadline => Self::unpack(from, frame),
+            Some(frame) if frame.available_at <= deadline => self.land(from, frame),
             // Late frame: sends on one link have monotone completion times
             // (serial NIC), so everything behind it is later still — drop
             // it and report the deadline expired; the retransmit carries

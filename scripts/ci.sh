@@ -23,8 +23,12 @@ cargo test -q --offline --workspace
 # multiply-adds (`gemm_packed_sum` and `gemm_auto` read one floor), every
 # other product from 48M. The pool is sized from PSML_WORKERS at first use,
 # so run the kernel crates under both shapes whatever this host's cores.
+# The dealer's `Z` products run on the same pool: prefetch and inline
+# dealing, and the schedule-derived traffic, must hold under both shapes.
 for workers in 1 3; do
     PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
+    PSML_WORKERS="$workers" cargo test -q --release --offline \
+        --test prefetch_pipeline --test protocol_invariants
 done
 # `-D warnings` now comes from [workspace.lints] in Cargo.toml, so plain
 # builds and clippy runs enforce the same bar as CI. --workspace lints the

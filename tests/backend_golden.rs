@@ -34,7 +34,9 @@ use parsecureml::models::Loss;
 use parsecureml::observe::traced;
 use parsecureml::prelude::*;
 use parsecureml::{chrome_trace_json, fnv64, weights_digest};
-use psml_mpc::{gen_triple_streamed, secure_hadamard, secure_matmul_with, EvalStrategy};
+use psml_mpc::{
+    gen_triple_streamed, secure_hadamard, secure_matmul_with, Deal, Dealer, EvalStrategy,
+};
 use psml_net::codec::{
     crc32, decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
     payload_bytes, StreamDecoder,
@@ -315,5 +317,43 @@ fn beaver_triples_are_unchanged() {
     // The outputs move with the masks (through each share's truncation), so
     // these rows pin the draw order.
     out += &reference_lines();
+    out += &mask_schedule_lines();
     check_golden(TRIPLES_GOLDEN, &out, "Beaver triple bits");
+}
+
+/// The dealer over a tiny two-layer step's mask schedule (Dense 3->4 ReLU,
+/// Dense 4->2, batch 2), master 42: per product, the secrets it reads and
+/// each server's shares of the masks it opens and of `Z`.
+fn mask_schedule_lines() -> String {
+    let spec = ModelSpec {
+        kind: ModelKind::Mlp,
+        layers: vec![
+            LayerSpec::Dense { inputs: 3, outputs: 4, activation: Activation::Relu },
+            LayerSpec::Dense { inputs: 4, outputs: 2, activation: Activation::None },
+        ],
+        loss: Loss::Mse,
+        outputs: 2,
+    };
+    let mut dealer = Dealer::<Fixed64>::new();
+    let mut out = String::new();
+    for (seq, deal) in spec.step_deals(2).iter().enumerate() {
+        let Deal::Masked(p) = deal else { panic!("an MLP step has no single-use triple") };
+        let reads = p.operands.map(|o| {
+            let t = if o.transposed { "^T" } else { "" };
+            format!("{:?}{t}", o.secret)
+        });
+        let (reads, spec) = (reads.join(", "), p.spec);
+        let dealt = dealer.deal(deal, 42, seq as u64, psml_tensor::gemm_blocked);
+        for party in Party::BOTH {
+            let share = dealt.share(party);
+            let label = |name: &str| format!("masked seq{seq} {spec:?} [{reads}] {party:?}.{name}");
+            for (j, mask) in share.masks.iter().enumerate() {
+                if let Some(m) = mask {
+                    out += &bits_line(&label(&format!("m{j}")), m, |x| x.0);
+                }
+            }
+            out += &bits_line(&label("z"), &share.z, |x| x.0);
+        }
+    }
+    out
 }

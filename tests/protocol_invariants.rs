@@ -223,3 +223,231 @@ fn adaptive_engine_reports_placements() {
         assert!(profile.fraction_matching("gemm") > 0.0);
     }
 }
+
+// ---------------------------------------------------------------------
+// The mask schedule: each secret of a fresh-triple training step is
+// masked, dealt and opened once.
+// ---------------------------------------------------------------------
+
+use parsecureml::{NodeId, Packet, Payload, ReceiveTap};
+use psml_mpc::protocol::finish;
+use psml_mpc::{mask_schedule, Deal, EvalStrategy, Operand, Secret};
+use psml_net::codec::{dense_payload_bytes, FRAME_HEADER_BYTES};
+use std::sync::{Arc, Mutex};
+
+/// Fresh single-use material per product, dealt inline.
+fn fresh() -> EngineConfig {
+    EngineConfig::parsecureml().with_insecure_reuse_triples(false)
+}
+
+/// Wire bytes of one dense transfer of `elems` ring elements.
+fn transfer(elems: usize) -> usize {
+    FRAME_HEADER_BYTES + dense_payload_bytes::<Fixed64>(elems, 1)
+}
+
+/// One dense-model training step on `batch` samples, derived from its
+/// schedule `deals` alone: `(opened ring elements, wire bytes)`. Per
+/// secret a product opens, one dealt mask share and one exchanged half per
+/// server; per product, one `Z` share per server; plus the inputs and
+/// targets the client shares, each hidden layer's activation exchange and
+/// the reveal of the prediction.
+fn derived_step_traffic(spec: &ModelSpec, deals: &[Deal], batch: usize) -> (usize, usize) {
+    let (mut opened, mut bytes) = (0, 0);
+    for deal in deals {
+        let s = deal.spec();
+        for ((rows, cols), open) in [s.u_shape(), s.v_shape()].into_iter().zip(deal.opens()) {
+            if open {
+                opened += rows * cols;
+                bytes += 2 * transfer(rows * cols) + 2 * transfer(rows * cols);
+            }
+        }
+        let (rows, cols) = s.z_shape();
+        bytes += 2 * transfer(rows * cols);
+    }
+    for layer in &spec.layers {
+        match *layer {
+            LayerSpec::Dense { activation, outputs, .. } if !activation.is_linear() => {
+                bytes += 2 * transfer(batch * outputs);
+            }
+            LayerSpec::Dense { .. } => {}
+            _ => panic!("a dense model only"),
+        }
+    }
+    let io = [spec.input_features(), spec.outputs, spec.outputs];
+    (opened, bytes + io.iter().map(|&cols| 2 * transfer(batch * cols)).sum::<usize>())
+}
+
+fn one_hot(rows: usize, cols: usize) -> PlainMatrix {
+    PlainMatrix::from_fn(rows, cols, |r, c| if c == r % cols { 1.0 } else { 0.0 })
+}
+
+#[test]
+fn a_fresh_mlp_step_moves_exactly_the_schedule_derived_bytes() {
+    let spec = ModelSpec::build(ModelKind::Mlp, 48, None, 6).unwrap();
+    let batch = 8;
+    let x = PlainMatrix::from_fn(batch, 48, |r, c| ((r * 5 + c) % 13) as f64 * 0.1 - 0.6);
+    let (_, want) = derived_step_traffic(&spec, &spec.step_deals(batch), batch);
+    for cfg in [fresh(), EngineConfig::parsecureml().with_prefetch(true)] {
+        let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec.clone(), SEED).unwrap();
+        let before = trainer.report().traffic.total_wire_bytes();
+        trainer.train_batch(&x, &one_hot(batch, 6)).unwrap();
+        let moved = trainer.report().traffic.total_wire_bytes() - before;
+        assert_eq!(moved, want, "prefetch {}", trainer.context().config().prefetch);
+    }
+}
+
+#[test]
+fn the_benchmark_step_opens_each_secret_once() {
+    // `train_mlp_fresh`: MLP 3136-128-64-10 at batch 128.
+    let spec = ModelSpec::build(ModelKind::Mlp, 3136, None, 10).unwrap();
+    let deals = spec.step_deals(128);
+    assert_eq!(derived_step_traffic(&spec, &deals, 128), (862_080, 41_815_566));
+    // Every product opening both operands, as single-use triples do.
+    let single_use: Vec<Deal> = deals.iter().map(|d| Deal::Triple(d.spec())).collect();
+    assert_eq!(derived_step_traffic(&spec, &single_use, 128), (1_306_368, 56_033_482));
+}
+
+/// The dense payloads a tap on one node saw: sender, shape, ring words.
+type Seen = Arc<Mutex<Vec<(NodeId, (usize, usize), Vec<u64>)>>>;
+
+fn tap(seen: &Seen) -> ReceiveTap<Fixed64> {
+    let seen = Arc::clone(seen);
+    Box::new(move |p: &Packet<Fixed64>| {
+        if let Payload::Dense(m) = &p.payload {
+            let words = m.as_slice().iter().map(|x| x.0).collect();
+            seen.lock().unwrap().push((p.from, m.shape(), words));
+        }
+    })
+}
+
+/// What `seen` received from `from`, in order.
+fn received(seen: &Seen, from: NodeId) -> Vec<((usize, usize), Vec<u64>)> {
+    let seen = seen.lock().unwrap();
+    seen.iter().filter(|(f, ..)| *f == from).map(|(_, s, w)| (*s, w.clone())).collect()
+}
+
+/// Pearson's χ² statistic of the byte histogram of `words` against the
+/// uniform distribution (255 degrees of freedom).
+fn byte_chi2(words: impl IntoIterator<Item = u64>) -> f64 {
+    let mut counts = [0u64; 256];
+    for w in words {
+        for b in w.to_le_bytes() {
+            counts[b as usize] += 1;
+        }
+    }
+    let expected = counts.iter().sum::<u64>() as f64 / 256.0;
+    counts.iter().map(|&c| (c as f64 - expected).powi(2) / expected).sum()
+}
+
+/// χ² with 255 degrees of freedom exceeds this with probability ~1e-9.
+const CHI2_255_MAX: f64 = 415.0;
+
+#[test]
+fn a_server_sees_each_secret_opened_once_and_uniformly_masked() {
+    let spec = ModelSpec::build(ModelKind::Mlp, 48, None, 6).unwrap();
+    let batch = 8;
+    let mut trainer = SecureTrainer::<Fixed64>::new(fresh(), spec.clone(), SEED).unwrap();
+    let [seen0, seen1] = [NodeId::Server0, NodeId::Server1].map(|node| {
+        let seen = Seen::default();
+        trainer.set_receive_tap(node, tap(&seen));
+        seen
+    });
+    trainer.train_batch(&PlainMatrix::zeros(batch, 48), &one_hot(batch, 6)).unwrap();
+
+    // What the schedule says each server receives from its peer, in order:
+    // the half of every secret a product opens, and after each hidden
+    // layer's forward product its pre-activation share (`None`).
+    let mut expect = Vec::new();
+    for deal in spec.step_deals(batch) {
+        let Deal::Masked(p) = deal else { panic!("an MLP step has no single-use triple") };
+        for (j, shape) in [p.spec.u_shape(), p.spec.v_shape()].into_iter().enumerate() {
+            if p.opens[j] {
+                expect.push((Some(p.operands[j].secret), shape));
+            }
+        }
+        if let Secret::Weight { layer, .. } = p.operands[1].secret {
+            if !p.operands[1].transposed && layer + 1 < spec.layers.len() {
+                expect.push((None, p.spec.z_shape()));
+            }
+        }
+    }
+    let secrets: Vec<Secret> = expect.iter().filter_map(|e| e.0).collect();
+    let distinct: std::collections::HashSet<_> = secrets.iter().collect();
+    assert_eq!((secrets.len(), distinct.len()), (9, 9), "x, W0-2, a1-2, dz0-2: once each");
+    let (to1, to0) = (received(&seen1, NodeId::Server0), received(&seen0, NodeId::Server1));
+    let shapes = |got: &[((usize, usize), Vec<u64>)]| got.iter().map(|g| g.0).collect::<Vec<_>>();
+    let want: Vec<_> = expect.iter().map(|e| e.1).collect();
+    assert_eq!(shapes(&to1), want, "server 1's halves");
+    assert_eq!(shapes(&to0), want, "server 0's halves");
+
+    // The openings both servers hold: E = E_0 + E_1, uniform for every
+    // secret (x and the first activation are all zeros).
+    let openings: Vec<((usize, usize), Vec<u64>)> = expect
+        .iter()
+        .zip(to1.iter().zip(&to0))
+        .filter(|(e, _)| e.0.is_some())
+        .map(|(e, (a, b))| (e.1, a.1.iter().zip(&b.1).map(|(x, y)| x.wrapping_add(*y)).collect()))
+        .collect();
+    let all = byte_chi2(openings.iter().flat_map(|o| o.1.iter().copied()));
+    assert!(all < CHI2_255_MAX, "opened words are not uniform: chi2 {all}");
+    // Independent masks: two openings of one shape differ by a uniform
+    // matrix. Masks dealt equal would leave the difference of the secrets.
+    let mut pairs = 0;
+    for (i, (shape, a)) in openings.iter().enumerate() {
+        for (other, b) in &openings[i + 1..] {
+            if other == shape {
+                let chi2 = byte_chi2(a.iter().zip(b).map(|(x, y)| x.wrapping_sub(*y)));
+                assert!(chi2 < CHI2_255_MAX, "openings {shape:?} are correlated: chi2 {chi2}");
+                pairs += 1;
+            }
+        }
+    }
+    assert!(pairs >= 2, "a1/dz0 and a2/dz1 share shapes");
+}
+
+#[test]
+fn a_backward_product_reads_the_forward_opening_transposed() {
+    let mut ctx = SecureContext::<Fixed64>::new(fresh(), SEED);
+    let [seen0, seen1] = [NodeId::Server0, NodeId::Server1].map(|node| {
+        let seen = Seen::default();
+        ctx.set_receive_tap(node, tap(&seen));
+        seen
+    });
+    let x = PlainMatrix::zeros(6, 5);
+    let w = PlainMatrix::from_fn(5, 4, |r, c| (r as f64 - c as f64) * 0.25);
+    let d = PlainMatrix::from_fn(6, 4, |r, c| ((r * 3 + c) % 5) as f64 * 0.2 - 0.4);
+    let [xs, ws, ds] = [&x, &w, &d].map(|m| ctx.share_input(m).unwrap());
+    let op = |secret, transposed| Operand { secret, transposed };
+    let act = Secret::Act { layer: 0, step: 0 };
+    let fwd = [op(act, false), op(Secret::Weight { layer: 0, which: 0 }, false)];
+    let bwd = [op(act, true), op(Secret::Grad { layer: 0 }, false)];
+    ctx.schedule_deals(&mask_schedule(&[
+        (TripleSpec::Gemm { m: 6, k: 5, n: 4 }, Some(fwd)),
+        (TripleSpec::Gemm { m: 5, k: 6, n: 4 }, Some(bwd)),
+    ]));
+    ctx.secure_mul_masked(&xs, &ws, fwd, "l0.fwd").unwrap();
+    let xt = ctx.transpose_shared(&xs);
+    let dw = ctx.secure_mul_masked(&xt, &ds, bwd, "l0.bwd.dw").unwrap();
+    assert!(dw.reveal_insecure().max_abs_diff(&x.transpose().matmul(&d)) < 1e-2);
+
+    // Server 1's view: the halves of x and W, then of d alone.
+    let (to1, to0) = (received(&seen1, NodeId::Server0), received(&seen0, NodeId::Server1));
+    let shapes: Vec<_> = to1.iter().map(|h| h.0).collect();
+    assert_eq!(shapes, [(6, 5), (5, 4), (6, 4)]);
+    let open = |i: usize| {
+        let ((rows, cols), _) = to1[i];
+        let words = to1[i].1.iter().zip(&to0[i].1).map(|(a, b)| Fixed64(a.wrapping_add(*b)));
+        Matrix::from_vec(rows, cols, words.collect())
+    };
+    let (e_x, f_d) = (open(0), open(2));
+    // Its share of the backward product's Z: the last thing the client
+    // dealt it. With its own shares, that and the forward opening of x,
+    // transposed, make exactly the output share it computed.
+    let (_, z1) = received(&seen1, NodeId::Client).pop().unwrap();
+    let z1 = Matrix::from_vec(5, 4, z1.into_iter().map(Fixed64).collect());
+    let (x1, d1) = (xs.part(Party::P1).v.transpose(), &ds.part(Party::P1).v);
+    let e_xt = e_x.transpose();
+    let fused = EvalStrategy::Fused;
+    let want = finish(Party::P1, &x1, d1, &z1, &e_xt, &f_d, fused, psml_tensor::gemm_naive);
+    assert!(dw.part(Party::P1).v == want, "server 1 did not compute on E_x^T");
+}
