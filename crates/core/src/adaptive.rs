@@ -458,23 +458,16 @@ mod tests {
 
     #[test]
     fn gpu_cost_is_the_backend_charge_plus_transfers() {
-        // MeasuredCost (and Auto) price a GPU offload through the backend
-        // trait's rate table: `gpu_cost` must equal the `gemm_charge`
+        // MeasuredCost (and Auto) price a GPU offload through the
+        // device's rate table: `gpu_cost` must equal the `gemm_charge`
         // duration the device will actually charge plus the PCIe round
         // trip.
-        use psml_gpu::{Backend, SimBackend};
         let (m, k, n) = (192, 256, 128);
         let bytes = bytes_for(m, k, n);
         for cfg in [cfg(), cfg().with_tensor_cores(false)] {
             let want = AdaptiveEngine::gpu_cost(&cfg, m, k, n, bytes);
-            let (label, dur) = Backend::<f32>::gemm_charge(
-                &SimBackend,
-                &cfg.machine.gpu,
-                m,
-                k,
-                n,
-                cfg.gpu_gemm_mode(),
-            );
+            let mode = cfg.gpu_gemm_mode();
+            let (label, dur) = psml_gpu::SimBackend.gemm_charge(&cfg.machine.gpu, m, k, n, mode);
             assert_eq!(want, dur + cfg.machine.gpu.pcie.transfer_time(bytes));
             assert_eq!(label, cfg.gpu_gemm_mode().kernel_label());
         }

@@ -83,8 +83,9 @@ pub struct EngineConfig {
     /// Provision Beaver triples asynchronously on a host-side pipeline
     /// that runs ahead of (and concurrently with) the online phase, so
     /// the engine thread never generates or serializes triple material
-    /// inline. Requires a declared shape schedule
-    /// ([`crate::SecureContext::schedule_triples`]); incompatible with
+    /// inline. Changes only who deals the declared schedule
+    /// ([`crate::SecureContext::schedule_deals`]), which every fresh
+    /// product takes from with prefetch on or off; incompatible with
     /// [`EngineConfig::insecure_reuse_triples`] (prefetch provisions one
     /// fresh triple per scheduled use) and with fault injection (triple
     /// distribution is charged on the fault-free fast path).
@@ -266,20 +267,13 @@ impl EngineConfig {
     /// Time for an `(m x k) * (k x n)` GEMM on the simulated GPU under
     /// this config's unit selection ([`EngineConfig::gpu_gemm_mode`]).
     ///
-    /// Costed through the backend trait's rate table
-    /// ([`psml_gpu::Backend::gemm_charge`]) so the adaptive planner and
+    /// Costed through the device's rate table
+    /// ([`psml_gpu::SimBackend::gemm_charge`]) so the adaptive planner and
     /// the device's charge paths price a GEMM identically (pinned by
     /// tests here and in `adaptive`).
     pub fn gpu_gemm_time(&self, m: usize, k: usize, n: usize) -> psml_simtime::SimDuration {
-        <psml_gpu::SimBackend as psml_gpu::Backend<f32>>::gemm_charge(
-            &psml_gpu::SimBackend,
-            &self.machine.gpu,
-            m,
-            k,
-            n,
-            self.gpu_gemm_mode(),
-        )
-        .1
+        let mode = self.gpu_gemm_mode();
+        psml_gpu::SimBackend.gemm_charge(&self.machine.gpu, m, k, n, mode).1
     }
 
     /// Time for an element-wise CPU pass over `bytes` under this config's

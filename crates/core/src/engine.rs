@@ -29,9 +29,13 @@
 //! # Seams
 //!
 //! Bytes move through `Wire::ship`, the client's CPU-or-GPU decision is
-//! `charge_client_step`, a call site's triple comes from `triple_for`, a
-//! local step on both servers is `per_server`. Callers keep what differs:
-//! which clocks a transfer advances and which phase it is booked to.
+//! `charge_client_step`, a local step on both servers is `per_server`.
+//! Every product's deal comes from the one [`TripleProvider`], checked
+//! against what was declared, in every mode: with `prefetch` a worker
+//! thread deals ahead, without it the take deals inline, and under
+//! `insecure_reuse_triples` a call site's cache miss declares and takes
+//! its triple there (`triple_for`). Callers keep what differs: which
+//! clocks a transfer advances and which phase it is booked to.
 
 use crate::adaptive::{AdaptiveEngine, Placement};
 use crate::config::EngineConfig;
@@ -44,8 +48,7 @@ use psml_mpc::protocol::{
     finish, finish_hadamard, finish_packed, mask_operand, reconstruct_public,
 };
 use psml_mpc::{
-    Deal, Dealer, DealtShare, EvalStrategy, MaskedProduct, Operand, Party, PlainMatrix, SecureRing,
-    Secret, TripleSpec,
+    Deal, DealtShare, EvalStrategy, Operand, Party, PlainMatrix, SecureRing, Secret, TripleSpec,
 };
 use psml_net::{
     build_network, DeltaDecoder, DeltaEncoder, Endpoint, FaultCounters, NetError, NodeId, Packet,
@@ -55,7 +58,7 @@ use psml_parallel::Mt19937;
 use psml_simtime::{Resource, SimDuration, SimTime};
 use psml_tensor::{gemm_auto, pack_b_auto, Matrix};
 use psml_trace::{ns_of_secs, Phase, TraceEvent, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Layer index encoded in a stream key (`"l3.fwd"` -> `Some(3)`).
@@ -186,29 +189,12 @@ impl<R: SecureRing> SharedMatrix<R> {
 
 /// A distributed Beaver triple: each server's part of one dealt product —
 /// its shares of the masks the product opens and of `Z` (a single-use
-/// triple opens both). The offline phase delivers it before the online
-/// clock starts, so it is ready at online zero by construction. Not
-/// `Clone`: multiplications borrow it, the reuse cache shares an `Rc`.
-pub struct DistTriple<R: SecureRing> {
+/// triple opens both); the public [`Deal`] it was dealt for travels beside
+/// it. The offline phase delivers it before the online clock starts, so it
+/// is ready at online zero by construction. Not `Clone`: multiplications
+/// borrow it, the reuse cache shares an `Rc`.
+struct DistTriple<R: SecureRing> {
     shares: [DealtShare<R>; 2],
-    dims: (usize, usize, usize),
-}
-
-/// Redacting formatter: dimensions and ring only.
-impl<R: SecureRing> std::fmt::Debug for DistTriple<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistTriple")
-            .field("dims", &self.dims)
-            .field("ring", &std::any::type_name::<R>())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<R: SecureRing> DistTriple<R> {
-    /// `(m, k, n)` of the product this triple serves.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        self.dims
-    }
 }
 
 /// Per operand of a product, a matrix when the product opens that
@@ -234,22 +220,6 @@ struct Opening<R: SecureRing> {
     public: Rc<Matrix<R>>,
     transposed: bool,
     ready: [SimTime; 2],
-}
-
-/// `(m, k, n)` of `a * b`, or the shape error.
-fn product_dims<R: SecureRing>(
-    a: &SharedMatrix<R>,
-    b: &SharedMatrix<R>,
-) -> Result<(usize, usize, usize)> {
-    let ((m, k), (k2, n)) = (a.shape(), b.shape());
-    if k != k2 {
-        return Err(EngineError::Shape(format!(
-            "secure_mul: {:?} x {:?}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    Ok((m, k, n))
 }
 
 /// The three NICs and the ack/retransmit channel over them: the only
@@ -366,19 +336,11 @@ pub struct SecureContext<R: SecureRing> {
     offline_end: SimTime,
     secure_muls: usize,
     curand_seed: u64,
-    /// Master seed of the counter-derived triple streams: triple `seq`
-    /// draws from `Mt19937::from_stream(master_seed, seq)` in both
-    /// prefetch modes, which is what makes them bit-identical.
-    master_seed: u64,
-    /// Global sequence number of the next provisioned triple.
-    triple_seq: u64,
-    /// The asynchronous provisioning pipeline (prefetch mode only).
-    provider: Option<TripleProvider<R>>,
-    /// Deals inline when prefetch is off; the provider's worker holds the
-    /// prefetch mode's twin.
-    dealer: Dealer<R>,
-    /// Mask-schedule products declared and not yet multiplied, in order.
-    masked_plan: VecDeque<MaskedProduct>,
+    /// Every product's deal: the declared schedule, its seqs and their
+    /// checks. Triple `seq` draws from `Mt19937::from_stream(seed, seq)`
+    /// whoever deals it, which is what makes prefetch on and off
+    /// bit-identical.
+    provider: TripleProvider<R>,
     /// Public openings of secrets still to be read by a later product.
     openings: HashMap<Secret, Opening<R>>,
     /// Interned call-site keys; protocol hot paths key caches and
@@ -431,15 +393,10 @@ impl<R: SecureRing> SecureContext<R> {
             offline_end: SimTime::ZERO,
             secure_muls: 0,
             curand_seed: seed as u64,
-            master_seed: seed as u64,
-            triple_seq: 0,
-            provider: if cfg.prefetch {
-                Some(TripleProvider::new(seed as u64, cfg.prefetch_depth))
-            } else {
-                None
+            provider: match cfg.prefetch {
+                true => TripleProvider::new(seed as u64, cfg.prefetch_depth),
+                false => TripleProvider::inline(seed as u64),
             },
-            dealer: Dealer::new(),
-            masked_plan: VecDeque::new(),
             openings: HashMap::new(),
             site_names: HashMap::new(),
             triple_cache: HashMap::new(),
@@ -592,42 +549,24 @@ impl<R: SecureRing> SecureContext<R> {
         Ok(SharedMatrix::new(landed.map(Timed::at_zero)))
     }
 
-    /// Offline: generates one Beaver triple for an `(m x k) * (k x n)`
-    /// product and distributes the shares.
-    pub fn gen_triple(&mut self, m: usize, k: usize, n: usize) -> Result<DistTriple<R>> {
-        self.provision(Deal::Triple(TripleSpec::Gemm { m, k, n }))
-    }
-
-    /// Declares upcoming triple shapes to the prefetch pipeline so it can
-    /// generate them ahead of the multiplications that will consume them.
-    /// No-op when prefetch is off. Order matters: triples are delivered
-    /// in exactly this order, and a multiplication whose shape disagrees
-    /// with the schedule is a protocol error.
+    /// Declares upcoming single-use triples ([`SecureContext::schedule_deals`]).
     pub fn schedule_triples(&mut self, specs: &[TripleSpec]) {
-        if let Some(p) = &self.provider {
-            p.schedule(specs);
-        }
+        self.schedule_deals(&specs.iter().map(|&spec| Deal::Triple(spec)).collect::<Vec<_>>());
     }
 
     /// Declares upcoming products, single-use triples and a mask
     /// schedule's products alike ([`psml_mpc::mask_schedule`]), in the
-    /// order they will be multiplied: the prefetch pipeline deals them
-    /// ahead, and the engine keeps the mask-schedule products, which
-    /// [`SecureContext::secure_mul_masked`] takes in order. A batch holding
+    /// order they will be multiplied, with or without prefetch: every
+    /// product takes the next declared deal, and one whose shape (or, for
+    /// a mask-schedule product, whose operands) disagrees with it is an
+    /// [`EngineError::Protocol`] raised before any offline charge. With
+    /// prefetch the provider's thread deals them ahead. A batch holding
     /// mask-schedule products must be whole: every mask it reads is opened
-    /// within it. A no-op under
-    /// [`EngineConfig::insecure_reuse_triples`], whose products take the
-    /// call site's cached triple.
+    /// within it. A no-op under [`EngineConfig::insecure_reuse_triples`],
+    /// whose products take the call site's cached triple.
     pub fn schedule_deals(&mut self, deals: &[Deal]) {
-        if self.cfg.insecure_reuse_triples {
-            return;
-        }
-        self.masked_plan.extend(deals.iter().filter_map(|d| match d {
-            Deal::Masked(p) => Some(*p),
-            Deal::Triple(_) => None,
-        }));
-        if let Some(p) = &self.provider {
-            p.schedule_deals(deals);
+        if !self.cfg.insecure_reuse_triples {
+            self.provider.schedule_deals(deals);
         }
     }
 
@@ -637,12 +576,11 @@ impl<R: SecureRing> SecureContext<R> {
         self.wire.endpoints[node.index()].set_receive_tap(Some(tap));
     }
 
-    /// Counters of the prefetch pipeline (deliveries, consumer stall,
-    /// lookahead adopted and discarded, ready-queue high water); `None`
-    /// when prefetch is off. Not part of [`RunReport`]: stall time is
-    /// wall clock.
-    pub fn provider_stats(&self) -> Option<ProviderStats> {
-        self.provider.as_ref().map(TripleProvider::stats)
+    /// Counters of the triple provider (deliveries and, with prefetch,
+    /// consumer stall, lookahead adopted and discarded, ready-queue high
+    /// water). Not part of [`RunReport`]: stall time is wall clock.
+    pub fn provider_stats(&self) -> ProviderStats {
+        self.provider.stats()
     }
 
     /// Charges the client-side compute of dealing one product —
@@ -669,32 +607,30 @@ impl<R: SecureRing> SecureContext<R> {
         Ok(())
     }
 
-    /// Provisions one product's offline material: the dealer's output for
-    /// `(master_seed, seq)` — produced ahead of time by the prefetch
-    /// pipeline, or inline when prefetch is off — plus full offline
-    /// accounting (client compute charges and share distribution). The
-    /// two modes advance every simulated clock identically and yield
-    /// bit-identical shares; prefetch merely removes the generation and
-    /// wire-serialization work from the engine thread's wall-clock
-    /// critical path.
-    fn provision(&mut self, deal: Deal) -> Result<DistTriple<R>> {
+    /// Provisions the offline material of a product of `spec` (of
+    /// `operands`, when named): the provider's checked take of the next
+    /// declared deal — dealt ahead of time by the prefetch pipeline, or
+    /// inline when prefetch is off — plus full offline accounting (client
+    /// compute charges and share distribution), charged only once the
+    /// take succeeded. The two modes advance every simulated clock
+    /// identically and yield bit-identical shares; prefetch merely removes
+    /// the generation and wire-serialization work from the engine thread's
+    /// wall-clock critical path.
+    fn provision(
+        &mut self,
+        spec: TripleSpec,
+        operands: Option<[Operand; 2]>,
+    ) -> Result<(Deal, DistTriple<R>)> {
         let _offline = TraceSink::scope(Phase::Offline, None);
         let t_start = self.client.now;
-        let seq = self.triple_seq;
-        self.triple_seq += 1;
-        let dealt = match &self.provider {
-            Some(p) => {
-                let (dealt, events) = p.take_deal(seq, deal).map_err(EngineError::Protocol)?;
-                TraceSink::adopt(events);
-                dealt
-            }
-            None => self.dealer.deal(&deal, self.master_seed, seq, gemm_auto),
-        };
+        let taken = self.provider.take_deal(spec, operands);
+        let (deal, dealt, events) = taken.map_err(EngineError::Protocol)?;
+        TraceSink::adopt(events);
         self.charge_deal_compute(&deal)?;
 
         let [s0, s1] = dealt.into_shares();
         // Prefetched material is already server-side.
-        let held = self.provider.is_some();
+        let held = self.cfg.prefetch;
         let mut masks = [[None, None], [None, None]];
         for (j, pair) in s0.masks.into_iter().zip(s1.masks).enumerate() {
             if let (Some(m0), Some(m1)) = pair {
@@ -707,42 +643,51 @@ impl<R: SecureRing> SecureContext<R> {
             DealtShare { masks: masks0, z: z0 },
             DealtShare { masks: masks1, z: z1 },
         ];
-        let dims = deal.spec().dims();
+        let (m, k, n) = spec.dims();
         trace_phase(
             "gen_triple",
             Phase::Offline,
             None,
             t_start,
             self.offline_end.max(self.client.now),
-            Some([dims.0 as u32, dims.1 as u32, dims.2 as u32]),
+            Some([m as u32, k as u32, n as u32]),
             None,
             2 * deal.dealt_elems() * R::BYTES,
         );
-        Ok(DistTriple { shares, dims })
+        Ok((deal, DistTriple { shares }))
     }
 
-    /// The triple a multiplication at `site` consumes. With
+    /// The triple a product of `spec` at `site` consumes. With
     /// [`EngineConfig::insecure_reuse_triples`] triples are cached per
     /// `(call site, shape)` and **reused across iterations** (the
     /// paper's Eq. (11) keeps `U_i` fixed across epochs so that `E`
     /// evolves by the sparse delta `dA` — the premise of the
     /// compressed-transmission design, and a deliberate information
     /// leak; see DESIGN.md). The offline cost is then paid once per call
-    /// site. Without it, every multiplication consumes a fresh triple —
-    /// which is what the prefetch pipeline provisions ahead of time. The
-    /// cache and the multiplication share one allocation.
-    fn triple_for(&mut self, site: u32, spec: TripleSpec) -> Result<Rc<DistTriple<R>>> {
+    /// site, and a miss declares its triple to the provider and takes it
+    /// there: the callers' declarations name products a hit never takes.
+    /// Without it, every product takes its declared deal. The cache and
+    /// the multiplication share one allocation.
+    fn triple_for(
+        &mut self,
+        site: u32,
+        spec: TripleSpec,
+        operands: Option<[Operand; 2]>,
+    ) -> Result<(Deal, Rc<DistTriple<R>>)> {
         if !self.cfg.insecure_reuse_triples {
-            return self.provision(Deal::Triple(spec)).map(Rc::new);
+            let (deal, fresh) = self.provision(spec, operands)?;
+            return Ok((deal, Rc::new(fresh)));
         }
         // psml-lint: allow(timing, "branches on whether the public site/spec key is cached, never on the triple")
         if let Some(cached) = self.triple_cache.get(&(site, spec)) {
             self.triple_reuses += 1;
-            return Ok(Rc::clone(cached));
+            return Ok((Deal::Triple(spec), Rc::clone(cached)));
         }
-        let fresh = Rc::new(self.provision(Deal::Triple(spec))?);
+        self.provider.schedule(&[spec]);
+        let (deal, fresh) = self.provision(spec, None)?;
+        let fresh = Rc::new(fresh);
         self.triple_cache.insert((site, spec), Rc::clone(&fresh));
-        Ok(fresh)
+        Ok((deal, fresh))
     }
 
     /// Interns a call-site key, returning its stable `u32` id. Allocates
@@ -978,83 +923,82 @@ impl<R: SecureRing> SecureContext<R> {
 
     /// One secure triplet multiplication (the paper's core operation):
     /// *compute1* -> *communicate* -> *compute2*, with the configured
-    /// placement, pipeline and compression behavior. `key` identifies the
-    /// logical stream for delta compression (e.g. `"l0.fwd"`).
+    /// placement, pipeline and compression behavior. `operands` name the
+    /// secrets `a` and `b` are; `key` identifies the logical stream for
+    /// delta compression (e.g. `"l0.fwd"`).
+    ///
+    /// The product takes the next declared deal
+    /// ([`SecureContext::schedule_deals`]), after its shapes are checked.
+    /// For a single-use triple both operands are masked and exchanged. For
+    /// a mask-schedule product only the secrets it opens are; a secret an
+    /// earlier product opened is read through that opening, transposed
+    /// where this product reads it the other way round, and the opening is
+    /// dropped at the secret's last use. Under
+    /// [`EngineConfig::insecure_reuse_triples`] the call site's cached
+    /// triple serves instead, whatever the operands.
     pub fn secure_mul(
-        &mut self,
-        a: &SharedMatrix<R>,
-        b: &SharedMatrix<R>,
-        triple: &DistTriple<R>,
-        key: &str,
-    ) -> Result<SharedMatrix<R>> {
-        self.multiply(a, b, triple, None, key)
-    }
-
-    /// The next product of the declared mask schedule
-    /// ([`SecureContext::schedule_deals`]): `operands` name the secrets `a`
-    /// and `b` are, and must be what was declared. Only the secrets this
-    /// product opens are masked and exchanged; a secret an earlier product
-    /// opened is read through that opening, transposed where this product
-    /// reads it the other way round, and the opening is dropped at the
-    /// secret's last use. Under
-    /// [`EngineConfig::insecure_reuse_triples`] this is
-    /// [`SecureContext::secure_mul_auto`].
-    pub fn secure_mul_masked(
         &mut self,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         operands: [Operand; 2],
         key: &str,
     ) -> Result<SharedMatrix<R>> {
-        if self.cfg.insecure_reuse_triples {
-            return self.secure_mul_auto(a, b, key);
-        }
-        let (m, k, n) = product_dims(a, b)?;
-        let spec = TripleSpec::Gemm { m, k, n };
-        let product = match self.masked_plan.pop_front() {
-            Some(p) if p.spec == spec && p.operands == operands => p,
-            Some(p) => {
-                return Err(EngineError::Protocol(format!(
-                    "mask schedule mismatch at {key}: multiplying {spec:?} of {operands:?} \
-                     but {:?} of {:?} was declared",
-                    p.spec, p.operands
-                )))
-            }
-            None => {
-                return Err(EngineError::Protocol(format!(
-                    "mask schedule exhausted at {key}: declare the step's products first"
-                )))
-            }
-        };
-        let triple = self.provision(Deal::Masked(product))?;
-        self.multiply(a, b, &triple, Some(&product), key)
+        self.product(a, b, Some(operands), key)
     }
 
-    /// [`SecureContext::secure_mul`], opening the operands `product` opens
-    /// (both without a schedule) and reading the rest from the keep.
+    /// [`SecureContext::secure_mul`] of operands without names: it takes a
+    /// declared single-use triple, never a mask-schedule product.
+    pub fn secure_mul_auto(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+        key: &str,
+    ) -> Result<SharedMatrix<R>> {
+        self.product(a, b, None, key)
+    }
+
+    /// Checks the shapes, takes the deal, multiplies.
+    fn product(
+        &mut self,
+        a: &SharedMatrix<R>,
+        b: &SharedMatrix<R>,
+        operands: Option<[Operand; 2]>,
+        key: &str,
+    ) -> Result<SharedMatrix<R>> {
+        let ((m, k), (k2, n)) = (a.shape(), b.shape());
+        if k != k2 {
+            let msg = format!("secure_mul: {:?} x {:?}", a.shape(), b.shape());
+            return Err(EngineError::Shape(msg));
+        }
+        let site = self.site_id(key);
+        let (deal, triple) = self.triple_for(site, TripleSpec::Gemm { m, k, n }, operands)?;
+        self.multiply(a, b, deal, &triple, site, key)
+    }
+
+    /// `a * b` with `triple`, dealt for `deal`: it opens the operands the
+    /// deal opens (both for a single-use triple) and reads the rest from
+    /// the keep.
     fn multiply(
         &mut self,
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
+        deal: Deal,
         triple: &DistTriple<R>,
-        product: Option<&MaskedProduct>,
+        site: u32,
         key: &str,
     ) -> Result<SharedMatrix<R>> {
-        let (m, k, n) = product_dims(a, b)?;
-        if triple.dims != (m, k, n) {
-            return Err(EngineError::Shape(format!(
-                "triple dims {:?} do not match product ({m},{k},{n})",
-                triple.dims()
-            )));
-        }
+        let (m, k, n) = deal.spec().dims();
+        let product = match &deal {
+            Deal::Masked(p) => Some(p),
+            Deal::Triple(_) => None,
+        };
         self.secure_muls += 1;
         let layer = layer_of_key(key);
-        let site = self.site_id(key);
         let dims = Some([m as u32, k as u32, n as u32]);
         if !self.cfg.pipeline {
             self.barrier();
         }
-        let opens = product.map_or([true, true], |p| p.opens);
+        let opens = deal.opens();
         let sizes = [m * k, k * n].into_iter().zip(opens);
         let opened: usize = sizes.filter_map(|(elems, open)| open.then_some(elems)).sum();
 
@@ -1148,7 +1092,7 @@ impl<R: SecureRing> SecureContext<R> {
                 None => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
             };
             let ready = match placement {
-                Placement::Cpu => self.charge_compute2_cpu(i, publics.ready[i], triple.dims),
+                Placement::Cpu => self.charge_compute2_cpu(i, publics.ready[i], (m, k, n)),
                 Placement::Gpu => self.charge_compute2_gpu(i, &publics, a, b, triple)?,
             };
             Ok(Timed { v, ready })
@@ -1181,22 +1125,6 @@ impl<R: SecureRing> SecureContext<R> {
         Ok(SharedMatrix::new(outs))
     }
 
-    /// Offline + online in one call: provisions the triple on demand
-    /// (or, under [`EngineConfig::insecure_reuse_triples`], takes the
-    /// call site's cached one — see `triple_for`).
-    pub fn secure_mul_auto(
-        &mut self,
-        a: &SharedMatrix<R>,
-        b: &SharedMatrix<R>,
-        key: &str,
-    ) -> Result<SharedMatrix<R>> {
-        let (m, k) = a.shape();
-        let n = b.shape().1;
-        let site = self.site_id(key);
-        let triple = self.triple_for(site, TripleSpec::Gemm { m, k, n })?;
-        self.secure_mul(a, b, &triple, key)
-    }
-
     /// Secure element-wise (Hadamard) multiplication — the CNN
     /// point-to-point product path (Sec. 7.2). Local math is element-wise,
     /// so *compute2* always stays on the CPU (there is no GEMM to offload).
@@ -1224,7 +1152,7 @@ impl<R: SecureRing> SecureContext<R> {
         // (the `Hadamard` spec cannot collide with a `Gemm` cache entry
         // for the same site).
         let offline_guard = TraceSink::scope(Phase::Offline, layer);
-        let triple = self.triple_for(site, TripleSpec::Hadamard { m, n })?;
+        let (_, triple) = self.triple_for(site, TripleSpec::Hadamard { m, n }, None)?;
         drop(offline_guard);
         self.secure_muls += 1;
         if !self.cfg.pipeline {
@@ -1282,9 +1210,9 @@ impl<R: SecureRing> SecureContext<R> {
     ) -> Result<SimTime> {
         let fenced = !self.cfg.pipeline;
         let mode = self.cfg.gpu_gemm_mode();
-        let (m, n) = (triple.dims.0, triple.dims.2);
         let party = Party::BOTH[i];
         let [e_pub, f_pub] = &publics.ef;
+        let (m, n) = (e_pub.rows(), f_pub.cols());
         let ready = publics.ready[i];
         let dev = &mut self.servers[i].device;
 
@@ -1710,10 +1638,12 @@ mod tests {
     }
 
     #[test]
-    fn gen_triple_has_consistent_dims_and_offline_time() {
-        let mut ctx = ctx(EngineConfig::parsecureml());
-        let t = ctx.gen_triple(3, 5, 2).unwrap();
-        assert_eq!(t.dims(), (3, 5, 2));
+    fn a_provisioned_triple_has_its_deal_and_offline_time() {
+        let mut ctx = ctx(EngineConfig::parsecureml().with_insecure_reuse_triples(false));
+        let spec = TripleSpec::Gemm { m: 3, k: 5, n: 2 };
+        ctx.schedule_triples(&[spec]);
+        let (deal, _) = ctx.provision(spec, None).unwrap();
+        assert_eq!(deal, Deal::Triple(spec));
         let report = ctx.report();
         assert!(report.offline_time.as_secs() > 0.0);
         assert_eq!(report.online_time.as_secs(), 0.0, "no online work yet");
@@ -1922,12 +1852,13 @@ mod tests {
         let spec = TripleSpec::Gemm { m: 4, k: 4, n: 4 };
         let mut reuse = ctx(EngineConfig::parsecureml());
         let site = reuse.site_id("k1");
-        let first = reuse.triple_for(site, spec).unwrap();
-        let again = reuse.triple_for(site, spec).unwrap();
+        let (_, first) = reuse.triple_for(site, spec, None).unwrap();
+        let (_, again) = reuse.triple_for(site, spec, None).unwrap();
         assert!(Rc::ptr_eq(&first, &again), "a cache hit must not copy the triple");
         let mut fresh = ctx(EngineConfig::parsecureml().with_insecure_reuse_triples(false));
-        let first = fresh.triple_for(site, spec).unwrap();
-        assert!(!Rc::ptr_eq(&first, &fresh.triple_for(site, spec).unwrap()));
+        fresh.schedule_triples(&[spec, spec]);
+        let (_, first) = fresh.triple_for(site, spec, None).unwrap();
+        assert!(!Rc::ptr_eq(&first, &fresh.triple_for(site, spec, None).unwrap().1));
     }
 
     // Runs matmul + hadamard and returns the revealed values plus the
@@ -1942,8 +1873,7 @@ mod tests {
         let y = ctx.share_input(&plain(5, 4, 0.5)).unwrap();
         let h = ctx.secure_hadamard(&x, &y, "had").unwrap();
         let hv = ctx.reveal(&h).unwrap().v;
-        let takes = ctx.provider_stats().map(|s| s.takes);
-        assert_eq!(takes, ctx.config().prefetch.then_some(2));
+        assert_eq!(ctx.provider_stats().takes, 2);
         (c, hv, ctx.report())
     }
 
@@ -1962,24 +1892,77 @@ mod tests {
         );
     }
 
+    /// The three ways a product gets its triple: dealt inline, dealt
+    /// ahead by the prefetch pipeline, and the reuse cache.
+    fn every_mode() -> [EngineConfig; 3] {
+        let fresh = EngineConfig::parsecureml().with_insecure_reuse_triples(false);
+        [fresh.clone(), fresh.with_prefetch(true), EngineConfig::parsecureml()]
+    }
+
+    // Inline mode accepts every one of these at the parent: it dealt
+    // whatever was multiplied, unchecked.
     #[test]
     fn prefetch_schedule_mismatch_is_a_protocol_error() {
-        let mut ctx1 = ctx(EngineConfig::parsecureml().with_prefetch(true));
-        let a = ctx1.share_input(&plain(2, 3, 1.0)).unwrap();
-        let b = ctx1.share_input(&plain(3, 4, 1.0)).unwrap();
-        // Nothing scheduled: the engine must fail fast, not hang.
-        match ctx1.secure_mul_auto(&a, &b, "t").unwrap_err() {
-            EngineError::Protocol(msg) => assert!(msg.contains("exhausted"), "{msg}"),
-            other => panic!("expected protocol error, got {other:?}"),
+        let gemm = TripleSpec::Gemm { m: 2, k: 3, n: 4 };
+        let act = Operand { secret: Secret::Act { layer: 0, step: 0 }, transposed: false };
+        let weight = Operand { secret: Secret::Weight { layer: 0, which: 0 }, transposed: false };
+        let masked = psml_mpc::mask_schedule(&[(gemm, Some([act, weight]))]);
+        // What is declared, and the product that disagrees with it.
+        type Operands = [SharedMatrix<Fixed64>; 2];
+        type Misuse = fn(&mut SecureContext<Fixed64>, &Operands) -> Result<SharedMatrix<Fixed64>>;
+        let cases: [(&str, Vec<Deal>, Misuse); 4] = [
+            ("undeclared matmul", vec![], |ctx, [a, b]| ctx.secure_mul_auto(a, b, "t")),
+            (
+                "mismatched shape",
+                vec![Deal::Triple(TripleSpec::Hadamard { m: 2, n: 4 })],
+                |ctx, [a, b]| ctx.secure_mul_auto(a, b, "t"),
+            ),
+            ("hadamard product", vec![Deal::Triple(gemm)], |ctx, [a, _]| {
+                ctx.secure_hadamard(a, a, "t")
+            }),
+            // An inference product names no operands; the declared
+            // training product opens `x` and `W` for later products.
+            ("inference product", masked, |ctx, [a, b]| ctx.secure_mul_auto(a, b, "t")),
+        ];
+        for (what, declared, misuse) in cases {
+            let [inline, prefetch, _] = every_mode();
+            let [inline, prefetch] = [inline, prefetch].map(|cfg| {
+                let mut ctx = ctx(cfg);
+                ctx.schedule_deals(&declared);
+                let operands = [plain(2, 3, 1.0), plain(3, 4, 1.0)];
+                let operands = operands.map(|m| ctx.share_input(&m).unwrap());
+                match misuse(&mut ctx, &operands).unwrap_err() {
+                    EngineError::Protocol(msg) => msg,
+                    other => panic!("{what}: expected a protocol error, got {other:?}"),
+                }
+            });
+            assert_eq!(inline, prefetch, "{what}");
         }
-        // Wrong shape scheduled: also a protocol error.
-        let mut ctx2 = ctx(EngineConfig::parsecureml().with_prefetch(true));
-        ctx2.schedule_triples(&[TripleSpec::Hadamard { m: 2, n: 4 }]);
-        let a = ctx2.share_input(&plain(2, 3, 1.0)).unwrap();
-        let b = ctx2.share_input(&plain(3, 4, 1.0)).unwrap();
-        assert!(matches!(
-            ctx2.secure_mul_auto(&a, &b, "t").unwrap_err(),
-            EngineError::Protocol(_)
-        ));
+    }
+
+    // Fails at the parent: inline and reuse deal (and charge) a triple for
+    // a product `product_dims` then rejects, and after a refused take in
+    // prefetch mode every later take is a seq mismatch.
+    #[test]
+    fn a_rejected_product_leaves_the_context_usable() {
+        let spec = TripleSpec::Gemm { m: 2, k: 3, n: 4 };
+        for cfg in every_mode() {
+            let mode = format!("prefetch {} reuse {}", cfg.prefetch, cfg.insecure_reuse_triples);
+            let mut ctx = ctx(cfg);
+            ctx.schedule_triples(&[spec]);
+            let (a, b) = (plain(2, 3, 1.0), plain(3, 4, 2.0));
+            let [sa, sb, sc] = [&a, &b, &plain(3, 5, 1.0)].map(|m| ctx.share_input(m).unwrap());
+            let before = format!("{:?}", ctx.report());
+            let err = ctx.secure_mul_auto(&sa, &sa, "t").unwrap_err();
+            assert!(matches!(err, EngineError::Shape(_)), "{mode}: {err:?}");
+            assert_eq!(format!("{:?}", ctx.report()), before, "{mode}: a shape error charged");
+            if !ctx.config().insecure_reuse_triples {
+                let err = ctx.secure_mul_auto(&sa, &sc, "t").unwrap_err();
+                assert!(matches!(err, EngineError::Protocol(_)), "{mode}: {err:?}");
+                assert_eq!(format!("{:?}", ctx.report()), before, "{mode}: a refused take charged");
+            }
+            let c = ctx.secure_mul_auto(&sa, &sb, "t").unwrap();
+            assert!(c.reveal_insecure().max_abs_diff(&a.matmul(&b)) < 1e-2, "{mode}");
+        }
     }
 }

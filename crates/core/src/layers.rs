@@ -3,7 +3,7 @@
 //! Layers are *descriptions*. One walk interprets them, `crate::walk`'s
 //! `forward` and `step`, and three drivers run it: `SecureTrainer` over
 //! shares, `baseline::PlainModel` over plaintext, and the shape-only
-//! driver behind `ModelSpec::forward_schedule` / `step_deals`. So the
+//! driver behind `ModelSpec::forward_deals` / `step_deals`. So the
 //! secure network, the plaintext baseline and the triple schedule are the
 //! same network by construction.
 

@@ -85,7 +85,7 @@ pub use psml_net::{
 // `psml_gpu` directly: device handles for custom protocols, the machine
 // model for configuration, and the nvprof-style profile in reports.
 pub use psml_gpu::{
-    backend_for, Backend, BackendKind, CpuConfig, GemmMode, GpuConfig, GpuDevice, GpuError,
+    backend_for, BackendKind, CpuConfig, GemmMode, GpuConfig, GpuDevice, GpuError,
     MachineConfig, ProfileReport,
 };
 pub use psml_simtime::LinkModel;

@@ -3,7 +3,7 @@
 use crate::error::{EngineError, Result};
 use crate::layers::{Activation, LayerSpec};
 use crate::walk::{self, Shapes};
-use psml_mpc::{Deal, PlainMatrix, TripleSpec};
+use psml_mpc::{Deal, PlainMatrix};
 use psml_tensor::ConvShape;
 
 /// Which benchmark to build.
@@ -319,20 +319,20 @@ impl ModelSpec {
         correct as f64 / pred.rows() as f64
     }
 
-    /// The Beaver-triple shapes one secure forward pass consumes for a
-    /// batch of `batch` samples, in the exact order
-    /// [`crate::SecureTrainer`] provisions them: the layer walk over
-    /// shapes ([`crate::walk`]). Activations are client-aided and consume
-    /// no triples; pooling is local.
+    /// The products one secure forward pass takes for a batch of `batch`
+    /// samples, in the exact order [`crate::SecureTrainer`] multiplies
+    /// them: the layer walk over shapes ([`crate::walk`]), one single-use
+    /// [`Deal::Triple`] per product. Activations are client-aided and
+    /// consume no triples; pooling is local.
     ///
-    /// This is the declaration the prefetch pipeline
-    /// ([`crate::TripleProvider`]) runs ahead on: the trainer enqueues it
-    /// before the pass so offline generation overlaps online compute.
-    pub fn forward_schedule(&self, batch: usize) -> Vec<TripleSpec> {
+    /// This is what inference and serving declare to the triple provider
+    /// ([`crate::TripleProvider`]) before the pass, so that with prefetch
+    /// offline generation overlaps online compute.
+    pub fn forward_deals(&self, batch: usize) -> Vec<Deal> {
         let mut shapes = Shapes::default();
         walk::forward(&mut shapes, self, &(batch, self.input_features()))
             .expect("a model's own input shape passes the walk's checks");
-        shapes.0.into_iter().map(|(spec, _)| spec).collect()
+        shapes.0.into_iter().map(|(spec, _)| Deal::Triple(spec)).collect()
     }
 
     /// The products of one full training step — forward pass, loss
@@ -362,9 +362,10 @@ fn argmax(row: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psml_mpc::TripleSpec;
 
     /// The hand-derived schedules the walk replaced, kept as the oracle
-    /// the walk-derived [`ModelSpec::forward_schedule`] and
+    /// the walk-derived [`ModelSpec::forward_deals`] and
     /// [`ModelSpec::step_deals`] are checked against.
     fn oracle_forward(spec: &ModelSpec, batch: usize) -> Vec<TripleSpec> {
         let mut sched = Vec::new();
@@ -510,7 +511,8 @@ mod tests {
         for spec in &specs {
             for batch in [1, 7, 64] {
                 let what = format!("{:?}/{:?} batch {batch}", spec.kind, spec.loss);
-                assert_eq!(spec.forward_schedule(batch), oracle_forward(spec, batch), "{what}");
+                let forward = oracle_forward(spec, batch).into_iter().map(Deal::Triple);
+                assert_eq!(spec.forward_deals(batch), forward.collect::<Vec<_>>(), "{what}");
                 let step: Vec<_> = spec.step_deals(batch).iter().map(Deal::spec).collect();
                 assert_eq!(step, oracle_step(spec, batch), "{what}");
             }
@@ -580,6 +582,6 @@ mod tests {
     fn rnn_requires_divisible_features() {
         assert!(ModelSpec::build(ModelKind::Rnn, 783, None, 10).is_err());
         let spec = ModelSpec::build(ModelKind::Rnn, 2048, None, 10).unwrap();
-        assert_eq!(spec.forward_schedule(1).len(), 2 * 4 + 1);
+        assert_eq!(spec.forward_deals(1).len(), 2 * 4 + 1);
     }
 }

@@ -1,21 +1,31 @@
-//! Asynchronous Beaver-triple provisioning (the offline half of the
-//! paper's double pipeline, hoisted onto the host).
+//! Beaver-triple provisioning: the one place a product's deal comes from
+//! (the offline half of the paper's double pipeline, hoisted onto the
+//! host).
 //!
 //! The engine declares its *schedule* up front — every product a training
-//! step will multiply, as a [`Deal`]: a single-use triple (an `(m, k, n)`
-//! GEMM or a Hadamard product) or a product of a mask schedule — and a
-//! dedicated provisioning thread deals the material ahead of and
-//! concurrently with the online phase. The engine then consumes it in
-//! strict schedule order through [`TripleProvider::take_deal`] (or
-//! [`TripleProvider::take`] for a single-use triple).
+//! step or a forward pass will multiply, as a [`Deal`]: a single-use
+//! triple (an `(m, k, n)` GEMM or a Hadamard product) or a product of a
+//! mask schedule — and takes each product's deal in strict schedule order
+//! through [`TripleProvider::take_deal`] (or [`TripleProvider::take`] for
+//! a single-use triple). The provider keeps the declared schedule and the
+//! seq counter and checks every take: a product whose shape, or for a
+//! mask-schedule entry whose operands, disagree with the next declared
+//! entry is refused, and the entry stays in place for the product that
+//! matches it.
+//!
+//! Who deals is the only thing that differs between the two constructors.
+//! [`TripleProvider::new`] spawns a provisioning thread that deals ahead
+//! of and concurrently with the online phase (prefetch; the sections
+//! below). [`TripleProvider::inline`] has no thread: `take` deals the
+//! checked entry on the caller's thread, outside the state lock.
 //!
 //! # Determinism
 //!
 //! Product `seq` draws all of its material from the counter-derived
 //! stream `(master, seq)` ([`psml_parallel::Mt19937::from_stream`]); a
 //! mask-schedule product also reads the masks earlier products of its
-//! schedule opened, which the worker's [`Dealer`] keeps exactly as the
-//! engine's inline dealer does. So the values depend only on the master
+//! schedule opened, which the dealer keeps — the worker's or the inline
+//! one, each dealing in seq order. So the values depend only on the master
 //! seed and the product's position in the schedule — never on thread
 //! timing, window boundaries, or how far ahead the pipeline ran. Prefetch
 //! on and off are bit-identical.
@@ -77,7 +87,7 @@
 //! triple still owns its own stream), and pushes the whole window under
 //! one lock, so the consumer sees one hand-off per window.
 
-use psml_mpc::{BeaverTriple, Deal, Dealer, Dealt, SecureRing, TripleSpec};
+use psml_mpc::{BeaverTriple, Deal, Dealer, Dealt, Operand, SecureRing, TripleSpec};
 use psml_tensor::gemm_auto;
 use psml_trace::{Phase, TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -187,6 +197,53 @@ impl<R: SecureRing> State<R> {
         self.last_batch.extend_from_slice(specs);
     }
 
+    /// The next declared entry, if a product of `spec` (of `operands`,
+    /// when the caller names them) may take it as seq `want` (when the
+    /// caller counts seqs): the shape must agree, and a mask-schedule
+    /// entry's operands too. A refusal changes nothing.
+    fn check(
+        &self,
+        want: Option<u64>,
+        spec: TripleSpec,
+        operands: Option<[Operand; 2]>,
+    ) -> Result<Deal, String> {
+        let seq = self.next_take_seq;
+        if let Some(want) = want.filter(|&want| want != seq) {
+            return Err(format!(
+                "triple schedule mismatch: requested seq {want} but the next declared seq is {seq}"
+            ));
+        }
+        let declared = match self.plan.front() {
+            Some(&declared) if self.declared > 0 => declared,
+            _ => {
+                return Err(format!(
+                    "triple schedule exhausted: multiplying {spec:?} of {operands:?} (seq {seq}) \
+                     but nothing is declared — declare the products before multiplying"
+                ))
+            }
+        };
+        let fits = declared.spec() == spec
+            && match declared {
+                Deal::Triple(_) => true,
+                Deal::Masked(p) => operands == Some(p.operands),
+            };
+        match fits {
+            true => Ok(declared),
+            false => Err(format!(
+                "triple schedule mismatch at seq {seq}: multiplying {spec:?} of {operands:?} \
+                 but {declared:?} was declared"
+            )),
+        }
+    }
+
+    /// Removes the front entry, which is taken.
+    fn pop_taken(&mut self) {
+        self.plan.pop_front();
+        self.declared -= 1;
+        self.next_take_seq += 1;
+        self.stats.takes += 1;
+    }
+
     /// Claims the next same-shape window the bounds admit: its spec, first
     /// seq and length. `None` when there is nothing to do or no room.
     fn claim(&mut self) -> Option<(Deal, u64, usize)> {
@@ -242,19 +299,26 @@ impl<R: SecureRing> Shared<R> {
     }
 }
 
-/// Handle to the provisioning pipeline. Dropping it shuts the worker
-/// down (any unconsumed triples are discarded).
+/// Who deals a declared product.
+enum Dealing<R: SecureRing> {
+    /// A provisioning thread, ahead of the takes (prefetch).
+    Ahead(Option<JoinHandle<()>>),
+    /// `take`, on the caller's thread. Held across a take, the lock keeps
+    /// the dealer's products in seq order.
+    OnTake(Mutex<Dealer<R>>),
+}
+
+/// The engine's one source of Beaver-triple material (module docs).
+/// Dropping it shuts a provisioning thread down (any unconsumed triples
+/// are discarded).
 pub struct TripleProvider<R: SecureRing> {
     shared: Arc<Shared<R>>,
-    worker: Option<JoinHandle<()>>,
+    master: u64,
+    dealing: Dealing<R>,
 }
 
 impl<R: SecureRing> TripleProvider<R> {
-    /// Spawns the provisioning thread. `master` seeds every triple's
-    /// stream; `depth` caps the *count* of ready-but-unconsumed triples
-    /// (their bytes are bounded by the budget derived from the schedule).
-    pub fn new(master: u64, depth: usize) -> Self {
-        assert!(depth >= 1, "prefetch depth must be at least 1");
+    fn with_dealing(master: u64, depth: usize, dealing: Dealing<R>) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 plan: VecDeque::new(),
@@ -272,7 +336,16 @@ impl<R: SecureRing> TripleProvider<R> {
             }),
             cv: Condvar::new(),
         });
-        let worker_shared = Arc::clone(&shared);
+        TripleProvider { shared, master, dealing }
+    }
+
+    /// Spawns the provisioning thread. `master` seeds every triple's
+    /// stream; `depth` caps the *count* of ready-but-unconsumed triples
+    /// (their bytes are bounded by the budget derived from the schedule).
+    pub fn new(master: u64, depth: usize) -> Self {
+        assert!(depth >= 1, "prefetch depth must be at least 1");
+        let mut provider = Self::with_dealing(master, depth, Dealing::Ahead(None));
+        let worker_shared = Arc::clone(&provider.shared);
         let worker = std::thread::Builder::new()
             .name("psml-triple-provider".into())
             .spawn(move || {
@@ -290,23 +363,26 @@ impl<R: SecureRing> TripleProvider<R> {
                 Self::run(&worker_shared, master);
             })
             .expect("spawn triple provider");
-        TripleProvider {
-            shared,
-            worker: Some(worker),
-        }
+        provider.dealing = Dealing::Ahead(Some(worker));
+        provider
+    }
+
+    /// A provider without a thread: each `take` deals its checked entry
+    /// on the caller's thread.
+    pub fn inline(master: u64) -> Self {
+        Self::with_dealing(master, 1, Dealing::OnTake(Mutex::new(Dealer::new())))
     }
 
     /// Appends single-use triples to the schedule ([`Self::schedule_deals`]).
     pub fn schedule(&self, specs: &[TripleSpec]) {
-        let deals: Vec<Deal> = specs.iter().map(|&spec| Deal::Triple(spec)).collect();
-        self.schedule_deals(&deals);
+        self.schedule_deals(&specs.iter().map(|&spec| Deal::Triple(spec)).collect::<Vec<_>>());
     }
 
     /// Appends products to the schedule, adopting or discarding what the
-    /// lookahead generated at their seqs. The worker starts on whatever
-    /// is still missing immediately (subject to backpressure). A batch
-    /// holding mask-schedule products must be whole: every mask it reads
-    /// is opened within it.
+    /// lookahead generated at their seqs. A provisioning thread starts on
+    /// whatever is still missing immediately (subject to backpressure). A
+    /// batch holding mask-schedule products must be whole: every mask it
+    /// reads is opened within it.
     pub fn schedule_deals(&self, deals: &[Deal]) {
         if deals.is_empty() {
             return;
@@ -320,56 +396,61 @@ impl<R: SecureRing> TripleProvider<R> {
         self.shared.lock().stats
     }
 
-    /// Retrieves single-use triple `seq` ([`Self::take_deal`]).
+    /// Retrieves single-use triple `seq`, which must be the next declared
+    /// entry ([`Self::take_deal`]).
     pub fn take(
         &self,
         seq: u64,
         spec: TripleSpec,
     ) -> Result<(BeaverTriple<R>, Vec<TraceEvent>), String> {
-        let (dealt, events) = self.take_deal(seq, Deal::Triple(spec))?;
-        let triple = dealt.into_triple().expect("a single-use triple deals both masks");
+        let (_, dealt, events) = self.take_checked(Some(seq), spec, None)?;
+        let triple = dealt.into_triple();
+        let triple = triple.expect("a product without operands takes a single-use triple");
         Ok((triple, events))
     }
 
-    /// Retrieves product `seq`, which must be the next schedule entry and
-    /// must be the expected deal — any disagreement between what the
-    /// engine multiplies and what was scheduled is a protocol error, not
-    /// a silent fallback. Blocks until the worker delivers.
-    pub fn take_deal(&self, seq: u64, spec: Deal) -> Result<(Dealt<R>, Vec<TraceEvent>), String> {
+    /// Takes the next declared product for a product of `spec`, whose
+    /// operands are `operands` when the caller names them: the declared
+    /// deal (which masks it opens and closes) and its material. Any
+    /// disagreement with the declaration ([`State::check`]) is an error
+    /// that leaves the schedule as it was, never a silent fallback. With
+    /// a provisioning thread, blocks until it delivers.
+    pub fn take_deal(
+        &self,
+        spec: TripleSpec,
+        operands: Option<[Operand; 2]>,
+    ) -> Result<(Deal, Dealt<R>, Vec<TraceEvent>), String> {
+        self.take_checked(None, spec, operands)
+    }
+
+    /// [`Self::take_deal`], as seq `want` when the caller counts seqs.
+    fn take_checked(
+        &self,
+        want: Option<u64>,
+        spec: TripleSpec,
+        operands: Option<[Operand; 2]>,
+    ) -> Result<(Deal, Dealt<R>, Vec<TraceEvent>), String> {
+        if let Dealing::OnTake(dealer) = &self.dealing {
+            let mut dealer = dealer.lock().unwrap_or_else(PoisonError::into_inner);
+            let (deal, seq) = {
+                let mut st = self.shared.lock();
+                let deal = st.check(want, spec, operands)?;
+                let seq = st.next_take_seq;
+                st.pop_taken();
+                st.next_gen_seq = st.next_take_seq;
+                (deal, seq)
+            };
+            let dealt = dealer.deal(&deal, self.master, seq, gemm_auto);
+            return Ok((deal, dealt, Vec::new()));
+        }
         let mut st = self.shared.lock();
-        if st.next_take_seq != seq {
-            return Err(format!(
-                "prefetch schedule mismatch: requested triple seq {seq} but the \
-                 next scheduled seq is {}",
-                st.next_take_seq
-            ));
-        }
-        match st.plan.front() {
-            Some(&scheduled) if st.declared > 0 => {
-                if scheduled != spec {
-                    return Err(format!(
-                        "prefetch schedule mismatch at seq {seq}: requested {spec:?} \
-                         but {scheduled:?} was scheduled"
-                    ));
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "prefetch schedule mismatch: requested {spec:?} (seq {seq}) \
-                     but the schedule is exhausted — declare the full step \
-                     schedule before multiplying"
-                ));
-            }
-        }
+        let deal = st.check(want, spec, operands)?;
         // `TraceSink::wall_ns` reads its clock whether or not tracing is on.
         let mut stalled_at = None;
         loop {
             if let Some(item) = st.ready.pop_front() {
-                st.plan.pop_front();
-                st.declared -= 1;
-                st.next_take_seq += 1;
+                st.pop_taken();
                 st.ready_bytes -= item.bytes;
-                st.stats.takes += 1;
                 if let Some(since) = stalled_at {
                     st.stats.stalled_takes += 1;
                     st.stats.stall_ns += TraceSink::wall_ns().saturating_sub(since);
@@ -379,7 +460,7 @@ impl<R: SecureRing> TripleProvider<R> {
                 if refill {
                     self.shared.cv.notify_all();
                 }
-                return Ok((item.dealt, item.events));
+                return Ok((deal, item.dealt, item.events));
             }
             if st.worker_dead {
                 return Err("triple provider worker died".into());
@@ -459,10 +540,12 @@ impl<R: SecureRing> Drop for TripleProvider<R> {
     fn drop(&mut self) {
         self.shared.lock().shutdown = true;
         self.shared.cv.notify_all();
-        if let Some(h) = self.worker.take() {
+        if let Dealing::Ahead(worker) = &mut self.dealing {
             // A worker that panicked has already flagged itself dead;
             // re-raising its panic here would abort an unwinding engine.
-            let _ = h.join();
+            if let Some(h) = worker.take() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -504,23 +587,60 @@ mod tests {
         assert_eq!(second.share(Party::P0), want1.share(Party::P0));
     }
 
+    /// A provider of each kind: with a provisioning thread, and inline.
+    fn both(master: u64) -> [TripleProvider<Fixed64>; 2] {
+        [TripleProvider::new(master, 2), TripleProvider::inline(master)]
+    }
+
     #[test]
     fn mismatched_spec_is_an_error_not_a_hang() {
-        let p = TripleProvider::<Fixed64>::new(1, 2);
-        p.schedule(&[GEMM]);
-        let err = p.take(0, HAD).unwrap_err();
-        assert!(err.contains("mismatch"), "{err}");
-        // The schedule is still intact: the correct request succeeds.
-        let _ = p.take(0, GEMM).unwrap();
+        for p in both(1) {
+            p.schedule(&[GEMM]);
+            let err = p.take(0, HAD).unwrap_err();
+            assert!(err.contains("mismatch"), "{err}");
+            // The schedule is still intact: the correct request succeeds.
+            let (got, _) = p.take(0, GEMM).unwrap();
+            assert_reference(1, 0, GEMM, &got);
+        }
     }
 
     #[test]
     fn unscheduled_take_is_an_error_not_a_hang() {
-        let p = TripleProvider::<Fixed64>::new(1, 2);
-        let err = p.take(0, GEMM).unwrap_err();
-        assert!(err.contains("exhausted"), "{err}");
-        let err = p.take(3, GEMM).unwrap_err();
-        assert!(err.contains("mismatch"), "{err}");
+        for p in both(1) {
+            let err = p.take(0, GEMM).unwrap_err();
+            assert!(err.contains("exhausted"), "{err}");
+            let err = p.take(3, GEMM).unwrap_err();
+            assert!(err.contains("mismatch"), "{err}");
+        }
+    }
+
+    // Fails at the parent, where prefetch off has no provider: the engine
+    // dealt inline, unchecked.
+    #[test]
+    fn the_inline_provider_deals_and_checks_what_the_worker_does() {
+        let step = layer_step();
+        let [ahead, inline] = both(33);
+        for p in [&ahead, &inline] {
+            p.schedule_deals(&step);
+            p.schedule(&[HAD]);
+        }
+        for (i, deal) in step.iter().chain(&[Deal::Triple(HAD)]).enumerate() {
+            let (spec, operands) = (deal.spec(), operands_of(deal));
+            let [a, b] = [&ahead, &inline].map(|p| {
+                // The wrong operands, or none, are refused; the entry stays.
+                if operands.is_some() {
+                    let err = p.take_deal(spec, None).unwrap_err();
+                    assert!(err.contains("mismatch"), "{err}");
+                }
+                let (got, dealt, _) = p.take_deal(spec, operands).unwrap();
+                assert_eq!(got, *deal, "seq {i}");
+                dealt
+            });
+            for party in Party::BOTH {
+                assert_eq!(a.share(party), b.share(party), "seq {i} {deal:?}");
+            }
+        }
+        assert_eq!(inline.stats().takes, ahead.stats().takes);
     }
 
     #[test]
@@ -850,6 +970,14 @@ mod tests {
         Operand { secret: Secret::Grad { layer: 0 }, transposed: false }
     }
 
+    /// The operands a product of `deal` names: a mask-schedule entry's.
+    fn operands_of(deal: &Deal) -> Option<[Operand; 2]> {
+        match deal {
+            Deal::Masked(p) => Some(p.operands),
+            Deal::Triple(_) => None,
+        }
+    }
+
     /// A dense layer's step: the two products above, then `d * W^T`.
     fn layer_step() -> Vec<Deal> {
         masked_step((TripleSpec::Gemm { m: 5, k: 3, n: 4 }, [grad(), weight(true)]))
@@ -873,7 +1001,7 @@ mod tests {
         fn step(&mut self, batch: &[Deal]) {
             self.p.schedule_deals(batch);
             for &deal in batch {
-                let (got, _) = self.p.take_deal(self.seq, deal).unwrap();
+                let (_, got, _) = self.p.take_deal(deal.spec(), operands_of(&deal)).unwrap();
                 let want = self.dealer.deal(&deal, self.master, self.seq, gemm_auto);
                 for party in Party::BOTH {
                     assert_eq!(got.share(party), want.share(party), "seq {} {deal:?}", self.seq);

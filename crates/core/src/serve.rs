@@ -14,7 +14,7 @@
 //! A window of requests against one model executes as:
 //!
 //! 1. **One provisioning declaration.** The concatenation of every
-//!    request's `ModelSpec::forward_schedule` is scheduled on the model's
+//!    request's `ModelSpec::forward_deals` is declared to the model's
 //!    `TripleProvider` up front, so the provider worker generates the
 //!    whole window's Beaver triples ahead of the online phase, handing
 //!    consecutive same-shape triples over under one lock — the shared
@@ -43,7 +43,7 @@ use crate::error::{ConfigError, EngineError};
 use crate::models::ModelSpec;
 use crate::session::fnv64;
 use crate::trainer::SecureTrainer;
-use psml_mpc::{PlainMatrix, SecureRing, TripleSpec};
+use psml_mpc::{Deal, PlainMatrix, SecureRing};
 use psml_simtime::{SimDuration, SimTime};
 use psml_trace::json::{obj, JsonValue};
 use psml_trace::TraceSink;
@@ -590,11 +590,11 @@ impl<R: SecureRing> ModelHost<R> {
 
         // The fold, step 1: one provisioning declaration for the whole
         // window (the shared offline stream — see module docs).
-        let folded_schedule: Vec<TripleSpec> = batch
+        let folded: Vec<Deal> = batch
             .iter()
-            .flat_map(|q| host.trainer.spec().forward_schedule(q.req.input.rows()))
+            .flat_map(|q| host.trainer.spec().forward_deals(q.req.input.rows()))
             .collect();
-        host.trainer.schedule_triples(&folded_schedule);
+        host.trainer.schedule_deals(&folded);
 
         // Step 2: per-request online passes in admission order.
         let window = batch.len();

@@ -20,7 +20,7 @@ use crate::walk::{
     pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Product, Site,
 };
 use psml_data::DatasetKind;
-use psml_mpc::{PlainMatrix, SecureRing};
+use psml_mpc::{Deal, PlainMatrix, SecureRing};
 use psml_tensor::ConvShape;
 
 /// Result of a training run.
@@ -226,12 +226,11 @@ impl<R: SecureRing> SecureTrainer<R> {
         // Declare the whole step's products up front: the provisioning
         // pipeline (with `prefetch`) deals them concurrently with the
         // online phase, and the engine opens each secret of the step once.
-        self.ctx
-            .schedule_deals(&self.spec.step_deals(xs.shape().0));
+        let deals = self.spec.step_deals(xs.shape().0);
+        self.schedule_deals(&deals);
         let mut ops = Shares {
             ctx: &mut self.ctx,
             weights: &mut self.weights,
-            masked: true,
         };
         let loss = walk::step(&mut ops, &self.spec, xs, &(ys, y_plain))?;
         self.ctx.barrier();
@@ -318,18 +317,16 @@ impl<R: SecureRing> SecureTrainer<R> {
         Ok(self.accuracy(&out, y_last))
     }
 
-    /// Typed secure inference: schedules this request's triples, runs the
+    /// Typed secure inference: declares this request's products, runs the
     /// online pass, reveals the outputs. The same execution path the
     /// serving layer's micro-batcher takes per request (which is why
     /// batched serving is bit-identical to a loop over this call — see
     /// `core::serve`); `latency` here is pure execution time, since a
     /// direct call has no queue.
     pub fn infer_request(&mut self, req: &InferRequest) -> Result<InferResponse> {
-        self.ctx
-            .schedule_triples(&self.spec.forward_schedule(req.input.rows()));
         let start = self.ctx.online_end();
         let muls_before = self.ctx.report().secure_muls;
-        let output = self.infer_prescheduled(&req.input)?;
+        let output = self.infer_plain(&req.input)?;
         let exec = self.ctx.online_end().saturating_since(start);
         Ok(InferResponse {
             tag: req.tag,
@@ -345,21 +342,21 @@ impl<R: SecureRing> SecureTrainer<R> {
         })
     }
 
-    /// Declares upcoming triple shapes to the provisioning pipeline on
-    /// behalf of the serving layer's window fold.
-    pub(crate) fn schedule_triples(&mut self, specs: &[psml_mpc::TripleSpec]) {
-        self.ctx.schedule_triples(specs);
+    /// Declares the products the next passes take, in order: a training
+    /// step's mask schedule, a forward pass's single-use triples, or a
+    /// serving window's fold of them. The one place this trainer declares.
+    pub(crate) fn schedule_deals(&mut self, deals: &[Deal]) {
+        self.ctx.schedule_deals(deals);
     }
 
-    /// The online pass of one forward inference, *without* scheduling its
-    /// triples — the caller (either [`SecureTrainer::infer_request`] or
-    /// the serve micro-batcher's folded window declaration) already did.
+    /// The online pass of one forward inference, *without* declaring its
+    /// products — the caller (either [`SecureTrainer::infer_plain`] or the
+    /// serve micro-batcher's folded window declaration) already did.
     pub(crate) fn infer_prescheduled(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
         let xs = self.ctx.share_input(x)?;
         let mut ops = Shares {
             ctx: &mut self.ctx,
             weights: &mut self.weights,
-            masked: false,
         };
         let pred = walk::forward(&mut ops, &self.spec, &xs)?;
         let out = self.ctx.reveal(&pred)?.v;
@@ -367,11 +364,11 @@ impl<R: SecureRing> SecureTrainer<R> {
         Ok(out)
     }
 
-    /// Internal single-batch inference (schedule + online pass) for the
-    /// training paths.
+    /// Single-batch inference: declares the forward pass's products, then
+    /// runs it.
     fn infer_plain(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
-        self.ctx
-            .schedule_triples(&self.spec.forward_schedule(x.rows()));
+        let deals = self.spec.forward_deals(x.rows());
+        self.schedule_deals(&deals);
         self.infer_prescheduled(x)
     }
 
@@ -445,28 +442,12 @@ impl<R: SecureRing> SecureTrainer<R> {
 
 /// The secure driver of the layer walk ([`crate::walk`]): the ops call
 /// the [`SecureContext`] primitives on the trainer's context and shared
-/// weights.
+/// weights. Every product names its operands and takes the deal declared
+/// for it: a mask-schedule product in a training step, a single-use
+/// triple in a forward pass alone.
 struct Shares<'a, R: SecureRing> {
     ctx: &'a mut SecureContext<R>,
     weights: &'a mut [Vec<SharedMatrix<R>>],
-    /// A training step: products follow the declared mask schedule. A
-    /// forward pass alone (inference) takes single-use triples.
-    masked: bool,
-}
-
-/// `a * b` at `at`, by the declared mask schedule when `masked`.
-fn product<R: SecureRing>(
-    ctx: &mut SecureContext<R>,
-    masked: bool,
-    a: &SharedMatrix<R>,
-    b: &SharedMatrix<R>,
-    at: Product,
-) -> Result<SharedMatrix<R>> {
-    let key = at.site.to_string();
-    match masked {
-        true => ctx.secure_mul_masked(a, b, at.operands, &key),
-        false => ctx.secure_mul_auto(a, b, &key),
-    }
 }
 
 impl<'a, R: SecureRing> LayerOps for Shares<'a, R> {
@@ -484,15 +465,15 @@ impl<'a, R: SecureRing> LayerOps for Shares<'a, R> {
     }
     fn mul(&mut self, x: &Self::M, w: Param, at: Product) -> Result<Self::M> {
         let w = &self.weights[w.layer][w.which];
-        product(self.ctx, self.masked, x, w, at)
+        self.ctx.secure_mul(x, w, at.operands, &at.site.to_string())
     }
     fn mul_by_t(&mut self, d: &Self::M, w: Param, at: Product) -> Result<Self::M> {
         let wt = self.ctx.transpose_shared(&self.weights[w.layer][w.which]);
-        product(self.ctx, self.masked, d, &wt, at)
+        self.ctx.secure_mul(d, &wt, at.operands, &at.site.to_string())
     }
     fn mul_t(&mut self, a: &Self::M, d: &Self::M, at: Product) -> Result<Self::M> {
         let a_t = self.ctx.transpose_shared(a);
-        product(self.ctx, self.masked, &a_t, d, at)
+        self.ctx.secure_mul(&a_t, d, at.operands, &at.site.to_string())
     }
     fn add(&mut self, a: &Self::M, b: &Self::M) -> Result<Self::M> {
         self.ctx.add_shared(a, b)

@@ -11,9 +11,9 @@
 //!   charges (`baseline.rs`);
 //! - [`Shapes`], which computes nothing and records the Beaver-triple
 //!   shape of each product and the secrets its operands are.
-//!   [`ModelSpec::forward_schedule`] and [`ModelSpec::step_deals`] are
-//!   this walk, so the schedule the prefetch pipeline runs ahead on, and
-//!   the mask schedule a training step opens each secret by, are the
+//!   [`ModelSpec::forward_deals`] and [`ModelSpec::step_deals`] are this
+//!   walk, so the single-use triples a forward pass declares, and the
+//!   mask schedule a training step opens each secret by, are the
 //!   products the trainer takes.
 //!
 //! The walk owns the op order, the call-site names ([`Site`]) and the

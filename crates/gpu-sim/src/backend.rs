@@ -4,12 +4,11 @@
 //! the three engines and their profiler tally, OOM accounting. What each
 //! kernel costs comes from here:
 //!
-//! - [`Backend`] owns the **rate table** — [`Backend::gemm_charge`] /
-//!   [`Backend::rng_charge`] pair every kernel with its label and charged
-//!   duration, so device ops and `AdaptiveEngine::gpu_cost` draw cost
-//!   from one place and cannot drift apart.
-//! - [`SimBackend`] is the only implementation: the calibrated analytic
-//!   model of [`GpuConfig`]. Every committed report was produced under it.
+//! - [`SimBackend`] is the **rate table**: [`SimBackend::gemm_charge`] /
+//!   [`SimBackend::rng_charge`] pair every kernel with its label and
+//!   charged duration, the calibrated analytic model of [`GpuConfig`], so
+//!   device ops and `AdaptiveEngine::gpu_cost` draw cost from one place
+//!   and cannot drift apart. Every committed report was produced under it.
 //!
 //! Where a product runs is decided from measured cost per operation by the
 //! adaptive engine, never by a user-set backend flag.
@@ -29,15 +28,15 @@ pub enum BackendKind {
     Simulated,
 }
 
-/// A backend: prices the kernels of a device carrying `R` elements.
-///
-/// The methods are provided and final in spirit: they are the one rate
-/// table ([`GpuConfig::gemm_time_mode`] + [`GemmMode::kernel_label`]), so
+/// The simulator's rate table: prices the kernels of a device, so that
 /// no kernel is issued that the cost model doesn't know how to price.
-pub trait Backend<R: Num>: Send + Sync {
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SimBackend;
+
+impl SimBackend {
     /// Rate-table entry for a `(m x k) * (k x n)` GEMM in `mode`: the
     /// profiler label and the charged duration.
-    fn gemm_charge(
+    pub fn gemm_charge(
         &self,
         cfg: &GpuConfig,
         m: usize,
@@ -49,21 +48,15 @@ pub trait Backend<R: Num>: Send + Sync {
     }
 
     /// Rate-table entry for generating `samples` device-RNG values.
-    fn rng_charge(&self, cfg: &GpuConfig, samples: usize) -> (&'static str, SimDuration) {
+    pub fn rng_charge(&self, cfg: &GpuConfig, samples: usize) -> (&'static str, SimDuration) {
         ("curand", cfg.rng_time(samples))
     }
 }
 
-/// The simulator's rate table.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimBackend;
-
-impl<R: Num> Backend<R> for SimBackend {}
-
-/// Builds the backend for `kind`.
-pub fn backend_for<R: Num>(kind: BackendKind) -> Box<dyn Backend<R>> {
+/// The rate table for `kind`, for a device carrying `R` elements.
+pub fn backend_for<R: Num>(kind: BackendKind) -> SimBackend {
     match kind {
-        BackendKind::Simulated => Box::new(SimBackend),
+        BackendKind::Simulated => SimBackend,
     }
 }
 

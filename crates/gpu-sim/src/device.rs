@@ -3,13 +3,14 @@
 //! A timing model: a buffer is its shape, its bytes and the instant it
 //! becomes valid. No op reads or writes element values.
 
-use crate::backend::{Backend, SimBackend};
+use crate::backend::SimBackend;
 use crate::config::GpuConfig;
 use crate::kernels::GemmMode;
 use crate::profiler::ProfileReport;
 use psml_simtime::{Resource, SimDuration, SimTime};
 use psml_tensor::{Matrix, Num};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Handle to a buffer resident in (simulated) device memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -86,10 +87,12 @@ struct Slot {
 /// The device times work and holds no values: a buffer is a shape of `R`
 /// elements (which sets its bytes). It keeps the arena, the engines, and
 /// a per-label tally of engine time for the profiler, and prices every
-/// kernel through the [`Backend`]'s rate table.
+/// kernel through the [`SimBackend`] rate table.
 pub struct GpuDevice<R: Num> {
     config: GpuConfig,
-    backend: Box<dyn Backend<R>>,
+    backend: SimBackend,
+    /// Buffers hold `R` elements: that sets their bytes.
+    elem: PhantomData<R>,
     h2d: Resource,
     compute: Resource,
     d2h: Resource,
@@ -106,14 +109,15 @@ pub struct GpuDevice<R: Num> {
 impl<R: Num> GpuDevice<R> {
     /// Creates an idle device on the simulator's rate table.
     pub fn new(config: GpuConfig) -> Self {
-        Self::with_backend(config, Box::new(SimBackend))
+        Self::with_backend(config, SimBackend)
     }
 
-    /// Creates an idle device pricing kernels through the given backend.
-    pub fn with_backend(config: GpuConfig, backend: Box<dyn Backend<R>>) -> Self {
+    /// Creates an idle device pricing kernels through the given rate table.
+    pub fn with_backend(config: GpuConfig, backend: SimBackend) -> Self {
         GpuDevice {
             config,
             backend,
+            elem: PhantomData,
             h2d: Resource::new("pcie:h2d"),
             compute: Resource::new("gpu:compute"),
             d2h: Resource::new("pcie:d2h"),

@@ -47,7 +47,7 @@ pub mod device;
 pub mod kernels;
 pub mod profiler;
 
-pub use backend::{backend_for, Backend, BackendKind, SimBackend};
+pub use backend::{backend_for, BackendKind, SimBackend};
 pub use config::{CpuConfig, GpuConfig, MachineConfig};
 pub use device::{BufferId, GpuDevice, GpuError};
 pub use kernels::GemmMode;

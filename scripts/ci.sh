@@ -135,6 +135,26 @@ if sed '/^mod tests {/,$d' crates/core/src/models.rs | grep -n 'TripleSpec::Gemm
     echo "ci: core::models derives a triple schedule by hand again (listed above)" >&2; exit 1
 fi
 
+# One triple source: `core::provider`'s `TripleProvider` keeps the declared
+# schedule and checks and deals every product, with prefetch or without, and
+# the walk's secure driver has one product call for training and inference
+# alike. A mode flag on that driver or a second product call in non-test
+# trainer.rs, a schedule of bare shapes in models.rs, an engine-side triple
+# generator or mask plan in non-test engine.rs, or a backend trait (its one
+# impl is `psml_gpu::SimBackend`) is the second source growing back.
+if sed '/^mod tests {/,$d' crates/core/src/trainer.rs | grep -nE 'masked:|secure_mul_auto'; then
+    echo "ci: core::trainer has a second product path (listed above)" >&2; exit 1
+fi
+if sed '/^mod tests {/,$d' crates/core/src/models.rs | grep -n 'fn forward_schedule'; then
+    echo "ci: core::models declares a forward pass as bare shapes again (listed above)" >&2; exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/engine.rs | grep -nE 'fn gen_triple|masked_plan'; then
+    echo "ci: core::engine deals or plans triples beside the provider (listed above)" >&2; exit 1
+fi
+if grep -rn 'trait Backend' crates; then
+    echo "ci: a backend trait is back under crates/ (listed above)" >&2; exit 1
+fi
+
 # One session protocol: the session calls the trainer (no epoch observer, no
 # rollback smuggled through the error type), and each control string is
 # spelled once, in `Control`'s Display; `Control::parse` matches bare tags.

@@ -16,12 +16,13 @@ fn shape_mismatch_is_rejected_by_secure_mul() {
 
 #[test]
 fn mismatched_triple_is_rejected() {
-    let mut ctx = SecureContext::<Fixed64>::new(EngineConfig::parsecureml(), 2);
+    let fresh = EngineConfig::parsecureml().with_insecure_reuse_triples(false);
+    let mut ctx = SecureContext::<Fixed64>::new(fresh, 2);
     let a = ctx.share_input(&PlainMatrix::zeros(3, 4)).unwrap();
     let b = ctx.share_input(&PlainMatrix::zeros(4, 2)).unwrap();
-    let wrong_triple = ctx.gen_triple(3, 4, 5).unwrap();
-    let err = ctx.secure_mul(&a, &b, &wrong_triple, "bad").unwrap_err();
-    assert!(matches!(err, EngineError::Shape(_)), "got {err:?}");
+    ctx.schedule_triples(&[TripleSpec::Gemm { m: 3, k: 4, n: 5 }]);
+    let err = ctx.secure_mul_auto(&a, &b, "bad").unwrap_err();
+    assert!(matches!(err, EngineError::Protocol(_)), "got {err:?}");
 }
 
 #[test]

@@ -145,6 +145,7 @@ fn fresh_triples_cost_offline_but_preserve_results() {
         );
         let sa = ctx.share_input(&a).unwrap();
         let sb = ctx.share_input(&b).unwrap();
+        ctx.schedule_triples(&[TripleSpec::Gemm { m: a.rows(), k: a.cols(), n: b.cols() }; 2]);
         let c1 = ctx.secure_mul_auto(&sa, &sb, "k").unwrap();
         let c2 = ctx.secure_mul_auto(&sa, &sb, "k").unwrap();
         (
@@ -425,9 +426,9 @@ fn a_backward_product_reads_the_forward_opening_transposed() {
         (TripleSpec::Gemm { m: 6, k: 5, n: 4 }, Some(fwd)),
         (TripleSpec::Gemm { m: 5, k: 6, n: 4 }, Some(bwd)),
     ]));
-    ctx.secure_mul_masked(&xs, &ws, fwd, "l0.fwd").unwrap();
+    ctx.secure_mul(&xs, &ws, fwd, "l0.fwd").unwrap();
     let xt = ctx.transpose_shared(&xs);
-    let dw = ctx.secure_mul_masked(&xt, &ds, bwd, "l0.bwd.dw").unwrap();
+    let dw = ctx.secure_mul(&xt, &ds, bwd, "l0.bwd.dw").unwrap();
     assert!(dw.reveal_insecure().max_abs_diff(&x.transpose().matmul(&d)) < 1e-2);
 
     // Server 1's view: the halves of x and W, then of d alone.
