@@ -341,7 +341,9 @@ pub struct SecureContext<R: SecureRing> {
     /// whoever deals it, which is what makes prefetch on and off
     /// bit-identical.
     provider: TripleProvider<R>,
-    /// Public openings of secrets still to be read by a later product.
+    /// Public openings of secrets still to be read by a later product:
+    /// within a training step, or — a served model's weights — across
+    /// forward passes until the next opening of the secret replaces it.
     openings: HashMap<Secret, Opening<R>>,
     /// Interned call-site keys; protocol hot paths key caches and
     /// compression streams on the `u32` id, never on a fresh `String`.
@@ -551,7 +553,9 @@ impl<R: SecureRing> SecureContext<R> {
 
     /// Declares upcoming single-use triples ([`SecureContext::schedule_deals`]).
     pub fn schedule_triples(&mut self, specs: &[TripleSpec]) {
-        self.schedule_deals(&specs.iter().map(|&spec| Deal::Triple(spec)).collect::<Vec<_>>());
+        if !self.cfg.insecure_reuse_triples {
+            self.provider.schedule(specs);
+        }
     }
 
     /// Declares upcoming products, single-use triples and a mask
@@ -560,14 +564,18 @@ impl<R: SecureRing> SecureContext<R> {
     /// product takes the next declared deal, and one whose shape (or, for
     /// a mask-schedule product, whose operands) disagrees with it is an
     /// [`EngineError::Protocol`] raised before any offline charge. With
-    /// prefetch the provider's thread deals them ahead. A batch holding
-    /// mask-schedule products must be whole: every mask it reads is opened
-    /// within it. A no-op under [`EngineConfig::insecure_reuse_triples`],
-    /// whose products take the call site's cached triple.
-    pub fn schedule_deals(&mut self, deals: &[Deal]) {
+    /// prefetch the provider's thread deals them ahead. Every mask a
+    /// mask-schedule product reads must be open there — opened earlier in
+    /// the batch, or by an earlier batch and not closed since (a served
+    /// model's weights); a batch that reads any other is an
+    /// [`EngineError::Protocol`], and nothing of it is declared. A no-op
+    /// under [`EngineConfig::insecure_reuse_triples`], whose products take
+    /// the call site's cached triple.
+    pub fn schedule_deals(&mut self, deals: &[Deal]) -> Result<()> {
         if !self.cfg.insecure_reuse_triples {
-            self.provider.schedule_deals(deals);
+            self.provider.schedule_deals(deals).map_err(EngineError::Protocol)?;
         }
+        Ok(())
     }
 
     /// Installs the observer of every packet `node` receives from now on:
@@ -1928,7 +1936,7 @@ mod tests {
             let [inline, prefetch, _] = every_mode();
             let [inline, prefetch] = [inline, prefetch].map(|cfg| {
                 let mut ctx = ctx(cfg);
-                ctx.schedule_deals(&declared);
+                ctx.schedule_deals(&declared).unwrap();
                 let operands = [plain(2, 3, 1.0), plain(3, 4, 1.0)];
                 let operands = operands.map(|m| ctx.share_input(&m).unwrap());
                 match misuse(&mut ctx, &operands).unwrap_err() {
@@ -1937,6 +1945,30 @@ mod tests {
                 }
             });
             assert_eq!(inline, prefetch, "{what}");
+        }
+    }
+
+    // Fails at the parent: the batch is declared, and dealing it panics —
+    // inline on this thread, with prefetch in the worker.
+    #[test]
+    fn a_declaration_reading_an_unopened_mask_is_a_protocol_error() {
+        let gemm = TripleSpec::Gemm { m: 2, k: 3, n: 4 };
+        let act = Operand { secret: Secret::Act { layer: 0, step: 0 }, transposed: false };
+        let weight = Operand { secret: Secret::Weight { layer: 0, which: 0 }, transposed: false };
+        // A served request that reads a weight no earlier pass opened.
+        let open = std::collections::HashSet::from([weight.secret]);
+        let served = psml_mpc::mask_schedule_from(&[(gemm, Some([act, weight]))], &open, |_| true);
+        let [inline, prefetch, _] = every_mode();
+        for cfg in [inline, prefetch] {
+            let mut ctx = ctx(cfg);
+            let err = ctx.schedule_deals(&served).unwrap_err();
+            assert!(matches!(&err, EngineError::Protocol(m) if m.contains("Weight")), "{err:?}");
+            // Nothing of it was declared.
+            ctx.schedule_triples(&[gemm]);
+            let (a, b) = (plain(2, 3, 1.0), plain(3, 4, 2.0));
+            let [sa, sb] = [&a, &b].map(|m| ctx.share_input(m).unwrap());
+            let c = ctx.secure_mul_auto(&sa, &sb, "t").unwrap();
+            assert!(c.reveal_insecure().max_abs_diff(&a.matmul(&b)) < 1e-2);
         }
     }
 

@@ -3,8 +3,9 @@
 use crate::error::{EngineError, Result};
 use crate::layers::{Activation, LayerSpec};
 use crate::walk::{self, Shapes};
-use psml_mpc::{Deal, PlainMatrix};
+use psml_mpc::{Deal, PlainMatrix, Secret};
 use psml_tensor::ConvShape;
+use std::collections::HashSet;
 
 /// Which benchmark to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -321,18 +322,27 @@ impl ModelSpec {
 
     /// The products one secure forward pass takes for a batch of `batch`
     /// samples, in the exact order [`crate::SecureTrainer`] multiplies
-    /// them: the layer walk over shapes ([`crate::walk`]), one single-use
-    /// [`Deal::Triple`] per product. Activations are client-aided and
+    /// them: the layer walk over shapes ([`crate::walk`]), as a mask
+    /// schedule that continues the earlier passes'
+    /// ([`psml_mpc::mask_schedule_from`]). A weight in `open` was opened
+    /// by an earlier pass and is only read; any other weight is opened by
+    /// its first product, and no forward pass closes a weight — its
+    /// opening serves every later pass until the weights change. The
+    /// input and an RNN's hidden states open and close within the pass.
+    /// So the first pass after the weights change deals, product for
+    /// product, what single-use triples deal for a model that reads each
+    /// weight once (every model but the RNN), and a later pass deals only
+    /// the masks of its input and `Z`. Activations are client-aided and
     /// consume no triples; pooling is local.
     ///
     /// This is what inference and serving declare to the triple provider
     /// ([`crate::TripleProvider`]) before the pass, so that with prefetch
     /// offline generation overlaps online compute.
-    pub fn forward_deals(&self, batch: usize) -> Vec<Deal> {
+    pub fn forward_deals(&self, batch: usize, open: &HashSet<Secret>) -> Vec<Deal> {
         let mut shapes = Shapes::default();
         walk::forward(&mut shapes, self, &(batch, self.input_features()))
             .expect("a model's own input shape passes the walk's checks");
-        shapes.0.into_iter().map(|(spec, _)| Deal::Triple(spec)).collect()
+        psml_mpc::mask_schedule_from(&shapes.0, open, |s| matches!(s, Secret::Weight { .. }))
     }
 
     /// The products of one full training step — forward pass, loss
@@ -511,8 +521,10 @@ mod tests {
         for spec in &specs {
             for batch in [1, 7, 64] {
                 let what = format!("{:?}/{:?} batch {batch}", spec.kind, spec.loss);
-                let forward = oracle_forward(spec, batch).into_iter().map(Deal::Triple);
-                assert_eq!(spec.forward_deals(batch), forward.collect::<Vec<_>>(), "{what}");
+                let none_open = HashSet::new();
+                let forward: Vec<_> =
+                    spec.forward_deals(batch, &none_open).iter().map(Deal::spec).collect();
+                assert_eq!(forward, oracle_forward(spec, batch), "{what}");
                 let step: Vec<_> = spec.step_deals(batch).iter().map(Deal::spec).collect();
                 assert_eq!(step, oracle_step(spec, batch), "{what}");
             }
@@ -579,9 +591,33 @@ mod tests {
     }
 
     #[test]
+    fn a_forward_pass_opens_each_weight_once_and_leaves_it_open() {
+        for kind in ModelKind::ALL {
+            let spec = ModelSpec::for_dataset(kind, psml_data::DatasetKind::Mnist).unwrap();
+            let weights: HashSet<Secret> = (spec.layers.iter().enumerate())
+                .flat_map(|(layer, l)| {
+                    (0..l.weight_shapes().len()).map(move |which| Secret::Weight { layer, which })
+                })
+                .collect();
+            let mut open = HashSet::new();
+            let first = spec.forward_deals(3, &open);
+            psml_mpc::follow_openings(&mut open, &first).unwrap();
+            assert_eq!(open, weights, "{kind:?}: the first pass leaves every weight open");
+            if kind != ModelKind::Rnn {
+                // Each weight is read once per pass: single-use triples.
+                assert!(first.iter().all(|d| d.opens() == [true, true]), "{kind:?}");
+            }
+            let later = spec.forward_deals(3, &open);
+            assert!(later.iter().all(|d| d.opens() == [true, false]), "{kind:?}");
+            psml_mpc::follow_openings(&mut open, &later).unwrap();
+            assert_eq!(open, weights, "{kind:?}: a later pass only reads them");
+        }
+    }
+
+    #[test]
     fn rnn_requires_divisible_features() {
         assert!(ModelSpec::build(ModelKind::Rnn, 783, None, 10).is_err());
         let spec = ModelSpec::build(ModelKind::Rnn, 2048, None, 10).unwrap();
-        assert_eq!(spec.forward_deals(1).len(), 2 * 4 + 1);
+        assert_eq!(spec.forward_deals(1, &HashSet::new()).len(), 2 * 4 + 1);
     }
 }

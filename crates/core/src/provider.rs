@@ -38,23 +38,42 @@
 //! every declared spec is generated the worker therefore keeps going on a
 //! *non-binding repeat of the most recently declared batch* (the slice of
 //! the last [`TripleProvider::schedule`] call) at the seqs that follow.
+//! A mask that batch opens and does not close is *long-lived* — a served
+//! model's weight `M_W`, open until the weights change — so the repeat
+//! reads it instead of opening it again: exactly what the next window
+//! declares, and the worker's dealer keeps `M_W` through any number of
+//! repeats. (A batch whose repeat would close a long-lived mask, or read
+//! a closed one, is not repeated.)
+//!
 //! The next `schedule(specs)` reconciles: the speculative entries — ready,
 //! in flight or merely planned, always a suffix in seq order — are
 //! compared position by position with `specs`; the matching prefix is
-//! *adopted* (promoted to declared), and from the first mismatch on
-//! everything speculative is *discarded* (ready triples dropped, an
-//! in-flight result dropped when it lands, planned entries removed),
-//! generation rewinds to that seq, and the rest of `specs` is appended as
-//! declared. Only declared entries can be taken, so speculation never
-//! changes what `take` accepts; and because a triple's value is a function
-//! of `(master, seq, spec)` alone, a re-generated triple equals the one
-//! that would have been generated without lookahead. A declared batch that
-//! holds mask-schedule products is adopted whole or not at all: its
-//! products read masks its earlier products opened, so speculation is cut
-//! only where a schedule starts, where the worker's dealer holds nothing
-//! the rest needs. What lookahead costs
-//! is the work discarded at a mismatch and at the end of a run — at most
-//! one byte budget (below) of generation — and one budget of memory.
+//! *adopted* (promoted to declared), and from the cut on everything
+//! speculative is *discarded* (ready triples dropped, an in-flight result
+//! dropped when it lands, planned entries removed), generation rewinds to
+//! that seq, and the rest of `specs` is appended as declared. Only
+//! declared entries can be taken, so speculation never changes what
+//! `take` accepts; and because a triple's value is a function of
+//! `(master, seq, spec)` and the masks open before it, a re-generated
+//! triple equals the one that would have been generated without
+//! lookahead.
+//!
+//! The worker's dealer has dealt past the cut, so the cut may fall only
+//! where that does not matter: at an entry boundary where every mask the
+//! lookahead opened has closed. There the dealer holds the long-lived
+//! masks, which no repeat touches, and masks of products past the cut,
+//! which a declared batch opens before it reads. The matching prefix is
+//! shortened to the last such boundary. For a training step that is the
+//! whole step or nothing (its masks close at the end of the step); for a
+//! serving fold it is request by request, as for single-use triples.
+//! What lookahead costs is the work discarded at a mismatch and at the
+//! end of a run — at most one byte budget (below) of generation — and one
+//! budget of memory.
+//!
+//! A batch that reads a mask nothing opened — or one a product closed —
+//! cannot be dealt: [`TripleProvider::schedule_deals`] refuses it before
+//! it changes anything. The state tracks which secrets are open at the
+//! end of the declared schedule for that check.
 //!
 //! # Backpressure
 //!
@@ -87,10 +106,12 @@
 //! triple still owns its own stream), and pushes the whole window under
 //! one lock, so the consumer sees one hand-off per window.
 
-use psml_mpc::{BeaverTriple, Deal, Dealer, Dealt, Operand, SecureRing, TripleSpec};
+use psml_mpc::{
+    follow_openings, BeaverTriple, Deal, Dealer, Dealt, Operand, SecureRing, Secret, TripleSpec,
+};
 use psml_tensor::gemm_auto;
 use psml_trace::{Phase, TraceEvent, TraceSink};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -134,8 +155,12 @@ struct State<R: SecureRing> {
     plan: VecDeque<Deal>,
     /// Leading entries of `plan` that were declared (and may be taken).
     declared: usize,
-    /// The most recently declared batch: what the lookahead repeats.
-    last_batch: Vec<Deal>,
+    /// What the lookahead repeats: the most recently declared batch, with
+    /// the masks it leaves open read instead of opened ([`repeat_of`]).
+    repeat: Vec<Deal>,
+    /// The secrets open at the end of the declared schedule: what the
+    /// next batch may read without opening.
+    open: HashSet<Secret>,
     /// Generated triples of seqs `next_take_seq..`, in seq order (entry
     /// `i` is `plan[i]`). Bounded by `budget` bytes and `depth` entries.
     ready: VecDeque<ReadyTriple<R>>,
@@ -159,24 +184,25 @@ impl<R: SecureRing> State<R> {
     }
 
     /// Declares `specs` at the seqs after the declared ones, reconciling
-    /// them with whatever the lookahead put there (module docs).
-    fn reconcile(&mut self, specs: &[Deal]) {
+    /// them with whatever the lookahead put there (module docs). A batch
+    /// that reads a secret neither it nor an earlier batch left open is
+    /// refused before anything changes.
+    fn reconcile(&mut self, specs: &[Deal]) -> Result<(), String> {
+        let mut open = self.open.clone();
+        follow_openings(&mut open, specs)?;
         let sizes = specs.iter().map(|&s| deal_bytes::<R>(s));
         let largest = sizes.clone().max().unwrap_or(0);
         let total = sizes.fold(0usize, usize::saturating_add);
         self.budget = self.budget.max(largest).max(total - largest);
 
-        let mut matched = self
+        let matched = self
             .plan
             .iter()
             .skip(self.declared)
             .zip(specs)
             .take_while(|(planned, spec)| planned == spec)
             .count();
-        if matched < specs.len() && specs.iter().any(|d| matches!(d, Deal::Masked(_))) {
-            // A mask schedule is adopted whole or not at all (module docs).
-            matched = 0;
-        }
+        let matched = self.cut_before(matched);
         let cut = self.declared + matched;
         self.stats.adopted += cut.min(self.claimed()).saturating_sub(self.declared) as u64;
         if matched < specs.len() {
@@ -193,8 +219,28 @@ impl<R: SecureRing> State<R> {
             self.plan.extend(&specs[matched..]);
         }
         self.declared += specs.len();
-        self.last_batch.clear();
-        self.last_batch.extend_from_slice(specs);
+        self.repeat = repeat_of(specs, &open);
+        self.open = open;
+        Ok(())
+    }
+
+    /// The longest prefix of the first `matched` lookahead entries after
+    /// which every mask the lookahead opened has closed: there the
+    /// worker's dealer holds what dealing the declared entries alone
+    /// would leave it, so a cut may fall there (module docs).
+    fn cut_before(&self, matched: usize) -> usize {
+        // A repeat never opens or closes a mask open where the lookahead
+        // starts ([`repeat_of`]), so every mask it opened has closed
+        // exactly where the open set is back to that.
+        let mut open = self.open.clone();
+        let mut cut = 0;
+        let lookahead = self.plan.iter().skip(self.declared).take(matched);
+        for (i, deal) in lookahead.enumerate() {
+            if follow_openings(&mut open, std::slice::from_ref(deal)).is_ok() && open == self.open {
+                cut = i + 1;
+            }
+        }
+        cut
     }
 
     /// The next declared entry, if a product of `spec` (of `operands`,
@@ -251,7 +297,7 @@ impl<R: SecureRing> State<R> {
         if at == self.plan.len() {
             // Everything planned is generated: plan one more repeat of
             // the last batch (empty before the first `schedule`).
-            self.plan.extend(&self.last_batch);
+            self.plan.extend(&self.repeat);
         }
         let spec = *self.plan.get(at)?;
         let fit = self.budget.saturating_sub(self.ready_bytes) / deal_bytes::<R>(spec).max(1);
@@ -276,6 +322,32 @@ impl<R: SecureRing> State<R> {
     /// the point at which a `take` wakes a worker that is waiting for room.
     fn low_water(&self) -> bool {
         self.ready_bytes.saturating_mul(2) <= self.budget && self.ready.len() * 2 <= self.depth
+    }
+}
+
+/// What the lookahead repeats after `batch`, which leaves `open` open:
+/// the batch with every opening of a secret in `open` turned into a read
+/// — the next batch finds that secret open, and its dealer's mask must
+/// survive — or nothing when that repeat is not a schedule that leaves
+/// `open` as it found it (it reads a closed mask or closes one of
+/// `open`), so a repeat never changes what a long-lived mask is.
+fn repeat_of(batch: &[Deal], open: &HashSet<Secret>) -> Vec<Deal> {
+    let repeat: Vec<Deal> = batch
+        .iter()
+        .map(|&deal| match deal {
+            Deal::Masked(mut p) => {
+                for (op, opens) in p.operands.iter().zip(&mut p.opens) {
+                    *opens &= !open.contains(&op.secret);
+                }
+                Deal::Masked(p)
+            }
+            triple => triple,
+        })
+        .collect();
+    let mut after = open.clone();
+    match follow_openings(&mut after, &repeat) {
+        Ok(()) if after == *open => repeat,
+        _ => Vec::new(),
     }
 }
 
@@ -323,7 +395,8 @@ impl<R: SecureRing> TripleProvider<R> {
             state: Mutex::new(State {
                 plan: VecDeque::new(),
                 declared: 0,
-                last_batch: Vec::new(),
+                repeat: Vec::new(),
+                open: HashSet::new(),
                 ready: VecDeque::new(),
                 ready_bytes: 0,
                 budget: 0,
@@ -375,20 +448,24 @@ impl<R: SecureRing> TripleProvider<R> {
 
     /// Appends single-use triples to the schedule ([`Self::schedule_deals`]).
     pub fn schedule(&self, specs: &[TripleSpec]) {
-        self.schedule_deals(&specs.iter().map(|&spec| Deal::Triple(spec)).collect::<Vec<_>>());
+        let deals: Vec<Deal> = specs.iter().map(|&spec| Deal::Triple(spec)).collect();
+        self.schedule_deals(&deals).expect("a single-use triple reads no earlier opening");
     }
 
     /// Appends products to the schedule, adopting or discarding what the
     /// lookahead generated at their seqs. A provisioning thread starts on
-    /// whatever is still missing immediately (subject to backpressure). A
-    /// batch holding mask-schedule products must be whole: every mask it
-    /// reads is opened within it.
-    pub fn schedule_deals(&self, deals: &[Deal]) {
+    /// whatever is still missing immediately (subject to backpressure).
+    /// Every mask a mask-schedule product reads must be open there: opened
+    /// earlier in the batch, or by an earlier batch and not closed since.
+    /// A batch that reads any other is an error, and nothing of it is
+    /// declared.
+    pub fn schedule_deals(&self, deals: &[Deal]) -> Result<(), String> {
         if deals.is_empty() {
-            return;
+            return Ok(());
         }
-        self.shared.lock().reconcile(deals);
+        self.shared.lock().reconcile(deals)?;
         self.shared.cv.notify_all();
+        Ok(())
     }
 
     /// A snapshot of this provider's counters.
@@ -621,7 +698,7 @@ mod tests {
         let step = layer_step();
         let [ahead, inline] = both(33);
         for p in [&ahead, &inline] {
-            p.schedule_deals(&step);
+            p.schedule_deals(&step).unwrap();
             p.schedule(&[HAD]);
         }
         for (i, deal) in step.iter().chain(&[Deal::Triple(HAD)]).enumerate() {
@@ -810,7 +887,7 @@ mod tests {
             // go round again.
             let caught = c.observe(|st| {
                 if st.claimed() > st.ready.len() {
-                    st.reconcile(&[Deal::Triple(HAD)]);
+                    st.reconcile(&[Deal::Triple(HAD)]).unwrap();
                     Some(true)
                 } else {
                     (!st.ready.is_empty()).then_some(false)
@@ -999,7 +1076,7 @@ mod tests {
         }
 
         fn step(&mut self, batch: &[Deal]) {
-            self.p.schedule_deals(batch);
+            self.p.schedule_deals(batch).unwrap();
             for &deal in batch {
                 let (_, got, _) = self.p.take_deal(deal.spec(), operands_of(&deal)).unwrap();
                 let want = self.dealer.deal(&deal, self.master, self.seq, gemm_auto);
@@ -1043,7 +1120,7 @@ mod tests {
     // whole speculated step left it, with `x`'s mask closed: the second
     // product, which reads it, would kill the worker.
     #[test]
-    fn a_mask_schedule_is_adopted_whole_or_not_at_all() {
+    fn a_cut_falls_only_where_the_lookahead_holds_no_open_mask() {
         let mut c = Inline::new(32);
         // A large triple first: its budget lets the lookahead deal a whole step.
         c.step(&[Deal::Triple(BIG)]);
@@ -1052,6 +1129,142 @@ mod tests {
         c.step(&masked_step((TripleSpec::Gemm { m: 3, k: 4, n: 5 }, [weight(true), act(true)])));
         let stats = c.p.stats();
         assert!(stats.adopted == 0 && stats.discarded >= 3, "{stats:?}");
+    }
+
+    // ---- long-lived masks --------------------------------------------------
+
+    use psml_mpc::mask_schedule_from;
+
+    /// A served request's forward product, `x * W` (1x4 by 4x3), as a
+    /// trainer declares it after the masks `open` left open.
+    fn request(open: &HashSet<Secret>) -> Deal {
+        let spec = TripleSpec::Gemm { m: 1, k: 4, n: 3 };
+        let products = [(spec, Some([act(false), weight(false)]))];
+        mask_schedule_from(&products, open, |s| matches!(s, Secret::Weight { .. }))[0]
+    }
+
+    /// A serving window of `width` requests, folded as a host folds it:
+    /// the first request after `W` changed opens it, the rest read it.
+    fn fold(width: usize, open: &mut HashSet<Secret>) -> Vec<Deal> {
+        let mut requests = Vec::new();
+        for _ in 0..width {
+            requests.push(request(open));
+            follow_openings(open, &requests[requests.len() - 1..]).unwrap();
+        }
+        requests
+    }
+
+    /// Windows of 10, 16 and 4 requests, a training step (which masks `W`
+    /// anew and closes it), then a window of 5 that opens `W` again.
+    fn serving_around_a_step() -> Vec<Vec<Deal>> {
+        let mut open = HashSet::new();
+        let mut batches: Vec<Vec<Deal>> = [10, 16, 4].map(|w| fold(w, &mut open)).into();
+        batches.push(layer_step());
+        batches.push(fold(5, &mut HashSet::new()));
+        batches
+    }
+
+    /// Blocks until the worker is parked: nothing in flight, and either
+    /// the next entry it would deal does not fit the queue's bounds or the
+    /// queue is above its low-water mark, where no take wakes it — and
+    /// nothing moves for a while after.
+    fn await_parked(p: &TripleProvider<Fixed64>) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let probe = || {
+            let st = p.shared.lock();
+            let at = st.claimed();
+            let next = st.plan.get(at).or(st.repeat.first());
+            let full = next.is_none_or(|&d| {
+                st.ready_bytes + deal_bytes::<Fixed64>(d) > st.budget || st.ready.len() >= st.depth
+            });
+            (at == st.ready.len() && (full || !st.low_water())).then_some((at, st.plan.len()))
+        };
+        loop {
+            if let Some(seen) = probe() {
+                std::thread::sleep(Duration::from_millis(20));
+                if probe() == Some(seen) {
+                    return;
+                }
+            }
+            assert!(Instant::now() < deadline, "the worker never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    // A lookahead that re-opens `W` fails here: its dealer replaces `M_W`
+    // with a speculative mask, and the next window, cut at its first
+    // request, multiplies that mask into `Z`.
+    #[test]
+    fn long_lived_masks_survive_windows_steps_and_cuts() {
+        let mut c = Inline::new(34);
+        for batch in serving_around_a_step() {
+            c.step(&batch);
+            c.await_speculated(1);
+        }
+        // At least one speculated request of each of the 10- and
+        // 16-request windows is adopted; at least one speculated entry
+        // before the step and before the last window is discarded.
+        let stats = c.p.stats();
+        assert!(stats.adopted >= 2 && stats.discarded >= 2, "{stats:?}");
+    }
+
+    // Adopting a batch holding mask-schedule products whole or not at
+    // all drops the lookahead of the 10-request window when the
+    // 16-request one is declared: 21 discarded here, where cutting
+    // request by request discards 14 and single-use triples 17.
+    #[test]
+    fn serving_folds_keep_prefix_adoption() {
+        let run = |single_use: bool| {
+            let p = TripleProvider::<Fixed64>::new(35, 64);
+            for batch in serving_around_a_step() {
+                let serving = batch.iter().all(|d| d.spec().dims().0 == 1);
+                let batch: Vec<Deal> = match single_use && serving {
+                    true => batch.iter().map(|d| Deal::Triple(d.spec())).collect(),
+                    false => batch,
+                };
+                // Each take waits for the worker to settle, so what the
+                // lookahead holds at each declaration is the same every run.
+                p.schedule_deals(&batch).unwrap();
+                await_parked(&p);
+                for d in &batch {
+                    p.take_deal(d.spec(), operands_of(d)).unwrap();
+                    await_parked(&p);
+                }
+            }
+            p.stats()
+        };
+        let (masked, single_use) = (run(false), run(true));
+        assert!(masked.discarded <= single_use.discarded, "{masked:?} vs {single_use:?}");
+        assert!(masked.adopted > 0, "{masked:?}");
+    }
+
+    // Fails at the parent: the batch is accepted, and dealing it panics —
+    // on the taker's thread inline, in the worker with prefetch, after
+    // which every take reads "worker died".
+    #[test]
+    fn a_batch_reading_a_mask_nothing_left_open_is_refused() {
+        let w_open = HashSet::from([weight(false).secret]);
+        let later = [request(&w_open)];
+        for p in both(36) {
+            let err = p.schedule_deals(&later).unwrap_err();
+            assert!(err.contains("Weight"), "{err}");
+            assert_eq!(p.stats(), ProviderStats::default());
+            // A read of a mask an earlier batch left open is accepted.
+            let first = fold(1, &mut HashSet::new());
+            p.schedule_deals(&first).unwrap();
+            p.schedule_deals(&later).unwrap();
+            // A training step closes `W`: a read after it is refused, and
+            // the refusal leaves the declared step to be taken.
+            let step = layer_step();
+            p.schedule_deals(&step).unwrap();
+            assert!(p.schedule_deals(&later).is_err());
+            let mut dealer = Dealer::<Fixed64>::new();
+            for (seq, d) in first.iter().chain(&later).chain(&step).enumerate() {
+                let (_, got, _) = p.take_deal(d.spec(), operands_of(d)).unwrap();
+                let want = dealer.deal(d, 36, seq as u64, gemm_auto);
+                assert_eq!(got.share(Party::P1), want.share(Party::P1), "seq {seq}");
+            }
+        }
     }
 
     proptest! {

@@ -15,17 +15,20 @@
 //!
 //! 1. **One provisioning declaration.** The concatenation of every
 //!    request's `ModelSpec::forward_deals` is declared to the model's
-//!    `TripleProvider` up front, so the provider worker generates the
-//!    whole window's Beaver triples ahead of the online phase, handing
-//!    consecutive same-shape triples over under one lock — the shared
-//!    offline stream.
+//!    `TripleProvider` up front (`SecureTrainer::declare_forward`: the
+//!    first request after the weights change opens them, every later one
+//!    reads that opening and is dealt only its input's mask and `Z`), so
+//!    the provider worker deals the whole window ahead of the online
+//!    phase, handing consecutive same-shape products over under one lock
+//!    — the shared offline stream.
 //! 2. **Per-request online passes in admission order.** Share the input,
 //!    run the forward pass, reveal — byte-for-byte the sequential code
 //!    path.
 //!
 //! Triple values are counter-derived from `(master seed, sequence)` (see
-//! `core::provider`), so step 1 cannot change a limb of what step 2
-//! consumes; every other randomness source (input masks, the engine RNG,
+//! `core::provider`) and which weights are open depends only on how many
+//! requests ran since the weights changed, so step 1 cannot change a limb
+//! of what step 2 consumes; every other randomness source (input masks, the engine RNG,
 //! the curand counter) advances per *executed* request in admission
 //! order. Outputs therefore depend only on the per-model admission order,
 //! never on how requests were grouped: serving with `max_batch = W` is
@@ -43,7 +46,7 @@ use crate::error::{ConfigError, EngineError};
 use crate::models::ModelSpec;
 use crate::session::fnv64;
 use crate::trainer::SecureTrainer;
-use psml_mpc::{Deal, PlainMatrix, SecureRing};
+use psml_mpc::{PlainMatrix, SecureRing};
 use psml_simtime::{SimDuration, SimTime};
 use psml_trace::json::{obj, JsonValue};
 use psml_trace::TraceSink;
@@ -590,11 +593,7 @@ impl<R: SecureRing> ModelHost<R> {
 
         // The fold, step 1: one provisioning declaration for the whole
         // window (the shared offline stream — see module docs).
-        let folded: Vec<Deal> = batch
-            .iter()
-            .flat_map(|q| host.trainer.spec().forward_deals(q.req.input.rows()))
-            .collect();
-        host.trainer.schedule_deals(&folded);
+        host.trainer.declare_forward(batch.iter().map(|q| q.req.input.rows()))?;
 
         // Step 2: per-request online passes in admission order.
         let window = batch.len();

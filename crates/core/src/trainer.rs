@@ -20,8 +20,9 @@ use crate::walk::{
     pool_window_sum, rows_to_conv, LayerOps, Param, PoolWindow, Product, Site,
 };
 use psml_data::DatasetKind;
-use psml_mpc::{Deal, PlainMatrix, SecureRing};
+use psml_mpc::{follow_openings, PlainMatrix, SecureRing, Secret};
 use psml_tensor::ConvShape;
+use std::collections::HashSet;
 
 /// Result of a training run.
 #[derive(Clone, Debug)]
@@ -82,6 +83,13 @@ pub struct SecureTrainer<R: SecureRing> {
     weights: Vec<Vec<SharedMatrix<R>>>,
     /// Most recent epoch-boundary snapshot (see [`TrainerCheckpoint`]).
     last_checkpoint: Option<TrainerCheckpoint>,
+    /// The weights a forward declaration opened since they last changed:
+    /// their openings stay with the engine and their masks with the
+    /// dealer, so later forward passes read them
+    /// ([`ModelSpec::forward_deals`]). A training step's declaration
+    /// masks them anew and closes them, and re-shared weights are new
+    /// secrets; both forget them.
+    open_weights: HashSet<Secret>,
 }
 
 impl<R: SecureRing> SecureTrainer<R> {
@@ -96,6 +104,7 @@ impl<R: SecureRing> SecureTrainer<R> {
             spec,
             weights: Vec::new(),
             last_checkpoint: None,
+            open_weights: HashSet::new(),
         };
         trainer.import_weights(&init)?;
         Ok(trainer)
@@ -199,6 +208,7 @@ impl<R: SecureRing> SecureTrainer<R> {
             shared.push(per_layer);
         }
         self.weights = shared;
+        self.open_weights.clear();
         Ok(())
     }
 
@@ -227,7 +237,8 @@ impl<R: SecureRing> SecureTrainer<R> {
         // pipeline (with `prefetch`) deals them concurrently with the
         // online phase, and the engine opens each secret of the step once.
         let deals = self.spec.step_deals(xs.shape().0);
-        self.schedule_deals(&deals);
+        self.ctx.schedule_deals(&deals)?;
+        self.open_weights.clear();
         let mut ops = Shares {
             ctx: &mut self.ctx,
             weights: &mut self.weights,
@@ -342,11 +353,21 @@ impl<R: SecureRing> SecureTrainer<R> {
         })
     }
 
-    /// Declares the products the next passes take, in order: a training
-    /// step's mask schedule, a forward pass's single-use triples, or a
-    /// serving window's fold of them. The one place this trainer declares.
-    pub(crate) fn schedule_deals(&mut self, deals: &[Deal]) {
-        self.ctx.schedule_deals(deals);
+    /// Declares forward passes over batches of `rows` samples each, in
+    /// order — one inference, or a serving window's fold of them: the
+    /// first pass after the weights change opens each weight, and every
+    /// later pass reads that opening ([`ModelSpec::forward_deals`]).
+    pub(crate) fn declare_forward(&mut self, rows: impl IntoIterator<Item = usize>) -> Result<()> {
+        let mut open = self.open_weights.clone();
+        let mut deals = Vec::new();
+        for batch in rows {
+            let pass = self.spec.forward_deals(batch, &open);
+            follow_openings(&mut open, &pass).map_err(EngineError::Protocol)?;
+            deals.extend(pass);
+        }
+        self.ctx.schedule_deals(&deals)?;
+        self.open_weights = open;
+        Ok(())
     }
 
     /// The online pass of one forward inference, *without* declaring its
@@ -367,8 +388,7 @@ impl<R: SecureRing> SecureTrainer<R> {
     /// Single-batch inference: declares the forward pass's products, then
     /// runs it.
     fn infer_plain(&mut self, x: &PlainMatrix) -> Result<PlainMatrix> {
-        let deals = self.spec.forward_deals(x.rows());
-        self.schedule_deals(&deals);
+        self.declare_forward([x.rows()])?;
         self.infer_prescheduled(x)
     }
 
@@ -603,6 +623,51 @@ mod tests {
         );
     }
 
+    /// Serving windows of 10, 16 and 4 single-row requests, a training
+    /// step, then a window of 5, on `kind` over 16 features: the revealed
+    /// outputs and weights, and the report.
+    fn serve_around_a_step(
+        cfg: EngineConfig,
+        kind: ModelKind,
+    ) -> (Vec<PlainMatrix>, Vec<Vec<PlainMatrix>>, String) {
+        let spec = ModelSpec::build(kind, 16, None, 3).unwrap();
+        let mut t = SecureTrainer::<Fixed64>::new(cfg, spec, 23).unwrap();
+        let mut rng = Mt19937::new(4);
+        let mut outputs = Vec::new();
+        for width in [10, 16, 4, 0, 5] {
+            if width == 0 {
+                let x = PlainMatrix::from_fn(2, 16, |_, _| rng.next_f64() - 0.5);
+                let n = t.spec().outputs;
+                let y = PlainMatrix::from_fn(2, n, |r, c| if c == r % n { 1.0 } else { 0.0 });
+                t.train_batch(&x, &y).unwrap();
+                continue;
+            }
+            let row = |_| PlainMatrix::from_fn(1, 16, |_, _| rng.next_f64() - 0.5);
+            let xs: Vec<PlainMatrix> = (0..width).map(row).collect();
+            t.declare_forward(xs.iter().map(PlainMatrix::rows)).unwrap();
+            for x in &xs {
+                outputs.push(t.infer_prescheduled(x).unwrap());
+            }
+        }
+        (outputs, t.reveal_weights(), format!("{:?}", t.report()))
+    }
+
+    // A provider lookahead that re-opens a served weight fails here: the
+    // worker's dealer replaces `M_W`, and the next window's `Z` is dealt
+    // against the wrong mask.
+    #[test]
+    fn served_windows_around_a_step_are_bit_identical_with_and_without_prefetch() {
+        let inline = EngineConfig::parsecureml().with_insecure_reuse_triples(false);
+        let prefetch = EngineConfig::parsecureml().with_prefetch(true);
+        for kind in [ModelKind::Logistic, ModelKind::Mlp, ModelKind::Rnn] {
+            let want = serve_around_a_step(inline.clone(), kind);
+            let got = serve_around_a_step(prefetch.clone(), kind);
+            assert_eq!(got.0, want.0, "{kind:?}: outputs");
+            assert_eq!(got.1, want.1, "{kind:?}: weights");
+            assert_eq!(got.2, want.2, "{kind:?}: report");
+        }
+    }
+
     #[test]
     fn mlp_forward_backward_runs_and_reports() {
         let spec = ModelSpec::build(ModelKind::Mlp, 32, None, 4).unwrap();
@@ -622,28 +687,29 @@ mod tests {
     #[test]
     fn secure_inference_matches_plain_forward() {
         // With revealed weights, a plaintext forward pass must agree with
-        // the secure inference outputs.
-        let spec = ModelSpec::build(ModelKind::Linear, 16, None, 10).unwrap();
-        let mut trainer =
-            SecureTrainer::<Fixed64>::new(small_cfg(), spec, 13).unwrap();
-        let mut rng = Mt19937::new(9);
-        let x = PlainMatrix::from_fn(4, 16, |_, _| rng.next_f64() - 0.5);
-        let resp = trainer
-            .infer_request(&InferRequest::new(x.clone()).with_tag(3))
-            .unwrap();
-        assert_eq!(resp.tag, 3);
-        assert_eq!(resp.model, crate::serve::ModelId::DIRECT);
-        assert!(resp.latency.as_secs() > 0.0);
-        assert_eq!(resp.report.window, 1);
-        assert!(resp.report.secure_muls > 0);
-        let out = resp.output;
-        let w = &trainer.reveal_weights()[0][0];
-        let expect = x.matmul(w);
-        assert!(
-            out.max_abs_diff(&expect) < 5e-3,
-            "diff {}",
-            out.max_abs_diff(&expect)
-        );
+        // the secure inference outputs, on cached and on fresh triples.
+        let fresh = small_cfg().with_insecure_reuse_triples(false);
+        for cfg in [small_cfg(), fresh] {
+            let spec = ModelSpec::build(ModelKind::Linear, 16, None, 10).unwrap();
+            let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec, 13).unwrap();
+            let mut rng = Mt19937::new(9);
+            let w = trainer.reveal_weights()[0][0].clone();
+            // On fresh triples the first request opens the weight and the
+            // later ones read that opening.
+            for tag in 3..6 {
+                let x = PlainMatrix::from_fn(4, 16, |_, _| rng.next_f64() - 0.5);
+                let resp = trainer
+                    .infer_request(&InferRequest::new(x.clone()).with_tag(tag))
+                    .unwrap();
+                assert_eq!(resp.tag, tag);
+                assert_eq!(resp.model, crate::serve::ModelId::DIRECT);
+                assert!(resp.latency.as_secs() > 0.0);
+                assert_eq!(resp.report.window, 1);
+                assert!(resp.report.secure_muls > 0);
+                let diff = resp.output.max_abs_diff(&x.matmul(&w));
+                assert!(diff < 5e-3, "diff {diff}");
+            }
+        }
     }
 
     #[test]

@@ -51,8 +51,9 @@ pub use protocol::{
 pub use ring::{Party, SecureRing};
 pub use share::{PlainMatrix, SharePair};
 pub use triple::{
-    gen_triple, gen_triple_streamed, mask_schedule, BeaverTriple, Deal, Dealer, Dealt, DealtShare,
-    MaskedProduct, Operand, Secret, TripleShare, TripleSpec,
+    follow_openings, gen_triple, gen_triple_streamed, mask_schedule, mask_schedule_from,
+    BeaverTriple, Deal, Dealer, Dealt, DealtShare, MaskedProduct, Operand, Secret, TripleShare,
+    TripleSpec,
 };
 
 #[cfg(test)]

@@ -19,7 +19,11 @@
 //! or a gradient for the step, a weight until its update — and every later
 //! product reads the same public opening, transposed where it needs to.
 //! [`mask_schedule`] marks each product's operands with their first and
-//! last use; the result is a list of [`Deal`]s.
+//! last use; the result is a list of [`Deal`]s. A lifetime may span
+//! schedules: a served model's weights are opened by the first forward
+//! pass after they change and read by every later one
+//! ([`mask_schedule_from`]), and [`follow_openings`] tracks what a run of
+//! schedules leaves open.
 //!
 //! The [`Dealer`] deals a schedule in order, one product at a time, from
 //! that product's own counter stream `(master, seq)`:
@@ -34,14 +38,15 @@
 //! That is [`gen_triple`]'s order with the reused masks left out, so a
 //! product that opens both operands deals exactly the single-use triple of
 //! its `(master, seq)`, bit for bit. The dealer keeps a plaintext mask
-//! from its opening to the product that closes it, and no longer.
+//! from its opening to the product that closes it, and no longer; an
+//! opening of a secret it already holds replaces the kept mask.
 
 use crate::ring::SecureRing;
 use crate::share::SharePair;
 use psml_parallel::Mt19937;
 use psml_tensor::Matrix;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Shape descriptor of one Beaver triple — the unit of the provisioning
 /// pipeline's schedule. `Copy + Eq + Hash` so protocol-level caches and
@@ -338,6 +343,18 @@ impl Deal {
 /// opens) and last use (it closes); a product without operands stays a
 /// single-use [`Deal::Triple`].
 pub fn mask_schedule(products: &[(TripleSpec, Option<[Operand; 2]>)]) -> Vec<Deal> {
+    mask_schedule_from(products, &HashSet::new(), |_| false)
+}
+
+/// [`mask_schedule`] continuing earlier schedules: a secret in `open` was
+/// opened by an earlier product and is still open, so its uses here only
+/// read that opening; a secret `stays_open` names is not closed at its
+/// last use here (a served model's weight, open until the weights change).
+pub fn mask_schedule_from(
+    products: &[(TripleSpec, Option<[Operand; 2]>)],
+    open: &HashSet<Secret>,
+    stays_open: impl Fn(Secret) -> bool,
+) -> Vec<Deal> {
     let uses = |secret: Secret| {
         products
             .iter()
@@ -354,11 +371,13 @@ pub fn mask_schedule(products: &[(TripleSpec, Option<[Operand; 2]>)]) -> Vec<Dea
             Some(operands) => {
                 let first = |j: usize| {
                     let s = operands[j].secret;
-                    uses(s).next() == Some(i) && (j == 0 || operands[0].secret != s)
+                    let first_use = uses(s).next() == Some(i);
+                    first_use && (j == 0 || operands[0].secret != s) && !open.contains(&s)
                 };
                 let last = |j: usize| {
                     let s = operands[j].secret;
-                    uses(s).next_back() == Some(i) && (j == 1 || operands[1].secret != s)
+                    let last_use = uses(s).next_back() == Some(i);
+                    last_use && (j == 1 || operands[1].secret != s) && !stays_open(s)
                 };
                 Deal::Masked(MaskedProduct {
                     spec,
@@ -369,6 +388,31 @@ pub fn mask_schedule(products: &[(TripleSpec, Option<[Operand; 2]>)]) -> Vec<Dea
             }
         })
         .collect()
+}
+
+/// Follows `deals` from the secrets `open` before them: each product adds
+/// the secrets it opens and then removes those it closes. A product that
+/// reads a secret not open at that point is an error naming it — no
+/// dealer can deal that schedule — and leaves `open` part-way.
+pub fn follow_openings(open: &mut HashSet<Secret>, deals: &[Deal]) -> Result<(), String> {
+    for (i, deal) in deals.iter().enumerate() {
+        let Deal::Masked(p) = deal else { continue };
+        for (op, opens) in p.operands.iter().zip(p.opens) {
+            if opens {
+                open.insert(op.secret);
+            } else if !open.contains(&op.secret) {
+                return Err(format!(
+                    "product {i} of the batch reads {:?}, which no product opened \
+                     (or one closed): {deal:?}",
+                    op.secret
+                ));
+            }
+        }
+        for (op, _) in p.operands.iter().zip(p.closes).filter(|(_, closes)| *closes) {
+            open.remove(&op.secret);
+        }
+    }
+    Ok(())
 }
 
 /// One server's part of a dealt product: its shares of the masks the
@@ -682,6 +726,50 @@ mod tests {
         let square = mask_schedule(&[(TripleSpec::Gemm { m: 3, k: 3, n: 3 }, Some([a, t]))]);
         let Deal::Masked(p) = square[0] else { panic!("masked") };
         assert_eq!((p.opens, p.closes), ([true, false], [false, true]));
+    }
+
+    /// A served forward pass: `x * W`, with `W` open before it or not.
+    fn served(open: &HashSet<Secret>) -> Vec<Deal> {
+        let (x, w) = (Secret::Act { layer: 0, step: 0 }, Secret::Weight { layer: 0, which: 0 });
+        let spec = TripleSpec::Gemm { m: 1, k: 4, n: 2 };
+        let products = [(spec, Some([op(x, false), op(w, false)]))];
+        mask_schedule_from(&products, open, |s| matches!(s, Secret::Weight { .. }))
+    }
+
+    #[test]
+    fn a_weight_that_stays_open_is_opened_once_across_schedules() {
+        let mut open = HashSet::new();
+        let first = served(&open);
+        let Deal::Masked(p) = first[0] else { panic!("masked") };
+        assert_eq!((p.opens, p.closes), ([true, true], [true, false]));
+        follow_openings(&mut open, &first).unwrap();
+        assert_eq!(open, HashSet::from([Secret::Weight { layer: 0, which: 0 }]));
+        let later = served(&open);
+        let Deal::Masked(p) = later[0] else { panic!("masked") };
+        assert_eq!((p.opens, p.closes), ([true, false], [true, false]));
+        // Each later pass leaves the weight open and the input closed.
+        for _ in 0..2 {
+            follow_openings(&mut open, &later).unwrap();
+            assert_eq!(open.len(), 1);
+        }
+        // Without the earlier opening, a later pass reads what nothing opened.
+        let err = follow_openings(&mut HashSet::new(), &later).unwrap_err();
+        assert!(err.contains("Weight"), "{err}");
+        // The first pass deals the single-use triple; a later one reads
+        // the kept mask of `W`.
+        let mut dealer = Dealer::<Fixed64>::new();
+        let dealt = dealer.deal(&first[0], 3, 0, gemm_blocked).into_triple().unwrap();
+        let want = gen_triple_streamed::<Fixed64>(first[0].spec(), 3, 0, gemm_blocked);
+        assert_eq!(dealt.share(Party::P0), want.share(Party::P0));
+        let next = dealer.deal(&later[0], 3, 1, gemm_blocked);
+        let open_u = |d: &Dealt<Fixed64>| {
+            let [s0, s1] = [Party::P0, Party::P1].map(|p| d.share(p).masks[0].clone().unwrap());
+            s0.add(&s1)
+        };
+        let z = next.share(Party::P0).z.add(&next.share(Party::P1).z);
+        let (_, v, _) = dealt.reconstruct();
+        assert!(next.share(Party::P0).masks[1].is_none());
+        assert_eq!(z, gemm_blocked(&open_u(&next), &v), "Z = U_x * M_W of the first pass");
     }
 
     #[test]

@@ -24,11 +24,12 @@ cargo test -q --offline --workspace
 # other product from 48M. The pool is sized from PSML_WORKERS at first use,
 # so run the kernel crates under both shapes whatever this host's cores.
 # The dealer's `Z` products run on the same pool: prefetch and inline
-# dealing, and the schedule-derived traffic, must hold under both shapes.
+# dealing, the schedule-derived traffic, and served windows that read a
+# weight opened by an earlier window must hold under both shapes.
 for workers in 1 3; do
     PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
     PSML_WORKERS="$workers" cargo test -q --release --offline \
-        --test prefetch_pipeline --test protocol_invariants
+        --test prefetch_pipeline --test protocol_invariants --test serve_identity
 done
 # `-D warnings` now comes from [workspace.lints] in Cargo.toml, so plain
 # builds and clippy runs enforce the same bar as CI. --workspace lints the

@@ -35,7 +35,8 @@ use parsecureml::observe::traced;
 use parsecureml::prelude::*;
 use parsecureml::{chrome_trace_json, fnv64, weights_digest};
 use psml_mpc::{
-    gen_triple_streamed, secure_hadamard, secure_matmul_with, Deal, Dealer, EvalStrategy,
+    follow_openings, gen_triple_streamed, secure_hadamard, secure_matmul_with, Deal, Dealer,
+    EvalStrategy,
 };
 use psml_net::codec::{
     crc32, decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
@@ -44,6 +45,7 @@ use psml_net::codec::{
 use psml_net::Payload;
 use psml_parallel::Mt19937;
 use psml_tensor::{ConvShape, Csr, Num};
+use std::collections::HashSet;
 
 const REPORTS_GOLDEN: &str = "tests/golden/default_run_reports.txt";
 const DIGEST_GOLDEN: &str = "tests/golden/train_mlp_synthetic_seed42_digest.txt";
@@ -321,9 +323,10 @@ fn beaver_triples_are_unchanged() {
     check_golden(TRIPLES_GOLDEN, &out, "Beaver triple bits");
 }
 
-/// The dealer over a tiny two-layer step's mask schedule (Dense 3->4 ReLU,
-/// Dense 4->2, batch 2), master 42: per product, the secrets it reads and
-/// each server's shares of the masks it opens and of `Z`.
+/// The dealer over a tiny two-layer model (Dense 3->4 ReLU, Dense 4->2),
+/// master 42: a step's mask schedule at batch 2, then, on a fresh dealer,
+/// three served requests at batch 1 — the first opens the weights and
+/// leaves them open, the later two read them.
 fn mask_schedule_lines() -> String {
     let spec = ModelSpec {
         kind: ModelKind::Mlp,
@@ -334,10 +337,24 @@ fn mask_schedule_lines() -> String {
         loss: Loss::Mse,
         outputs: 2,
     };
+    let mut open = HashSet::new();
+    let served: Vec<Deal> = (0..3)
+        .flat_map(|_| {
+            let pass = spec.forward_deals(1, &open);
+            follow_openings(&mut open, &pass).unwrap();
+            pass
+        })
+        .collect();
+    dealer_lines("masked", &spec.step_deals(2)) + &dealer_lines("served", &served)
+}
+
+/// Per product of `deals`, dealt in order from seq 0: the secrets it
+/// reads and each server's shares of the masks it opens and of `Z`.
+fn dealer_lines(tag: &str, deals: &[Deal]) -> String {
     let mut dealer = Dealer::<Fixed64>::new();
     let mut out = String::new();
-    for (seq, deal) in spec.step_deals(2).iter().enumerate() {
-        let Deal::Masked(p) = deal else { panic!("an MLP step has no single-use triple") };
+    for (seq, deal) in deals.iter().enumerate() {
+        let Deal::Masked(p) = deal else { panic!("an MLP has no single-use triple") };
         let reads = p.operands.map(|o| {
             let t = if o.transposed { "^T" } else { "" };
             format!("{:?}{t}", o.secret)
@@ -346,7 +363,7 @@ fn mask_schedule_lines() -> String {
         let dealt = dealer.deal(deal, 42, seq as u64, psml_tensor::gemm_blocked);
         for party in Party::BOTH {
             let share = dealt.share(party);
-            let label = |name: &str| format!("masked seq{seq} {spec:?} [{reads}] {party:?}.{name}");
+            let label = |name: &str| format!("{tag} seq{seq} {spec:?} [{reads}] {party:?}.{name}");
             for (j, mask) in share.masks.iter().enumerate() {
                 if let Some(m) = mask {
                     out += &bits_line(&label(&format!("m{j}")), m, |x| x.0);

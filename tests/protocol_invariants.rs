@@ -246,13 +246,18 @@ fn transfer(elems: usize) -> usize {
     FRAME_HEADER_BYTES + dense_payload_bytes::<Fixed64>(elems, 1)
 }
 
-/// One dense-model training step on `batch` samples, derived from its
-/// schedule `deals` alone: `(opened ring elements, wire bytes)`. Per
-/// secret a product opens, one dealt mask share and one exchanged half per
-/// server; per product, one `Z` share per server; plus the inputs and
-/// targets the client shares, each hidden layer's activation exchange and
-/// the reveal of the prediction.
-fn derived_step_traffic(spec: &ModelSpec, deals: &[Deal], batch: usize) -> (usize, usize) {
+/// A dense model's traffic on `batch` samples, derived from its schedule
+/// `deals` alone: `(opened ring elements, wire bytes)`. Per secret a
+/// product opens, one dealt mask share and one exchanged half per server;
+/// per product, one `Z` share per server; plus each hidden layer's
+/// activation exchange, and per entry of `client_io` a `batch`-row matrix
+/// of that many columns the client shares or is revealed.
+fn derived_traffic(
+    spec: &ModelSpec,
+    deals: &[Deal],
+    batch: usize,
+    client_io: &[usize],
+) -> (usize, usize) {
     let (mut opened, mut bytes) = (0, 0);
     for deal in deals {
         let s = deal.spec();
@@ -274,8 +279,13 @@ fn derived_step_traffic(spec: &ModelSpec, deals: &[Deal], batch: usize) -> (usiz
             _ => panic!("a dense model only"),
         }
     }
-    let io = [spec.input_features(), spec.outputs, spec.outputs];
-    (opened, bytes + io.iter().map(|&cols| 2 * transfer(batch * cols)).sum::<usize>())
+    (opened, bytes + client_io.iter().map(|&cols| 2 * transfer(batch * cols)).sum::<usize>())
+}
+
+/// One training step ([`derived_traffic`]): the client shares the inputs
+/// and targets and is revealed the prediction.
+fn derived_step_traffic(spec: &ModelSpec, deals: &[Deal], batch: usize) -> (usize, usize) {
+    derived_traffic(spec, deals, batch, &[spec.input_features(), spec.outputs, spec.outputs])
 }
 
 fn one_hot(rows: usize, cols: usize) -> PlainMatrix {
@@ -308,23 +318,26 @@ fn the_benchmark_step_opens_each_secret_once() {
     assert_eq!(derived_step_traffic(&spec, &single_use, 128), (1_306_368, 56_033_482));
 }
 
-/// The dense payloads a tap on one node saw: sender, shape, ring words.
-type Seen = Arc<Mutex<Vec<(NodeId, (usize, usize), Vec<u64>)>>>;
+/// What a tap on one node saw, frame by frame: the sender, the frame's
+/// wire bytes, and a dense payload's shape and ring words (`None` for any
+/// other payload).
+type Seen = Arc<Mutex<Vec<(NodeId, usize, Option<((usize, usize), Vec<u64>)>)>>>;
 
 fn tap(seen: &Seen) -> ReceiveTap<Fixed64> {
     let seen = Arc::clone(seen);
     Box::new(move |p: &Packet<Fixed64>| {
-        if let Payload::Dense(m) = &p.payload {
-            let words = m.as_slice().iter().map(|x| x.0).collect();
-            seen.lock().unwrap().push((p.from, m.shape(), words));
-        }
+        let dense = match &p.payload {
+            Payload::Dense(m) => Some((m.shape(), m.as_slice().iter().map(|x| x.0).collect())),
+            _ => None,
+        };
+        seen.lock().unwrap().push((p.from, p.wire_bytes, dense));
     })
 }
 
-/// What `seen` received from `from`, in order.
+/// The dense payloads `seen` received from `from`, in order.
 fn received(seen: &Seen, from: NodeId) -> Vec<((usize, usize), Vec<u64>)> {
     let seen = seen.lock().unwrap();
-    seen.iter().filter(|(f, ..)| *f == from).map(|(_, s, w)| (*s, w.clone())).collect()
+    seen.iter().filter(|(f, ..)| *f == from).filter_map(|(.., dense)| dense.clone()).collect()
 }
 
 /// Pearson's χ² statistic of the byte histogram of `words` against the
@@ -425,7 +438,8 @@ fn a_backward_product_reads_the_forward_opening_transposed() {
     ctx.schedule_deals(&mask_schedule(&[
         (TripleSpec::Gemm { m: 6, k: 5, n: 4 }, Some(fwd)),
         (TripleSpec::Gemm { m: 5, k: 6, n: 4 }, Some(bwd)),
-    ]));
+    ]))
+    .unwrap();
     ctx.secure_mul(&xs, &ws, fwd, "l0.fwd").unwrap();
     let xt = ctx.transpose_shared(&xs);
     let dw = ctx.secure_mul(&xt, &ds, bwd, "l0.bwd.dw").unwrap();
@@ -451,4 +465,127 @@ fn a_backward_product_reads_the_forward_opening_transposed() {
     let fused = EvalStrategy::Fused;
     let want = finish(Party::P1, &x1, d1, &z1, &e_xt, &f_d, fused, psml_tensor::gemm_naive);
     assert!(dw.part(Party::P1).v == want, "server 1 did not compute on E_x^T");
+}
+
+// ---------------------------------------------------------------------
+// Serving: a loaded model's weights are masked and opened once per load;
+// each later request opens only its input.
+// ---------------------------------------------------------------------
+
+use std::collections::HashSet;
+
+/// One served request ([`derived_traffic`]): the client shares the input
+/// and is revealed the output.
+fn derived_request_traffic(spec: &ModelSpec, deals: &[Deal], batch: usize) -> (usize, usize) {
+    derived_traffic(spec, deals, batch, &[spec.input_features(), spec.outputs])
+}
+
+/// The schedules of the first request after the weights change, which
+/// opens them, and of every later request, which reads them.
+fn first_and_later_requests(spec: &ModelSpec, batch: usize) -> [Vec<Deal>; 2] {
+    let mut open = HashSet::new();
+    let first = spec.forward_deals(batch, &open);
+    psml_mpc::follow_openings(&mut open, &first).unwrap();
+    [first, spec.forward_deals(batch, &open)]
+}
+
+#[test]
+fn served_requests_move_exactly_the_schedule_derived_bytes() {
+    let batch = 2;
+    for kind in [ModelKind::Logistic, ModelKind::Mlp] {
+        let spec = ModelSpec::build(kind, 48, None, 6).unwrap();
+        let deals = first_and_later_requests(&spec, batch);
+        let [first, later] = deals.map(|d| derived_request_traffic(&spec, &d, batch).1);
+        assert!(later < first, "{kind:?}: {later} !< {first}");
+        for cfg in [fresh(), EngineConfig::parsecureml().with_prefetch(true)] {
+            let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec.clone(), SEED).unwrap();
+            let moved: Vec<usize> = (0..3)
+                .map(|i| {
+                    let x = PlainMatrix::from_fn(batch, 48, |r, c| {
+                        ((r * 5 + c + i) % 13) as f64 * 0.1 - 0.6
+                    });
+                    let before = trainer.report().traffic.total_wire_bytes();
+                    trainer.infer_request(&InferRequest::new(x)).unwrap();
+                    trainer.report().traffic.total_wire_bytes() - before
+                })
+                .collect();
+            let prefetch = trainer.context().config().prefetch;
+            assert_eq!(moved, [first, later, later], "{kind:?} prefetch {prefetch}");
+        }
+    }
+}
+
+#[test]
+fn the_benchmark_request_opens_its_weight_once_per_load() {
+    // `serve_fleet_small`: logistic 2048 -> 1 at batch 1.
+    let spec = ModelSpec::for_dataset(ModelKind::Logistic, DatasetKind::Synthetic).unwrap();
+    assert_eq!(spec.input_features(), 2048);
+    let deals = first_and_later_requests(&spec, 1);
+    let [first, later] = deals.map(|d| derived_request_traffic(&spec, &d, 1));
+    assert_eq!(first, (4096, 164_288), "U_x and M_W: the single-use triple");
+    assert_eq!(later, (2048, 98_652), "U_x alone: F_W is the first request's");
+    // Its ledger: 1,024 requests on a fresh trainer.
+    let per_op = (first.1 + 1023 * later.1) as f64 / 1024.0;
+    assert_eq!(format!("{per_op:.1}"), "98716.1");
+}
+
+#[test]
+fn a_server_sees_a_served_weight_opened_once_and_each_input_uniformly_masked() {
+    let spec = ModelSpec::for_dataset(ModelKind::Logistic, DatasetKind::Synthetic).unwrap();
+    let features = spec.input_features();
+    let requests = 4;
+    let view = |inputs: &[PlainMatrix]| {
+        let cfg = ServeConfig::builder().build().unwrap().engine_for_host();
+        let mut trainer = SecureTrainer::<Fixed64>::new(cfg, spec.clone(), SEED).unwrap();
+        let seen = [NodeId::Server0, NodeId::Server1].map(|node| {
+            let seen = Seen::default();
+            trainer.set_receive_tap(node, tap(&seen));
+            seen
+        });
+        for x in inputs {
+            trainer.infer_request(&InferRequest::new(x.clone())).unwrap();
+        }
+        seen
+    };
+    let zeros = vec![PlainMatrix::zeros(1, features); requests];
+    let real: Vec<_> = (0..requests).map(|i| batch(DatasetKind::Synthetic, 1, i, 5).x).collect();
+    let [zero_views, real_views] = [view(&zeros), view(&real)];
+
+    // Frame sizes, count and order do not depend on the inputs.
+    let frames = |seen: &Seen| -> Vec<(NodeId, usize)> {
+        seen.lock().unwrap().iter().map(|(from, bytes, _)| (*from, *bytes)).collect()
+    };
+    for (z, r) in zero_views.iter().zip(&real_views) {
+        assert_eq!(frames(z), frames(r));
+    }
+    for [seen0, seen1] in [zero_views, real_views] {
+        // From its peer, server `i` receives the halves of `E_x` and `F_W`
+        // for the first request, then each request's `E_x` half alone —
+        // each followed by the peer's share of the request's
+        // pre-activation, which the server-side activation exchanges.
+        let (to1, to0) = (received(&seen1, NodeId::Server0), received(&seen0, NodeId::Server1));
+        let mut want = vec![(1, features), (features, 1), (1, 1)];
+        for _ in 1..requests {
+            want.extend([(1, features), (1, 1)]);
+        }
+        for halves in [&to1, &to0] {
+            assert_eq!(halves.iter().map(|h| h.0).collect::<Vec<_>>(), want);
+        }
+        // Every opening is uniform: `F_W` once, then each `E_x`.
+        let openings = to1.iter().zip(&to0).filter(|(a, _)| a.0 != (1, 1));
+        for (a, b) in openings {
+            let chi2 = byte_chi2(a.1.iter().zip(&b.1).map(|(x, y)| x.wrapping_add(*y)));
+            assert!(chi2 < CHI2_255_MAX, "an opening of {:?} is not uniform: chi2 {chi2}", a.0);
+        }
+        // Each request's input is masked anew: consecutive `E_x` halves
+        // differ by a uniform matrix, not by the difference of the inputs.
+        for halves in [&to1, &to0] {
+            let e_x: Vec<&Vec<u64>> =
+                halves.iter().filter(|h| h.0 == (1, features)).map(|h| &h.1).collect();
+            for pair in e_x.windows(2) {
+                let chi2 = byte_chi2(pair[1].iter().zip(pair[0]).map(|(x, y)| x.wrapping_sub(*y)));
+                assert!(chi2 < CHI2_255_MAX, "consecutive E_x halves correlate: chi2 {chi2}");
+            }
+        }
+    }
 }
