@@ -2,14 +2,15 @@
 //!
 //! Two parts:
 //!
-//! 1. A headline measurement at 256/512/1024 cubed, over both an f32
-//!    carrier and the u64 ring carrier secure training runs on,
-//!    comparing the seed production kernel (`gemm_blocked`) against the
-//!    packed paths. `packed_parallel` is recorded only when the global
-//!    pool has more than one worker (with one it is the same code as
-//!    `packed`). Written to `BENCH_gemm.json` (a `psml.bench.gemm.v1`
-//!    document) at the repository root so the speedups are recorded per
-//!    host.
+//! 1. A headline measurement at 256/512/1024 cubed over the two carriers
+//!    that multiply — the u64 ring carrier secure training runs on and the
+//!    f64 plaintext baseline — comparing the seed production kernel
+//!    (`gemm_blocked`) against the packed paths, plus the CNN's im2col
+//!    product on ring operands. `packed_parallel` is recorded only when
+//!    the global pool has more than one worker (with one it is the same
+//!    code as `packed`). Written to `BENCH_gemm.json` (a
+//!    `psml.bench.gemm.v1` document) at the repository root so the
+//!    speedups are recorded per host.
 //! 2. A u64 shape-class ladder: every ring-product shape class the `e2e`
 //!    workloads run, timed on `packed`, `packed_parallel` and `auto`, and
 //!    as `fused_auto`: the fused Eq. 8 path the engine runs
@@ -31,13 +32,9 @@ use psml_trace::json::{obj, JsonValue};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn mat(n: usize, seed: u64) -> Matrix<f32> {
-    rect(n, n, seed)
-}
-
-fn rect(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
-    Matrix::from_fn(rows, cols, |r, c| {
-        (((r as u64 * 31 + c as u64 * 7) ^ seed) % 17) as f32 - 8.0
+fn mat(n: usize, seed: u64) -> Matrix<f64> {
+    Matrix::from_fn(n, n, |r, c| {
+        (((r as u64 * 31 + c as u64 * 7) ^ seed) % 17) as f64 - 8.0
     })
 }
 
@@ -66,9 +63,10 @@ const SHAPE_CLASSES: [(&str, usize, usize, usize); 8] = [
     ("serve_request", 1, 2048, 1),
 ];
 
-/// The im2col-lowered conv GEMM shape `conv2d_im2col` now routes through
+/// The im2col-lowered conv GEMM shape `conv2d_im2col` routes through
 /// `gemm_auto`: batch 16 of 1x28x28 images, 5x5 kernel, 8 filters —
-/// `(16*576 x 25) x (25 x 8)`, tall-skinny instead of square.
+/// `(16*576 x 25) x (25 x 8)`, tall-skinny instead of square, over ring
+/// operands as the CNN's im2col product runs.
 const CONV_M: usize = 16 * 576;
 const CONV_K: usize = 25;
 const CONV_N: usize = 8;
@@ -298,16 +296,16 @@ fn headline() {
         (&[256, 512, 1024], 8, 250)
     };
     let elements = [
-        element_entry("f32", sizes, reps, gap_ms, &mat),
         element_entry("u64", sizes, reps, gap_ms, &ring),
+        element_entry("f64", sizes, reps, gap_ms, &mat),
     ];
     // Smoke runs the same classes at fewer reps.
     let shape_classes = shape_classes_entry(reps, gap_ms.min(100));
-    // Conv-derived (im2col) shape: tall-skinny, where the packed paths'
-    // register tiling pays off without any square-size sweet spot.
-    let ca = rect(CONV_M, CONV_K, 3);
-    let cb = rect(CONV_K, CONV_N, 4);
-    let mut conv_kernels: [NamedKernel<f32>; 2] = [
+    // Conv-derived (im2col) shape: tall-skinny with eight output columns,
+    // a shape no square size stands for.
+    let ca = ring_rect(CONV_M, CONV_K, 3);
+    let cb = ring_rect(CONV_K, CONV_N, 4);
+    let mut conv_kernels: [NamedKernel<u64>; 2] = [
         ("blocked", Box::new(|| gemm_blocked(&ca, &cb))),
         ("auto", Box::new(|| gemm_auto(&ca, &cb))),
     ];

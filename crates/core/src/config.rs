@@ -228,12 +228,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this config with the prefetch backpressure depth set.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
     /// Returns this config with the given fault-injection plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
@@ -428,7 +422,8 @@ mod tests {
         ));
 
         // Depth zero would deadlock the pipeline.
-        let bad = cfg.clone().with_prefetch_depth(0);
+        let mut bad = cfg.clone();
+        bad.prefetch_depth = 0;
         assert!(matches!(
             bad.validate().unwrap_err(),
             ConfigError::Prefetch(_)

@@ -127,8 +127,8 @@ proptest! {
     }
 }
 
-/// `m·k·n` from which `pack_b_auto` packs a ring operand into panels (the
-/// blocked kernel's floor in `gemm_auto`).
+/// `m·k·n` from which `pack_b_auto` packs an operand into panels (the
+/// blocked kernel's floor, on every carrier).
 const PACK_FLOOR: usize = 32 * 32 * 32;
 
 /// The fused sum `L x F (+ E x B)` through `pack_b_auto`, `pack_matching`
@@ -360,8 +360,8 @@ proptest! {
 
     /// The fused Eq. 8 sum is exact in both forms over both ring carriers:
     /// `m` or `n` in {0, 1}, `n` under `NR`, `k` in {0, 1} or `m·k·n` just
-    /// under, at and just over the packing floor, one term and two. f32
-    /// operands take panels at every one of these shapes.
+    /// under, at and just over the packing floor, one term and two. A
+    /// float operand takes the form the same floor gives a ring one.
     #[test]
     fn fused_sum_is_exact_on_both_sides_of_the_packing_floor(
         m in prop::sample::select(vec![0usize, 1, 2, 7, 8, 9, 17]),
@@ -376,8 +376,9 @@ proptest! {
         };
         prop_assert_eq!(fused_sum_agrees::<u64>((m, k, n), two_terms, seed), Ok(()));
         prop_assert_eq!(fused_sum_agrees::<Fixed64>((m, k, n), two_terms, seed), Ok(()));
-        let f = Matrix::<f32>::zeros(k, n);
+        let f = Matrix::<f64>::zeros(k, n);
         let f_auto = pack_b_auto(&f, m);
-        prop_assert!(f_auto.is_packed() && f_auto.pack_matching(&f).is_packed());
+        prop_assert_eq!(f_auto.is_packed(), m * k * n >= PACK_FLOOR);
+        prop_assert_eq!(f_auto.pack_matching(&f).is_packed(), f_auto.is_packed());
     }
 }

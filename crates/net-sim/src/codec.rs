@@ -64,6 +64,12 @@ pub enum CodecError {
     /// Sparse payload of the right length whose CSR arrays are
     /// structurally inconsistent; carries the violated invariant.
     BadSparse(&'static str),
+    /// Bytes follow a complete payload. No sender emits them (a frame's
+    /// length is the payload's), so the message is malformed.
+    TrailingBytes {
+        /// How many bytes follow the payload.
+        extra: usize,
+    },
     /// Frame did not start with [`FRAME_MAGIC`]. `seq` is the (possibly
     /// itself corrupted) sequence number read from the header.
     BadMagic {
@@ -91,6 +97,9 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown payload tag {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "control payload is not UTF-8"),
             CodecError::BadSparse(why) => write!(f, "malformed sparse payload: {why}"),
+            CodecError::TrailingBytes { extra } => {
+                write!(f, "payload followed by {extra} stray byte(s)")
+            }
             CodecError::BadMagic { seq } => {
                 write!(f, "frame {seq} does not start with PSML magic")
             }
@@ -290,9 +299,20 @@ pub fn encode<R: Num>(payload: &Payload<R>) -> Vec<u8> {
     buf
 }
 
-/// Deserializes wire bytes back into a payload.
+/// Deserializes wire bytes back into a payload. The bytes must hold
+/// exactly one payload: a shorter buffer is [`CodecError::Truncated`], a
+/// longer one [`CodecError::TrailingBytes`].
 pub fn decode<R: Num>(buf: impl AsRef<[u8]>) -> Result<Payload<R>, CodecError> {
     let mut r = Reader { buf: buf.as_ref() };
+    let payload = decode_one(&mut r)?;
+    match r.remaining() {
+        0 => Ok(payload),
+        extra => Err(CodecError::TrailingBytes { extra }),
+    }
+}
+
+/// Reads one payload from the front of `r`.
+fn decode_one<R: Num>(r: &mut Reader<'_>) -> Result<Payload<R>, CodecError> {
     let tag = r.get_u8()?;
     match tag {
         TAG_DENSE => {
@@ -604,6 +624,39 @@ mod tests {
         // A damaged rows/nnz field changes the declared length instead.
         assert_eq!(with_u32(0, u32::MAX).unwrap_err(), CodecError::Truncated);
         assert_eq!(with_u32(2, u32::MAX).unwrap_err(), CodecError::Truncated);
+    }
+
+    /// `payload`'s encoding with `extra` stray bytes appended.
+    fn with_stray_bytes<R: Num>(payload: &Payload<R>, extra: usize) -> Vec<u8> {
+        let mut bytes = encode(payload);
+        bytes.extend(std::iter::repeat_n(0xA5, extra));
+        bytes
+    }
+
+    #[test]
+    fn stray_bytes_after_a_dense_payload_are_rejected() {
+        let dense = Payload::Dense(Matrix::from_fn(2, 2, |r, c| (r + c) as u64));
+        let bytes = with_stray_bytes(&dense, 3);
+        assert_eq!(
+            decode::<u64>(bytes).unwrap_err(),
+            CodecError::TrailingBytes { extra: 3 }
+        );
+    }
+
+    #[test]
+    fn stray_bytes_after_a_sparse_payload_are_rejected() {
+        assert_eq!(
+            decode::<u64>(with_stray_bytes(&sparse(), 8)).unwrap_err(),
+            CodecError::TrailingBytes { extra: 8 }
+        );
+    }
+
+    #[test]
+    fn stray_bytes_after_a_control_payload_are_rejected() {
+        let bytes = with_stray_bytes(&Payload::<u64>::Control("ok".into()), 1);
+        let err = decode::<u64>(bytes).unwrap_err();
+        assert_eq!(err, CodecError::TrailingBytes { extra: 1 });
+        assert_eq!(err.to_string(), "payload followed by 1 stray byte(s)");
     }
 
     #[test]

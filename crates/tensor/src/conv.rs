@@ -174,15 +174,15 @@ mod tests {
         }
     }
 
-    fn input(s: &ConvShape) -> Matrix<f32> {
+    fn input(s: &ConvShape) -> Matrix<f64> {
         Matrix::from_fn(s.channels, s.height * s.width, |r, c| {
-            ((r * 131 + c * 7) % 23) as f32 - 11.0
+            ((r * 131 + c * 7) % 23) as f64 - 11.0
         })
     }
 
-    fn kernels(s: &ConvShape) -> Matrix<f32> {
+    fn kernels(s: &ConvShape) -> Matrix<f64> {
         Matrix::from_fn(s.patch_len(), s.filters, |r, c| {
-            ((r * 17 + c * 29) % 13) as f32 - 6.0
+            ((r * 17 + c * 29) % 13) as f64 - 6.0
         })
     }
 
@@ -204,7 +204,7 @@ mod tests {
             kernel: 2,
             filters: 1,
         };
-        let inp = Matrix::from_vec(1, 9, (0..9).map(|x| x as f32).collect());
+        let inp = Matrix::from_vec(1, 9, (0..9).map(|x| x as f64).collect());
         let patches = im2col(&inp, &s);
         assert_eq!(patches.shape(), (4, 4));
         // Top-left patch: [0 1; 3 4] flattened row-major.
@@ -218,7 +218,7 @@ mod tests {
         let s = shape();
         let inp = input(&s);
         let block = s.patches() * s.patch_len();
-        let mut out = vec![-1.0f32; 3 * block];
+        let mut out = vec![-1.0f64; 3 * block];
         im2col_rows(inp.as_slice(), &s, &mut out[block..2 * block]);
         assert_eq!(&out[block..2 * block], im2col(&inp, &s).as_slice());
         let outside = out[..block].iter().chain(&out[2 * block..]);
@@ -246,7 +246,7 @@ mod tests {
             filters: 1,
         };
         let inp = Matrix::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]);
-        let ker = Matrix::from_vec(2, 1, vec![1.0f32, 1.0]);
+        let ker = Matrix::from_vec(2, 1, vec![1.0f64, 1.0]);
         let out = conv2d_im2col(&inp, &ker, &s);
         assert_eq!(out.as_slice(), &[11.0, 22.0, 33.0, 44.0]);
     }
@@ -292,7 +292,7 @@ mod tests {
             kernel: 3,
             filters: 1,
         };
-        let inp = Matrix::<f32>::zeros(1, 4);
+        let inp = Matrix::<f64>::zeros(1, 4);
         let _ = im2col(&inp, &s);
     }
 }

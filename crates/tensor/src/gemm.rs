@@ -11,31 +11,27 @@
 //!   large-matrix serial kernel. Ring carriers run it as explicit
 //!   AVX-512F+DQ code (`vpmullq`) where the CPU has it, and as the
 //!   autovectorized AVX2 or scalar build of the generic kernel elsewhere;
-//!   f32 always runs the generic kernel;
+//!   floats always run the generic kernel;
 //! - [`gemm_packed_parallel`]: [`gemm_packed`] split over output row bands
 //!   on the persistent process-global thread pool;
-//! - [`gemm_auto`]: the production dispatcher — picks one of the above by
-//!   problem size, mirroring the paper's profiling-guided adaptive
-//!   placement. With the AVX-512 ring kernel live, ring products band over
-//!   the pool from 2^22 `m·k·n` (and two row tiles), against 48M for
-//!   everything else. `Matrix::matmul`, triple generation, the fused Eq. 8
-//!   evaluation and the gpu-sim functional kernel all route through it.
-//!   The rule is one pure function of the shape, the worker count and the
-//!   AVX-512 probe (`auto_tier`), table-tested per workload shape class.
-//!
-//! [`gemm_packed_sum_auto`] evaluates `sum_t A_t x B_t` against right-hand
-//! sides prepared by [`pack_b_auto`], without materializing
-//! concatenations; the fused Eq. 8 product `[((-i)E + Ai) | E] x [F ; Bi]`
-//! uses it so both servers share one prepared `F`. It keeps
-//! [`gemm_auto`]'s floors: a ring product under [`AUTO_PACK_FLOPS`] is
-//! left unpacked and runs the blocked kernel, and the register-tiled form
-//! bands over the pool from the same floor as [`gemm_auto`].
+//! - [`gemm_packed_sum_auto`]: the production path — `sum_t A_t x B_t`
+//!   against right-hand sides prepared by [`pack_b_auto`], without
+//!   materializing concatenations. The fused Eq. 8 product
+//!   `[((-i)E + Ai) | E] x [F ; Bi]` uses it so both servers share one
+//!   prepared `F`, and [`gemm_auto`] is its one-term case. Mirroring the
+//!   paper's profiling-guided adaptive placement, two floors pick the
+//!   kernel: a product under [`AUTO_PACK_FLOPS`] is left unpacked and runs
+//!   the blocked kernel, and the register-tiled form bands over the pool
+//!   from [`bands_over_pool`]'s floor (2^22 `m·k·n` and two row tiles for
+//!   ring products with the AVX-512 ring kernel live, 48M for everything
+//!   else). `Matrix::matmul`, triple generation and the fused Eq. 8
+//!   evaluation all route through it.
 //!
 //! All kernels are exact (bit-identical) over `u64`/`Fixed64`: wrapping ring
 //! arithmetic is associative and commutative, so packing and tiling cannot
-//! change results. Over `f32` the summation *order* differs between kernels,
-//! so results agree only to rounding (~1e-3 relative for the sizes used
-//! here).
+//! change results. Over floats the summation *order* differs between
+//! kernels, so results agree only to rounding (exactly, on small-integer
+//! data).
 
 use crate::caps::host_caps;
 use crate::matrix::Matrix;
@@ -43,8 +39,8 @@ use crate::num::Num;
 use psml_parallel::{configured_workers, for_each_chunk_mut_pooled};
 use std::sync::OnceLock;
 
-/// Cache tile edge (elements) for [`gemm_blocked`]. 64 puts a 64x64 f32
-/// tile (16 KiB) well within L1 on common cores.
+/// Cache tile edge (elements) for [`gemm_blocked`]. A 64x64 `u64` tile is
+/// 32 KiB, the L1 data cache of common cores.
 const BLOCK: usize = 64;
 
 /// Register-tile rows of the packed micro-kernel. The full-tile fast
@@ -52,24 +48,23 @@ const BLOCK: usize = 64;
 /// there flags any change here.
 pub const MR: usize = 8;
 
-/// Register-tile columns of the packed micro-kernel. With `f32` one tile
-/// row is a single 512-bit vector (or two 256-bit ones); with `u64` it is
-/// two 512-bit vectors. The `MR x NR` accumulator block stays within the
-/// 32 vector registers of AVX-512 for both carriers.
+/// Register-tile columns of the packed micro-kernel. With `u64` or `f64`
+/// one tile row is two 512-bit vectors (or four 256-bit ones), so the
+/// `MR x NR` accumulator block fills 16 of AVX-512's 32 vector registers.
 pub const NR: usize = 16;
 
-/// `m * k * n` below which [`gemm_auto`] stays on [`gemm_blocked`]
-/// (packing overhead dominates). Calibrated with `cargo bench --bench gemm`
-/// (see `BENCH_gemm.json`): the packed kernel wins from roughly 32^3 up.
+/// `m * k * n` below which [`pack_b_auto`] leaves `B` unpacked for the
+/// blocked kernel (packing overhead dominates), on every carrier.
+/// Calibrated with `cargo bench --bench gemm` (see `BENCH_gemm.json`): the
+/// packed kernel wins from roughly 32^3 up.
 const AUTO_PACK_FLOPS: usize = 32 * 32 * 32;
 
-/// `m * k * n` from which [`gemm_auto`] moves f32 products, and ring
-/// products on hosts without the AVX-512 ring kernel, to the pool-backed
-/// [`gemm_packed_parallel`]. Below this the band bookkeeping and
-/// latch/wake-up round-trip of a parallel region cost more than they
-/// recover: BENCH_gemm.json showed the parallel path 11% *slower* than
-/// serial packed at 256^3 (45.5 vs 51.1 GFLOPS), while 512^3 and up
-/// amortize it, so the cutover sits between those sizes (~363^3).
+/// `m * k * n` from which float products, and ring products on hosts
+/// without the AVX-512 ring kernel, band over the pool. Below this the
+/// band bookkeeping and latch/wake-up round-trip of a parallel region cost
+/// more than they recover: an f32 ledger showed the parallel path 11%
+/// *slower* than serial packed at 256^3 (45.5 vs 51.1 GFLOPS), while 512^3
+/// and up amortize it, so the cutover sits between those sizes (~363^3).
 const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 
 /// `m * k * n` from which ring products band over the pool when the
@@ -167,7 +162,7 @@ pub(crate) struct PackedB<T: Num> {
 /// One `A` row band paired with its packed right-hand side, flattened to
 /// element slices plus scalars.
 ///
-/// The pinned-carrier dispatch in [`packed_band`] reinterprets terms across
+/// The ring dispatch in [`packed_band`] reinterprets terms across
 /// `#[repr(transparent)]` element types, which is only sound element slice
 /// by element slice — `repr(Rust)` gives no layout guarantee between
 /// different monomorphizations of a struct like [`PackedB`], so the kernels
@@ -202,9 +197,8 @@ impl<'a, T: Num> BandTerm<'a, T> {
 /// # Safety
 ///
 /// `Src` and `Dst` must have identical size, alignment, and validity (true
-/// at both call sites: either the types are literally equal, checked by
-/// `TypeId`, or `Src` is `#[repr(transparent)]` over `Dst = u64` per the
-/// `unsafe` [`Num`] contract behind [`Num::WRAPPING_U64`]).
+/// at the one call site: `Src` is `#[repr(transparent)]` over `Dst = u64`
+/// per the `unsafe` [`Num`] contract behind [`Num::WRAPPING_U64`]).
 unsafe fn cast_slice<Src, Dst>(s: &[Src]) -> &[Dst] {
     debug_assert_eq!(std::mem::size_of::<Src>(), std::mem::size_of::<Dst>());
     debug_assert_eq!(std::mem::align_of::<Src>(), std::mem::align_of::<Dst>());
@@ -274,7 +268,7 @@ pub(crate) fn pack_b<T: Num>(b: &Matrix<T>) -> PackedB<T> {
 /// `a_rows` selects how many of the `MR` accumulator rows are live. The
 /// accumulators are scalar locals over const bounds, so LLVM fully unrolls
 /// the `NR`-wide inner loop into vector ops (the strided `A` loads become
-/// lane broadcasts) for `f32` and `u64` alike. `FMA` selects
+/// lane broadcasts) for floats and `u64` alike. `FMA` selects
 /// `Num::mul_add` — only set it from code compiled with hardware fused
 /// multiply-add, or the float path falls through to libm.
 #[inline(always)]
@@ -380,7 +374,7 @@ fn packed_band_impl<T: Num, const FMA: bool>(
 }
 
 /// AVX-512 instantiation of the band kernel: 512-bit lanes plus hardware
-/// FMA. It runs f32 products; ring products on the same CPUs take
+/// FMA. It runs float products; ring products on the same CPUs take
 /// [`packed_band_ring_avx512`] instead.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,fma")]
@@ -585,20 +579,13 @@ impl RingTile<'_, '_, '_> {
     }
 }
 
-/// Monomorphic pinned copy of the f32 kernel. Generic monomorphizations
-/// are re-emitted by every downstream crate, and their optimization
-/// quality varies with that crate's codegen-unit layout — binaries were
-/// observed running the same source at half speed. Routing the two hot
-/// carriers through concrete functions compiled *here* gives every
-/// binary the same vetted codegen.
-#[inline(never)]
-fn packed_band_f32(terms: &[BandTerm<f32>], band_rows: usize, n: usize, out_band: &mut [f32]) {
-    packed_band_dispatch(terms, band_rows, n, out_band);
-}
-
-/// Monomorphic pinned copy of the `Z_{2^64}` kernel; see
-/// [`packed_band_f32`]. Hosts with AVX-512F+DQ run the explicit
-/// [`packed_band_ring_avx512`]; the others the AVX2 or scalar
+/// Monomorphic pinned copy of the `Z_{2^64}` kernel. Generic
+/// monomorphizations are re-emitted by every downstream crate, and their
+/// optimization quality varies with that crate's codegen-unit layout —
+/// binaries were observed running the same source at half speed. Routing
+/// the ring carriers through a concrete function compiled *here* gives
+/// every binary the same vetted codegen. Hosts with AVX-512F+DQ run the
+/// explicit [`packed_band_ring_avx512`]; the others the AVX2 or scalar
 /// instantiation of the generic kernel.
 #[inline(never)]
 fn packed_band_u64(terms: &[BandTerm<u64>], band_rows: usize, n: usize, out_band: &mut [u64]) {
@@ -610,20 +597,9 @@ fn packed_band_u64(terms: &[BandTerm<u64>], band_rows: usize, n: usize, out_band
     packed_band_dispatch(terms, band_rows, n, out_band);
 }
 
+/// Band kernel for any carrier: ring carriers take the pinned
+/// [`packed_band_u64`], every other carrier [`packed_band_dispatch`].
 fn packed_band<T: Num>(terms: &[BandTerm<T>], band_rows: usize, n: usize, out_band: &mut [T]) {
-    use std::any::TypeId;
-    let t = TypeId::of::<T>();
-    if t == TypeId::of::<f32>() {
-        // SAFETY: T is exactly f32 (checked above); only element slices of
-        // that very type are rebranded, term by term.
-        let (terms, out_band) = unsafe {
-            (
-                cast_terms::<T, f32>(terms),
-                cast_slice_mut::<T, f32>(out_band),
-            )
-        };
-        return packed_band_f32(&terms, band_rows, n, out_band);
-    }
     if T::WRAPPING_U64 {
         // SAFETY: implementing `Num` is unsafe, and `WRAPPING_U64 = true`
         // obliges the implementor to be `#[repr(transparent)]` over `u64`
@@ -645,19 +621,7 @@ fn packed_band<T: Num>(terms: &[BandTerm<T>], band_rows: usize, n: usize, out_ba
 /// Serial register-tiled GEMM: packs `B`, then runs the micro-kernel.
 pub fn gemm_packed<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
-    let packed = pack_b(b);
-    let (m, n) = (a.rows(), packed.n);
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return out;
-    }
-    packed_band(
-        &[BandTerm::new(a.as_slice(), &packed)],
-        m,
-        n,
-        out.as_mut_slice(),
-    );
-    out
+    packed_sum_on(&[(a, &pack_b(b))], false)
 }
 
 /// Register-tiled GEMM over output row bands on the process-global thread
@@ -740,9 +704,8 @@ pub(crate) fn packed_sum_on<T: Num>(
 
 /// A right-hand side prepared for [`gemm_packed_sum_auto`], in one of two
 /// forms picked by [`pack_b_auto`]: the column panels of the
-/// register-tiled kernel, or — for a ring product under
-/// [`AUTO_PACK_FLOPS`], where [`gemm_auto`] runs [`gemm_blocked`] — `B`
-/// itself, borrowed, for the blocked kernel.
+/// register-tiled kernel, or — for a product under [`AUTO_PACK_FLOPS`] —
+/// `B` itself, borrowed, for the blocked kernel.
 ///
 /// Secondary operands of a fused sum are prepared with
 /// [`AutoPackedB::pack_matching`], which takes the form of the operand it
@@ -796,17 +759,14 @@ impl<'b, T: Num> AutoPackedB<'b, T> {
 /// Prepares `b` for [`gemm_packed_sum_auto`] against a left-hand side of
 /// `m_hint` rows.
 ///
-/// `m_hint` picks the form with the floor [`gemm_auto`] applies: a ring
-/// product (`T::WRAPPING_U64`) with `m_hint·k·n <` [`AUTO_PACK_FLOPS`]
-/// keeps `b` unpacked for the blocked kernel, since zero-filling panels
-/// for it costs more than the product (a served `1 x 2048 x 1` request
-/// would pad `b` to a `2048 x 16` panel). Every other product, and every
-/// f32 product, is packed into column panels: f32 results depend on the
-/// kernel's summation order, so they stay on the panels' order at any
-/// size.
+/// `m_hint` picks the form: a product with `m_hint·k·n <`
+/// [`AUTO_PACK_FLOPS`] keeps `b` unpacked for the blocked kernel, since
+/// zero-filling panels for it costs more than the product (a served
+/// `1 x 2048 x 1` request would pad `b` to a `2048 x 16` panel). Every
+/// other product is packed into column panels.
 pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<'_, T> {
     let flops = m_hint.saturating_mul(b.rows()).saturating_mul(b.cols());
-    AutoPackedB(if T::WRAPPING_U64 && flops < AUTO_PACK_FLOPS {
+    AutoPackedB(if flops < AUTO_PACK_FLOPS {
         AutoForm::Unpacked(b)
     } else {
         AutoForm::Panels(pack_b(b))
@@ -815,9 +775,8 @@ pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<'_, T> {
 
 /// `sum_t A_t x B_t` over prepared right-hand sides, accumulated into one
 /// output. Packed terms run [`gemm_packed_sum`] (banding over the pool
-/// from the same floor as [`gemm_auto`]); unpacked terms add onto its
-/// result through the blocked kernel, which is exact since only ring
-/// operands are ever left unpacked.
+/// from the [`bands_over_pool`] floor); unpacked terms add onto its result
+/// through the blocked kernel.
 pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<'_, T>)]) -> Matrix<T> {
     let (m, n) = terms
         .first()
@@ -849,58 +808,27 @@ pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<'_, T>)])
     out
 }
 
-/// The production GEMM: dispatches on problem size, mirroring the paper's
-/// profiling-guided adaptive placement. The tier is [`auto_tier`] of the
-/// product's shape, the configured worker count and the host's AVX-512
-/// probe:
+/// The production GEMM: the one-term [`gemm_packed_sum_auto`], so a plain
+/// product and the fused Eq. 8 sum take their kernel from the same two
+/// floors, mirroring the paper's profiling-guided adaptive placement:
 ///
-/// - tiny products (`m*k*n < `[`AUTO_PACK_FLOPS`]): [`gemm_blocked`] —
-///   packing cannot be amortized and the zero-skip helps sparse operands;
-/// - medium: [`gemm_packed`] — serial register-tiled kernel;
-/// - large (over the [`bands_over_pool`] floor with more than one
-///   configured worker): [`gemm_packed_parallel`] on the persistent pool.
+/// - `m·k·n <` [`AUTO_PACK_FLOPS`]: the blocked kernel — packing cannot be
+///   amortized and the zero-skip helps sparse operands;
+/// - over the [`bands_over_pool`] floor: the register-tiled kernel in row
+///   bands on the persistent pool;
+/// - otherwise the serial register-tiled kernel.
 pub fn gemm_auto<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
-    match host_tier::<T>(a.rows(), a.cols(), b.cols()) {
-        AutoTier::Blocked => gemm_blocked(a, b),
-        AutoTier::Packed => gemm_packed(a, b),
-        AutoTier::Parallel => gemm_packed_parallel(a, b),
-    }
-}
-
-/// Dispatch tier [`gemm_auto`] would pick for an `m x k x n` product.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AutoTier {
-    Blocked,
-    Packed,
-    Parallel,
-}
-
-/// The dispatch rule, as a pure function of the product's shape, the
-/// carrier `T`, the pool's configured `workers` and whether ring products
-/// run the explicit AVX-512 kernel (`avx512_ring`):
-///
-/// - `m·k·n <` [`AUTO_PACK_FLOPS`]: `Blocked`;
-/// - over the [`bands_over_pool`] floor: `Parallel`;
-/// - otherwise `Packed`.
-fn auto_tier<T: Num>(m: usize, k: usize, n: usize, workers: usize, avx512_ring: bool) -> AutoTier {
-    let flops = m.saturating_mul(k).saturating_mul(n);
-    if flops < AUTO_PACK_FLOPS {
-        AutoTier::Blocked
-    } else if bands_over_pool::<T>(m, flops, workers, avx512_ring) {
-        AutoTier::Parallel
-    } else {
-        AutoTier::Packed
-    }
+    gemm_packed_sum_auto(&[(a, &pack_b_auto(b, a.rows()))])
 }
 
 /// Whether a register-tiled product of `m` output rows and `flops`
-/// multiply-adds bands over a pool of `workers`: the one floor both
-/// [`auto_tier`]'s `Packed`/`Parallel` split and [`gemm_packed_sum`]'s
-/// serial-or-pool branch read, so `gemm_auto` and the fused Eq. 8 path
-/// band the same products. With `avx512_ring` (the explicit ring kernel
-/// is live) ring products band from [`RING_PARALLEL_FLOPS`] and at least
-/// two row tiles; every other product from [`AUTO_PARALLEL_FLOPS`].
+/// multiply-adds bands over a pool of `workers`: the floor
+/// [`gemm_packed_sum`]'s serial-or-pool branch reads, so `gemm_auto` and
+/// the fused Eq. 8 path band the same products. With `avx512_ring` (the
+/// explicit ring kernel is live) ring products band from
+/// [`RING_PARALLEL_FLOPS`] and at least two row tiles; every other product
+/// from [`AUTO_PARALLEL_FLOPS`].
 fn bands_over_pool<T: Num>(m: usize, flops: usize, workers: usize, avx512_ring: bool) -> bool {
     if workers < 2 {
         false
@@ -920,23 +848,19 @@ fn host_workers() -> usize {
     *WORKERS.get_or_init(configured_workers)
 }
 
-/// [`auto_tier`] with this process's worker count and AVX-512 probe — the
-/// tier [`gemm_auto`] uses.
-fn host_tier<T: Num>(m: usize, k: usize, n: usize) -> AutoTier {
-    auto_tier::<T>(m, k, n, host_workers(), host_caps().avx512_ring)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fmat(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
+    /// Small-integer floats: every product and partial sum below is exact
+    /// in `f64`, so each kernel's summation order gives the same bits.
+    fn fmat(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(rows, cols, |r, c| {
             let x = (r as u64)
                 .wrapping_mul(31)
                 .wrapping_add(c as u64)
                 .wrapping_mul(seed | 1);
-            ((x % 17) as f32) - 8.0
+            ((x % 17) as f64) - 8.0
         })
     }
 
@@ -958,7 +882,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_f32() {
+    fn blocked_matches_naive_f64() {
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 4, 5),
@@ -968,12 +892,7 @@ mod tests {
         ] {
             let a = fmat(m, k, 7);
             let b = fmat(k, n, 11);
-            let naive = gemm_naive(&a, &b);
-            let blocked = gemm_blocked(&a, &b);
-            assert!(
-                naive.max_abs_diff(&blocked) < 1e-3,
-                "mismatch at {m}x{k}x{n}"
-            );
+            assert_eq!(gemm_blocked(&a, &b), gemm_naive(&a, &b), "{m}x{k}x{n}");
         }
     }
 
@@ -1016,7 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_naive_f32() {
+    fn packed_matches_naive_f64() {
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 4, 5),
@@ -1027,14 +946,8 @@ mod tests {
             let a = fmat(m, k, 7);
             let b = fmat(k, n, 11);
             let naive = gemm_naive(&a, &b);
-            assert!(
-                naive.max_abs_diff(&gemm_packed(&a, &b)) < 1e-3,
-                "packed mismatch at {m}x{k}x{n}"
-            );
-            assert!(
-                naive.max_abs_diff(&gemm_auto(&a, &b)) < 1e-3,
-                "auto mismatch at {m}x{k}x{n}"
-            );
+            assert_eq!(gemm_packed(&a, &b), naive, "packed {m}x{k}x{n}");
+            assert_eq!(gemm_auto(&a, &b), naive, "auto {m}x{k}x{n}");
         }
     }
 
@@ -1047,6 +960,7 @@ mod tests {
         let a = Matrix::<u64>::zeros(4, 0);
         let b = Matrix::<u64>::zeros(0, 3);
         assert_eq!(gemm_packed(&a, &b), Matrix::zeros(4, 3));
+        assert_eq!(gemm_auto(&a, &b), Matrix::zeros(4, 3));
         let a = Matrix::<u64>::zeros(4, 5);
         let b = Matrix::<u64>::zeros(5, 0);
         assert_eq!(gemm_packed(&a, &b).shape(), (4, 0));
@@ -1078,8 +992,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_covers_all_tiers() {
-        // One shape per dispatch tier; all must agree with the oracle.
+    fn auto_dispatch_covers_every_kernel() {
+        // One shape per kernel the rule picks; all must agree with the
+        // oracle.
         for &(m, k, n) in &[(8, 8, 8), (48, 48, 48), (160, 160, 160)] {
             let a = umat(m, k, 3);
             let b = umat(k, n, 7);
@@ -1102,9 +1017,13 @@ mod tests {
 
     #[test]
     fn empty_dimension_yields_zeros() {
-        let a = Matrix::<f32>::zeros(0, 5);
-        let b = Matrix::<f32>::zeros(5, 3);
+        let a = Matrix::<f64>::zeros(0, 5);
+        let b = Matrix::<f64>::zeros(5, 3);
         assert_eq!(gemm_blocked(&a, &b).shape(), (0, 3));
+        assert_eq!(gemm_auto(&a, &b).shape(), (0, 3));
+        let a = Matrix::<f64>::zeros(4, 0);
+        let b = Matrix::<f64>::zeros(0, 3);
+        assert_eq!(gemm_auto(&a, &b), Matrix::zeros(4, 3));
     }
 
     #[test]
@@ -1117,6 +1036,12 @@ mod tests {
     #[should_panic(expected = "gemm shape mismatch")]
     fn packed_mismatched_inner_dims_panic() {
         let _ = gemm_packed(&fmat(2, 3, 1), &fmat(4, 2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm shape mismatch")]
+    fn auto_mismatched_inner_dims_panic() {
+        let _ = gemm_auto(&umat(2, 3, 1), &umat(4, 2, 1));
     }
 
     #[test]
@@ -1154,53 +1079,107 @@ mod tests {
         assert_eq!(gemm_packed_sum_auto(&[(&e, &b_auto), (&l, &f_auto)]), expect);
     }
 
-    #[test]
-    fn dispatch_table_over_workload_shape_classes() {
-        use AutoTier::*;
-        // (m, k, n, tier on 2+ workers with AVX-512, without it). Fused
-        // Eq. 8 products count both terms' k. On one worker every
-        // `Parallel` below is `Packed`; `Blocked` does not depend on the
-        // worker count.
-        let table = [
+    /// The kernel the dispatch rule picks for one product.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Kernel {
+        /// `B` left unpacked, the blocked kernel.
+        Blocked,
+        /// The register-tiled kernel on the calling thread.
+        Serial,
+        /// The register-tiled kernel in row bands over the pool.
+        Pooled,
+    }
+
+    /// `(m, k, n, kernel on 2+ workers with the AVX-512 ring kernel,
+    /// without it)` for a ring product. Fused Eq. 8 products count both
+    /// terms' k. On one worker every `Pooled` below is `Serial`; `Blocked`
+    /// does not depend on the worker count. A float product always takes
+    /// the kernel of the last column.
+    const SHAPE_CLASSES: [(usize, usize, usize, Kernel, Kernel); 13] = {
+        use Kernel::*;
+        [
             // MLP first layer, fused [L|E] x [F;B_i].
-            (128, 6272, 128, Parallel, Parallel),
+            (128, 6272, 128, Pooled, Pooled),
             // MLP first-layer weight gradient, fused.
-            (3136, 256, 128, Parallel, Parallel),
+            (3136, 256, 128, Pooled, Pooled),
             // CNN dense layer, fused: under the generic parallel cutover.
-            (64, 9216, 64, Parallel, Packed),
+            (64, 9216, 64, Pooled, Serial),
             // CNN im2col product, fused.
-            (36864, 50, 8, Parallel, Packed),
+            (36864, 50, 8, Pooled, Serial),
             // CNN conv weight gradient, fused.
-            (25, 73728, 8, Parallel, Packed),
+            (25, 73728, 8, Pooled, Serial),
             // TCP session (batch 8) first layer, fused: one row tile.
-            (8, 4096, 128, Packed, Packed),
+            (8, 4096, 128, Serial, Serial),
             // MLP hidden layer, fused: under the ring banding floor.
-            (128, 256, 64, Packed, Packed),
+            (128, 256, 64, Serial, Serial),
             // Exactly the ring banding floor, and just under it.
-            (64, 256, 256, Parallel, Packed),
-            (64, 256, 255, Packed, Packed),
+            (64, 256, 256, Pooled, Serial),
+            (64, 256, 255, Serial, Serial),
             // Under the ring banding floor.
-            (32, 64, 32, Packed, Packed),
+            (32, 64, 32, Serial, Serial),
             // One served request.
             (1, 2048, 1, Blocked, Blocked),
             // Cubes past every workload product.
-            (512, 512, 512, Parallel, Parallel),
-            (1024, 1024, 1024, Parallel, Parallel),
-        ];
-        for (m, k, n, simd, plain) in table {
-            for workers in [1, 2, 4] {
-                let on = |tier| match tier {
-                    Parallel if workers < 2 => Packed,
-                    tier => tier,
-                };
-                let case = format!("{m}x{k}x{n} workers {workers}");
-                assert_eq!(auto_tier::<u64>(m, k, n, workers, true), on(simd), "{case} avx-512");
-                assert_eq!(auto_tier::<u64>(m, k, n, workers, false), on(plain), "{case} without");
-                // f32 never takes the ring kernel's floor.
-                let f = auto_tier::<f32>(m, k, n, workers, true);
-                assert_eq!(f, on(plain), "{case} f32");
+            (512, 512, 512, Pooled, Pooled),
+            (1024, 1024, 1024, Pooled, Pooled),
+        ]
+    };
+
+    #[test]
+    fn dispatch_table_over_workload_shape_classes() {
+        // The rule `gemm_packed_sum_auto` reads for a one-term product:
+        // `pack_b_auto`'s form, then the `bands_over_pool` floor.
+        fn check<T: Num>(carrier: &str) {
+            for (m, k, n, simd, plain) in SHAPE_CLASSES {
+                let packed = pack_b_auto(&Matrix::<T>::zeros(k, n), m).is_packed();
+                for workers in [1, 2, 4] {
+                    for avx512_ring in [true, false] {
+                        let kernel = if !packed {
+                            Kernel::Blocked
+                        } else if bands_over_pool::<T>(m, m * k * n, workers, avx512_ring) {
+                            Kernel::Pooled
+                        } else {
+                            Kernel::Serial
+                        };
+                        let column = if T::WRAPPING_U64 && avx512_ring { simd } else { plain };
+                        let want = match column {
+                            Kernel::Pooled if workers < 2 => Kernel::Serial,
+                            kernel => kernel,
+                        };
+                        let case = format!("{carrier} {m}x{k}x{n} workers {workers}");
+                        assert_eq!(kernel, want, "{case} avx-512 ring kernel {avx512_ring}");
+                    }
+                }
             }
         }
+        check::<u64>("u64");
+        check::<f64>("f64");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "full-size shape classes take minutes unoptimized; ci.sh runs it in release"
+    )]
+    fn auto_is_the_one_term_sum_on_every_shape_class() {
+        // Bit for bit on both carriers, with this process's pool and probe
+        // picking the kernel; the f64 data are small integers, so every
+        // summation order gives the same bits. The naive oracle (~10 s
+        // alone on `1024^3`) checks 64 output rows spread over each
+        // product, the first and last included.
+        fn check<T: Num>(make: fn(usize, usize, u64) -> Matrix<T>) {
+            for (m, k, n, ..) in SHAPE_CLASSES {
+                let (a, b) = (make(m, k, 3), make(k, n, 5));
+                let auto = gemm_auto(&a, &b);
+                let sum = gemm_packed_sum_auto(&[(&a, &pack_b_auto(&b, m))]);
+                assert_eq!(auto, sum, "{m}x{k}x{n} one-term sum");
+                let rows: Vec<usize> = (0..m).step_by(m.div_ceil(64)).chain([m - 1]).collect();
+                let pick = |x: &Matrix<T>| Matrix::from_fn(rows.len(), x.cols(), |i, c| x[(rows[i], c)]);
+                assert_eq!(pick(&auto), gemm_naive(&pick(&a), &b), "{m}x{k}x{n} naive");
+            }
+        }
+        check(umat);
+        check(fmat);
     }
 
     #[test]

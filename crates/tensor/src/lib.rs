@@ -5,11 +5,14 @@
 //! provides the numerical foundation the rest of the workspace builds on:
 //!
 //! - [`Matrix`]: an owned, row-major dense matrix generic over a [`Num`]
-//!   element (IEEE floats for the plaintext paths and the f32 GEMM
-//!   studies, wrapping `u64` for the `Z_{2^64}` secret-sharing ring),
+//!   element (wrapping `u64` for the `Z_{2^64}` secret-sharing ring, `f64`
+//!   for the plaintext baseline, `f32` only for the simulated device's
+//!   4-byte element sizes),
 //! - [`gemm`]: GEMM kernel hierarchy (naive oracle, cache-blocked, packed
-//!   register-tiled, pool-parallel, and the `gemm_auto` size dispatcher
-//!   over the last three: one kernel family for ring and f32 carriers),
+//!   register-tiled, pool-parallel) behind one dispatch rule: `gemm_auto`
+//!   is the one-term case of the fused prepared sum
+//!   `gemm_packed_sum_auto`, whose two size floors pick among the last
+//!   three; one kernel family for ring and float carriers,
 //! - [`conv`]: direct and im2col-based 2-D convolution (the CNN workload),
 //! - [`sparse`]: the CSR format plus the 75 %-zeros density test used by the
 //!   compressed-transmission design (paper Sec. 4.4),

@@ -241,18 +241,6 @@ impl<T: Num> Matrix<T> {
     }
 }
 
-impl Matrix<f32> {
-    /// Maximum absolute element-wise difference to `rhs`.
-    pub fn max_abs_diff(&self, rhs: &Matrix<f32>) -> f32 {
-        assert_eq!(self.shape(), rhs.shape(), "shape mismatch");
-        self.data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
-    }
-}
-
 impl Matrix<f64> {
     /// Maximum absolute element-wise difference to `rhs`.
     pub fn max_abs_diff(&self, rhs: &Matrix<f64>) -> f64 {
@@ -392,7 +380,7 @@ mod tests {
 
     #[test]
     fn max_abs_diff_finds_the_largest_gap() {
-        let a = mat(2, 2);
+        let a = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f64);
         let mut b = a.clone();
         b[(1, 0)] += 0.5;
         assert_eq!(a.max_abs_diff(&b), 0.5);

@@ -2,13 +2,14 @@
 
 /// A numeric element type usable in matrices.
 ///
-/// Matrices hold two very different carriers — IEEE floats (the paper's
-/// cuBLAS kernels, which the device model and the GEMM ladder run) and the
-/// wrapping ring `Z_{2^64}` (the SecureML fixed-point ring every share
-/// lives in, where exact reconstruction holds). `Num` abstracts exactly the
-/// operations both support. **All operations wrap for
-/// integer carriers**; this is intentional — additive secret sharing *is*
-/// modular arithmetic.
+/// Matrices hold two very different carriers — IEEE floats (`f64`, the
+/// plaintext baseline the secure results are checked against; `f32` only
+/// for the simulated device's 4-byte element sizes and codec, device and
+/// sparse tests) and the wrapping ring `Z_{2^64}` (the SecureML fixed-point
+/// ring every share lives in, where exact reconstruction holds). `Num`
+/// abstracts exactly the operations both support. **All operations wrap
+/// for integer carriers**; this is intentional — additive secret sharing
+/// *is* modular arithmetic.
 ///
 /// # Safety
 ///

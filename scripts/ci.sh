@@ -122,6 +122,16 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/engine.rs \
     echo "ci: core::engine re-implements or re-owns the protocol steps (listed above)" >&2; exit 1
 fi
 
+# One GEMM dispatch rule: `gemm_auto` is the one-term prepared sum, so
+# `pack_b_auto`'s floor and `bands_over_pool` pick the kernel of every
+# product, and ring carriers are the one element type rebranded onto a
+# pinned kernel. A tier enum and its rule, or the pinned f32 kernel with its
+# `TypeId` cast, in non-test gemm.rs is the second dispatcher growing back.
+if sed '/^#\[cfg(test)\]/,$d' crates/tensor/src/gemm.rs \
+    | grep -nE 'packed_band_f32|TypeId|AutoTier|auto_tier'; then
+    echo "ci: tensor::gemm has a second dispatch rule or an f32 kernel copy (listed above)" >&2; exit 1
+fi
+
 # One layer walk: `core::walk` interprets a model's layers, and the secure
 # trainer, the plaintext baseline and the triple schedule are its drivers.
 # A `LayerSpec::` in non-test trainer.rs or baseline.rs, or a hand-built
@@ -259,8 +269,8 @@ rm -rf "$dist_state"
 ./target/release/psml validate "$profile_json"
 
 # GEMM-ladder gate: a smoke run of the gemm bench must complete over both
-# the f32 and u64 ring carriers (it asserts `gemm_auto` is never the
-# slowest kernel at any recorded size, catching dispatcher cutover
+# the u64 ring and f64 plaintext carriers (it asserts `gemm_auto` is never
+# the slowest kernel at any recorded size, catching dispatcher cutover
 # regressions) and emit a valid psml.bench.gemm.v1 document; the
 # committed full-size measurement must validate too.
 PSML_SMOKE=1 cargo bench --offline -p psml-bench --bench gemm
