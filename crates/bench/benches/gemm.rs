@@ -8,7 +8,8 @@
 //!    (`gemm_blocked`) against the packed paths, plus the CNN's im2col
 //!    product on ring operands. `packed_parallel` is recorded only when
 //!    the global pool has more than one worker (with one it is the same
-//!    code as `packed`). Written to `BENCH_gemm.json` (a
+//!    code as `packed`, and so it is under the pool's banding floor).
+//!    Written to `BENCH_gemm.json` (a
 //!    `psml.bench.gemm.v1` document) at the repository root so the
 //!    speedups are recorded per host.
 //! 2. A u64 shape-class ladder: every ring-product shape class the `e2e`
@@ -193,7 +194,9 @@ fn element_entry<R: Num>(
 
 /// Times `packed`, `packed_parallel` (with a pool of 2+ workers) and `auto`
 /// on one `m x k x n` ring product, returning its entry and `auto`'s time
-/// over the best kernel's. `fused_auto` times the same class as the
+/// over the best kernel's. Under the pool's banding floor `packed_parallel`
+/// is the serial kernel, so its row re-measures `packed`. `auto` on a
+/// one-column class is the blocked kernel's row dots. `fused_auto` times the same class as the
 /// engine's fused Eq. 8 sum — `F` prepared for `m` rows, `B_i` to match,
 /// each term half of `k` — and is recorded only: it computes a different
 /// product, so it is no rival of `auto`.

@@ -71,10 +71,17 @@ unsafe impl Num for Fixed64 {
 }
 
 impl SecureRing for Fixed64 {
-    /// `round(x * 2^13)` in two's complement.
+    /// `round(x * 2^13)` (half away from zero) in two's complement,
+    /// without a libm call: adding the largest double below one half,
+    /// signed like `y`, then truncating is `f64::round`'s own lowering. A
+    /// tie `k + 0.5` sums to the midpoint of `k + 1` and its lower
+    /// neighbour and rounds to even, which is `k + 1`; every `y` of
+    /// magnitude `2^52` or more is already whole, and the sum rounds back
+    /// to it. NaN and out-of-range values saturate as `as i64` does.
     #[inline]
     fn encode(x: f64) -> Self {
-        Fixed64(((x * SCALE).round() as i64) as u64)
+        let y = x * SCALE;
+        Fixed64(((y + 0.49999999999999994f64.copysign(y)) as i64) as u64)
     }
 
     /// Interpret as signed and divide by the scale.
@@ -120,6 +127,74 @@ impl Fixed64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The libm encode `Fixed64::encode` replaced, kept as its oracle.
+    fn encode_with_round(x: f64) -> Fixed64 {
+        Fixed64(((x * SCALE).round() as i64) as u64)
+    }
+
+    /// Scaled values `y = x * 2^13` where rounding is delicate: signed
+    /// zeros, ties and their neighbours, the whole-number threshold
+    /// `2^52`, the ring's edge `2^63`, NaN and the infinities. `y / SCALE`
+    /// is exact, so `encode` sees each `y` again.
+    fn encode_edges() -> Vec<f64> {
+        let below_half = 0.49999999999999994f64;
+        let p52 = (1u64 << 52) as f64;
+        let p63 = 2f64.powi(63);
+        let mut ys = vec![
+            0.0,
+            0.5,
+            below_half,
+            0.5 + f64::EPSILON / 2.0,
+            1.5,
+            2.5,
+            p52 - 0.5,
+            p52 - 1.5,
+            p52,
+            p52 + 1.0,
+            2.0 * p52 - 1.0,
+            2.0 * p52,
+            p63,
+            p63 * 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        ys.extend((0..64).map(|k| k as f64 + 0.5));
+        ys.extend((0..64).map(|k| (p52 / 2.0 - 32.0) + k as f64 * 0.5));
+        ys.extend((0..64).map(|k| f64::from_bits(p63.to_bits() - 32 + k)));
+        let mut both: Vec<f64> = ys.iter().flat_map(|&y| [y, -y]).collect();
+        both.push(-f64::NAN);
+        both
+    }
+
+    #[test]
+    fn encode_matches_round_on_the_edges() {
+        for y in encode_edges() {
+            let x = y / SCALE;
+            assert_eq!(Fixed64::encode(x), encode_with_round(x), "y = {y:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// 256 cases of 4096 raw bit patterns (every exponent, NaNs and
+        /// infinities included) and 2048 values each inside the ring
+        /// (`|y| < 2^63`) and inside `±64`: 2.1 million samples.
+        #[test]
+        fn encode_matches_round_on_a_seeded_sweep(
+            bits in prop::collection::vec(any::<u64>(), 4096),
+            wide in prop::collection::vec(-1.1e15f64..1.1e15, 2048),
+            narrow in prop::collection::vec(-64.0f64..64.0, 2048),
+        ) {
+            let raw = bits.iter().map(|&b| f64::from_bits(b));
+            for x in raw.chain(wide).chain(narrow) {
+                prop_assert_eq!(Fixed64::encode(x), encode_with_round(x));
+            }
+        }
+    }
 
     #[test]
     fn encode_decode_roundtrip_within_half_ulp() {

@@ -12,7 +12,8 @@ use crate::triple::{gen_triple, gen_triple_streamed, BeaverTriple, TripleShare, 
 use proptest::prelude::*;
 use psml_parallel::Mt19937;
 use psml_tensor::{
-    gemm_blocked, gemm_naive, gemm_packed, gemm_packed_sum_auto, pack_b_auto, Matrix, Num,
+    gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_sum_auto, pack_b_auto, Matrix,
+    Num,
 };
 
 fn small_plain(rows: usize, cols: usize) -> impl Strategy<Value = PlainMatrix> {
@@ -131,6 +132,14 @@ proptest! {
 /// blocked kernel's floor, on every carrier).
 const PACK_FLOOR: usize = 32 * 32 * 32;
 
+/// A `rows x cols` matrix of full-range words: every bit populated, as
+/// shares are.
+fn full_range<T: Num>(rng: &mut Mt19937, rows: usize, cols: usize) -> Matrix<T> {
+    let mut words = vec![0u64; rows * cols];
+    rng.fill_u64(&mut words);
+    Matrix::from_vec(rows, cols, words.into_iter().map(T::from_bits64).collect())
+}
+
 /// The fused sum `L x F (+ E x B)` through `pack_b_auto`, `pack_matching`
 /// and `gemm_packed_sum_auto`, against the naive oracle and the panel
 /// kernel, bit for bit; and the operands' form against the floor.
@@ -140,11 +149,7 @@ fn fused_sum_agrees<T: Num>(
     seed: u32,
 ) -> Result<(), String> {
     let mut rng = Mt19937::new(seed);
-    let mut draw = |rows: usize, cols: usize| {
-        let mut words = vec![0u64; rows * cols];
-        rng.fill_u64(&mut words);
-        Matrix::from_vec(rows, cols, words.into_iter().map(T::from_bits64).collect())
-    };
+    let mut draw = |rows, cols| full_range::<T>(&mut rng, rows, cols);
     let (l, f, e, b) = (draw(m, k), draw(k, n), draw(m, k), draw(k, n));
     let f_auto = pack_b_auto(&f, m);
     let b_auto = f_auto.pack_matching(&b);
@@ -172,6 +177,44 @@ fn fused_sum_agrees<T: Num>(
         return Err(format!("{shape}: fused sum differs from the oracle or the panels"));
     }
     Ok(())
+}
+
+/// A one-column ring product against the naive oracle, bit for bit,
+/// through `gemm_auto`, `gemm_blocked` and a two-term
+/// `gemm_packed_sum_auto` whose second term adds onto the first. The
+/// blocked kernel computes such a product as one dot per row; under the
+/// packing floor the other two run it too.
+fn row_dots_agree<T: Num>(m: usize, k: usize) -> Result<(), String> {
+    let mut rng = Mt19937::new((m * 4099 + k) as u32);
+    let mut draw = |rows, cols| full_range::<T>(&mut rng, rows, cols);
+    let (a, b, e, c) = (draw(m, k), draw(k, 1), draw(m, k), draw(k, 1));
+    let oracle = gemm_naive(&a, &b);
+    let shape = format!("{m}x{k}x1");
+    if gemm_blocked(&a, &b) != oracle || gemm_auto(&a, &b) != oracle {
+        return Err(format!("{shape}: a product differs from the oracle"));
+    }
+    let b_auto = pack_b_auto(&b, m);
+    if b_auto.is_packed() != (m * k >= PACK_FLOOR) {
+        return Err(format!("{shape}: B packed = {}", b_auto.is_packed()));
+    }
+    let c_auto = b_auto.pack_matching(&c);
+    let sum = gemm_packed_sum_auto(&[(&a, &b_auto), (&e, &c_auto)]);
+    if sum != oracle.add(&gemm_naive(&e, &c)) {
+        return Err(format!("{shape}: the sum differs from the oracle"));
+    }
+    Ok(())
+}
+
+/// Row dots are exact on both ring carriers for every `k` around the dot's
+/// four-wide stride and the served request's 2048, on one to 17 rows.
+#[test]
+fn row_dots_match_the_oracle_on_both_ring_carriers() {
+    for k in [0, 1, 3, 4, 5, 63, 64, 65, 2047, 2048, 2049] {
+        for m in [1, 2, 7, 17] {
+            assert_eq!(row_dots_agree::<u64>(m, k), Ok(()));
+            assert_eq!(row_dots_agree::<Fixed64>(m, k), Ok(()));
+        }
+    }
 }
 
 proptest! {

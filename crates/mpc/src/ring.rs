@@ -59,12 +59,14 @@ pub trait SecureRing: Num {
 
     /// Encodes a cleartext matrix element-wise.
     fn encode_matrix(m: &PlainMatrix) -> Matrix<Self> {
-        Matrix::from_fn(m.rows(), m.cols(), |r, c| Self::encode(m[(r, c)]))
+        let data = m.as_slice().iter().map(|&x| Self::encode(x)).collect();
+        Matrix::from_vec(m.rows(), m.cols(), data)
     }
 
     /// Decodes a ring matrix element-wise.
     fn decode_matrix(m: &Matrix<Self>) -> PlainMatrix {
-        Matrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)].decode())
+        let data = m.as_slice().iter().map(|x| x.decode()).collect();
+        Matrix::from_vec(m.rows(), m.cols(), data)
     }
 
     /// Samples a uniform masking matrix.

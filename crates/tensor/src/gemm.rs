@@ -5,15 +5,17 @@
 //!
 //! - [`gemm_naive`]: the textbook triple loop, used as the test oracle;
 //! - [`gemm_blocked`]: i-k-j loop order with cache tiling and a zero-skip
-//!   for sparse operands — the small-matrix kernel;
+//!   for sparse operands — the small-matrix kernel. A ring product with one
+//!   output column runs as one dot per row instead;
 //! - [`gemm_packed`]: B packed once into contiguous `PackedB` column
 //!   panels, driven through an `MR x NR` register-tile micro-kernel — the
 //!   large-matrix serial kernel. Ring carriers run it as explicit
 //!   AVX-512F+DQ code (`vpmullq`) where the CPU has it, and as the
 //!   autovectorized AVX2 or scalar build of the generic kernel elsewhere;
 //!   floats always run the generic kernel;
-//! - [`gemm_packed_parallel`]: [`gemm_packed`] split over output row bands
-//!   on the persistent process-global thread pool;
+//! - [`gemm_packed_parallel`]: the one-term packed sum, which splits
+//!   output row bands over the persistent process-global thread pool from
+//!   the [`bands_over_pool`] floor and is [`gemm_packed`] below it;
 //! - [`gemm_packed_sum_auto`]: the production path — `sum_t A_t x B_t`
 //!   against right-hand sides prepared by [`pack_b_auto`], without
 //!   materializing concatenations. The fused Eq. 8 product
@@ -105,12 +107,23 @@ pub fn gemm_naive<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     out
 }
 
-/// Computes one row band `rows_of_a x b` into `out_band` (row-major,
-/// `len = band_rows * n`): the blocked kernel's loop nest.
+/// Adds one row band `rows_of_a x b` into `out_band` (row-major,
+/// `len = band_rows * n`): the blocked kernel's loop nest. A ring product
+/// with one output column runs [`ring_dot`] per row instead: `b`'s column
+/// is contiguous, and a served `1 x 2048 x 1` term takes a sixth of the
+/// loop nest's time. Floats keep the loop nest and its summation order.
 fn gemm_band<T: Num>(a_band: &[T], band_rows: usize, k: usize, b: &Matrix<T>, out_band: &mut [T]) {
     let n = b.cols();
     debug_assert_eq!(a_band.len(), band_rows * k);
     debug_assert_eq!(out_band.len(), band_rows * n);
+    if T::WRAPPING_U64 && n == 1 {
+        if k > 0 {
+            for (a_row, o) in a_band.chunks_exact(k).zip(out_band) {
+                *o = o.add(ring_dot(a_row, b.as_slice()));
+            }
+        }
+        return;
+    }
     for kb in (0..k).step_by(BLOCK) {
         let k_end = (kb + BLOCK).min(k);
         for i in 0..band_rows {
@@ -129,6 +142,25 @@ fn gemm_band<T: Num>(a_band: &[T], band_rows: usize, k: usize, b: &Matrix<T>, ou
             }
         }
     }
+}
+
+/// `sum_p a[p] * b[p]` over four independent accumulators, so the
+/// multiplies overlap rather than wait on one running sum. Ring carriers
+/// only: wrapping addition is exact in any order, a float sum is not.
+fn ring_dot<T: Num>(a: &[T], b: &[T]) -> T {
+    debug_assert_eq!(a.len(), b.len());
+    let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+    let mut tail = T::zero();
+    for (&x, &y) in a4.remainder().iter().zip(b4.remainder()) {
+        tail = tail.add(x.mul(y));
+    }
+    let mut acc = [T::zero(); 4];
+    for (x, y) in a4.zip(b4) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s = s.add(x.mul(y));
+        }
+    }
+    acc[0].add(acc[1]).add(acc[2].add(acc[3])).add(tail)
 }
 
 /// Cache-blocked GEMM, i-k-j order: the inner loop streams one row of `b`
@@ -624,9 +656,12 @@ pub fn gemm_packed<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     packed_sum_on(&[(a, &pack_b(b))], false)
 }
 
-/// Register-tiled GEMM over output row bands on the process-global thread
-/// pool — the large-matrix production kernel. `B` is packed once; all bands
-/// (and all pool workers) read the same panels.
+/// Register-tiled GEMM, banded over the process-global thread pool where
+/// [`bands_over_pool`] says so: it is the one-term [`gemm_packed_sum`], so
+/// below that floor it runs the serial kernel, as [`gemm_packed`] does.
+/// `B` is packed once; all bands (and all pool workers) read the same
+/// panels. The GEMM bench ladder's `packed_parallel` rows therefore time
+/// `gemm_auto`'s own packed path under the floor, not a banded one.
 pub fn gemm_packed_parallel<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
     gemm_packed_sum(&[(a, &pack_b(b))])

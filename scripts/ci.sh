@@ -132,6 +132,19 @@ if sed '/^#\[cfg(test)\]/,$d' crates/tensor/src/gemm.rs \
     echo "ci: tensor::gemm has a second dispatch rule or an f32 kernel copy (listed above)" >&2; exit 1
 fi
 
+# A served request's host work is per slice, not per element: `Fixed64`
+# encodes with an add and a truncating cast, and the codec's slice writer
+# sizes its buffer once and fills it chunk by chunk. A `.round()` (a libm
+# call per element) in non-test fixed.rs, or an `extend` or `push` in
+# `put_slice`, is the per-element loop growing back.
+if sed '/^#\[cfg(test)\]/,$d' crates/mpc/src/fixed.rs | grep -n '\.round()'; then
+    echo "ci: mpc::fixed rounds through libm (listed above)" >&2; exit 1
+fi
+put_slice_body=$(sed -n '/^fn put_slice/,/^}/p' crates/net-sim/src/codec.rs)
+if [ -z "$put_slice_body" ] || grep -nE 'extend|push' <<<"$put_slice_body"; then
+    echo "ci: net::codec's put_slice is missing or grows its buffer per element (listed above)" >&2; exit 1
+fi
+
 # One layer walk: `core::walk` interprets a model's layers, and the secure
 # trainer, the plaintext baseline and the triple schedule are its drivers.
 # A `LayerSpec::` in non-test trainer.rs or baseline.rs, or a hand-built
