@@ -13,7 +13,10 @@
 //!    `psml.bench.gemm.v1` document) at the repository root so the
 //!    speedups are recorded per host.
 //! 2. A u64 shape-class ladder: every ring-product shape class the `e2e`
-//!    workloads run, timed on `packed`, `packed_parallel` and `auto`, and
+//!    workloads run, timed on `packed`, `packed_parallel` and `auto` (and
+//!    `blocked`, on the narrow classes with `2 <= n <= 8`, where the
+//!    blocked kernel's unpacked `B` rows are the rival packing must beat;
+//!    the served request's `auto` is the blocked kernel), and
 //!    as `fused_auto`: the fused Eq. 8 path the engine runs
 //!    (`pack_b_auto`, `pack_matching`, a two-term `gemm_packed_sum_auto`),
 //!    recorded beside the kernels but not one of `auto`'s rivals.
@@ -192,11 +195,12 @@ fn element_entry<R: Num>(
     ])
 }
 
-/// Times `packed`, `packed_parallel` (with a pool of 2+ workers) and `auto`
-/// on one `m x k x n` ring product, returning its entry and `auto`'s time
-/// over the best kernel's. Under the pool's banding floor `packed_parallel`
-/// is the serial kernel, so its row re-measures `packed`. `auto` on a
-/// one-column class is the blocked kernel's row dots. `fused_auto` times the same class as the
+/// Times `packed`, `packed_parallel` (with a pool of 2+ workers), `auto`
+/// and, when `2 <= n <= 8`, `blocked` on one `m x k x n` ring product,
+/// returning its entry and `auto`'s time over the best kernel's. Under the
+/// pool's spreading floor `packed_parallel` is the serial kernel, so its
+/// row re-measures `packed`. `auto` on a one-column class is the blocked
+/// kernel's row dots. `fused_auto` times the same class as the
 /// engine's fused Eq. 8 sum — `F` prepared for `m` rows, `B_i` to match,
 /// each term half of `k` — and is recorded only: it computes a different
 /// product, so it is no rival of `auto`.
@@ -216,6 +220,9 @@ fn ring_shape_entry(
     ];
     if psml_parallel::global_pool().workers() > 1 {
         kernels.push(("packed_parallel", Box::new(|| gemm_packed_parallel(&a, &b))));
+    }
+    if (2..=8).contains(&n) {
+        kernels.push(("blocked", Box::new(|| gemm_blocked(&a, &b))));
     }
     kernels.push((
         "fused_auto",

@@ -424,4 +424,32 @@ proptest! {
         prop_assert_eq!(f_auto.is_packed(), m * k * n >= PACK_FLOOR);
         prop_assert_eq!(f_auto.pack_matching(&f).is_packed(), f_auto.is_packed());
     }
+
+    /// The AVX-512 ring kernel's narrow tile (`n <= 8`, and the last panel
+    /// of `n ≡ 1..=8 mod 16`) is exact on both ring carriers: `m` around
+    /// one row tile, `k` around the tile's eight-step round and the
+    /// kernel's 256-step slab (a two-term sum straddles a slab from
+    /// `k = 129` per term), `m·k·n` on both sides of the packing floor.
+    #[test]
+    fn narrow_tiles_are_exact_on_both_ring_carriers(
+        m in prop::sample::select(vec![1usize, 7, 8, 9, 25]),
+        n in prop::sample::select((1usize..=8).chain(17..=24).collect::<Vec<_>>()),
+        k in prop::sample::select(vec![7usize, 8, 9, 129, 255, 256, 257]),
+        (two_terms, seed) in (any::<bool>(), any::<u32>()),
+    ) {
+        prop_assert_eq!(fused_sum_agrees::<u64>((m, k, n), two_terms, seed), Ok(()));
+        prop_assert_eq!(fused_sum_agrees::<Fixed64>((m, k, n), two_terms, seed), Ok(()));
+    }
+}
+
+/// The conv weight gradient's form (`25 x 2k x 8`, two terms) just under
+/// and at the 2^22 `m·k·n` floor from which a ring product spreads over
+/// the pool (in depth parts, on a pool of two or more workers and the
+/// AVX-512 ring kernel), exact on both ring carriers.
+#[test]
+fn depth_parts_are_exact_on_both_sides_of_the_spreading_floor() {
+    for k in [10_485, 10_486] {
+        assert_eq!(fused_sum_agrees::<u64>((25, k, 8), true, 7), Ok(()));
+        assert_eq!(fused_sum_agrees::<Fixed64>((25, k, 8), true, 7), Ok(()));
+    }
 }

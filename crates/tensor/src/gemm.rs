@@ -8,26 +8,32 @@
 //!   for sparse operands — the small-matrix kernel. A ring product with one
 //!   output column runs as one dot per row instead;
 //! - [`gemm_packed`]: B packed once into contiguous `PackedB` column
-//!   panels, driven through an `MR x NR` register-tile micro-kernel — the
-//!   large-matrix serial kernel. Ring carriers run it as explicit
-//!   AVX-512F+DQ code (`vpmullq`) where the CPU has it, and as the
-//!   autovectorized AVX2 or scalar build of the generic kernel elsewhere;
-//!   floats always run the generic kernel;
-//! - [`gemm_packed_parallel`]: the one-term packed sum, which splits
-//!   output row bands over the persistent process-global thread pool from
-//!   the [`bands_over_pool`] floor and is [`gemm_packed`] below it;
+//!   panels (`NR = 16` wide, or 8 when `n <= 8`), driven through an
+//!   `MR x NR` register-tile micro-kernel — the large-matrix serial
+//!   kernel. Ring carriers run it as explicit AVX-512F+DQ code (`vpmullq`)
+//!   where the CPU has it, and as the autovectorized AVX2 or scalar build
+//!   of the generic kernel elsewhere; floats always run the generic
+//!   kernel. The AVX-512 ring kernel runs a panel with at most eight live
+//!   columns as a narrow tile that keeps `A` in registers (see
+//!   [`packed_band_ring_avx512`]), at the wide tile's rate;
+//! - [`gemm_packed_parallel`]: the one-term packed sum, which spreads over
+//!   the persistent process-global thread pool as [`spread_over_pool`]
+//!   says and is [`gemm_packed`] below its floor;
 //! - [`gemm_packed_sum_auto`]: the production path — `sum_t A_t x B_t`
 //!   against right-hand sides prepared by [`pack_b_auto`], without
 //!   materializing concatenations. The fused Eq. 8 product
 //!   `[((-i)E + Ai) | E] x [F ; Bi]` uses it so both servers share one
 //!   prepared `F`, and [`gemm_auto`] is its one-term case. Mirroring the
-//!   paper's profiling-guided adaptive placement, two floors pick the
+//!   paper's profiling-guided adaptive placement, two rules pick the
 //!   kernel: a product under [`AUTO_PACK_FLOPS`] is left unpacked and runs
-//!   the blocked kernel, and the register-tiled form bands over the pool
-//!   from [`bands_over_pool`]'s floor (2^22 `m·k·n` and two row tiles for
-//!   ring products with the AVX-512 ring kernel live, 48M for everything
-//!   else). `Matrix::matmul`, triple generation and the fused Eq. 8
-//!   evaluation all route through it.
+//!   the blocked kernel, and [`spread_over_pool`] runs the register-tiled
+//!   form serially, in output row bands, or — for a ring product whose
+//!   inner dimension is long against its rows, such as the conv weight
+//!   gradient `25 x 73728 x 8` — in depth parts whose `m x n` partials are
+//!   added (from 2^22 `m·k·n` for ring products with the AVX-512 ring
+//!   kernel live; from 48M, and in row bands only, for everything else).
+//!   `Matrix::matmul`, triple generation and the fused Eq. 8 evaluation
+//!   all route through it.
 //!
 //! All kernels are exact (bit-identical) over `u64`/`Fixed64`: wrapping ring
 //! arithmetic is associative and commutative, so packing and tiling cannot
@@ -39,6 +45,7 @@ use crate::caps::host_caps;
 use crate::matrix::Matrix;
 use crate::num::Num;
 use psml_parallel::{configured_workers, for_each_chunk_mut_pooled};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Cache tile edge (elements) for [`gemm_blocked`]. A 64x64 `u64` tile is
@@ -69,12 +76,13 @@ const AUTO_PACK_FLOPS: usize = 32 * 32 * 32;
 /// and up amortize it, so the cutover sits between those sizes (~363^3).
 const AUTO_PARALLEL_FLOPS: usize = 48_000_000;
 
-/// `m * k * n` from which ring products band over the pool when the
-/// explicit AVX-512 ring kernel is live (and the output has two row tiles
-/// to split): 2^22. That kernel does a 14.7M product in ~2.5 ms on one core,
-/// so a pool region's wake-ups pay off far below [`AUTO_PARALLEL_FLOPS`]:
-/// banded, the CNN's im2col and dense-layer products run 1.1–1.4x faster
-/// on two workers. With the floor at 2^20 the smoke ladder had
+/// `m * k * n` from which ring products spread over the pool when the
+/// explicit AVX-512 ring kernel is live: 2^22. That kernel does the CNN's
+/// fused `36864 x 50 x 8` im2col product (14.7M) in 4–5 ms on one core of
+/// a 2-vCPU AVX-512 Xeon (12–13 ms before its narrow tile), so a pool
+/// region's wake-ups pay off far below [`AUTO_PARALLEL_FLOPS`]: spread,
+/// the CNN's im2col and dense-layer products run 1.2–1.7x faster on two
+/// workers. With the floor at 2^20 the smoke ladder had
 /// `gemm_auto` 1.3–1.4x slower than the serial kernel on
 /// `mlp_hidden_fused` (`128 x 256 x 64`, 2^21), so the floor sits above
 /// it.
@@ -178,9 +186,10 @@ pub fn gemm_blocked<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 /// `B` repacked into contiguous column panels for the register-tiled
 /// kernel.
 ///
-/// Layout: `ceil(n / NR)` panels, each `k * NR` elements. Panel `q` holds
-/// columns `q*NR .. q*NR+NR` of `B`, stored row-by-row (`p*NR + jj` maps to
-/// `B[p, q*NR + jj]`), zero-padded past column `n`. The micro-kernel then
+/// Layout: `ceil(n / w)` panels of [`panel_width`] `w` columns, each
+/// `k * w` elements. Panel `q` holds columns `q*w .. q*w+w` of `B`, stored
+/// row-by-row (`p*w + jj` maps to `B[p, q*w + jj]`), zero-padded past
+/// column `n`. The micro-kernel then
 /// streams each panel linearly once per `MR`-row tile of `A`, so packing is
 /// paid once and reused across every row band — and, via
 /// [`gemm_packed_sum`], across both servers' fused Eq. 8 evaluations.
@@ -200,13 +209,18 @@ pub(crate) struct PackedB<T: Num> {
 /// different monomorphizations of a struct like [`PackedB`], so the kernels
 /// never see a generic struct through a transmute, only this flat view
 /// rebuilt field by field.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 struct BandTerm<'a, T> {
     /// Row-major `band_rows x k` slice of `A`.
     a_band: &'a [T],
     /// Inner dimension: stride of `a_band`, rows of the packed panels.
     k: usize,
-    /// Packed panel data: `ceil(n / NR)` panels of `k * NR` elements.
+    /// The inner indices the term contributes: `0..k`, or one part of it
+    /// when [`Spread::Depth`] hands the term's steps to several bands.
+    depth: Range<usize>,
+    /// Columns of each packed panel ([`panel_width`]).
+    width: usize,
+    /// Packed panel data: `ceil(n / width)` panels of `k * width` elements.
     panels: &'a [T],
 }
 
@@ -215,12 +229,15 @@ impl<'a, T: Num> BandTerm<'a, T> {
         BandTerm {
             a_band,
             k: pb.k,
+            depth: 0..pb.k,
+            width: panel_width(pb.n),
             panels: &pb.data,
         }
     }
 
     fn panel(&self, q: usize) -> &'a [T] {
-        &self.panels[q * self.k * NR..(q + 1) * self.k * NR]
+        let len = self.k * self.width;
+        &self.panels[q * len..(q + 1) * len]
     }
 }
 
@@ -271,41 +288,56 @@ unsafe fn cast_terms<'a, Src: Num, Dst: Num>(
             // slices are reinterpreted, field by field.
             a_band: unsafe { cast_slice::<Src, Dst>(t.a_band) },
             k: t.k,
+            depth: t.depth.clone(),
+            width: t.width,
             // SAFETY: as above.
             panels: unsafe { cast_slice::<Src, Dst>(t.panels) },
         })
         .collect()
 }
 
+/// Columns of one packed panel of an `n`-column `B`: `NR`, or `NR / 2`
+/// when all of `B` fits in half a panel, so a narrow product neither packs
+/// nor streams eight zero columns per row.
+fn panel_width(n: usize) -> usize {
+    if n <= NR / 2 {
+        NR / 2
+    } else {
+        NR
+    }
+}
+
 /// Packs `b` into [`PackedB`] column panels.
 pub(crate) fn pack_b<T: Num>(b: &Matrix<T>) -> PackedB<T> {
     let (k, n) = (b.rows(), b.cols());
-    let panels = n.div_ceil(NR);
-    let mut data = vec![T::zero(); panels * k * NR];
+    let w = panel_width(n);
+    let panels = n.div_ceil(w);
+    let mut data = vec![T::zero(); panels * k * w];
     let src = b.as_slice();
     for q in 0..panels {
-        let j0 = q * NR;
-        let width = NR.min(n - j0);
-        let panel = &mut data[q * k * NR..(q + 1) * k * NR];
+        let j0 = q * w;
+        let width = w.min(n - j0);
+        let panel = &mut data[q * k * w..(q + 1) * k * w];
         for p in 0..k {
             let row = &src[p * n + j0..p * n + j0 + width];
-            panel[p * NR..p * NR + width].copy_from_slice(row);
+            panel[p * w..p * w + width].copy_from_slice(row);
         }
     }
     PackedB { k, n, data }
 }
 
-/// Accumulates `a_tile x b_panel` into the `MR x NR` register tile.
+/// Accumulates `a_tile x b_panel` into the `MR x W` register tile (`W` the
+/// panel width).
 ///
 /// `a_rows` selects how many of the `MR` accumulator rows are live. The
 /// accumulators are scalar locals over const bounds, so LLVM fully unrolls
-/// the `NR`-wide inner loop into vector ops (the strided `A` loads become
+/// the `W`-wide inner loop into vector ops (the strided `A` loads become
 /// lane broadcasts) for floats and `u64` alike. `FMA` selects
 /// `Num::mul_add` — only set it from code compiled with hardware fused
 /// multiply-add, or the float path falls through to libm.
 #[inline(always)]
-fn accumulate_tile<T: Num, const FMA: bool>(
-    acc: &mut [[T; NR]; MR],
+fn accumulate_tile<T: Num, const FMA: bool, const W: usize>(
+    acc: &mut [[T; W]; MR],
     a_band: &[T],
     stride: usize,
     i_local: usize,
@@ -322,7 +354,7 @@ fn accumulate_tile<T: Num, const FMA: bool>(
         });
         // Named accumulator locals rather than `acc[r]` indexing: each is
         // a single whole-array value touched only by the unrolled
-        // `NR`-wide loop, which is the shape LLVM reliably promotes to
+        // `W`-wide loop, which is the shape LLVM reliably promotes to
         // vector registers for the whole `p` loop. Array-indexed
         // accumulators were observed to stay stack-resident (one store
         // per FMA) depending on the surrounding codegen unit.
@@ -330,7 +362,7 @@ fn accumulate_tile<T: Num, const FMA: bool>(
         macro_rules! row {
             ($cr:ident, $r:literal, $p:ident, $bp:ident) => {
                 let av = rows_a[$r][$p];
-                for jj in 0..NR {
+                for jj in 0..W {
                     $cr[jj] = if FMA {
                         av.mul_add($bp[jj], $cr[jj])
                     } else {
@@ -340,7 +372,7 @@ fn accumulate_tile<T: Num, const FMA: bool>(
             };
         }
         for p in 0..k {
-            let bp = &b_panel[p * NR..p * NR + NR];
+            let bp = &b_panel[p * W..p * W + W];
             row!(c0, 0, p, bp);
             row!(c1, 1, p, bp);
             row!(c2, 2, p, bp);
@@ -353,10 +385,10 @@ fn accumulate_tile<T: Num, const FMA: bool>(
         *acc = [c0, c1, c2, c3, c4, c5, c6, c7];
     } else {
         for p in 0..k {
-            let bp = &b_panel[p * NR..p * NR + NR];
+            let bp = &b_panel[p * W..p * W + W];
             for r in 0..a_rows {
                 let av = a_band[(i_local + r) * stride + p];
-                for jj in 0..NR {
+                for jj in 0..W {
                     acc[r][jj] = if FMA {
                         av.mul_add(bp[jj], acc[r][jj])
                     } else {
@@ -382,19 +414,37 @@ fn packed_band_impl<T: Num, const FMA: bool>(
     n: usize,
     out_band: &mut [T],
 ) {
+    if panel_width(n) == NR {
+        packed_band_tiles::<T, FMA, NR>(terms, band_rows, n, out_band);
+    } else {
+        packed_band_tiles::<T, FMA, { NR / 2 }>(terms, band_rows, n, out_band);
+    }
+}
+
+/// [`packed_band_impl`] over panels `W` columns wide.
+#[inline(always)]
+fn packed_band_tiles<T: Num, const FMA: bool, const W: usize>(
+    terms: &[BandTerm<T>],
+    band_rows: usize,
+    n: usize,
+    out_band: &mut [T],
+) {
     debug_assert!(terms
         .iter()
-        .all(|t| t.panels.len() == n.div_ceil(NR) * t.k * NR));
-    let panels = n.div_ceil(NR);
+        .all(|t| t.width == W && t.panels.len() == n.div_ceil(W) * t.k * W));
+    let panels = n.div_ceil(W);
     let mut i0 = 0;
     while i0 < band_rows {
         let rows = MR.min(band_rows - i0);
         for q in 0..panels {
-            let j0 = q * NR;
-            let width = NR.min(n - j0);
-            let mut acc = [[T::zero(); NR]; MR];
+            let j0 = q * W;
+            let width = W.min(n - j0);
+            let mut acc = [[T::zero(); W]; MR];
             for t in terms {
-                accumulate_tile::<T, FMA>(&mut acc, t.a_band, t.k, i0, rows, t.k, t.panel(q));
+                let Range { start, end } = t.depth;
+                let panel = &t.panel(q)[start * W..end * W];
+                let a_band = &t.a_band[start..];
+                accumulate_tile::<T, FMA, W>(&mut acc, a_band, t.k, i0, rows, end - start, panel);
             }
             for r in 0..rows {
                 let out_row = &mut out_band[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
@@ -463,15 +513,22 @@ fn packed_band_dispatch<T: Num>(
 /// kernel's `u64` instantiation gathered the eight strided `A` loads
 /// (`vpgatherqq`) and spilled the accumulators.
 ///
+/// A panel with at most eight live columns (`n <= 8`, or the last panel of
+/// `n ≡ 1..=8 mod 16`) runs one vector per row and a narrow tile: it loads
+/// eight steps of each `A` row in one masked load and spreads step `j` over
+/// the lanes with `vpermq`, so `A` reaches `vpmullq` in a register. Written
+/// as a per-step broadcast, as the wide tile is, LLVM folds the broadcast
+/// into the multiply (`vpmullq zmm, zmm, m64{1to8}`), which ran 3–6x slower
+/// than the register form on AVX-512 Xeons; the wide tile shares each
+/// broadcast between two multiplies, so LLVM keeps it in a register.
+///
 /// The terms' inner dimensions are walked as one concatenated `k`, cut
 /// into slabs of at most `RING_KC` steps, and each slab's panels into
 /// `RING_NC`-wide column blocks: the `B` block a row tile streams (at
 /// most 256 KiB) stays in L2 across the band's row tiles, and the `A` tile
 /// (`MR x RING_KC`, 16 KiB) in L1 across the block's panels. A fused
 /// product whose terms fit one slab (the CNN's `k = 25 + 25`) writes each
-/// output tile once; later slabs add into it. A panel with at most eight
-/// live columns (`n = 8`, or the last panel of `n ≡ 1..=8 mod 16`) runs
-/// one vector per row, not two.
+/// output tile once; later slabs add into it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 fn packed_band_ring_avx512(
@@ -485,28 +542,30 @@ fn packed_band_ring_avx512(
     let mut pieces: Vec<RingPiece> = Vec::new();
     let mut steps_before = 0;
     for t in terms {
-        let mut p0 = 0;
-        while p0 < t.k {
-            let steps = (RING_KC - steps_before % RING_KC).min(t.k - p0);
+        let mut p0 = t.depth.start;
+        while p0 < t.depth.end {
+            let steps = (RING_KC - steps_before % RING_KC).min(t.depth.end - p0);
             pieces.push((steps_before / RING_KC, t, p0..p0 + steps));
             steps_before += steps;
             p0 += steps;
         }
     }
-    let panels = n.div_ceil(NR);
+    let w = panel_width(n);
+    let panels = n.div_ceil(w);
     for (s, slab) in pieces.chunk_by(|x, y| x.0 == y.0).enumerate() {
-        for q0 in (0..panels).step_by(RING_NC / NR) {
-            let block = q0..(q0 + RING_NC / NR).min(panels);
+        for q0 in (0..panels).step_by(RING_NC / w) {
+            let block = q0..(q0 + RING_NC / w).min(panels);
             let mut i0 = 0;
             while i0 < band_rows {
                 let rows = MR.min(band_rows - i0);
                 for q in block.clone() {
-                    let wide = n - q * NR > NR / 2;
+                    let wide = n - q * w > NR / 2;
                     let tile = RingTile {
                         slab,
                         i0,
                         q,
                         n,
+                        w,
                         accumulate: s > 0,
                     };
                     macro_rules! run {
@@ -529,17 +588,19 @@ fn packed_band_ring_avx512(
 /// A run of one term's inner indices inside a slab of
 /// [`packed_band_ring_avx512`]: the slab's index, the term, the run.
 #[cfg(target_arch = "x86_64")]
-type RingPiece<'t, 'a> = (usize, &'t BandTerm<'a, u64>, std::ops::Range<usize>);
+type RingPiece<'t, 'a> = (usize, &'t BandTerm<'a, u64>, Range<usize>);
 
 /// One output tile of [`packed_band_ring_avx512`]: rows `i0..` of the band
-/// against panel `q`, over one slab's pieces. `accumulate` adds into the
-/// output rather than overwriting it (every slab but the first).
+/// against panel `q` (`w` columns wide), over one slab's pieces.
+/// `accumulate` adds into the output rather than overwriting it (every
+/// slab but the first).
 #[cfg(target_arch = "x86_64")]
 struct RingTile<'s, 't, 'a> {
     slab: &'s [RingPiece<'t, 'a>],
     i0: usize,
     q: usize,
     n: usize,
+    w: usize,
     accumulate: bool,
 }
 
@@ -547,16 +608,19 @@ struct RingTile<'s, 't, 'a> {
 impl RingTile<'_, '_, '_> {
     /// Writes the tile's `ROWS x (8·VECS)` result over `out_band`'s live
     /// columns. `VECS` is 2 only when the panel has more than eight live
-    /// columns.
+    /// columns; with 1 the tile is the narrow one.
     #[target_feature(enable = "avx512f,avx512dq")]
     #[inline]
     fn run<const ROWS: usize, const VECS: usize>(&self, out_band: &mut [u64]) {
         use std::arch::x86_64::*;
         const LANES: usize = 8;
+        // A wide tile's panel is always `NR` wide; as a constant, its `B`
+        // stride folds into the load addresses.
+        let w = if VECS == 1 { self.w } else { NR };
         let (i0, n) = (self.i0, self.n);
-        let j0 = self.q * NR;
-        let width = NR.min(n - j0);
-        assert!(VECS * LANES <= NR && (VECS - 1) * LANES < width);
+        let j0 = self.q * w;
+        let width = w.min(n - j0);
+        assert!(VECS * LANES <= w && (VECS - 1) * LANES < width);
         let masks: [__mmask8; VECS] =
             std::array::from_fn(|v| ((1u16 << (width - v * LANES).min(LANES)) - 1) as __mmask8);
         let mut acc = [[_mm512_setzero_si512(); VECS]; ROWS];
@@ -578,14 +642,43 @@ impl RingTile<'_, '_, '_> {
             let k = term.k;
             let a = &term.a_band[i0 * k..(i0 + ROWS) * k];
             let b = term.panel(self.q);
+            if VECS == 1 {
+                // The narrow tile: eight steps per round, `A` in registers.
+                let mut p0 = depth.start;
+                while p0 < depth.end {
+                    let steps = (depth.end - p0).min(LANES);
+                    let live = ((1u16 << steps) - 1) as __mmask8;
+                    let a8: [__m512i; ROWS] = std::array::from_fn(|r| {
+                        // SAFETY: slicing `a` above checked that it holds
+                        // `ROWS * k` elements, `r < ROWS` and
+                        // `p0 + steps <= depth.end <= k`, so the `steps`
+                        // live lanes from `r * k + p0` are in bounds;
+                        // masked-off lanes are not accessed.
+                        unsafe { _mm512_maskz_loadu_epi64(live, a.as_ptr().add(r * k + p0).cast()) }
+                    });
+                    for j in 0..steps {
+                        // SAFETY: `panel` checked that `b` holds `k * w`
+                        // elements and `p0 + j < k`, so the eight lanes
+                        // read from `(p0 + j) * w` are in bounds (`w >= 8`).
+                        let bv = unsafe { _mm512_loadu_si512(b.as_ptr().add((p0 + j) * w).cast()) };
+                        let lane = _mm512_set1_epi64(j as i64);
+                        for (acc_r, &ar) in acc.iter_mut().zip(&a8) {
+                            let av = _mm512_permutexvar_epi64(lane, ar);
+                            acc_r[0] = _mm512_add_epi64(acc_r[0], _mm512_mullo_epi64(av, bv));
+                        }
+                    }
+                    p0 += steps;
+                }
+                continue;
+            }
             for p in depth.clone() {
                 let mut bv = [_mm512_setzero_si512(); VECS];
                 for (v, bv) in bv.iter_mut().enumerate() {
-                    // SAFETY: `panel` checked that `b` holds `k * NR`
-                    // elements, `p < k` and `v * LANES + LANES <= NR`
+                    // SAFETY: `panel` checked that `b` holds `k * w`
+                    // elements, `p < k` and `v * LANES + LANES <= w`
                     // (asserted above), so the eight lanes read from
-                    // `p * NR + v * LANES` are in bounds.
-                    *bv = unsafe { _mm512_loadu_si512(b.as_ptr().add(p * NR + v * LANES).cast()) };
+                    // `p * w + v * LANES` are in bounds.
+                    *bv = unsafe { _mm512_loadu_si512(b.as_ptr().add(p * w + v * LANES).cast()) };
                 }
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     // SAFETY: slicing `a` above checked that it holds
@@ -653,11 +746,11 @@ fn packed_band<T: Num>(terms: &[BandTerm<T>], band_rows: usize, n: usize, out_ba
 /// Serial register-tiled GEMM: packs `B`, then runs the micro-kernel.
 pub fn gemm_packed<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
-    packed_sum_on(&[(a, &pack_b(b))], false)
+    packed_sum_on(&[(a, &pack_b(b))], Spread::Serial)
 }
 
-/// Register-tiled GEMM, banded over the process-global thread pool where
-/// [`bands_over_pool`] says so: it is the one-term [`gemm_packed_sum`], so
+/// Register-tiled GEMM, spread over the process-global thread pool where
+/// [`spread_over_pool`] says so: it is the one-term [`gemm_packed_sum`], so
 /// below that floor it runs the serial kernel, as [`gemm_packed`] does.
 /// `B` is packed once; all bands (and all pool workers) read the same
 /// panels. The GEMM bench ladder's `packed_parallel` rows therefore time
@@ -672,15 +765,15 @@ pub fn gemm_packed_parallel<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 ///
 /// This is the fused Eq. 8 workhorse: `[L | E] x [F ; Bi]` is exactly
 /// `L x F + E x Bi`, so the caller passes `[(L, packed_f), (E, packed_bi)]`
-/// and the shared `packed_f` is reused by both servers. Runs the serial
-/// band below the [`bands_over_pool`] floor and row bands on the global
-/// pool above it.
+/// and the shared `packed_f` is reused by both servers. Runs serially, in
+/// row bands or in depth parts on the global pool, as [`spread_over_pool`]
+/// picks.
 pub(crate) fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Matrix<T> {
     let (m, n) = terms
         .first()
         .map(|(a, pb)| (a.rows(), pb.n))
         .expect("gemm_packed_sum needs at least one term");
-    let mut flops = 0usize;
+    let mut k = 0usize;
     for (a, pb) in terms {
         assert_eq!(
             a.cols(),
@@ -694,18 +787,32 @@ pub(crate) fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Ma
             (m, n),
             "gemm_packed_sum terms disagree on output shape"
         );
-        flops = flops.saturating_add(m.saturating_mul(pb.k).saturating_mul(n));
+        k = k.saturating_add(pb.k);
     }
-    let pooled = bands_over_pool::<T>(m, flops, host_workers(), host_caps().avx512_ring);
-    packed_sum_on(terms, pooled)
+    let spread = spread_over_pool::<T>((m, k, n), host_workers(), host_caps().avx512_ring);
+    packed_sum_on(terms, spread)
 }
 
-/// [`gemm_packed_sum`]'s evaluation with the serial-or-pool choice made by
-/// the caller (`pooled`), so tests can drive both branches on any pool.
-/// The terms are already validated.
+/// How [`packed_sum_on`] runs a register-tiled product.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Spread {
+    /// One band on the calling thread.
+    Serial,
+    /// Output row bands, one per pool part.
+    Rows,
+    /// The terms' concatenated inner dimension cut into one part per pool
+    /// part, each accumulated into its own `m x n` partial, and the
+    /// partials added. It moves the summation order, so ring carriers
+    /// only: wrapping sums are exact in any order.
+    Depth,
+}
+
+/// [`gemm_packed_sum`]'s evaluation with the spread chosen by the caller,
+/// so tests can drive every branch on any pool. The terms are already
+/// validated.
 pub(crate) fn packed_sum_on<T: Num>(
     terms: &[(&Matrix<T>, &PackedB<T>)],
-    pooled: bool,
+    spread: Spread,
 ) -> Matrix<T> {
     let (m, n) = (terms[0].0.rows(), terms[0].1.n);
     let mut out = Matrix::zeros(m, n);
@@ -716,25 +823,64 @@ pub(crate) fn packed_sum_on<T: Num>(
         .iter()
         .map(|&(a, pb)| BandTerm::new(a.as_slice(), pb))
         .collect();
-    if !pooled {
-        packed_band(&bands, m, n, out.as_mut_slice());
-        return out;
+    match spread {
+        Spread::Serial => packed_band(&bands, m, n, out.as_mut_slice()),
+        Spread::Rows => for_each_chunk_mut_pooled(out.as_mut_slice(), n, |offset, out_band| {
+            debug_assert_eq!(offset % n, 0);
+            debug_assert_eq!(out_band.len() % n, 0);
+            let row0 = offset / n;
+            let band_rows = out_band.len() / n;
+            let band_terms: Vec<BandTerm<T>> = bands
+                .iter()
+                .map(|t| BandTerm {
+                    a_band: &t.a_band[row0 * t.k..(row0 + band_rows) * t.k],
+                    ..t.clone()
+                })
+                .collect();
+            packed_band(&band_terms, band_rows, n, out_band);
+        }),
+        Spread::Depth => {
+            assert!(T::WRAPPING_U64, "a depth split reorders a float sum");
+            // One part per worker: the caller runs the first, and a pool
+            // worker calling in runs every part in turn. The rule never
+            // picks this on one worker; a forced call still cuts two parts.
+            let parts = host_workers().max(2);
+            let depth: usize = bands.iter().map(|t| t.k).sum();
+            let mut partials = vec![T::zero(); parts * m * n];
+            for_each_chunk_mut_pooled(&mut partials, m * n, |offset, chunk| {
+                for (j, partial) in chunk.chunks_exact_mut(m * n).enumerate() {
+                    let part = offset / (m * n) + j;
+                    let span = depth * part / parts..depth * (part + 1) / parts;
+                    packed_band(&depth_part(&bands, span), m, n, partial);
+                }
+            });
+            for partial in partials.chunks_exact(m * n) {
+                for (o, &x) in out.as_mut_slice().iter_mut().zip(partial) {
+                    *o = o.add(x);
+                }
+            }
+        }
     }
-    for_each_chunk_mut_pooled(out.as_mut_slice(), n, |offset, out_band| {
-        debug_assert_eq!(offset % n, 0);
-        debug_assert_eq!(out_band.len() % n, 0);
-        let row0 = offset / n;
-        let band_rows = out_band.len() / n;
-        let band_terms: Vec<BandTerm<T>> = bands
-            .iter()
-            .map(|t| BandTerm {
-                a_band: &t.a_band[row0 * t.k..(row0 + band_rows) * t.k],
-                ..*t
-            })
-            .collect();
-        packed_band(&band_terms, band_rows, n, out_band);
-    });
     out
+}
+
+/// The terms restricted to `span` of their concatenated inner dimension:
+/// each term keeps the steps of its own that fall inside it.
+fn depth_part<'a, T: Num>(terms: &[BandTerm<'a, T>], span: Range<usize>) -> Vec<BandTerm<'a, T>> {
+    let mut before = 0;
+    let mut part = Vec::new();
+    for t in terms {
+        let start = span.start.clamp(before, before + t.k) - before;
+        let end = span.end.clamp(before, before + t.k) - before;
+        if start < end {
+            part.push(BandTerm {
+                depth: start..end,
+                ..t.clone()
+            });
+        }
+        before += t.k;
+    }
+    part
 }
 
 /// A right-hand side prepared for [`gemm_packed_sum_auto`], in one of two
@@ -809,8 +955,8 @@ pub fn pack_b_auto<T: Num>(b: &Matrix<T>, m_hint: usize) -> AutoPackedB<'_, T> {
 }
 
 /// `sum_t A_t x B_t` over prepared right-hand sides, accumulated into one
-/// output. Packed terms run [`gemm_packed_sum`] (banding over the pool
-/// from the [`bands_over_pool`] floor); unpacked terms add onto its result
+/// output. Packed terms run [`gemm_packed_sum`] (spread over the pool as
+/// [`spread_over_pool`] says); unpacked terms add onto its result
 /// through the blocked kernel.
 pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<'_, T>)]) -> Matrix<T> {
     let (m, n) = terms
@@ -849,28 +995,45 @@ pub fn gemm_packed_sum_auto<T: Num>(terms: &[(&Matrix<T>, &AutoPackedB<'_, T>)])
 ///
 /// - `m·k·n <` [`AUTO_PACK_FLOPS`]: the blocked kernel — packing cannot be
 ///   amortized and the zero-skip helps sparse operands;
-/// - over the [`bands_over_pool`] floor: the register-tiled kernel in row
-///   bands on the persistent pool;
+/// - over the [`spread_over_pool`] floor: the register-tiled kernel in row
+///   bands or depth parts on the persistent pool;
 /// - otherwise the serial register-tiled kernel.
 pub fn gemm_auto<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_shapes(a, b);
     gemm_packed_sum_auto(&[(a, &pack_b_auto(b, a.rows()))])
 }
 
-/// Whether a register-tiled product of `m` output rows and `flops`
-/// multiply-adds bands over a pool of `workers`: the floor
-/// [`gemm_packed_sum`]'s serial-or-pool branch reads, so `gemm_auto` and
-/// the fused Eq. 8 path band the same products. With `avx512_ring` (the
-/// explicit ring kernel is live) ring products band from
-/// [`RING_PARALLEL_FLOPS`] and at least two row tiles; every other product
-/// from [`AUTO_PARALLEL_FLOPS`].
-fn bands_over_pool<T: Num>(m: usize, flops: usize, workers: usize, avx512_ring: bool) -> bool {
+/// How a register-tiled `m x k x n` product runs on a pool of `workers`
+/// (`k` sums a fused product's terms): the rule [`gemm_packed_sum`]
+/// reads, so `gemm_auto` and the fused Eq. 8 path spread the same
+/// products. With `avx512_ring` (the explicit ring kernel is live) ring
+/// products spread from [`RING_PARALLEL_FLOPS`]: in depth parts when `k`
+/// is at least `workers` times `m` (each row band would stream all of `B`,
+/// while a depth part streams its share of `A` and `B` and writes one
+/// `m x n` partial), else in row bands when the output has two row tiles.
+/// Every other product bands from [`AUTO_PARALLEL_FLOPS`].
+fn spread_over_pool<T: Num>(
+    (m, k, n): (usize, usize, usize),
+    workers: usize,
+    avx512_ring: bool,
+) -> Spread {
+    let flops = m.saturating_mul(k).saturating_mul(n);
     if workers < 2 {
-        false
+        Spread::Serial
     } else if T::WRAPPING_U64 && avx512_ring {
-        flops >= RING_PARALLEL_FLOPS && m >= 2 * MR
+        if flops < RING_PARALLEL_FLOPS {
+            Spread::Serial
+        } else if k >= m.saturating_mul(workers) {
+            Spread::Depth
+        } else if m >= 2 * MR {
+            Spread::Rows
+        } else {
+            Spread::Serial
+        }
+    } else if flops >= AUTO_PARALLEL_FLOPS {
+        Spread::Rows
     } else {
-        flops >= AUTO_PARALLEL_FLOPS
+        Spread::Serial
     }
 }
 
@@ -1122,48 +1285,51 @@ mod tests {
         /// The register-tiled kernel on the calling thread.
         Serial,
         /// The register-tiled kernel in row bands over the pool.
-        Pooled,
+        Rows,
+        /// The register-tiled kernel in depth parts over the pool, their
+        /// partials added.
+        Depth,
     }
 
-    /// `(m, k, n, kernel on 2+ workers with the AVX-512 ring kernel,
+    /// `(m, k, n, kernel on 2 and 4 workers with the AVX-512 ring kernel,
     /// without it)` for a ring product. Fused Eq. 8 products count both
-    /// terms' k. On one worker every `Pooled` below is `Serial`; `Blocked`
-    /// does not depend on the worker count. A float product always takes
-    /// the kernel of the last column.
+    /// terms' k. On one worker every `Rows` or `Depth` below is `Serial`;
+    /// `Blocked` does not depend on the worker count. A float product
+    /// always takes the kernel of the last column.
     const SHAPE_CLASSES: [(usize, usize, usize, Kernel, Kernel); 13] = {
         use Kernel::*;
         [
-            // MLP first layer, fused [L|E] x [F;B_i].
-            (128, 6272, 128, Pooled, Pooled),
+            // MLP first layer, fused [L|E] x [F;B_i]: long k.
+            (128, 6272, 128, Depth, Rows),
             // MLP first-layer weight gradient, fused.
-            (3136, 256, 128, Pooled, Pooled),
+            (3136, 256, 128, Rows, Rows),
             // CNN dense layer, fused: under the generic parallel cutover.
-            (64, 9216, 64, Pooled, Serial),
+            (64, 9216, 64, Depth, Serial),
             // CNN im2col product, fused.
-            (36864, 50, 8, Pooled, Serial),
-            // CNN conv weight gradient, fused.
-            (25, 73728, 8, Pooled, Serial),
+            (36864, 50, 8, Rows, Serial),
+            // CNN conv weight gradient, fused: four row tiles, long k.
+            (25, 73728, 8, Depth, Serial),
             // TCP session (batch 8) first layer, fused: one row tile.
-            (8, 4096, 128, Serial, Serial),
-            // MLP hidden layer, fused: under the ring banding floor.
+            (8, 4096, 128, Depth, Serial),
+            // MLP hidden layer, fused: under the ring spreading floor.
             (128, 256, 64, Serial, Serial),
-            // Exactly the ring banding floor, and just under it.
-            (64, 256, 256, Pooled, Serial),
+            // Exactly the ring spreading floor, and just under it.
+            (64, 256, 256, Depth, Serial),
             (64, 256, 255, Serial, Serial),
-            // Under the ring banding floor.
+            // Under the ring spreading floor.
             (32, 64, 32, Serial, Serial),
             // One served request.
             (1, 2048, 1, Blocked, Blocked),
             // Cubes past every workload product.
-            (512, 512, 512, Pooled, Pooled),
-            (1024, 1024, 1024, Pooled, Pooled),
+            (512, 512, 512, Rows, Rows),
+            (1024, 1024, 1024, Rows, Rows),
         ]
     };
 
     #[test]
     fn dispatch_table_over_workload_shape_classes() {
         // The rule `gemm_packed_sum_auto` reads for a one-term product:
-        // `pack_b_auto`'s form, then the `bands_over_pool` floor.
+        // `pack_b_auto`'s form, then `spread_over_pool`.
         fn check<T: Num>(carrier: &str) {
             for (m, k, n, simd, plain) in SHAPE_CLASSES {
                 let packed = pack_b_auto(&Matrix::<T>::zeros(k, n), m).is_packed();
@@ -1171,14 +1337,16 @@ mod tests {
                     for avx512_ring in [true, false] {
                         let kernel = if !packed {
                             Kernel::Blocked
-                        } else if bands_over_pool::<T>(m, m * k * n, workers, avx512_ring) {
-                            Kernel::Pooled
                         } else {
-                            Kernel::Serial
+                            match spread_over_pool::<T>((m, k, n), workers, avx512_ring) {
+                                Spread::Serial => Kernel::Serial,
+                                Spread::Rows => Kernel::Rows,
+                                Spread::Depth => Kernel::Depth,
+                            }
                         };
                         let column = if T::WRAPPING_U64 && avx512_ring { simd } else { plain };
                         let want = match column {
-                            Kernel::Pooled if workers < 2 => Kernel::Serial,
+                            Kernel::Rows | Kernel::Depth if workers < 2 => Kernel::Serial,
                             kernel => kernel,
                         };
                         let case = format!("{carrier} {m}x{k}x{n} workers {workers}");
@@ -1235,7 +1403,13 @@ mod tests {
                 packed_band_avx2(t, rows, n, out)
             }));
         }
-        for &(m, k, n) in &[(1, 1, 1), (MR + 3, 25, NR + 9), (2 * MR, 50, 8), (5, 0, 3)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (MR + 3, 25, NR + 9),
+            (2 * MR, 50, 8),
+            (MR + 1, 19, 5),
+            (5, 0, 3),
+        ] {
             let a = umat(m, k, 3);
             let b = umat(k, n, 5);
             let packed = pack_b(&b);

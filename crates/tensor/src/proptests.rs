@@ -3,6 +3,7 @@
 use crate::conv::{conv2d_direct, conv2d_im2col, ConvShape};
 use crate::gemm::{
     gemm_auto, gemm_blocked, gemm_naive, gemm_packed, gemm_packed_sum, pack_b, packed_sum_on,
+    Spread,
 };
 use crate::matrix::Matrix;
 use crate::sparse::{density_of_zeros, Csr};
@@ -178,24 +179,30 @@ fn edge_rows() -> Vec<usize> {
     (1..=17).chain([25, 64]).collect()
 }
 
-/// Column counts around the 16-wide panel and its 8-lane halves.
+/// Column counts around the 16-wide panel and its 8-lane halves: one
+/// narrow 8-wide panel (`1..=8`), and a narrow last panel (`17..=24`).
 fn edge_cols() -> Vec<usize> {
-    (1..=17).chain([8, 10, 33]).collect()
+    (1..=24).chain([8, 10, 33]).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `gemm_packed_sum` over one to three terms of differing inner
-    /// dimension (0 and 1, under and over one tile step, and over the
-    /// AVX-512 kernel's 256-deep slab) is bit-identical to the summed
-    /// oracle on every edge shape, through both its serial branch and its
-    /// pooled row bands — whichever band kernel this host runs.
+    /// dimension (0 and 1, around the narrow tile's eight-step round,
+    /// under and over one tile step, and around the AVX-512 kernel's
+    /// 256-deep slab, so a sum straddles a slab edge and a depth part cuts
+    /// inside a term) is bit-identical to the summed oracle on every edge
+    /// shape, serially, in pooled row bands and in depth parts — whichever
+    /// band kernel this host runs.
     #[test]
     fn packed_sum_matches_naive_on_edge_shapes(
         m in prop::sample::select(edge_rows()),
         n in prop::sample::select(edge_cols()),
-        ks in prop::collection::vec(prop::sample::select(vec![0usize, 1, 25, 50, 257]), 1..4),
+        ks in prop::collection::vec(
+            prop::sample::select(vec![0usize, 1, 7, 8, 9, 25, 50, 255, 256, 257]),
+            1..4,
+        ),
         seed in any::<u64>(),
     ) {
         let operands: Vec<(Matrix<u64>, Matrix<u64>)> = ks
@@ -219,8 +226,9 @@ proptest! {
         let packed: Vec<_> = operands.iter().map(|(_, b)| pack_b(b)).collect();
         let terms: Vec<(&Matrix<u64>, _)> =
             operands.iter().zip(&packed).map(|((a, _), p)| (a, p)).collect();
-        prop_assert_eq!(&packed_sum_on(&terms, false), &oracle);
-        prop_assert_eq!(&packed_sum_on(&terms, true), &oracle);
+        for spread in [Spread::Serial, Spread::Rows, Spread::Depth] {
+            prop_assert_eq!(&packed_sum_on(&terms, spread), &oracle, "{:?}", spread);
+        }
         prop_assert_eq!(&gemm_packed_sum(&terms), &oracle);
     }
 }

@@ -18,10 +18,10 @@ cargo build --release --offline --workspace
 # (`tests/figures.rs` checks the same claims at reduced scale in tier-1.)
 ./target/release/figures
 cargo test -q --offline --workspace
-# Ring GEMMs run serial on a one-worker pool and in row bands over a larger
-# one: on AVX-512 CPUs the explicit ring kernel bands from 2^22
-# multiply-adds (`gemm_packed_sum` and `gemm_auto` read one floor), every
-# other product from 48M. The pool is sized from PSML_WORKERS at first use,
+# Ring GEMMs run serial on a one-worker pool and in row bands or depth parts
+# over a larger one: on AVX-512 CPUs the explicit ring kernel spreads from
+# 2^22 multiply-adds (`gemm_packed_sum` and `gemm_auto` read one rule),
+# every other product from 48M. The pool is sized from PSML_WORKERS at first use,
 # so run the kernel crates under both shapes whatever this host's cores.
 # The dealer's `Z` products run on the same pool: prefetch and inline
 # dealing, the schedule-derived traffic, and served windows that read a
@@ -123,7 +123,7 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/engine.rs \
 fi
 
 # One GEMM dispatch rule: `gemm_auto` is the one-term prepared sum, so
-# `pack_b_auto`'s floor and `bands_over_pool` pick the kernel of every
+# `pack_b_auto`'s floor and `spread_over_pool` pick the kernel of every
 # product, and ring carriers are the one element type rebranded onto a
 # pinned kernel. A tier enum and its rule, or the pinned f32 kernel with its
 # `TypeId` cast, in non-test gemm.rs is the second dispatcher growing back.
@@ -297,6 +297,28 @@ rm -f BENCH_gemm.smoke.json
 # validate a smoke run's document against BENCHMARK.json.
 cargo build --release --offline --manifest-path e2e/Cargo.toml
 cargo test --offline --manifest-path e2e/Cargo.toml
+
+# Ring-kernel codegen gate: `A` reaches every ring `vpmullq` in a register.
+# A per-step `_mm512_set1_epi64` that feeds a single multiply (the narrow
+# tile's form before it loaded eight steps at once) is folded by LLVM into
+# `vpmullq zmm, zmm, m64{1to8}`, which ran 3-6x slower on AVX-512 Xeons.
+# Disassemble the benchmark's binary and fail on any such multiply in a
+# ring-kernel symbol, or when no ring-kernel symbol is found at all.
+e2e_bin="${CARGO_TARGET_DIR:-e2e/target}/release/e2e"
+if ! command -v objdump >/dev/null; then
+    echo "ci: objdump is not installed; skipping the ring-kernel codegen gate" >&2
+elif [ "$(uname -m)" = x86_64 ]; then
+    ring_codegen="$(objdump -d --no-show-raw-insn -C "$e2e_bin" | awk '
+        /^[0-9a-f]+ </ { ring = ($0 ~ /packed_band_ring_avx512|RingTile/); symbols += ring }
+        ring && /vpmullq/ { muls++; if (/\{1to8\}/) { folded++; print } }
+        END { printf "ring-kernel symbols %d, vpmullq %d, folded broadcasts %d\n", symbols, muls, folded }')"
+    echo "ci: $(tail -n1 <<<"$ring_codegen")"
+    if ! grep -q 'symbols [1-9][0-9]*, vpmullq [1-9][0-9]*, folded broadcasts 0$' <<<"$ring_codegen"; then
+        echo "$ring_codegen" >&2
+        echo "ci: a ring-kernel vpmullq takes a folded {1to8} broadcast, or no ring kernel was found" >&2
+        exit 1
+    fi
+fi
 cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- run --smoke
 cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
     check "${CARGO_TARGET_DIR:-target}/e2e/smoke.json"
