@@ -30,6 +30,10 @@
 //!
 //! Bytes move through `Wire::ship`, the client's CPU-or-GPU decision is
 //! `charge_client_step`, a local step on both servers is `per_server`.
+//! The two servers' local work — `per_server`, *compute2* and the encoding
+//! of what each sends — runs on two cores at once from a fixed size up
+//! (`per_party`); the wire, every clock and every charge stay on the
+//! engine thread, in the same order either way.
 //! Every product's deal comes from the one [`TripleProvider`], checked
 //! against what was declared, in every mode: with `prefetch` a worker
 //! thread deals ahead, without it the take deals inline, and under
@@ -85,6 +89,28 @@ fn stream_id(site: u32, chan: u64) -> u64 {
 
 /// The two servers' node ids, indexed like [`SecureContext`]'s `servers`.
 const SERVER: [NodeId; 2] = [NodeId::Server0, NodeId::Server1];
+
+/// Elements per server from which a local step runs server 0's and server
+/// 1's halves at the same time; below it the hand-off to a pool worker
+/// costs more than it saves, and the halves run in turn. Measured on a
+/// two-party `sub` pair (DESIGN.md, "Two parties, two cores").
+const CONCURRENT_PARTIES_FLOOR: usize = 1 << 16;
+
+/// Server 0's and server 1's halves of a local step, `(p0(), p1())`: at
+/// the same time ([`psml_parallel::both`], the caller's thread running
+/// `p0`) when the step touches `elems` elements per server, at least
+/// [`CONCURRENT_PARTIES_FLOOR`], else in turn on the caller's thread.
+fn per_party<A, B: Send>(
+    elems: usize,
+    p0: impl FnOnce() -> A,
+    p1: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if elems < CONCURRENT_PARTIES_FLOOR {
+        let a = p0();
+        return (a, p1());
+    }
+    psml_parallel::both(p0, p1)
+}
 
 /// Records one engine-level phase span (no-op unless tracing is enabled).
 #[allow(clippy::too_many_arguments)] // a span is wide: op, lane, interval, shape
@@ -204,6 +230,10 @@ type PerOperand<R> = [Option<Matrix<R>>; 2];
 /// One server's halves of a product's operands before the exchange (its
 /// masked shares, *compute1*), with its readiness there.
 type Halves<R> = Timed<PerOperand<R>>;
+
+/// What one server sends in one exchange: up to two matrices, each on its
+/// stream.
+type Sends<'m, R> = [Option<(u64, &'m Matrix<R>)>; 2];
 
 /// A product's public operands `[E, F]` and when each server holds them.
 /// Both servers reconstruct the same values; the host keeps one copy of
@@ -724,17 +754,19 @@ impl<R: SecureRing> SecureContext<R> {
     }
 
     /// One local step on both servers: server `i` produces `f(i)` in a CPU
-    /// pass of `dur` starting no earlier than `ready[i]`.
-    fn per_server<T>(
+    /// pass of `dur` starting no earlier than `ready[i]`. The two run at
+    /// the same time when the step touches `elems` elements per server
+    /// ([`per_party`]); the charges follow, server 0's first.
+    fn per_server<T: Send>(
         &mut self,
         ready: [SimTime; 2],
         dur: SimDuration,
-        mut f: impl FnMut(usize) -> T,
+        elems: usize,
+        f: impl Fn(usize) -> T + Sync,
     ) -> [Timed<T>; 2] {
-        [0, 1].map(|i| Timed {
-            v: f(i),
-            ready: self.server_cpu(i, ready[i], dur),
-        })
+        let (v0, v1) = per_party(elems, || f(0), || f(1));
+        let [r0, r1] = [0, 1].map(|i| self.server_cpu(i, ready[i], dur));
+        [Timed { v: v0, ready: r0 }, Timed { v: v1, ready: r1 }]
     }
 
     /// Global barrier on both servers (used between steps when the
@@ -751,68 +783,58 @@ impl<R: SecureRing> SecureContext<R> {
         t
     }
 
-    /// Moves one matrix from server `i` to its peer through the reliable
-    /// channel, delta-compressing per `stream` on the way out and
-    /// decoding on arrival (`stream` is a [`stream_id`] of the interned
-    /// call site and a channel constant), and returns what `open` makes
-    /// of the landed matrix. `now` is the instant the data is ready on
-    /// the sender.
-    ///
-    /// The stream is delta-encoded exactly once per logical transfer —
-    /// retransmissions inside [`ReliableChannel::transfer`] resend the
-    /// same payload bytes, so the receiver's mirror state advances once
-    /// per call no matter how many frames the chaos layer eats.
-    fn transfer_mat<T>(
-        &mut self,
-        i: usize,
-        stream: u64,
-        m: &Matrix<R>,
-        now: SimTime,
-        open: impl FnOnce(&Matrix<R>) -> T,
-    ) -> Result<Timed<T>> {
-        let payload = if self.cfg.compression {
-            let enc = self.servers[i]
-                .encoders
-                .entry(stream)
-                .or_insert_with(|| DeltaEncoder::with_threshold(self.cfg.sparsity_threshold));
-            match enc.encode(m) {
-                TransmitForm::Full(full) => Payload::Dense(full),
-                TransmitForm::Delta(csr) => Payload::SparseDelta(csr),
-            }
-        } else {
-            // `m` is only lent to us and a `Payload` owns its matrix.
-            Payload::Dense(m.clone())
-        };
-        self.deliver(i, stream, &payload, now, open)
+    /// Whether matrix streams are delta-compressed: with compression on
+    /// and the masks reused (Eq. 11), where `E_{j+1} - E_j` is sparse. A
+    /// fresh mask makes every send a uniform matrix that can only ever go
+    /// `Full`, so its stream keeps no encoder and no mirror.
+    fn delta_streams(&self) -> bool {
+        self.cfg.compression && self.cfg.insecure_reuse_triples
     }
 
-    /// [`SecureContext::transfer_mat`] of a matrix the sender owns and
-    /// keeps: with compression off it rides in the payload for the call
-    /// and is moved back, where a lent one has to be copied.
-    fn transfer_kept<T>(
+    /// The wire forms of what each server sends — `sends[i]` holds server
+    /// `i`'s matrices, each with its stream — made on both servers at the
+    /// same time ([`per_party`], over the larger server's elements): with
+    /// delta streams each stream's encoding (its encoder opened on first
+    /// use), else a copy of the lent matrix. The stream is delta-encoded
+    /// exactly once per logical transfer: retransmissions inside
+    /// [`ReliableChannel::transfer`] resend the same payload bytes, so the
+    /// receiver's mirror advances once per send however many frames the
+    /// chaos layer eats.
+    fn outgoing(
         &mut self,
-        i: usize,
-        stream: u64,
-        m: &mut Matrix<R>,
-        now: SimTime,
-        open: impl FnOnce(&Matrix<R>) -> T,
-    ) -> Result<Timed<T>> {
-        if self.cfg.compression {
-            return self.transfer_mat(i, stream, m, now, open);
-        }
-        let payload = Payload::Dense(std::mem::replace(m, Matrix::zeros(0, 0)));
-        let landed = self.deliver(i, stream, &payload, now, open);
-        if let Payload::Dense(sent) = payload {
-            *m = sent;
-        }
-        landed
+        sends: [Sends<'_, R>; 2],
+    ) -> [[Option<Payload<R>>; 2]; 2] {
+        let (delta, threshold) = (self.delta_streams(), self.cfg.sparsity_threshold);
+        let elems = sends.map(|mine| mine.iter().flatten().map(|(_, m)| m.len()).sum::<usize>());
+        let form = |encoders: &mut HashMap<u64, DeltaEncoder<R>>, mine: Sends<'_, R>| {
+            mine.map(|send| {
+                let (stream, m) = send?;
+                if !delta {
+                    return Some(Payload::Dense(m.clone()));
+                }
+                let encoder = encoders.entry(stream);
+                let encoder = encoder.or_insert_with(|| DeltaEncoder::with_threshold(threshold));
+                Some(match encoder.encode(m) {
+                    TransmitForm::Full(full) => Payload::Dense(full),
+                    TransmitForm::Delta(csr) => Payload::SparseDelta(csr),
+                })
+            })
+        };
+        let [s0, s1] = &mut self.servers;
+        let [sends0, sends1] = sends;
+        let (p0, p1) = per_party(
+            elems[0].max(elems[1]),
+            || form(&mut s0.encoders, sends0),
+            || form(&mut s1.encoders, sends1),
+        );
+        [p0, p1]
     }
 
     /// The wire half of a transfer: ships `payload` from server `i` at
-    /// `now` and runs `open` on the matrix that lands. With compression
-    /// on, that is the peer's `stream` decoder's mirror after applying
-    /// the payload; with it off, the payload's own dense matrix, and no
-    /// decoder is kept.
+    /// `now` and runs `open` on the matrix that lands. With delta streams
+    /// ([`SecureContext::delta_streams`]), that is the peer's `stream`
+    /// decoder's mirror after applying the payload; without, the
+    /// payload's own dense matrix, and no decoder is kept.
     fn deliver<T>(
         &mut self,
         i: usize,
@@ -825,17 +847,17 @@ impl<R: SecureRing> SecureContext<R> {
         let (mut snd_clock, mut rcv_clock) = (now, SimTime::ZERO);
         let (from, to) = (SERVER[i], SERVER[j]);
         let pkt = self.wire.ship(from, &mut snd_clock, to, &mut rcv_clock, payload)?;
-        let v = match (pkt.payload, self.cfg.compression) {
+        let v = match (pkt.payload, self.delta_streams()) {
             (Payload::Dense(m), false) => open(&m),
             (Payload::Dense(m), true) => open(self.servers[j].land(stream, TransmitForm::Full(m))?),
             (Payload::SparseDelta(c), true) => {
                 open(self.servers[j].land(stream, TransmitForm::Delta(c))?)
             }
-            (other, compression) => {
+            (other, delta) => {
                 return Err(EngineError::Protocol(format!(
-                    "unexpected {} on a matrix stream (compression {})",
+                    "unexpected {} on a matrix stream (delta streams {})",
                     other.kind(),
-                    if compression { "on" } else { "off" }
+                    if delta { "on" } else { "off" }
                 )))
             }
         };
@@ -862,7 +884,9 @@ impl<R: SecureRing> SecureContext<R> {
         let (operands, tri) = ([&a.parts, &b.parts], &triple.shares);
         let ready = [0, 1].map(|i| a.parts[i].ready.max(b.parts[i].ready));
         self.breakdown.compute1 += dur;
-        let halves = self.per_server(ready, dur, |i| {
+        let operand_elems = [a.parts[0].v.len(), b.parts[0].v.len()].into_iter().zip(opens);
+        let elems = operand_elems.filter_map(|(len, open)| open.then_some(len)).sum();
+        let halves = self.per_server(ready, dur, elems, |i| {
             [0, 1].map(|j| {
                 opens[j].then(|| {
                     let mask = tri[i].masks[j].as_ref();
@@ -881,28 +905,43 @@ impl<R: SecureRing> SecureContext<R> {
     /// opened) and when each server holds them — when its later half
     /// lands; the additions are the caller's to charge. Both servers
     /// reconstruct the same values, so the host computes server 0's.
+    ///
+    /// With delta streams both servers encode their halves at once
+    /// ([`SecureContext::outgoing`]); without, each half rides in its
+    /// payload as it is, and server 0 reads its own from there.
     fn exchange_masked(
         &mut self,
         site: u32,
         chans: [u64; 2],
-        mut halves: [Halves<R>; 2],
+        halves: [Halves<R>; 2],
     ) -> Result<(PerOperand<R>, [SimTime; 2])> {
         let streams = chans.map(|chan| stream_id(site, chan));
-        let [h0, h1] = &mut halves;
+        let [mut h0, mut h1] = halves;
         let sent_at = [h0.ready, h1.ready];
+        let [out0, out1] = if self.delta_streams() {
+            let sends = [&h0.v, &h1.v]
+                .map(|mine| [0, 1].map(|j| mine[j].as_ref().map(|m| (streams[j], m))));
+            self.outgoing(sends)
+        } else {
+            [&mut h0.v, &mut h1.v].map(|mine| mine.each_mut().map(|m| m.take().map(Payload::Dense)))
+        };
+        let kept = |j: usize| match (&h0.v[j], &out0[j]) {
+            (Some(mine), _) | (None, Some(Payload::Dense(mine))) => Some(mine),
+            _ => None,
+        };
         let (mut opened, mut ready) = ([None, None], sent_at);
-        for (j, (mine, theirs)) in h0.v.iter().zip(&mut h1.v).enumerate() {
-            if let (Some(mine), Some(theirs)) = (mine, theirs) {
-                let got = self.transfer_kept(1, streams[j], theirs, sent_at[1], |e| {
+        for (j, stream) in streams.into_iter().enumerate() {
+            if let (Some(mine), Some(theirs)) = (kept(j), &out1[j]) {
+                let got = self.deliver(1, stream, theirs, sent_at[1], |e| {
                     reconstruct_public(mine, e)
                 })?;
                 ready[0] = ready[0].max(got.ready);
                 opened[j] = Some(got.v);
             }
         }
-        for (theirs, stream) in h0.v.iter_mut().zip(streams) {
-            if let Some(theirs) = theirs {
-                let got = self.transfer_kept(0, stream, theirs, sent_at[0], |_| ())?;
+        for (sent, stream) in out0.iter().zip(streams) {
+            if let Some(sent) = sent {
+                let got = self.deliver(0, stream, sent, sent_at[0], |_| ())?;
                 ready[1] = ready[1].max(got.ready);
             }
         }
@@ -1085,27 +1124,29 @@ impl<R: SecureRing> SecureContext<R> {
         // reconstruct the same public F, so on the fused path it is
         // prepared once (packed into column panels above the blocked
         // kernel's floor) and shared between the two `[F ; B_i]`
-        // evaluations (Eq. (8)'s common top block).
-        let [e_pub, f_pub] = &publics.ef;
+        // evaluations (Eq. (8)'s common top block). The two evaluations
+        // run at the same time (`per_party`, over plain borrows: an `Rc`
+        // stays on this thread); their charges follow, server 0's first.
+        let [e_pub, f_pub]: [&Matrix<R>; 2] = publics.ef.each_ref().map(Rc::as_ref);
         let f_packed = match self.cfg.eval_strategy {
             EvalStrategy::Fused => Some(pack_b_auto(f_pub, m)),
             EvalStrategy::Expanded => None,
         };
-        let mut compute2 = |i: usize| -> Result<Timed<Matrix<R>>> {
+        let strategy = self.cfg.eval_strategy;
+        let compute2 = |i: usize| {
             let party = Party::BOTH[i];
             let (a_i, b_i, z_i) = (&a.parts[i].v, &b.parts[i].v, &triple.shares[i].z);
-            let strategy = self.cfg.eval_strategy;
-            let v = match &f_packed {
+            match &f_packed {
                 Some(fp) => finish_packed(party, a_i, b_i, z_i, e_pub, fp),
                 None => finish(party, a_i, b_i, z_i, e_pub, f_pub, strategy, gemm_auto),
-            };
-            let ready = match placement {
-                Placement::Cpu => self.charge_compute2_cpu(i, publics.ready[i], (m, k, n)),
-                Placement::Gpu => self.charge_compute2_gpu(i, &publics, a, b, triple)?,
-            };
-            Ok(Timed { v, ready })
+            }
         };
-        let outs = [compute2(0)?, compute2(1)?];
+        let (c0, c1) = per_party(m * k + k * n + m * n, || compute2(0), || compute2(1));
+        let mut charge = |i: usize| match placement {
+            Placement::Cpu => Ok(self.charge_compute2_cpu(i, publics.ready[i], (m, k, n))),
+            Placement::Gpu => self.charge_compute2_gpu(i, &publics, a, b, triple),
+        };
+        let outs = [Timed { v: c0, ready: charge(0)? }, Timed { v: c1, ready: charge(1)? }];
         let c2_end = latest(&outs);
         self.breakdown.compute2 += c2_end.saturating_since(comm_end);
         // Measured span of compute2 on the critical server: readiness of
@@ -1178,7 +1219,8 @@ impl<R: SecureRing> SecureContext<R> {
         drop(comm_guard);
         let _c2_guard = TraceSink::scope(Phase::Compute2, layer);
         let c2_dur = self.cpu_dur(8 * m * n * R::BYTES);
-        let outs = self.per_server(ready, c2_dur, |i| {
+        let triple: &DistTriple<R> = &triple;
+        let outs = self.per_server(ready, c2_dur, m * n, |i| {
             let z_i = &triple.shares[i].z;
             finish_hadamard(Party::BOTH[i], &a.parts[i].v, &b.parts[i].v, z_i, &e_pub, &f_pub)
         });
@@ -1297,7 +1339,7 @@ impl<R: SecureRing> SecureContext<R> {
         a: &SharedMatrix<R>,
         b: &SharedMatrix<R>,
         what: &str,
-        f: impl Fn(R, R) -> R,
+        f: impl Fn(R, R) -> R + Sync,
     ) -> Result<SharedMatrix<R>> {
         if a.shape() != b.shape() {
             return Err(EngineError::Shape(format!(
@@ -1308,7 +1350,7 @@ impl<R: SecureRing> SecureContext<R> {
         }
         let dur = self.cpu_dur(3 * a.parts[0].v.byte_size());
         let ready = [0, 1].map(|i| a.parts[i].ready.max(b.parts[i].ready));
-        Ok(SharedMatrix::new(self.per_server(ready, dur, |i| {
+        Ok(SharedMatrix::new(self.per_server(ready, dur, a.parts[0].v.len(), |i| {
             a.parts[i].v.zip_map(&b.parts[i].v, &f)
         })))
     }
@@ -1318,7 +1360,7 @@ impl<R: SecureRing> SecureContext<R> {
     pub fn scale_public(&mut self, a: &SharedMatrix<R>, c: f64) -> SharedMatrix<R> {
         let enc = R::encode(c);
         let dur = self.cpu_dur(2 * a.parts[0].v.byte_size());
-        SharedMatrix::new(self.per_server(a.ready(), dur, |i| {
+        SharedMatrix::new(self.per_server(a.ready(), dur, a.parts[0].v.len(), |i| {
             let party = Party::BOTH[i];
             a.parts[i].v.map(|x| x.mul(enc).truncate_share(party))
         }))
@@ -1339,7 +1381,7 @@ impl<R: SecureRing> SecureContext<R> {
             )));
         }
         let dur = self.cpu_dur(3 * a.parts[0].v.byte_size());
-        Ok(SharedMatrix::new(self.per_server(a.ready(), dur, |i| {
+        Ok(SharedMatrix::new(self.per_server(a.ready(), dur, a.parts[0].v.len(), |i| {
             let share = &a.parts[i].v;
             let kept = share.as_slice().iter().zip(mask.as_slice());
             let kept = kept.map(|(&x, &keep)| if keep != 0.0 { x } else { R::zero() });
@@ -1353,10 +1395,11 @@ impl<R: SecureRing> SecureContext<R> {
     pub fn map_local(
         &mut self,
         a: &SharedMatrix<R>,
-        f: impl Fn(&Matrix<R>) -> Matrix<R>,
+        f: impl Fn(&Matrix<R>) -> Matrix<R> + Sync,
     ) -> SharedMatrix<R> {
         let dur = self.cpu_dur(2 * a.parts[0].v.byte_size());
-        SharedMatrix::new(self.per_server(a.ready(), dur, |i| f(&a.parts[i].v)))
+        let elems = a.parts[0].v.len();
+        SharedMatrix::new(self.per_server(a.ready(), dur, elems, |i| f(&a.parts[i].v)))
     }
 
     /// A shared all-zeros matrix (both shares zero), ready immediately.
@@ -1418,25 +1461,26 @@ impl<R: SecureRing> SecureContext<R> {
             (out, mask, "activation[client-aided]", 4)
         } else {
             // Each server receives its peer's share through the reliable
-            // channel and adds its own.
+            // channel and adds its own; both encode what they send at once.
             let on = stream_id(self.site_id(key), CHAN_ACT);
-            let mut fetch = |i: usize| {
+            let [[p0, _], [p1, _]] = self.outgoing(z.parts.each_ref().map(|s| [Some((on, &s.v)), None]));
+            let mut fetch = |i: usize, sent: Option<Payload<R>>| {
+                let sent = sent.expect("each server sends its share");
                 let (mine, peer) = (&z.parts[i].v, &z.parts[1 - i]);
-                self.transfer_mat(1 - i, on, &peer.v, peer.ready, |theirs| mine.add(theirs))
+                self.deliver(1 - i, on, &sent, peer.ready, |theirs| mine.add(theirs))
             };
-            let mut sums = [fetch(0)?, fetch(1)?];
+            let sums = [fetch(0, p1)?, fetch(1, p0)?];
             let dur = self.cpu_dur(4 * z.parts[0].v.byte_size());
             let ready = [0, 1].map(|i| z.parts[i].ready.max(sums[i].ready));
-            let [z0, z1] = self.per_server(ready, dur, |i| {
-                std::mem::replace(&mut sums[i].v, Matrix::zeros(0, 0))
-            });
+            let ready = [0, 1].map(|i| self.server_cpu(i, ready[i], dur));
+            let [z0, z1] = sums.map(|sum| sum.v);
             // Both servers hold identical z; apply f / f' and re-share
             // deterministically.
-            debug_assert_eq!(z0.v, z1.v);
-            let (activated, mask) = activate(&R::decode_matrix(&z0.v), f, df);
+            debug_assert_eq!(z0, z1);
+            let (activated, mask) = activate(&R::decode_matrix(&z0), f, df);
             let s0 = R::encode_matrix(&activated);
             let s1 = Matrix::zeros(s0.rows(), s0.cols());
-            let parts = [(s0, z0.ready), (s1, z1.ready)].map(|(v, ready)| Timed { v, ready });
+            let parts = [(s0, ready[0]), (s1, ready[1])].map(|(v, ready)| Timed { v, ready });
             (SharedMatrix::new(parts), mask, "activation", 2)
         };
         let end = latest(&out.parts);
@@ -1740,18 +1784,24 @@ mod tests {
 
     #[test]
     fn no_compression_keeps_no_mirrors() {
-        let mut ctx = ctx(EngineConfig::secureml());
-        let a = plain(6, 9, 1.0);
-        let b = plain(9, 4, 2.0);
-        for _ in 0..3 {
-            let c = ctx.secure_matmul_plain(&a, &b).unwrap();
-            assert!(c.max_abs_diff(&a.matmul(&b)) < 1e-2);
-        }
-        let z = ctx.share_input(&a).unwrap();
-        ctx.secure_activation(&z, relu, relu_derivative, "t")
-            .unwrap();
-        for s in &ctx.servers {
-            assert!(s.encoders.is_empty() && s.decoders.is_empty());
+        // Compression off, and compression on over fresh masks (prefetch
+        // deals a fresh triple per product): no stream is delta-encoded.
+        let fresh = EngineConfig::parsecureml().with_prefetch(true);
+        assert!(fresh.compression);
+        for cfg in [EngineConfig::secureml(), fresh] {
+            let mut ctx = ctx(cfg);
+            let a = plain(6, 9, 1.0);
+            let b = plain(9, 4, 2.0);
+            for _ in 0..3 {
+                let c = ctx.secure_matmul_plain(&a, &b).unwrap();
+                assert!(c.max_abs_diff(&a.matmul(&b)) < 1e-2);
+            }
+            let z = ctx.share_input(&a).unwrap();
+            ctx.secure_activation(&z, relu, relu_derivative, "t")
+                .unwrap();
+            for s in &ctx.servers {
+                assert!(s.encoders.is_empty() && s.decoders.is_empty());
+            }
         }
     }
 

@@ -33,8 +33,8 @@ pub mod pool;
 pub use chunking::{chunks, Chunk, CACHE_LINE_F32};
 pub use mt19937::Mt19937;
 pub use pool::{
-    configured_workers, default_workers, for_each_chunk_mut_pooled, global_pool, in_pool_worker,
-    ThreadPool,
+    both, configured_workers, default_workers, for_each_chunk_mut_pooled, global_pool,
+    in_pool_region, in_pool_worker, ThreadPool,
 };
 
 /// Constructs the deterministic MT19937 generator protocol code uses for

@@ -9,6 +9,9 @@
 //! splits a mutable slice on [`chunks`] boundaries and runs one part on the
 //! caller and the rest on the pool.
 //!
+//! [`both`] is the pool's one fork-join of two unlike halves: the two
+//! servers' local steps, each on its own core.
+//!
 //! The global pool's size is decided once, at first use: the
 //! `PSML_WORKERS` environment variable, else [`default_workers`].
 
@@ -169,9 +172,67 @@ thread_local! {
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+thread_local! {
+    /// True on a thread while it runs the caller's side of a [`both`].
+    static IN_BOTH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// True when the calling thread is one of a [`ThreadPool`]'s workers.
 pub fn in_pool_worker() -> bool {
     IN_POOL_WORKER.with(std::cell::Cell::get)
+}
+
+/// True when pooled work started on the calling thread runs serially on
+/// it: the thread is a pool worker, or it runs one side of a [`both`].
+/// [`for_each_chunk_mut_pooled`] and the GEMM spreading rule read it.
+pub fn in_pool_region() -> bool {
+    in_pool_worker() || IN_BOTH.with(std::cell::Cell::get)
+}
+
+/// Marks the calling thread as inside a [`both`] until dropped, unwinding
+/// included.
+struct BothSide;
+
+impl BothSide {
+    fn enter() -> Self {
+        IN_BOTH.with(|flag| flag.set(true));
+        BothSide
+    }
+}
+
+impl Drop for BothSide {
+    fn drop(&mut self) {
+        IN_BOTH.with(|flag| flag.set(false));
+    }
+}
+
+/// Runs `a` on the calling thread and `b` on one worker of the
+/// [`global_pool`] at the same time, and returns both results: the
+/// fork-join of two independent halves, such as the two servers' local
+/// steps.
+///
+/// Each side holds one core: pooled work either side starts runs serially
+/// on its own thread ([`in_pool_region`]). A panic on either side reaches
+/// the caller only after both sides have finished, so `b` may borrow the
+/// caller's stack. Called from a pool worker or from inside another
+/// `both`, it runs `a` and then `b` inline.
+pub fn both<RA, RB>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB)
+where
+    RB: Send,
+{
+    if in_pool_region() {
+        let ra = a();
+        return (ra, b());
+    }
+    let (mut ra, mut rb) = (None, None);
+    let slot = &mut rb;
+    let job = Box::new(move || *slot = Some(b())) as Box<dyn FnOnce() + Send + '_>;
+    pool_run_with_local(global_pool(), vec![job], || {
+        let _side = BothSide::enter();
+        ra = Some(a());
+    });
+    let done = "both sides ran to completion";
+    (ra.expect(done), rb.expect(done))
 }
 
 fn worker_loop(queue: &JobQueue, pending: &PendingState) {
@@ -235,15 +296,16 @@ fn split_parts<'d, T>(data: &'d mut [T], plan: &[Chunk]) -> Vec<(usize, &'d mut 
 /// chunk while the pool's workers execute the rest.
 ///
 /// Safe to call from inside another pooled job: when the calling thread
-/// is itself a pool worker (see [`in_pool_worker`]), the whole slice runs
-/// serially on the caller instead of re-entering the pool, so a nested
-/// wait can never starve the workers it is waiting on.
+/// is itself a pool worker or one side of a [`both`] (see
+/// [`in_pool_region`]), the whole slice runs serially on the caller
+/// instead of re-entering the pool, so a nested wait can never starve the
+/// workers it is waiting on, and each side of a `both` keeps to its core.
 pub fn for_each_chunk_mut_pooled<T, F>(data: &mut [T], align: usize, body: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if in_pool_worker() {
+    if in_pool_region() {
         if !data.is_empty() {
             body(0, data);
         }
@@ -503,6 +565,80 @@ mod tests {
         }) as Box<dyn FnOnce() + Send + '_>;
         pool_run_with_local(global_pool(), vec![job], || {});
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
+    }
+
+    #[test]
+    fn both_returns_both_results() {
+        let (left, right) = (vec![1u64, 2, 3], vec![4u64, 5]);
+        let (a, b) = both(|| left.iter().sum::<u64>(), || right.iter().sum::<u64>());
+        assert_eq!((a, b), (6, 9));
+        assert!(!in_pool_region(), "the caller's mark is cleared on return");
+    }
+
+    #[test]
+    fn pooled_loops_inside_both_run_serially() {
+        // Large enough that the pool would cut it into parts; inside either
+        // side it is one call on that side's thread.
+        let calls_in = || {
+            assert!(in_pool_region());
+            let mut data = vec![0u32; 1 << 14];
+            let calls = AtomicUsize::new(0);
+            let me = std::thread::current().id();
+            for_each_chunk_mut_pooled(&mut data, CACHE_LINE_F32, |off, slice| {
+                assert_eq!(std::thread::current().id(), me);
+                calls.fetch_add(1, Ordering::Relaxed);
+                for (i, v) in slice.iter_mut().enumerate() {
+                    *v = (off + i) as u32;
+                }
+            });
+            assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
+            calls.into_inner()
+        };
+        assert_eq!(both(calls_in, calls_in), (1, 1));
+    }
+
+    #[test]
+    fn a_panic_on_either_side_waits_for_the_other() {
+        for left_panics in [true, false] {
+            // Stack data the surviving side writes after the panic: the
+            // caller must not unwind past it before that side is done.
+            let finished = AtomicUsize::new(0);
+            let survivor = || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::Relaxed);
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if left_panics {
+                    both(|| panic!("left side failed"), survivor);
+                } else {
+                    both(survivor, || panic!("right side failed"));
+                }
+            }));
+            assert!(result.is_err(), "left panics: {left_panics}");
+            assert_eq!(finished.load(Ordering::Relaxed), 1, "left panics: {left_panics}");
+            assert!(!in_pool_region());
+        }
+    }
+
+    #[test]
+    fn both_runs_inline_on_a_pool_worker_and_inside_both() {
+        let mut seen = None;
+        let seen_ref = &mut seen;
+        let job = Box::new(move || {
+            let me = std::thread::current().id();
+            let (a, b) = both(|| std::thread::current().id(), || std::thread::current().id());
+            *seen_ref = Some([me, a, b]);
+        }) as Box<dyn FnOnce() + Send + '_>;
+        pool_run_with_local(global_pool(), vec![job], || {});
+        let [me, a, b] = seen.expect("the job ran");
+        assert!(a == me && b == me);
+        // A `both` nested in the caller's side runs there, both halves.
+        let caller = std::thread::current().id();
+        let (nested, _) = both(
+            || both(|| std::thread::current().id(), || std::thread::current().id()),
+            || (),
+        );
+        assert_eq!(nested, (caller, caller));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 use crate::caps::host_caps;
 use crate::matrix::Matrix;
 use crate::num::Num;
-use psml_parallel::{configured_workers, for_each_chunk_mut_pooled};
+use psml_parallel::{configured_workers, for_each_chunk_mut_pooled, in_pool_region};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -307,20 +307,21 @@ fn panel_width(n: usize) -> usize {
     }
 }
 
-/// Packs `b` into [`PackedB`] column panels.
+/// Packs `b` into [`PackedB`] column panels. Each element is written once:
+/// the rows are appended panel by panel, and only the last panel's pad
+/// columns (past `n`) are zeroed.
 pub(crate) fn pack_b<T: Num>(b: &Matrix<T>) -> PackedB<T> {
     let (k, n) = (b.rows(), b.cols());
     let w = panel_width(n);
     let panels = n.div_ceil(w);
-    let mut data = vec![T::zero(); panels * k * w];
+    let mut data = Vec::with_capacity(panels * k * w);
     let src = b.as_slice();
     for q in 0..panels {
         let j0 = q * w;
         let width = w.min(n - j0);
-        let panel = &mut data[q * k * w..(q + 1) * k * w];
         for p in 0..k {
-            let row = &src[p * n + j0..p * n + j0 + width];
-            panel[p * w..p * w + width].copy_from_slice(row);
+            data.extend_from_slice(&src[p * n + j0..p * n + j0 + width]);
+            data.resize(data.len() + w - width, T::zero());
         }
     }
     PackedB { k, n, data }
@@ -789,7 +790,7 @@ pub(crate) fn gemm_packed_sum<T: Num>(terms: &[(&Matrix<T>, &PackedB<T>)]) -> Ma
         );
         k = k.saturating_add(pb.k);
     }
-    let spread = spread_over_pool::<T>((m, k, n), host_workers(), host_caps().avx512_ring);
+    let spread = spread_over_pool::<T>((m, k, n), workers_here(), host_caps().avx512_ring);
     packed_sum_on(terms, spread)
 }
 
@@ -1046,6 +1047,18 @@ fn host_workers() -> usize {
     *WORKERS.get_or_init(configured_workers)
 }
 
+/// The pool [`spread_over_pool`] reads on the calling thread: one worker
+/// inside a pool region (a side of a [`psml_parallel::both`], or a pool
+/// worker), where a product keeps to its thread and so answers
+/// [`Spread::Serial`]; else [`host_workers`].
+fn workers_here() -> usize {
+    if in_pool_region() {
+        1
+    } else {
+        host_workers()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1162,6 +1175,41 @@ mod tests {
         let a = Matrix::<u64>::zeros(4, 5);
         let b = Matrix::<u64>::zeros(5, 0);
         assert_eq!(gemm_packed(&a, &b).shape(), (4, 0));
+    }
+
+    #[test]
+    fn pack_b_writes_b_and_zeroes_only_the_pad_columns() {
+        // Half-width panels (`n <= 8`), and full panels whose last one is
+        // short by 1..=15 columns.
+        let narrow = 1..=NR / 2;
+        let short = (1..NR).flat_map(|r| [NR + r, 2 * NR + r]);
+        for n in narrow.chain(short) {
+            for k in [1, 5] {
+                // No element of `b` is zero, so a missed write shows.
+                let b = umat(k, n, 9).map(|x| x | 1);
+                let packed = pack_b(&b);
+                let w = panel_width(n);
+                assert_eq!(packed.data.len(), n.div_ceil(w) * k * w, "n {n}");
+                for (idx, &x) in packed.data.iter().enumerate() {
+                    let (q, p, c) = (idx / (k * w), idx / w % k, idx % w);
+                    let j = q * w + c;
+                    let want = if j < n { b[(p, j)] } else { 0 };
+                    assert_eq!(x, want, "n {n}, k {k}, panel {q}, row {p}, column {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn products_inside_both_keep_to_their_thread() {
+        // Over the spreading floor on any pool of two or more workers.
+        let (a, b) = (umat(64, 8192, 1), umat(8192, 64, 2));
+        let want = gemm_naive(&a, &b);
+        let side = || (workers_here(), gemm_auto(&a, &b));
+        let ((w0, c0), (w1, c1)) = psml_parallel::both(side, side);
+        assert_eq!((w0, w1), (1, 1));
+        assert!(c0 == want && c1 == want);
+        assert_eq!(workers_here(), host_workers());
     }
 
     #[test]

@@ -25,11 +25,15 @@ cargo test -q --offline --workspace
 # so run the kernel crates under both shapes whatever this host's cores.
 # The dealer's `Z` products run on the same pool: prefetch and inline
 # dealing, the schedule-derived traffic, and served windows that read a
-# weight opened by an earlier window must hold under both shapes.
+# weight opened by an earlier window must hold under both shapes. The two
+# servers' local steps run at the same time on the same pool (`both`): every
+# golden report, weights digest, wire frame and trace must stay
+# byte-identical with one worker and with more workers than cores.
 for workers in 1 3; do
     PSML_WORKERS="$workers" cargo test -q --release --offline -p psml-tensor -p psml-mpc
     PSML_WORKERS="$workers" cargo test -q --release --offline \
-        --test prefetch_pipeline --test protocol_invariants --test serve_identity
+        --test prefetch_pipeline --test protocol_invariants --test serve_identity \
+        --test backend_golden --test trace_determinism
 done
 # `-D warnings` now comes from [workspace.lints] in Cargo.toml, so plain
 # builds and clippy runs enforce the same bar as CI. --workspace lints the
