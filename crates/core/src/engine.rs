@@ -49,14 +49,16 @@ use crate::report::{PhaseBreakdown, RunReport};
 use psml_gpu::kernels::device_random;
 use psml_gpu::{GpuDevice, GpuError};
 use psml_mpc::protocol::{
-    finish, finish_hadamard, finish_packed, mask_operand, reconstruct_public,
+    finish, finish_hadamard, finish_packed, mask_operand, masked_words, reconstruct_public,
+    reconstruct_words,
 };
 use psml_mpc::{
     Deal, DealtShare, EvalStrategy, Operand, Party, PlainMatrix, SecureRing, Secret, TripleSpec,
 };
 use psml_net::{
-    build_network, DeltaDecoder, DeltaEncoder, Endpoint, FaultCounters, NetError, NodeId, Packet,
-    Payload, ReceiveTap, ReliableChannel, TrafficStats, TransmitForm,
+    build_network, DeltaDecoder, DeltaEncoder, DenseFrame, Endpoint, FaultCounters, NetError,
+    NodeId, Packet, Payload, ReceiveTap, ReliableChannel, TrafficStats, TransmitForm,
+    VerifiedDense,
 };
 use psml_parallel::Mt19937;
 use psml_simtime::{Resource, SimDuration, SimTime};
@@ -228,8 +230,17 @@ struct DistTriple<R: SecureRing> {
 type PerOperand<R> = [Option<Matrix<R>>; 2];
 
 /// One server's halves of a product's operands before the exchange (its
-/// masked shares, *compute1*), with its readiness there.
-type Halves<R> = Timed<PerOperand<R>>;
+/// masked shares, *compute1*), per operand `None` when the product does
+/// not open it.
+enum Masked<R: SecureRing> {
+    /// Written straight into the frames that carry them (fresh masks).
+    Frames([Option<DenseFrame<R>>; 2]),
+    /// As matrices, for the streams' delta encoders (reused masks).
+    Matrices(PerOperand<R>),
+}
+
+/// [`Masked`] halves with their readiness on their server.
+type Halves<R> = Timed<Masked<R>>;
 
 /// What one server sends in one exchange: up to two matrices, each on its
 /// stream.
@@ -283,30 +294,26 @@ impl<R: SecureRing> Wire<R> {
         Ok(self.reliable.transfer(snd, from_clock, rcv, to_clock, payload)?)
     }
 
-    /// [`Wire::ship`] where a dense matrix must land: what arrived, and
-    /// when. The sender's copy stays in `payload`, to keep or to drop.
-    fn ship_dense(
+    /// [`Wire::ship`] of a dense frame already written: what landed,
+    /// verified and read in place, and when. The frame's bytes and charges
+    /// are those of shipping its matrix as a [`Payload::Dense`].
+    fn ship_frame(
         &mut self,
         from: NodeId,
         from_clock: &mut SimTime,
         to: NodeId,
         to_clock: &mut SimTime,
-        payload: &Payload<R>,
-    ) -> Result<Timed<Matrix<R>>> {
-        let pkt = self.ship(from, from_clock, to, to_clock, payload)?;
-        match pkt.payload {
-            Payload::Dense(v) => Ok(Timed {
-                v,
-                ready: pkt.available_at,
-            }),
-            other => Err(EngineError::Protocol(format!(
-                "expected a dense matrix from {from:?}, got {}",
-                other.kind()
-            ))),
-        }
+        frame: DenseFrame<R>,
+    ) -> Result<Timed<VerifiedDense<R>>> {
+        let [snd, rcv] = pair(&mut self.endpoints, from, to)?;
+        let receipt = self.reliable.transfer_frame(snd, from_clock, rcv, to_clock, frame)?;
+        Ok(Timed {
+            v: receipt.frame,
+            ready: receipt.available_at,
+        })
     }
 
-    /// The charge half of [`Wire::ship_dense`] for a `rows x cols` matrix,
+    /// The charge half of [`Wire::ship_frame`] for a `rows x cols` matrix,
     /// alone: nothing is encoded, framed, checksummed or copied. Fault-free
     /// links only. Returns the arrival instant.
     fn ship_accounted(
@@ -533,50 +540,66 @@ impl<R: SecureRing> SecureContext<R> {
     /// charged, no payload bytes move: that elision *is* the prefetch
     /// pipeline's host-side win.
     fn distribute(&mut self, shares: [Matrix<R>; 2], held: bool) -> Result<[Matrix<R>; 2]> {
+        if !held {
+            return self.distribute_frames(shares.each_ref().map(DenseFrame::from_matrix));
+        }
         let start = self.client.now;
         let mut arrive = SimTime::ZERO;
-        let mut send_to = |to: NodeId, share: Matrix<R>| -> Result<Matrix<R>> {
+        for (to, share) in SERVER.into_iter().zip(&shares) {
             let (now, mut srv_clock) = (&mut self.client.now, SimTime::ZERO);
-            let landed = if held {
-                let (rows, cols) = share.shape();
-                let ready =
-                    self.wire.ship_accounted(NodeId::Client, now, to, &mut srv_clock, rows, cols)?;
-                Timed { v: share, ready }
-            } else {
-                let sent = Payload::Dense(share);
-                let landed = self.wire.ship_dense(NodeId::Client, now, to, &mut srv_clock, &sent)?;
-                debug_assert!(matches!(&sent, Payload::Dense(m) if *m == landed.v));
-                landed
-            };
+            let (rows, cols) = share.shape();
+            let ready =
+                self.wire.ship_accounted(NodeId::Client, now, to, &mut srv_clock, rows, cols)?;
+            arrive = arrive.max(ready);
+        }
+        self.book_distribution(start, arrive);
+        Ok(shares)
+    }
+
+    /// [`SecureContext::distribute`] of two shares already written in
+    /// their frames: each server decodes the frame it receives into the
+    /// share it keeps.
+    fn distribute_frames(&mut self, frames: [DenseFrame<R>; 2]) -> Result<[Matrix<R>; 2]> {
+        let start = self.client.now;
+        let mut arrive = SimTime::ZERO;
+        let mut send_to = |to: NodeId, frame: DenseFrame<R>| -> Result<Matrix<R>> {
+            let (now, mut srv_clock) = (&mut self.client.now, SimTime::ZERO);
+            let landed = self.wire.ship_frame(NodeId::Client, now, to, &mut srv_clock, frame)?;
             arrive = arrive.max(landed.ready);
-            Ok(landed.v)
+            Ok(landed.v.to_matrix())
         };
-        let [to_s0, to_s1] = shares;
+        let [to_s0, to_s1] = frames;
         let landed = [send_to(SERVER[0], to_s0)?, send_to(SERVER[1], to_s1)?];
-        self.breakdown.distribution += arrive.saturating_since(start.min(arrive));
-        self.offline_end = self.offline_end.max(arrive).max(self.client.now);
+        self.book_distribution(start, arrive);
         Ok(landed)
     }
 
+    /// Books a distribution the client started at `start` and the servers
+    /// finished receiving at `arrive`.
+    fn book_distribution(&mut self, start: SimTime, arrive: SimTime) {
+        self.breakdown.distribution += arrive.saturating_since(start.min(arrive));
+        self.offline_end = self.offline_end.max(arrive).max(self.client.now);
+    }
+
     /// Offline: encodes a client plaintext and distributes its two shares
-    /// (the Fig. 1b partitioning step).
+    /// (the Fig. 1b partitioning step). Server 0's share is the mask;
+    /// server 1's, `encode(m) - mask`, is written straight into its frame.
     pub fn share_input(&mut self, m: &PlainMatrix) -> Result<SharedMatrix<R>> {
         let _offline = TraceSink::scope(Phase::Offline, None);
         let start = self.client.now;
-        let secret = R::encode_matrix(m);
-        let mask = self.client_random(m.rows(), m.cols())?;
-        self.client_cpu(2 * secret.byte_size());
-        let other = secret.sub(&mask);
-        let landed = self.distribute([mask, other], false)?;
+        let (rows, cols) = m.shape();
+        let mask = self.client_random(rows, cols)?;
+        self.client_cpu(2 * rows * cols * R::BYTES);
+        let landed = self.distribute_frames(share_frames(m, &mask))?;
         trace_phase(
             "share_input",
             Phase::Offline,
             None,
             start,
             self.offline_end.max(self.client.now),
-            Some([m.rows() as u32, 0, m.cols() as u32]),
+            Some([rows as u32, 0, cols as u32]),
             None,
-            2 * m.rows() * m.cols() * R::BYTES,
+            2 * rows * cols * R::BYTES,
         );
         Ok(SharedMatrix::new(landed.map(Timed::at_zero)))
     }
@@ -791,12 +814,12 @@ impl<R: SecureRing> SecureContext<R> {
         self.cfg.compression && self.cfg.insecure_reuse_triples
     }
 
-    /// The wire forms of what each server sends — `sends[i]` holds server
-    /// `i`'s matrices, each with its stream — made on both servers at the
-    /// same time ([`per_party`], over the larger server's elements): with
-    /// delta streams each stream's encoding (its encoder opened on first
-    /// use), else a copy of the lent matrix. The stream is delta-encoded
-    /// exactly once per logical transfer: retransmissions inside
+    /// The delta-stream forms ([`SecureContext::delta_streams`]) of what
+    /// each server sends — `sends[i]` holds server `i`'s matrices, each
+    /// with its stream — encoded on both servers at the same time
+    /// ([`per_party`], over the larger server's elements), each stream's
+    /// encoder opened on first use. The stream is delta-encoded exactly
+    /// once per logical transfer: retransmissions inside
     /// [`ReliableChannel::transfer`] resend the same payload bytes, so the
     /// receiver's mirror advances once per send however many frames the
     /// chaos layer eats.
@@ -804,14 +827,11 @@ impl<R: SecureRing> SecureContext<R> {
         &mut self,
         sends: [Sends<'_, R>; 2],
     ) -> [[Option<Payload<R>>; 2]; 2] {
-        let (delta, threshold) = (self.delta_streams(), self.cfg.sparsity_threshold);
+        let threshold = self.cfg.sparsity_threshold;
         let elems = sends.map(|mine| mine.iter().flatten().map(|(_, m)| m.len()).sum::<usize>());
         let form = |encoders: &mut HashMap<u64, DeltaEncoder<R>>, mine: Sends<'_, R>| {
             mine.map(|send| {
                 let (stream, m) = send?;
-                if !delta {
-                    return Some(Payload::Dense(m.clone()));
-                }
                 let encoder = encoders.entry(stream);
                 let encoder = encoder.or_insert_with(|| DeltaEncoder::with_threshold(threshold));
                 Some(match encoder.encode(m) {
@@ -830,11 +850,12 @@ impl<R: SecureRing> SecureContext<R> {
         [p0, p1]
     }
 
-    /// The wire half of a transfer: ships `payload` from server `i` at
-    /// `now` and runs `open` on the matrix that lands. With delta streams
-    /// ([`SecureContext::delta_streams`]), that is the peer's `stream`
-    /// decoder's mirror after applying the payload; without, the
-    /// payload's own dense matrix, and no decoder is kept.
+    /// The wire half of a transfer on the delta streams
+    /// ([`SecureContext::delta_streams`]): ships `payload` from server `i`
+    /// at `now` and runs `open` on the matrix that lands, the peer's
+    /// `stream` decoder's mirror after applying the payload. Off the delta
+    /// streams, frames go through [`SecureContext::deliver_frame`] and no
+    /// decoder is kept.
     fn deliver<T>(
         &mut self,
         i: usize,
@@ -847,20 +868,15 @@ impl<R: SecureRing> SecureContext<R> {
         let (mut snd_clock, mut rcv_clock) = (now, SimTime::ZERO);
         let (from, to) = (SERVER[i], SERVER[j]);
         let pkt = self.wire.ship(from, &mut snd_clock, to, &mut rcv_clock, payload)?;
-        let v = match (pkt.payload, self.delta_streams()) {
-            (Payload::Dense(m), false) => open(&m),
-            (Payload::Dense(m), true) => open(self.servers[j].land(stream, TransmitForm::Full(m))?),
-            (Payload::SparseDelta(c), true) => {
-                open(self.servers[j].land(stream, TransmitForm::Delta(c))?)
-            }
-            (other, delta) => {
-                return Err(EngineError::Protocol(format!(
-                    "unexpected {} on a matrix stream (delta streams {})",
-                    other.kind(),
-                    if delta { "on" } else { "off" }
-                )))
+        let form = match pkt.payload {
+            Payload::Dense(m) => TransmitForm::Full(m),
+            Payload::SparseDelta(c) => TransmitForm::Delta(c),
+            other => {
+                let kind = other.kind();
+                return Err(EngineError::Protocol(format!("unexpected {kind} on a matrix stream")));
             }
         };
+        let v = open(self.servers[j].land(stream, form)?);
         self.servers[i].note(snd_clock);
         self.servers[j].note(rcv_clock.max(pkt.available_at));
         Ok(Timed {
@@ -869,10 +885,30 @@ impl<R: SecureRing> SecureContext<R> {
         })
     }
 
+    /// [`SecureContext::deliver`] of a dense frame already written, off
+    /// the delta streams: what landed at the peer, verified, with the same
+    /// clocks.
+    fn deliver_frame(
+        &mut self,
+        i: usize,
+        frame: DenseFrame<R>,
+        now: SimTime,
+    ) -> Result<Timed<VerifiedDense<R>>> {
+        let j = 1 - i;
+        let (mut snd_clock, mut rcv_clock) = (now, SimTime::ZERO);
+        let (from, to) = (SERVER[i], SERVER[j]);
+        let got = self.wire.ship_frame(from, &mut snd_clock, to, &mut rcv_clock, frame)?;
+        self.servers[i].note(snd_clock);
+        self.servers[j].note(rcv_clock.max(got.ready));
+        Ok(got)
+    }
+
     /// *compute1*, matmul or Hadamard alike: once it holds both operand
-    /// shares and its part of the dealt product, each server runs
-    /// [`mask_operand`] on each operand the product `opens`, in one CPU
-    /// pass of `dur`. Also returns the earlier of the two start instants.
+    /// shares and its part of the dealt product, each server masks each
+    /// operand the product `opens`, in one CPU pass of `dur`: off the delta
+    /// streams straight into the frame that carries it ([`masked_words`]),
+    /// on them into a matrix for the encoder ([`mask_operand`]). Also
+    /// returns the earlier of the two start instants.
     fn mask_operands(
         &mut self,
         a: &SharedMatrix<R>,
@@ -886,52 +922,95 @@ impl<R: SecureRing> SecureContext<R> {
         self.breakdown.compute1 += dur;
         let operand_elems = [a.parts[0].v.len(), b.parts[0].v.len()].into_iter().zip(opens);
         let elems = operand_elems.filter_map(|(len, open)| open.then_some(len)).sum();
+        let framed = !self.delta_streams();
         let halves = self.per_server(ready, dur, elems, |i| {
-            [0, 1].map(|j| {
-                opens[j].then(|| {
-                    let mask = tri[i].masks[j].as_ref();
-                    let mask = mask.expect("a dealt product holds the masks it opens");
-                    mask_operand(&operands[j][i].v, mask)
-                })
-            })
+            let half = |j: usize| {
+                let mask = tri[i].masks[j].as_ref();
+                let mask = mask.expect("a dealt product holds the masks it opens");
+                (&operands[j][i].v, mask)
+            };
+            let opened = [0, 1].map(|j| opens[j].then(|| half(j)));
+            match framed {
+                true => Masked::Frames(opened.map(|half| {
+                    half.map(|(x, m)| DenseFrame::write(x.rows(), x.cols(), masked_words(x, m)))
+                })),
+                false => Masked::Matrices(opened.map(|half| half.map(|(x, m)| mask_operand(x, m)))),
+            }
         });
         (halves, ready[0].min(ready[1]))
     }
 
     /// The exchange of *communicate*: each server ships the halves it
     /// masked to its peer over the site's `chans` streams, server 0's
-    /// receipts first, and the opened values are reconstructed with
-    /// [`reconstruct_public`]. Returns them (`None` for an operand not
-    /// opened) and when each server holds them — when its later half
-    /// lands; the additions are the caller's to charge. Both servers
-    /// reconstruct the same values, so the host computes server 0's.
-    ///
-    /// With delta streams both servers encode their halves at once
-    /// ([`SecureContext::outgoing`]); without, each half rides in its
-    /// payload as it is, and server 0 reads its own from there.
+    /// receipts first, and the opened values are reconstructed. Returns
+    /// them (`None` for an operand not opened) and when each server holds
+    /// them — when its later half lands; the additions are the caller's
+    /// to charge. Both servers reconstruct the same values, so the host
+    /// computes server 0's.
     fn exchange_masked(
         &mut self,
         site: u32,
         chans: [u64; 2],
         halves: [Halves<R>; 2],
     ) -> Result<(PerOperand<R>, [SimTime; 2])> {
-        let streams = chans.map(|chan| stream_id(site, chan));
-        let [mut h0, mut h1] = halves;
+        let [h0, h1] = halves;
         let sent_at = [h0.ready, h1.ready];
-        let [out0, out1] = if self.delta_streams() {
-            let sends = [&h0.v, &h1.v]
-                .map(|mine| [0, 1].map(|j| mine[j].as_ref().map(|m| (streams[j], m))));
-            self.outgoing(sends)
-        } else {
-            [&mut h0.v, &mut h1.v].map(|mine| mine.each_mut().map(|m| m.take().map(Payload::Dense)))
-        };
-        let kept = |j: usize| match (&h0.v[j], &out0[j]) {
-            (Some(mine), _) | (None, Some(Payload::Dense(mine))) => Some(mine),
-            _ => None,
-        };
+        match (h0.v, h1.v) {
+            (Masked::Frames(mine), Masked::Frames(theirs)) => {
+                self.exchange_frames(mine, theirs, sent_at)
+            }
+            (Masked::Matrices(h0), Masked::Matrices(h1)) => {
+                let streams = chans.map(|chan| stream_id(site, chan));
+                self.exchange_streams(streams, [h0, h1], sent_at)
+            }
+            _ => unreachable!("both servers mask into the same form"),
+        }
+    }
+
+    /// [`SecureContext::exchange_masked`] off the delta streams, one pass
+    /// each way: each server's half travels in the frame compute1 wrote it
+    /// into, server 0 rebuilds `E = E_0 + E_1` from its own frame's words
+    /// and the peer's as they arrived ([`reconstruct_words`]), and server 1
+    /// only verifies what it receives — it would rebuild the same values.
+    fn exchange_frames(
+        &mut self,
+        mine: [Option<DenseFrame<R>>; 2],
+        theirs: [Option<DenseFrame<R>>; 2],
+        sent_at: [SimTime; 2],
+    ) -> Result<(PerOperand<R>, [SimTime; 2])> {
+        let (mut opened, mut ready) = ([None, None], sent_at);
+        for (j, theirs) in theirs.into_iter().enumerate() {
+            let (Some(mine), Some(theirs)) = (&mine[j], theirs) else {
+                continue;
+            };
+            let got = self.deliver_frame(1, theirs, sent_at[1])?;
+            ready[0] = ready[0].max(got.ready);
+            let (rows, cols) = check_shape(&got.v, mine.shape(), SERVER[1])?;
+            opened[j] = Some(reconstruct_words(rows, cols, mine.words(), got.v.words()));
+        }
+        for sent in mine.into_iter().flatten() {
+            let got = self.deliver_frame(0, sent, sent_at[0])?;
+            ready[1] = ready[1].max(got.ready);
+        }
+        Ok((opened, ready))
+    }
+
+    /// [`SecureContext::exchange_masked`] on the delta streams: both
+    /// servers encode their halves at once ([`SecureContext::outgoing`]),
+    /// and each opening is reconstructed from the receiving decoder's
+    /// mirror with [`reconstruct_public`].
+    fn exchange_streams(
+        &mut self,
+        streams: [u64; 2],
+        [h0, h1]: [PerOperand<R>; 2],
+        sent_at: [SimTime; 2],
+    ) -> Result<(PerOperand<R>, [SimTime; 2])> {
+        let sends = [&h0, &h1]
+            .map(|mine| [0, 1].map(|j| mine[j].as_ref().map(|m| (streams[j], m))));
+        let [out0, out1] = self.outgoing(sends);
         let (mut opened, mut ready) = ([None, None], sent_at);
         for (j, stream) in streams.into_iter().enumerate() {
-            if let (Some(mine), Some(theirs)) = (kept(j), &out1[j]) {
+            if let (Some(mine), Some(theirs)) = (&h0[j], &out1[j]) {
                 let got = self.deliver(1, stream, theirs, sent_at[1], |e| {
                     reconstruct_public(mine, e)
                 })?;
@@ -1463,13 +1542,33 @@ impl<R: SecureRing> SecureContext<R> {
             // Each server receives its peer's share through the reliable
             // channel and adds its own; both encode what they send at once.
             let on = stream_id(self.site_id(key), CHAN_ACT);
-            let [[p0, _], [p1, _]] = self.outgoing(z.parts.each_ref().map(|s| [Some((on, &s.v)), None]));
-            let mut fetch = |i: usize, sent: Option<Payload<R>>| {
-                let sent = sent.expect("each server sends its share");
-                let (mine, peer) = (&z.parts[i].v, &z.parts[1 - i]);
-                self.deliver(1 - i, on, &sent, peer.ready, |theirs| mine.add(theirs))
+            let sums = if self.delta_streams() {
+                let sends = z.parts.each_ref().map(|s| [Some((on, &s.v)), None]);
+                let [[p0, _], [p1, _]] = self.outgoing(sends);
+                let mut fetch = |i: usize, sent: Option<Payload<R>>| {
+                    let sent = sent.expect("each server sends its share");
+                    let (mine, peer) = (&z.parts[i].v, &z.parts[1 - i]);
+                    self.deliver(1 - i, on, &sent, peer.ready, |theirs| mine.add(theirs))
+                };
+                [fetch(0, p1)?, fetch(1, p0)?]
+            } else {
+                // The lent shares go straight into their frames, and each
+                // receipt is added to its receiver's share where it lies.
+                let (f0, f1) = per_party(
+                    z.parts[0].v.len(),
+                    || DenseFrame::from_matrix(&z.parts[0].v),
+                    || DenseFrame::from_matrix(&z.parts[1].v),
+                );
+                let mut fetch = |i: usize, sent: DenseFrame<R>| -> Result<Timed<Matrix<R>>> {
+                    let (mine, peer) = (&z.parts[i].v, &z.parts[1 - i]);
+                    let got = self.deliver_frame(1 - i, sent, peer.ready)?;
+                    let (rows, cols) = check_shape(&got.v, mine.shape(), SERVER[1 - i])?;
+                    let mine = mine.as_slice().iter().copied();
+                    let sum = reconstruct_words(rows, cols, mine, got.v.words());
+                    Ok(Timed { v: sum, ready: got.ready })
+                };
+                [fetch(0, f1)?, fetch(1, f0)?]
             };
-            let sums = [fetch(0, p1)?, fetch(1, p0)?];
             let dur = self.cpu_dur(4 * z.parts[0].v.byte_size());
             let ready = [0, 1].map(|i| z.parts[i].ready.max(sums[i].ready));
             let ready = [0, 1].map(|i| self.server_cpu(i, ready[i], dur));
@@ -1504,19 +1603,21 @@ impl<R: SecureRing> SecureContext<R> {
     /// clock stays untouched — a scratch clock tracks its online part.
     fn open_at_client(&mut self, x: &SharedMatrix<R>) -> Result<Timed<PlainMatrix>> {
         let mut client_clock = self.client.now;
-        let mut collect = |i: usize| -> Result<Timed<Matrix<R>>> {
+        let mut collect = |i: usize| -> Result<Timed<VerifiedDense<R>>> {
             let part = &x.parts[i];
             let mut srv_clock = part.ready;
-            // `x` is only lent to us and a `Payload` owns its matrix.
-            let sent = Payload::Dense(part.v.clone());
+            let sent = DenseFrame::from_matrix(&part.v);
             let (from, to) = (SERVER[i], NodeId::Client);
-            let got = self.wire.ship_dense(from, &mut srv_clock, to, &mut client_clock, &sent)?;
+            let got = self.wire.ship_frame(from, &mut srv_clock, to, &mut client_clock, sent)?;
+            check_shape(&got.v, x.shape(), from)?;
             self.servers[i].note(srv_clock);
             Ok(got)
         };
         let got = [collect(0)?, collect(1)?];
+        let (rows, cols) = x.shape();
+        let sum = reconstruct_words(rows, cols, got[0].v.words(), got[1].v.words());
         Ok(Timed {
-            v: R::decode_matrix(&got[0].v.add(&got[1].v)),
+            v: R::decode_matrix(&sum),
             ready: latest(&got),
         })
     }
@@ -1532,26 +1633,25 @@ impl<R: SecureRing> SecureContext<R> {
 
         // Client: apply, and re-share with a fresh mask.
         let (activated, mask) = activate(&z_plain.v, f, df);
-        let secret = R::encode_matrix(&activated);
-        let fresh_mask = R::random_matrix(secret.rows(), secret.cols(), &mut self.rng);
-        let other = secret.sub(&fresh_mask);
+        let (rows, cols) = activated.shape();
+        let fresh_mask = R::random_matrix(rows, cols, &mut self.rng);
         // Client compute time: reconstruct + apply + split (client rates).
-        let client_dur = self.cfg.client_rng_time(secret.len())
-            + self.cfg.client_elementwise_time(5 * secret.byte_size());
+        let client_dur = self.cfg.client_rng_time(rows * cols)
+            + self.cfg.client_elementwise_time(5 * rows * cols * R::BYTES);
         let client_done = z_plain.ready + client_dur;
 
         // Client -> servers: return the fresh shares through the reliable
         // channel; each server resumes when its share lands intact.
-        let mut land = |i: usize, share: Matrix<R>| -> Result<Timed<Matrix<R>>> {
+        let mut land = |i: usize, share: DenseFrame<R>| -> Result<Timed<Matrix<R>>> {
             let mut client_clock = client_done;
             let mut srv_clock = SimTime::ZERO;
-            let sent = Payload::Dense(share);
             let (from, to) = (NodeId::Client, SERVER[i]);
-            let landed = self.wire.ship_dense(from, &mut client_clock, to, &mut srv_clock, &sent)?;
+            let landed = self.wire.ship_frame(from, &mut client_clock, to, &mut srv_clock, share)?;
             self.servers[i].note(srv_clock.max(landed.ready));
-            Ok(landed)
+            Ok(Timed { v: landed.v.to_matrix(), ready: landed.ready })
         };
-        let out = SharedMatrix::new([land(0, fresh_mask)?, land(1, other)?]);
+        let [to_s0, to_s1] = share_frames(&activated, &fresh_mask);
+        let out = SharedMatrix::new([land(0, to_s0)?, land(1, to_s1)?]);
         Ok((out, mask))
     }
 
@@ -1635,6 +1735,31 @@ impl<R: SecureRing> SecureContext<R> {
     /// unless the policy is [`crate::AdaptivePolicy::MeasuredCost`]).
     pub fn recalibration_events(&self) -> &[crate::adaptive::RecalEvent] {
         self.adaptive.recalibrator().events()
+    }
+}
+
+/// The client's two shares of `m` under `mask`, each written in the frame
+/// that carries it: server 0's is the mask, server 1's `encode(m) - mask`,
+/// encoded and split in one pass.
+fn share_frames<R: SecureRing>(m: &PlainMatrix, mask: &Matrix<R>) -> [DenseFrame<R>; 2] {
+    let (rows, cols) = m.shape();
+    let other = m.as_slice().iter().zip(mask.as_slice()).map(|(&x, &r)| R::encode(x).sub(r));
+    [DenseFrame::from_matrix(mask), DenseFrame::write(rows, cols, other)]
+}
+
+/// `got`'s shape, when it is `want`; a peer that framed another shape is
+/// an [`EngineError::Protocol`].
+fn check_shape<R: SecureRing>(
+    got: &VerifiedDense<R>,
+    want: (usize, usize),
+    from: NodeId,
+) -> Result<(usize, usize)> {
+    match got.shape() == want {
+        true => Ok(want),
+        false => Err(EngineError::Protocol(format!(
+            "expected a {want:?} matrix from {from:?}, got {:?}",
+            got.shape()
+        ))),
     }
 }
 
@@ -1806,17 +1931,29 @@ mod tests {
     }
 
     #[test]
-    fn sparse_delta_without_compression_is_a_protocol_error() {
-        let mut ctx = ctx(EngineConfig::secureml());
-        let delta = Payload::SparseDelta(Csr::from_dense(&Matrix::<Fixed64>::zeros(2, 2)));
-        let err = ctx
-            .deliver(0, 7, &delta, SimTime::ZERO, Matrix::clone)
-            .unwrap_err();
+    fn a_control_payload_on_a_matrix_stream_is_a_protocol_error() {
+        let mut ctx = ctx(EngineConfig::parsecureml().with_insecure_reuse_triples(true));
+        assert!(ctx.delta_streams());
+        let control = Payload::Control("epoch:1".into());
+        let err = ctx.deliver(0, 7, &control, SimTime::ZERO, Matrix::clone).unwrap_err();
         match err {
-            EngineError::Protocol(msg) => assert!(msg.contains("sparse-delta"), "{msg}"),
+            EngineError::Protocol(msg) => assert!(msg.contains("control"), "{msg}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }
         assert!(ctx.servers[1].decoders.is_empty());
+    }
+
+    /// Off the delta streams a matrix arrives as a dense frame, verified
+    /// and read in place; a sparse delta there is refused by the receipt.
+    #[test]
+    fn sparse_delta_without_compression_is_refused() {
+        let mut ctx = ctx(EngineConfig::secureml());
+        assert!(!ctx.delta_streams());
+        let delta = Payload::SparseDelta(Csr::from_dense(&Matrix::<Fixed64>::zeros(2, 2)));
+        let [s0, s1] = pair(&mut ctx.wire.endpoints, SERVER[0], SERVER[1]).unwrap();
+        s0.send(SERVER[1], &delta, SimTime::ZERO).unwrap();
+        let err = s1.recv_dense(SERVER[0]).unwrap_err();
+        assert_eq!(err, NetError::Codec(psml_net::codec::CodecError::NotDense(0x02)));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::trainer::SecureTrainer;
 use psml_mpc::{PlainMatrix, SecureRing};
 use psml_simtime::{SimDuration, SimTime};
 use psml_trace::json::{obj, JsonValue};
-use psml_trace::TraceSink;
+use psml_trace::{ns_of_secs, LatencyHistogram, TraceSink};
 
 // ---------------------------------------------------------------------
 // Typed request/response API
@@ -428,7 +428,8 @@ pub struct ServeOutcome {
 pub struct ModelHost<R: SecureRing> {
     cfg: ServeConfig,
     models: Vec<Hosted<R>>,
-    latencies: Vec<SimDuration>,
+    /// Completed requests' simulated latencies, in nanoseconds.
+    latencies: LatencyHistogram,
     submitted: u64,
     completed: u64,
     rejected_overload: u64,
@@ -446,7 +447,7 @@ impl<R: SecureRing> ModelHost<R> {
         Ok(ModelHost {
             cfg,
             models: Vec::new(),
-            latencies: Vec::new(),
+            latencies: LatencyHistogram::new(),
             submitted: 0,
             completed: 0,
             rejected_overload: 0,
@@ -630,7 +631,7 @@ impl<R: SecureRing> ModelHost<R> {
                     secure_muls: muls_after - muls_before,
                 },
             });
-            self.latencies.push(latency);
+            self.latencies.record(ns_of_secs(latency.as_secs()));
             self.completed += 1;
             self.last_completion = self.last_completion.max(completion);
         }
@@ -679,12 +680,13 @@ impl<R: SecureRing> ModelHost<R> {
     }
 
     /// Versioned serving report (`psml.serve.v1`): counters, latency
-    /// percentiles, throughput, and the per-model ledger.
+    /// percentiles (nearest rank, within
+    /// [`LatencyHistogram::RELATIVE_ERROR`] below the exact sample),
+    /// throughput, and the per-model ledger.
     pub fn report(&self) -> ServeReport {
-        let mut sorted = self.latencies.clone();
-        sorted.sort();
         let elapsed = self.last_completion.saturating_since(SimTime::ZERO);
-        let p99 = percentile(&sorted, 99.0);
+        let percentile = |p| SimDuration::from_nanos(self.latencies.percentile(p) as f64);
+        let p99 = percentile(99.0);
         ServeReport {
             run_id: self.cfg.run_id,
             generation: 0,
@@ -700,8 +702,8 @@ impl<R: SecureRing> ModelHost<R> {
                 0.0
             },
             max_queue_depth: self.max_queue_seen,
-            p50: percentile(&sorted, 50.0),
-            p95: percentile(&sorted, 95.0),
+            p50: percentile(50.0),
+            p95: percentile(95.0),
             p99,
             sim_elapsed: elapsed,
             throughput_rps: if elapsed > SimDuration::ZERO {
@@ -762,15 +764,6 @@ pub fn fleet_arrivals(
         }
     }
     arrivals
-}
-
-/// Nearest-rank percentile over an ascending latency sample.
-fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 // ---------------------------------------------------------------------
@@ -1011,16 +1004,5 @@ mod tests {
             ServeError::DeadlineExceeded { tag: 1, .. }
         ));
         assert_eq!(host.report().rejected_deadline, 1);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let s: Vec<SimDuration> = (1..=100)
-            .map(|i| SimDuration::from_micros(i as f64))
-            .collect();
-        assert_eq!(percentile(&s, 50.0), SimDuration::from_micros(50.0));
-        assert_eq!(percentile(&s, 99.0), SimDuration::from_micros(99.0));
-        assert_eq!(percentile(&s[..1], 99.0), SimDuration::from_micros(1.0));
-        assert_eq!(percentile(&[], 50.0), SimDuration::ZERO);
     }
 }

@@ -13,8 +13,8 @@
 /// for one vetted reason: the GEMM carrier casts (`tensor::gemm`), the
 /// `WRAPPING_U64` trait contract (`tensor::num`), the scoped-job lifetime
 /// transmute (`parallel::pool`), the `Fixed64` ring carrier's `unsafe impl
-/// Num` (`mpc::fixed`), and the feature-detected call into the PCLMULQDQ
-/// CRC fold (`net-sim::crc`).
+/// Num` (`mpc::fixed`), and the feature-detected calls into the two CRC
+/// folds, PCLMULQDQ on xmm and VPCLMULQDQ on zmm (`net-sim::crc`).
 pub const UNSAFE_MODULES: &[&str] = &[
     "tensor::gemm",
     "tensor::num",

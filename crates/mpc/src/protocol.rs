@@ -10,7 +10,9 @@
 //! |---|---|---|---|
 //! | [`mask_operand`] (Eq. 4, *compute1*) | each server, once per secret | `E_i = A_i - U_i` for a secret the product opens | nothing yet: `E_i` is one-time-pad masked and goes to the peer only |
 //! | [`mask`] | each server | [`mask_operand`] of both operands of a single-use triple | as above |
+//! | [`masked_words`] | each server | [`mask_operand`] element by element, for a writer that puts `E_i` straight into its frame | as above |
 //! | [`reconstruct_public`] (Eq. 5, *communicate*) | each server, on its own and its peer's half | `E = E_0 + E_1`, `F = F_0 + F_1` | `E` and `F`, to both servers — the protocol's one sanctioned reveal |
+//! | [`reconstruct_words`] | each server | [`reconstruct_public`] from the two halves' words, read where they lie (the frames) | as above |
 //! | [`finish`] (Eq. 6 / materialised Eq. 8, *compute2*) | each server | `C_i` through a caller-supplied GEMM | nothing (`C_i` is a share) |
 //! | [`finish_packed`] (fused Eq. 8, the production CPU path) | each server | the same `C_i`, `[F ; B_i]` never materialised, `F` prepared once for both servers (packed above the blocked kernel's floor) | nothing |
 //! | [`finish_hadamard`] (Sec. 7.2) | each server | the element-wise twin of Eq. 6 | nothing |
@@ -48,6 +50,28 @@ pub enum EvalStrategy {
 /// the opening of a secret `X` masked by `M`, to send to its peer.
 pub fn mask_operand<R: SecureRing>(x_i: &Matrix<R>, m_i: &Matrix<R>) -> Matrix<R> {
     x_i.sub(m_i)
+}
+
+/// [`mask_operand`] element by element, row-major: the words of `E_i`
+/// for a writer to put straight into its frame, with no `E_i` matrix.
+pub fn masked_words<'a, R: SecureRing>(
+    x_i: &'a Matrix<R>,
+    m_i: &'a Matrix<R>,
+) -> impl ExactSizeIterator<Item = R> + 'a {
+    assert_eq!(x_i.shape(), m_i.shape(), "shape mismatch");
+    x_i.as_slice().iter().zip(m_i.as_slice()).map(|(&x, &m)| x.sub(m))
+}
+
+/// [`reconstruct_public`] of a `rows x cols` opening from its two halves'
+/// words, row-major, in one pass: `E = mine + theirs`.
+pub fn reconstruct_words<R: SecureRing>(
+    rows: usize,
+    cols: usize,
+    mine: impl ExactSizeIterator<Item = R>,
+    theirs: impl ExactSizeIterator<Item = R>,
+) -> Matrix<R> {
+    assert_eq!(mine.len(), theirs.len(), "shape mismatch");
+    Matrix::from_vec(rows, cols, mine.zip(theirs).map(|(a, b)| a.add(b)).collect())
 }
 
 /// *compute1* of a single-use triple: one server's masked operands

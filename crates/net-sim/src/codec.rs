@@ -24,18 +24,23 @@
 //! CRC-32 (IEEE polynomial) detects *every* single-bit error and all
 //! burst errors up to 32 bits, which covers the bit-flip fault model in
 //! [`crate::fault`]. The checksum lives in `crate::crc`: a byte-wise table
-//! walk everywhere, carry-less-multiply folding for inputs of 64 bytes and
-//! more on x86-64 hosts that report `pclmulqdq` + `sse4.1`. Both compute
-//! the same polynomial remainder, so which one ran is invisible in the
-//! bytes; every frame is sealed by its sender and verified by its
-//! receiver either way.
+//! walk everywhere, carry-less-multiply folding on x86-64 hosts — 128 bits
+//! wide from 64 bytes on `pclmulqdq` + `sse4.1`, 512 bits wide from 256
+//! bytes on `vpclmulqdq` + `avx512f`. All compute the same polynomial
+//! remainder, so which one ran is invisible in the bytes; every frame is
+//! sealed by its sender and verified by its receiver either way.
 //!
 //! A frame is built in one buffer: [`encode_framed`] reserves the header,
 //! serializes the payload straight behind it and patches the checksum in.
-//! [`encode_frame`] and [`encode_stream_frame`] wrap already-encoded bytes
-//! through the same seal routine. [`payload_bytes`] gives the encoded
-//! length without encoding, so a sender can be charged (and refused)
-//! before any serialization work.
+//! A dense frame has one writer, [`DenseFrame`]: the header first, then
+//! the payload words from whatever the caller computes them from (a
+//! matrix, or `X_i - M_i` straight from its operands), sealed with its
+//! sequence number and checksum when it is sent. [`encode_frame`] and
+//! [`encode_stream_frame`] wrap already-encoded bytes through the same
+//! seal routine. [`payload_bytes`] gives the encoded length without
+//! encoding, so a sender can be charged (and refused) before any
+//! serialization work. On receipt, [`VerifiedDense`] makes every check
+//! [`decode`] makes of a dense frame and lends the words in place.
 
 pub use crate::crc::crc32;
 use crate::crc::crc32_update;
@@ -59,6 +64,9 @@ pub enum CodecError {
     Truncated,
     /// Unknown payload tag byte.
     BadTag(u8),
+    /// A dense matrix was expected and the frame holds another payload
+    /// kind; carries its tag.
+    NotDense(u8),
     /// Control payload was not valid UTF-8.
     BadUtf8,
     /// Sparse payload of the right length whose CSR arrays are
@@ -95,6 +103,9 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "message truncated"),
             CodecError::BadTag(t) => write!(f, "unknown payload tag {t:#04x}"),
+            CodecError::NotDense(t) => {
+                write!(f, "expected a dense matrix, got payload tag {t:#04x}")
+            }
             CodecError::BadUtf8 => write!(f, "control payload is not UTF-8"),
             CodecError::BadSparse(why) => write!(f, "malformed sparse payload: {why}"),
             CodecError::TrailingBytes { extra } => {
@@ -160,10 +171,154 @@ pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
 /// Serializes `payload` and frames it in one buffer: byte-for-byte
 /// `encode_frame(seq, &encode(payload))` without the intermediate copy.
 pub fn encode_framed<R: Num>(seq: u64, payload: &Payload<R>) -> Vec<u8> {
+    if let Payload::Dense(m) = payload {
+        return DenseFrame::from_matrix(m).sealed(seq);
+    }
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload_bytes(payload));
     frame.extend_from_slice(&FRAME_MAGIC);
     seal_body(&mut frame, seq, |out| encode_into(out, payload));
     frame
+}
+
+/// Byte offset of a dense frame's payload words: frame header, tag,
+/// rows, cols.
+const DENSE_WORDS_AT: usize = FRAME_HEADER_BYTES + 9;
+
+/// A dense frame written in its final buffer, not yet sealed: the header
+/// with its sequence number and checksum still blank, then the payload
+/// words. [`DenseFrame::sealed`] fills those two in, once per send; a
+/// retransmission seals a copy of the same bytes under its own number.
+#[derive(Clone, Debug)]
+pub struct DenseFrame<R: Num> {
+    bytes: Vec<u8>,
+    shape: (usize, usize),
+    _carrier: std::marker::PhantomData<fn() -> R>,
+}
+
+impl<R: Num> DenseFrame<R> {
+    /// Writes a `rows x cols` frame whose payload is `words`, row-major, in
+    /// one pass over the buffer.
+    ///
+    /// # Panics
+    ///
+    /// If `words` does not yield exactly `rows * cols` values.
+    pub fn write(rows: usize, cols: usize, words: impl ExactSizeIterator<Item = R>) -> Self {
+        assert_eq!(words.len(), rows * cols, "a dense frame holds rows x cols words");
+        // Zeroed at allocation, which a fresh mapping gets for free.
+        let mut bytes = vec![0; FRAME_HEADER_BYTES + dense_payload_bytes::<R>(rows, cols)];
+        let (header, payload) = bytes.split_at_mut(DENSE_WORDS_AT);
+        header[..FRAME_MAGIC.len()].copy_from_slice(&FRAME_MAGIC);
+        header[FRAME_HEADER_BYTES] = TAG_DENSE;
+        header[FRAME_HEADER_BYTES + 1..][..4].copy_from_slice(&(rows as u32).to_le_bytes());
+        header[FRAME_HEADER_BYTES + 5..].copy_from_slice(&(cols as u32).to_le_bytes());
+        put_words(payload, words, R::BYTES, R::to_bits64);
+        DenseFrame { bytes, shape: (rows, cols), _carrier: std::marker::PhantomData }
+    }
+
+    /// The frame of a matrix, as [`encode_framed`] writes a
+    /// [`Payload::Dense`].
+    pub fn from_matrix(m: &Matrix<R>) -> Self {
+        Self::write(m.rows(), m.cols(), m.as_slice().iter().copied())
+    }
+
+    /// `(rows, cols)` of the framed matrix.
+    pub fn shape(&self) -> (usize, usize) {
+        self.shape
+    }
+
+    /// Length of the frame on the wire: header and payload.
+    pub fn wire_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The payload words as written, read in place.
+    pub fn words(&self) -> impl ExactSizeIterator<Item = R> + '_ {
+        read_words(&self.bytes[DENSE_WORDS_AT..])
+    }
+
+    /// The frame's bytes with `seq` and `crc32(seq || payload)` in its
+    /// header: byte for byte [`encode_framed`] of the same matrix.
+    pub fn sealed(mut self, seq: u64) -> Vec<u8> {
+        let (header, payload) = self.bytes[FRAME_MAGIC.len()..].split_at_mut(BODY_HEADER_BYTES);
+        let (seq_le, stored) = header.split_at_mut(8);
+        seq_le.copy_from_slice(&seq.to_le_bytes());
+        stored.copy_from_slice(&body_crc(seq_le, payload));
+        self.bytes
+    }
+}
+
+/// `R` values of `R::BYTES` little-endian bytes each, read in place.
+fn read_words<R: Num>(raw: &[u8]) -> impl ExactSizeIterator<Item = R> + '_ {
+    raw.chunks_exact(R::BYTES).map(|chunk| {
+        let mut bytes = [0u8; 8];
+        bytes[..R::BYTES].copy_from_slice(chunk);
+        R::from_bits64(u64::from_le_bytes(bytes))
+    })
+}
+
+/// A received dense frame that passed every check [`decode_frame`] and
+/// [`decode`] make of one — magic, checksum, tag, `rows x cols` against
+/// the length, no trailing bytes — kept as it arrived and read in place.
+#[derive(Debug)]
+pub struct VerifiedDense<R: Num> {
+    bytes: Vec<u8>,
+    seq: u64,
+    shape: (usize, usize),
+    _carrier: std::marker::PhantomData<fn() -> R>,
+}
+
+impl<R: Num> VerifiedDense<R> {
+    /// Verifies a received frame as a dense payload. A frame that holds
+    /// another payload kind is [`CodecError::NotDense`].
+    pub fn open(frame: Vec<u8>) -> Result<Self, CodecError> {
+        let (seq, payload) = decode_frame(&frame)?;
+        let mut r = Reader { buf: payload };
+        let tag = r.get_u8()?;
+        if tag != TAG_DENSE {
+            return Err(match tag {
+                TAG_SPARSE | TAG_CONTROL => CodecError::NotDense(tag),
+                other => CodecError::BadTag(other),
+            });
+        }
+        let rows = r.get_u32_le()? as usize;
+        let cols = r.get_u32_le()? as usize;
+        let need = rows.saturating_mul(cols).saturating_mul(R::BYTES);
+        match r.remaining() {
+            n if n < need => Err(CodecError::Truncated),
+            n if n > need => Err(CodecError::TrailingBytes { extra: n - need }),
+            _ => Ok(VerifiedDense {
+                bytes: frame,
+                seq,
+                shape: (rows, cols),
+                _carrier: std::marker::PhantomData,
+            }),
+        }
+    }
+
+    /// The sequence number the frame was sealed under.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// `(rows, cols)` of the framed matrix.
+    pub fn shape(&self) -> (usize, usize) {
+        self.shape
+    }
+
+    /// Length of the frame on the wire: header and payload.
+    pub fn wire_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The payload words, row-major, read in place.
+    pub fn words(&self) -> impl ExactSizeIterator<Item = R> + '_ {
+        read_words(&self.bytes[DENSE_WORDS_AT..])
+    }
+
+    /// The framed matrix, decoded: what [`decode`] returns for it.
+    pub fn to_matrix(&self) -> Matrix<R> {
+        Matrix::from_vec(self.shape.0, self.shape.1, self.words().collect())
+    }
 }
 
 /// Verifies a frame's magic and checksum, returning the sequence number
@@ -212,23 +367,17 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
     }
 
-    /// The slice reader: `n` values of `width` little-endian bytes each,
-    /// widened to `u64` and mapped through `from_bits`.
-    fn get_slice<T>(
-        &mut self,
-        n: usize,
-        width: usize,
-        from_bits: impl Fn(u64) -> T,
-    ) -> Result<Vec<T>, CodecError> {
-        let raw = self.take(n.checked_mul(width).ok_or(CodecError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(width)
-            .map(|chunk| {
-                let mut bytes = [0u8; 8];
-                bytes[..width].copy_from_slice(chunk);
-                from_bits(u64::from_le_bytes(bytes))
-            })
-            .collect())
+    /// The next `n` little-endian `u32`s.
+    fn get_u32s(&mut self, n: usize) -> Result<Vec<u32>, CodecError> {
+        let raw = self.take(n.checked_mul(4).ok_or(CodecError::Truncated)?)?;
+        let word = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4 bytes"));
+        Ok(raw.chunks_exact(4).map(word).collect())
+    }
+
+    /// The next `n` words of `R`.
+    fn get_words<R: Num>(&mut self, n: usize) -> Result<Vec<R>, CodecError> {
+        let raw = self.take(n.checked_mul(R::BYTES).ok_or(CodecError::Truncated)?)?;
+        Ok(read_words(raw).collect())
     }
 }
 
@@ -238,12 +387,23 @@ fn put_u32_le(buf: &mut Vec<u8>, x: u32) {
 
 /// The slice writer: the low `width` little-endian bytes of each value's
 /// `to_bits` image. The buffer grows once and each value fills its own
-/// `width`-byte chunk; growing it per value took six times as long on a
-/// 16 KiB payload.
+/// `width`-byte chunk ([`put_words`]); growing it per value took six times
+/// as long on a 16 KiB payload.
 fn put_slice<T: Copy>(buf: &mut Vec<u8>, xs: &[T], width: usize, to_bits: impl Fn(T) -> u64) {
     let start = buf.len();
     buf.resize(start + xs.len() * width, 0);
-    for (chunk, &x) in buf[start..].chunks_exact_mut(width).zip(xs) {
+    put_words(&mut buf[start..], xs.iter().copied(), width, to_bits);
+}
+
+/// Writes each value `xs` yields into its own `width`-byte chunk of
+/// `out`, in order: the one loop every payload's words go through.
+fn put_words<T>(
+    out: &mut [u8],
+    xs: impl Iterator<Item = T>,
+    width: usize,
+    to_bits: impl Fn(T) -> u64,
+) {
+    for (chunk, x) in out.chunks_exact_mut(width).zip(xs) {
         chunk.copy_from_slice(&to_bits(x).to_le_bytes()[..width]);
     }
 }
@@ -325,7 +485,7 @@ fn decode_one<R: Num>(r: &mut Reader<'_>) -> Result<Payload<R>, CodecError> {
             if r.remaining() < rows.saturating_mul(cols).saturating_mul(R::BYTES) {
                 return Err(CodecError::Truncated);
             }
-            let data = r.get_slice(rows * cols, R::BYTES, R::from_bits64)?;
+            let data = r.get_words(rows * cols)?;
             Ok(Payload::Dense(Matrix::from_vec(rows, cols, data)))
         }
         TAG_SPARSE => {
@@ -337,9 +497,9 @@ fn decode_one<R: Num>(r: &mut Reader<'_>) -> Result<Payload<R>, CodecError> {
             if r.remaining() < need {
                 return Err(CodecError::Truncated);
             }
-            let row_ptr = r.get_slice(rows + 1, 4, |bits| bits as u32)?;
-            let col_idx = r.get_slice(nnz, 4, |bits| bits as u32)?;
-            let values = r.get_slice(nnz, R::BYTES, R::from_bits64)?;
+            let row_ptr = r.get_u32s(rows + 1)?;
+            let col_idx = r.get_u32s(nnz)?;
+            let values = r.get_words(nnz)?;
             Csr::try_from_raw_parts(rows, cols, row_ptr, col_idx, values)
                 .map(Payload::SparseDelta)
                 .map_err(CodecError::BadSparse)

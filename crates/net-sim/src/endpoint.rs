@@ -1,6 +1,6 @@
 //! Three-party endpoints with simulated link timing.
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, CodecError, DenseFrame, VerifiedDense};
 use crate::fault::{FaultCounters, FaultInjector, FaultPlan, FaultVerdict};
 use crate::message::{NodeId, Packet, Payload};
 use crate::stats::TrafficStats;
@@ -96,6 +96,19 @@ pub struct Endpoint<R: Num, T: Transport = ChannelTransport> {
     next_seq: u64,
     tap: Option<ReceiveTap<R>>,
     _marker: std::marker::PhantomData<fn() -> R>,
+}
+
+/// A dense matrix an endpoint received, verified and kept as it arrived
+/// ([`Endpoint::recv_dense`]): the [`Packet`] of a dense payload, without
+/// the decode.
+#[derive(Debug)]
+pub struct Receipt<R: Num> {
+    /// Sending node.
+    pub from: NodeId,
+    /// Simulated instant at which the bytes are fully received.
+    pub available_at: SimTime,
+    /// The frame, every check passed; its words are read in place.
+    pub frame: VerifiedDense<R>,
 }
 
 /// An observer of every packet an endpoint receives, in arrival order:
@@ -242,8 +255,38 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
             payload.dense_equivalent_bytes(),
             now,
         )?;
-        let mut bytes = codec::encode_framed(seq, payload);
+        let bytes = codec::encode_framed(seq, payload);
         debug_assert_eq!(bytes.len(), wire_bytes, "charged length != framed length");
+        self.transmit(to, bytes, start, done)
+    }
+
+    /// [`Endpoint::send`] of a dense frame already written
+    /// ([`DenseFrame::write`]): the same charges — sequence number, NIC
+    /// window, wire and dense-equivalent bytes, `send:dense` span — and
+    /// the same bytes as sending its matrix as a [`Payload::Dense`]. The
+    /// frame is sealed under the sequence number this send takes.
+    pub fn send_frame(
+        &mut self,
+        to: NodeId,
+        frame: DenseFrame<R>,
+        now: SimTime,
+    ) -> Result<SimTime, NetError> {
+        let (rows, cols) = frame.shape();
+        let dense_equivalent = rows * cols * R::BYTES;
+        let (seq, start, done) =
+            self.charge_send(to, "send:dense", frame.wire_bytes(), dense_equivalent, now)?;
+        self.transmit(to, frame.sealed(seq), start, done)
+    }
+
+    /// The delivery half of every send: the fault verdict on the sealed
+    /// `bytes`, then the transport. Returns `done`.
+    fn transmit(
+        &mut self,
+        to: NodeId,
+        mut bytes: Vec<u8>,
+        start: SimTime,
+        done: SimTime,
+    ) -> Result<SimTime, NetError> {
         let mut available_at = done;
         if let Some(injector) = self.faults.as_mut() {
             match injector.judge(self.id, to, start) {
@@ -308,6 +351,27 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         Ok(packet)
     }
 
+    /// Verifies one wire frame as a dense matrix, kept as it arrived. The
+    /// receive tap, when one is installed, sees the packet [`Endpoint::land`]
+    /// would have decoded.
+    fn land_dense(&mut self, from: NodeId, frame: TransportFrame) -> Result<Receipt<R>, NetError> {
+        let receipt = Receipt {
+            from,
+            available_at: frame.available_at,
+            frame: VerifiedDense::open(frame.bytes)?,
+        };
+        if let Some(tap) = self.tap.as_mut() {
+            tap(&Packet {
+                from,
+                payload: Payload::Dense(receipt.frame.to_matrix()),
+                seq: receipt.frame.seq(),
+                available_at: receipt.available_at,
+                wire_bytes: receipt.frame.wire_bytes(),
+            });
+        }
+        Ok(receipt)
+    }
+
     /// Verifies and decodes one wire frame into a packet.
     fn unpack(from: NodeId, frame: TransportFrame) -> Result<Packet<R>, NetError> {
         let wire_bytes = frame.bytes.len();
@@ -363,8 +427,14 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
         from: NodeId,
         deadline: SimTime,
     ) -> Result<Packet<R>, NetError> {
+        let frame = self.frame_by(from, deadline)?;
+        self.land(from, frame)
+    }
+
+    /// The next frame from `from` if it is fully received by `deadline`.
+    fn frame_by(&mut self, from: NodeId, deadline: SimTime) -> Result<TransportFrame, NetError> {
         match self.transport.try_recv(from)? {
-            Some(frame) if frame.available_at <= deadline => self.land(from, frame),
+            Some(frame) if frame.available_at <= deadline => Ok(frame),
             // Late frame: sends on one link have monotone completion times
             // (serial NIC), so everything behind it is later still — drop
             // it and report the deadline expired; the retransmit carries
@@ -374,6 +444,25 @@ impl<R: Num, T: Transport> Endpoint<R, T> {
                 retries: 0,
             }),
         }
+    }
+
+    /// [`Endpoint::recv`] of a dense matrix, verified and not decoded: the
+    /// caller reads the words in place. Any other payload kind is
+    /// [`CodecError::NotDense`].
+    pub fn recv_dense(&mut self, from: NodeId) -> Result<Receipt<R>, NetError> {
+        let frame = self.transport.recv(from)?;
+        self.land_dense(from, frame)
+    }
+
+    /// [`Endpoint::recv_deadline`] of a dense matrix, as
+    /// [`Endpoint::recv_dense`].
+    pub fn recv_dense_deadline(
+        &mut self,
+        from: NodeId,
+        deadline: SimTime,
+    ) -> Result<Receipt<R>, NetError> {
+        let frame = self.frame_by(from, deadline)?;
+        self.land_dense(from, frame)
     }
 }
 

@@ -44,7 +44,8 @@ pub mod tcp;
 pub mod transport;
 
 pub use compress::{DeltaDecoder, DeltaEncoder, TransmitForm};
-pub use endpoint::{build_network, Endpoint, NetError, ReceiveTap};
+pub use codec::{DenseFrame, VerifiedDense};
+pub use endpoint::{build_network, Endpoint, NetError, ReceiveTap, Receipt};
 pub use fault::{Blackout, FaultCounters, FaultInjector, FaultPlan, FaultVerdict, LinkFaults};
 pub use message::{NodeId, Packet, Payload};
 pub use proxy::{FaultProxy, ProxyConfig};

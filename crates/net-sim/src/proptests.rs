@@ -344,3 +344,56 @@ proptest! {
         }
     }
 }
+
+/// `rows x cols` ring words drawn from `seed` and `salt` (splitmix).
+fn ring_words(rows: usize, cols: usize, seed: u64, salt: u64) -> Matrix<psml_mpc::Fixed64> {
+    Matrix::from_fn(rows, cols, |r, c| {
+        let mut x = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (r * cols + c) as u64;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        psml_mpc::Fixed64(x ^ (x >> 31))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// One opening, one pass each way, against the two-step oracle: each
+    /// party's frame written straight from `X_i - M_i` is byte for byte
+    /// the frame of its materialised `E_i`, and `E` rebuilt on either
+    /// party from its own frame's words and its peer's receipt is
+    /// `reconstruct_public(E_0, E_1)` bit for bit. The last shape is above
+    /// the engine's two-party join floor (2^16 elements).
+    #[test]
+    fn one_pass_opening_matches_the_two_step_oracle(seed in any::<u64>(), seq in any::<u64>()) {
+        use crate::codec::DenseFrame;
+        use psml_mpc::protocol::{
+            mask_operand, masked_words, reconstruct_public, reconstruct_words,
+        };
+        for (rows, cols) in [(1, 1), (1, 2048), (7, 13), (257, 256)] {
+            let x = [1, 2].map(|salt| ring_words(rows, cols, seed, salt));
+            let m = [3, 4].map(|salt| ring_words(rows, cols, seed, salt));
+            let halves = [0, 1].map(|i| mask_operand(&x[i], &m[i]));
+            let e = reconstruct_public(&halves[0], &halves[1]);
+
+            let frames =
+                [0, 1].map(|i| DenseFrame::write(rows, cols, masked_words(&x[i], &m[i])));
+            for (frame, half) in frames.iter().zip(&halves) {
+                let oracle = encode_framed(seq, &Payload::Dense(half.clone()));
+                prop_assert_eq!(frame.clone().sealed(seq), oracle);
+            }
+            let [_, mut s0, mut s1] = build_network(LinkModel::infiniband_100g());
+            s1.send_frame(NodeId::Server0, frames[1].clone(), SimTime::ZERO).unwrap();
+            s0.send_frame(NodeId::Server1, frames[0].clone(), SimTime::ZERO).unwrap();
+            let theirs = [
+                s0.recv_dense(NodeId::Server1).unwrap(),
+                s1.recv_dense(NodeId::Server0).unwrap(),
+            ];
+            for (mine, got) in frames.iter().zip(&theirs) {
+                prop_assert_eq!(got.frame.shape(), (rows, cols));
+                let opened = reconstruct_words(rows, cols, mine.words(), got.frame.words());
+                prop_assert_eq!(&opened, &e);
+            }
+        }
+    }
+}

@@ -18,7 +18,8 @@
 //! change, zero counters — so enabling the reliability layer costs
 //! nothing when chaos is off.
 
-use crate::endpoint::{Endpoint, NetError};
+use crate::codec::DenseFrame;
+use crate::endpoint::{Endpoint, NetError, Receipt};
 use crate::message::{NodeId, Packet, Payload};
 use psml_simtime::{SimDuration, SimTime};
 use psml_tensor::Num;
@@ -194,6 +195,15 @@ impl ReliabilityStats {
     }
 }
 
+/// One direction of a transfer: the sending endpoint and its clock, the
+/// receiving endpoint and its clock.
+struct Leg<'a, R: Num> {
+    tx: &'a mut Endpoint<R>,
+    tx_now: &'a mut SimTime,
+    rx: &'a mut Endpoint<R>,
+    rx_now: &'a mut SimTime,
+}
+
 /// Reliable, SimTime-driven delivery between two endpoints of the
 /// lock-step simulation.
 #[derive(Clone, Debug, Default)]
@@ -239,6 +249,63 @@ impl ReliableChannel {
         receiver_now: &mut SimTime,
         payload: &Payload<R>,
     ) -> Result<Packet<R>, NetError> {
+        self.carry(
+            [sender, receiver],
+            [sender_now, receiver_now],
+            |tx, to, now| tx.send(to, payload, now),
+            |rx, from, deadline| match deadline {
+                Some(deadline) => rx.recv_deadline(from, deadline),
+                None => rx.recv(from),
+            },
+            |pkt| (pkt.seq, pkt.available_at),
+        )
+    }
+
+    /// [`ReliableChannel::transfer`] of a dense frame already written: the
+    /// same legs, charges and bytes as transferring its matrix as a
+    /// [`Payload::Dense`], and the receiver verifies the frame without
+    /// decoding it. Each retransmission seals a copy of the frame under
+    /// its own sequence number; without faults the frame itself is sent.
+    pub fn transfer_frame<R: Num>(
+        &mut self,
+        sender: &mut Endpoint<R>,
+        sender_now: &mut SimTime,
+        receiver: &mut Endpoint<R>,
+        receiver_now: &mut SimTime,
+        frame: DenseFrame<R>,
+    ) -> Result<Receipt<R>, NetError> {
+        let mut frame = Some(frame);
+        let clean = !sender.has_faults() && !receiver.has_faults();
+        self.carry(
+            [sender, receiver],
+            [sender_now, receiver_now],
+            |tx, to, now| {
+                let copy = match clean {
+                    true => frame.take(),
+                    false => frame.clone(),
+                };
+                tx.send_frame(to, copy.expect("a clean transfer sends once"), now)
+            },
+            |rx, from, deadline| match deadline {
+                Some(deadline) => rx.recv_dense_deadline(from, deadline),
+                None => rx.recv_dense(from),
+            },
+            |receipt| (receipt.frame.seq(), receipt.available_at),
+        )
+    }
+
+    /// The transfer both forms share: `send` puts the data on `tx`'s wire,
+    /// `recv` takes it off `rx`'s (by a deadline under faults, `None`
+    /// without), and `landed` reads a receipt's sequence number and
+    /// arrival instant.
+    fn carry<R: Num, L>(
+        &mut self,
+        [sender, receiver]: [&mut Endpoint<R>; 2],
+        [sender_now, receiver_now]: [&mut SimTime; 2],
+        mut send: impl FnMut(&mut Endpoint<R>, NodeId, SimTime) -> Result<SimTime, NetError>,
+        mut recv: impl FnMut(&mut Endpoint<R>, NodeId, Option<SimTime>) -> Result<L, NetError>,
+        landed: impl Fn(&L) -> (u64, SimTime),
+    ) -> Result<L, NetError> {
         let from = sender.id();
         let to = receiver.id();
         self.stats.transfers += 1;
@@ -246,11 +313,11 @@ impl ReliableChannel {
         // Fast path: perfect network — identical bytes and timing to the
         // raw endpoint protocol, no ack traffic, all counters stay zero.
         if !sender.has_faults() && !receiver.has_faults() {
-            let done = sender.send(to, payload, *sender_now)?;
+            let done = send(sender, to, *sender_now)?;
             *sender_now = done;
-            let pkt = receiver.recv(from)?;
-            *receiver_now = (*receiver_now).max(pkt.available_at);
-            return Ok(pkt);
+            let got = recv(receiver, from, None)?;
+            *receiver_now = (*receiver_now).max(landed(&got).1);
+            return Ok(got);
         }
 
         // Jitter nonces: the data and ack legs of transfer N draw from
@@ -258,42 +325,49 @@ impl ReliableChannel {
         let data_nonce = self.stats.transfers.wrapping_mul(2);
         let ack_nonce = data_nonce.wrapping_add(1);
 
-        let packet = self.leg(sender, sender_now, receiver, receiver_now, payload, data_nonce)?;
+        let data = Leg { tx: sender, tx_now: sender_now, rx: receiver, rx_now: receiver_now };
+        let got = self.leg(data, &mut send, &mut recv, &landed, data_nonce)?;
         // The sender must learn the transfer completed before the protocol
         // step can commit: the ack travels back under the same discipline.
-        let ack = Payload::Control(format!("ack:{}", packet.seq));
-        let ack_pkt = self.leg(receiver, receiver_now, sender, sender_now, &ack, ack_nonce)?;
+        let ack = Payload::Control(format!("ack:{}", landed(&got).0));
+        let back = Leg { tx: receiver, tx_now: receiver_now, rx: sender, rx_now: sender_now };
+        let ack_pkt = self.leg(
+            back,
+            &mut |tx, to, now| tx.send(to, &ack, now),
+            &mut |rx, from, deadline| rx.recv_deadline(from, deadline.expect("a deadline")),
+            &|pkt: &Packet<R>| (pkt.seq, pkt.available_at),
+            ack_nonce,
+        )?;
         debug_assert!(
             matches!(&ack_pkt.payload, Payload::Control(s) if s.starts_with("ack:")),
             "reliable channel received non-ack on ack leg"
         );
         self.stats.acks += 1;
-        Ok(packet)
+        Ok(got)
     }
 
-    /// One stop-and-wait leg, data or ack: `tx` retransmits `payload`
-    /// until it lands intact at `rx`. The budget is `policy.attempts()`
+    /// One stop-and-wait leg, data or ack: `tx` retransmits until what it
+    /// sends lands intact at `rx`. The budget is `policy.attempts()`
     /// sends; checking *after* the increment guarantees the final
     /// retransmission actually hits the wire before the leg gives up.
-    fn leg<R: Num>(
+    fn leg<R: Num, L>(
         &mut self,
-        tx: &mut Endpoint<R>,
-        tx_now: &mut SimTime,
-        rx: &mut Endpoint<R>,
-        rx_now: &mut SimTime,
-        payload: &Payload<R>,
+        Leg { tx, tx_now, rx, rx_now }: Leg<'_, R>,
+        send: &mut impl FnMut(&mut Endpoint<R>, NodeId, SimTime) -> Result<SimTime, NetError>,
+        recv: &mut impl FnMut(&mut Endpoint<R>, NodeId, Option<SimTime>) -> Result<L, NetError>,
+        landed: &impl Fn(&L) -> (u64, SimTime),
         nonce: u64,
-    ) -> Result<Packet<R>, NetError> {
+    ) -> Result<L, NetError> {
         let (from, to) = (tx.id(), rx.id());
         let mut attempt = 0u32;
         loop {
-            let done = tx.send(to, payload, *tx_now)?;
+            let done = send(tx, to, *tx_now)?;
             *tx_now = done;
             let deadline = done.max(*rx_now) + self.policy.timeout_for_nonce(attempt, nonce);
-            match rx.recv_deadline(from, deadline) {
-                Ok(pkt) => {
-                    *rx_now = (*rx_now).max(pkt.available_at);
-                    return Ok(pkt);
+            match recv(rx, from, Some(deadline)) {
+                Ok(got) => {
+                    *rx_now = (*rx_now).max(landed(&got).1);
+                    return Ok(got);
                 }
                 Err(err) => {
                     self.note_leg_failure(&err)?;

@@ -21,7 +21,9 @@
 //!   breakdown,
 //! - [`json`] is a tiny serde-free JSON value model (writer + parser)
 //!   shared by the versioned report serializers and the CLI's schema
-//!   validation.
+//!   validation,
+//! - [`LatencyHistogram`] is a fixed-size log-bucketed histogram for
+//!   percentiles of a long-running process (stated relative error 1/64).
 //!
 //! ```
 //! use psml_trace::{Phase, TraceSink};
@@ -39,11 +41,13 @@
 
 mod chrome;
 mod event;
+mod histogram;
 pub mod json;
 mod sink;
 mod summary;
 
 pub use chrome::{chrome_trace_json, chrome_trace_json_with, ChromeTraceOptions};
 pub use event::{ns_of_secs, Phase, TraceEvent};
+pub use histogram::LatencyHistogram;
 pub use sink::{PhaseGuard, TraceSink};
 pub use summary::Summary;

@@ -322,6 +322,19 @@ elif [ "$(uname -m)" = x86_64 ]; then
         echo "ci: a ring-kernel vpmullq takes a folded {1to8} broadcast, or no ring kernel was found" >&2
         exit 1
     fi
+    # CRC codegen gate: the frame checksum's zmm tier folds with VPCLMULQDQ
+    # on zmm registers (AT&T `vpclmullqlqdq` / `vpclmulhqhqdq`). Fail when
+    # the fold's symbol is missing from the benchmark's binary or holds no
+    # such instruction, so the vector tier cannot silently fall back.
+    crc_codegen="$(objdump -d --no-show-raw-insn -C "$e2e_bin" | awk '
+        /^[0-9a-f]+ </ { fold = ($0 ~ /crc::fold::update_folded_wide>/); symbols += fold }
+        fold && /vpclmul[lh]q[lh]qdq.*%zmm/ { wide++ }
+        END { printf "crc zmm-fold symbols %d, zmm vpclmul %d\n", symbols, wide }')"
+    echo "ci: $crc_codegen"
+    if ! grep -q 'symbols [1-9][0-9]*, zmm vpclmul [1-9][0-9]*$' <<<"$crc_codegen"; then
+        echo "ci: the CRC zmm fold is missing or has no vpclmul on zmm registers" >&2
+        exit 1
+    fi
 fi
 cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- run --smoke
 cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \

@@ -40,9 +40,9 @@ use psml_mpc::{
 };
 use psml_net::codec::{
     crc32, decode, decode_frame, encode, encode_frame, encode_framed, encode_stream_frame,
-    payload_bytes, StreamDecoder,
+    payload_bytes, CodecError, StreamDecoder,
 };
-use psml_net::Payload;
+use psml_net::{DenseFrame, Payload, VerifiedDense};
 use psml_parallel::Mt19937;
 use psml_tensor::{ConvShape, Csr, Num};
 use std::collections::HashSet;
@@ -221,7 +221,9 @@ struct WirePin {
 impl WirePin {
     /// Adds `encode_frame` and `encode_stream_frame` of `p`'s encoding at
     /// each pinned sequence number, and decodes each frame back to `p`.
-    /// The one-buffer `encode_framed` must give the pinned frame too.
+    /// The one-buffer `encode_framed` must give the pinned frame too, and
+    /// so must a dense frame written word by word through `DenseFrame`,
+    /// which a receipt (`VerifiedDense`) reads back without `decode`.
     fn case<R: Num + std::fmt::Debug + PartialEq>(&mut self, name: &str, p: Payload<R>) {
         let body = encode(&p);
         assert_eq!(payload_bytes(&p), body.len(), "{name}");
@@ -234,6 +236,15 @@ impl WirePin {
             let (got_seq, got_body) = decode_frame(&frame).unwrap();
             assert_eq!(got_seq, seq, "{name}");
             assert_eq!(decode::<R>(got_body).unwrap(), p, "{name} seq={seq}");
+            let receipt = VerifiedDense::<R>::open(frame.clone());
+            if let Payload::Dense(m) = &p {
+                let written = DenseFrame::write(m.rows(), m.cols(), m.as_slice().iter().copied());
+                assert_eq!(written.sealed(seq), frame, "{name} seq={seq}: the frame writer");
+                let receipt = receipt.unwrap();
+                assert_eq!((receipt.seq(), &receipt.to_matrix()), (seq, m), "{name} seq={seq}");
+            } else {
+                assert!(matches!(receipt, Err(CodecError::NotDense(_))), "{name} seq={seq}");
+            }
             self.stream.extend_from_slice(&record);
             self.sent.push((seq, body.clone()));
         }

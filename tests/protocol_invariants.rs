@@ -419,6 +419,33 @@ fn a_server_sees_each_secret_opened_once_and_uniformly_masked() {
     assert!(pairs >= 2, "a1/dz0 and a2/dz1 share shapes");
 }
 
+/// Watching the wire changes nothing: a fresh MLP step and a served
+/// request with a receive tap on every node (which decodes each dense
+/// frame the engine otherwise reads in place) give the same weights,
+/// outputs and report as the same runs without one.
+#[test]
+fn a_run_with_a_receive_tap_equals_a_run_without_one() {
+    let spec = ModelSpec::build(ModelKind::Mlp, 48, None, 6).unwrap();
+    let batch = 8;
+    let x = PlainMatrix::from_fn(batch, 48, |r, c| ((r * 5 + c) % 9) as f64 * 0.2 - 0.8);
+    let run = |tapped: bool| {
+        let mut trainer = SecureTrainer::<Fixed64>::new(fresh(), spec.clone(), SEED).unwrap();
+        let seen = Seen::default();
+        if tapped {
+            for node in NodeId::ALL {
+                trainer.set_receive_tap(node, tap(&seen));
+            }
+        }
+        trainer.train_batch(&x, &one_hot(batch, 6)).unwrap();
+        let served = trainer.infer_request(&InferRequest::new(x.clone())).unwrap();
+        let taps = seen.lock().unwrap().len();
+        (trainer.reveal_weights(), served.output, format!("{:?}", trainer.report()), taps)
+    };
+    let (bare, tapped) = (run(false), run(true));
+    assert!(bare.3 == 0 && tapped.3 > 0, "the tap saw the run's packets");
+    assert_eq!((&bare.0, &bare.1, &bare.2), (&tapped.0, &tapped.1, &tapped.2));
+}
+
 #[test]
 fn a_backward_product_reads_the_forward_opening_transposed() {
     let mut ctx = SecureContext::<Fixed64>::new(fresh(), SEED);
