@@ -509,14 +509,10 @@ impl<R: SecureRing> SecureContext<R> {
         Ok(placed)
     }
 
-    /// Client-side randomness: the charge plus the values — the client's
-    /// MT19937 on the CPU, the device counter stream of the just-advanced
-    /// `curand_seed` on the GPU.
-    fn client_random(&mut self, rows: usize, cols: usize) -> Result<Matrix<R>> {
-        Ok(match self.charge_client_random(rows, cols)? {
-            Placement::Gpu => device_random(rows, cols, self.curand_seed),
-            Placement::Cpu => R::random_matrix(rows, cols, &mut self.rng),
-        })
+    /// A frame of the client's MT19937 draws, written in place.
+    fn client_mask_frame(&mut self, rows: usize, cols: usize) -> DenseFrame<R> {
+        const { assert!(R::BYTES == 8, "the client's draws are 64-bit ring words") };
+        DenseFrame::write_with(rows, cols, |words| self.rng.fill_le_bytes(words))
     }
 
     /// Charges the client for a triple's `Z = U x V` product.
@@ -582,15 +578,21 @@ impl<R: SecureRing> SecureContext<R> {
     }
 
     /// Offline: encodes a client plaintext and distributes its two shares
-    /// (the Fig. 1b partitioning step). Server 0's share is the mask;
-    /// server 1's, `encode(m) - mask`, is written straight into its frame.
+    /// (the Fig. 1b partitioning step). Server 0's share is the mask,
+    /// drawn into its frame: the client's MT19937 on the CPU, the device
+    /// counter stream of the just-advanced `curand_seed` on the GPU.
+    /// Server 1's, `encode(m) - mask`, is written into its frame from the
+    /// first frame's words ([`split_frames`]).
     pub fn share_input(&mut self, m: &PlainMatrix) -> Result<SharedMatrix<R>> {
         let _offline = TraceSink::scope(Phase::Offline, None);
         let start = self.client.now;
         let (rows, cols) = m.shape();
-        let mask = self.client_random(rows, cols)?;
+        let mask = match self.charge_client_random(rows, cols)? {
+            Placement::Gpu => DenseFrame::from_matrix(&device_random(rows, cols, self.curand_seed)),
+            Placement::Cpu => self.client_mask_frame(rows, cols),
+        };
         self.client_cpu(2 * rows * cols * R::BYTES);
-        let landed = self.distribute_frames(share_frames(m, &mask))?;
+        let landed = self.distribute_frames(split_frames(m, mask))?;
         trace_phase(
             "share_input",
             Phase::Offline,
@@ -1634,7 +1636,7 @@ impl<R: SecureRing> SecureContext<R> {
         // Client: apply, and re-share with a fresh mask.
         let (activated, mask) = activate(&z_plain.v, f, df);
         let (rows, cols) = activated.shape();
-        let fresh_mask = R::random_matrix(rows, cols, &mut self.rng);
+        let fresh_mask = self.client_mask_frame(rows, cols);
         // Client compute time: reconstruct + apply + split (client rates).
         let client_dur = self.cfg.client_rng_time(rows * cols)
             + self.cfg.client_elementwise_time(5 * rows * cols * R::BYTES);
@@ -1650,7 +1652,7 @@ impl<R: SecureRing> SecureContext<R> {
             self.servers[i].note(srv_clock.max(landed.ready));
             Ok(Timed { v: landed.v.to_matrix(), ready: landed.ready })
         };
-        let [to_s0, to_s1] = share_frames(&activated, &fresh_mask);
+        let [to_s0, to_s1] = split_frames(&activated, fresh_mask);
         let out = SharedMatrix::new([land(0, to_s0)?, land(1, to_s1)?]);
         Ok((out, mask))
     }
@@ -1738,13 +1740,16 @@ impl<R: SecureRing> SecureContext<R> {
     }
 }
 
-/// The client's two shares of `m` under `mask`, each written in the frame
-/// that carries it: server 0's is the mask, server 1's `encode(m) - mask`,
-/// encoded and split in one pass.
-fn share_frames<R: SecureRing>(m: &PlainMatrix, mask: &Matrix<R>) -> [DenseFrame<R>; 2] {
+/// The client's two shares of `m` under the mask framed in `mask`, each
+/// in the frame that carries it: server 0's is the mask, server 1's
+/// `encode(m) - mask`, encoded and split from the mask frame's words into
+/// its own in one pass ([`SecureRing::encode_sub_le`]).
+fn split_frames<R: SecureRing>(m: &PlainMatrix, mask: DenseFrame<R>) -> [DenseFrame<R>; 2] {
     let (rows, cols) = m.shape();
-    let other = m.as_slice().iter().zip(mask.as_slice()).map(|(&x, &r)| R::encode(x).sub(r));
-    [DenseFrame::from_matrix(mask), DenseFrame::write(rows, cols, other)]
+    let other = DenseFrame::write_with(rows, cols, |out| {
+        R::encode_sub_le(out, m.as_slice(), mask.word_bytes())
+    });
+    [mask, other]
 }
 
 /// `got`'s shape, when it is `want`; a peer that framed another shape is
@@ -1812,6 +1817,46 @@ mod tests {
         let mask = device_random::<Fixed64>(6, 5, 100);
         assert!(shared.part(Party::P0).v == mask, "mask is not the device stream");
         assert!(shared.reveal_insecure().max_abs_diff(&m) < 1e-3);
+    }
+
+    /// What each server receives from `share_input`, byte for byte, is
+    /// the two-step frames: the mask's, and `encode(x) - mask`'s, with the
+    /// mask from the client's MT19937 on the CPU and from the device
+    /// counter stream on the GPU (the setup of the test above). 117
+    /// elements leave a tail of five past the last eight-word step.
+    #[test]
+    fn share_input_frames_are_the_two_step_bytes() {
+        let m = plain(9, 13, 3.0);
+        for gpu in [false, true] {
+            let mut cfg = EngineConfig::parsecureml();
+            if gpu {
+                cfg.machine.cpu.rng_samples_per_core = 1.0;
+            }
+            let mut ctx = ctx(cfg);
+            let mut rng = ctx.rng.clone();
+            let mask = match gpu {
+                true => device_random::<Fixed64>(9, 13, ctx.curand_seed + 1),
+                false => Fixed64::random_matrix(9, 13, &mut rng),
+            };
+            let split = m.as_slice().iter().zip(mask.as_slice());
+            let other = split.map(|(&x, &r)| Fixed64::encode(x).sub(r));
+            let want = [DenseFrame::from_matrix(&mask), DenseFrame::write(9, 13, other)];
+            let seen = SERVER.map(|node| {
+                let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+                let tap = seen.clone();
+                ctx.set_receive_tap(node, Box::new(move |p| {
+                    tap.lock().unwrap().push(psml_net::codec::encode_framed(p.seq, &p.payload))
+                }));
+                seen
+            });
+            ctx.share_input(&m).unwrap();
+            for (seen, want) in seen.iter().zip(want) {
+                let got = seen.lock().unwrap();
+                let seq = u64::from_le_bytes(got[0][4..12].try_into().unwrap());
+                assert!(got.len() == 1 && got[0] == want.sealed(seq), "gpu {gpu}");
+            }
+            assert_eq!(ctx.rng.next_u64(), rng.next_u64(), "the client drew the mask and no more");
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@ use std::collections::VecDeque;
 use crate::config::EngineConfig;
 use crate::error::{ConfigError, EngineError};
 use crate::models::ModelSpec;
+use crate::provider::ProviderStats;
 use crate::session::fnv64;
 use crate::trainer::SecureTrainer;
 use psml_mpc::{PlainMatrix, SecureRing};
@@ -492,6 +493,15 @@ impl<R: SecureRing> ModelHost<R> {
     /// Number of hosted models.
     pub fn models(&self) -> usize {
         self.models.len()
+    }
+
+    /// The counters of model `id`'s triple provider (`None` for a handle
+    /// this host did not assign): how many deals its requests took, and
+    /// how long they waited on the dealer thread for them. Wall clock, so
+    /// not part of [`ServeReport`].
+    pub fn provider_stats(&self, id: ModelId) -> Option<ProviderStats> {
+        let hosted = self.models.get(id.index())?;
+        Some(hosted.trainer.context().provider_stats())
     }
 
     /// Admission control at arrival time `now`: enqueues the request or
@@ -970,6 +980,30 @@ mod tests {
         let doc = report.to_json().to_json();
         let schema = crate::observe::validate_document(&doc).unwrap();
         assert_eq!(schema, "psml.serve.v1");
+    }
+
+    /// Every product a served window runs takes one deal from the model's
+    /// provider; an unknown handle has no provider.
+    #[test]
+    fn provider_stats_count_the_products_served() {
+        let cfg = ServeConfig::builder().batch_window_micros(100.0).max_batch(4).build().unwrap();
+        let mut host = ModelHost::<Fixed64>::new(cfg).unwrap();
+        let id = host.load("mlp", mlp_spec(), 11).unwrap();
+        assert_eq!(host.provider_stats(id).unwrap().takes, 0, "loading takes no deal");
+        let arrivals = (0..6)
+            .map(|i| {
+                let x = PlainMatrix::from_fn(1, 32, |_, c| ((c + i) % 5) as f64 * 0.1);
+                (SimTime::from_secs(i as f64 * 30e-6), InferRequest::new(x).for_model(id))
+            })
+            .collect();
+        host.run(arrivals).unwrap();
+        let products = host.report().per_model[0].secure_muls as u64;
+        let stats = host.provider_stats(id).unwrap();
+        assert!(products > 0);
+        assert_eq!(stats.takes, products);
+        assert!(stats.stalled_takes <= stats.takes);
+        assert_eq!(host.provider_stats(ModelId(1)), None);
+        assert_eq!(host.provider_stats(ModelId::DIRECT), None);
     }
 
     #[test]

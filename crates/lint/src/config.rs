@@ -12,13 +12,17 @@
 /// Modules permitted to contain the `unsafe` keyword at all. Each exists
 /// for one vetted reason: the GEMM carrier casts (`tensor::gemm`), the
 /// `WRAPPING_U64` trait contract (`tensor::num`), the scoped-job lifetime
-/// transmute (`parallel::pool`), the `Fixed64` ring carrier's `unsafe impl
-/// Num` (`mpc::fixed`), and the feature-detected calls into the two CRC
-/// folds, PCLMULQDQ on xmm and VPCLMULQDQ on zmm (`net-sim::crc`).
+/// transmute (`parallel::pool`), the feature-detected calls into MT19937's
+/// AVX-512 twist and block copy (`parallel::mt19937`), the `Fixed64` ring
+/// carrier's `unsafe impl Num` and the feature-detected AVX-512DQ encode
+/// with its unaligned loads and stores (`mpc::fixed`), and the
+/// feature-detected calls into the two CRC folds, PCLMULQDQ on xmm and
+/// VPCLMULQDQ on zmm (`net-sim::crc`).
 pub const UNSAFE_MODULES: &[&str] = &[
     "tensor::gemm",
     "tensor::num",
     "parallel::pool",
+    "parallel::mt19937",
     "mpc::fixed",
     "net-sim::crc",
 ];

@@ -1,6 +1,6 @@
 //! `Z_{2^64}` fixed-point ring with SecureML's local share truncation.
 
-use crate::ring::{Party, SecureRing};
+use crate::ring::{Party, PlainMatrix, SecureRing};
 use psml_parallel::Mt19937;
 use psml_tensor::{Matrix, Num};
 
@@ -84,6 +84,42 @@ impl SecureRing for Fixed64 {
         Fixed64(((y + 0.49999999999999994f64.copysign(y)) as i64) as u64)
     }
 
+    /// One pass over the three slices; on CPUs with AVX-512F and DQ eight
+    /// words a step (`wide::encode_sub`), otherwise a word at a time.
+    fn encode_sub_le(out: &mut [u8], xs: &[f64], mask_le: &[u8]) {
+        assert!(
+            out.len() == xs.len() * 8 && mask_le.len() == out.len(),
+            "encode_sub_le takes one output and one mask word per input"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if wide::available() {
+            // SAFETY: the features `available` just detected; `out` and
+            // `mask_le` hold `8 * xs.len()` bytes each (asserted above).
+            return unsafe { wide::encode_sub::<true>(out.as_mut_ptr(), xs, mask_le.as_ptr()) };
+        }
+        encode_sub_words(out, xs, mask_le);
+    }
+
+    /// [`Fixed64::encode`] of every element, through the conversion
+    /// [`SecureRing::encode_sub_le`] runs (with no mask).
+    fn encode_matrix(m: &PlainMatrix) -> Matrix<Self> {
+        let xs = m.as_slice();
+        let mut data = vec![Fixed64(0); xs.len()];
+        #[cfg(target_arch = "x86_64")]
+        if wide::available() {
+            // SAFETY: the features `available` just detected; `data` holds
+            // `xs.len()` `Fixed64`s, each a `u64` (`repr(transparent)`)
+            // stored as its eight little-endian bytes on x86-64, and the
+            // mask pointer is never read when `SUB` is false.
+            unsafe { wide::encode_sub::<false>(data.as_mut_ptr().cast(), xs, std::ptr::null()) };
+            return Matrix::from_vec(m.rows(), m.cols(), data);
+        }
+        for (v, &x) in data.iter_mut().zip(xs) {
+            *v = Self::encode(x);
+        }
+        Matrix::from_vec(m.rows(), m.cols(), data)
+    }
+
     /// Interpret as signed and divide by the scale.
     #[inline]
     fn decode(self) -> f64 {
@@ -112,6 +148,80 @@ impl SecureRing for Fixed64 {
         match party {
             Party::P0 => Fixed64(self.0 >> SCALE_BITS),
             Party::P1 => Fixed64((self.0.wrapping_neg() >> SCALE_BITS).wrapping_neg()),
+        }
+    }
+}
+
+/// The portable [`SecureRing::encode_sub_le`]: a word at a time.
+fn encode_sub_words(out: &mut [u8], xs: &[f64], mask_le: &[u8]) {
+    for ((o, &x), m) in out.chunks_exact_mut(8).zip(xs).zip(mask_le.chunks_exact(8)) {
+        let mask = u64::from_le_bytes(m.try_into().expect("8 bytes"));
+        o.copy_from_slice(&Fixed64::encode(x).0.wrapping_sub(mask).to_le_bytes());
+    }
+}
+
+/// The encode tier for AVX-512F + DQ, written in intrinsics: built for
+/// baseline x86-64 or under `target_feature` alone, LLVM leaves the
+/// saturating `f64 -> i64` cast scalar, which ran slower than the plain
+/// loop.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::SCALE;
+    use std::arch::x86_64::*;
+
+    /// Whether [`encode_sub`] may run on this CPU (std caches the probe).
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+    }
+
+    /// [`super::Fixed64::encode`]'s bits in eight lanes: `y = x * 2^13`,
+    /// plus the largest double below one half signed like `y`, truncated
+    /// by `vcvttpd2qq`. That instruction gives `i64::MIN` for NaN and for
+    /// everything outside `[-2^63, 2^63)`, where `as i64` saturates: so
+    /// lanes at or above `2^63` take `i64::MAX` and NaN lanes 0. Below
+    /// `-2^63` the instruction's `i64::MIN` is already the saturated value.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn encode8(x: __m512d) -> __m512i {
+        let y = _mm512_mul_pd(x, _mm512_set1_pd(SCALE));
+        let sign = _mm512_and_si512(_mm512_castpd_si512(y), _mm512_set1_epi64(i64::MIN));
+        let half = _mm512_set1_epi64(0.49999999999999994f64.to_bits() as i64);
+        let t = _mm512_add_pd(y, _mm512_castsi512_pd(_mm512_or_si512(sign, half)));
+        let q = _mm512_cvttpd_epi64(t);
+        let high = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(t, _mm512_set1_pd(9_223_372_036_854_775_808.0));
+        let q = _mm512_mask_mov_epi64(q, high, _mm512_set1_epi64(i64::MAX));
+        _mm512_maskz_mov_epi64(_mm512_cmp_pd_mask::<_CMP_ORD_Q>(t, t), q)
+    }
+
+    /// Writes `encode(x) - mask` (`SUB`) or `encode(x)` for each `x` of
+    /// `xs` to `out` as little-endian words, eight a step and the tail
+    /// under a lane mask, with unaligned loads and stores.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX-512F and DQ; `out` is valid for writes of
+    /// `8 * xs.len()` bytes and, when `SUB`, `mask` for reads of as many.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn encode_sub<const SUB: bool>(out: *mut u8, xs: &[f64], mask: *const u8) {
+        let mut at = 0;
+        while at < xs.len() {
+            let lanes = (xs.len() - at).min(8);
+            let live: __mmask8 = 0xFF >> (8 - lanes);
+            // SAFETY: lanes `at..at + lanes` of `xs` are in bounds; the
+            // masked-off lanes are not read.
+            let x = unsafe { _mm512_maskz_loadu_pd(live, xs.as_ptr().add(at)) };
+            let mut q = encode8(x);
+            if SUB {
+                // SAFETY: `mask` holds `8 * xs.len()` readable bytes (the
+                // caller's contract), and only the live words are read.
+                let m = unsafe { _mm512_maskz_loadu_epi64(live, mask.add(8 * at).cast()) };
+                q = _mm512_sub_epi64(q, m);
+            }
+            // SAFETY: `out` holds `8 * xs.len()` writable bytes (the
+            // caller's contract), and only the live words are written.
+            unsafe { _mm512_mask_storeu_epi64(out.add(8 * at).cast(), live, q) };
+            at += lanes;
         }
     }
 }
@@ -193,6 +303,74 @@ mod tests {
             for x in raw.chain(wide).chain(narrow) {
                 prop_assert_eq!(Fixed64::encode(x), encode_with_round(x));
             }
+        }
+    }
+
+    /// `encode(x) - r` a word at a time: the oracle of both
+    /// `encode_sub_le` tiers.
+    fn encode_sub_oracle(xs: &[f64], mask_le: &[u8]) -> Vec<u8> {
+        let masks = mask_le.chunks_exact(8).map(|m| u64::from_le_bytes(m.try_into().unwrap()));
+        let words = xs.iter().zip(masks).map(|(&x, r)| Fixed64::encode(x).sub(Fixed64(r)).0);
+        words.flat_map(u64::to_le_bytes).collect()
+    }
+
+    /// Both tiers of `encode_sub_le` (the dispatched one and the word loop)
+    /// and `encode_matrix` on `xs`, against the scalar encode, with the
+    /// output and mask bytes at odd offsets from their buffers' starts.
+    fn check_encodes(xs: &[f64], rng: &mut Mt19937) {
+        let n = 8 * xs.len();
+        let mut mask = vec![0u8; n + 3];
+        rng.fill_le_bytes(&mut mask[..n]);
+        mask.rotate_right(3);
+        let mask = &mask[3..];
+        let want = encode_sub_oracle(xs, mask);
+        let mut out = vec![0u8; n + 1];
+        Fixed64::encode_sub_le(&mut out[1..], xs, mask);
+        assert!(out[1..] == want[..], "dispatched tier, {} inputs: {xs:?}", xs.len());
+        encode_sub_words(&mut out[1..], xs, mask);
+        assert!(out[1..] == want[..], "word loop, {} inputs: {xs:?}", xs.len());
+        let m = PlainMatrix::from_vec(1, xs.len(), xs.to_vec());
+        let encoded = Fixed64::encode_matrix(&m);
+        let scalar: Vec<u64> = xs.iter().map(|&x| Fixed64::encode(x).0).collect();
+        let bits: Vec<u64> = encoded.as_slice().iter().map(|v| v.0).collect();
+        assert_eq!(bits, scalar, "encode_matrix, {} inputs: {xs:?}", xs.len());
+    }
+
+    /// The edges and random bit patterns in windows of every length
+    /// 0..=33 (every tail of an eight-lane step), from every start.
+    #[test]
+    fn encode_sub_le_matches_the_scalar_encode_on_every_tail() {
+        let mut rng = Mt19937::new(41);
+        let mut xs: Vec<f64> = encode_edges().into_iter().map(|y| y / SCALE).collect();
+        xs.extend((0..256).map(|_| f64::from_bits(rng.next_u64())));
+        for len in 0..=33 {
+            for start in 0..xs.len() - len {
+                check_encodes(&xs[start..start + len], &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one output and one mask word per input")]
+    fn encode_sub_le_refuses_a_short_mask() {
+        Fixed64::encode_sub_le(&mut [0u8; 16], &[1.0, 2.0], &[0u8; 8]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random bit patterns, values inside the ring and inside `±64`,
+        /// at random lengths.
+        #[test]
+        fn encode_sub_le_matches_the_scalar_encode_on_a_seeded_sweep(
+            bits in prop::collection::vec(any::<u64>(), 0..300),
+            wide in prop::collection::vec(-1.1e15f64..1.1e15, 0..300),
+            narrow in prop::collection::vec(-64.0f64..64.0, 0..300),
+            seed in any::<u32>(),
+        ) {
+            let mut rng = Mt19937::new(seed);
+            check_encodes(&bits.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>(), &mut rng);
+            check_encodes(&wide, &mut rng);
+            check_encodes(&narrow, &mut rng);
         }
     }
 

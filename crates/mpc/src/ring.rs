@@ -57,11 +57,19 @@ pub trait SecureRing: Num {
     /// SecureML's local post-multiplication share truncation.
     fn truncate_share(self, party: Party) -> Self;
 
+    /// Writes `encode(x) - r` for each `x` of `xs` and the word `r` at
+    /// the same position of `mask_le` into `out`, [`Num::BYTES`]
+    /// little-endian bytes a word: the client's second share, split
+    /// straight into a frame's payload from the mask already written in
+    /// the first.
+    ///
+    /// # Panics
+    ///
+    /// Unless `out` and `mask_le` each hold exactly `xs.len()` words.
+    fn encode_sub_le(out: &mut [u8], xs: &[f64], mask_le: &[u8]);
+
     /// Encodes a cleartext matrix element-wise.
-    fn encode_matrix(m: &PlainMatrix) -> Matrix<Self> {
-        let data = m.as_slice().iter().map(|&x| Self::encode(x)).collect();
-        Matrix::from_vec(m.rows(), m.cols(), data)
-    }
+    fn encode_matrix(m: &PlainMatrix) -> Matrix<Self>;
 
     /// Decodes a ring matrix element-wise.
     fn decode_matrix(m: &Matrix<Self>) -> PlainMatrix {

@@ -33,11 +33,12 @@
 //! A frame is built in one buffer: [`encode_framed`] reserves the header,
 //! serializes the payload straight behind it and patches the checksum in.
 //! A dense frame has one writer, [`DenseFrame`]: the header first, then
-//! the payload words from whatever the caller computes them from (a
-//! matrix, or `X_i - M_i` straight from its operands), sealed with its
-//! sequence number and checksum when it is sent. [`encode_frame`] and
-//! [`encode_stream_frame`] wrap already-encoded bytes through the same
-//! seal routine. [`payload_bytes`] gives the encoded length without
+//! the payload words, written in place by the caller (a generator's
+//! draws, `encode(x) - r` against another frame's words) or put from
+//! whatever it computes them from (a matrix, or `X_i - M_i` straight from
+//! its operands), sealed with its sequence number and checksum when it is
+//! sent. [`encode_frame`] and [`encode_stream_frame`] wrap already-encoded
+//! bytes through the same seal routine. [`payload_bytes`] gives the encoded length without
 //! encoding, so a sender can be charged (and refused) before any
 //! serialization work. On receipt, [`VerifiedDense`] makes every check
 //! [`decode`] makes of a dense frame and lends the words in place.
@@ -204,6 +205,13 @@ impl<R: Num> DenseFrame<R> {
     /// If `words` does not yield exactly `rows * cols` values.
     pub fn write(rows: usize, cols: usize, words: impl ExactSizeIterator<Item = R>) -> Self {
         assert_eq!(words.len(), rows * cols, "a dense frame holds rows x cols words");
+        Self::write_with(rows, cols, |payload| put_words(payload, words, R::BYTES, R::to_bits64))
+    }
+
+    /// Writes a `rows x cols` frame's header, then lets `fill` write its
+    /// payload in place: `rows * cols` words of `R::BYTES` little-endian
+    /// bytes each, row-major, in a zeroed slice of exactly that length.
+    pub fn write_with(rows: usize, cols: usize, fill: impl FnOnce(&mut [u8])) -> Self {
         // Zeroed at allocation, which a fresh mapping gets for free.
         let mut bytes = vec![0; FRAME_HEADER_BYTES + dense_payload_bytes::<R>(rows, cols)];
         let (header, payload) = bytes.split_at_mut(DENSE_WORDS_AT);
@@ -211,7 +219,7 @@ impl<R: Num> DenseFrame<R> {
         header[FRAME_HEADER_BYTES] = TAG_DENSE;
         header[FRAME_HEADER_BYTES + 1..][..4].copy_from_slice(&(rows as u32).to_le_bytes());
         header[FRAME_HEADER_BYTES + 5..].copy_from_slice(&(cols as u32).to_le_bytes());
-        put_words(payload, words, R::BYTES, R::to_bits64);
+        fill(payload);
         DenseFrame { bytes, shape: (rows, cols), _carrier: std::marker::PhantomData }
     }
 
@@ -233,7 +241,13 @@ impl<R: Num> DenseFrame<R> {
 
     /// The payload words as written, read in place.
     pub fn words(&self) -> impl ExactSizeIterator<Item = R> + '_ {
-        read_words(&self.bytes[DENSE_WORDS_AT..])
+        read_words(self.word_bytes())
+    }
+
+    /// The payload words' bytes as written: `R::BYTES` little-endian
+    /// bytes a word, row-major.
+    pub fn word_bytes(&self) -> &[u8] {
+        &self.bytes[DENSE_WORDS_AT..]
     }
 
     /// The frame's bytes with `seq` and `crc32(seq || payload)` in its
@@ -755,6 +769,21 @@ mod tests {
         m[(0, 1)] = 77;
         m[(3, 3)] = u64::MAX;
         Payload::SparseDelta(Csr::from_dense(&m))
+    }
+
+    /// A payload filled in place is the frame of the same words: the
+    /// fill sees exactly the payload, zeroed, and the header is written.
+    #[test]
+    fn a_frame_filled_in_place_is_the_frame_of_its_words() {
+        let m = Matrix::<u64>::from_fn(3, 7, |r, c| ((r as u64) << 40) | (c as u64 * 0x0101));
+        let filled = DenseFrame::<u64>::write_with(3, 7, |payload| {
+            assert!(payload.len() == 21 * 8 && payload.iter().all(|&b| b == 0));
+            for (out, w) in payload.chunks_exact_mut(8).zip(m.as_slice()) {
+                out.copy_from_slice(&w.to_le_bytes());
+            }
+        });
+        assert_eq!(filled.word_bytes(), &encode(&Payload::Dense(m.clone()))[9..]);
+        assert_eq!(filled.sealed(11), encode_framed(11, &Payload::Dense(m)));
     }
 
     #[test]

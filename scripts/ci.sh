@@ -335,6 +335,32 @@ elif [ "$(uname -m)" = x86_64 ]; then
         echo "ci: the CRC zmm fold is missing or has no vpclmul on zmm registers" >&2
         exit 1
     fi
+    # Encode codegen gate: the client's `encode(x) - mask` tier converts
+    # eight lanes at once with `vcvttpd2qq` on zmm registers. Fail when
+    # `mpc::fixed::wide::encode_sub` is missing from the benchmark's binary
+    # or converts no zmm register, so it cannot silently fall back to the
+    # scalar saturating cast.
+    encode_codegen="$(objdump -d --no-show-raw-insn -C "$e2e_bin" | awk '
+        /^[0-9a-f]+ </ { enc = ($0 ~ /fixed::wide::encode_sub/); symbols += enc }
+        enc && /vcvttpd2qq.*%zmm/ { wide++ }
+        END { printf "encode symbols %d, zmm vcvttpd2qq %d\n", symbols, wide }')"
+    echo "ci: $encode_codegen"
+    if ! grep -q 'symbols [1-9][0-9]*, zmm vcvttpd2qq [1-9][0-9]*$' <<<"$encode_codegen"; then
+        echo "ci: the AVX-512 encode is missing or has no vcvttpd2qq on zmm registers" >&2
+        exit 1
+    fi
+    # MT19937 codegen gate: the generator's AVX-512 twist runs on zmm
+    # registers. Fail when `Mt19937::twist_wide` is missing from the
+    # benchmark's binary or holds no zmm instruction.
+    twist_codegen="$(objdump -d --no-show-raw-insn -C "$e2e_bin" | awk '
+        /^[0-9a-f]+ </ { tw = ($0 ~ /Mt19937::twist_wide>/); symbols += tw }
+        tw && /%zmm/ { wide++ }
+        END { printf "mt19937 twist_wide symbols %d, zmm instructions %d\n", symbols, wide }')"
+    echo "ci: $twist_codegen"
+    if ! grep -q 'symbols [1-9][0-9]*, zmm instructions [1-9][0-9]*$' <<<"$twist_codegen"; then
+        echo "ci: MT19937's AVX-512 twist is missing or uses no zmm register" >&2
+        exit 1
+    fi
 fi
 cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- run --smoke
 cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
